@@ -72,7 +72,7 @@ fn classify_flows(c: &mut Criterion) {
     ];
     let mut group = c.benchmark_group("classify");
     group.throughput(Throughput::Elements(flows.len() as u64));
-    group.bench_function("app_ruleset_walk", |b| {
+    group.bench_function("app_ruleset_index", |b| {
         b.iter(|| {
             for f in &flows {
                 black_box(ruleset.classify(black_box(f)));

@@ -7,10 +7,19 @@
 //! rule matches land in the *Miscellaneous* buckets (web, secure web,
 //! video, audio, non-web TCP, UDP) that dominate Table 5.
 //!
-//! The engine here has the same shape: a [`RuleSet`] is an ordered list of
-//! matchers over [`FlowMetadata`]; first match wins; unmatched flows fall
-//! through to the misc buckets by transport/port/content heuristics.
+//! The engine here has the same shape. A [`RuleSet`] is *specified* as an
+//! ordered list of matchers over [`FlowMetadata`] where the first match
+//! wins and unmatched flows fall through to the misc buckets by
+//! transport/port/content heuristics. That order is the semantics, not the
+//! implementation: building a ruleset compiles the list once into a
+//! private `RuleIndex` — per matcher kind, the lowest rule ordinal that
+//! can fire — and [`RuleSet::classify`] probes it and takes the minimum
+//! ordinal found, which is "first match wins" for any rule order. The
+//! linear walk over the list survives only in this module's tests, as the
+//! differential oracle for the index.
 
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Application categories, matching Table 6's rows.
@@ -191,7 +200,7 @@ applications! {
 }
 
 /// Transport protocol of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Transport {
     /// TCP.
     Tcp,
@@ -292,7 +301,7 @@ impl FlowMetadata {
 }
 
 /// How a rule matches a flow.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Matcher {
     /// Hostname equals the suffix or ends with `.suffix`.
     HostSuffix(&'static str),
@@ -320,11 +329,65 @@ pub enum RuleSetVersion {
     V2015,
 }
 
-/// An ordered application ruleset.
+/// An ordered application ruleset, compiled for lookup.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuleSet {
     version: RuleSetVersion,
     rules: Vec<Rule>,
+    index: RuleIndex,
+}
+
+/// The rule list compiled into lookup tables: for each matcher kind, the
+/// lowest ordinal (position in the rule list) among the rules that can
+/// fire. Ordered maps, not `HashMap`s: a hundred static keys gain nothing
+/// from hashing, and nothing here can iterate in a process-dependent order.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct RuleIndex {
+    hosts: BTreeMap<&'static str, usize>,
+    ports: BTreeMap<(Transport, u16), usize>,
+    bittorrent_marker: Option<usize>,
+    opaque_encrypted: Option<usize>,
+}
+
+impl RuleIndex {
+    /// Compiles `rules`, and lists every rule that can never fire as
+    /// `(shadowed ordinal, ordinal of the earlier rule that shadows it)`.
+    /// Shadowed rules stay out of the tables.
+    fn compile(rules: &[Rule]) -> (Self, Vec<(usize, usize)>) {
+        let mut index = RuleIndex::default();
+        let mut shadowed = Vec::new();
+        for (ordinal, rule) in rules.iter().enumerate() {
+            // Rules arrive in ordinal order, so whichever rule already
+            // answers for this rule's own key answers first for every flow
+            // this rule matches.
+            let winner = match rule.matcher {
+                Matcher::HostSuffix(suffix) => match index.host(suffix) {
+                    Some(earlier) => earlier,
+                    None => *index.hosts.entry(suffix).or_insert(ordinal),
+                },
+                Matcher::Port(transport, port) => {
+                    *index.ports.entry((transport, port)).or_insert(ordinal)
+                }
+                Matcher::BitTorrentMarker => *index.bittorrent_marker.get_or_insert(ordinal),
+                Matcher::OpaqueEncrypted => *index.opaque_encrypted.get_or_insert(ordinal),
+            };
+            if winner != ordinal {
+                shadowed.push((ordinal, winner));
+            }
+        }
+        (index, shadowed)
+    }
+
+    /// Lowest ordinal among the host rules whose suffix is the lowercase
+    /// `host` itself or what follows one of its dots — the label-aligned
+    /// suffixes, so `notfacebook.com` never reaches `facebook.com`.
+    fn host(&self, host: &str) -> Option<usize> {
+        std::iter::successors(Some(host), |rest| {
+            rest.split_once('.').map(|(_, tail)| tail)
+        })
+        .filter_map(|suffix| self.hosts.get(suffix).copied())
+        .min()
+    }
 }
 
 /// Host-suffix rules shared by both ruleset versions.
@@ -498,7 +561,12 @@ impl RuleSet {
             app: Application::EncryptedP2p,
             matcher: Matcher::OpaqueEncrypted,
         });
-        RuleSet { version, rules }
+        let (index, _shadowed) = RuleIndex::compile(&rules);
+        RuleSet {
+            version,
+            rules,
+            index,
+        }
     }
 
     /// The ruleset generation.
@@ -520,6 +588,11 @@ impl RuleSet {
     /// Classifies a flow. Always returns *something*: unmatched flows fall
     /// into the Miscellaneous buckets.
     ///
+    /// The result is that of the first rule in list order that matches:
+    /// each matcher kind reports the lowest ordinal it can fire, and the
+    /// minimum over the kinds wins. No allocation unless the hostname
+    /// carries an ASCII uppercase byte.
+    ///
     /// ```
     /// use airstat_classify::apps::{Application, FlowMetadata, RuleSet};
     ///
@@ -535,25 +608,25 @@ impl RuleSet {
     /// );
     /// ```
     pub fn classify(&self, flow: &FlowMetadata) -> Application {
-        for rule in &self.rules {
-            if Self::matches(&rule.matcher, flow) {
-                return rule.app;
-            }
-        }
-        self.fallback(flow)
-    }
-
-    fn matches(matcher: &Matcher, flow: &FlowMetadata) -> bool {
-        match matcher {
-            Matcher::HostSuffix(suffix) => flow.best_host().is_some_and(|h| {
-                let h = h.to_ascii_lowercase();
-                h == *suffix || h.ends_with(&format!(".{suffix}"))
-            }),
-            Matcher::Port(t, p) => flow.transport == *t && flow.dst_port == *p,
-            Matcher::BitTorrentMarker => flow.bittorrent_handshake,
-            Matcher::OpaqueEncrypted => {
-                flow.opaque_encrypted && flow.dst_port != 443 && flow.dst_port != 80
-            }
+        let index = &self.index;
+        let host = flow.best_host().and_then(|host| {
+            let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+                Cow::Owned(host.to_ascii_lowercase())
+            } else {
+                Cow::Borrowed(host)
+            };
+            index.host(&host)
+        });
+        let port = index.ports.get(&(flow.transport, flow.dst_port)).copied();
+        let marker = index
+            .bittorrent_marker
+            .filter(|_| flow.bittorrent_handshake);
+        let opaque = index
+            .opaque_encrypted
+            .filter(|_| flow.opaque_encrypted && flow.dst_port != 443 && flow.dst_port != 80);
+        match [host, port, marker, opaque].into_iter().flatten().min() {
+            Some(ordinal) => self.rules[ordinal].app,
+            None => self.fallback(flow),
         }
     }
 
@@ -586,6 +659,200 @@ mod tests {
 
     fn rs() -> RuleSet {
         RuleSet::standard_2015()
+    }
+
+    /// The specification, executable: walk the rule list in order and
+    /// return the first rule that matches. Production code never runs
+    /// this; it is the differential oracle for [`RuleSet::classify`].
+    fn classify_linear(rules: &RuleSet, flow: &FlowMetadata) -> Application {
+        let matches = |matcher: &Matcher| match matcher {
+            Matcher::HostSuffix(suffix) => flow.best_host().is_some_and(|h| {
+                let h = h.to_ascii_lowercase();
+                h == *suffix || h.ends_with(&format!(".{suffix}"))
+            }),
+            Matcher::Port(t, p) => flow.transport == *t && flow.dst_port == *p,
+            Matcher::BitTorrentMarker => flow.bittorrent_handshake,
+            Matcher::OpaqueEncrypted => {
+                flow.opaque_encrypted && flow.dst_port != 443 && flow.dst_port != 80
+            }
+        };
+        match rules.rules.iter().find(|rule| matches(&rule.matcher)) {
+            Some(rule) => rule.app,
+            None => rules.fallback(flow),
+        }
+    }
+
+    /// Hostnames built around one rule suffix: the hits, and the near
+    /// misses a suffix table could get wrong.
+    fn hosts_around(suffix: &str) -> Vec<String> {
+        let mixed_case: String = suffix
+            .chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if i % 2 == 0 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect();
+        vec![
+            suffix.to_string(),
+            format!("x.{suffix}"),
+            format!("x.y.{suffix}"),
+            format!("not{suffix}"),
+            format!("{suffix}.evil.example"),
+            format!("{suffix}."),
+            format!(".{suffix}"),
+            format!("WWW.{mixed_case}"),
+            mixed_case,
+            format!("b\u{fc}cher.{suffix}"),
+            format!("\u{130}.{suffix}"),
+        ]
+    }
+
+    #[test]
+    fn index_agrees_with_linear_scan_on_the_rule_corpus() {
+        let hints = [None, Some(ContentHint::Video), Some(ContentHint::Audio)];
+        for rules in [RuleSet::standard_2014(), RuleSet::standard_2015()] {
+            let mut hosts: Vec<String> = ["", ".", "..com", "com", "unknown-host.example"]
+                .map(String::from)
+                .to_vec();
+            let mut ports = vec![80u16, 443, 8080, 0, u16::MAX, 51413];
+            for rule in &rules.rules {
+                match rule.matcher {
+                    Matcher::HostSuffix(suffix) => hosts.extend(hosts_around(suffix)),
+                    Matcher::Port(_, port) => ports.extend([port - 1, port, port + 1]),
+                    Matcher::BitTorrentMarker | Matcher::OpaqueEncrypted => {}
+                }
+            }
+            ports.sort_unstable();
+            ports.dedup();
+            let mut cases = 0u64;
+            let mut check = |flow: &FlowMetadata| {
+                assert_eq!(
+                    rules.classify(flow),
+                    classify_linear(&rules, flow),
+                    "{:?}: {flow:?}",
+                    rules.version()
+                );
+                cases += 1;
+            };
+            // Every host against every port, transport, flag and hint that
+            // can interact with it.
+            for host in &hosts {
+                for &dst_port in &ports {
+                    for transport in [Transport::Tcp, Transport::Udp] {
+                        for flags in 0..4u8 {
+                            let flow = FlowMetadata {
+                                dns_host: None,
+                                http_host: None,
+                                sni: Some(host.clone()),
+                                dst_port,
+                                transport,
+                                bittorrent_handshake: flags & 1 != 0,
+                                opaque_encrypted: flags & 2 != 0,
+                                // Hints only steer the shared fallback:
+                                // rotated here, crossed in full below.
+                                content_hint: hints[usize::from(dst_port) % 3],
+                            };
+                            check(&flow);
+                        }
+                    }
+                }
+            }
+            // Which of the three hostname sources is present, and which
+            // one wins: a rule host, a different rule host, and a miss.
+            let sources = [
+                None,
+                Some("mail.google.com".to_string()),
+                Some("WWW.Apple.com".to_string()),
+                Some("portal7.example.org".to_string()),
+            ];
+            for dns_host in &sources {
+                for http_host in &sources {
+                    for sni in &sources {
+                        for content_hint in hints {
+                            for dst_port in [80, 443, 993, 6881] {
+                                check(&FlowMetadata {
+                                    dns_host: dns_host.clone(),
+                                    http_host: http_host.clone(),
+                                    sni: sni.clone(),
+                                    dst_port,
+                                    transport: Transport::Tcp,
+                                    bittorrent_handshake: false,
+                                    opaque_encrypted: dst_port == 993,
+                                    content_hint,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(cases > 300_000, "corpus shrank to {cases} cases");
+        }
+    }
+
+    #[test]
+    fn shadowed_rules_agree_with_their_shadower() {
+        // A host rule listed after a rule for one of its own parent
+        // suffixes can never fire. That is harmless while both name the
+        // same application and a silent Table 5 error otherwise (think
+        // `apple.com` listed before `swcdn.apple.com`), so the dead rules
+        // are pinned by name: a new one has to be put in order or
+        // acknowledged here.
+        let suffix = |rules: &RuleSet, ordinal: usize| match rules.rules[ordinal].matcher {
+            Matcher::HostSuffix(suffix) => suffix,
+            ref other => panic!("only host rules are shadowed today, not {other:?}"),
+        };
+        for (rules, pinned) in [
+            (
+                RuleSet::standard_2014(),
+                vec![("nexusapi.dropcam.com", "dropcam.com")],
+            ),
+            (
+                RuleSet::standard_2015(),
+                vec![
+                    ("audio-fa.spotify.com", "spotify.com"),
+                    ("nexusapi.dropcam.com", "dropcam.com"),
+                ],
+            ),
+        ] {
+            let (index, shadowed) = RuleIndex::compile(&rules.rules);
+            assert_eq!(index, rules.index);
+            let mut named = Vec::new();
+            for (dead, shadower) in shadowed {
+                assert!(shadower < dead);
+                assert_eq!(
+                    rules.rules[dead].app,
+                    rules.rules[shadower].app,
+                    "{:?}: rule {dead} ({:?}) is unreachable behind rule {shadower} ({:?}) \
+                     and names a different application",
+                    rules.version(),
+                    rules.rules[dead].matcher,
+                    rules.rules[shadower].matcher,
+                );
+                named.push((suffix(&rules, dead), suffix(&rules, shadower)));
+            }
+            assert_eq!(named, pinned, "{:?}", rules.version());
+        }
+    }
+
+    #[test]
+    fn compile_reports_a_misordered_specific_rule() {
+        // The ordering mistake the audit exists for.
+        let rule = |host, app| Rule {
+            app,
+            matcher: Matcher::HostSuffix(host),
+        };
+        let rules = [
+            rule("apple.com", Application::AppleCom),
+            rule("swcdn.apple.com", Application::SoftwareUpdates),
+            rule("apple.com", Application::AppleCom),
+        ];
+        let (index, shadowed) = RuleIndex::compile(&rules);
+        assert_eq!(shadowed, vec![(1, 0), (2, 0)]);
+        assert_eq!(index.host("swcdn.apple.com"), Some(0));
     }
 
     #[test]
@@ -769,9 +1036,8 @@ mod tests {
     #[test]
     fn ruleset_scale_comparable_to_paper() {
         // The paper says "about 200 application identification rules".
-        // Ours is the same order of magnitude.
-        let n = rs().len();
-        assert!(n > 80 && n < 300, "rule count {n}");
+        // Ours is the same order of magnitude; README quotes the counts.
+        assert_eq!((RuleSet::standard_2014().len(), rs().len()), (94, 100));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! classification. TCP FIN (or an idle timeout) retires the entry, and
 //! the table is bounded — eviction picks the least-recently-used flow, a
 //! real constraint on 64 MB devices.
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -110,22 +111,33 @@ impl FlowTable {
     /// Reopening a live key reclassifies it (new connection reusing an
     /// ephemeral port).
     pub fn open(&mut self, key: FlowKey, metadata: &FlowMetadata, now: u64) -> Application {
+        self.admit(key, metadata, now).app
+    }
+
+    /// The slow path proper: classify, make room, cache the entry. One map
+    /// probe while the table has room; a full table checks for the key
+    /// first, because only a *new* key evicts and the victim is chosen
+    /// before the newcomer is in the map.
+    fn admit(&mut self, key: FlowKey, metadata: &FlowMetadata, now: u64) -> &mut FlowEntry {
         self.slow_path_packets += 1;
         if self.flows.len() >= self.capacity && !self.flows.contains_key(&key) {
             self.evict_lru();
         }
-        let app = self.ruleset.classify(metadata);
-        self.flows.insert(
-            key,
-            FlowEntry {
-                app,
-                up_bytes: 0,
-                down_bytes: 0,
-                last_seen: now,
-                finished: false,
-            },
-        );
-        app
+        let fresh = FlowEntry {
+            app: self.ruleset.classify(metadata),
+            up_bytes: 0,
+            down_bytes: 0,
+            last_seen: now,
+            finished: false,
+        };
+        match self.flows.entry(key) {
+            Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
+                *entry = fresh;
+                entry
+            }
+            Entry::Vacant(slot) => slot.insert(fresh),
+        }
     }
 
     /// Accounts one data packet. Packets for unknown flows (table
@@ -139,24 +151,16 @@ impl FlowTable {
         fallback: &FlowMetadata,
         now: u64,
     ) -> Path {
-        if !self.flows.contains_key(&key) {
-            // Mid-flow packet with no entry: classify from what little the
-            // packet shows (ports/transport only in practice).
-            self.open(key, fallback, now);
-            let entry = self
-                .flows
-                .get_mut(&key)
-                .expect("invariant: open() inserted this key two lines up");
+        if let Some(entry) = self.flows.get_mut(&key) {
             Self::bump(entry, direction, bytes, now);
-            return Path::Slow;
+            self.fast_path_packets += 1;
+            return Path::Fast;
         }
-        let entry = self
-            .flows
-            .get_mut(&key)
-            .expect("invariant: contains_key checked at function entry");
+        // Mid-flow packet with no entry: classify from what little the
+        // packet shows (ports/transport only in practice).
+        let entry = self.admit(key, fallback, now);
         Self::bump(entry, direction, bytes, now);
-        self.fast_path_packets += 1;
-        Path::Fast
+        Path::Slow
     }
 
     fn bump(entry: &mut FlowEntry, direction: Direction, bytes: u64, now: u64) {
@@ -357,6 +361,65 @@ mod tests {
         let usage = t.flush();
         let total: u64 = usage.iter().map(|(_, u)| u.down_bytes).sum();
         assert_eq!(total, 500);
+    }
+
+    #[test]
+    fn capacity_two_eviction_sequence_and_counters_are_pinned() {
+        // Victims and counters captured on the two-probe `contains_key` +
+        // `insert`/`get_mut` implementation; the single-probe rewrite must
+        // evict the same flows at the same steps.
+        let live = |t: &FlowTable| {
+            let mut keys: Vec<u64> = t.flows.keys().map(|k| k.flow_id).collect();
+            keys.sort_unstable();
+            keys
+        };
+        let mut t = table(2);
+        let web = FlowMetadata::http("site1.example.com");
+        let netflix = FlowMetadata::https("movies.netflix.com");
+        let bare = FlowMetadata::tcp(443);
+        t.open(key(1, 1), &web, 0);
+        t.open(key(1, 2), &netflix, 0);
+        // Reopening a live key at capacity replaces it in place.
+        t.open(key(1, 2), &netflix, 1);
+        assert_eq!((t.evictions(), live(&t)), (0, vec![1, 2]));
+        // A new key at capacity evicts the least recently used flow.
+        t.open(key(1, 3), &web, 2);
+        assert_eq!((t.evictions(), live(&t)), (1, vec![2, 3]));
+        // A mid-flow packet for the evicted flow re-punts and evicts in turn.
+        assert_eq!(
+            t.packet(key(1, 1), Direction::Down, 100, &bare, 3),
+            Path::Slow
+        );
+        assert_eq!((t.evictions(), live(&t)), (2, vec![1, 3]));
+        assert_eq!(t.packet(key(1, 3), Direction::Up, 10, &web, 4), Path::Fast);
+        assert_eq!(
+            t.packet(key(1, 2), Direction::Down, 7, &bare, 5),
+            Path::Slow
+        );
+        assert_eq!((t.evictions(), live(&t)), (3, vec![2, 3]));
+        // Equal `last_seen` stamps tie-break on the key.
+        t.packet(key(1, 3), Direction::Up, 1, &web, 5);
+        t.open(key(1, 4), &netflix, 6);
+        assert_eq!((t.evictions(), live(&t)), (4, vec![3, 4]));
+        t.finish(key(1, 4), 7);
+        assert_eq!(
+            (t.slow_path_packets(), t.fast_path_packets(), t.evictions()),
+            (8, 2, 4)
+        );
+        let usage: Vec<(Application, u64, u64)> = t
+            .flush()
+            .into_iter()
+            .map(|((_, app), u)| (app, u.up_bytes, u.down_bytes))
+            .collect();
+        assert_eq!(
+            usage,
+            vec![
+                (Application::MiscWeb, 11, 0),
+                // Evicted before it carried a byte: the row still exists.
+                (Application::Netflix, 0, 0),
+                (Application::EncryptedTcp, 0, 107),
+            ]
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!
 //! [`RuleSet`]: airstat_classify::apps::RuleSet
 
+use std::sync::OnceLock;
+
 use airstat_classify::apps::{Application, ContentHint, FlowMetadata};
+use airstat_classify::device::OsFamily;
 use airstat_stats::dist::LogNormal;
 use rand::Rng;
 
@@ -52,7 +55,7 @@ impl WeeklyTraffic {
 /// calibration while letting clients of rare heavy applications (the
 /// Netflix/Dropcam users) consume several times the average — exactly the
 /// per-client skew Table 5's MB/client column shows.
-pub fn expected_weight_sum(os: airstat_classify::device::OsFamily, year: MeasurementYear) -> f64 {
+pub fn expected_weight_sum(os: OsFamily, year: MeasurementYear) -> f64 {
     let mut sum = 0.0;
     for profile in PROFILES {
         let (share, reach) = year_adjusted(profile, year);
@@ -64,6 +67,24 @@ pub fn expected_weight_sum(os: airstat_classify::device::OsFamily, year: Measure
         sum += p * share / reach;
     }
     sum.max(1e-6)
+}
+
+/// [`expected_weight_sum`] from a table folded once per process: the sum
+/// walks every profile but depends only on `(year, OS)`, and
+/// [`generate_weekly`] wants it for every client. The entries come from
+/// the same expression, so they are the same bits.
+fn weight_norm(os: OsFamily, year: MeasurementYear) -> f64 {
+    static NORMS: OnceLock<[[f64; OsFamily::ALL.len()]; 2]> = OnceLock::new();
+    let norms = NORMS.get_or_init(|| {
+        let mut norms = [[0.0; OsFamily::ALL.len()]; 2];
+        for year in [MeasurementYear::Y2014, MeasurementYear::Y2015] {
+            for os in OsFamily::ALL {
+                norms[year as usize][os as usize] = expected_weight_sum(os, year);
+            }
+        }
+        norms
+    });
+    norms[year as usize][os as usize]
 }
 
 /// Generates one client's weekly traffic.
@@ -98,7 +119,7 @@ pub fn generate_weekly<R: Rng + ?Sized>(
         // Everyone at least touches the web once (captive portal, probe).
         participations.push((Application::MiscWeb, 1.0, 0.8));
     }
-    let norm = expected_weight_sum(client.os, year);
+    let norm = weight_norm(client.os, year);
     let budget = client.weekly_bytes as f64;
     // Handhelds consume rather than produce: the paper measured mobile
     // platforms downloading ~9x what they upload vs ~3x for Mac OS X.
@@ -247,7 +268,6 @@ mod tests {
     use super::*;
     use crate::population::PopulationModel;
     use airstat_classify::apps::RuleSet;
-    use airstat_classify::device::OsFamily;
     use airstat_stats::SeedTree;
 
     fn clients(n: usize, year: MeasurementYear, seed: u64) -> Vec<ClientTruth> {
@@ -412,6 +432,19 @@ mod tests {
             matches!(got, Application::MiscSecureWeb | Application::MiscWeb),
             "{got:?}"
         );
+    }
+
+    #[test]
+    fn weight_norm_table_holds_the_fold_bit_for_bit() {
+        for year in [MeasurementYear::Y2014, MeasurementYear::Y2015] {
+            for os in OsFamily::ALL {
+                assert_eq!(
+                    weight_norm(os, year).to_bits(),
+                    expected_weight_sum(os, year).to_bits(),
+                    "{os:?} {year:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,20 +8,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (includes the store-vs-legacy differential in tests/store_equivalence.rs)"
+echo "==> cargo test -q (every root suite: store-vs-legacy, columnar/vectorized/planner-vs-legacy and persist/reopen differentials, golden report digest, ...)"
 cargo test -q --offline
 
-echo "==> cargo test -q --test columnar_equivalence (columnar/vectorized/planner-vs-legacy query backend differential)"
-cargo test -q --offline --test columnar_equivalence
+echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"
+cargo test -q --offline -p airstat-classify
+
+echo "==> cargo test -q -p airstat-sim (traffic generator, weight-norm table bit-identity, engine determinism)"
+cargo test -q --offline -p airstat-sim
 
 echo "==> cargo test -q -p airstat-store (sharded store: unit, property, and engine-vs-backend tests)"
 cargo test -q --offline -p airstat-store
 
 echo "==> cargo test -q -p airstat-store --test properties pruned_execution (zone-map pruning differential proptest)"
 cargo test -q --offline -p airstat-store --test properties pruned_execution_matches_unpruned_full_scan
-
-echo "==> cargo test -q --test persistence (persist/reopen differential + tail-log crash recovery)"
-cargo test -q --offline --test persistence
 
 echo "==> cargo test -q --test incremental_seal (mid-campaign delta seals: backend x shard x cadence differential, persisted/reloaded included)"
 cargo test -q --offline --test incremental_seal
