@@ -331,15 +331,22 @@ fn record_pipeline_bench() {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // Incremental sealing: the first seal of a populated store projects
-    // every row; after a small delta the next seal projects only the
+    // every row; after a 1 % delta the next seal projects only the
     // dirtied rows into a new delta segment. The whole point of the
     // LSM-style stack is that the second number does not scale with the
-    // store — gate the ratio.
+    // store. Both are recorded, with their ratio; the gate compares the
+    // delta seal with ingesting the very rows it seals, timed back to
+    // back. Either is a few tree operations per row, so that ratio sits
+    // at 0.5-1.0 in debug and release alike, where full/incremental is
+    // about 8x in one and 13x in the other (a full projection iterates
+    // the tables, a delta looks every key up). A seal that scaled with
+    // the store would read about 8x its delta's ingest here.
     const SEAL_DEVICES: u64 = 30_000;
     const SEAL_ITERS: usize = 2;
     let big = seal_batch(0..SEAL_DEVICES, 1);
     let small = seal_batch(0..SEAL_DEVICES / 100, 2);
     let mut full_total = 0u128;
+    let mut delta_ingest_total = 0u128;
     let mut incremental_total = 0u128;
     for _ in 0..SEAL_ITERS {
         let mut store = ShardedStore::with_config(StoreConfig {
@@ -350,33 +357,39 @@ fn record_pipeline_bench() {
         let started = Instant::now();
         std::hint::black_box(store.seal());
         full_total += started.elapsed().as_nanos();
+        let started = Instant::now();
         store.ingest_batch(WINDOW_JAN_2015, &small);
+        delta_ingest_total += started.elapsed().as_nanos();
         let started = Instant::now();
         std::hint::black_box(store.seal());
         incremental_total += started.elapsed().as_nanos();
     }
     let full_seal_ns = (full_total / SEAL_ITERS as u128) as u64;
+    let delta_ingest_ns = (delta_ingest_total / SEAL_ITERS as u128) as u64;
     let incremental_seal_ns = (incremental_total / SEAL_ITERS as u128) as u64;
     let seal_speedup = full_seal_ns as f64 / incremental_seal_ns.max(1) as f64;
+    let seal_vs_ingest = incremental_seal_ns as f64 / delta_ingest_ns.max(1) as f64;
     store_rows.push(format!(
         "    {{ \"case\": \"store_seal_incremental\", \"devices\": {SEAL_DEVICES}, \
          \"delta_devices\": {}, \"full_seal_ns\": {full_seal_ns}, \
+         \"delta_ingest_ns\": {delta_ingest_ns}, \
          \"incremental_seal_ns\": {incremental_seal_ns}, \
-         \"speedup_vs_full_seal\": {seal_speedup:.1}, \"iters\": {SEAL_ITERS}, \
+         \"speedup_vs_full_seal\": {seal_speedup:.1}, \
+         \"seal_vs_delta_ingest\": {seal_vs_ingest:.2}, \"iters\": {SEAL_ITERS}, \
          \"host_cores\": {host_cores} }}",
         SEAL_DEVICES / 100,
     ));
-    if host_cores == 1 && seal_speedup < 10.0 {
+    if host_cores == 1 && seal_vs_ingest > 2.0 {
         eprintln!(
-            "note: skipping the 10x incremental-seal gate: host has 1 core, \
-             measured {seal_speedup:.1}x"
+            "note: skipping the incremental-seal gate: host has 1 core, \
+             measured {seal_vs_ingest:.2}x the delta's ingest"
         );
     } else {
         assert!(
-            seal_speedup >= 10.0,
-            "re-sealing after a 1% delta must be >= 10x faster than the full \
-             projection, got {seal_speedup:.1}x ({full_seal_ns} ns full vs \
-             {incremental_seal_ns} ns incremental)"
+            seal_vs_ingest <= 2.0,
+            "re-sealing after a 1% delta must cost at most 2x what ingesting \
+             that delta did, got {seal_vs_ingest:.2}x ({incremental_seal_ns} ns \
+             seal vs {delta_ingest_ns} ns ingest; full seal {full_seal_ns} ns)"
         );
     }
 

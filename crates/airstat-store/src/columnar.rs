@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 use airstat_classify::apps::Application;
 use airstat_classify::device::OsFamily;
 use airstat_classify::mac::MacAddress;
+use airstat_rf::airtime::AirtimeLedger;
 use airstat_rf::band::{Band, Channel};
 use airstat_rf::phy::Capabilities;
 use airstat_telemetry::backend::{
@@ -38,7 +39,7 @@ use airstat_telemetry::backend::{
 };
 use airstat_telemetry::crash::CrashReport;
 
-use crate::shard::{ClientMeta, DirtyShard, StoreShard, WindowTables};
+use crate::shard::{CensusRows, ClientMeta, DirtyShard, DirtyWindow, StoreShard, WindowTables};
 
 /// Dense accumulator lanes for [`Application`] (indexed by
 /// discriminant).
@@ -97,49 +98,49 @@ impl ColumnarShard {
                 .filter_map(|(&window, dw)| {
                     shard
                         .window(window)
-                        .map(|tables| (window, ColumnarWindow::build(&tables.filtered(dw))))
+                        .map(|tables| (window, ColumnarWindow::build_delta(tables, dw)))
                 })
                 .collect(),
         }
     }
 
-    /// The key sets this segment holds, as a [`DirtyShard`] — the unit
-    /// compaction works in: merging adjacent segments is exactly
-    /// [`ColumnarShard::build_delta`] over the union of their key sets
-    /// (current values shadow both inputs correctly because any key
-    /// written after these segments sealed lives in a newer segment).
-    pub(crate) fn key_sets(&self) -> DirtyShard {
-        let mut dirty = DirtyShard::default();
-        for (&window, w) in &self.windows {
-            let dw = dirty.windows.entry(window).or_default();
-            for i in 0..w.usage_mac.len() {
-                dw.usage.insert((w.usage_mac[i], w.usage_app[i]));
-            }
-            dw.clients.extend(w.client_mac.iter().copied());
-            dw.links.extend(w.link_keys.iter().copied());
-            dw.airtime.extend(w.airtime_key.iter().copied());
-            dw.neighbors.extend(w.census_device.iter().copied());
-            dw.scans.extend(w.scan_device.iter().copied());
-            dw.crashes.extend(w.crash_device.iter().copied());
+    /// Compaction: folds two adjacent segments of one shard's stack into
+    /// the single segment that replaces them — a linear newest-wins
+    /// [`merge_segments`] per window both hold, a plain copy of a window
+    /// only one holds. Every column is cut at exact capacity: the result
+    /// lives as long as the stack does.
+    ///
+    /// Windows that end up with no rows are dropped (a full projection
+    /// keeps the empty tables of a window that only ever took empty
+    /// payloads; nothing queries them, and a compacted segment never
+    /// carried them).
+    pub(crate) fn merge(older: &ColumnarShard, newer: &ColumnarShard) -> Self {
+        let mut windows: BTreeMap<WindowId, ColumnarWindow> = newer
+            .windows
+            .iter()
+            .filter(|(window, _)| !older.windows.contains_key(window))
+            .map(|(&window, new)| (window, new.clone()))
+            .collect();
+        for (&window, old) in &older.windows {
+            let merged = match newer.windows.get(&window) {
+                Some(new) => {
+                    let room = ColumnarWindow::with_room_for(old, new);
+                    let mut w = merge_segments_into(room, &[old, new], FAM_ALL);
+                    w.shrink_to_fit();
+                    w
+                }
+                None => old.clone(),
+            };
+            windows.insert(window, merged);
         }
-        dirty
+        windows.retain(|_, w| w.row_count() > 0);
+        ColumnarShard { windows }
     }
 
     /// Total keyed rows across all windows and tables — the size the
     /// deterministic compaction policy compares segments by.
     pub(crate) fn row_count(&self) -> u64 {
-        self.windows
-            .values()
-            .map(|w| {
-                (w.usage_mac.len()
-                    + w.client_mac.len()
-                    + w.link_keys.len()
-                    + w.airtime_key.len()
-                    + w.census_device.len()
-                    + w.scan_device.len()
-                    + w.crash_device.len()) as u64
-            })
-            .sum()
+        self.windows.values().map(|w| w.row_count() as u64).sum()
     }
 }
 
@@ -284,23 +285,89 @@ fn min_max(xs: &[u64]) -> Option<(u64, u64)> {
     Some((lo, hi))
 }
 
+/// The most rows `rows` can yield: exact for a walk over a whole table,
+/// the dirty-set size for a delta walk (where every dirty key resolves,
+/// so it is exact there too).
+fn row_bound(rows: &impl Iterator) -> usize {
+    rows.size_hint().1.unwrap_or(0)
+}
+
 impl ColumnarWindow {
+    /// The full projection of one window's tables.
     fn build(t: &WindowTables) -> Self {
+        Self::pack(
+            t.usage.iter(),
+            t.clients.iter(),
+            t.links.iter(),
+            t.airtime.iter(),
+            t.neighbors.iter(),
+            t.scans.iter(),
+            t.crashes.iter(),
+        )
+    }
+
+    /// The projection of only the rows `dirty` names, read straight out
+    /// of the live tables: dirty sets iterate in key order, so the rows
+    /// arrive sorted exactly as a whole-table walk would deliver them.
+    fn build_delta(t: &WindowTables, dirty: &DirtyWindow) -> Self {
+        Self::pack(
+            dirty.usage.iter().filter_map(|k| t.usage.get_key_value(k)),
+            dirty
+                .clients
+                .iter()
+                .filter_map(|k| t.clients.get_key_value(k)),
+            dirty.links.iter().filter_map(|k| t.links.get_key_value(k)),
+            dirty
+                .airtime
+                .iter()
+                .filter_map(|k| t.airtime.get_key_value(k)),
+            dirty
+                .neighbors
+                .iter()
+                .filter_map(|k| t.neighbors.get_key_value(k)),
+            dirty.scans.iter().filter_map(|k| t.scans.get_key_value(k)),
+            dirty
+                .crashes
+                .iter()
+                .filter_map(|k| t.crashes.get_key_value(k)),
+        )
+    }
+
+    /// The one column packer: seven row streams in ascending key order,
+    /// one per table family, in [`WindowTables`] field order. Keyed
+    /// columns are presized from the stream bounds and the CSR value
+    /// columns trimmed afterwards, so a segment holds no slack capacity.
+    fn pack<'a>(
+        usage: impl Iterator<Item = (&'a (MacAddress, Application), &'a UsageTotals)>,
+        clients: impl Iterator<Item = (&'a MacAddress, &'a (ClientMeta, ClientIdentity))>,
+        links: impl Iterator<Item = (&'a LinkKey, &'a Vec<LinkObservation>)>,
+        airtime: impl Iterator<Item = (&'a (u64, Band), &'a AirtimeLedger)>,
+        neighbors: impl Iterator<Item = (&'a u64, &'a (ClientMeta, CensusRows))>,
+        scans: impl Iterator<Item = (&'a u64, &'a BTreeMap<(u64, u32), ScanObservation>)>,
+        crashes: impl Iterator<Item = (&'a u64, &'a BTreeMap<(u64, u32), CrashReport>)>,
+    ) -> Self {
         let mut w = ColumnarWindow::default();
 
-        w.usage_mac.reserve(t.usage.len());
-        w.usage_app.reserve(t.usage.len());
-        w.usage_up.reserve(t.usage.len());
-        w.usage_down.reserve(t.usage.len());
-        for (&(mac, app), totals) in &t.usage {
+        let rows = row_bound(&usage);
+        w.usage_mac.reserve_exact(rows);
+        w.usage_app.reserve_exact(rows);
+        w.usage_up.reserve_exact(rows);
+        w.usage_down.reserve_exact(rows);
+        for (&(mac, app), totals) in usage {
             w.usage_mac.push(mac);
             w.usage_app.push(app);
             w.usage_up.push(totals.up_bytes);
             w.usage_down.push(totals.down_bytes);
         }
 
-        w.client_mac.reserve(t.clients.len());
-        for (&mac, &(meta, identity)) in &t.clients {
+        let rows = row_bound(&clients);
+        w.client_mac.reserve_exact(rows);
+        w.client_meta.reserve_exact(rows);
+        w.client_os.reserve_exact(rows);
+        w.client_caps.reserve_exact(rows);
+        w.client_band.reserve_exact(rows);
+        w.client_rssi.reserve_exact(rows);
+        for (&mac, &(meta, identity)) in clients {
             w.client_mac.push(mac);
             w.client_meta.push(meta);
             w.client_os.push(identity.os);
@@ -309,8 +376,11 @@ impl ColumnarWindow {
             w.client_rssi.push(identity.rssi_dbm);
         }
 
+        let rows = row_bound(&links);
+        w.link_keys.reserve_exact(rows);
+        w.link_offsets.reserve_exact(rows + 1);
         w.link_offsets.push(0);
-        for (&key, series) in &t.links {
+        for (&key, series) in links {
             w.link_keys.push(key);
             for obs in series {
                 w.link_ts.push(obs.timestamp_s);
@@ -319,16 +389,23 @@ impl ColumnarWindow {
             w.link_offsets.push(w.link_ts.len());
         }
 
-        for (&key, ledger) in &t.airtime {
+        let rows = row_bound(&airtime);
+        w.airtime_key.reserve_exact(rows);
+        w.airtime_elapsed.reserve_exact(rows);
+        w.airtime_busy.reserve_exact(rows);
+        for (&key, ledger) in airtime {
             w.airtime_key.push(key);
             w.airtime_elapsed.push(ledger.elapsed_us());
             w.airtime_busy.push(ledger.busy_us());
         }
 
+        let rows = row_bound(&neighbors);
+        w.census_device.reserve_exact(rows);
+        w.census_offsets.reserve_exact(rows + 1);
         w.census_offsets.push(0);
-        for (&device, (_, rows)) in &t.neighbors {
+        for (&device, (_, census)) in neighbors {
             w.census_device.push(device);
-            for &(band, number, networks, hotspots) in rows {
+            for &(band, number, networks, hotspots) in census {
                 w.census_band.push(band);
                 w.census_channel.push(number);
                 w.census_networks.push(networks);
@@ -337,8 +414,11 @@ impl ColumnarWindow {
             w.census_offsets.push(w.census_band.len());
         }
 
+        let rows = row_bound(&scans);
+        w.scan_device.reserve_exact(rows);
+        w.scan_offsets.reserve_exact(rows + 1);
         w.scan_offsets.push(0);
-        for (&device, obs) in &t.scans {
+        for (&device, obs) in scans {
             w.scan_device.push(device);
             for o in obs.values() {
                 w.scan_ts.push(o.timestamp_s);
@@ -350,15 +430,109 @@ impl ColumnarWindow {
             w.scan_offsets.push(w.scan_ts.len());
         }
 
+        let rows = row_bound(&crashes);
+        w.crash_device.reserve_exact(rows);
+        w.crash_offsets.reserve_exact(rows + 1);
         w.crash_offsets.push(0);
-        for (&device, reports) in &t.crashes {
+        for (&device, reports) in crashes {
             w.crash_device.push(device);
             w.crash_rows.extend(reports.values().cloned());
             w.crash_offsets.push(w.crash_rows.len());
         }
 
+        w.shrink_csr_values();
         w.zone = WindowZoneMap::build(&w);
         w
+    }
+
+    /// Keyed rows across all seven tables.
+    pub(crate) fn row_count(&self) -> usize {
+        self.usage_mac.len()
+            + self.client_mac.len()
+            + self.link_keys.len()
+            + self.airtime_key.len()
+            + self.census_device.len()
+            + self.scan_device.len()
+            + self.crash_device.len()
+    }
+
+    /// An empty window whose columns can take every row of `a` and `b`
+    /// without regrowing — an upper bound on their merge, tight when the
+    /// two hold disjoint keys.
+    fn with_room_for(a: &ColumnarWindow, b: &ColumnarWindow) -> Self {
+        let mut w = ColumnarWindow::default();
+        macro_rules! reserve {
+            ($($col:ident),*) => {
+                $(w.$col.reserve_exact(a.$col.len() + b.$col.len());)*
+            };
+        }
+        reserve!(usage_mac, usage_app, usage_up, usage_down);
+        reserve!(
+            client_mac,
+            client_meta,
+            client_os,
+            client_caps,
+            client_band,
+            client_rssi
+        );
+        reserve!(link_keys, link_offsets, link_ts, link_ratio);
+        reserve!(airtime_key, airtime_elapsed, airtime_busy);
+        reserve!(census_device, census_offsets);
+        reserve!(
+            census_band,
+            census_channel,
+            census_networks,
+            census_hotspots
+        );
+        reserve!(scan_device, scan_offsets, scan_ts, scan_channel);
+        reserve!(scan_util_ppm, scan_decodable_ppm, scan_networks);
+        reserve!(crash_device, crash_offsets, crash_rows);
+        w
+    }
+
+    /// Cuts every column at exact capacity. Segments are long-lived, so
+    /// the slack an upper-bound reserve leaves behind would stay resident
+    /// for as long as the stack holds the segment.
+    fn shrink_to_fit(&mut self) {
+        self.usage_mac.shrink_to_fit();
+        self.usage_app.shrink_to_fit();
+        self.usage_up.shrink_to_fit();
+        self.usage_down.shrink_to_fit();
+        self.client_mac.shrink_to_fit();
+        self.client_meta.shrink_to_fit();
+        self.client_os.shrink_to_fit();
+        self.client_caps.shrink_to_fit();
+        self.client_band.shrink_to_fit();
+        self.client_rssi.shrink_to_fit();
+        self.link_keys.shrink_to_fit();
+        self.link_offsets.shrink_to_fit();
+        self.airtime_key.shrink_to_fit();
+        self.airtime_elapsed.shrink_to_fit();
+        self.airtime_busy.shrink_to_fit();
+        self.census_device.shrink_to_fit();
+        self.census_offsets.shrink_to_fit();
+        self.scan_device.shrink_to_fit();
+        self.scan_offsets.shrink_to_fit();
+        self.crash_device.shrink_to_fit();
+        self.crash_offsets.shrink_to_fit();
+        self.shrink_csr_values();
+    }
+
+    /// Trims the CSR value columns — the ones whose length no key count
+    /// bounds, so [`ColumnarWindow::pack`] grows them by `push`.
+    fn shrink_csr_values(&mut self) {
+        self.link_ts.shrink_to_fit();
+        self.link_ratio.shrink_to_fit();
+        self.census_band.shrink_to_fit();
+        self.census_channel.shrink_to_fit();
+        self.census_networks.shrink_to_fit();
+        self.census_hotspots.shrink_to_fit();
+        self.scan_ts.shrink_to_fit();
+        self.scan_channel.shrink_to_fit();
+        self.scan_util_ppm.shrink_to_fit();
+        self.scan_decodable_ppm.shrink_to_fit();
+        self.scan_networks.shrink_to_fit();
+        self.crash_rows.shrink_to_fit();
     }
 
     /// The zone map summarizing this window's columns.
@@ -606,6 +780,9 @@ pub(crate) const FAM_AIRTIME: u8 = 1 << 3;
 pub(crate) const FAM_CENSUS: u8 = 1 << 4;
 pub(crate) const FAM_SCANS: u8 = 1 << 5;
 pub(crate) const FAM_CRASHES: u8 = 1 << 6;
+/// Every table family: what compaction merges.
+pub(crate) const FAM_ALL: u8 =
+    FAM_USAGE | FAM_CLIENTS | FAM_LINKS | FAM_AIRTIME | FAM_CENSUS | FAM_SCANS | FAM_CRASHES;
 
 /// The newest member of a k-way group: segment runs are ordered oldest
 /// to newest and [`kway_groups`] lists members in ascending run order,
@@ -629,7 +806,18 @@ fn newest(members: &[(usize, usize)]) -> (usize, usize) {
 /// columns, so segment-granular pruning composes with shard-granular
 /// pruning untouched.
 pub(crate) fn merge_segments(segs: &[&ColumnarWindow], families: u8) -> ColumnarWindow {
-    let mut w = ColumnarWindow::default();
+    merge_segments_into(ColumnarWindow::default(), segs, families)
+}
+
+/// [`merge_segments`] into `w`, whose columns must be empty. Compaction
+/// hands in a presized window; a query-time merge does not presize — over
+/// a deep stack of overlapping deltas the inputs' combined length is
+/// several times what the merged view holds.
+fn merge_segments_into(
+    mut w: ColumnarWindow,
+    segs: &[&ColumnarWindow],
+    families: u8,
+) -> ColumnarWindow {
     if families & FAM_USAGE != 0 {
         let lens: Vec<usize> = segs.iter().map(|s| s.usage_mac.len()).collect();
         kway_groups(

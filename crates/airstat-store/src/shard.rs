@@ -140,14 +140,28 @@ impl DirtyWindow {
             && self.crashes.is_empty()
     }
 
-    pub(crate) fn merge_from(&mut self, other: &DirtyWindow) {
-        self.usage.extend(other.usage.iter().copied());
-        self.clients.extend(other.clients.iter().copied());
-        self.links.extend(other.links.iter().copied());
-        self.airtime.extend(other.airtime.iter().copied());
-        self.neighbors.extend(other.neighbors.iter().copied());
-        self.scans.extend(other.scans.iter().copied());
-        self.crashes.extend(other.crashes.iter().copied());
+    /// Moves every key of `other` into `self`.
+    pub(crate) fn absorb(&mut self, other: DirtyWindow) {
+        absorb_keys(&mut self.usage, other.usage);
+        absorb_keys(&mut self.clients, other.clients);
+        absorb_keys(&mut self.links, other.links);
+        absorb_keys(&mut self.airtime, other.airtime);
+        absorb_keys(&mut self.neighbors, other.neighbors);
+        absorb_keys(&mut self.scans, other.scans);
+        absorb_keys(&mut self.crashes, other.crashes);
+    }
+}
+
+/// Moves `from` into `into`: the whole tree when `into` is empty (the
+/// first seal, or the first after a persist), key by key otherwise.
+/// `BTreeSet::append` is not used for the second case — it rebuilds the
+/// receiving set, which would make absorbing a seal's delta cost as much
+/// as the baseline has grown.
+fn absorb_keys<K: Ord>(into: &mut BTreeSet<K>, from: BTreeSet<K>) {
+    if into.is_empty() {
+        *into = from;
+    } else {
+        into.extend(from);
     }
 }
 
@@ -178,11 +192,13 @@ impl DirtyShard {
         *self = DirtyShard::default();
     }
 
-    pub(crate) fn merge_from(&mut self, other: &DirtyShard) {
-        for (&window, dirty) in &other.windows {
-            self.windows.entry(window).or_default().merge_from(dirty);
+    /// Moves everything `other` tracked into `self` — how a seal hands
+    /// its drained dirty sets to the persist baseline.
+    pub(crate) fn absorb(&mut self, other: DirtyShard) {
+        for (window, dirty) in other.windows {
+            self.windows.entry(window).or_default().absorb(dirty);
         }
-        self.dedup.extend(other.dedup.iter().copied());
+        absorb_keys(&mut self.dedup, other.dedup);
         self.counters_touched |= other.counters_touched;
     }
 }

@@ -16,7 +16,9 @@
 //! making new data queryable is proportional to the delta, not the
 //! campaign. A deterministic size-tiered compaction pass (driven purely
 //! by segment row counts — no wall clock) folds small adjacent deltas
-//! back into larger runs so stacks stay shallow.
+//! back into larger runs so stacks stay shallow; each fold is a linear
+//! newest-wins merge of the two segments' columns and never goes back to
+//! the row tables.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -469,14 +471,18 @@ impl ShardedStore {
             );
             let mut live = 0u64;
             state.stacks = Vec::with_capacity(sealed.len());
-            for (i, (stack, compacted, rows)) in sealed.into_iter().enumerate() {
+            for (stack, compacted, rows) in sealed {
                 live += stack.len() as u64;
                 state.stacks.push(stack);
                 state.stats.segments_compacted += compacted;
                 state.stats.rows_resealed += rows;
-                state.persist_pending[i].merge_from(&dirty[i]);
             }
-            state.dirty = dirty.into_iter().map(|_| DirtyShard::default()).collect();
+            // The drained sets move into the persist baseline whole;
+            // the seal baseline restarts empty.
+            state.dirty = vec![DirtyShard::default(); dirty.len()];
+            for (pending, drained) in state.persist_pending.iter_mut().zip(dirty) {
+                pending.absorb(drained);
+            }
             state.stats.seals_total += 1;
             state.stats.segments_live = live;
             state.sealed_epoch = Some(self.epoch);
@@ -492,9 +498,10 @@ impl ShardedStore {
 }
 
 /// Brings one shard's segment stack up to date: projects the dirtied
-/// rows into a new delta segment, then runs the size-tiered compaction
-/// loop. Returns the new stack plus (segments consumed by compaction,
-/// rows written into segments by this call).
+/// rows into a new delta segment — the only step that reads the row
+/// tables — then runs the size-tiered compaction loop over the
+/// segments' columns. Returns the new stack plus (segments consumed by
+/// compaction, rows written into segments by this call).
 fn seal_shard(
     shard: &StoreShard,
     stack: &SegmentStack,
@@ -527,9 +534,11 @@ fn seal_shard(
     }
     // Size-tiered compaction: merge the top two segments while the older
     // one is small relative to the newer (row counts only — fully
-    // deterministic). Merging the top of the stack is a filtered rebuild
-    // from the live row tables: no newer segment exists to shadow these
-    // keys, so their current live values are exactly the merged result.
+    // deterministic). The merge is one linear newest-wins pass over the
+    // two segments' sorted columns, and it yields the rows the live
+    // tables hold for those keys: the delta just cut carries every key
+    // dirtied since the previous seal, so no live value is newer than
+    // the top of the stack.
     while segments.len() >= 2 {
         let newer = segments[segments.len() - 1].row_count();
         let older = segments[segments.len() - 2].row_count();
@@ -542,9 +551,7 @@ fn seal_shard(
         let below = segments
             .pop()
             .expect("invariant: len >= 2 guarantees a second segment");
-        let mut keys = below.key_sets();
-        keys.merge_from(&top.key_sets());
-        let merged = ColumnarShard::build_delta(shard, &keys);
+        let merged = ColumnarShard::merge(&below, &top);
         compacted += 2;
         rows += merged.row_count();
         segments.push(Arc::new(merged));
@@ -843,5 +850,465 @@ mod tests {
                 p.window(W).map(|t| t.usage.clone())
             );
         }
+    }
+}
+
+/// Differential oracle for column-merge compaction.
+///
+/// Until compaction became [`ColumnarShard::merge`], `seal_shard` folded
+/// two segments by going back to the row tables: turn both segments'
+/// key columns into key sets, clone those keys' live rows into fresh
+/// tables, project the clone. That path survives here, and only here, as
+/// the reference the merge must equal — segment for segment, at every
+/// compaction any seal cadence triggers — together with the map-cloning
+/// delta projection the single column packer replaced.
+#[cfg(test)]
+mod compaction_oracle {
+    use super::*;
+    use airstat_classify::apps::Application;
+    use airstat_classify::device::OsFamily;
+    use airstat_classify::mac::MacAddress;
+    use airstat_rf::band::{Band, Channel};
+    use airstat_rf::phy::{Capabilities, Generation};
+    use airstat_telemetry::report::{
+        AirtimeRecord, ChannelScanRecord, ClientInfoRecord, CrashRecord, LinkRecord,
+        NeighborRecord, ReportPayload, UsageRecord,
+    };
+    use proptest::prelude::*;
+
+    const W1: WindowId = WindowId(1501);
+    const W2: WindowId = WindowId(1407);
+
+    /// Adds every key `segment` holds to `keys`.
+    fn add_key_sets(segment: &ColumnarShard, keys: &mut DirtyShard) {
+        for window in segment.window_ids() {
+            let w = segment
+                .window(window)
+                .expect("window_ids lists held windows");
+            let dw = keys.windows.entry(window).or_default();
+            dw.usage
+                .extend(w.usage_mac.iter().copied().zip(w.usage_app.iter().copied()));
+            dw.clients.extend(w.client_mac.iter().copied());
+            dw.links.extend(w.link_keys.iter().copied());
+            dw.airtime.extend(w.airtime_key.iter().copied());
+            dw.neighbors.extend(w.census_device.iter().copied());
+            dw.scans.extend(w.scan_device.iter().copied());
+            dw.crashes.extend(w.crash_device.iter().copied());
+        }
+    }
+
+    /// The reference delta projection: clone the dirty rows into fresh row
+    /// tables ([`StoreShard::delta_snapshot`]), then project those in full.
+    fn project_via_row_maps(shard: &StoreShard, dirty: &DirtyShard) -> ColumnarShard {
+        ColumnarShard::build(&shard.delta_snapshot(dirty))
+    }
+
+    /// The reference compaction: the current live rows of every key either
+    /// segment holds.
+    fn rebuild_from_tables(
+        shard: &StoreShard,
+        below: &ColumnarShard,
+        top: &ColumnarShard,
+    ) -> ColumnarShard {
+        let mut keys = DirtyShard::default();
+        add_key_sets(below, &mut keys);
+        add_key_sets(top, &mut keys);
+        project_via_row_maps(shard, &keys)
+    }
+
+    /// `seal_shard` as it was before the column merge, asserting at every
+    /// compaction that the merge yields the very same segment. Returns the
+    /// stack and how many compactions it compared.
+    fn seal_shard_reference(
+        shard: &StoreShard,
+        stack: &SegmentStack,
+        dirty: &DirtyShard,
+    ) -> (SegmentStack, u64) {
+        let mut segments = stack.segments.clone();
+        if segments.is_empty() {
+            let full = ColumnarShard::build(shard);
+            if full.row_count() > 0 {
+                segments.push(Arc::new(full));
+            }
+        } else if !dirty.is_empty() {
+            let delta = project_via_row_maps(shard, dirty);
+            assert_eq!(
+                ColumnarShard::build_delta(shard, dirty),
+                delta,
+                "direct delta projection diverged from the row-map projection"
+            );
+            if delta.row_count() > 0 {
+                segments.push(Arc::new(delta));
+            }
+        }
+        let mut compared = 0;
+        while segments.len() >= 2 {
+            let newer = segments[segments.len() - 1].row_count();
+            let older = segments[segments.len() - 2].row_count();
+            if older >= newer.saturating_mul(COMPACTION_RATIO) {
+                break;
+            }
+            let top = segments.pop().expect("len >= 2");
+            let below = segments.pop().expect("len >= 2");
+            let rebuilt = rebuild_from_tables(shard, &below, &top);
+            assert_eq!(
+                ColumnarShard::merge(&below, &top),
+                rebuilt,
+                "column merge diverged from the rebuild out of the live tables"
+            );
+            compared += 1;
+            segments.push(Arc::new(rebuilt));
+        }
+        (SegmentStack { segments }, compared)
+    }
+
+    /// Seals `store`, checking every shard's new stack (and, inside
+    /// [`seal_shard_reference`], every compaction on the way to it) against
+    /// the reference. Returns the compactions compared.
+    fn seal_checked(store: &ShardedStore) -> u64 {
+        // What `seal` is about to consume. A memoized re-seal of an
+        // unchanged epoch consumes nothing, and the reference agrees:
+        // nothing is dirty and the compaction loop is at its fixed point.
+        let (stacks, dirty) = {
+            let state = store.seal.lock().expect("seal lock");
+            (state.stacks.clone(), state.dirty.clone())
+        };
+        let snapshot = store.seal();
+        let mut compared = 0;
+        for (i, stack) in snapshot.columnar().iter().enumerate() {
+            let (expected, n) = seal_shard_reference(&store.shards[i], &stacks[i], &dirty[i]);
+            assert_eq!(stack, &expected, "shard {i}: stack diverged");
+            compared += n;
+        }
+        compared
+    }
+
+    /// Offers `batches` in order, sealing (checked) after every
+    /// `seal_every`th and once at the end. Returns the compactions compared,
+    /// which must be every compaction the store ran.
+    fn run_checked(batches: &[(WindowId, Vec<Report>)], shards: usize, seal_every: usize) -> u64 {
+        let mut store = ShardedStore::with_config(StoreConfig { shards, threads: 1 });
+        let mut compared = 0;
+        for (i, (window, reports)) in batches.iter().enumerate() {
+            store.ingest_batch(*window, reports);
+            if (i + 1) % seal_every == 0 {
+                compared += seal_checked(&store);
+            }
+        }
+        compared += seal_checked(&store);
+        assert_eq!(store.seal().seal_stats().segments_compacted, 2 * compared);
+        compared
+    }
+
+    fn any_mac() -> impl Strategy<Value = MacAddress> {
+        (0u8..6).prop_map(|i| MacAddress::new([2, 0, 0, 0, 0, i]))
+    }
+
+    fn any_channel() -> impl Strategy<Value = Channel> {
+        (any::<bool>(), any::<u16>()).prop_map(|(five_ghz, pick)| {
+            let band = if five_ghz { Band::Ghz5 } else { Band::Ghz2_4 };
+            let all = Channel::all_in(band);
+            all[usize::from(pick) % all.len()]
+        })
+    }
+
+    /// Payloads of all seven table families, over key spaces small enough
+    /// that later seals keep re-dirtying keys earlier segments hold.
+    fn any_payload() -> impl Strategy<Value = ReportPayload> {
+        prop_oneof![
+            prop::collection::vec(
+                (any_mac(), 0usize..4, any::<u32>()).prop_map(|(mac, app, bytes)| UsageRecord {
+                    mac,
+                    app: Application::ALL[app],
+                    up_bytes: u64::from(bytes),
+                    down_bytes: u64::from(bytes) * 9,
+                }),
+                0..5
+            )
+            .prop_map(ReportPayload::Usage),
+            prop::collection::vec(
+                (any_mac(), 0usize..OsFamily::ALL.len(), -90.0f64..-30.0).prop_map(
+                    |(mac, os, rssi_dbm)| ClientInfoRecord {
+                        mac,
+                        os: OsFamily::ALL[os],
+                        caps: Capabilities::new(Generation::N, true, false, 2),
+                        band: Band::Ghz2_4,
+                        rssi_dbm,
+                    }
+                ),
+                0..5
+            )
+            .prop_map(ReportPayload::ClientInfo),
+            prop::collection::vec(
+                (0u64..4, any::<bool>(), 0u32..50).prop_map(|(peer_device, five_ghz, expected)| {
+                    LinkRecord {
+                        peer_device,
+                        band: if five_ghz { Band::Ghz5 } else { Band::Ghz2_4 },
+                        // 0 expected probes files no observation at all.
+                        probes_expected: expected,
+                        probes_received: expected / 2,
+                    }
+                }),
+                0..5
+            )
+            .prop_map(ReportPayload::Links),
+            prop::collection::vec(
+                (any_channel(), any::<u32>(), any::<u32>()).prop_map(|(channel, elapsed, busy)| {
+                    AirtimeRecord {
+                        channel,
+                        elapsed_us: u64::from(elapsed),
+                        busy_us: u64::from(busy),
+                        wifi_us: u64::from(busy / 2),
+                    }
+                }),
+                0..5
+            )
+            .prop_map(ReportPayload::Airtime),
+            prop::collection::vec(
+                (any_channel(), 0u32..40, 0u32..10).prop_map(|(channel, networks, hotspots)| {
+                    NeighborRecord {
+                        channel,
+                        networks,
+                        hotspots: hotspots.min(networks),
+                    }
+                }),
+                0..5
+            )
+            .prop_map(ReportPayload::Neighbors),
+            prop::collection::vec(
+                (any_channel(), 0u32..1_000_000, 0u32..40).prop_map(
+                    |(channel, utilization_ppm, networks)| ChannelScanRecord {
+                        channel,
+                        utilization_ppm,
+                        decodable_ppm: utilization_ppm / 2,
+                        networks,
+                    }
+                ),
+                0..5
+            )
+            .prop_map(ReportPayload::ChannelScan),
+            prop::collection::vec(
+                (0u8..5, any::<u32>()).prop_map(|(reason, pc)| CrashRecord {
+                    firmware: format!("mr-{reason}"),
+                    reason,
+                    program_counter: u64::from(pc),
+                    uptime_s: 60,
+                    free_memory_bytes: 4096,
+                }),
+                0..3
+            )
+            .prop_map(ReportPayload::Crash),
+        ]
+    }
+
+    /// Turns payloads into a batch stream: two reports a batch, batches
+    /// alternating between the two windows in runs of three, unique
+    /// `(window, device, seq)` per report. `dup_salt` decides which batches
+    /// repeat one of their own reports and which are re-offered whole — the
+    /// re-offer is all duplicates, so sealing right after it is a
+    /// counters-only seal.
+    fn batch_stream(payloads: Vec<ReportPayload>, dup_salt: u64) -> Vec<(WindowId, Vec<Report>)> {
+        let reports: Vec<Report> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| Report {
+                device: (i % 5) as u64,
+                seq: (i / 5) as u64 + 1,
+                timestamp_s: 1_000 + i as u64,
+                payload,
+            })
+            .collect();
+        let mut batches = Vec::new();
+        let mut state = dup_salt;
+        for (i, chunk) in reports.chunks(2).enumerate() {
+            let window = if (i / 3) % 2 == 0 { W1 } else { W2 };
+            let mut batch = chunk.to_vec();
+            state = splitmix64(state);
+            if state % 4 == 0 {
+                batch.push(chunk[0].clone());
+            }
+            batches.push((window, batch));
+            if state % 3 == 0 {
+                batches.push((window, chunk.to_vec()));
+            }
+        }
+        batches
+    }
+
+    proptest! {
+        #[test]
+        fn merge_equals_rebuild_at_every_compaction(
+            payloads in prop::collection::vec(any_payload(), 1..40),
+            dup_salt in any::<u64>(),
+            shards in 1usize..9,
+        ) {
+            let batches = batch_stream(payloads, dup_salt);
+            for seal_every in [1usize, 3, 7] {
+                run_checked(&batches, shards, seal_every);
+            }
+        }
+    }
+
+    fn usage(mac: u8, up: u64) -> ReportPayload {
+        ReportPayload::Usage(vec![UsageRecord {
+            mac: MacAddress::new([2, 0, 0, 0, 0, mac]),
+            app: Application::Netflix,
+            up_bytes: up,
+            down_bytes: 2 * up,
+        }])
+    }
+
+    fn report(device: u64, seq: u64, payload: ReportPayload) -> Report {
+        Report {
+            device,
+            seq,
+            timestamp_s: 100 * seq,
+            payload,
+        }
+    }
+
+    /// Ingests `first` and cuts a full projection, ingests `second` and cuts
+    /// its delta: the shard plus the two segments a compaction would fold.
+    fn two_segments(
+        first: &[(WindowId, Report)],
+        second: &[(WindowId, Report)],
+    ) -> (StoreShard, ColumnarShard, ColumnarShard) {
+        let mut shard = StoreShard::default();
+        let mut dirty = DirtyShard::default();
+        for (window, report) in first {
+            assert!(shard.ingest_tracked(*window, report, &mut dirty));
+        }
+        let below = ColumnarShard::build(&shard);
+        let mut dirty = DirtyShard::default();
+        for (window, report) in second {
+            assert!(shard.ingest_tracked(*window, report, &mut dirty));
+        }
+        let top = ColumnarShard::build_delta(&shard, &dirty);
+        (shard, below, top)
+    }
+
+    #[test]
+    fn a_fixed_stream_does_compact() {
+        // The proptest's comparisons are only worth something if
+        // compactions happen: equal-sized disjoint deltas fold on every seal.
+        let batches: Vec<(WindowId, Vec<Report>)> = (0..12u64)
+            .map(|i| (W1, vec![report(i, 1, usage(i as u8, i + 1))]))
+            .collect();
+        assert!(run_checked(&batches, 1, 1) >= 8);
+    }
+
+    #[test]
+    fn a_window_only_one_side_holds_is_carried_over() {
+        let (shard, below, top) = two_segments(
+            &[
+                (W1, report(1, 1, usage(1, 10))),
+                // A window that only ever took an empty payload: the full
+                // projection keeps its empty tables, compaction drops them.
+                (
+                    WindowId(1301),
+                    report(1, 1, ReportPayload::Usage(Vec::new())),
+                ),
+            ],
+            &[(W2, report(1, 1, usage(1, 7)))],
+        );
+        assert!(below.window(WindowId(1301)).is_some());
+        let merged = ColumnarShard::merge(&below, &top);
+        assert_eq!(merged, rebuild_from_tables(&shard, &below, &top));
+        assert_eq!(merged.window_ids().collect::<Vec<_>>(), vec![W2, W1]);
+        assert_eq!(merged.window(W1), below.window(W1));
+        assert_eq!(merged.window(W2), top.window(W2));
+    }
+
+    #[test]
+    fn empty_families_merge_to_empty_columns() {
+        let (shard, below, top) = two_segments(
+            &[(W1, report(1, 1, usage(1, 10)))],
+            &[(W1, report(2, 1, usage(2, 20)))],
+        );
+        let merged = ColumnarShard::merge(&below, &top);
+        assert_eq!(merged, rebuild_from_tables(&shard, &below, &top));
+        let w = merged.window(W1).expect("window present");
+        assert_eq!(w.usage_mac.len(), 2);
+        assert!(w.client_mac.is_empty() && w.airtime_key.is_empty());
+        for offsets in [
+            &w.link_offsets,
+            &w.census_offsets,
+            &w.scan_offsets,
+            &w.crash_offsets,
+        ] {
+            assert_eq!(offsets, &vec![0], "an empty CSR table is one offset");
+        }
+    }
+
+    #[test]
+    fn csr_rows_are_replaced_wholesale_on_key_collision() {
+        let channel = Channel::all_in(Band::Ghz2_4)[0];
+        let link = |received| {
+            ReportPayload::Links(vec![LinkRecord {
+                peer_device: 9,
+                band: Band::Ghz2_4,
+                probes_expected: 20,
+                probes_received: received,
+            }])
+        };
+        let census = |networks: &[u32]| {
+            ReportPayload::Neighbors(
+                networks
+                    .iter()
+                    .map(|&networks| NeighborRecord {
+                        channel,
+                        networks,
+                        hotspots: 0,
+                    })
+                    .collect(),
+            )
+        };
+        let scan = |utilization_ppm| {
+            ReportPayload::ChannelScan(vec![ChannelScanRecord {
+                channel,
+                utilization_ppm,
+                decodable_ppm: 0,
+                networks: 1,
+            }])
+        };
+        let crash = |reason| {
+            ReportPayload::Crash(vec![CrashRecord {
+                firmware: "mr-16".into(),
+                reason,
+                program_counter: 0xdead,
+                uptime_s: 60,
+                free_memory_bytes: 4096,
+            }])
+        };
+        // Device 1 files all four CSR families in both segments; device 2
+        // only in the first, so its rows must come through untouched.
+        let (shard, below, top) = two_segments(
+            &[
+                (W1, report(1, 1, link(10))),
+                (W1, report(1, 2, census(&[5, 6, 7]))),
+                (W1, report(1, 3, scan(100))),
+                (W1, report(1, 4, crash(0))),
+                (W1, report(2, 1, link(4))),
+                (W1, report(2, 2, census(&[1]))),
+            ],
+            &[
+                (W1, report(1, 5, link(12))),
+                (W1, report(1, 6, census(&[8]))),
+                (W1, report(1, 7, scan(200))),
+                (W1, report(1, 8, crash(1))),
+            ],
+        );
+        let merged = ColumnarShard::merge(&below, &top);
+        assert_eq!(merged, rebuild_from_tables(&shard, &below, &top));
+        assert_eq!(merged, ColumnarShard::build(&shard), "nothing else is live");
+        let w = merged.window(W1).expect("window present");
+        // Device 1's rows are the top segment's full current values — two
+        // link observations, the one-row census that replaced the three-row
+        // one, two scans, two crashes — not a concatenation of both sides.
+        assert_eq!(w.link_offsets, vec![0, 2, 3]);
+        assert_eq!(w.census_device, vec![1, 2]);
+        assert_eq!(w.census_networks, vec![8, 1]);
+        assert_eq!(w.scan_util_ppm, vec![100, 200]);
+        assert_eq!(w.crash_offsets, vec![0, 2]);
     }
 }

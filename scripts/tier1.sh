@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (every root suite: store-vs-legacy, columnar/vectorized/planner-vs-legacy and persist/reopen differentials, golden report digest, ...)"
+echo "==> cargo test -q (every root suite: store-vs-legacy, columnar/vectorized/planner-vs-legacy and persist/reopen differentials, golden report digest, mid-campaign delta seals + pinned compaction schedule, flat-vs-scheduler byte-identity + 100k-AP queue-pressure campaign, ...)"
 cargo test -q --offline
 
 echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"
@@ -17,20 +17,8 @@ cargo test -q --offline -p airstat-classify
 echo "==> cargo test -q -p airstat-sim (traffic generator, weight-norm table bit-identity, engine determinism)"
 cargo test -q --offline -p airstat-sim
 
-echo "==> cargo test -q -p airstat-store (sharded store: unit, property, and engine-vs-backend tests)"
+echo "==> cargo test -q -p airstat-store (sharded store: unit tests incl. column-merge-vs-rebuild compaction oracle and segment format corruption sweep/schema pin/doc example; zone-map pruning and seal-placement invariance proptests; engine-vs-backend tests)"
 cargo test -q --offline -p airstat-store
-
-echo "==> cargo test -q -p airstat-store --test properties pruned_execution (zone-map pruning differential proptest)"
-cargo test -q --offline -p airstat-store --test properties pruned_execution_matches_unpruned_full_scan
-
-echo "==> cargo test -q --test incremental_seal (mid-campaign delta seals: backend x shard x cadence differential, persisted/reloaded included)"
-cargo test -q --offline --test incremental_seal
-
-echo "==> cargo test -q -p airstat-store --test properties results_are_seal_placement_invariant (seal-placement/compaction-schedule invariance proptest)"
-cargo test -q --offline -p airstat-store --test properties results_are_seal_placement_invariant
-
-echo "==> cargo test -q --test scheduler (flat-vs-scheduler byte-identity differential + 100k-AP queue-pressure campaign)"
-cargo test -q --offline --test scheduler
 
 echo "==> cargo test -q -p airstat-telemetry sched (scheduler unit tests: priority queues, retry ledger, eviction, fairness)"
 cargo test -q --offline -p airstat-telemetry sched
@@ -41,9 +29,6 @@ cargo test -q --offline -p airstat-telemetry --test sched_properties \
 
 echo "==> cargo clippy -p airstat-telemetry (scheduler crate, warnings are errors)"
 cargo clippy -q -p airstat-telemetry --all-targets --offline -- -D warnings
-
-echo "==> cargo test -q -p airstat-store segment (segment format: corruption sweep, schema pin, doc example)"
-cargo test -q --offline -p airstat-store segment
 
 echo "==> cargo clippy --workspace (warnings are errors; vendored crates excluded)"
 cargo clippy -q --workspace --exclude rand --exclude proptest \
