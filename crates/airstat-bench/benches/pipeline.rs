@@ -140,12 +140,12 @@ fn store_query(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_query");
     // Cold: a fresh engine (empty cache) per sample — full per-shard
     // compute plus the deterministic merge. The default backend is the
-    // columnar scan kernels; the legacy map-backed path runs alongside
-    // so the layouts are directly comparable.
+    // vectorized kernels; the legacy map-backed oracle runs alongside
+    // so the two paths are directly comparable.
     group.bench_function("usage_by_os_cold", |b| {
         b.iter_with_setup(|| output.query(), |engine| engine.execute(black_box(&plan)))
     });
-    for backend in [QueryBackend::Columnar, QueryBackend::Legacy] {
+    for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
         group.bench_function(format!("usage_by_os_cold_{}", backend.name()), |b| {
             b.iter_with_setup(
                 || QueryEngine::with_backend(output.store.seal(), output.threads, backend),

@@ -120,9 +120,8 @@ pub struct FleetConfig {
     /// reproduces the `None` output byte for byte (differential-tested),
     /// and campaigns stay byte-identical across thread counts.
     pub faults: Option<FaultSchedule>,
-    /// Execution strategy the query engine uses: the cost-based
-    /// planner (default, picks vectorized+pruned, columnar, or legacy
-    /// per plan), or one of those paths forced. All produce
+    /// Which path answers queries: the vectorized engine (default) or
+    /// the legacy map fold kept as its differential oracle. Both produce
     /// byte-identical reports; they differ only in cold-query cost.
     pub query_backend: QueryBackend,
     /// Which drain implementation runs per agent: the backpressure-aware

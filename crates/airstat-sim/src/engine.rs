@@ -122,8 +122,8 @@ pub struct SimulationOutput {
     pub bytes_encoded: u64,
     /// Worker threads the run actually used.
     pub threads: usize,
-    /// Query execution strategy the run was configured with (the
-    /// cost-based planner by default); threaded through to every engine
+    /// Query backend the run was configured with (the vectorized engine
+    /// by default); threaded through to every engine
     /// [`SimulationOutput::query`] opens.
     pub query_backend: QueryBackend,
     /// Campaign-wide degradation accounting (completeness, latency,

@@ -10,8 +10,8 @@
 //! scan kernel touches contiguous memory and a cross-shard merge is a
 //! k-way walk over pre-sorted runs instead of map clones.
 //!
-//! Layout contract (what makes the columnar backend byte-identical to
-//! the map-backed one):
+//! Layout contract (what makes the kernels over this layout
+//! byte-identical to the map-backed fold):
 //!
 //! * key columns are sorted ascending — they are produced by iterating
 //!   the shard's `BTreeMap`s, so the per-shard run order *is* the
@@ -21,10 +21,10 @@
 //!   value columns, preserving the per-key order the maps held
 //!   (arrival order for link series, `(seq, slot)` order for scans and
 //!   crashes);
-//! * `merge_runs` combines equal keys in ascending shard order —
-//!   exactly the order in which the legacy engine folded per-shard
-//!   partials into its merge `BTreeMap` — so saturating sums and
-//!   last-writer conflict rules see operands in the same sequence.
+//! * `kway_groups` lists equal keys' members in ascending shard
+//!   order — exactly the order in which the legacy engine folds
+//!   per-shard partials into its merge `BTreeMap` — so saturating sums
+//!   and last-writer conflict rules see operands in the same sequence.
 
 use std::collections::BTreeMap;
 
@@ -540,41 +540,6 @@ impl ColumnarWindow {
         &self.zone
     }
 
-    /// Usage cells `((mac, app), totals)` in key order.
-    pub(crate) fn usage_cells(
-        &self,
-    ) -> impl Iterator<Item = ((MacAddress, Application), UsageTotals)> + '_ {
-        (0..self.usage_mac.len()).map(|i| {
-            (
-                (self.usage_mac[i], self.usage_app[i]),
-                UsageTotals {
-                    up_bytes: self.usage_up[i],
-                    down_bytes: self.usage_down[i],
-                },
-            )
-        })
-    }
-
-    /// Client rows `(mac, (meta, identity))` in MAC order.
-    pub(crate) fn client_rows(
-        &self,
-    ) -> impl Iterator<Item = (MacAddress, (ClientMeta, ClientIdentity))> + '_ {
-        (0..self.client_mac.len()).map(|i| {
-            (
-                self.client_mac[i],
-                (
-                    self.client_meta[i],
-                    ClientIdentity {
-                        os: self.client_os[i],
-                        caps: self.client_caps[i],
-                        band: self.client_band[i],
-                        rssi_dbm: self.client_rssi[i],
-                    },
-                ),
-            )
-        })
-    }
-
     /// The observation columns for the `i`-th link key, arrival order.
     pub(crate) fn link_series_at(&self, i: usize) -> (&[u64], &[f64]) {
         let (lo, hi) = (self.link_offsets[i], self.link_offsets[i + 1]);
@@ -686,11 +651,10 @@ pub(crate) fn select_indices(len: usize, pred: impl Fn(usize) -> bool) -> Vec<u3
 /// (strictly ascending within a run). `on_group` fires once per
 /// distinct key across all runs, in ascending key order, with the
 /// member `(run, index)` pairs in ascending run order — the same
-/// operand order [`merge_runs`] and the legacy fold produce, so
-/// combine rules (saturating sums, largest-provenance) stay
-/// byte-compatible. Unlike [`merge_runs`] this never materializes
-/// `(key, value)` tuples: callers read values straight out of the
-/// source columns via the member indices.
+/// operand order the legacy fold produces, so combine rules
+/// (saturating sums, largest-provenance) stay byte-compatible. No
+/// `(key, value)` tuple is materialized: callers read values straight
+/// out of the source columns via the member indices.
 pub(crate) fn kway_groups<K: Ord + Copy>(
     lens: &[usize],
     key_at: impl Fn(usize, usize) -> K,
@@ -721,52 +685,6 @@ pub(crate) fn kway_groups<K: Ord + Copy>(
             }
         }
         on_group(min, &members);
-    }
-}
-
-/// K-way merges per-shard runs of `(key, value)` pairs whose keys are
-/// sorted strictly ascending *within* each run.
-///
-/// Equal keys across runs are combined with `combine(acc, next)` in
-/// ascending run (shard) order — the same operand order the legacy
-/// engine produced by folding shard partials into a `BTreeMap` one
-/// shard at a time, which keeps saturating sums and last-writer rules
-/// byte-compatible.
-pub(crate) fn merge_runs<K: Ord + Copy, V>(
-    mut runs: Vec<Vec<(K, V)>>,
-    mut combine: impl FnMut(&mut V, V),
-) -> Vec<(K, V)> {
-    let mut iters: Vec<_> = runs.drain(..).map(|r| r.into_iter().peekable()).collect();
-    let mut out = Vec::new();
-    loop {
-        let mut min_key: Option<K> = None;
-        for it in iters.iter_mut() {
-            if let Some(&(key, _)) = it.peek() {
-                min_key = Some(match min_key {
-                    Some(m) if m <= key => m,
-                    _ => key,
-                });
-            }
-        }
-        let Some(min) = min_key else {
-            return out;
-        };
-        let mut merged: Option<V> = None;
-        for it in iters.iter_mut() {
-            if it.peek().is_some_and(|&(key, _)| key == min) {
-                let (_, value) = it
-                    .next()
-                    .expect("invariant: peek returned Some on this iterator above");
-                match merged.as_mut() {
-                    Some(acc) => combine(acc, value),
-                    None => merged = Some(value),
-                }
-            }
-        }
-        out.push((
-            min,
-            merged.expect("invariant: min was drawn from one of these runs"),
-        ));
     }
 }
 
@@ -1035,7 +953,16 @@ mod tests {
             .iter()
             .map(|(&k, &v)| (k, v))
             .collect();
-        assert_eq!(w.usage_cells().collect::<Vec<_>>(), from_map);
+        let cells: Vec<_> = (0..w.usage_mac.len())
+            .map(|i| {
+                let totals = UsageTotals {
+                    up_bytes: w.usage_up[i],
+                    down_bytes: w.usage_down[i],
+                };
+                ((w.usage_mac[i], w.usage_app[i]), totals)
+            })
+            .collect();
+        assert_eq!(cells, from_map);
     }
 
     #[test]
@@ -1043,27 +970,6 @@ mod tests {
         let cols = ColumnarShard::build(&StoreShard::default());
         assert_eq!(cols.window_ids().count(), 0);
         assert!(cols.window(W).is_none());
-    }
-
-    #[test]
-    fn merge_runs_combines_equal_keys_in_run_order() {
-        let runs = vec![
-            vec![(1u64, vec![0u32]), (3, vec![1])],
-            vec![(1, vec![2]), (2, vec![3])],
-            vec![(3, vec![4])],
-        ];
-        let merged = merge_runs(runs, |acc, next| acc.extend(next));
-        assert_eq!(
-            merged,
-            vec![(1, vec![0, 2]), (2, vec![3]), (3, vec![1, 4]),]
-        );
-    }
-
-    #[test]
-    fn merge_runs_handles_empty_and_disjoint_runs() {
-        let runs: Vec<Vec<(u8, u8)>> = vec![vec![], vec![(5, 50)], vec![(1, 10), (9, 90)]];
-        let merged = merge_runs(runs, |_, _| panic!("no key collides"));
-        assert_eq!(merged, vec![(1, 10), (5, 50), (9, 90)]);
     }
 
     #[test]
@@ -1076,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn kway_groups_matches_merge_runs_order() {
+    fn kway_groups_lists_members_in_run_order() {
         let runs = [
             vec![(1u64, 10u32), (3, 11)],
             vec![(1, 12), (2, 13)],

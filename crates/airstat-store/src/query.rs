@@ -13,17 +13,17 @@
 //! `Backend`, whose `HashMap`-backed queries iterate in per-process
 //! random order.
 //!
-//! The engine answers every plan through one of two physical layouts,
-//! selected by [`QueryBackend`]:
+//! The engine answers every plan through one of two paths, selected by
+//! [`QueryBackend`]:
 //!
-//! * [`QueryBackend::Columnar`] (default) — **scan kernels** over the
-//!   snapshot's packed [`crate::columnar::ColumnarShard`] projection:
-//!   filter → scan → partial-aggregate per shard over contiguous
-//!   struct-of-arrays columns, then a k-way merge of the pre-sorted
-//!   per-shard runs in the same canonical key order;
-//! * [`QueryBackend::Legacy`] — the original map-backed path, kept
-//!   alive so the differential tests can prove the two layouts produce
-//!   byte-identical results for every shard and thread count.
+//! * [`QueryBackend::Vectorized`] (default) — the engine: zone-map
+//!   pruning, then two-pass kernels (selection vector, gather +
+//!   partial-aggregate) over the snapshot's packed
+//!   [`crate::columnar::ColumnarShard`] segment stacks, merged by a
+//!   zero-copy k-way walk in the same canonical key order;
+//! * [`QueryBackend::Legacy`] — the original map-backed fold, kept as
+//!   the oracle the differential tests hold the engine to, byte for
+//!   byte, for every shard and thread count.
 //!
 //! Results are memoized in an epoch-keyed LRU [`ResultCache`]; the
 //! hit/miss/eviction counters surface in [`StoreStats`], which the CLI
@@ -42,46 +42,36 @@ use airstat_telemetry::backend::{
 use airstat_telemetry::crash::CrashAggregator;
 
 use crate::columnar::{
-    add_usage_by_app_stack, kway_groups, merge_runs, merge_segments, select_indices,
-    usage_totals_by_mac_stack, ColumnarWindow, WindowZoneMap, APP_LANES, FAM_AIRTIME, FAM_CENSUS,
-    FAM_CLIENTS, FAM_CRASHES, FAM_LINKS, FAM_SCANS, FAM_USAGE, OS_LANES,
+    add_usage_by_app_stack, kway_groups, merge_segments, select_indices, usage_totals_by_mac_stack,
+    ColumnarWindow, WindowZoneMap, APP_LANES, FAM_AIRTIME, FAM_CENSUS, FAM_CLIENTS, FAM_CRASHES,
+    FAM_LINKS, FAM_SCANS, FAM_USAGE, OS_LANES,
 };
 use crate::exec::run_ordered;
 use crate::segment::PersistenceStats;
 use crate::shard::StoreShard;
 use crate::store::{SealStats, Snapshot};
 
-/// Which physical execution strategy the engine's kernels use.
+/// Which path answers a plan: the engine or its oracle.
 ///
-/// All backends are proven byte-identical by the differential test
+/// The two are proven byte-identical by the differential test
 /// `tests/columnar_equivalence.rs`; they differ only in cold-query cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum QueryBackend {
-    /// Cost-based choice per plan (default): estimates each candidate's
-    /// cost from shard row counts and zone-map selectivity, then runs
-    /// the cheapest of the vectorized, columnar, or legacy paths.
+    /// The engine (default): two-pass vectorized kernels (selection
+    /// vector, then gather + partial-aggregate) over the columnar
+    /// projection, with zone-map shard pruning always on.
     #[default]
-    Planner,
-    /// Two-pass vectorized kernels (selection vector, then gather +
-    /// partial-aggregate) over the columnar projection, with zone-map
-    /// shard pruning always on.
     Vectorized,
-    /// Single-pass fused scan kernels over the packed struct-of-arrays
-    /// projection built at `seal()`, scanning every shard.
-    Columnar,
-    /// The original map-backed path: clone each shard's `BTreeMap`
-    /// tables and fold them into a merge map.
+    /// The oracle: the original map-backed path, which clones each
+    /// shard's `BTreeMap` tables and folds them into a merge map.
     Legacy,
 }
 
 impl QueryBackend {
-    /// Parses a CLI-style backend name
-    /// (`"planner"` / `"vectorized"` / `"columnar"` / `"legacy"`).
+    /// Parses a CLI-style backend name (`"vectorized"` / `"legacy"`).
     pub fn by_name(name: &str) -> Option<Self> {
         match name {
-            "planner" => Some(QueryBackend::Planner),
             "vectorized" => Some(QueryBackend::Vectorized),
-            "columnar" => Some(QueryBackend::Columnar),
             "legacy" => Some(QueryBackend::Legacy),
             _ => None,
         }
@@ -90,9 +80,7 @@ impl QueryBackend {
     /// The CLI-style name of this backend.
     pub fn name(self) -> &'static str {
         match self {
-            QueryBackend::Planner => "planner",
             QueryBackend::Vectorized => "vectorized",
-            QueryBackend::Columnar => "columnar",
             QueryBackend::Legacy => "legacy",
         }
     }
@@ -134,88 +122,6 @@ pub enum QueryPlan {
     ScanObservations(WindowId, Band),
 }
 
-/// Cost-model constants, in nanoseconds, calibrated against the bench
-/// harness rows in `BENCH_pipeline.json` on the reference host.
-///
-/// `*_SHARD_SETUP_NS` is the fixed per-shard dispatch cost (closure
-/// dispatch plus the buffers the path allocates per shard: selection
-/// vectors and partial-aggregate lanes for the vectorized kernels, a
-/// partial `Vec` for the fused columnar kernels, table clones and a
-/// merge map for the legacy fold). `*_NS_PER_ROW` is the approximate
-/// marginal scan+merge cost per row. The model only needs to rank the
-/// three paths correctly: the vectorized path wins once enough rows
-/// survive pruning to amortize its extra per-shard buffers, the fused
-/// columnar path wins on tiny inputs where those buffers dominate, and
-/// the legacy path is dominated whenever any rows exist (its clones
-/// cost strictly more per row) — it is costed, not special-cased.
-const VEC_SHARD_SETUP_NS: f64 = 2500.0;
-/// Marginal vectorized cost per admitted row (two linear passes).
-const VEC_NS_PER_ROW: f64 = 30.0;
-/// Fixed per-shard cost of the fused columnar kernels.
-const COL_SHARD_SETUP_NS: f64 = 1500.0;
-/// Marginal fused-kernel cost per row (tuple materialize + peek merge).
-const COL_NS_PER_ROW: f64 = 95.0;
-/// Fixed per-shard cost of the legacy map path (clone + merge map).
-const LEG_SHARD_SETUP_NS: f64 = 2500.0;
-/// Marginal legacy cost per row (tree walks on pointer-chased nodes).
-const LEG_NS_PER_ROW: f64 = 400.0;
-
-/// What the zone maps predict about one plan's execution.
-#[derive(Debug, Default, Clone, Copy)]
-struct PlanZoneStats {
-    /// Shards in the snapshot (admitted or not).
-    total_shards: usize,
-    /// Shards whose zone map admits the plan's filter.
-    admitted_shards: usize,
-    /// Rows the plan's kernels would scan across admitted shards.
-    admitted_rows: u64,
-    /// Rows across all shards holding the window (the unpruned cost).
-    total_rows: u64,
-}
-
-/// Zone-map admission and scanned-row estimate for `plan` against one
-/// shard's window summary — the planner's per-shard selectivity probe.
-fn plan_zone_estimate(plan: &QueryPlan, z: &WindowZoneMap) -> (bool, u64) {
-    let link_keys = (z.link_keys_per_band[0] + z.link_keys_per_band[1]) as u64;
-    match *plan {
-        QueryPlan::UsageByApp(_) | QueryPlan::UsageByOs(_) => {
-            (z.usage_rows > 0, z.usage_rows as u64)
-        }
-        QueryPlan::ClientCount(_) | QueryPlan::Clients(_) => {
-            (z.client_rows > 0, z.client_rows as u64)
-        }
-        QueryPlan::AppClientCount(_, app) => (
-            z.apps_present & (1u64 << (app as usize)) != 0,
-            z.usage_rows as u64,
-        ),
-        QueryPlan::LinkKeys(_, band)
-        | QueryPlan::LatestDeliveryRatios(_, band)
-        | QueryPlan::MeanDeliveryRatios(_, band) => {
-            (z.link_keys_per_band[band as usize] > 0, link_keys)
-        }
-        QueryPlan::LinkSeries(_, key) => (
-            z.link_key_range
-                .is_some_and(|(lo, hi)| lo <= key && key <= hi),
-            link_keys,
-        ),
-        QueryPlan::ServingUtilizations(_, band) => (
-            z.airtime_rows_per_band[band as usize] > 0,
-            (z.airtime_rows_per_band[0] + z.airtime_rows_per_band[1]) as u64,
-        ),
-        // Zone-only: answered without scanning any column.
-        QueryPlan::CensusDeviceCount(_) => (false, 0),
-        QueryPlan::NearbySummary(_, band) | QueryPlan::NearbyPerChannel(_, band) => (
-            z.census_rows_per_band[band as usize] > 0,
-            (z.census_rows_per_band[0] + z.census_rows_per_band[1]) as u64,
-        ),
-        QueryPlan::Crashes(_) => (z.crash_devices > 0, z.crash_devices as u64),
-        QueryPlan::ScanObservations(_, band) => (
-            z.scan_obs_per_band[band as usize] > 0,
-            (z.scan_obs_per_band[0] + z.scan_obs_per_band[1]) as u64,
-        ),
-    }
-}
-
 impl QueryPlan {
     /// The window this plan reads.
     pub fn window(&self) -> WindowId {
@@ -238,7 +144,7 @@ impl QueryPlan {
         }
     }
 
-    /// Short plan name, used by the planner's `--explain` output.
+    /// Short plan name, used by the `--explain` output.
     pub fn name(&self) -> &'static str {
         match self {
             QueryPlan::UsageByApp(_) => "usage_by_app",
@@ -398,12 +304,6 @@ pub struct StoreStats {
     pub shards_scanned: u64,
     /// Shard scans skipped because the zone map proved them empty.
     pub shards_pruned: u64,
-    /// Plans the planner routed to the vectorized kernels.
-    pub plans_vectorized: u64,
-    /// Plans the planner routed to the fused columnar kernels.
-    pub plans_columnar: u64,
-    /// Plans the planner routed to the legacy map path.
-    pub plans_legacy: u64,
     /// On-disk persistence counters carried over from the snapshot
     /// (segments written/loaded, bytes, CRC checks, tail-log replays).
     pub persistence: PersistenceStats,
@@ -432,15 +332,10 @@ impl std::fmt::Display for StoreStats {
             "  query cache    {:>7} hits  {:>6} misses  {:>4} evictions  ({rate:.1}% hit rate, {}/{} cached)",
             self.hits, self.misses, self.evictions, self.cached_results, self.cache_capacity,
         )?;
-        writeln!(
+        write!(
             f,
             "  zone pruning   {:>7} shards scanned  {:>6} pruned",
             self.shards_scanned, self.shards_pruned,
-        )?;
-        write!(
-            f,
-            "  plan choices   {:>7} vectorized  {:>6} columnar  {:>4} legacy",
-            self.plans_vectorized, self.plans_columnar, self.plans_legacy,
         )?;
         // Seal counters only appear once a seal happened, so callers
         // printing stats about an unsealed engine see the old block.
@@ -506,17 +401,12 @@ fn resolve_views<'a>(views: &[&'a ColumnarWindow], families: u8) -> Option<Resol
     }
 }
 
-/// Lock-free execution counters: zone-pruning outcomes and the
-/// planner's per-plan backend choices. Relaxed atomics are enough —
-/// the counters are observability only and never feed back into
-/// results.
+/// Lock-free zone-pruning counters. Relaxed atomics are enough — the
+/// counters are observability only and never feed back into results.
 #[derive(Debug, Default)]
 struct EngineCounters {
     shards_scanned: AtomicU64,
     shards_pruned: AtomicU64,
-    plans_vectorized: AtomicU64,
-    plans_columnar: AtomicU64,
-    plans_legacy: AtomicU64,
 }
 
 /// The parallel, cached query engine over one snapshot.
@@ -533,14 +423,14 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Creates an engine over `snapshot` using `threads` workers per
     /// query (1 = serial; results are identical for every value) and
-    /// the default [`QueryBackend::Planner`] strategy.
+    /// the default [`QueryBackend::Vectorized`] engine.
     pub fn new(snapshot: Snapshot, threads: usize) -> Self {
         QueryEngine::with_backend(snapshot, threads, QueryBackend::default())
     }
 
-    /// Creates an engine that answers through the given execution
-    /// strategy. Results are byte-identical across backends; only the
-    /// cold-query cost differs.
+    /// Creates an engine that answers through the given path. Results
+    /// are byte-identical across backends; only the cold-query cost
+    /// differs.
     pub fn with_backend(snapshot: Snapshot, threads: usize, backend: QueryBackend) -> Self {
         QueryEngine {
             snapshot,
@@ -552,9 +442,9 @@ impl QueryEngine {
         }
     }
 
-    /// Enables (or disables) one-line plan-choice explanations on
-    /// stderr: each planned plan prints its chosen path, the pruning
-    /// outcome, and the row estimate the cost model used.
+    /// Enables (or disables) one stderr line per plan the vectorized
+    /// engine runs cold: the plan's name and how many shards its zone
+    /// admission scanned and pruned.
     pub fn set_explain(&mut self, explain: bool) {
         self.explain = explain;
     }
@@ -586,9 +476,6 @@ impl QueryEngine {
             evictions,
             shards_scanned: self.counters.shards_scanned.load(Ordering::Relaxed),
             shards_pruned: self.counters.shards_pruned.load(Ordering::Relaxed),
-            plans_vectorized: self.counters.plans_vectorized.load(Ordering::Relaxed),
-            plans_columnar: self.counters.plans_columnar.load(Ordering::Relaxed),
-            plans_legacy: self.counters.plans_legacy.load(Ordering::Relaxed),
             persistence: self.snapshot.persistence(),
             seal: self.snapshot.seal_stats(),
         }
@@ -666,17 +553,34 @@ impl QueryEngine {
         partials.into_iter().flatten().collect()
     }
 
-    /// Computes a plan through the engine's configured strategy.
+    /// Computes a plan through the engine's configured path — the one
+    /// place that decides which executor runs a plan.
     fn compute(&self, plan: &QueryPlan) -> QueryValue {
         match self.backend {
-            QueryBackend::Planner => self.compute_planned(plan),
             QueryBackend::Vectorized => self.compute_vectorized(plan),
-            QueryBackend::Columnar => self.compute_columnar(plan),
             QueryBackend::Legacy => self.compute_legacy(plan),
         }
     }
 
-    /// Per-shard segment views of `window`, gated by the zone
+    /// Counts one plan's zone admission and, under `--explain`, prints
+    /// it. Every vectorized kernel admits exactly once, so the lines are
+    /// one per cold plan and sum to the `zone pruning` totals.
+    fn record_admission(&self, plan: &QueryPlan, scanned: u64, pruned: u64) {
+        self.counters
+            .shards_scanned
+            .fetch_add(scanned, Ordering::Relaxed);
+        self.counters
+            .shards_pruned
+            .fetch_add(pruned, Ordering::Relaxed);
+        if self.explain {
+            eprintln!(
+                "plan {:<22} scanned {scanned:>3}  pruned {pruned:>3}",
+                plan.name()
+            );
+        }
+    }
+
+    /// Per-shard segment views of `plan`'s window, gated by the zone
     /// predicate: each admitted shard yields the segments holding the
     /// window (oldest to newest); pruned shards yield an empty list. A
     /// shard is admitted when ANY of its segments' zones admits —
@@ -686,9 +590,10 @@ impl QueryEngine {
     /// row merges away to a zero contribution, never a wrong byte).
     fn admitted_segment_views(
         &self,
-        window: WindowId,
+        plan: &QueryPlan,
         admit: impl Fn(&WindowZoneMap) -> bool,
     ) -> Vec<Vec<&ColumnarWindow>> {
+        let window = plan.window();
         let (mut scanned, mut pruned) = (0u64, 0u64);
         let out: Vec<Vec<&ColumnarWindow>> = self
             .snapshot
@@ -709,12 +614,7 @@ impl QueryEngine {
                 }
             })
             .collect();
-        self.counters
-            .shards_scanned
-            .fetch_add(scanned, Ordering::Relaxed);
-        self.counters
-            .shards_pruned
-            .fetch_add(pruned, Ordering::Relaxed);
+        self.record_admission(plan, scanned, pruned);
         out
     }
 
@@ -729,11 +629,11 @@ impl QueryEngine {
     /// contributes nothing to the merge.
     fn admitted_windows(
         &self,
-        window: WindowId,
+        plan: &QueryPlan,
         admit: impl Fn(&WindowZoneMap) -> bool,
         families: u8,
     ) -> Vec<Option<ResolvedView<'_>>> {
-        let stacks = self.admitted_segment_views(window, admit);
+        let stacks = self.admitted_segment_views(plan, admit);
         let mut out = Vec::with_capacity(stacks.len());
         run_ordered(
             self.threads,
@@ -747,14 +647,14 @@ impl QueryEngine {
     /// Parallel map over the admitted per-shard segment views: runs
     /// `f` on each shard's view list (empty when pruned) via
     /// [`run_ordered`], returning partials in shard order — the entry
-    /// point for fused stack kernels that never materialize a merge.
+    /// point for stack kernels that never materialize a merge.
     fn stack_map<T: Send>(
         &self,
-        window: WindowId,
+        plan: &QueryPlan,
         admit: impl Fn(&WindowZoneMap) -> bool,
         f: impl Fn(&[&ColumnarWindow]) -> T + Sync,
     ) -> Vec<T> {
-        let stacks = self.admitted_segment_views(window, admit);
+        let stacks = self.admitted_segment_views(plan, admit);
         let mut partials = Vec::with_capacity(stacks.len());
         run_ordered(
             self.threads,
@@ -798,345 +698,21 @@ impl QueryEngine {
         })
     }
 
-    /// Runs `f` over every shard's resolved columnar projection of
-    /// `window` in parallel, returning partials in shard order (the
-    /// columnar twin of [`QueryEngine::shard_map`]). Multi-segment
-    /// stacks are newest-wins merged, restricted to `families`.
-    fn columnar_map<T: Send>(
-        &self,
-        window: WindowId,
-        families: u8,
-        f: impl Fn(Option<&ColumnarWindow>) -> T + Sync,
-    ) -> Vec<T> {
-        let stacks = self.snapshot.columnar();
-        let mut partials = Vec::with_capacity(stacks.len());
-        run_ordered(
-            self.threads,
-            stacks.len(),
-            |i| {
-                let views: Vec<&ColumnarWindow> = stacks[i]
-                    .segments()
-                    .iter()
-                    .filter_map(|seg| seg.window(window))
-                    .collect();
-                let resolved = resolve_views(&views, families);
-                f(resolved.as_ref().map(ResolvedView::get))
-            },
-            |_, partial| partials.push(partial),
-        );
-        partials
-    }
-
-    /// Columnar twin of [`QueryEngine::merged_usage`]: scans each
-    /// shard's packed usage columns (no map clones) and k-way merges
-    /// the pre-sorted runs, summing roaming clients' cells with the
-    /// same saturating adds in the same shard order.
-    fn merged_usage_columnar(
-        &self,
-        window: WindowId,
-    ) -> Vec<((MacAddress, Application), UsageTotals)> {
-        let runs = self.columnar_map(window, FAM_USAGE, |w| {
-            w.map(|w| w.usage_cells().collect::<Vec<_>>())
-                .unwrap_or_default()
-        });
-        merge_runs(runs, |acc, next: UsageTotals| {
-            acc.up_bytes = acc.up_bytes.saturating_add(next.up_bytes);
-            acc.down_bytes = acc.down_bytes.saturating_add(next.down_bytes);
-        })
-    }
-
-    /// The columnar scan kernels: filter → scan → partial-aggregate per
-    /// shard over contiguous columns, then the deterministic ordered
-    /// merge. Each arm reproduces its legacy twin's canonical order and
-    /// floating-point reduction order exactly.
-    fn compute_columnar(&self, plan: &QueryPlan) -> QueryValue {
-        match *plan {
-            QueryPlan::UsageByApp(window) => {
-                let mut agg: BTreeMap<Application, (UsageTotals, u64)> = BTreeMap::new();
-                for ((_, app), totals) in self.merged_usage_columnar(window) {
-                    let slot = agg.entry(app).or_default();
-                    slot.0.up_bytes = slot.0.up_bytes.saturating_add(totals.up_bytes);
-                    slot.0.down_bytes = slot.0.down_bytes.saturating_add(totals.down_bytes);
-                    slot.1 += 1;
-                }
-                QueryValue::AppUsage(agg.into_iter().map(|(app, (t, c))| (app, t, c)).collect())
-            }
-            QueryPlan::UsageByOs(window) => {
-                let QueryValue::Clients(clients) = self.execute(&QueryPlan::Clients(window)) else {
-                    unreachable!("Clients plan yields Clients");
-                };
-                let cells = self.merged_usage_columnar(window);
-                // Cells arrive sorted by (mac, app) and clients sorted by
-                // mac, so the per-MAC rollup is a linear group-by and the
-                // OS lookup a merge-join — no maps on the hot path.
-                let mut agg: BTreeMap<OsFamily, (UsageTotals, u64)> = BTreeMap::new();
-                let mut ci = 0usize;
-                let mut i = 0usize;
-                while i < cells.len() {
-                    let mac = cells[i].0 .0;
-                    let mut totals = UsageTotals::default();
-                    while i < cells.len() && cells[i].0 .0 == mac {
-                        totals.up_bytes = totals.up_bytes.saturating_add(cells[i].1.up_bytes);
-                        totals.down_bytes = totals.down_bytes.saturating_add(cells[i].1.down_bytes);
-                        i += 1;
-                    }
-                    while ci < clients.len() && clients[ci].0 < mac {
-                        ci += 1;
-                    }
-                    let os = match clients.get(ci) {
-                        Some((m, identity)) if *m == mac => identity.os,
-                        _ => OsFamily::Unknown,
-                    };
-                    let slot = agg.entry(os).or_default();
-                    slot.0.up_bytes = slot.0.up_bytes.saturating_add(totals.up_bytes);
-                    slot.0.down_bytes = slot.0.down_bytes.saturating_add(totals.down_bytes);
-                    slot.1 += 1;
-                }
-                QueryValue::OsUsage(agg.into_iter().map(|(os, (t, c))| (os, t, c)).collect())
-            }
-            QueryPlan::ClientCount(window) => {
-                let QueryValue::Clients(clients) = self.execute(&QueryPlan::Clients(window)) else {
-                    unreachable!("Clients plan yields Clients");
-                };
-                QueryValue::Count(clients.len() as u64)
-            }
-            QueryPlan::Clients(window) => {
-                let runs = self.columnar_map(window, FAM_CLIENTS, |w| {
-                    w.map(|w| w.client_rows().collect::<Vec<_>>())
-                        .unwrap_or_default()
-                });
-                // Largest provenance wins on cross-shard MAC collisions,
-                // matching the legacy merge's `existing >= entry` rule.
-                let merged = merge_runs(runs, |acc, next: (crate::shard::ClientMeta, _)| {
-                    if next.0 > acc.0 {
-                        *acc = next;
-                    }
-                });
-                QueryValue::Clients(
-                    merged
-                        .into_iter()
-                        .map(|(mac, (_, identity))| (mac, identity))
-                        .collect(),
-                )
-            }
-            QueryPlan::AppClientCount(window, app) => QueryValue::Count(
-                self.merged_usage_columnar(window)
-                    .iter()
-                    .filter(|&&((_, a), _)| a == app)
-                    .count() as u64,
-            ),
-            QueryPlan::LinkKeys(window, band) => {
-                let runs = self.columnar_map(window, FAM_LINKS, |w| {
-                    w.map_or_else(Vec::new, |w| {
-                        w.link_keys
-                            .iter()
-                            .filter(|k| k.band == band)
-                            .map(|&k| (k, ()))
-                            .collect()
-                    })
-                });
-                // Link keys are shard-disjoint (rx_device pins the
-                // shard): the merge is a pure union of sorted runs.
-                let merged = merge_runs(runs, |(), ()| {});
-                QueryValue::LinkKeys(merged.into_iter().map(|(k, ())| k).collect())
-            }
-            QueryPlan::LinkSeries(window, key) => {
-                for stack in self.snapshot.columnar() {
-                    // Newest-first: a delta row carries the key's full
-                    // series at seal time, so the newest segment
-                    // holding the key is authoritative — no merge.
-                    for seg in stack.segments().iter().rev() {
-                        if let Some(w) = seg.window(window) {
-                            if let Ok(i) = w.link_keys.binary_search(&key) {
-                                let (ts, ratio) = w.link_series_at(i);
-                                return QueryValue::Series(
-                                    (0..ts.len())
-                                        .map(|j| ColumnarWindow::link_observation(ts, ratio, j))
-                                        .collect(),
-                                );
-                            }
-                        }
-                    }
-                }
-                QueryValue::Series(Vec::new())
-            }
-            QueryPlan::LatestDeliveryRatios(window, band) => {
-                let runs = self.columnar_map(window, FAM_LINKS, |w| {
-                    w.map_or_else(Vec::new, |w| {
-                        (0..w.link_keys.len())
-                            .filter(|&i| w.link_keys[i].band == band)
-                            .filter_map(|i| {
-                                let (_, ratio) = w.link_series_at(i);
-                                ratio.last().map(|&r| (w.link_keys[i], r))
-                            })
-                            .collect()
-                    })
-                });
-                let merged = merge_runs(runs, |_, _: f64| {});
-                QueryValue::Ratios(merged.into_iter().map(|(_, r)| r).collect())
-            }
-            QueryPlan::MeanDeliveryRatios(window, band) => {
-                let runs = self.columnar_map(window, FAM_LINKS, |w| {
-                    w.map_or_else(Vec::new, |w| {
-                        (0..w.link_keys.len())
-                            .filter(|&i| w.link_keys[i].band == band)
-                            .filter_map(|i| {
-                                let (_, ratio) = w.link_series_at(i);
-                                if ratio.is_empty() {
-                                    return None;
-                                }
-                                // Same left-to-right series order as the
-                                // legacy mean, so the f64 sum is exact.
-                                let sum: f64 = ratio.iter().sum();
-                                Some((w.link_keys[i], sum / ratio.len() as f64))
-                            })
-                            .collect()
-                    })
-                });
-                let merged = merge_runs(runs, |_, _: f64| {});
-                QueryValue::Ratios(merged.into_iter().map(|(_, r)| r).collect())
-            }
-            QueryPlan::ServingUtilizations(window, band) => {
-                let runs = self.columnar_map(window, FAM_AIRTIME, |w| {
-                    w.map_or_else(Vec::new, |w| {
-                        (0..w.airtime_key.len())
-                            .filter(|&i| w.airtime_key[i].1 == band)
-                            .filter_map(|i| {
-                                // busy / elapsed, exactly as
-                                // `AirtimeLedger::utilization`.
-                                let elapsed = w.airtime_elapsed[i];
-                                (elapsed > 0).then(|| {
-                                    (w.airtime_key[i], w.airtime_busy[i] as f64 / elapsed as f64)
-                                })
-                            })
-                            .collect()
-                    })
-                });
-                let merged = merge_runs(runs, |_, _: f64| {});
-                QueryValue::Ratios(merged.into_iter().map(|(_, u)| u).collect())
-            }
-            QueryPlan::CensusDeviceCount(window) => QueryValue::Count(
-                self.columnar_map(window, FAM_CENSUS, |w| {
-                    w.map_or(0, |w| w.census_device.len() as u64)
-                })
-                .into_iter()
-                .sum(),
-            ),
-            QueryPlan::NearbySummary(window, band) => {
-                let partials = self.columnar_map(window, FAM_CENSUS, |w| {
-                    let (mut total, mut hotspots, mut devices) = (0u64, 0u64, 0u64);
-                    if let Some(w) = w {
-                        devices = w.census_device.len() as u64;
-                        for i in 0..w.census_band.len() {
-                            if w.census_band[i] == band {
-                                total += u64::from(w.census_networks[i]);
-                                hotspots += u64::from(w.census_hotspots[i]);
-                            }
-                        }
-                    }
-                    (total, hotspots, devices)
-                });
-                let (mut total, mut hotspots, mut devices) = (0u64, 0u64, 0u64);
-                for (t, h, d) in partials {
-                    total += t;
-                    hotspots += h;
-                    devices += d;
-                }
-                let mean_per_ap = if devices > 0 {
-                    total as f64 / devices as f64
-                } else {
-                    0.0
-                };
-                QueryValue::NearbySummary {
-                    total,
-                    mean_per_ap,
-                    hotspots,
-                }
-            }
-            QueryPlan::NearbyPerChannel(window, band) => {
-                let mut per: BTreeMap<u16, u64> = Channel::all_in(band)
-                    .into_iter()
-                    .map(|ch| (ch.number, 0))
-                    .collect();
-                let partials = self.columnar_map(window, FAM_CENSUS, |w| {
-                    let mut sums: BTreeMap<u16, u64> = BTreeMap::new();
-                    if let Some(w) = w {
-                        for i in 0..w.census_band.len() {
-                            if w.census_band[i] == band {
-                                *sums.entry(w.census_channel[i]).or_default() +=
-                                    u64::from(w.census_networks[i]);
-                            }
-                        }
-                    }
-                    sums
-                });
-                for partial in partials {
-                    for (number, sum) in partial {
-                        *per.entry(number).or_default() += sum;
-                    }
-                }
-                QueryValue::PerChannel(per.into_iter().collect())
-            }
-            QueryPlan::Crashes(window) => {
-                // Presence semantics mirror the legacy arm: an
-                // aggregator exists only once a crash payload arrived.
-                let partials = self.columnar_map(window, FAM_CRASHES, |w| {
-                    w.filter(|w| !w.crash_device.is_empty()).map(|w| {
-                        (0..w.crash_device.len())
-                            .map(|i| (w.crash_device[i], w.crash_rows_at(i).to_vec()))
-                            .collect::<Vec<_>>()
-                    })
-                });
-                let runs: Vec<_> = partials.into_iter().flatten().collect();
-                if runs.is_empty() {
-                    return QueryValue::Crashes(None);
-                }
-                let merged = merge_runs(runs, |_, _| {});
-                let mut aggregator = CrashAggregator::default();
-                for (_, reports) in merged {
-                    for report in reports {
-                        aggregator.ingest(report);
-                    }
-                }
-                QueryValue::Crashes(Some(aggregator))
-            }
-            QueryPlan::ScanObservations(window, band) => {
-                let runs = self.columnar_map(window, FAM_SCANS, |w| {
-                    w.map_or_else(Vec::new, |w| {
-                        (0..w.scan_device.len())
-                            .map(|i| {
-                                (
-                                    w.scan_device[i],
-                                    w.scan_rows_at(i)
-                                        .filter(|&j| w.scan_channel[j].band == band)
-                                        .map(|j| w.scan_observation(j))
-                                        .collect::<Vec<_>>(),
-                                )
-                            })
-                            .collect()
-                    })
-                });
-                let merged = merge_runs(runs, |_, _| {});
-                QueryValue::Scans(merged.into_iter().flat_map(|(_, obs)| obs).collect())
-            }
-        }
-    }
-
     /// The two-pass vectorized kernels with zone-map pruning.
     ///
     /// Pass 1 builds a branch-free selection index vector (or dense
     /// partial-aggregate lanes) over the flat columns of every
     /// *admitted* shard; pass 2 gathers through the selections with a
     /// zero-copy cursor merge ([`kway_groups`]) in the same canonical
-    /// key order the fused columnar kernels and the legacy fold use.
-    /// Every f64 reduction keeps the exact operand order of its legacy
-    /// twin; every u64 rollup that re-associates does so under the
-    /// saturating-add monoid (associative + commutative), so all three
-    /// paths are byte-identical — proven by the differential tests.
+    /// key order the legacy fold uses. Every f64 reduction keeps the
+    /// exact operand order of its legacy twin; every u64 rollup that
+    /// re-associates does so under the saturating-add monoid
+    /// (associative + commutative), so the two paths are byte-identical
+    /// — proven by the differential tests.
     fn compute_vectorized(&self, plan: &QueryPlan) -> QueryValue {
         match *plan {
-            QueryPlan::UsageByApp(window) => {
-                let stacks = self.admitted_segment_views(window, |z| z.usage_rows > 0);
+            QueryPlan::UsageByApp(_) => {
+                let stacks = self.admitted_segment_views(plan, |z| z.usage_rows > 0);
                 // Totals: dense per-app lanes, one fused newest-wins
                 // k-way pass per shard's stack (no merged window is
                 // materialized). Re-associating the saturating sums per
@@ -1190,7 +766,7 @@ impl QueryEngine {
                 // apps-per-MAC factor, byte-safe under the
                 // saturating-add monoid.
                 let runs = self.stack_map(
-                    window,
+                    plan,
                     |z| z.usage_rows > 0,
                     |segs| match segs {
                         // Flat stack: the original linear group-by.
@@ -1243,10 +819,13 @@ impl QueryEngine {
                 let QueryValue::Clients(clients) = self.execute(&QueryPlan::Clients(window)) else {
                     unreachable!("Clients plan yields Clients");
                 };
+                // No admission of its own: the answer is the length of
+                // the delegated `Clients` result.
+                self.record_admission(plan, 0, 0);
                 QueryValue::Count(clients.len() as u64)
             }
-            QueryPlan::Clients(window) => {
-                let resolved = self.admitted_windows(window, |z| z.client_rows > 0, FAM_CLIENTS);
+            QueryPlan::Clients(_) => {
+                let resolved = self.admitted_windows(plan, |z| z.client_rows > 0, FAM_CLIENTS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let lens: Vec<usize> = wins.iter().map(|w| w.client_mac.len()).collect();
@@ -1257,7 +836,7 @@ impl QueryEngine {
                     |mac, members| {
                         // Largest provenance wins, scanning members in
                         // shard order with a strict `>` — the same rule
-                        // as the fused merge and the legacy fold.
+                        // as the legacy fold.
                         let (mut br, mut bi) = members[0];
                         for &(r, i) in &members[1..] {
                             if wins[r].client_meta[i] > wins[br].client_meta[bi] {
@@ -1277,10 +856,10 @@ impl QueryEngine {
                 );
                 QueryValue::Clients(out)
             }
-            QueryPlan::AppClientCount(window, app) => {
+            QueryPlan::AppClientCount(_, app) => {
                 let bit = 1u64 << (app as usize);
                 let resolved =
-                    self.admitted_windows(window, |z| z.apps_present & bit != 0, FAM_USAGE);
+                    self.admitted_windows(plan, |z| z.apps_present & bit != 0, FAM_USAGE);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -1298,9 +877,9 @@ impl QueryEngine {
                 );
                 QueryValue::Count(count)
             }
-            QueryPlan::LinkKeys(window, band) => {
+            QueryPlan::LinkKeys(_, band) => {
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.link_keys_per_band[band as usize] > 0,
                     FAM_LINKS,
                 );
@@ -1320,12 +899,12 @@ impl QueryEngine {
                 );
                 QueryValue::LinkKeys(keys)
             }
-            QueryPlan::LinkSeries(window, key) => {
+            QueryPlan::LinkSeries(_, key) => {
                 let in_range = |z: &WindowZoneMap| {
                     z.link_key_range
                         .is_some_and(|(lo, hi)| lo <= key && key <= hi)
                 };
-                let stacks = self.admitted_segment_views(window, in_range);
+                let stacks = self.admitted_segment_views(plan, in_range);
                 for segs in &stacks {
                     // Newest-first within the stack: a delta row carries
                     // the full series, so the first hit is the answer.
@@ -1344,9 +923,9 @@ impl QueryEngine {
                 }
                 QueryValue::Series(Vec::new())
             }
-            QueryPlan::LatestDeliveryRatios(window, band) => {
+            QueryPlan::LatestDeliveryRatios(_, band) => {
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.link_keys_per_band[band as usize] > 0,
                     FAM_LINKS,
                 );
@@ -1373,9 +952,9 @@ impl QueryEngine {
                 );
                 QueryValue::Ratios(ratios)
             }
-            QueryPlan::MeanDeliveryRatios(window, band) => {
+            QueryPlan::MeanDeliveryRatios(_, band) => {
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.link_keys_per_band[band as usize] > 0,
                     FAM_LINKS,
                 );
@@ -1399,16 +978,16 @@ impl QueryEngine {
                         let w = wins[r];
                         let (_, series) = w.link_series_at(sels[r][i] as usize);
                         // Same left-to-right series order as the legacy
-                        // and fused means, so the f64 sum is exact.
+                        // mean, so the f64 sum is exact.
                         let sum: f64 = series.iter().sum();
                         ratios.push(sum / series.len() as f64);
                     },
                 );
                 QueryValue::Ratios(ratios)
             }
-            QueryPlan::ServingUtilizations(window, band) => {
+            QueryPlan::ServingUtilizations(_, band) => {
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.airtime_rows_per_band[band as usize] > 0,
                     FAM_AIRTIME,
                 );
@@ -1444,16 +1023,14 @@ impl QueryEngine {
                     // Zone-only: the answer is a sum of zone-map
                     // counters, so every shard is "pruned" (no column
                     // scanned).
-                    self.counters
-                        .shards_pruned
-                        .fetch_add(self.snapshot.columnar().len() as u64, Ordering::Relaxed);
+                    self.record_admission(plan, 0, self.snapshot.columnar().len() as u64);
                     QueryValue::Count(self.zone_sum(window, |z| z.census_devices as u64))
                 } else {
                     // Overlapping deltas can shadow the same device, so
                     // the zone counters overcount: resolve and count
                     // distinct census filers per shard instead.
                     let resolved =
-                        self.admitted_windows(window, |z| z.census_devices > 0, FAM_CENSUS);
+                        self.admitted_windows(plan, |z| z.census_devices > 0, FAM_CENSUS);
                     QueryValue::Count(
                         resolved
                             .iter()
@@ -1471,12 +1048,12 @@ impl QueryEngine {
                 let flat = self.window_is_flat(window);
                 let resolved = if flat {
                     self.admitted_windows(
-                        window,
+                        plan,
                         |z| z.census_rows_per_band[band as usize] > 0,
                         FAM_CENSUS,
                     )
                 } else {
-                    self.admitted_windows(window, |z| z.census_devices > 0, FAM_CENSUS)
+                    self.admitted_windows(plan, |z| z.census_devices > 0, FAM_CENSUS)
                 };
                 let devices = if flat {
                     self.zone_sum(window, |z| z.census_devices as u64)
@@ -1491,7 +1068,7 @@ impl QueryEngine {
                 for w in resolved.iter().flatten().map(ResolvedView::get) {
                     // Branchless mask-multiply accumulate: non-matching
                     // rows add exact zeros, so the u64 sums are the
-                    // fused kernel's bytes.
+                    // legacy fold's bytes.
                     for i in 0..w.census_band.len() {
                         let m = u64::from(w.census_band[i] == band);
                         total += m * u64::from(w.census_networks[i]);
@@ -1509,13 +1086,13 @@ impl QueryEngine {
                     hotspots,
                 }
             }
-            QueryPlan::NearbyPerChannel(window, band) => {
+            QueryPlan::NearbyPerChannel(_, band) => {
                 let mut per: BTreeMap<u16, u64> = Channel::all_in(band)
                     .into_iter()
                     .map(|ch| (ch.number, 0))
                     .collect();
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.census_rows_per_band[band as usize] > 0,
                     FAM_CENSUS,
                 );
@@ -1528,8 +1105,8 @@ impl QueryEngine {
                 }
                 QueryValue::PerChannel(per.into_iter().collect())
             }
-            QueryPlan::Crashes(window) => {
-                let resolved = self.admitted_windows(window, |z| z.crash_devices > 0, FAM_CRASHES);
+            QueryPlan::Crashes(_) => {
+                let resolved = self.admitted_windows(plan, |z| z.crash_devices > 0, FAM_CRASHES);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 // Presence semantics: a zone with crash_devices > 0 is
@@ -1553,9 +1130,9 @@ impl QueryEngine {
                 }
                 QueryValue::Crashes(Some(aggregator))
             }
-            QueryPlan::ScanObservations(window, band) => {
+            QueryPlan::ScanObservations(_, band) => {
                 let resolved = self.admitted_windows(
-                    window,
+                    plan,
                     |z| z.scan_obs_per_band[band as usize] > 0,
                     FAM_SCANS,
                 );
@@ -1594,88 +1171,9 @@ impl QueryEngine {
         }
     }
 
-    /// The cost-based planner: per plan, estimate the vectorized,
-    /// columnar, and legacy costs from shard row counts plus zone-map
-    /// selectivity, then run the cheapest (the cache was already
-    /// consulted by [`QueryEngine::execute`]). Ties go to the
-    /// vectorized path.
-    fn compute_planned(&self, plan: &QueryPlan) -> QueryValue {
-        let stats = self.plan_stats(plan);
-        let vec_cost = stats.admitted_shards as f64 * VEC_SHARD_SETUP_NS
-            + stats.admitted_rows as f64 * VEC_NS_PER_ROW;
-        let col_cost = stats.total_shards as f64 * COL_SHARD_SETUP_NS
-            + stats.total_rows as f64 * COL_NS_PER_ROW;
-        let leg_cost = stats.total_shards as f64 * LEG_SHARD_SETUP_NS
-            + stats.total_rows as f64 * LEG_NS_PER_ROW;
-        let (choice, est) = if vec_cost <= col_cost && vec_cost <= leg_cost {
-            (QueryBackend::Vectorized, vec_cost)
-        } else if col_cost <= leg_cost {
-            (QueryBackend::Columnar, col_cost)
-        } else {
-            (QueryBackend::Legacy, leg_cost)
-        };
-        let counter = match choice {
-            QueryBackend::Vectorized => &self.counters.plans_vectorized,
-            QueryBackend::Columnar => &self.counters.plans_columnar,
-            _ => &self.counters.plans_legacy,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        if self.explain {
-            eprintln!(
-                "plan {:<22} -> {:<10} (zones admit {}/{} shards, ~{} of {} rows, est {:.0} us)",
-                plan.name(),
-                choice.name(),
-                stats.admitted_shards,
-                stats.total_shards,
-                stats.admitted_rows,
-                stats.total_rows,
-                est / 1000.0,
-            );
-        }
-        match choice {
-            QueryBackend::Vectorized => self.compute_vectorized(plan),
-            QueryBackend::Columnar => self.compute_columnar(plan),
-            _ => self.compute_legacy(plan),
-        }
-    }
-
-    /// Zone-map statistics feeding the cost model: how many shards the
-    /// plan's filter admits and how many rows its kernels would touch.
-    fn plan_stats(&self, plan: &QueryPlan) -> PlanZoneStats {
-        let window = plan.window();
-        let mut stats = PlanZoneStats {
-            total_shards: self.snapshot.columnar().len(),
-            ..PlanZoneStats::default()
-        };
-        for stack in self.snapshot.columnar() {
-            // Segment-granular admission: a shard is admitted when any
-            // of its delta segments admits; rows are estimated per
-            // segment, so a plan whose filter only touches a small
-            // recent delta is costed against that delta, not the whole
-            // shard. Shadowed keys may be counted twice — acceptable
-            // for ranking, never for results.
-            let mut shard_admitted = false;
-            for seg in stack.segments() {
-                let Some(w) = seg.window(window) else {
-                    continue;
-                };
-                let (admitted, rows) = plan_zone_estimate(plan, w.zone());
-                stats.total_rows += rows;
-                if admitted {
-                    shard_admitted = true;
-                    stats.admitted_rows += rows;
-                }
-            }
-            if shard_admitted {
-                stats.admitted_shards += 1;
-            }
-        }
-        stats
-    }
-
     /// The original map-backed path: clone each shard's tables, fold
     /// into merge maps. Kept behind [`QueryBackend::Legacy`] as the
-    /// differential reference for the columnar kernels.
+    /// differential reference for the vectorized kernels.
     fn compute_legacy(&self, plan: &QueryPlan) -> QueryValue {
         match *plan {
             QueryPlan::UsageByApp(window) => {

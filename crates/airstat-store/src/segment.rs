@@ -11,7 +11,7 @@
 //! * **Segments store the row tables, not the columnar projection.**
 //!   `seal()` rebuilds every [`crate::columnar::ColumnarShard`] (and its
 //!   zone maps) deterministically from the row tables, so persisting the
-//!   rows is sufficient for all four query backends to answer
+//!   rows is sufficient for both query backends to answer
 //!   byte-identically after a reload — the differential tests pin this.
 //!   The per-`(window, device)` dedup ledger and the accepted/duplicate
 //!   counters are persisted too, so tail-log replay and post-reload

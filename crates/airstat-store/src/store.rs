@@ -568,11 +568,9 @@ fn shard_index(window: WindowId, device: u64, shards: usize) -> usize {
 /// An immutable, epoch-numbered view of the store, carrying both
 /// physical layouts: the row-oriented shard tables (the write layout)
 /// and their segmented columnar projection (the read layout the
-/// [`crate::query::QueryBackend::Columnar`] and
 /// [`crate::query::QueryBackend::Vectorized`] kernels scan — a
 /// [`SegmentStack`] of delta segments per shard, each segment carrying
-/// the zone maps the cost-based planner consults before touching its
-/// columns).
+/// the zone maps those kernels consult before touching its columns).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
@@ -800,13 +798,23 @@ mod tests {
                 .iter()
                 .filter_map(|seg| seg.window(W))
                 .collect();
-            let col_cells: Vec<_> = match views.len() {
-                0 => Vec::new(),
-                1 => views[0].usage_cells().collect(),
-                _ => crate::columnar::merge_segments(&views, crate::columnar::FAM_USAGE)
-                    .usage_cells()
-                    .collect(),
+            let merged;
+            let resolved = match views[..] {
+                [only] => only,
+                _ => {
+                    merged = crate::columnar::merge_segments(&views, crate::columnar::FAM_USAGE);
+                    &merged
+                }
             };
+            let col_cells: Vec<_> = (0..resolved.usage_mac.len())
+                .map(|i| {
+                    let totals = airstat_telemetry::backend::UsageTotals {
+                        up_bytes: resolved.usage_up[i],
+                        down_bytes: resolved.usage_down[i],
+                    };
+                    ((resolved.usage_mac[i], resolved.usage_app[i]), totals)
+                })
+                .collect();
             assert_eq!(row_cells, col_cells);
         }
     }

@@ -203,9 +203,9 @@ proptest! {
 
     /// Zone-map pruning is invisible in results: for any fleet and any
     /// filter the vectorized path (which skips shards whose zone maps
-    /// cannot match) answers identically to the columnar full scan —
-    /// including on a window no report ever touched, where pruning
-    /// rejects every shard.
+    /// cannot match) answers identically to the legacy fold, which scans
+    /// every shard — including on a window no report ever touched,
+    /// where pruning rejects every shard.
     #[test]
     fn pruned_execution_matches_unpruned_full_scan(
         payloads in prop::collection::vec(any_payload(), 1..20),
@@ -227,7 +227,7 @@ proptest! {
         let snapshot = store.seal();
         let pruned =
             QueryEngine::with_backend(snapshot.clone(), threads, QueryBackend::Vectorized);
-        let full = QueryEngine::with_backend(snapshot, threads, QueryBackend::Columnar);
+        let full = QueryEngine::with_backend(snapshot, threads, QueryBackend::Legacy);
 
         for window in [W, W_EMPTY] {
             prop_assert_eq!(pruned.usage_by_app(window), full.usage_by_app(window));
@@ -328,12 +328,7 @@ proptest! {
                 snapshot.seal_stats().seals_total >= sealed_mid_stream,
                 "seal counters went backwards"
             );
-            for backend in [
-                QueryBackend::Planner,
-                QueryBackend::Vectorized,
-                QueryBackend::Columnar,
-                QueryBackend::Legacy,
-            ] {
+            for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
                 let engine = QueryEngine::with_backend(snapshot.clone(), threads, backend);
                 prop_assert_eq!(engine.usage_by_app(W), reference.usage_by_app(W));
                 prop_assert_eq!(engine.usage_by_os(W), reference.usage_by_os(W));

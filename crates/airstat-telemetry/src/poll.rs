@@ -6,9 +6,8 @@
 //! per-device poll budget; a [`PollSession`] executes the policy over a
 //! sequence of poll rounds while accounting *virtual* time, so report
 //! latency can be measured deterministically (no wall clocks involved);
-//! [`drain_with_policy`] runs the whole loop against a [`Tunnel`] and
-//! returns the delivered reports
-//! plus [`DrainStats`].
+//! [`drain_scheduled`] runs the whole loop against a [`Tunnel`] and
+//! returns the delivered reports plus [`DrainStats`].
 //!
 //! Duplicate-safe re-ingestion is the other half of the contract: the
 //! policy retries freely because delivery is at-least-once — every report
@@ -218,31 +217,18 @@ pub struct DrainStats {
     pub budget_exhausted: bool,
 }
 
-/// Drains `agent` through `tunnel` under `policy`, returning the
-/// delivered reports (in delivery order) and the drain's statistics.
+/// Drains `agent` through `tunnel` under `policy` on a solo
+/// zero-pressure scheduler, returning the delivered reports (in delivery
+/// order), the drain statistics, and the scheduler's own counters (the
+/// engine merges those [`SchedStats`](crate::sched::SchedStats)
+/// fleet-wide).
 ///
-/// Since the scheduler landed this is a thin wrapper over
-/// [`drain_scheduled`]: the drain runs as a single-AP admission on a
-/// zero-pressure [`Scheduler`](crate::sched::Scheduler), which executes
-/// exactly one [`Tunnel::poll`] per round under the same session clock —
-/// so for a given tunnel and RNG the wire behaviour and statistics are
-/// identical to the retired flat loop (kept as
-/// [`drain_flat_reference`] and pinned differentially in the tests).
-pub fn drain_with_policy<R: Rng + ?Sized>(
-    policy: PollPolicy,
-    tunnel: &mut Tunnel,
-    agent: &mut DeviceAgent,
-    rng: &mut R,
-) -> (Vec<Report>, DrainStats) {
-    let (reports, stats, _) = drain_scheduled(policy, tunnel, agent, rng);
-    (reports, stats)
-}
-
-/// Drains one device through a solo zero-pressure scheduler, returning
-/// the reports, the drain statistics, and the scheduler's own counters.
-///
-/// This is what [`drain_with_policy`] runs; the engine calls it directly
-/// so [`SchedStats`](crate::sched::SchedStats) can be merged fleet-wide.
+/// The drain runs as a single-AP admission on a
+/// [`Scheduler`](crate::sched::Scheduler), which executes exactly one
+/// [`Tunnel::poll`] per round under the same session clock — so for a
+/// given tunnel and RNG the wire behaviour and statistics are identical
+/// to the retired flat loop (kept as [`drain_flat_reference`] and pinned
+/// differentially in the tests).
 pub fn drain_scheduled<R: Rng + ?Sized>(
     policy: PollPolicy,
     tunnel: &mut Tunnel,
@@ -376,8 +362,8 @@ mod tests {
             poll_batch: 4,
         });
         let mut rng = SeedTree::new(7).rng();
-        let (reports, stats) =
-            drain_with_policy(PollPolicy::default(), &mut tunnel, &mut agent, &mut rng);
+        let (reports, stats, _) =
+            drain_scheduled(PollPolicy::default(), &mut tunnel, &mut agent, &mut rng);
         assert_eq!(reports.len(), 10);
         assert_eq!(stats.polls, 3, "10 reports at batch 4");
         assert_eq!(stats.delivered, 10);
@@ -401,7 +387,7 @@ mod tests {
             poll_budget: 4,
             ..PollPolicy::default()
         };
-        let (reports, stats) = drain_with_policy(policy, &mut tunnel, &mut agent, &mut rng);
+        let (reports, stats, _) = drain_scheduled(policy, &mut tunnel, &mut agent, &mut rng);
         assert!(reports.is_empty());
         assert!(stats.budget_exhausted);
         assert_eq!(stats.disconnected, 4);
@@ -439,8 +425,8 @@ mod tests {
         let mut agent = loaded_agent(7);
         let mut tunnel = Tunnel::new(config);
         let mut rng = seed.child("tunnel").rng();
-        let (reports, stats) =
-            drain_with_policy(PollPolicy::default(), &mut tunnel, &mut agent, &mut rng);
+        let (reports, stats, _) =
+            drain_scheduled(PollPolicy::default(), &mut tunnel, &mut agent, &mut rng);
 
         assert_eq!(reports, bare_reports);
         assert_eq!(stats.polls, bare_tunnel.polls_attempted());

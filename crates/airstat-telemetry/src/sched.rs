@@ -751,7 +751,7 @@ impl<E: PollEndpoint> Scheduler<E> {
 
 /// The plain single-tunnel endpoint the healthy engine path uses: one
 /// [`Tunnel`], one [`DeviceAgent`], one RNG stream — exactly what the
-/// flat `drain_with_policy` loop consumed, in the same order.
+/// flat `drain_flat_reference` loop consumes, in the same order.
 #[derive(Debug)]
 pub struct TunnelEndpoint<R> {
     tunnel: Tunnel,

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (every root suite: store-vs-legacy, columnar/vectorized/planner-vs-legacy and persist/reopen differentials, golden report digest, mid-campaign delta seals + pinned compaction schedule, flat-vs-scheduler byte-identity + 100k-AP queue-pressure campaign, ...)"
+echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary, golden report digest, mid-campaign delta seals + pinned compaction schedule, flat-vs-scheduler byte-identity + 100k-AP queue-pressure campaign, ...)"
 cargo test -q --offline
 
 echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"
@@ -26,9 +26,6 @@ cargo test -q --offline -p airstat-telemetry sched
 echo "==> cargo test -q -p airstat-telemetry --test sched_properties prop_no_ready_ap_waits_beyond_poll_gap_bound (no-starvation proptest)"
 cargo test -q --offline -p airstat-telemetry --test sched_properties \
     prop_no_ready_ap_waits_beyond_poll_gap_bound
-
-echo "==> cargo clippy -p airstat-telemetry (scheduler crate, warnings are errors)"
-cargo clippy -q -p airstat-telemetry --all-targets --offline -- -D warnings
 
 echo "==> cargo clippy --workspace (warnings are errors; vendored crates excluded)"
 cargo clippy -q --workspace --exclude rand --exclude proptest \

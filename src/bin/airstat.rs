@@ -15,8 +15,9 @@
 //! Reports land in a sharded snapshot store (`--shards`, default 8) and
 //! the analytics run through its parallel cached query engine; stdout is
 //! byte-identical for every `--shards`/`--threads`/`--query-backend`
-//! combination, and the store's cache/pruning/plan-choice statistics
-//! print to stderr (`--explain` adds the planner's per-plan choices).
+//! combination, and the store's cache and zone-pruning statistics
+//! print to stderr (`--explain` adds one line per plan computed cold:
+//! its name and the shards its zone admission scanned and pruned).
 //!
 //! `--store-dir DIR` makes the run durable: batches stream into a
 //! crash-safe tail log and the final store is committed as columnar
@@ -60,7 +61,7 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--query-backend B] [--explain] [--store-dir DIR [--resume]]\n\
+    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--poll-path P] [--query-backend B] [--explain] [--seal-every N] [--store-dir DIR [--resume]]\n\
      \n\
      report        print every table and figure of the paper\n\
      table N       print table N (2-7)\n\
@@ -81,13 +82,13 @@ fn usage() -> &'static str {
                    stderr) or flat-reference (the pre-scheduler loops);\n\
                    stdout is byte-identical for both\n\
      --query-backend B\n\
-                   query execution strategy: planner (default; picks a\n\
-                   path per plan from zone-map cost estimates),\n\
-                   vectorized (two-pass kernels + zone pruning),\n\
-                   columnar (packed scan kernels), or legacy\n\
-                   (map-backed); output is byte-identical for all\n\
-     --explain     print the planner's per-plan path choice and zone-map\n\
-                   estimates to stderr\n\
+                   query path: vectorized (default; two-pass kernels\n\
+                   + zone pruning over the columnar layout) or legacy\n\
+                   (the map-backed fold kept as its oracle); output is\n\
+                   byte-identical for both\n\
+     --explain     print one stderr line per plan the vectorized engine\n\
+                   computes cold: plan name, shards scanned, shards\n\
+                   pruned by the zone maps\n\
      --seal-every N\n\
                    re-seal the store's columnar read layout every N\n\
                    ingested batches mid-campaign (incremental delta\n\
@@ -178,7 +179,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 i += 1;
                 let value = args.get(i).ok_or("--query-backend needs a value")?;
                 query_backend = Some(QueryBackend::by_name(value).ok_or(format!(
-                    "unknown query backend {value}; valid backends: planner, vectorized, columnar, legacy"
+                    "unknown query backend {value}; valid backends: vectorized, legacy"
                 ))?);
             }
             "--poll-path" => {
@@ -526,9 +527,7 @@ mod tests {
     #[test]
     fn parses_query_backends() {
         for (name, backend) in [
-            ("planner", QueryBackend::Planner),
             ("vectorized", QueryBackend::Vectorized),
-            ("columnar", QueryBackend::Columnar),
             ("legacy", QueryBackend::Legacy),
         ] {
             assert_eq!(
@@ -538,9 +537,13 @@ mod tests {
                 Some(backend)
             );
         }
-        let err = parse(&["report", "--query-backend", "rowwise"]).unwrap_err();
-        assert!(err.contains("planner"), "lists valid backends: {err}");
-        assert!(err.contains("columnar"), "lists valid backends: {err}");
+        for gone in ["planner", "columnar", "rowwise"] {
+            let err = parse(&["report", "--query-backend", gone]).unwrap_err();
+            assert!(
+                err.contains("vectorized, legacy"),
+                "lists valid backends: {err}"
+            );
+        }
         assert!(parse(&["report", "--query-backend"]).is_err());
     }
 

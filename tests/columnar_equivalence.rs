@@ -1,9 +1,9 @@
-//! Differential tests: every execution path of the query engine against
-//! the legacy map-backed one.
+//! Differential tests: the query engine's vectorized kernels against
+//! the legacy map-backed oracle.
 //!
-//! All backends — columnar scan kernels, vectorized two-pass kernels
-//! with zone-map pruning, and the cost-based planner that picks among
-//! them — read the same sealed snapshot, so every [`FleetQuery`] method
+//! Both backends read the same sealed snapshot — the vectorized two-pass
+//! kernels with zone-map pruning over its columnar projection, the
+//! legacy fold over its row tables — so every [`FleetQuery`] method
 //! must match **exactly** — including the float-valued ones, because
 //! each kernel reproduces the legacy canonical merge order and
 //! therefore the legacy floating-point reduction order. The surface is
@@ -24,10 +24,10 @@ use airstat::telemetry::backend::WindowId;
 const WINDOWS: [WindowId; 3] = [WINDOW_JAN_2014, WINDOW_JUL_2014, WINDOW_JAN_2015];
 const BANDS: [Band; 2] = [Band::Ghz2_4, Band::Ghz5];
 
-/// Compares the full [`FleetQuery`] surface of a candidate backend
+/// Compares the full [`FleetQuery`] surface of the vectorized engine
 /// against the legacy baseline, bit for bit.
 fn assert_backends_identical(columnar: &QueryEngine, legacy: &QueryEngine, label: &str) {
-    assert_ne!(columnar.backend(), QueryBackend::Legacy, "{label}");
+    assert_eq!(columnar.backend(), QueryBackend::Vectorized, "{label}");
     assert_eq!(legacy.backend(), QueryBackend::Legacy, "{label}");
     for window in WINDOWS {
         assert_eq!(
@@ -154,22 +154,13 @@ fn every_query_plan_matches_across_backends() {
             let snapshot = output.store.seal();
             let legacy =
                 QueryEngine::with_backend(snapshot.clone(), output.threads, QueryBackend::Legacy);
-            for backend in [
-                QueryBackend::Columnar,
-                QueryBackend::Vectorized,
-                QueryBackend::Planner,
-            ] {
-                let candidate =
-                    QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
-                assert_backends_identical(
-                    &candidate,
-                    &legacy,
-                    &format!(
-                        "seed {seed:#x}, shards {shards}, backend {}",
-                        backend.name()
-                    ),
-                );
-            }
+            let engine =
+                QueryEngine::with_backend(snapshot, output.threads, QueryBackend::Vectorized);
+            assert_backends_identical(
+                &engine,
+                &legacy,
+                &format!("seed {seed:#x}, shards {shards}"),
+            );
         }
     }
 }
@@ -193,13 +184,8 @@ fn report_is_byte_identical_across_backends_shards_and_threads() {
         for shards in [1usize, 4, 8] {
             assert_eq!(
                 baseline,
-                render(QueryBackend::Columnar, threads, shards),
-                "columnar report diverged at t{threads} s{shards}"
-            );
-            assert_eq!(
-                baseline,
-                render(QueryBackend::Planner, threads, shards),
-                "planner report diverged at t{threads} s{shards}"
+                render(QueryBackend::Vectorized, threads, shards),
+                "vectorized report diverged at t{threads} s{shards}"
             );
             if threads != 1 || shards != 1 {
                 assert_eq!(

@@ -12,12 +12,7 @@ use airstat::store::{QueryBackend, QueryEngine, SealStats, ShardedStore, StoreCo
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-const BACKENDS: [QueryBackend; 4] = [
-    QueryBackend::Planner,
-    QueryBackend::Vectorized,
-    QueryBackend::Columnar,
-    QueryBackend::Legacy,
-];
+const BACKENDS: [QueryBackend; 2] = [QueryBackend::Vectorized, QueryBackend::Legacy];
 
 /// A unique scratch directory per call — process id plus a
 /// process-wide counter, no wall clock involved.

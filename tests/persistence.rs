@@ -183,12 +183,7 @@ fn report_is_byte_identical_across_persist_reload_and_backends() {
 
     let (reopened, _) = ShardedStore::open(&dir, StoreConfig::default()).expect("open");
     let snapshot = reopened.seal();
-    for backend in [
-        QueryBackend::Planner,
-        QueryBackend::Vectorized,
-        QueryBackend::Columnar,
-        QueryBackend::Legacy,
-    ] {
+    for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
         let engine = QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
         assert_eq!(
             baseline,
