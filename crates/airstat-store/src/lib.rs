@@ -15,8 +15,8 @@
 //!   epoch fills.
 //! * [`query::QueryEngine`] executes typed [`query::QueryPlan`]s per
 //!   shard and merges the partials in globally canonical order, with an
-//!   epoch-keyed LRU result cache whose counters surface in
-//!   [`query::StoreStats`].
+//!   epoch-keyed, byte-budgeted LRU result cache whose counters surface
+//!   in [`query::StoreStats`].
 //! * [`query::FleetQuery`] abstracts the query surface over both the
 //!   legacy backend and the engine, which is what the differential
 //!   equivalence tests lean on.

@@ -25,10 +25,12 @@
 //!   the oracle the differential tests hold the engine to, byte for
 //!   byte, for every shard and thread count.
 //!
-//! Results are memoized in an epoch-keyed LRU [`ResultCache`]; the
-//! hit/miss/eviction counters surface in [`StoreStats`], which the CLI
-//! prints next to the engine's throughput summary.
-use std::collections::{BTreeMap, HashMap};
+//! Results are memoized in an epoch-keyed, byte-budgeted LRU
+//! [`ResultCache`]; the hit/miss/eviction counters surface in
+//! [`StoreStats`], which the CLI prints next to the engine's throughput
+//! summary.
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::mem::{size_of, size_of_val};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -87,7 +89,10 @@ impl QueryBackend {
 }
 
 /// One query against the store, covering the full legacy surface.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// `Copy`: a plan is a window plus at most one small key, no heap, so
+/// the result cache builds its lookup keys by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPlan {
     /// Usage totals and distinct clients per application (§3).
     UsageByApp(WindowId),
@@ -200,70 +205,145 @@ pub enum QueryValue {
     Crashes(Option<CrashAggregator>),
 }
 
-/// Default result-cache capacity (distinct `(epoch, plan)` entries).
-pub const DEFAULT_CACHE_CAPACITY: usize = 64;
+impl QueryValue {
+    /// Bytes this value occupies while cached: the enum itself plus the
+    /// heap payload its vectors (and a crash report's firmware strings)
+    /// own — what the [`ResultCache`] budget is charged.
+    pub(crate) fn cached_bytes(&self) -> usize {
+        let heap = match self {
+            QueryValue::AppUsage(v) => size_of_val(v.as_slice()),
+            QueryValue::OsUsage(v) => size_of_val(v.as_slice()),
+            QueryValue::Clients(v) => size_of_val(v.as_slice()),
+            QueryValue::LinkKeys(v) => size_of_val(v.as_slice()),
+            QueryValue::Series(v) => size_of_val(v.as_slice()),
+            QueryValue::Ratios(v) => size_of_val(v.as_slice()),
+            QueryValue::PerChannel(v) => size_of_val(v.as_slice()),
+            QueryValue::Scans(v) => size_of_val(v.as_slice()),
+            QueryValue::Crashes(Some(crashes)) => {
+                let reports = crashes.reports();
+                size_of_val(reports) + reports.iter().map(|r| r.firmware.len()).sum::<usize>()
+            }
+            QueryValue::Count(_) | QueryValue::NearbySummary { .. } | QueryValue::Crashes(None) => {
+                0
+            }
+        };
+        size_of::<QueryValue>() + heap
+    }
+}
 
-/// An epoch-keyed LRU cache of query results.
+/// Result-cache budget in bytes of cached [`QueryValue`] payload: each
+/// value's own size plus the heap its vectors own.
+///
+/// Sized from a measurement: at `paper(0.008)` (77k clients, the
+/// `resume_query` benchmark campaign) every plan kind on every window
+/// plus one full `PaperReport::from_query` caches 807 results totalling
+/// 4.9 MB (DESIGN.md §20 has the breakdown). The budget holds that three
+/// times over, so a dashboard refreshing one report never evicts what
+/// the next refresh reads, while a store whose results outgrow it falls
+/// back to recomputing the oldest instead of growing without bound.
+pub const CACHE_BUDGET_BYTES: usize = 16 << 20;
+
+/// One cached result with its recency stamp and budget charge.
+#[derive(Debug)]
+struct CacheSlot {
+    stamp: u64,
+    bytes: usize,
+    value: QueryValue,
+}
+
+/// An epoch-keyed, byte-budgeted LRU cache of query results.
 ///
 /// Keys are `(epoch, plan)`: a result is valid exactly for the snapshot
 /// epoch it was computed against, so ingesting new data (which bumps the
 /// epoch) naturally invalidates without any explicit flush. Recency is
-/// tracked with a monotone stamp; eviction removes the least recently
-/// used entry.
-#[derive(Debug, Default)]
+/// tracked with a monotone stamp; when the cached payload exceeds
+/// [`CACHE_BUDGET_BYTES`] the entries with the oldest stamps are evicted
+/// until it fits. A single value larger than the whole budget is handed
+/// back to the caller but not retained.
+#[derive(Debug)]
 pub struct ResultCache {
-    // airstat::allow(no-hashmap-iter): exact-key cache; eviction scan is
-    // tie-free (stamps are unique), so iteration order cannot leak out
-    entries: HashMap<(u64, QueryPlan), (u64, QueryValue)>,
-    capacity: usize,
+    // airstat::allow(no-hashmap-iter): exact-key lookups only; eviction
+    // walks `by_stamp`, never this map
+    entries: HashMap<(u64, QueryPlan), CacheSlot>,
+    /// Eviction order: each key under the stamp it was inserted with. A
+    /// hit only restamps its slot (no tree work on the hot path), so an
+    /// index stamp may trail the slot's; eviction re-files such a key
+    /// under its current stamp and moves on, which keeps the victim the
+    /// true oldest stamp.
+    by_stamp: BTreeMap<u64, (u64, QueryPlan)>,
+    budget_bytes: usize,
+    used_bytes: usize,
     clock: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl ResultCache {
-    /// Creates a cache holding at most `capacity` results.
-    pub fn new(capacity: usize) -> Self {
+impl Default for ResultCache {
+    /// An empty cache with the [`CACHE_BUDGET_BYTES`] budget.
+    fn default() -> Self {
         ResultCache {
-            capacity: capacity.max(1),
-            ..ResultCache::default()
+            entries: Default::default(),
+            by_stamp: Default::default(),
+            budget_bytes: CACHE_BUDGET_BYTES,
+            used_bytes: 0,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
     }
+}
 
+impl ResultCache {
     /// Looks up a result, counting the hit or miss.
     pub fn get(&mut self, epoch: u64, plan: &QueryPlan) -> Option<QueryValue> {
+        let Some(slot) = self.entries.get_mut(&(epoch, *plan)) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
         self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&(epoch, plan.clone())) {
-            Some((stamp, value)) => {
-                *stamp = clock;
-                self.hits += 1;
-                Some(value.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        slot.stamp = self.clock;
+        Some(slot.value.clone())
     }
 
-    /// Stores a result, evicting the least recently used entry if full.
+    /// Stores a result, then evicts oldest-stamp entries until the
+    /// cached payload fits the budget again.
     pub fn insert(&mut self, epoch: u64, plan: QueryPlan, value: QueryValue) {
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&(epoch, plan.clone()))
-        {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(key, _)| key.clone())
-            {
-                self.entries.remove(&oldest);
-                self.evictions += 1;
-            }
+        let bytes = value.cached_bytes();
+        if bytes > self.budget_bytes {
+            return;
         }
         self.clock += 1;
-        self.entries.insert((epoch, plan), (self.clock, value));
+        let slot = CacheSlot {
+            stamp: self.clock,
+            bytes,
+            value,
+        };
+        let key = (epoch, plan);
+        self.by_stamp.insert(slot.stamp, key);
+        self.used_bytes += bytes;
+        if let Some(replaced) = self.entries.insert(key, slot) {
+            self.used_bytes -= replaced.bytes;
+        }
+        while self.used_bytes > self.budget_bytes {
+            let Some((stamp, key)) = self.by_stamp.pop_first() else {
+                unreachable!("invariant: every cached slot is filed under a stamp");
+            };
+            match self.entries.get(&key) {
+                // Hit or re-inserted since it was filed: not the oldest.
+                Some(slot) if slot.stamp != stamp => {
+                    self.by_stamp.insert(slot.stamp, key);
+                }
+                _ => {
+                    if let Some(victim) = self.entries.remove(&key) {
+                        self.used_bytes -= victim.bytes;
+                        self.evictions += 1;
+                    }
+                }
+            }
+        }
     }
 
     /// Cached entries right now.
@@ -292,8 +372,8 @@ pub struct StoreStats {
     pub epoch: u64,
     /// Results currently cached.
     pub cached_results: u64,
-    /// Result-cache capacity.
-    pub cache_capacity: u64,
+    /// Payload bytes those results hold, of [`CACHE_BUDGET_BYTES`].
+    pub cached_bytes: u64,
     /// Cache hits served.
     pub hits: u64,
     /// Cache misses (results computed).
@@ -329,8 +409,13 @@ impl std::fmt::Display for StoreStats {
         )?;
         writeln!(
             f,
-            "  query cache    {:>7} hits  {:>6} misses  {:>4} evictions  ({rate:.1}% hit rate, {}/{} cached)",
-            self.hits, self.misses, self.evictions, self.cached_results, self.cache_capacity,
+            "  query cache    {:>7} hits  {:>6} misses  {:>4} evictions  ({rate:.1}% hit rate, {} results in {:.1} of {:.1} MB)",
+            self.hits,
+            self.misses,
+            self.evictions,
+            self.cached_results,
+            self.cached_bytes as f64 / 1e6,
+            CACHE_BUDGET_BYTES as f64 / 1e6,
         )?;
         write!(
             f,
@@ -436,7 +521,7 @@ impl QueryEngine {
             snapshot,
             threads: threads.max(1),
             backend,
-            cache: Mutex::new(ResultCache::new(DEFAULT_CACHE_CAPACITY)),
+            cache: Mutex::default(),
             counters: EngineCounters::default(),
             explain: false,
         }
@@ -470,7 +555,7 @@ impl QueryEngine {
             shards: self.snapshot.shards().len(),
             epoch: self.snapshot.epoch(),
             cached_results: cache.len() as u64,
-            cache_capacity: cache.capacity as u64,
+            cached_bytes: cache.used_bytes as u64,
             hits,
             misses,
             evictions,
@@ -500,7 +585,7 @@ impl QueryEngine {
         self.cache
             .lock()
             .expect("invariant: cache lock is never poisoned (no code panics while holding it)")
-            .insert(epoch, plan.clone(), value.clone());
+            .insert(epoch, *plan, value.clone());
         value
     }
 
@@ -1244,11 +1329,19 @@ impl QueryEngine {
                         .collect(),
                 )
             }
+            // A roaming client's `(MAC, app)` cell may sit in several
+            // shards, so the answer is the size of the MAC set, and only
+            // `app`'s cells — not every shard's whole table — are gathered.
             QueryPlan::AppClientCount(window, app) => QueryValue::Count(
-                self.merged_usage(window)
-                    .keys()
+                self.snapshot
+                    .shards()
+                    .iter()
+                    .filter_map(|shard| shard.window(window))
+                    .flat_map(|tables| tables.usage.keys())
                     .filter(|&&(_, a)| a == app)
-                    .count() as u64,
+                    .map(|&(mac, _)| mac)
+                    .collect::<BTreeSet<MacAddress>>()
+                    .len() as u64,
             ),
             QueryPlan::LinkKeys(window, band) => QueryValue::LinkKeys(
                 self.merged_links(window)
@@ -1256,9 +1349,16 @@ impl QueryEngine {
                     .filter(|k| k.band == band)
                     .collect(),
             ),
-            QueryPlan::LinkSeries(window, key) => {
-                QueryValue::Series(self.merged_links(window).remove(&key).unwrap_or_default())
-            }
+            // A link's `rx_device` pins it to one shard, so at most one
+            // row map holds the key: probe them instead of merging all.
+            QueryPlan::LinkSeries(window, key) => QueryValue::Series(
+                self.snapshot
+                    .shards()
+                    .iter()
+                    .find_map(|shard| shard.window(window)?.links.get(&key))
+                    .cloned()
+                    .unwrap_or_default(),
+            ),
             QueryPlan::LatestDeliveryRatios(window, band) => QueryValue::Ratios(
                 self.merged_links(window)
                     .iter()
@@ -1662,22 +1762,61 @@ mod tests {
         assert!(stats.cached_results >= 1);
     }
 
+    /// A cache whose budget is `budget_bytes` instead of the constant.
+    fn cache_with_budget(budget_bytes: usize) -> ResultCache {
+        ResultCache {
+            budget_bytes,
+            ..ResultCache::default()
+        }
+    }
+
+    fn ratios(n: usize) -> QueryValue {
+        QueryValue::Ratios(vec![0.5; n])
+    }
+
     #[test]
-    fn lru_evicts_oldest_entry() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(0, QueryPlan::ClientCount(W), QueryValue::Count(1));
-        cache.insert(0, QueryPlan::CensusDeviceCount(W), QueryValue::Count(2));
-        // Touch the first entry so the second becomes the LRU victim.
+    fn oldest_stamps_are_evicted_until_the_budget_fits() {
+        let unit = ratios(100).cached_bytes();
+        let mut cache = cache_with_budget(2 * unit);
+        cache.insert(0, QueryPlan::ClientCount(W), ratios(100));
+        cache.insert(0, QueryPlan::CensusDeviceCount(W), ratios(100));
+        // Re-inserting a key replaces its charge instead of adding one.
+        cache.insert(0, QueryPlan::CensusDeviceCount(W), ratios(100));
+        assert_eq!((cache.len(), cache.used_bytes), (2, 2 * unit));
+        // Touch the first entry so the second holds the oldest stamp.
         assert!(cache.get(0, &QueryPlan::ClientCount(W)).is_some());
-        cache.insert(0, QueryPlan::UsageByApp(W), QueryValue::Count(3));
+        cache.insert(0, QueryPlan::UsageByApp(W), ratios(100));
         assert!(cache.get(0, &QueryPlan::ClientCount(W)).is_some());
         assert!(cache.get(0, &QueryPlan::CensusDeviceCount(W)).is_none());
         assert_eq!(cache.counters().2, 1, "one eviction");
+        // A value that needs the room of both survivors evicts both.
+        cache.insert(0, QueryPlan::UsageByOs(W), ratios(200));
+        assert!(cache.get(0, &QueryPlan::UsageByOs(W)).is_some());
+        assert_eq!((cache.len(), cache.counters().2), (1, 3));
+        assert_eq!(cache.used_bytes, ratios(200).cached_bytes());
+    }
+
+    #[test]
+    fn over_budget_value_is_returned_but_not_retained() {
+        let mut cache = cache_with_budget(ratios(100).cached_bytes());
+        cache.insert(0, QueryPlan::ClientCount(W), ratios(100));
+        cache.insert(0, QueryPlan::UsageByApp(W), ratios(101));
+        assert!(cache.get(0, &QueryPlan::UsageByApp(W)).is_none());
+        assert!(cache.get(0, &QueryPlan::ClientCount(W)).is_some());
+        assert_eq!((cache.len(), cache.counters().2), (1, 0), "nothing evicted");
+
+        // Through the engine: the caller still gets its answer, twice.
+        let mut engine = loaded_engine(3, 1);
+        engine.cache = Mutex::new(cache_with_budget(1));
+        let first = engine.execute(&QueryPlan::UsageByApp(W));
+        assert_eq!(first, engine.execute(&QueryPlan::UsageByApp(W)));
+        let stats = engine.stats();
+        assert_eq!((stats.hits, stats.misses, stats.cached_results), (0, 2, 0));
     }
 
     #[test]
     fn epoch_keys_isolate_stale_results() {
-        let mut cache = ResultCache::new(8);
+        let mut cache = ResultCache::default();
         cache.insert(1, QueryPlan::ClientCount(W), QueryValue::Count(10));
         assert!(cache.get(2, &QueryPlan::ClientCount(W)).is_none());
         assert!(cache.get(1, &QueryPlan::ClientCount(W)).is_some());

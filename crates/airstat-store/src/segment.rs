@@ -285,10 +285,15 @@ impl fmt::Display for RecoveryStats {
 /// CRC-32/ISO-HDLC (the IEEE 802.3 polynomial, reflected, init and
 /// xorout `0xFFFF_FFFF`) — the same parametrization as zlib's `crc32`.
 /// Hand-rolled because the workspace vendors no checksum crate.
-const CRC_TABLE: [u32; 256] = build_crc_table();
+///
+/// Slice-by-8: `CRC_TABLES[0]` is the classic one-byte table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the register with eight independent
+/// lookups instead of a chain of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -301,17 +306,41 @@ const fn build_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// The CRC32 guarding every block, header, manifest, and tail record.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -389,6 +418,17 @@ impl<'a> Cursor<'a> {
             return Err(corrupt(context));
         }
         Ok(n)
+    }
+
+    /// Sums per-key row counts into the length of the flattened columns
+    /// that follow. Every flattened row costs at least one byte, so a
+    /// sum past the bytes left is rejected before a column is sized from
+    /// it (each count passed [`Cursor::count`] alone; their sum need not).
+    fn total(&self, lens: &[usize], context: &'static str) -> Result<usize, SegmentError> {
+        lens.iter()
+            .try_fold(0usize, |sum, &n| sum.checked_add(n))
+            .filter(|&total| total <= self.remaining())
+            .ok_or_else(|| corrupt(context))
     }
 }
 
@@ -856,6 +896,14 @@ pub(crate) fn encode_segment(shard: &StoreShard, epoch: u64, index: u32, count: 
 // ---------------------------------------------------------------------
 // Table decoders
 // ---------------------------------------------------------------------
+//
+// Every decoder gathers its rows in file order and `collect()`s them
+// into the table. The encoders write keys ascending, so the collect's
+// stable sort is one linear pass and the tree is bulk-built from full
+// nodes instead of grown one `insert` at a time. Key order is not a
+// decode error: on out-of-order or repeated keys the last row for a key
+// wins, exactly as key-by-key `insert` resolved them (pinned by
+// `out_of_order_and_duplicate_keys_decode_as_insert_would`).
 
 fn decode_usage(
     body: &[u8],
@@ -885,21 +933,21 @@ fn decode_usage(
     for _ in 0..n {
         ups.push(cur.varint()?);
     }
-    let mut map = BTreeMap::new();
+    let mut rows = Vec::with_capacity(n);
     for i in 0..n {
         let down = cur.varint()?;
-        map.insert(
+        rows.push((
             (macs[i], app_col[i]),
             UsageTotals {
                 up_bytes: ups[i],
                 down_bytes: down,
             },
-        );
+        ));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in usage block"));
     }
-    Ok(map)
+    Ok(rows.into_iter().collect())
 }
 
 fn decode_clients(
@@ -947,10 +995,10 @@ fn decode_clients(
     for _ in 0..n {
         bands.push(band_from(cur.varint()?)?);
     }
-    let mut map = BTreeMap::new();
+    let mut rows = Vec::with_capacity(n);
     for i in 0..n {
         let rssi_dbm = cur.f64()?;
-        map.insert(
+        rows.push((
             macs[i],
             (
                 ClientMeta {
@@ -965,12 +1013,12 @@ fn decode_clients(
                     rssi_dbm,
                 },
             ),
-        );
+        ));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in clients block"));
     }
-    Ok(map)
+    Ok(rows.into_iter().collect())
 }
 
 fn decode_links(body: &[u8]) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, SegmentError> {
@@ -992,12 +1040,12 @@ fn decode_links(body: &[u8]) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, 
     for _ in 0..k {
         lens.push(cur.count(1, "link series length exceeds block size")?);
     }
-    let total: usize = lens.iter().sum();
+    let total = cur.total(&lens, "link series lengths exceed block size")?;
     let mut timestamps = Vec::with_capacity(total);
     for _ in 0..total {
         timestamps.push(cur.varint()?);
     }
-    let mut map = BTreeMap::new();
+    let mut rows = Vec::with_capacity(k);
     let mut offset = 0usize;
     for i in 0..k {
         let mut series = Vec::with_capacity(lens[i]);
@@ -1008,19 +1056,19 @@ fn decode_links(body: &[u8]) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, 
             });
         }
         offset += lens[i];
-        map.insert(
+        rows.push((
             LinkKey {
                 rx_device: rx[i],
                 tx_device: tx[i],
                 band: bands[i],
             },
             series,
-        );
+        ));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in links block"));
     }
-    Ok(map)
+    Ok(rows.into_iter().collect())
 }
 
 fn decode_airtime(body: &[u8]) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, SegmentError> {
@@ -1042,7 +1090,7 @@ fn decode_airtime(body: &[u8]) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, S
     for _ in 0..n {
         busy.push(cur.varint()?);
     }
-    let mut map = BTreeMap::new();
+    let mut rows = Vec::with_capacity(n);
     for i in 0..n {
         let wifi = cur.varint()?;
         if busy[i] > elapsed[i] || wifi > busy[i] {
@@ -1054,12 +1102,12 @@ fn decode_airtime(body: &[u8]) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, S
         // The stored values satisfy the ledger's clamping invariant
         // (checked above), so one account() call restores them exactly.
         ledger.account(elapsed[i], busy[i], wifi);
-        map.insert((devices[i], bands[i]), ledger);
+        rows.push(((devices[i], bands[i]), ledger));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in airtime block"));
     }
-    Ok(map)
+    Ok(rows.into_iter().collect())
 }
 
 fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
@@ -1086,7 +1134,7 @@ fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
     for _ in 0..d {
         lens.push(cur.count(1, "census row count exceeds block size")?);
     }
-    let total: usize = lens.iter().sum();
+    let total = cur.total(&lens, "census row counts exceed block size")?;
     let mut bands = Vec::with_capacity(total);
     for _ in 0..total {
         bands.push(band_from(cur.varint()?)?);
@@ -1101,7 +1149,7 @@ fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
         let v = cur.varint()?;
         networks.push(u32::try_from(v).map_err(|_| corrupt("network count out of range"))?);
     }
-    let mut map = BTreeMap::new();
+    let mut devices = Vec::with_capacity(d);
     let mut offset = 0usize;
     for i in 0..d {
         let mut rows = Vec::with_capacity(lens[i]);
@@ -1112,7 +1160,7 @@ fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
             rows.push((bands[j], numbers[j], networks[j], hotspots));
         }
         offset += lens[i];
-        map.insert(
+        devices.push((
             keys[i],
             (
                 ClientMeta {
@@ -1122,12 +1170,12 @@ fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
                 },
                 rows,
             ),
-        );
+        ));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in neighbors block"));
     }
-    Ok(map)
+    Ok(devices.into_iter().collect())
 }
 
 fn decode_scans(body: &[u8]) -> Result<KeyedTable<ScanObservation>, SegmentError> {
@@ -1141,7 +1189,7 @@ fn decode_scans(body: &[u8]) -> Result<KeyedTable<ScanObservation>, SegmentError
     for _ in 0..d {
         lens.push(cur.count(1, "scan observation count exceeds block size")?);
     }
-    let total: usize = lens.iter().sum();
+    let total = cur.total(&lens, "scan observation counts exceed block size")?;
     let mut seqs = Vec::with_capacity(total);
     for _ in 0..total {
         seqs.push(cur.varint()?);
@@ -1173,15 +1221,15 @@ fn decode_scans(body: &[u8]) -> Result<KeyedTable<ScanObservation>, SegmentError
         let v = cur.varint()?;
         decodable.push(u32::try_from(v).map_err(|_| corrupt("decodable share out of range"))?);
     }
-    let mut map = BTreeMap::new();
+    let mut devices = Vec::with_capacity(d);
     let mut offset = 0usize;
     for i in 0..d {
-        let mut per_device = BTreeMap::new();
+        let mut per_device = Vec::with_capacity(lens[i]);
         for j in offset..offset + lens[i] {
             let networks = cur.varint()?;
             let networks =
                 u32::try_from(networks).map_err(|_| corrupt("network count out of range"))?;
-            per_device.insert(
+            per_device.push((
                 (seqs[j], slots[j]),
                 ScanObservation {
                     timestamp_s: timestamps[j],
@@ -1192,15 +1240,15 @@ fn decode_scans(body: &[u8]) -> Result<KeyedTable<ScanObservation>, SegmentError
                         networks,
                     },
                 },
-            );
+            ));
         }
         offset += lens[i];
-        map.insert(keys[i], per_device);
+        devices.push((keys[i], per_device.into_iter().collect()));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in scans block"));
     }
-    Ok(map)
+    Ok(devices.into_iter().collect())
 }
 
 fn decode_crashes(body: &[u8]) -> Result<KeyedTable<CrashReport>, SegmentError> {
@@ -1214,7 +1262,7 @@ fn decode_crashes(body: &[u8]) -> Result<KeyedTable<CrashReport>, SegmentError> 
     for _ in 0..d {
         lens.push(cur.count(1, "crash row count exceeds block size")?);
     }
-    let total: usize = lens.iter().sum();
+    let total = cur.total(&lens, "crash row counts exceed block size")?;
     let mut seqs = Vec::with_capacity(total);
     for _ in 0..total {
         seqs.push(cur.varint()?);
@@ -1240,17 +1288,17 @@ fn decode_crashes(body: &[u8]) -> Result<KeyedTable<CrashReport>, SegmentError> 
     for _ in 0..total {
         free_memory.push(cur.varint()?);
     }
-    let mut map = BTreeMap::new();
+    let mut devices = Vec::with_capacity(d);
     let mut offset = 0usize;
     for i in 0..d {
-        let mut per_device = BTreeMap::new();
+        let mut per_device = Vec::with_capacity(lens[i]);
         for j in offset..offset + lens[i] {
             let len = cur.count(1, "firmware string length exceeds block size")?;
             let bytes = cur.take(len, "truncated firmware string")?;
             let firmware = std::str::from_utf8(bytes)
                 .map_err(|_| corrupt("firmware string is not UTF-8"))?
                 .to_string();
-            per_device.insert(
+            per_device.push((
                 (seqs[j], slots[j]),
                 CrashReport {
                     device: keys[i],
@@ -1260,15 +1308,15 @@ fn decode_crashes(body: &[u8]) -> Result<KeyedTable<CrashReport>, SegmentError> 
                     uptime_s: uptimes[j],
                     free_memory_bytes: free_memory[j],
                 },
-            );
+            ));
         }
         offset += lens[i];
-        map.insert(keys[i], per_device);
+        devices.push((keys[i], per_device.into_iter().collect()));
     }
     if !cur.done() {
         return Err(corrupt("trailing bytes in crashes block"));
     }
-    Ok(map)
+    Ok(devices.into_iter().collect())
 }
 
 // airstat::allow(no-hashmap-iter): returns the shard's keyed-access
@@ -2165,9 +2213,16 @@ mod tests {
     use super::*;
     use airstat_classify::mac::Oui;
     use airstat_telemetry::report::{ReportPayload, UsageRecord};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const W: WindowId = WindowId(1501);
+    /// What [`framed_segment`] images claim to be.
+    const FRAMED: SegmentExpectation = SegmentExpectation {
+        epoch: 1,
+        index: 0,
+        count: 1,
+    };
 
     /// A unique scratch directory per test invocation, with no
     /// wall-clock involved (process id + a process-wide counter).
@@ -2218,12 +2273,278 @@ mod tests {
         files
     }
 
+    /// The byte-at-a-time table loop that slice-by-8 replaced, kept as
+    /// its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// A one-shard, one-window (`W`) segment image around hand-written
+    /// table blocks: a header claiming `total_rows`, the window block,
+    /// `blocks` verbatim as `(tag, body)`, an empty dedup ledger, zero
+    /// counters and the end block — every CRC valid, nothing else
+    /// checked, so the decoders see bytes no encoder would write.
+    fn framed_segment(total_rows: u64, blocks: &[(u64, Vec<u8>)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&SEGMENT_MAGIC);
+        out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
+        out.extend_from_slice(&FRAMED.epoch.to_le_bytes());
+        out.extend_from_slice(&FRAMED.index.to_le_bytes());
+        out.extend_from_slice(&FRAMED.count.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&W.0.to_le_bytes());
+        out.extend_from_slice(&W.0.to_le_bytes());
+        out.extend_from_slice(&total_rows.to_le_bytes());
+        let header_crc = crc32(&out);
+        out.extend_from_slice(&header_crc.to_le_bytes());
+        let mut window = Vec::new();
+        put_varint(&mut window, u64::from(W.0));
+        put_block(&mut out, BLOCK_WINDOW, &window);
+        for (tag, body) in blocks {
+            put_block(&mut out, *tag, body);
+        }
+        put_block(&mut out, BLOCK_DEDUP, &[0]);
+        put_block(&mut out, BLOCK_COUNTERS, &[0, 0]);
+        put_block(&mut out, BLOCK_END, &[]);
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // CRC-32/ISO-HDLC check values (the zlib parametrization).
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"airstat"), crc32(b"airstat"));
+        // Past one 8-byte stride, with a remainder.
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    proptest! {
+        /// Every length 0..=64 at every start offset 0..8 (all strides,
+        /// remainders and alignments), plus one random sub-slice.
+        #[test]
+        fn slice_by_8_crc_matches_the_bytewise_loop(
+            bytes in prop::collection::vec(any::<u8>(), 72..512),
+            cut in (any::<usize>(), any::<usize>()),
+        ) {
+            for start in 0..8 {
+                for len in 0..=64 {
+                    let slice = &bytes[start..start + len];
+                    prop_assert_eq!(crc32(slice), crc32_bytewise(slice), "start {} len {}", start, len);
+                }
+            }
+            let from = cut.0 % (bytes.len() + 1);
+            let to = from + cut.1 % (bytes.len() - from + 1);
+            prop_assert_eq!(crc32(&bytes[from..to]), crc32_bytewise(&bytes[from..to]));
+        }
+
+        /// Arbitrary bytes — not flips of a valid file — are a typed
+        /// error from both decoders, and arbitrary block bodies or
+        /// manifest entries behind valid framing and CRCs never panic.
+        #[test]
+        fn arbitrary_bytes_are_a_typed_error_never_a_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..384),
+        ) {
+            let mut tally = DecodeTally::default();
+            prop_assert!(decode_segment(&bytes, FRAMED, &mut tally).is_err());
+            prop_assert!(decode_manifest(&bytes, &mut tally).is_err());
+            for tag in BLOCK_END..=BLOCK_COUNTERS + 1 {
+                let framed = framed_segment(0, &[(tag, bytes.clone())]);
+                let _ = decode_segment(&framed, FRAMED, &mut tally);
+            }
+            let mut manifest = Vec::new();
+            manifest.extend_from_slice(&MANIFEST_MAGIC);
+            manifest.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
+            manifest.extend_from_slice(&bytes);
+            let crc = crc32(&manifest);
+            manifest.extend_from_slice(&crc.to_le_bytes());
+            let _ = decode_manifest(&manifest, &mut tally);
+        }
+    }
+
+    /// The decoders bulk-build each table from its rows in file order.
+    /// No encoder writes keys out of order or twice, but decode does not
+    /// reject them either, so what it resolves them to is pinned here to
+    /// what the key-by-key `insert` loop it replaced produced: last row
+    /// for a key wins, a repeated outer key replaces the whole inner map.
+    #[test]
+    fn out_of_order_and_duplicate_keys_decode_as_insert_would() {
+        let mac = |id: u64| MacAddress::from_id(Oui([2, 4, 6]), id);
+        let usage_rows = [
+            ((mac(9), Application::Netflix), (90u64, 9u64)),
+            ((mac(3), Application::Netflix), (30, 3)),
+            ((mac(9), Application::Netflix), (91, 8)),
+            ((mac(3), Application::ALL[0]), (31, 2)),
+            ((mac(3), Application::Netflix), (32, 1)),
+        ];
+        let mut usage = Vec::new();
+        put_varint(&mut usage, usage_rows.len() as u64);
+        for ((mac, _), _) in &usage_rows {
+            usage.extend_from_slice(&mac.0);
+        }
+        for ((_, app), _) in &usage_rows {
+            put_varint(&mut usage, *app as u64);
+        }
+        for (_, (up, _)) in &usage_rows {
+            put_varint(&mut usage, *up);
+        }
+        for (_, (_, down)) in &usage_rows {
+            put_varint(&mut usage, *down);
+        }
+
+        let link = |rx: u64, tx: u64| LinkKey {
+            rx_device: rx,
+            tx_device: tx,
+            band: Band::Ghz5,
+        };
+        let link_rows: [(LinkKey, &[(u64, f64)]); 4] = [
+            (link(7, 1), &[(10, 0.5), (20, 0.25)]),
+            (link(2, 1), &[(11, 1.0)]),
+            (link(7, 1), &[(30, 0.75)]),
+            (link(2, 0), &[]),
+        ];
+        let mut links = Vec::new();
+        put_varint(&mut links, link_rows.len() as u64);
+        for (key, _) in &link_rows {
+            put_varint(&mut links, key.rx_device);
+        }
+        for (key, _) in &link_rows {
+            put_varint(&mut links, key.tx_device);
+        }
+        for (key, _) in &link_rows {
+            put_varint(&mut links, key.band as u64);
+        }
+        for (_, series) in &link_rows {
+            put_varint(&mut links, series.len() as u64);
+        }
+        for (t, _) in link_rows.iter().flat_map(|(_, series)| series.iter()) {
+            put_varint(&mut links, *t);
+        }
+        for (_, ratio) in link_rows.iter().flat_map(|(_, series)| series.iter()) {
+            links.extend_from_slice(&ratio.to_le_bytes());
+        }
+
+        // (device, [((seq, slot), timestamp)]): device 5 twice, and
+        // (seq 4, slot 0) twice inside its second appearance.
+        type ScanRow = ((u64, u32), u64);
+        let scan_rows: [(u64, &[ScanRow]); 3] = [
+            (5, &[((1, 0), 100), ((0, 0), 101)]),
+            (4, &[((2, 1), 102)]),
+            (5, &[((4, 0), 103), ((3, 0), 104), ((4, 0), 105)]),
+        ];
+        let flat = || scan_rows.iter().flat_map(|(_, obs)| obs.iter());
+        let mut scans = Vec::new();
+        put_varint(&mut scans, scan_rows.len() as u64);
+        for (device, _) in &scan_rows {
+            put_varint(&mut scans, *device);
+        }
+        for (_, obs) in &scan_rows {
+            put_varint(&mut scans, obs.len() as u64);
+        }
+        for ((seq, _), _) in flat() {
+            put_varint(&mut scans, *seq);
+        }
+        for ((_, slot), _) in flat() {
+            put_varint(&mut scans, u64::from(*slot));
+        }
+        for (_, t) in flat() {
+            put_varint(&mut scans, *t);
+        }
+        // band 2.4 GHz, channel 6, utilization = decodable = networks = 7
+        for column in [0u64, 6, 7, 7, 7] {
+            for _ in flat() {
+                put_varint(&mut scans, column);
+            }
+        }
+
+        let mut expected = WindowTables::default();
+        for (key, (up_bytes, down_bytes)) in usage_rows {
+            expected.usage.insert(
+                key,
+                UsageTotals {
+                    up_bytes,
+                    down_bytes,
+                },
+            );
+        }
+        for (key, series) in link_rows {
+            let series = series
+                .iter()
+                .map(|&(timestamp_s, ratio)| LinkObservation { timestamp_s, ratio })
+                .collect();
+            expected.links.insert(key, series);
+        }
+        for (device, obs) in scan_rows {
+            let mut per_device = BTreeMap::new();
+            for &(key, timestamp_s) in obs {
+                per_device.insert(
+                    key,
+                    ScanObservation {
+                        timestamp_s,
+                        record: ChannelScanRecord {
+                            channel: Channel::new(Band::Ghz2_4, 6).expect("channel 6 exists"),
+                            utilization_ppm: 7,
+                            decodable_ppm: 7,
+                            networks: 7,
+                        },
+                    },
+                );
+            }
+            expected.scans.insert(device, per_device);
+        }
+        assert_eq!(
+            (
+                expected.usage.len(),
+                expected.links.len(),
+                expected.scans[&5].len()
+            ),
+            (3, 3, 2),
+            "the rows above must collide"
+        );
+
+        let image = framed_segment(
+            table_rows(&expected),
+            &[
+                (BLOCK_USAGE, usage),
+                (BLOCK_LINKS, links),
+                (BLOCK_SCANS, scans),
+            ],
+        );
+        let mut tally = DecodeTally::default();
+        let decoded = decode_segment(&image, FRAMED, &mut tally).expect("valid CRCs and grammar");
+        let expected =
+            StoreShard::from_parts(HashMap::new(), 0, 0, BTreeMap::from([(W, expected)]));
+        assert_eq!(
+            encode_segment(&decoded, 1, 0, 1),
+            encode_segment(&expected, 1, 0, 1)
+        );
+    }
+
+    #[test]
+    fn flattened_column_lengths_are_bounded_by_the_block() {
+        // Two link keys whose series lengths each fit the bytes left but
+        // whose sum does not: rejected before a column is sized from it.
+        let mut links = vec![2, 1, 1, 0, 0, 1, 1, 9, 9];
+        links.extend_from_slice(&[0; 9]);
+        let image = framed_segment(18, &[(BLOCK_LINKS, links)]);
+        let mut tally = DecodeTally::default();
+        let err = decode_segment(&image, FRAMED, &mut tally).expect_err("sum exceeds block");
+        assert!(
+            matches!(
+                err,
+                SegmentError::Corrupt {
+                    context: "link series lengths exceed block size"
+                }
+            ),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! [`crate::columnar::WindowZoneMap`] shows no rows for a plan's filter
 //! can be skipped without changing a single output byte.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use airstat_classify::apps::Application;
@@ -569,21 +570,35 @@ impl StoreShard {
     /// each delta row carries the full value it had at persist time, so
     /// plain replacement reconstructs the original state when deltas are
     /// applied oldest to newest.
+    ///
+    /// What the receiver does not hold yet is moved, not re-inserted: the
+    /// whole dedup ledger and every window's tables when `self` is empty
+    /// (the first — usually only — segment of a chain), and any window a
+    /// later delta is the first to name.
     pub(crate) fn absorb(&mut self, delta: StoreShard) {
-        for (key, set) in delta.seen {
-            self.seen.insert(key, set);
+        if self.seen.is_empty() {
+            self.seen = delta.seen;
+        } else {
+            self.seen.extend(delta.seen);
         }
         self.duplicates_dropped = delta.duplicates_dropped;
         self.reports_ingested = delta.reports_ingested;
         for (window, tables) in delta.windows {
-            let into = self.windows.entry(window).or_default();
-            into.usage.extend(tables.usage);
-            into.clients.extend(tables.clients);
-            into.links.extend(tables.links);
-            into.airtime.extend(tables.airtime);
-            into.neighbors.extend(tables.neighbors);
-            into.scans.extend(tables.scans);
-            into.crashes.extend(tables.crashes);
+            match self.windows.entry(window) {
+                Entry::Vacant(slot) => {
+                    slot.insert(tables);
+                }
+                Entry::Occupied(slot) => {
+                    let into = slot.into_mut();
+                    into.usage.extend(tables.usage);
+                    into.clients.extend(tables.clients);
+                    into.links.extend(tables.links);
+                    into.airtime.extend(tables.airtime);
+                    into.neighbors.extend(tables.neighbors);
+                    into.scans.extend(tables.scans);
+                    into.crashes.extend(tables.crashes);
+                }
+            }
         }
     }
 }

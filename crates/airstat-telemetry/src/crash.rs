@@ -194,6 +194,11 @@ impl CrashAggregator {
         self.reports.push(report);
     }
 
+    /// Every ingested report, crash or churn, in ingest order.
+    pub fn reports(&self) -> &[CrashReport] {
+        &self.reports
+    }
+
     /// Total crash (not churn) reports.
     pub fn crash_count(&self) -> usize {
         self.reports.iter().filter(|r| r.reason.is_crash()).count()

@@ -20,12 +20,8 @@ cargo test -q --offline -p airstat-sim
 echo "==> cargo test -q -p airstat-store (sharded store: unit tests incl. column-merge-vs-rebuild compaction oracle and segment format corruption sweep/schema pin/doc example; zone-map pruning and seal-placement invariance proptests; engine-vs-backend tests)"
 cargo test -q --offline -p airstat-store
 
-echo "==> cargo test -q -p airstat-telemetry sched (scheduler unit tests: priority queues, retry ledger, eviction, fairness)"
-cargo test -q --offline -p airstat-telemetry sched
-
-echo "==> cargo test -q -p airstat-telemetry --test sched_properties prop_no_ready_ap_waits_beyond_poll_gap_bound (no-starvation proptest)"
-cargo test -q --offline -p airstat-telemetry --test sched_properties \
-    prop_no_ready_ap_waits_beyond_poll_gap_bound
+echo "==> cargo test -q -p airstat-telemetry (wire, transport, poll and scheduler unit tests; tests/properties.rs and tests/sched_properties.rs proptests incl. no-starvation; pipeline doctests)"
+cargo test -q --offline -p airstat-telemetry
 
 echo "==> cargo clippy --workspace (warnings are errors; vendored crates excluded)"
 cargo clippy -q --workspace --exclude rand --exclude proptest \
@@ -38,9 +34,6 @@ grep -q '"schema_version": 2' <<<"$lint_json" \
 
 echo "==> cargo test -q -p airstat-lint (lexer, rule, corpus, and JSON schema tests)"
 cargo test -q --offline -p airstat-lint
-
-echo "==> cargo test --doc (telemetry pipeline doctests)"
-cargo test -q --offline -p airstat-telemetry --doc
 
 echo "==> cargo doc (airstat crates, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline \

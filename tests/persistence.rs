@@ -10,10 +10,12 @@ use airstat::rf::band::Band;
 use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::{FleetConfig, FleetSimulation};
 use airstat::store::{
-    DurableStore, FleetQuery, QueryBackend, QueryEngine, ShardedStore, StoreConfig,
+    DurableStore, FleetQuery, QueryBackend, QueryEngine, ReportSink, Sealable, ShardedStore,
+    StoreConfig,
 };
 use airstat::telemetry::backend::WindowId;
-use std::path::PathBuf;
+use airstat::telemetry::report::Report;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const WINDOWS: [WindowId; 3] = [WINDOW_JAN_2014, WINDOW_JUL_2014, WINDOW_JAN_2015];
@@ -237,4 +239,92 @@ fn crashed_campaign_recovers_from_the_tail_log() {
     assert_eq!(torn.wal_records_replayed, recovery.wal_records_replayed - 1);
     assert!(torn.wal_bytes_discarded > 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Keeps every batch a campaign drains, so one ingest can be replayed
+/// at several persist cadences.
+#[derive(Default)]
+struct CaptureSink(Vec<(WindowId, Vec<Report>)>);
+
+impl ReportSink for CaptureSink {
+    fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
+        self.0.push((window, reports.to_vec()));
+        reports.len() as u64
+    }
+}
+
+/// Every `.aseg` file in `dir` as `(name, bytes)`, in name order.
+fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store dir readable")
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().to_str()?.to_string();
+            name.ends_with(".aseg")
+                .then(|| (name, std::fs::read(entry.path()).expect("segment readable")))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `ShardedStore::open` moves the first segment of each shard's chain
+/// into place and folds the rest in key by key; both must rebuild the
+/// exact shard a monolithic persist of the same ingest would have
+/// written. Proven on bytes: for on-disk chains of length 1, 2 and 8
+/// (the longest a chain gets before a full rewrite) cut from a campaign
+/// that also re-seals every 5 batches, the reopened store re-persisted
+/// in full writes the monolithic store's segment files.
+#[test]
+fn reopened_delta_chains_repersist_to_the_monolithic_segment_files() {
+    const SHARDS: usize = 4;
+    let store_config = StoreConfig {
+        shards: SHARDS,
+        threads: 1,
+    };
+    let mut capture = CaptureSink::default();
+    FleetSimulation::new(FleetConfig::smoke()).run_into(&mut capture);
+    let batches = capture.0;
+
+    let monolithic_dir = temp_store_dir("chain-monolithic");
+    let mut monolithic = ShardedStore::with_config(store_config);
+    for (window, reports) in &batches {
+        monolithic.ingest_batch(*window, reports);
+    }
+    monolithic.persist(&monolithic_dir).expect("persist");
+    let expected = segment_files(&monolithic_dir);
+    assert_eq!(expected.len(), SHARDS);
+
+    for chain in [1usize, 2, 8] {
+        let dir = temp_store_dir("chain");
+        let mut durable = DurableStore::create(&dir, store_config).expect("create");
+        for (i, (window, reports)) in batches.iter().enumerate() {
+            durable.ingest_batch(*window, reports);
+            if (i + 1) % 5 == 0 {
+                durable.reseal();
+            }
+            // `chain` persists, evenly spaced, the last after the last batch.
+            if (i + 1) * chain / batches.len() > i * chain / batches.len() {
+                durable.persist().expect("persist");
+            }
+        }
+        drop(durable);
+
+        let (mut reopened, recovery) = ShardedStore::open(&dir, store_config).expect("open");
+        assert_eq!(
+            recovery.segments_loaded,
+            (SHARDS * chain) as u64,
+            "every shard should hold a {chain}-file chain"
+        );
+        assert_eq!(recovery.wal_records_replayed, 0);
+        let again = temp_store_dir("chain-again");
+        reopened.persist(&again).expect("re-persist in full");
+        assert!(
+            segment_files(&again) == expected,
+            "a reopened {chain}-file chain re-persisted to different segment bytes"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&again);
+    }
+    let _ = std::fs::remove_dir_all(&monolithic_dir);
 }

@@ -205,10 +205,23 @@ fn report_is_byte_identical_across_threads_and_shards() {
         let output = FleetSimulation::new(config.clone()).run();
         let engine = output.query();
         let report = PaperReport::from_query(&engine, &config).to_string();
-        let stats = engine.stats();
+        let cold = engine.stats();
         assert!(
-            stats.hits >= 1,
-            "the report path must hit the result cache (t{threads} s{shards}: {stats})"
+            cold.hits >= 1,
+            "the report path must hit the result cache (t{threads} s{shards}: {cold})"
+        );
+        // The cache holds a whole report — more plans than the 64 the old
+        // entry bound kept — so a second one recomputes and evicts nothing.
+        assert!(cold.misses > 64, "t{threads} s{shards}: {cold}");
+        assert_eq!(
+            report,
+            PaperReport::from_query(&engine, &config).to_string()
+        );
+        let warm = engine.stats();
+        assert_eq!(
+            (warm.misses, warm.evictions),
+            (cold.misses, 0),
+            "the second report missed the cache (t{threads} s{shards}: {warm})"
         );
         report
     };
