@@ -16,10 +16,7 @@ use airstat_classify::mac::MacAddress;
 use airstat_classify::Application;
 use airstat_rf::band::Band;
 use airstat_sim::config::WINDOW_JAN_2015;
-use airstat_sim::{
-    run_fleet_campaign, FleetCampaignConfig, FleetConfig, FleetSimulation, MeasurementYear,
-    PollPath,
-};
+use airstat_sim::{FleetConfig, FleetSimulation, MeasurementYear};
 use airstat_store::{QueryBackend, QueryEngine, QueryPlan, ShardedStore, StoreConfig};
 use airstat_telemetry::backend::WindowId;
 use airstat_telemetry::report::{Report, ReportPayload, UsageRecord};
@@ -38,13 +35,9 @@ fn campaign_config(threads: usize) -> FleetConfig {
     }
 }
 
-/// Mean wall-clock nanoseconds for one full campaign at `threads` on the
-/// given drain path.
-fn time_campaign_path(threads: usize, poll_path: PollPath) -> u64 {
-    let config = FleetConfig {
-        poll_path,
-        ..campaign_config(threads)
-    };
+/// Mean wall-clock nanoseconds for one full campaign at `threads`.
+fn time_campaign(threads: usize) -> u64 {
+    let config = campaign_config(threads);
     for _ in 0..WARMUP_ITERS {
         let output = FleetSimulation::new(config.clone()).run();
         assert!(output.reports_ingested() > 0, "warmup campaign ran");
@@ -54,12 +47,6 @@ fn time_campaign_path(threads: usize, poll_path: PollPath) -> u64 {
         std::hint::black_box(FleetSimulation::new(config.clone()).run());
     }
     (started.elapsed().as_nanos() / TIMED_ITERS as u128) as u64
-}
-
-/// Mean wall-clock nanoseconds for one full campaign at `threads` on the
-/// default (scheduler) drain path.
-fn time_campaign(threads: usize) -> u64 {
-    time_campaign_path(threads, PollPath::Scheduler)
 }
 
 /// A 64-report, 64-record-each usage batch, one report per device.
@@ -414,60 +401,6 @@ fn record_pipeline_bench() {
         seal_stats.segments_live, seal_stats.segments_compacted, seal_stats.rows_resealed,
     ));
 
-    // The shared scheduler's own scaling rows: one scheduler admitting
-    // and draining the queue-pressure fleet at three sizes. Iteration
-    // counts shrink with fleet size so the debug-mode tier-1 wall time
-    // stays bounded; each row records its own `iters`.
-    let mut sched_rows = Vec::new();
-    {
-        let warm = run_fleet_campaign(&FleetCampaignConfig::queue_pressure_fleet(1_000));
-        let (submitted, accounted) = warm.accounting_identity();
-        assert_eq!(submitted, accounted, "identity must hold while timing");
-    }
-    for (aps, iters) in [(1_000usize, 3usize), (10_000, 2), (100_000, 1)] {
-        let config = FleetCampaignConfig::queue_pressure_fleet(aps);
-        let started = Instant::now();
-        let mut last = None;
-        for _ in 0..iters {
-            last = Some(std::hint::black_box(run_fleet_campaign(&config)));
-        }
-        let mean_ns = (started.elapsed().as_nanos() / iters as u128) as u64;
-        let run = last.expect("at least one timed iteration");
-        sched_rows.push(format!(
-            "    {{ \"case\": \"sched_tick\", \"aps\": {aps}, \"mean_ns\": {mean_ns}, \
-             \"aps_per_s\": {:.1}, \"ticks\": {}, \"evicted_aps\": {}, \
-             \"iters\": {iters}, \"host_cores\": {host_cores} }}",
-            aps as f64 / (mean_ns as f64 / 1e9),
-            run.sched.ticks,
-            run.sched.evictions(),
-        ));
-    }
-    // The overhead gate: the scheduler drain path (the default, already
-    // timed as the serial campaign case above) must keep clients/s within
-    // 10% of the retained flat-reference loops, measured back to back on
-    // this host. A 1-core host times both under scheduler interference,
-    // so there the ratio is recorded but not gated.
-    let flat_ns = time_campaign_path(1, PollPath::FlatReference);
-    let sched_ns = t1_ns.expect("serial scheduler-path campaign was timed");
-    let clients_per_s_ratio = flat_ns as f64 / sched_ns as f64;
-    sched_rows.push(format!(
-        "    {{ \"case\": \"sched_overhead\", \"flat_reference_mean_ns\": {flat_ns}, \
-         \"scheduler_mean_ns\": {sched_ns}, \"clients_per_s_ratio\": {clients_per_s_ratio:.3}, \
-         \"iters\": {TIMED_ITERS}, \"host_cores\": {host_cores} }}",
-    ));
-    if host_cores == 1 && clients_per_s_ratio < 0.9 {
-        eprintln!(
-            "note: skipping the 10% scheduler-overhead gate: host has 1 core, \
-             measured {clients_per_s_ratio:.3}x is scheduler noise"
-        );
-    } else {
-        assert!(
-            clients_per_s_ratio >= 0.9,
-            "scheduler drain path fell to {clients_per_s_ratio:.3}x of the \
-             flat-reference clients/s (must stay within 10%)"
-        );
-    }
-
     // The determinism audit itself runs in tier-1 on every merge, so the
     // full workspace sweep (lex, parse, symbol index, provenance dataflow,
     // both rule generations) is part of the pipeline budget: ~2 s is the
@@ -520,10 +453,9 @@ fn record_pipeline_bench() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"fleet_full_campaign\",\n  \"scale\": {SCALE},\n  \"clients\": {clients},\n  \"host_cores\": {host_cores},\n  \"note\": \"output is byte-identical across thread counts; speedup is bounded by host_cores (1-core hosts cannot show parallel gain)\",\n  \"cases\": [\n{}\n  ],\n  \"store\": [\n{}\n  ],\n  \"sched\": [\n{}\n  ],\n  \"lint\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fleet_full_campaign\",\n  \"scale\": {SCALE},\n  \"clients\": {clients},\n  \"host_cores\": {host_cores},\n  \"note\": \"output is byte-identical across thread counts; speedup is bounded by host_cores (1-core hosts cannot show parallel gain)\",\n  \"cases\": [\n{}\n  ],\n  \"store\": [\n{}\n  ],\n  \"lint\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
         store_rows.join(",\n"),
-        sched_rows.join(",\n"),
         lint_rows.join(",\n"),
     );
 

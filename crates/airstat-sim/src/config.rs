@@ -42,43 +42,6 @@ pub const WINDOW_JAN_2015: WindowId = WindowId(1501);
 /// Seconds in the one-week measurement window.
 pub const WEEK_S: u64 = 7 * 24 * 3600;
 
-/// Which drain implementation the engine runs per agent.
-///
-/// Both paths produce byte-identical reports — the scheduler runs each
-/// agent on its own virtual-time session, so per-agent results are
-/// interleaving-invariant — and `tests/scheduler.rs` pins that
-/// differentially. The flat path is retained as the reference
-/// implementation and for the bench overhead gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollPath {
-    /// The backpressure-aware scheduler (`airstat_telemetry::sched`):
-    /// priority queues, retry ledger, eviction accounting. The default.
-    #[default]
-    Scheduler,
-    /// The pre-scheduler flat drain loops, kept as the differential
-    /// reference.
-    FlatReference,
-}
-
-impl PollPath {
-    /// Looks a path up by its CLI name.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "scheduler" => Some(PollPath::Scheduler),
-            "flat-reference" => Some(PollPath::FlatReference),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PollPath::Scheduler => "scheduler",
-            PollPath::FlatReference => "flat-reference",
-        }
-    }
-}
-
 /// Top-level fleet configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
@@ -124,10 +87,6 @@ pub struct FleetConfig {
     /// the legacy map fold kept as its differential oracle. Both produce
     /// byte-identical reports; they differ only in cold-query cost.
     pub query_backend: QueryBackend,
-    /// Which drain implementation runs per agent: the backpressure-aware
-    /// scheduler (default) or the retained flat reference loops. Both
-    /// produce byte-identical reports.
-    pub poll_path: PollPath,
     /// Seal the store's columnar read layout every N ingested batches
     /// mid-campaign (`None` seals only when the first query opens).
     /// Reports are byte-identical for every cadence — a seal is purely a
@@ -164,7 +123,6 @@ impl FleetConfig {
             shards: airstat_store::DEFAULT_SHARDS,
             faults: None,
             query_backend: QueryBackend::default(),
-            poll_path: PollPath::default(),
             seal_every: None,
         }
     }

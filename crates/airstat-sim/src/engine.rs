@@ -52,20 +52,18 @@ use airstat_store::{
 };
 use airstat_telemetry::backend::WindowId;
 use airstat_telemetry::crash::{DeviceMemory, RebootReason};
-use airstat_telemetry::poll::{drain_flat_reference, drain_scheduled, PollPolicy};
+use airstat_telemetry::poll::{DrainStats, PollPolicy};
 use airstat_telemetry::report::{
     AirtimeRecord, ChannelScanRecord, ClientInfoRecord, CrashRecord, LinkRecord, NeighborRecord,
     Report, ReportPayload, UsageRecord,
 };
-use airstat_telemetry::sched::SchedStats;
+use airstat_telemetry::sched::{drain_solo, Priority, SchedStats, TunnelEndpoint};
 use airstat_telemetry::transport::{DeviceAgent, Tunnel, TunnelConfig};
 use rand::Rng;
 
-use crate::config::{
-    FleetConfig, MeasurementYear, PollPath, WEEK_S, WINDOW_JAN_2015, WINDOW_JUL_2014,
-};
+use crate::config::{FleetConfig, MeasurementYear, WEEK_S, WINDOW_JAN_2015, WINDOW_JUL_2014};
 use crate::exec::run_ordered;
-use crate::faults::{self, DegradationTally};
+use crate::faults::{DegradationTally, FaultedEndpoint};
 use crate::population::PopulationModel;
 use crate::traffic::generate_weekly;
 use crate::world::{ApModel, ApSite, NeighborEpoch, World};
@@ -96,8 +94,8 @@ pub struct CampaignRun {
     /// fault counters). With `FleetConfig::faults = None` this is the
     /// healthy baseline: completeness 1.0, no failovers, no crash loss.
     pub degradation: DegradationTally,
-    /// Scheduler counters merged across every drain (zeroed when the run
-    /// used [`PollPath::FlatReference`]).
+    /// Scheduler counters merged across every drain (each agent drains on
+    /// its own solo scheduler, so evictions are always zero here).
     pub sched: SchedStats,
 }
 
@@ -130,8 +128,8 @@ pub struct SimulationOutput {
     /// fault counters). With `FleetConfig::faults = None` this is the
     /// healthy baseline: completeness 1.0, no failovers, no crash loss.
     pub degradation: DegradationTally,
-    /// Scheduler counters merged across every drain (zeroed when the run
-    /// used [`PollPath::FlatReference`]).
+    /// Scheduler counters merged across every drain (each agent drains on
+    /// its own solo scheduler, so evictions are always zero here).
     pub sched: SchedStats,
 }
 
@@ -554,7 +552,7 @@ impl FleetSimulation {
             for (i, chunk) in usage_records.into_chunks().into_iter().enumerate() {
                 agent.submit(i as u64 * 3_600, ReportPayload::Usage(chunk));
             }
-            self.drain_agent_collect(&node.indexed(device_id), window, &mut agent, &mut out);
+            self.drain_agent_collect(&node.indexed(device_id), window, agent, &mut out);
             // The batch's roamers surface at a dedicated roamed-to AP so
             // the unit stays self-contained; the backend's MAC-level
             // aggregation merges the split usage regardless of which AP
@@ -565,12 +563,7 @@ impl FleetSimulation {
                 for (i, chunk) in roaming_spill.into_chunks().into_iter().enumerate() {
                     roam_agent.submit(i as u64 * 3_600, ReportPayload::Usage(chunk));
                 }
-                self.drain_agent_collect(
-                    &node.indexed(roam_device),
-                    window,
-                    &mut roam_agent,
-                    &mut out,
-                );
+                self.drain_agent_collect(&node.indexed(roam_device), window, roam_agent, &mut out);
             }
             out
         };
@@ -728,7 +721,7 @@ impl FleetSimulation {
                 }
             }
 
-            self.drain_agent_collect(&ap_node, window, &mut agent, &mut out);
+            self.drain_agent_collect(&ap_node, window, agent, &mut out);
             out
         };
 
@@ -796,7 +789,7 @@ impl FleetSimulation {
                     agent.submit(timestamp, ReportPayload::ChannelScan(records));
                 }
             }
-            self.drain_agent_collect(&ap_node, window, &mut agent, &mut out);
+            self.drain_agent_collect(&ap_node, window, agent, &mut out);
             out
         };
 
@@ -823,21 +816,20 @@ impl FleetSimulation {
     /// `out` (the caller merges them into the backend in deterministic
     /// unit order).
     ///
-    /// Without a fault schedule this is the healthy path: one tunnel,
-    /// the default [`PollPolicy`], and a drain that must empty the queue.
-    /// With a schedule, the window's scripted faults drive a
-    /// [`DualTunnel`] (`airstat_telemetry::failover`) instead. Either
-    /// way the drain runs on the configured [`PollPath`]: the scheduler
-    /// (default) or the retained flat reference loop. All four paths
-    /// consume the same `child("tunnel")` RNG stream per poll and each
-    /// agent's drain runs on its own virtual-time session, so a zero
-    /// intensity schedule reproduces the no-schedule output byte for
-    /// byte — and both poll paths produce identical reports.
+    /// There is one drain, [`drain_solo`]; the fault schedule only picks
+    /// the endpoint. Without one it is the healthy [`TunnelEndpoint`]: one
+    /// tunnel, the default [`PollPolicy`], and a drain that must empty the
+    /// queue. With one, the window's scripted faults drive a
+    /// [`FaultedEndpoint`] over a `DualTunnel`
+    /// (`airstat_telemetry::failover`). Both consume the same
+    /// `child("tunnel")` RNG stream per poll and each agent's drain runs
+    /// on its own virtual-time session, so a zero intensity schedule
+    /// reproduces the no-schedule output byte for byte.
     fn drain_agent_collect(
         &self,
         node: &SeedTree,
         window: WindowId,
-        agent: &mut DeviceAgent,
+        agent: DeviceAgent,
         out: &mut UnitOutput,
     ) {
         let base = TunnelConfig {
@@ -846,64 +838,32 @@ impl FleetSimulation {
         };
         match &self.config.faults {
             None => {
-                let mut tunnel = Tunnel::new(base);
-                let mut rng = node.child("tunnel").rng();
-                let (reports, stats) = match self.config.poll_path {
-                    PollPath::Scheduler => {
-                        let (reports, stats, sched) =
-                            drain_scheduled(PollPolicy::default(), &mut tunnel, agent, &mut rng);
-                        out.sched.merge(&sched);
-                        (reports, stats)
-                    }
-                    PollPath::FlatReference => {
-                        drain_flat_reference(PollPolicy::default(), &mut tunnel, agent, &mut rng)
-                    }
-                };
-                out.reports.extend(reports);
-                out.polls_attempted += stats.polls;
-                out.polls_lost += stats.lost;
-                out.bytes += stats.bytes;
-                out.tally.absorb(&stats);
+                let endpoint =
+                    TunnelEndpoint::new(Tunnel::new(base), agent, node.child("tunnel").rng());
+                let (drain, sched) = drain_solo(PollPolicy::default(), Priority::Normal, endpoint);
+                let agent = drain.endpoint.agent();
                 assert_eq!(agent.queued(), 0, "agent failed to drain");
+                out.tally.absorb(&drain.stats);
+                out.tally.submitted += agent.reports_submitted();
+                out.tally.dropped_overflow += agent.dropped_overflow();
+                out.collect(drain.reports, &drain.stats, &sched);
             }
+            // An agent with nothing queued is never polled under a fault
+            // schedule (the healthy drain above polls it once).
+            Some(_) if agent.queued() == 0 => {}
             Some(schedule) => {
-                let intensity = schedule.intensity(window);
-                let drained = match self.config.poll_path {
-                    PollPath::Scheduler => {
-                        let (drained, sched) = faults::drain_faulted_scheduled(
-                            intensity,
-                            schedule.policy(),
-                            base,
-                            node,
-                            firmware_for(window),
-                            agent,
-                        );
-                        out.sched.merge(&sched);
-                        drained
-                    }
-                    PollPath::FlatReference => faults::drain_faulted(
-                        intensity,
-                        schedule.policy(),
-                        base,
-                        node,
-                        firmware_for(window),
-                        agent,
-                    ),
-                };
-                out.reports.extend(drained.reports);
-                out.polls_attempted += drained.stats.polls;
-                out.polls_lost += drained.stats.lost;
-                out.bytes += drained.stats.bytes;
-                out.tally.absorb(&drained.stats);
-                out.tally.lost_to_crash += drained.crash_lost;
-                out.tally.crash_reboots += drained.crash_reboots;
-                out.tally.failovers += drained.failovers;
-                out.tally.secondary_served += drained.secondary_served;
-                out.tally.left_queued += agent.queued() as u64;
+                let endpoint = FaultedEndpoint::new(
+                    schedule.intensity(window),
+                    base,
+                    node,
+                    firmware_for(window),
+                    agent,
+                );
+                let (drain, sched) = drain_solo(schedule.policy(), endpoint.priority(), endpoint);
+                out.tally.absorb_faulted(&drain);
+                out.collect(drain.reports, &drain.stats, &sched);
             }
         }
-        out.tally.submitted += agent.reports_submitted();
-        out.tally.dropped_overflow += agent.dropped_overflow();
     }
 }
 
@@ -929,6 +889,18 @@ struct UnitOutput {
     tally: DegradationTally,
     /// Scheduler counters for this unit's drains.
     sched: SchedStats,
+}
+
+impl UnitOutput {
+    /// Takes one finished drain's reports and folds its transport and
+    /// scheduler counters in.
+    fn collect(&mut self, reports: Vec<Report>, stats: &DrainStats, sched: &SchedStats) {
+        self.reports.extend(reports);
+        self.polls_attempted += stats.polls;
+        self.polls_lost += stats.lost;
+        self.bytes += stats.bytes;
+        self.sched.merge(sched);
+    }
 }
 
 /// Running totals for one panel, merged on the driver thread.

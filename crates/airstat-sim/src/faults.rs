@@ -28,11 +28,9 @@ use airstat_stats::SeedTree;
 use airstat_telemetry::backend::WindowId;
 use airstat_telemetry::crash::RebootReason;
 use airstat_telemetry::failover::{DataCenter, DualTunnel};
-use airstat_telemetry::poll::{DrainStats, LatencyHistogram, PollPolicy, PollSession};
-use airstat_telemetry::report::{CrashRecord, Report, ReportPayload};
-use airstat_telemetry::sched::{
-    Admission, PollEndpoint, Priority, RoundOutcome, SchedConfig, SchedStats, Scheduler,
-};
+use airstat_telemetry::poll::{DrainStats, LatencyHistogram, PollPolicy};
+use airstat_telemetry::report::{CrashRecord, ReportPayload};
+use airstat_telemetry::sched::{CompletedDrain, PollEndpoint, Priority, RoundOutcome, SchedStats};
 use airstat_telemetry::transport::{DeviceAgent, PollOutcome, TunnelConfig};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -406,6 +404,25 @@ impl DegradationTally {
         self.latency.merge(&stats.latency);
     }
 
+    /// Folds one finished faulted drain in: its transport stats, what
+    /// its agent submitted and overflowed, the endpoint's crash and
+    /// failover counters, and what a spent poll budget left undelivered.
+    /// `accepted` and the eviction terms stay with the caller — they
+    /// depend on what sits behind the scheduler.
+    pub fn absorb_faulted(&mut self, drain: &CompletedDrain<FaultedEndpoint>) {
+        let endpoint = &drain.endpoint;
+        self.absorb(&drain.stats);
+        self.submitted += endpoint.agent().reports_submitted();
+        self.dropped_overflow += endpoint.agent().dropped_overflow();
+        self.lost_to_crash += endpoint.crash_lost();
+        self.crash_reboots += endpoint.crash_reboots();
+        self.failovers += endpoint.failovers();
+        self.secondary_served += endpoint.secondary_served();
+        if drain.stats.budget_exhausted {
+            self.left_queued += drain.undelivered;
+        }
+    }
+
     /// Folds another tally in (panel → campaign merge).
     pub fn merge(&mut self, other: &DegradationTally) {
         self.submitted += other.submitted;
@@ -447,201 +464,20 @@ impl DegradationTally {
     }
 }
 
-/// What one faulted drain produced, beyond the transport stats.
-#[derive(Debug)]
-pub struct FaultedDrain {
-    /// Delivered reports in delivery order (redeliveries included — the
-    /// backend's dedup drops them at ingest).
-    pub reports: Vec<Report>,
-    /// Transport-level drain statistics.
-    pub stats: DrainStats,
-    /// Reports the injected crash destroyed.
-    pub crash_lost: u64,
-    /// Crash/reboot cycles injected (0 or 1 per drain).
-    pub crash_reboots: u64,
-    /// Primary→secondary failover transitions observed.
-    pub failovers: u64,
-    /// Delivered polls served by the secondary data center.
-    pub secondary_served: u64,
-}
-
-/// Drains `agent` through a [`DualTunnel`] while injecting the faults
-/// `intensity` prescribes.
+/// A fault-injecting AP endpoint the scheduler can drain: a
+/// [`DualTunnel`] plus the scripted faults of one [`FaultIntensity`],
+/// one round per
+/// [`Scheduler::tick`](airstat_telemetry::sched::Scheduler::tick) that
+/// selects it. This is the only copy of the fault state machine.
 ///
 /// Fault randomness comes from `node.child("faults")`, transport
 /// randomness from `node.child("tunnel")` — the same stream the
 /// no-schedule engine path uses, so a zero intensity consumes the tunnel
-/// stream identically and reproduces its output byte for byte.
-pub fn drain_faulted(
-    intensity: &FaultIntensity,
-    policy: PollPolicy,
-    base: TunnelConfig,
-    node: &SeedTree,
-    firmware: &str,
-    agent: &mut DeviceAgent,
-) -> FaultedDrain {
-    let mut fault_rng = node.child("faults").rng();
-    let mut tunnel_rng = node.child("tunnel").rng();
-    // Cohort membership is the very first draw (none for homogeneous
-    // schedules), exactly as `FaultedEndpoint::new` does it, so flat and
-    // scheduled drains see identical fault streams.
-    let intensity = intensity.resolve_cohort(&mut fault_rng);
-    let config = TunnelConfig {
-        drop_probability: (base.drop_probability + intensity.extra_drop_probability).min(0.95),
-        poll_batch: intensity.poll_batch.unwrap_or(base.poll_batch),
-    };
-    let mut dual = DualTunnel::new(config, FAILOVER_THRESHOLD);
-
-    // One-shot events are planned up front from the fault stream.
-    let outage = if intensity.dc_outage_probability > 0.0
-        && fault_rng.gen::<f64>() < intensity.dc_outage_probability
-    {
-        let start = fault_rng.gen_range(0u64..2);
-        Some((start, start + u64::from(intensity.dc_outage_rounds.max(1))))
-    } else {
-        None
-    };
-    let crash_round = if intensity.crash_probability > 0.0
-        && fault_rng.gen::<f64>() < intensity.crash_probability
-    {
-        Some(fault_rng.gen_range(0u64..4))
-    } else {
-        None
-    };
-    let storm_round = if intensity.storm_probability > 0.0
-        && fault_rng.gen::<f64>() < intensity.storm_probability
-    {
-        Some(fault_rng.gen_range(0u64..3))
-    } else {
-        None
-    };
-
-    let mut session = PollSession::new(policy);
-    let mut stats = DrainStats::default();
-    let mut reports = Vec::new();
-    let mut highest_delivered: Option<u64> = None;
-    let mut crash_lost = 0u64;
-    let mut crash_reboots = 0u64;
-    let mut failovers = 0u64;
-    let mut last_dc = DataCenter::Primary;
-    let mut in_outage = false;
-    let mut flap_left = 0u32;
-    let mut pending_burst = 0u32;
-    let mut round = 0u64;
-
-    while agent.queued() > 0 || pending_burst > 0 {
-        if !session.begin_round() {
-            stats.budget_exhausted = agent.queued() > 0;
-            break;
-        }
-        // --- scripted fault events for this round ---
-        if let Some((start, end)) = outage {
-            if round == start {
-                dual.outage(DataCenter::Primary);
-                in_outage = true;
-                flap_left = 0;
-            }
-            if round == end && in_outage {
-                dual.restore(DataCenter::Primary);
-                in_outage = false;
-                // The catch-up storm: the recovered primary re-polls the
-                // span it missed without waiting for ack state.
-                pending_burst += intensity.repoll_burst;
-            }
-        }
-        if crash_round == Some(round) && agent.queued() > 0 {
-            crash_lost += agent.crash_reboot() as u64;
-            crash_reboots += 1;
-            agent.submit(
-                session.now_s(),
-                ReportPayload::Crash(vec![CrashRecord {
-                    firmware: firmware.to_string(),
-                    reason: RebootReason::Watchdog.code(),
-                    program_counter: 0x40_0000 + fault_rng.gen_range(0u64..0x8_0000),
-                    uptime_s: session.now_s(),
-                    free_memory_bytes: 4096,
-                }]),
-            );
-        }
-        if storm_round == Some(round) {
-            pending_burst += intensity.repoll_burst.max(1);
-        }
-        if flap_left > 0 {
-            flap_left -= 1;
-            if flap_left == 0 && !in_outage {
-                dual.restore(DataCenter::Primary);
-            }
-        } else if !in_outage
-            && intensity.flap_probability > 0.0
-            && fault_rng.gen::<f64>() < intensity.flap_probability
-        {
-            dual.outage(DataCenter::Primary);
-            flap_left = intensity.flap_rounds.max(1);
-        }
-        // --- the poll itself ---
-        let ack = if pending_burst > 0 {
-            pending_burst -= 1;
-            false
-        } else {
-            !(intensity.ack_loss_probability > 0.0
-                && fault_rng.gen::<f64>() < intensity.ack_loss_probability)
-        };
-        let (outcome, dc) = dual.poll_mode(agent, &mut tunnel_rng, ack);
-        match outcome {
-            PollOutcome::Delivered(batch) => {
-                session.on_success();
-                if dc != last_dc && dc == DataCenter::Secondary {
-                    failovers += 1;
-                }
-                last_dc = dc;
-                for report in &batch {
-                    if highest_delivered.is_some_and(|h| report.seq <= h) {
-                        stats.redelivered += 1;
-                    }
-                }
-                if let Some(max) = batch.iter().map(|r| r.seq).max() {
-                    highest_delivered = Some(highest_delivered.map_or(max, |h| h.max(max)));
-                }
-                stats.delivered += batch.len() as u64;
-                stats.latency.record_n(session.now_s(), batch.len() as u64);
-                reports.extend(batch);
-            }
-            PollOutcome::Lost => {
-                session.on_failure();
-                stats.lost += 1;
-            }
-            PollOutcome::Disconnected => {
-                session.on_failure();
-                stats.disconnected += 1;
-            }
-        }
-        round += 1;
-    }
-
-    stats.polls = dual.polls_attempted();
-    stats.bytes = dual.bytes_transferred();
-    stats.virtual_elapsed_s = session.now_s();
-    FaultedDrain {
-        reports,
-        stats,
-        crash_lost,
-        crash_reboots,
-        failovers,
-        secondary_served: dual.served_by(DataCenter::Secondary),
-    }
-}
-
-/// A fault-injecting AP endpoint the scheduler can drain: the exact
-/// round-by-round machinery of [`drain_faulted`], with the loop inverted
-/// so [`Scheduler::tick`](airstat_telemetry::sched::Scheduler::tick)
-/// drives the rounds instead of a private `while`.
-///
-/// The endpoint owns its tunnels, its fault stream, and its transport
-/// stream, so *when* the scheduler polls it cannot change *what* any
-/// round does — the interleaving-invariance the zero-pressure
-/// byte-identity test relies on. Cohort membership (and with it the
-/// drain [`Priority`]) is resolved at construction, from the same first
-/// fault-stream draw the flat path uses.
+/// stream identically and reproduces its output byte for byte. The
+/// endpoint owns both streams and its tunnels, so *when* the scheduler
+/// polls it cannot change *what* any round does. Cohort membership (and
+/// with it the drain [`Priority`]) is resolved at construction, from the
+/// first fault-stream draw.
 #[derive(Debug)]
 pub struct FaultedEndpoint {
     intensity: FaultIntensity,
@@ -666,9 +502,9 @@ pub struct FaultedEndpoint {
 }
 
 impl FaultedEndpoint {
-    /// Builds the endpoint, consuming the fault stream exactly as
-    /// [`drain_faulted`] does up front: cohort draw first, then the
-    /// one-shot outage/crash/storm plans.
+    /// Builds the endpoint and plans its one-shot events from the fault
+    /// stream up front: cohort draw first (none for homogeneous
+    /// schedules), then the outage, crash and storm rounds.
     pub fn new(
         intensity: &FaultIntensity,
         base: TunnelConfig,
@@ -735,10 +571,10 @@ impl FaultedEndpoint {
         self.priority
     }
 
-    /// Never-delivered reports destroyed by the injected crash. Unlike
-    /// [`FaultedDrain::crash_lost`] (a raw cleared-queue count), this
-    /// excludes delivered-but-unacked reports the backend already
-    /// accepted, so the eviction-era accounting identity balances.
+    /// Never-delivered reports destroyed by the injected crash: the
+    /// cleared queue minus its delivered-but-unacked reports, which the
+    /// backend already accepted — counting those again would break the
+    /// accounting identity.
     pub fn crash_lost(&self) -> u64 {
         self.crash_lost
     }
@@ -763,11 +599,6 @@ impl FaultedEndpoint {
         &self.agent
     }
 
-    /// Hands the agent back once the drain is finished.
-    pub fn into_agent(self) -> DeviceAgent {
-        self.agent
-    }
-
     fn undelivered_count(&self) -> u64 {
         let queued = self.agent.queued();
         if queued == 0 {
@@ -783,7 +614,7 @@ impl FaultedEndpoint {
 impl PollEndpoint for FaultedEndpoint {
     fn poll_round(&mut self, now_s: u64) -> RoundOutcome {
         let round = self.round;
-        // --- scripted fault events for this round (drain_faulted order) ---
+        // --- scripted fault events for this round ---
         if let Some((start, end)) = self.outage {
             if round == start {
                 self.dual.outage(DataCenter::Primary);
@@ -793,6 +624,8 @@ impl PollEndpoint for FaultedEndpoint {
             if round == end && self.in_outage {
                 self.dual.restore(DataCenter::Primary);
                 self.in_outage = false;
+                // The catch-up storm: the recovered primary re-polls the
+                // span it missed without waiting for ack state.
                 self.pending_burst += self.intensity.repoll_burst;
             }
         }
@@ -872,8 +705,8 @@ impl PollEndpoint for FaultedEndpoint {
     }
 
     fn continue_after_failure(&self) -> bool {
-        // The flat faulted loop's `while queued > 0 || burst > 0` guard
-        // also exits after a failed round once nothing is left.
+        // A failed round with nothing queued and no burst scripted has
+        // nothing to retry for.
         self.pending()
     }
 
@@ -894,64 +727,11 @@ impl PollEndpoint for FaultedEndpoint {
     }
 }
 
-/// Drains one faulted agent through a solo zero-pressure scheduler —
-/// what the engine's default [`crate::config::PollPath::Scheduler`]
-/// runs per agent. Returns the same
-/// [`FaultedDrain`] shape as the flat path plus the scheduler's own
-/// counters.
-pub fn drain_faulted_scheduled(
-    intensity: &FaultIntensity,
-    policy: PollPolicy,
-    base: TunnelConfig,
-    node: &SeedTree,
-    firmware: &str,
-    agent: &mut DeviceAgent,
-) -> (FaultedDrain, SchedStats) {
-    if agent.queued() == 0 {
-        // The flat loop's guard never runs a round for an empty agent;
-        // mirror that before involving the scheduler.
-        return (
-            FaultedDrain {
-                reports: Vec::new(),
-                stats: DrainStats::default(),
-                crash_lost: 0,
-                crash_reboots: 0,
-                failovers: 0,
-                secondary_served: 0,
-            },
-            SchedStats::default(),
-        );
-    }
-    let key = agent.device_id();
-    let owned_agent = std::mem::replace(agent, DeviceAgent::new(0));
-    let endpoint = FaultedEndpoint::new(intensity, base, node, firmware, owned_agent);
-    let mut sched = Scheduler::new(SchedConfig::solo(policy));
-    match sched.admit(key, endpoint.priority(), endpoint) {
-        Admission::Admitted => {}
-        _ => unreachable!("a fresh scheduler admits its first endpoint"),
-    }
-    sched.run_to_completion();
-    let drain = sched
-        .take_finished()
-        .pop()
-        .expect("invariant: a solo admission always finishes");
-    let endpoint = drain.endpoint;
-    let faulted = FaultedDrain {
-        reports: drain.reports,
-        stats: drain.stats,
-        crash_lost: endpoint.crash_lost(),
-        crash_reboots: endpoint.crash_reboots(),
-        failovers: endpoint.failovers(),
-        secondary_served: endpoint.secondary_served(),
-    };
-    *agent = endpoint.into_agent();
-    (faulted, sched.stats().clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{WINDOW_JAN_2014, WINDOW_JAN_2015};
+    use airstat_telemetry::sched::drain_solo;
 
     fn loaded_agent(n: u64, capacity: usize) -> DeviceAgent {
         let mut agent = DeviceAgent::with_capacity(1, capacity);
@@ -986,27 +766,32 @@ mod tests {
         );
     }
 
-    #[test]
-    fn zero_intensity_drain_is_clean() {
-        let mut agent = loaded_agent(40, DeviceAgent::DEFAULT_CAPACITY);
-        let node = SeedTree::new(11).child("unit");
+    /// Drains `agent` as the engine does: a [`FaultedEndpoint`] alone on
+    /// the solo scheduler, over a lossless base tunnel.
+    fn drain(
+        intensity: &FaultIntensity,
+        seed: u64,
+        poll_batch: usize,
+        agent: DeviceAgent,
+    ) -> CompletedDrain<FaultedEndpoint> {
+        let node = SeedTree::new(seed).child("unit");
         let base = TunnelConfig {
             drop_probability: 0.0,
-            poll_batch: 16,
+            poll_batch,
         };
-        let drain = drain_faulted(
-            &FaultIntensity::zero(),
-            PollPolicy::default(),
-            base,
-            &node,
-            "fw-test",
-            &mut agent,
-        );
+        let endpoint = FaultedEndpoint::new(intensity, base, &node, "fw-test", agent);
+        drain_solo(PollPolicy::default(), endpoint.priority(), endpoint).0
+    }
+
+    #[test]
+    fn zero_intensity_drain_is_clean() {
+        let agent = loaded_agent(40, DeviceAgent::DEFAULT_CAPACITY);
+        let drain = drain(&FaultIntensity::zero(), 11, 16, agent);
         assert_eq!(drain.reports.len(), 40);
         assert_eq!(drain.stats.redelivered, 0);
-        assert_eq!(drain.failovers, 0);
-        assert_eq!(drain.crash_reboots, 0);
-        assert_eq!(agent.queued(), 0);
+        assert_eq!(drain.endpoint.failovers(), 0);
+        assert_eq!(drain.endpoint.crash_reboots(), 0);
+        assert_eq!(drain.endpoint.agent().queued(), 0);
     }
 
     #[test]
@@ -1017,27 +802,18 @@ mod tests {
             repoll_burst: 2,
             ..FaultIntensity::zero()
         };
-        let mut agent = loaded_agent(40, DeviceAgent::DEFAULT_CAPACITY);
-        let node = SeedTree::new(12).child("unit");
-        let base = TunnelConfig {
-            drop_probability: 0.0,
-            poll_batch: 8,
-        };
-        let drain = drain_faulted(
-            &intensity,
-            PollPolicy::default(),
-            base,
-            &node,
-            "fw-test",
-            &mut agent,
+        let agent = loaded_agent(40, DeviceAgent::DEFAULT_CAPACITY);
+        let drain = drain(&intensity, 12, 8, agent);
+        assert!(
+            drain.endpoint.failovers() > 0,
+            "outage must force a failover"
         );
-        assert!(drain.failovers > 0, "outage must force a failover");
-        assert!(drain.secondary_served > 0);
+        assert!(drain.endpoint.secondary_served() > 0);
         assert!(
             drain.stats.redelivered > 0,
             "the recovery storm redelivers unacked spans"
         );
-        assert_eq!(agent.queued(), 0);
+        assert_eq!(drain.endpoint.agent().queued(), 0);
         // Every submitted report was delivered at least once.
         let mut seqs: Vec<u64> = drain.reports.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
@@ -1051,22 +827,10 @@ mod tests {
             crash_probability: 1.0,
             ..FaultIntensity::zero()
         };
-        let mut agent = loaded_agent(64, DeviceAgent::DEFAULT_CAPACITY);
-        let node = SeedTree::new(13).child("unit");
-        let base = TunnelConfig {
-            drop_probability: 0.0,
-            poll_batch: 8,
-        };
-        let drain = drain_faulted(
-            &intensity,
-            PollPolicy::default(),
-            base,
-            &node,
-            "fw-test",
-            &mut agent,
-        );
-        assert_eq!(drain.crash_reboots, 1);
-        assert!(drain.crash_lost > 0);
+        let agent = loaded_agent(64, DeviceAgent::DEFAULT_CAPACITY);
+        let drain = drain(&intensity, 13, 8, agent);
+        assert_eq!(drain.endpoint.crash_reboots(), 1);
+        assert!(drain.endpoint.crash_lost() > 0);
         assert!(
             drain
                 .reports

@@ -172,23 +172,13 @@ pub fn run_fleet_campaign(config: &FleetCampaignConfig) -> FleetCampaignRun {
 /// fleet.
 fn drain_finished(sched: &mut Scheduler<FaultedEndpoint>, degradation: &mut DegradationTally) {
     for drain in sched.take_finished() {
-        degradation.absorb(&drain.stats);
+        // An evicted drain's `undelivered` is already in the scheduler's
+        // `evicted_reports` counter, recorded into `lost_to_eviction` at
+        // the end of the run.
+        degradation.absorb_faulted(&drain);
         // The fleet has no backend behind it; a delivered, non-redelivered
         // report is an accepted report.
         degradation.accepted += drain.stats.delivered - drain.stats.redelivered;
-        degradation.submitted += drain.endpoint.agent().reports_submitted();
-        degradation.dropped_overflow += drain.endpoint.agent().dropped_overflow();
-        degradation.lost_to_crash += drain.endpoint.crash_lost();
-        degradation.crash_reboots += drain.endpoint.crash_reboots();
-        degradation.failovers += drain.endpoint.failovers();
-        degradation.secondary_served += drain.endpoint.secondary_served();
-        if drain.evicted {
-            // `undelivered` is already in the scheduler's
-            // `evicted_reports` counter, recorded into `lost_to_eviction`
-            // at the end of the run.
-        } else if drain.stats.budget_exhausted {
-            degradation.left_queued += drain.undelivered;
-        }
     }
 }
 

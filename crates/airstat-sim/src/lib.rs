@@ -48,7 +48,7 @@ pub mod surge;
 pub mod traffic;
 pub mod world;
 
-pub use config::{FleetConfig, MeasurementYear, PollPath};
+pub use config::{FleetConfig, MeasurementYear};
 pub use engine::{CampaignRun, FleetSimulation, SimulationOutput};
 pub use faults::{DegradationTally, FaultIntensity, FaultSchedule, FaultedEndpoint};
 pub use fleet::{run_fleet_campaign, FleetCampaignConfig, FleetCampaignRun};

@@ -6,8 +6,10 @@
 //! per-device poll budget; a [`PollSession`] executes the policy over a
 //! sequence of poll rounds while accounting *virtual* time, so report
 //! latency can be measured deterministically (no wall clocks involved);
-//! [`drain_scheduled`] runs the whole loop against a [`Tunnel`] and
-//! returns the delivered reports plus [`DrainStats`].
+//! [`drain_scheduled`] runs the whole loop against a [`Tunnel`] — on
+//! the scheduler's one drain path, [`drain_solo`] — and returns the
+//! delivered reports plus [`DrainStats`]; [`drain_flat_reference`] is
+//! the flat loop tests hold that path to.
 //!
 //! Duplicate-safe re-ingestion is the other half of the contract: the
 //! policy retries freely because delivery is at-least-once — every report
@@ -20,7 +22,8 @@ use std::collections::BTreeMap;
 use rand::Rng;
 
 use crate::report::Report;
-use crate::transport::{DeviceAgent, PollOutcome, Tunnel};
+use crate::sched::{drain_solo, PollEndpoint, Priority, RoundOutcome, SchedStats, TunnelEndpoint};
+use crate::transport::{DeviceAgent, Tunnel};
 
 /// Backend-side polling policy for one device drain.
 ///
@@ -217,91 +220,80 @@ pub struct DrainStats {
     pub budget_exhausted: bool,
 }
 
-/// Drains `agent` through `tunnel` under `policy` on a solo
-/// zero-pressure scheduler, returning the delivered reports (in delivery
-/// order), the drain statistics, and the scheduler's own counters (the
-/// engine merges those [`SchedStats`](crate::sched::SchedStats)
-/// fleet-wide).
+/// Drains `agent` through `tunnel` under `policy`, returning the
+/// delivered reports (in delivery order), the drain statistics, and the
+/// scheduler's own counters.
 ///
-/// The drain runs as a single-AP admission on a
-/// [`Scheduler`](crate::sched::Scheduler), which executes exactly one
-/// [`Tunnel::poll`] per round under the same session clock — so for a
-/// given tunnel and RNG the wire behaviour and statistics are identical
-/// to the retired flat loop (kept as [`drain_flat_reference`] and pinned
-/// differentially in the tests).
+/// A thin caller of [`drain_solo`]: the tunnel and agent ride a
+/// [`TunnelEndpoint`] through a one-AP scheduler — exactly one
+/// [`Tunnel::poll`] per round — and are handed back afterwards.
 pub fn drain_scheduled<R: Rng + ?Sized>(
     policy: PollPolicy,
     tunnel: &mut Tunnel,
     agent: &mut DeviceAgent,
     rng: &mut R,
-) -> (Vec<Report>, DrainStats, crate::sched::SchedStats) {
-    use crate::sched::{Admission, SchedConfig, Scheduler, TunnelEndpoint};
-    let key = agent.device_id();
+) -> (Vec<Report>, DrainStats, SchedStats) {
     // The scheduler owns its endpoints; borrow the caller's tunnel and
     // agent for the drain's duration and hand them back afterwards.
     let owned_tunnel = std::mem::replace(tunnel, Tunnel::perfect());
     let owned_agent = std::mem::replace(agent, DeviceAgent::new(0));
-    let mut sched = Scheduler::new(SchedConfig::solo(policy));
-    match sched.admit(
-        key,
-        crate::sched::Priority::Normal,
-        TunnelEndpoint::new(owned_tunnel, owned_agent, rng),
-    ) {
-        Admission::Admitted => {}
-        _ => unreachable!("a fresh scheduler admits its first endpoint"),
-    }
-    sched.run_to_completion();
-    let drain = sched
-        .take_finished()
-        .pop()
-        .expect("invariant: a solo admission always finishes");
+    let endpoint = TunnelEndpoint::new(owned_tunnel, owned_agent, rng);
+    let (drain, sched) = drain_solo(policy, Priority::Normal, endpoint);
     let (t, a, _) = drain.endpoint.into_parts();
     *tunnel = t;
     *agent = a;
-    (drain.reports, drain.stats, sched.stats().clone())
+    (drain.reports, drain.stats, sched)
 }
 
-/// The pre-scheduler flat drain loop, retained verbatim as the reference
-/// implementation for differential tests and the bench overhead gate.
-pub fn drain_flat_reference<R: Rng + ?Sized>(
+/// The flat drain loop, kept as the oracle for [`drain_solo`] and called
+/// only from tests (`tests/scheduler.rs` runs the two side by side over
+/// every endpoint type and fault preset). One endpoint, one
+/// [`PollSession`], rounds back to back through the same
+/// [`PollEndpoint`] calls the scheduler makes — no queues, no retry
+/// ledger, no clock jumps.
+pub fn drain_flat_reference<E: PollEndpoint>(
     policy: PollPolicy,
-    tunnel: &mut Tunnel,
-    agent: &mut DeviceAgent,
-    rng: &mut R,
+    endpoint: &mut E,
 ) -> (Vec<Report>, DrainStats) {
-    let bytes_before = tunnel.bytes_transferred();
+    let polls_before = endpoint.polls_attempted();
+    let bytes_before = endpoint.bytes_transferred();
     let mut session = PollSession::new(policy);
     let mut stats = DrainStats::default();
     let mut delivered = Vec::new();
     loop {
         if !session.begin_round() {
-            stats.budget_exhausted = agent.queued() > 0;
+            stats.budget_exhausted = endpoint.queued() > 0;
             break;
         }
-        match tunnel.poll(agent, rng) {
-            PollOutcome::Delivered(reports) => {
+        match endpoint.poll_round(session.now_s()) {
+            RoundOutcome::Delivered {
+                reports,
+                redelivered,
+            } => {
                 session.on_success();
-                stats.delivered += reports.len() as u64;
-                stats
-                    .latency
-                    .record_n(session.now_s(), reports.len() as u64);
+                let n = reports.len() as u64;
+                stats.delivered += n;
+                stats.redelivered += redelivered;
+                stats.latency.record_n(session.now_s(), n);
                 delivered.extend(reports);
-                if agent.queued() == 0 {
+                if !endpoint.pending() {
                     break;
                 }
             }
-            PollOutcome::Lost => {
+            failed => {
                 session.on_failure();
-                stats.lost += 1;
-            }
-            PollOutcome::Disconnected => {
-                session.on_failure();
-                stats.disconnected += 1;
+                match failed {
+                    RoundOutcome::Lost => stats.lost += 1,
+                    _ => stats.disconnected += 1,
+                }
+                if !endpoint.continue_after_failure() {
+                    break;
+                }
             }
         }
     }
-    stats.polls = session.rounds();
-    stats.bytes = tunnel.bytes_transferred() - bytes_before;
+    stats.polls = endpoint.polls_attempted() - polls_before;
+    stats.bytes = endpoint.bytes_transferred() - bytes_before;
     stats.virtual_elapsed_s = session.now_s();
     (delivered, stats)
 }
@@ -310,7 +302,7 @@ pub fn drain_flat_reference<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use crate::report::ReportPayload;
-    use crate::transport::TunnelConfig;
+    use crate::transport::{PollOutcome, TunnelConfig};
     use airstat_stats::SeedTree;
 
     fn loaded_agent(n: u64) -> DeviceAgent {

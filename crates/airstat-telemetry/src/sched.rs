@@ -30,13 +30,15 @@
 //!
 //! The scheduler runs entirely on **virtual time**. Each admitted AP
 //! carries its own [`PollSession`], so its clock, backoff, and budget
-//! advance exactly as the flat loop's did — per-AP drain results are
+//! advance as if it were polled alone — per-AP drain results are
 //! *interleaving-invariant* by construction: each endpoint owns its own
 //! tunnel and RNG streams, so scheduling order cannot change what any
-//! single AP delivers. A zero-pressure schedule (unbounded capacity) is
-//! therefore byte-identical to the pre-scheduler flat loops at any
-//! thread or shard count — `tests/scheduler.rs` pins this differentially
-//! against the retained flat-reference path.
+//! single AP delivers. Every campaign drain is a [`drain_solo`] — this
+//! scheduler with one AP admitted — and the queues, ledger and clock
+//! jumps must be invisible there: `tests/scheduler.rs` holds it, endpoint
+//! by endpoint, to the flat loop
+//! [`drain_flat_reference`](crate::poll::drain_flat_reference), the
+//! oracle no production code calls.
 //!
 //! # Fairness
 //!
@@ -118,8 +120,8 @@ pub enum RoundOutcome {
 /// single AP's drain — the byte-identity argument of the module docs.
 pub trait PollEndpoint {
     /// Executes one poll round. `now_s` is the AP's *own* virtual clock
-    /// (seconds since its drain began) — the same value the flat loop's
-    /// `PollSession::now_s()` carried, e.g. for crash-report timestamps.
+    /// (seconds since its drain began, its [`PollSession::now_s`]), e.g.
+    /// for crash-report timestamps.
     fn poll_round(&mut self, now_s: u64) -> RoundOutcome;
 
     /// Whether the endpoint still has work (queued reports or scripted
@@ -127,11 +129,10 @@ pub trait PollEndpoint {
     fn pending(&self) -> bool;
 
     /// Whether a failed round (lost or disconnected) should be retried.
-    /// The default — always — matches the plain drain loop, which only
-    /// exits on a clean delivery; fault-campaign endpoints override this
-    /// with [`PollEndpoint::pending`] to reproduce their flat loop's
-    /// `while` guard, which also exits after a failure once nothing is
-    /// queued and no re-poll burst is scripted.
+    /// The default — always — is the plain drain, which only exits on a
+    /// clean delivery; fault-campaign endpoints override this with
+    /// [`PollEndpoint::pending`], so a drain also ends after a failure
+    /// once nothing is queued and no re-poll burst is scripted.
     fn continue_after_failure(&self) -> bool {
         true
     }
@@ -166,7 +167,7 @@ pub struct SchedConfig {
 
 impl SchedConfig {
     /// The zero-pressure configuration a single-AP drain uses: budget 1,
-    /// unbounded admission. Byte-identical to the flat drain loop.
+    /// unbounded admission.
     pub fn solo(policy: PollPolicy) -> Self {
         SchedConfig {
             policy,
@@ -251,7 +252,7 @@ pub struct CompletedDrain<E> {
     pub priority: Priority,
     /// Every report delivered over the drain, in delivery order.
     pub reports: Vec<Report>,
-    /// The drain's transport statistics (same shape as the flat loop's).
+    /// The drain's transport statistics.
     pub stats: DrainStats,
     /// Whether the drain ended by eviction rather than completion.
     pub evicted: bool,
@@ -749,9 +750,35 @@ impl<E: PollEndpoint> Scheduler<E> {
     }
 }
 
-/// The plain single-tunnel endpoint the healthy engine path uses: one
-/// [`Tunnel`], one [`DeviceAgent`], one RNG stream — exactly what the
-/// flat `drain_flat_reference` loop consumes, in the same order.
+/// Drains one endpoint alone on a zero-pressure scheduler
+/// ([`SchedConfig::solo`]): admit, run to completion, hand back the
+/// finished drain — endpoint included, for its own counters — and the
+/// scheduler's. This is the one drain path: the engine calls it per
+/// agent, faulted or not, and
+/// [`drain_scheduled`](crate::poll::drain_scheduled) is a thin caller.
+/// The endpoint is admitted under key 0: alone, it has no key to collide
+/// with.
+pub fn drain_solo<E: PollEndpoint>(
+    policy: PollPolicy,
+    priority: Priority,
+    endpoint: E,
+) -> (CompletedDrain<E>, SchedStats) {
+    let mut sched = Scheduler::new(SchedConfig::solo(policy));
+    match sched.admit(0, priority, endpoint) {
+        Admission::Admitted => {}
+        _ => unreachable!("a fresh scheduler admits its first endpoint"),
+    }
+    sched.run_to_completion();
+    let drain = sched
+        .take_finished()
+        .pop()
+        .expect("invariant: a solo admission always finishes");
+    (drain, sched.stats)
+}
+
+/// The plain single-tunnel endpoint the engine drains when no fault
+/// schedule is set: one [`Tunnel`], one [`DeviceAgent`], one RNG stream,
+/// one [`Tunnel::poll`] per round.
 #[derive(Debug)]
 pub struct TunnelEndpoint<R> {
     tunnel: Tunnel,

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary, golden report digest, mid-campaign delta seals + pinned compaction schedule, flat-vs-scheduler byte-identity + 100k-AP queue-pressure campaign, ...)"
+echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary, golden report digest, mid-campaign delta seals + pinned compaction schedule, scheduler-vs-flat-oracle drain differential + 100k-AP queue-pressure campaign, ...)"
 cargo test -q --offline
 
 echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"

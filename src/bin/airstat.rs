@@ -29,7 +29,7 @@ use airstat::core::export::build_release;
 use airstat::core::{DegradationReport, PaperReport};
 use airstat::sim::config::{WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::faults::SCENARIO_NAMES;
-use airstat::sim::{FaultSchedule, FleetConfig, FleetSimulation, MeasurementYear, PollPath};
+use airstat::sim::{FaultSchedule, FleetConfig, FleetSimulation, MeasurementYear};
 use airstat::store::{QueryBackend, QueryEngine, ShardedStore, StoreConfig};
 use std::path::Path;
 use std::process::ExitCode;
@@ -53,7 +53,6 @@ struct Options {
     shards: Option<usize>,
     faults: Option<String>,
     query_backend: Option<QueryBackend>,
-    poll_path: Option<PollPath>,
     explain: bool,
     store_dir: Option<String>,
     resume: bool,
@@ -61,7 +60,7 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--poll-path P] [--query-backend B] [--explain] [--seal-every N] [--store-dir DIR [--resume]]\n\
+    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--query-backend B] [--explain] [--seal-every N] [--store-dir DIR [--resume]]\n\
      \n\
      report        print every table and figure of the paper\n\
      table N       print table N (2-7)\n\
@@ -77,10 +76,6 @@ fn usage() -> &'static str {
      --faults NAME run under a fault-injection campaign and print a\n\
                    degradation report; NAME is one of zero, tunnel-loss,\n\
                    dc-outage, queue-pressure, queue-pressure-fleet\n\
-     --poll-path P drain implementation: scheduler (default; priority\n\
-                   queues + retry ledger, scheduler counters print to\n\
-                   stderr) or flat-reference (the pre-scheduler loops);\n\
-                   stdout is byte-identical for both\n\
      --query-backend B\n\
                    query path: vectorized (default; two-pass kernels\n\
                    + zone pruning over the columnar layout) or legacy\n\
@@ -121,7 +116,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut shards = None;
     let mut faults = None;
     let mut query_backend = None;
-    let mut poll_path = None;
     let mut explain = false;
     let mut store_dir = None;
     let mut resume = false;
@@ -180,13 +174,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let value = args.get(i).ok_or("--query-backend needs a value")?;
                 query_backend = Some(QueryBackend::by_name(value).ok_or(format!(
                     "unknown query backend {value}; valid backends: vectorized, legacy"
-                ))?);
-            }
-            "--poll-path" => {
-                i += 1;
-                let value = args.get(i).ok_or("--poll-path needs a value")?;
-                poll_path = Some(PollPath::by_name(value).ok_or(format!(
-                    "unknown poll path {value}; valid paths: scheduler, flat-reference"
                 ))?);
             }
             "--explain" => explain = true,
@@ -259,7 +246,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         shards,
         faults,
         query_backend,
-        poll_path,
         explain,
         store_dir,
         resume,
@@ -283,9 +269,6 @@ fn run(options: Options) -> Result<(), String> {
     }
     if let Some(backend) = options.query_backend {
         config.query_backend = backend;
-    }
-    if let Some(path) = options.poll_path {
-        config.poll_path = path;
     }
     config.seal_every = options.seal_every;
     if options.command == Command::Info {
@@ -345,9 +328,7 @@ fn run(options: Options) -> Result<(), String> {
             None => simulation.run(),
         };
         eprintln!("{}", output.throughput_summary());
-        if output.sched.admissions > 0 {
-            eprintln!("{}", output.sched);
-        }
+        eprintln!("{}", output.sched);
         if let Some(schedule) = &config.faults {
             eprintln!(
                 "{}",
@@ -492,7 +473,6 @@ mod tests {
         assert_eq!(parse(&["report"]).unwrap().shards, None);
         assert_eq!(parse(&["report"]).unwrap().faults, None);
         assert_eq!(parse(&["report"]).unwrap().query_backend, None);
-        assert_eq!(parse(&["report"]).unwrap().poll_path, None);
         assert!(!parse(&["report"]).unwrap().explain);
         assert_eq!(parse(&["report"]).unwrap().store_dir, None);
         assert!(!parse(&["report"]).unwrap().resume);
@@ -569,17 +549,6 @@ mod tests {
             "lists fleet mix: {err}"
         );
         assert!(parse(&["report", "--faults"]).is_err());
-    }
-
-    #[test]
-    fn parses_poll_paths() {
-        let o = parse(&["report", "--poll-path", "scheduler"]).unwrap();
-        assert_eq!(o.poll_path, Some(PollPath::Scheduler));
-        let o = parse(&["report", "--poll-path", "flat-reference"]).unwrap();
-        assert_eq!(o.poll_path, Some(PollPath::FlatReference));
-        let err = parse(&["report", "--poll-path", "chaotic"]).unwrap_err();
-        assert!(err.contains("flat-reference"), "lists valid paths: {err}");
-        assert!(parse(&["report", "--poll-path"]).is_err());
     }
 
     #[test]

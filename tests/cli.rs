@@ -1,6 +1,7 @@
 //! Drives the built `airstat` binary end to end: the two query backends
-//! print the same report, retired backend names are refused, and
-//! `--explain` accounts for every plan the engine computed cold.
+//! print the same report, retired backend names and the retired
+//! drain-selector flag are refused, and `--explain` accounts for every
+//! plan the engine computed cold.
 
 use std::process::{Command, Output};
 use std::sync::OnceLock;
@@ -93,6 +94,18 @@ fn retired_backend_names_are_refused() {
         );
         assert!(run.stdout.is_empty(), "a refused run printed a report");
     }
+}
+
+#[test]
+fn retired_drain_selector_flag_is_refused_like_any_unknown_flag() {
+    let run = airstat(&["report", "--poll-path", "flat-reference"]);
+    assert_eq!(run.status.code(), Some(1), "--poll-path was accepted");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.starts_with("error: unknown flag --poll-path\n"),
+        "not the ordinary unknown-flag error: {stderr}"
+    );
+    assert!(run.stdout.is_empty(), "a refused run printed a report");
 }
 
 #[test]

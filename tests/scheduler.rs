@@ -1,66 +1,185 @@
 //! Acceptance tests for the backpressure-aware poll scheduler.
 //!
-//! Two contracts are pinned. First, *byte-identity at zero pressure*:
-//! the scheduler path (the default) must render exactly the same paper
-//! report as the retained flat-reference drain loops, at every thread
-//! and shard count — the queue discipline may not perturb a healthy
-//! fleet. Second, the *pressure contract* at fleet scale: a 100k-AP
-//! queue-pressure campaign must actually evict (LOW class only), keep
-//! the eviction-era accounting identity balanced, and never let any
+//! Two contracts are pinned. First, *the solo drain is the flat loop*:
+//! every campaign drain is one AP alone on a scheduler
+//! (`sched::drain_solo`), and the queues, retry ledger and clock jumps
+//! must be invisible there. Two identically built endpoints — one through
+//! the scheduler, one through the flat oracle `drain_flat_reference` —
+//! must deliver the same reports, record the same statistics, and leave
+//! their agents in the same state, for the plain tunnel and for every
+//! fault preset. Second, the *pressure contract* at fleet scale: a
+//! 100k-AP queue-pressure campaign must actually evict (LOW class only),
+//! keep the eviction-era accounting identity balanced, and never let any
 //! class's ready-queue wait exceed the pinned poll-gap bound.
 
-use airstat::core::PaperReport;
-use airstat::sim::{
-    run_fleet_campaign, FleetCampaignConfig, FleetConfig, FleetSimulation, PollPath,
-};
+use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
+use airstat::sim::faults::SCENARIO_NAMES;
+use airstat::sim::{run_fleet_campaign, FaultSchedule, FaultedEndpoint, FleetCampaignConfig};
+use airstat::stats::SeedTree;
+use airstat::telemetry::poll::{drain_flat_reference, DrainStats, PollPolicy};
+use airstat::telemetry::sched::{drain_solo, PollEndpoint, Priority, TunnelEndpoint};
+use airstat::telemetry::{DeviceAgent, Report, ReportPayload, Tunnel, TunnelConfig};
 
-fn config(threads: usize, shards: usize, poll_path: PollPath) -> FleetConfig {
-    FleetConfig {
-        threads,
-        shards,
-        poll_path,
-        // 6-hourly link reports keep radio queues small enough that the
-        // five runs below finish quickly at 0.2% scale.
-        link_report_interval_s: 6 * 3600,
-        ..FleetConfig::paper(0.002)
-    }
+const SEEDS: std::ops::Range<u64> = 0..8;
+
+/// The policy as given, and with a budget a 40-report backlog outlasts.
+fn policies(policy: PollPolicy) -> [PollPolicy; 2] {
+    let tight = PollPolicy {
+        poll_budget: 4,
+        ..policy
+    };
+    [policy, tight]
 }
 
-fn rendered(threads: usize, shards: usize, poll_path: PollPath) -> String {
-    let config = config(threads, shards, poll_path);
-    let output = FleetSimulation::new(config.clone()).run();
-    PaperReport::from_simulation(&output, &config).to_string()
+fn loaded_agent(load: u64, capacity: usize) -> DeviceAgent {
+    let mut agent = DeviceAgent::with_capacity(1, capacity);
+    for t in 0..load {
+        agent.submit(t * 60, ReportPayload::Usage(vec![]));
+    }
+    agent
+}
+
+/// Everything a drain leaves on the device: the queue itself, and the
+/// submission and overflow counters.
+fn agent_state(agent: &DeviceAgent) -> (Vec<Report>, u64, u64) {
+    (
+        agent.peek(agent.queued()),
+        agent.reports_submitted(),
+        agent.dropped_overflow(),
+    )
+}
+
+/// Drains one `build()` endpoint alone on the scheduler and its twin
+/// through the flat oracle, asserts the delivered reports, the drain
+/// statistics (latency histogram included) and the agents' final states
+/// are equal, and hands both endpoints back for the endpoint-specific
+/// comparisons.
+fn drain_both<E: PollEndpoint>(
+    policy: PollPolicy,
+    priority: Priority,
+    build: impl Fn() -> E,
+    agent: fn(&E) -> &DeviceAgent,
+    case: &str,
+) -> (E, E, DrainStats) {
+    let (drain, _) = drain_solo(policy, priority, build());
+    let mut flat = build();
+    let (reports, stats) = drain_flat_reference(policy, &mut flat);
+    assert_eq!(drain.reports, reports, "{case}: delivered reports");
+    assert_eq!(drain.stats, stats, "{case}: drain statistics");
+    assert_eq!(
+        agent_state(agent(&drain.endpoint)),
+        agent_state(agent(&flat)),
+        "{case}: agent state"
+    );
+    (drain.endpoint, flat, stats)
 }
 
 #[test]
-fn zero_pressure_schedule_is_byte_identical_to_flat_reference() {
-    let flat = rendered(1, 1, PollPath::FlatReference);
-    for threads in [1, 4] {
-        for shards in [1, 8] {
-            let sched = rendered(threads, shards, PollPath::Scheduler);
-            assert_eq!(
-                sched, flat,
-                "scheduler output diverged from the flat reference \
-                 (threads={threads}, shards={shards})"
-            );
+fn plain_tunnel_solo_drain_matches_the_flat_oracle() {
+    let (mut lost, mut exhausted) = (0, 0);
+    for drop_probability in [0.0, 0.3] {
+        for policy in policies(PollPolicy::default()) {
+            for load in [0, 1, 40] {
+                for seed in SEEDS {
+                    let case = format!(
+                        "drop {drop_probability}, budget {}, load {load}, seed {seed}",
+                        policy.poll_budget
+                    );
+                    let build = || {
+                        let tunnel = Tunnel::new(TunnelConfig {
+                            drop_probability,
+                            poll_batch: 8,
+                        });
+                        let agent = loaded_agent(load, DeviceAgent::DEFAULT_CAPACITY);
+                        let rng = SeedTree::new(seed).child("tunnel").rng();
+                        TunnelEndpoint::new(tunnel, agent, rng)
+                    };
+                    let (_, _, stats) = drain_both(
+                        policy,
+                        Priority::Normal,
+                        build,
+                        TunnelEndpoint::agent,
+                        &case,
+                    );
+                    lost += stats.lost;
+                    exhausted += u64::from(stats.budget_exhausted);
+                }
+            }
         }
     }
+    assert!(lost > 0, "the lossy tunnel never lost a round");
+    assert!(exhausted > 0, "the tight budget never ran out");
+}
+
+/// What a faulted drain counted besides its transport statistics.
+fn fault_counters(e: &FaultedEndpoint) -> [u64; 5] {
+    [
+        e.crash_lost(),
+        e.crash_reboots(),
+        e.failovers(),
+        e.secondary_served(),
+        e.undelivered(),
+    ]
 }
 
 #[test]
-fn scheduler_path_reports_sched_stats_and_flat_path_does_not() {
-    let sched = FleetSimulation::new(config(1, 1, PollPath::Scheduler)).run();
-    assert!(
-        sched.sched.admissions > 0,
-        "every drained agent is admitted"
-    );
-    assert_eq!(sched.sched.evictions(), 0, "solo schedulers never evict");
-    assert!(sched.sched.completed > 0);
-    let flat = FleetSimulation::new(config(1, 1, PollPath::FlatReference)).run();
-    assert_eq!(
-        flat.sched.admissions, 0,
-        "the flat reference path bypasses the scheduler entirely"
-    );
+fn faulted_solo_drain_matches_the_flat_oracle_for_every_preset() {
+    // The engine's base tunnel; the presets override its batch size.
+    let base = TunnelConfig {
+        drop_probability: 0.01,
+        poll_batch: 64,
+    };
+    let (mut crashes, mut crash_lost, mut failovers, mut bursts, mut exhausted) = (0, 0, 0, 0, 0);
+    for name in SCENARIO_NAMES {
+        let schedule = FaultSchedule::by_name(name).expect(name);
+        for window in [WINDOW_JAN_2014, WINDOW_JUL_2014, WINDOW_JAN_2015] {
+            let intensity = schedule.intensity(window);
+            let capacity = intensity
+                .queue_capacity
+                .unwrap_or(DeviceAgent::DEFAULT_CAPACITY);
+            let mut loads = vec![0, 1, 40];
+            loads.extend(intensity.queue_capacity.map(|c| c as u64 + 8));
+            for policy in policies(schedule.policy()) {
+                for &load in &loads {
+                    for seed in SEEDS {
+                        let case = format!(
+                            "{name} {window:?}, budget {}, load {load}, seed {seed}",
+                            policy.poll_budget
+                        );
+                        let node = SeedTree::new(seed).child(name).indexed(u64::from(window.0));
+                        let build = || {
+                            let agent = loaded_agent(load, capacity);
+                            FaultedEndpoint::new(intensity, base, &node, "fw-test", agent)
+                        };
+                        let priority = build().priority();
+                        let (sched, flat, stats) =
+                            drain_both(policy, priority, build, FaultedEndpoint::agent, &case);
+                        assert_eq!(
+                            fault_counters(&sched),
+                            fault_counters(&flat),
+                            "{case}: fault counters"
+                        );
+                        crashes += sched.crash_reboots();
+                        crash_lost += sched.crash_lost();
+                        failovers += sched.failovers();
+                        exhausted += u64::from(stats.budget_exhausted);
+                        // The endpoint's first fault-stream draw picks its
+                        // cohort. Where that cohort loses no acks, only a
+                        // re-poll burst can put a report on the wire twice.
+                        let cohort = intensity.resolve_cohort(&mut node.child("faults").rng());
+                        if cohort.ack_loss_probability == 0.0 && stats.redelivered > 0 {
+                            bursts += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // A preset edit must not quietly hollow the matrix out.
+    assert!(crashes > 0 && crash_lost > 0, "no crash destroyed a report");
+    assert!(failovers > 0, "no drain failed over");
+    assert!(bursts > 0, "no re-poll burst redelivered");
+    assert!(exhausted > 0, "the tight budget never ran out");
 }
 
 #[test]
