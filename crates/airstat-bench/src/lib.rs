@@ -1,10 +1,16 @@
-//! # airstat-bench — the benchmark harness
+//! # airstat-bench — per-artifact regenerators and design ablations
 //!
-//! One Criterion bench per paper artifact (see `benches/`): each bench
-//! regenerates a table or figure from a shared fleet simulation, printing
-//! the rows/series it produced and timing the analytics query. The
-//! `ablations` bench group measures the design trade-offs called out in
-//! DESIGN.md (probe-window length, pull batching, edge classification).
+//! One Criterion-style bench per paper artifact (see `benches/`): each
+//! bench regenerates a table or figure from a shared fleet simulation,
+//! printing the rows/series it produced and timing the analytics query.
+//! The `ablations` bench group measures the design trade-offs called out
+//! in DESIGN.md (probe-window length, pull batching, edge classification).
+//!
+//! Nothing here times the pipeline's layers or gates them: the
+//! end-to-end benchmark in `bench/` (metrics named in `BENCHMARK.json`)
+//! is the one timing instrument, and the same-host ratio invariants are
+//! plain tests (`tests/perf_gates.rs`,
+//! `crates/airstat-lint/tests/workspace.rs`).
 //!
 //! This library part only hosts the shared fixture so every bench file
 //! reuses one simulation run.
@@ -12,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use airstat_core::PaperReport;
 use airstat_sim::{FleetConfig, FleetSimulation, SimulationOutput};
 use std::sync::OnceLock;
 
@@ -29,73 +34,24 @@ pub fn fixture() -> &'static (SimulationOutput, FleetConfig) {
     })
 }
 
-/// A fully computed report over the fixture, for benches that only render.
-pub fn fixture_report() -> &'static PaperReport {
-    static REPORT: OnceLock<PaperReport> = OnceLock::new();
-    REPORT.get_or_init(|| {
-        let (output, config) = fixture();
-        PaperReport::from_simulation(output, config)
-    })
-}
-
 pub mod harness {
     //! Criterion-compatible micro-benchmark shim.
     //!
     //! The offline build environment cannot fetch criterion, so this module
     //! implements the small API slice the `benches/` files use — `Criterion`,
-    //! `benchmark_group`, `Bencher::iter` / `iter_with_setup`, `Throughput`,
-    //! and the `criterion_group!` / `criterion_main!` macros. Timing is a
-    //! plain warm-up-then-sample loop; results print to stdout and accumulate
-    //! in [`Criterion::results`] so test harnesses (see
-    //! `tests/bench_pipeline.rs`) can persist them as JSON.
+    //! `benchmark_group`, `Bencher::iter` / `iter_with_setup`, and the
+    //! `criterion_group!` / `criterion_main!` macros. Timing is a plain
+    //! warm-up-then-sample loop; results print to stdout and go nowhere
+    //! else.
 
     use std::hint::black_box;
     use std::time::{Duration, Instant};
 
     pub use crate::{criterion_group, criterion_main};
 
-    /// Per-bench throughput annotation, used to derive a rate from the
-    /// measured per-iteration time.
-    #[derive(Debug, Clone, Copy)]
-    pub enum Throughput {
-        /// The bench processes this many bytes per iteration.
-        Bytes(u64),
-        /// The bench processes this many items per iteration.
-        Elements(u64),
-    }
-
-    /// One measured benchmark, exposed for JSON export.
-    #[derive(Debug, Clone)]
-    pub struct BenchResult {
-        /// Benchmark group the result belongs to.
-        pub group: String,
-        /// Bench name within the group.
-        pub name: String,
-        /// Samples actually taken.
-        pub iterations: usize,
-        /// Mean per-iteration time (ns).
-        pub mean_ns: f64,
-        /// Fastest observed iteration (ns).
-        pub min_ns: f64,
-        /// Throughput annotation, if the group set one.
-        pub throughput: Option<Throughput>,
-    }
-
-    impl BenchResult {
-        /// Human-readable rate derived from the throughput annotation.
-        pub fn rate(&self) -> Option<String> {
-            match self.throughput? {
-                Throughput::Bytes(n) => {
-                    let mib_s = n as f64 / (1 << 20) as f64 / (self.mean_ns * 1e-9);
-                    Some(format!("{mib_s:.1} MiB/s"))
-                }
-                Throughput::Elements(n) => {
-                    let elem_s = n as f64 / (self.mean_ns * 1e-9);
-                    Some(format!("{elem_s:.0} elem/s"))
-                }
-            }
-        }
-    }
+    /// Soft wall-clock budget per bench function; sampling stops early
+    /// once it is exceeded (minimum 3 samples are always taken).
+    const MAX_SAMPLE_TIME: Duration = Duration::from_secs(2);
 
     fn format_ns(ns: f64) -> String {
         if ns < 1e3 {
@@ -112,20 +68,11 @@ pub mod harness {
     /// Entry point mirroring `criterion::Criterion`.
     pub struct Criterion {
         sample_size: usize,
-        /// Soft wall-clock budget per bench function; sampling stops early
-        /// once it is exceeded (minimum 3 samples are always taken).
-        max_sample_time: Duration,
-        /// Every result recorded so far, in execution order.
-        pub results: Vec<BenchResult>,
     }
 
     impl Default for Criterion {
         fn default() -> Self {
-            Criterion {
-                sample_size: 30,
-                max_sample_time: Duration::from_secs(2),
-                results: Vec::new(),
-            }
+            Criterion { sample_size: 30 }
         }
     }
 
@@ -136,21 +83,13 @@ pub mod harness {
             self
         }
 
-        /// Sets the soft wall-clock budget per bench function.
-        pub fn measurement_time(mut self, budget: Duration) -> Self {
-            self.max_sample_time = budget;
-            self
-        }
-
         /// Opens a named benchmark group.
-        pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
             let name = name.into();
             println!("[bench group] {name}");
             BenchmarkGroup {
-                criterion: self,
                 name,
-                sample_size: None,
-                throughput: None,
+                sample_size: self.sample_size,
             }
         }
 
@@ -166,37 +105,27 @@ pub mod harness {
         }
     }
 
-    /// A named group of benches sharing sampling and throughput settings.
-    pub struct BenchmarkGroup<'c> {
-        criterion: &'c mut Criterion,
+    /// A named group of benches sharing a sample count.
+    pub struct BenchmarkGroup {
         name: String,
-        sample_size: Option<usize>,
-        throughput: Option<Throughput>,
+        sample_size: usize,
     }
 
-    impl BenchmarkGroup<'_> {
+    impl BenchmarkGroup {
         /// Overrides the sample count for this group.
         pub fn sample_size(&mut self, n: usize) -> &mut Self {
-            self.sample_size = Some(n.max(1));
+            self.sample_size = n.max(1);
             self
         }
 
-        /// Annotates the group's benches with a throughput, so results
-        /// print a derived rate.
-        pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
-            self.throughput = Some(throughput);
-            self
-        }
-
-        /// Runs one bench closure and records its result.
+        /// Runs one bench closure and prints its mean and fastest time.
         pub fn bench_function<F>(&mut self, name: impl Into<String>, mut f: F) -> &mut Self
         where
             F: FnMut(&mut Bencher),
         {
             let name = name.into();
             let mut bencher = Bencher {
-                sample_size: self.sample_size.unwrap_or(self.criterion.sample_size),
-                max_sample_time: self.criterion.max_sample_time,
+                sample_size: self.sample_size,
                 times: Vec::new(),
             };
             f(&mut bencher);
@@ -215,27 +144,13 @@ pub mod harness {
                 .min()
                 .expect("invariant: at least one iteration always runs")
                 as f64;
-            let result = BenchResult {
-                group: self.name.clone(),
-                name,
-                iterations: times.len(),
-                mean_ns,
-                min_ns,
-                throughput: self.throughput,
-            };
-            let rate = result
-                .rate()
-                .map(|r| format!("  thrpt: {r}"))
-                .unwrap_or_default();
             println!(
-                "  {:<40} time: {:>10} (min {:>10}, n={}){}",
-                result.name,
-                format_ns(result.mean_ns),
-                format_ns(result.min_ns),
-                result.iterations,
-                rate
+                "  {:<40} time: {:>10} (min {:>10}, n={})",
+                name,
+                format_ns(mean_ns),
+                format_ns(min_ns),
+                times.len(),
             );
-            self.criterion.results.push(result);
             self
         }
 
@@ -246,7 +161,6 @@ pub mod harness {
     /// Passed to each bench closure; records one timing per iteration.
     pub struct Bencher {
         sample_size: usize,
-        max_sample_time: Duration,
         times: Vec<Duration>,
     }
 
@@ -259,7 +173,7 @@ pub mod harness {
                 let t0 = Instant::now();
                 black_box(routine());
                 self.times.push(t0.elapsed());
-                if done >= 2 && started.elapsed() > self.max_sample_time {
+                if done >= 2 && started.elapsed() > MAX_SAMPLE_TIME {
                     break;
                 }
             }
@@ -282,7 +196,7 @@ pub mod harness {
                 let t0 = Instant::now();
                 black_box(routine(input));
                 self.times.push(t0.elapsed());
-                if done >= 2 && started.elapsed() > self.max_sample_time {
+                if done >= 2 && started.elapsed() > MAX_SAMPLE_TIME {
                     break;
                 }
             }

@@ -7,7 +7,6 @@
 //! pipeline runs in seconds on a laptop while keeping every distribution's
 //! *shape*; `scale = 1.0` reproduces the paper's magnitudes.
 
-use airstat_store::QueryBackend;
 use airstat_telemetry::backend::WindowId;
 
 use crate::faults::FaultSchedule;
@@ -62,8 +61,6 @@ pub struct FleetConfig {
     /// machinery itself stays at 15 s probes / 300 s windows; this only
     /// controls how often the sliding-window value is *reported*.
     pub link_report_interval_s: u64,
-    /// Interval between MR18 scan aggregations (s); paper: 180.
-    pub scan_window_s: u64,
     /// Probability a poll round-trip is lost (transport fault injection).
     pub poll_drop_probability: f64,
     /// Worker threads for the engine's parallel panels. `1` selects the
@@ -83,10 +80,6 @@ pub struct FleetConfig {
     /// reproduces the `None` output byte for byte (differential-tested),
     /// and campaigns stay byte-identical across thread counts.
     pub faults: Option<FaultSchedule>,
-    /// Which path answers queries: the vectorized engine (default) or
-    /// the legacy map fold kept as its differential oracle. Both produce
-    /// byte-identical reports; they differ only in cold-query cost.
-    pub query_backend: QueryBackend,
     /// Seal the store's columnar read layout every N ingested batches
     /// mid-campaign (`None` seals only when the first query opens).
     /// Reports are byte-identical for every cadence — a seal is purely a
@@ -117,12 +110,10 @@ impl FleetConfig {
             mr18_aps_full: 10_000,
             clients_2015_full: 5_578_126,
             link_report_interval_s: 3600,
-            scan_window_s: 180,
             poll_drop_probability: 0.01,
             threads: default_threads(),
             shards: airstat_store::DEFAULT_SHARDS,
             faults: None,
-            query_backend: QueryBackend::default(),
             seal_every: None,
         }
     }

@@ -47,8 +47,8 @@ use airstat_rf::propagation::{Environment, PathLoss};
 use airstat_stats::dist::{Exponential, LogNormal};
 use airstat_stats::SeedTree;
 use airstat_store::{
-    DurableStore, PersistenceStats, QueryBackend, QueryEngine, ReportSink, SealEvery, SegmentError,
-    ShardedStore, StoreConfig,
+    DurableStore, PersistenceStats, QueryEngine, ReportSink, SealEvery, SegmentError, ShardedStore,
+    StoreConfig,
 };
 use airstat_telemetry::backend::WindowId;
 use airstat_telemetry::crash::{DeviceMemory, RebootReason};
@@ -120,10 +120,6 @@ pub struct SimulationOutput {
     pub bytes_encoded: u64,
     /// Worker threads the run actually used.
     pub threads: usize,
-    /// Query backend the run was configured with (the vectorized engine
-    /// by default); threaded through to every engine
-    /// [`SimulationOutput::query`] opens.
-    pub query_backend: QueryBackend,
     /// Campaign-wide degradation accounting (completeness, latency,
     /// fault counters). With `FleetConfig::faults = None` this is the
     /// healthy baseline: completeness 1.0, no failovers, no crash loss.
@@ -140,10 +136,9 @@ impl SimulationOutput {
     }
 
     /// Seals the store and opens a cached parallel query engine over the
-    /// frozen snapshot, using the run's worker-thread count and
-    /// configured query backend.
+    /// frozen snapshot, using the run's worker-thread count.
     pub fn query(&self) -> QueryEngine {
-        QueryEngine::with_backend(self.store.seal(), self.threads, self.query_backend)
+        QueryEngine::new(self.store.seal(), self.threads)
     }
 
     /// A human-readable per-panel throughput table (wall time, report and
@@ -307,7 +302,6 @@ impl FleetSimulation {
             panels: run.panels,
             bytes_encoded: run.bytes_encoded,
             threads: run.threads,
-            query_backend: self.config.query_backend,
             degradation: run.degradation,
             sched: run.sched,
         }

@@ -70,16 +70,7 @@ pub enum QueryBackend {
 }
 
 impl QueryBackend {
-    /// Parses a CLI-style backend name (`"vectorized"` / `"legacy"`).
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "vectorized" => Some(QueryBackend::Vectorized),
-            "legacy" => Some(QueryBackend::Legacy),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name of this backend.
+    /// A short lowercase name for test labels and benchmark output.
     pub fn name(self) -> &'static str {
         match self {
             QueryBackend::Vectorized => "vectorized",

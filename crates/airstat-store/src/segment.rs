@@ -1964,11 +1964,15 @@ pub(crate) struct WalReplay {
 /// that is the torn final write of a crashed appender, and every record
 /// before it is intact by construction (appends are sequential).
 pub(crate) fn read_wal(dir: &Path, expected_base: u64) -> Result<WalReplay, SegmentError> {
-    let bytes = match fs::read(dir.join(WAL_NAME)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(WalReplay::default()),
-        Err(e) => return Err(io_err("read tail log")(e)),
-    };
+    match fs::read(dir.join(WAL_NAME)) {
+        Ok(bytes) => decode_wal(&bytes, expected_base),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(WalReplay::default()),
+        Err(e) => Err(io_err("read tail log")(e)),
+    }
+}
+
+/// [`read_wal`] over the log's bytes.
+fn decode_wal(bytes: &[u8], expected_base: u64) -> Result<WalReplay, SegmentError> {
     if bytes.len() < WAL_HEADER_LEN {
         return Err(corrupt("tail log shorter than its header"));
     }
@@ -2366,6 +2370,56 @@ mod tests {
             let crc = crc32(&manifest);
             manifest.extend_from_slice(&crc.to_le_bytes());
             let _ = decode_manifest(&manifest, &mut tally);
+        }
+
+        /// The tail-log sibling: arbitrary bytes as a whole log, after a
+        /// valid header, and as record bodies behind a valid length
+        /// prefix and CRC (raw, and after a window and an arbitrary
+        /// report count — the one number an allocation is sized from).
+        /// The scan returns a replay that accounts for every byte of the
+        /// file, or a typed error; it never panics.
+        #[test]
+        fn arbitrary_tail_log_bytes_replay_or_fail_typed(
+            bytes in prop::collection::vec(any::<u8>(), 0..384),
+            window in any::<u16>(),
+            count in any::<u64>(),
+        ) {
+            let framed = |body: &[u8]| {
+                let mut record = (body.len() as u32).to_le_bytes().to_vec();
+                record.extend_from_slice(body);
+                record.extend_from_slice(&crc32(body).to_le_bytes());
+                record
+            };
+            let log = |records: &[&[u8]]| {
+                let mut log = encode_wal_header(0);
+                for record in records {
+                    log.extend_from_slice(record);
+                }
+                log
+            };
+            let mut counted = Vec::new();
+            put_varint(&mut counted, u64::from(window));
+            put_varint(&mut counted, count);
+            counted.extend_from_slice(&bytes);
+            let whole = encode_wal_record(W, &[usage_report(1, 1, 10)], &mut Vec::new());
+            let logs = [
+                bytes.clone(),
+                log(&[&bytes]),
+                log(&[&whole, &framed(&bytes), &bytes]),
+                log(&[&whole, &framed(&counted)]),
+            ];
+            for log in &logs {
+                for expected_base in [0, 1] {
+                    let Ok(replay) = decode_wal(log, expected_base) else {
+                        continue;
+                    };
+                    prop_assert!(replay.valid_len >= WAL_HEADER_LEN as u64);
+                    prop_assert_eq!(replay.valid_len + replay.bytes_discarded, log.len() as u64);
+                    let batched: usize = replay.batches.iter().map(|(_, r)| r.len()).sum();
+                    prop_assert_eq!(replay.reports, batched as u64);
+                    prop_assert!(!replay.stale || replay.batches.is_empty());
+                }
+            }
         }
     }
 

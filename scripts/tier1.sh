@@ -8,7 +8,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary, golden report digest, mid-campaign delta seals + pinned compaction schedule, scheduler-vs-flat-oracle drain differential + 100k-AP queue-pressure campaign, ...)"
+echo "==> cargo build --release bench/ (the benchmark is its own workspace on the public API: a PR that deletes or renames a public name finds out here)"
+cargo build --release --offline --manifest-path bench/Cargo.toml
+
+echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary incl. --store-dir/--resume, golden report digest, mid-campaign delta seals + pinned compaction schedule, scheduler-vs-flat-oracle drain differential + 100k-AP queue-pressure campaign, tests/perf_gates.rs same-host ratio gates: vectorized < legacy, reopen < re-simulate, delta seal <= 2x its ingest, ...)"
 cargo test -q --offline
 
 echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"
@@ -32,7 +35,7 @@ lint_json="$(cargo run -q -p airstat-lint --offline -- --json)"
 grep -q '"schema_version": 2' <<<"$lint_json" \
     || { echo "lint JSON is not schema 2" >&2; exit 1; }
 
-echo "==> cargo test -q -p airstat-lint (lexer, rule, corpus, and JSON schema tests)"
+echo "==> cargo test -q -p airstat-lint (lexer, rule, corpus, and JSON schema tests; tests/workspace.rs: the real tree is lint-clean and the sweep stays under its 2 s ceiling)"
 cargo test -q --offline -p airstat-lint
 
 echo "==> cargo doc (airstat crates, warnings are errors)"

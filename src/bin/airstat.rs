@@ -14,23 +14,26 @@
 //!
 //! Reports land in a sharded snapshot store (`--shards`, default 8) and
 //! the analytics run through its parallel cached query engine; stdout is
-//! byte-identical for every `--shards`/`--threads`/`--query-backend`
-//! combination, and the store's cache and zone-pruning statistics
-//! print to stderr (`--explain` adds one line per plan computed cold:
-//! its name and the shards its zone admission scanned and pruned).
+//! byte-identical for every `--shards`/`--threads` combination, and
+//! the store's cache and zone-pruning statistics print to stderr
+//! (`--explain` adds one line per plan computed cold: its name and the
+//! shards its zone admission scanned and pruned).
 //!
 //! `--store-dir DIR` makes the run durable: batches stream into a
 //! crash-safe tail log and the final store is committed as columnar
 //! segment files (docs/SEGMENT_FORMAT.md). `--resume` reloads that
 //! store — replaying any tail-log records a crashed run left behind —
-//! and answers byte-identically without re-simulating.
+//! and answers byte-identically without re-simulating, provided it is
+//! given the `--scale` and `--seed` of the run that wrote the store:
+//! neither is persisted, Table 2 and Figure 11 are computed from the
+//! configuration alone, and Figure 1's snapshot is drawn with its seed.
 
 use airstat::core::export::build_release;
 use airstat::core::{DegradationReport, PaperReport};
 use airstat::sim::config::{WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::faults::SCENARIO_NAMES;
 use airstat::sim::{FaultSchedule, FleetConfig, FleetSimulation, MeasurementYear};
-use airstat::store::{QueryBackend, QueryEngine, ShardedStore, StoreConfig};
+use airstat::store::{QueryEngine, ShardedStore, StoreConfig};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -52,7 +55,6 @@ struct Options {
     threads: Option<usize>,
     shards: Option<usize>,
     faults: Option<String>,
-    query_backend: Option<QueryBackend>,
     explain: bool,
     store_dir: Option<String>,
     resume: bool,
@@ -60,7 +62,7 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--query-backend B] [--explain] [--seal-every N] [--store-dir DIR [--resume]]\n\
+    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--explain] [--seal-every N] [--store-dir DIR [--resume]]\n\
      \n\
      report        print every table and figure of the paper\n\
      table N       print table N (2-7)\n\
@@ -76,11 +78,6 @@ fn usage() -> &'static str {
      --faults NAME run under a fault-injection campaign and print a\n\
                    degradation report; NAME is one of zero, tunnel-loss,\n\
                    dc-outage, queue-pressure, queue-pressure-fleet\n\
-     --query-backend B\n\
-                   query path: vectorized (default; two-pass kernels\n\
-                   + zone pruning over the columnar layout) or legacy\n\
-                   (the map-backed fold kept as its oracle); output is\n\
-                   byte-identical for both\n\
      --explain     print one stderr line per plan the vectorized engine\n\
                    computes cold: plan name, shards scanned, shards\n\
                    pruned by the zone maps\n\
@@ -96,7 +93,10 @@ fn usage() -> &'static str {
      --resume      skip the simulation and answer from the store\n\
                    persisted in --store-dir (tail-log records from a\n\
                    crashed run are replayed); stdout is byte-identical\n\
-                   to the run that wrote it"
+                   to the run that wrote it when given that run's\n\
+                   --scale and --seed (the store does not record them;\n\
+                   Table 2, Figure 11 and Figure 1's sampling come from\n\
+                   the configuration, not the store)"
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -115,7 +115,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut threads = None;
     let mut shards = None;
     let mut faults = None;
-    let mut query_backend = None;
     let mut explain = false;
     let mut store_dir = None;
     let mut resume = false;
@@ -168,13 +167,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     ));
                 }
                 faults = Some(value.clone());
-            }
-            "--query-backend" => {
-                i += 1;
-                let value = args.get(i).ok_or("--query-backend needs a value")?;
-                query_backend = Some(QueryBackend::by_name(value).ok_or(format!(
-                    "unknown query backend {value}; valid backends: vectorized, legacy"
-                ))?);
             }
             "--explain" => explain = true,
             "--seal-every" => {
@@ -245,7 +237,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         threads,
         shards,
         faults,
-        query_backend,
         explain,
         store_dir,
         resume,
@@ -266,9 +257,6 @@ fn run(options: Options) -> Result<(), String> {
     }
     if let Some(name) = &options.faults {
         config.faults = FaultSchedule::by_name(name);
-    }
-    if let Some(backend) = options.query_backend {
-        config.query_backend = backend;
     }
     config.seal_every = options.seal_every;
     if options.command == Command::Info {
@@ -301,11 +289,7 @@ fn run(options: Options) -> Result<(), String> {
             ));
         }
         eprintln!("resuming from {dir}: {recovery}");
-        QueryEngine::with_backend(
-            store.seal(),
-            config.effective_threads(),
-            config.query_backend,
-        )
+        QueryEngine::new(store.seal(), config.effective_threads())
     } else {
         eprintln!(
             "running campaign at {:.2}% scale on {} thread(s), {} store shard(s)...",
@@ -472,7 +456,6 @@ mod tests {
         assert_eq!(parse(&["report"]).unwrap().threads, None);
         assert_eq!(parse(&["report"]).unwrap().shards, None);
         assert_eq!(parse(&["report"]).unwrap().faults, None);
-        assert_eq!(parse(&["report"]).unwrap().query_backend, None);
         assert!(!parse(&["report"]).unwrap().explain);
         assert_eq!(parse(&["report"]).unwrap().store_dir, None);
         assert!(!parse(&["report"]).unwrap().resume);
@@ -502,29 +485,6 @@ mod tests {
         assert!(err.contains("--store-dir"), "names the missing flag: {err}");
         assert!(parse(&["report", "--store-dir"]).is_err());
         assert!(parse(&["info", "--store-dir", "/tmp/s", "--resume"]).is_err());
-    }
-
-    #[test]
-    fn parses_query_backends() {
-        for (name, backend) in [
-            ("vectorized", QueryBackend::Vectorized),
-            ("legacy", QueryBackend::Legacy),
-        ] {
-            assert_eq!(
-                parse(&["report", "--query-backend", name])
-                    .unwrap()
-                    .query_backend,
-                Some(backend)
-            );
-        }
-        for gone in ["planner", "columnar", "rowwise"] {
-            let err = parse(&["report", "--query-backend", gone]).unwrap_err();
-            assert!(
-                err.contains("vectorized, legacy"),
-                "lists valid backends: {err}"
-            );
-        }
-        assert!(parse(&["report", "--query-backend"]).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Drives the built `airstat` binary end to end: the two query backends
-//! print the same report, retired backend names and the retired
-//! drain-selector flag are refused, and `--explain` accounts for every
-//! plan the engine computed cold.
+//! Drives the built `airstat` binary end to end: the retired oracle
+//! selector flags are refused like any unknown flag, `--explain`
+//! accounts for every plan the engine computed cold, and `--store-dir`
+//! / `--resume` round-trip a report through a real directory and refuse
+//! a damaged one with a typed error.
 
 use std::process::{Command, Output};
 use std::sync::OnceLock;
@@ -66,46 +67,78 @@ fn stat(run: &Output, label: &str, word: &str) -> u64 {
         .unwrap_or_else(|_| panic!("no number before {word:?} in {line:?}"))
 }
 
-#[test]
-fn default_backend_prints_the_legacy_oracles_report() {
-    let legacy = airstat(&["report", "--query-backend", "legacy", "--explain"]);
-    assert!(legacy.status.success(), "legacy report failed: {legacy:?}");
-    assert_eq!(
-        default_report().stdout,
-        legacy.stdout,
-        "default and legacy backends printed different reports"
+/// A refused run: exit code 1, stderr opening with `error`, no report.
+fn assert_refused(run: &Output, error: &str) {
+    assert_eq!(run.status.code(), Some(1), "not refused: {run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.starts_with(error),
+        "expected {error:?}, got: {stderr}"
     );
-    assert_eq!(
-        explain_lines(&legacy),
-        [],
-        "--explain describes the vectorized engine only"
-    );
+    assert!(run.stdout.is_empty(), "a refused run printed a report");
 }
 
+/// Neither oracle has a flag any more: the flat drain loop and the
+/// legacy query backend are reached from tests only.
 #[test]
-fn retired_backend_names_are_refused() {
-    for gone in ["planner", "columnar"] {
-        let run = airstat(&["report", "--query-backend", gone]);
-        assert!(!run.status.success(), "--query-backend {gone} was accepted");
-        let stderr = String::from_utf8_lossy(&run.stderr);
-        assert!(
-            stderr.contains("vectorized, legacy"),
-            "error does not list the valid backends: {stderr}"
+fn retired_drain_selector_flag_is_refused_like_any_unknown_flag() {
+    for (flag, value) in [
+        ("--poll-path", "flat-reference"),
+        ("--query-backend", "legacy"),
+    ] {
+        assert_refused(
+            &airstat(&["report", flag, value]),
+            &format!("error: unknown flag {flag}\n"),
         );
-        assert!(run.stdout.is_empty(), "a refused run printed a report");
     }
 }
 
 #[test]
-fn retired_drain_selector_flag_is_refused_like_any_unknown_flag() {
-    let run = airstat(&["report", "--poll-path", "flat-reference"]);
-    assert_eq!(run.status.code(), Some(1), "--poll-path was accepted");
-    let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(
-        stderr.starts_with("error: unknown flag --poll-path\n"),
-        "not the ordinary unknown-flag error: {stderr}"
+fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
+    let dir = std::env::temp_dir().join(format!("airstat-cli-{}", std::process::id()));
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let persist = ["report", "--seed", "1", "--store-dir", dir_arg];
+    let resume = [&persist[..], &["--resume"]].concat();
+
+    let written = airstat(&persist);
+    assert!(written.status.success(), "durable run failed: {written:?}");
+    assert!(!written.stdout.is_empty(), "durable run printed nothing");
+    let resumed = airstat(&resume);
+    assert!(resumed.status.success(), "resume failed: {resumed:?}");
+    assert_eq!(
+        written.stdout, resumed.stdout,
+        "resume printed another report"
     );
-    assert!(run.stdout.is_empty(), "a refused run printed a report");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        stderr.starts_with(&format!("resuming from {dir_arg}: ")),
+        "no recovery line: {stderr}"
+    );
+
+    // One member of a shard's segment chain deleted.
+    let segment = std::fs::read_dir(&dir)
+        .expect("store dir readable")
+        .flatten()
+        .map(|entry| entry.path())
+        .find(|path| path.extension().is_some_and(|ext| ext == "aseg"))
+        .expect("a persisted segment");
+    let segment_bytes = std::fs::read(&segment).expect("segment readable");
+    std::fs::remove_file(&segment).expect("delete segment");
+    assert_refused(
+        &airstat(&resume),
+        &format!("error: open store {dir_arg}: read segment file: "),
+    );
+    std::fs::write(&segment, segment_bytes).expect("restore segment");
+
+    // MANIFEST one byte short.
+    let manifest = dir.join("MANIFEST");
+    let bytes = std::fs::read(&manifest).expect("manifest readable");
+    std::fs::write(&manifest, &bytes[..bytes.len() - 1]).expect("truncate manifest");
+    assert_refused(
+        &airstat(&resume),
+        &format!("error: open store {dir_arg}: corrupt store file: truncated manifest checksum\n"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -167,33 +167,36 @@ fn every_query_plan_matches_across_backends() {
 
 #[test]
 fn report_is_byte_identical_across_backends_shards_and_threads() {
-    let render = |backend: QueryBackend, threads: usize, shards: usize| {
+    // One campaign per `(threads, shards)`; both engines read its one
+    // sealed snapshot, so only the backend differs between each pair.
+    let render = |threads: usize, shards: usize| {
         let config = FleetConfig {
             threads,
             shards,
-            query_backend: backend,
             ..FleetConfig::smoke()
         };
         let output = FleetSimulation::new(config.clone()).run();
-        let engine = output.query();
-        assert_eq!(engine.backend(), backend);
-        PaperReport::from_query(&engine, &config).to_string()
+        let snapshot = output.store.seal();
+        [QueryBackend::Vectorized, QueryBackend::Legacy].map(|backend| {
+            let engine = QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
+            assert_eq!(engine.backend(), backend);
+            PaperReport::from_query(&engine, &config).to_string()
+        })
     };
-    let baseline = render(QueryBackend::Legacy, 1, 1);
+    // The legacy report at t1 s1 (the first combination) is the baseline.
+    let mut baseline = None;
     for threads in [1usize, 4] {
         for shards in [1usize, 4, 8] {
+            let [vectorized, legacy] = render(threads, shards);
+            let baseline = baseline.get_or_insert_with(|| legacy.clone());
             assert_eq!(
-                baseline,
-                render(QueryBackend::Vectorized, threads, shards),
+                *baseline, vectorized,
                 "vectorized report diverged at t{threads} s{shards}"
             );
-            if threads != 1 || shards != 1 {
-                assert_eq!(
-                    baseline,
-                    render(QueryBackend::Legacy, threads, shards),
-                    "legacy report diverged at t{threads} s{shards}"
-                );
-            }
+            assert_eq!(
+                *baseline, legacy,
+                "legacy report diverged at t{threads} s{shards}"
+            );
         }
     }
 }

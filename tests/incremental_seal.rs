@@ -8,9 +8,14 @@
 
 use airstat::core::PaperReport;
 use airstat::sim::{FleetConfig, FleetSimulation};
-use airstat::store::{QueryBackend, QueryEngine, SealStats, ShardedStore, StoreConfig};
+use airstat::store::{
+    QueryBackend, QueryEngine, ReportSink, SealEvery, SealStats, ShardedStore, StoreConfig,
+};
+use airstat::telemetry::backend::WindowId;
+use airstat::telemetry::report::Report;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 const BACKENDS: [QueryBackend; 2] = [QueryBackend::Vectorized, QueryBackend::Legacy];
 
@@ -22,36 +27,62 @@ fn temp_store_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("airstat-seal-{}-{tag}-{id}", std::process::id()))
 }
 
+/// Keeps every batch a campaign drains, so one simulation can be
+/// replayed at every seal cadence.
+#[derive(Default)]
+struct CaptureSink(Vec<(WindowId, Vec<Report>)>);
+
+impl ReportSink for CaptureSink {
+    fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
+        self.0.push((window, reports.to_vec()));
+        reports.len() as u64
+    }
+}
+
+fn replay(capture: &CaptureSink, sink: &mut impl ReportSink) {
+    for (window, reports) in &capture.0 {
+        sink.ingest_batch(*window, reports);
+    }
+}
+
+/// The smoke campaign, simulated once for the whole suite: its batches
+/// in drain order, and the baseline report — the one a store that never
+/// sealed mid-run answers with. The batch stream does not depend on
+/// `threads`/`shards` (`tests/store_equivalence.rs` holds that), so
+/// every combination below replays this one capture.
+fn smoke_campaign() -> &'static (CaptureSink, String) {
+    static CAMPAIGN: OnceLock<(CaptureSink, String)> = OnceLock::new();
+    CAMPAIGN.get_or_init(|| {
+        let mut capture = CaptureSink::default();
+        FleetSimulation::new(FleetConfig::smoke()).run_into(&mut capture);
+        let mut store = ShardedStore::with_config(StoreConfig::default());
+        replay(&capture, &mut store);
+        let engine = QueryEngine::new(store.seal(), 1);
+        let baseline = PaperReport::from_query(&engine, &FleetConfig::smoke()).to_string();
+        (capture, baseline)
+    })
+}
+
 #[test]
 fn mid_campaign_seals_are_invisible_to_every_backend() {
-    // One baseline: the smoke campaign with no mid-run seals, default
-    // knobs. Reports are byte-identical across shards/threads already,
-    // so every combination below compares against this single string.
-    let base_config = FleetConfig::smoke();
-    let output = FleetSimulation::new(base_config.clone()).run();
-    let baseline = PaperReport::from_query(&output.query(), &base_config).to_string();
-
+    let (capture, baseline) = smoke_campaign();
+    let config = FleetConfig::smoke();
     for shards in [1usize, 4, 8] {
         for threads in [1usize, 4] {
             for seal_every in [1u64, 7] {
-                let config = FleetConfig {
-                    shards,
-                    threads,
-                    seal_every: Some(seal_every),
-                    ..FleetConfig::smoke()
-                };
                 let label = format!("shards {shards}, threads {threads}, seal every {seal_every}");
-                let output = FleetSimulation::new(config.clone()).run();
-                let snapshot = output.store.seal();
+                let store = ShardedStore::with_config(StoreConfig { shards, threads });
+                let mut sink = SealEvery::new(store, seal_every);
+                replay(capture, &mut sink);
+                let snapshot = sink.into_inner().seal();
                 let stats = snapshot.seal_stats();
                 assert!(stats.seals_total > 1, "no mid-run seal happened ({label})");
                 assert!(stats.segments_live >= 1, "no live segments ({label})");
                 assert!(stats.rows_resealed > 0, "no rows projected ({label})");
                 for backend in BACKENDS {
-                    let engine =
-                        QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
+                    let engine = QueryEngine::with_backend(snapshot.clone(), threads, backend);
                     assert_eq!(
-                        baseline,
+                        *baseline,
                         PaperReport::from_query(&engine, &config).to_string(),
                         "report diverged on the {} backend ({label})",
                         backend.name()
@@ -64,9 +95,7 @@ fn mid_campaign_seals_are_invisible_to_every_backend() {
 
 #[test]
 fn sealed_segment_stacks_survive_persist_and_reload() {
-    let base_config = FleetConfig::smoke();
-    let baseline_output = FleetSimulation::new(base_config.clone()).run();
-    let baseline = PaperReport::from_query(&baseline_output.query(), &base_config).to_string();
+    let (_, baseline) = smoke_campaign();
 
     let dir = temp_store_dir("reload");
     let config = FleetConfig {
@@ -83,7 +112,7 @@ fn sealed_segment_stacks_survive_persist_and_reload() {
         .expect("durable run");
     assert!(persisted.segments_written > 0);
     assert_eq!(
-        baseline,
+        *baseline,
         PaperReport::from_query(&output.query(), &config).to_string(),
         "durable sealed run diverged before reload"
     );
@@ -94,7 +123,7 @@ fn sealed_segment_stacks_survive_persist_and_reload() {
     for backend in BACKENDS {
         let engine = QueryEngine::with_backend(snapshot.clone(), 4, backend);
         assert_eq!(
-            baseline,
+            *baseline,
             PaperReport::from_query(&engine, &config).to_string(),
             "reloaded report diverged on the {} backend",
             backend.name()
