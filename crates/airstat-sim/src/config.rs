@@ -48,15 +48,6 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Population scale in `(0, 1]` relative to the paper's fleet.
     pub scale: f64,
-    /// Networks in the usage panel at `scale = 1.0` (paper: 20,667).
-    pub usage_networks_full: u32,
-    /// MR16-class APs in the radio panel at `scale = 1.0` (paper: 10,000).
-    pub mr16_aps_full: u32,
-    /// MR18-class APs in the scan panel at `scale = 1.0` (paper: 10,000).
-    pub mr18_aps_full: u32,
-    /// Unique clients per week at `scale = 1.0` for the 2015 window
-    /// (paper: 5,578,126). The 2014 window is derived from growth rates.
-    pub clients_2015_full: u64,
     /// Interval between link-stat report submissions (s). The probe
     /// machinery itself stays at 15 s probes / 300 s windows; this only
     /// controls how often the sliding-window value is *reported*.
@@ -105,10 +96,6 @@ impl FleetConfig {
         FleetConfig {
             seed: 0x0051_60C0_2015,
             scale,
-            usage_networks_full: 20_667,
-            mr16_aps_full: 10_000,
-            mr18_aps_full: 10_000,
-            clients_2015_full: 5_578_126,
             link_report_interval_s: 3600,
             poll_drop_probability: 0.01,
             threads: default_threads(),
@@ -128,17 +115,17 @@ impl FleetConfig {
 
     /// Networks in the usage panel at this scale (at least 1).
     pub fn usage_networks(&self) -> u32 {
-        scale_count(self.usage_networks_full, self.scale)
+        scale_count(USAGE_NETWORKS_FULL, self.scale)
     }
 
     /// MR16 APs at this scale.
     pub fn mr16_aps(&self) -> u32 {
-        scale_count(self.mr16_aps_full, self.scale)
+        scale_count(MR16_APS_FULL, self.scale)
     }
 
     /// MR18 APs at this scale.
     pub fn mr18_aps(&self) -> u32 {
-        scale_count(self.mr18_aps_full, self.scale)
+        scale_count(MR18_APS_FULL, self.scale)
     }
 
     /// Worker threads the engine will actually use (at least 1).
@@ -155,7 +142,7 @@ impl FleetConfig {
     ///
     /// 2014 is 2015 divided by the paper's 37% total growth.
     pub fn clients(&self, year: MeasurementYear) -> u64 {
-        let full_2015 = self.clients_2015_full as f64;
+        let full_2015 = CLIENTS_2015_FULL as f64;
         let full = match year {
             MeasurementYear::Y2015 => full_2015,
             MeasurementYear::Y2014 => full_2015 / 1.371,
@@ -163,6 +150,16 @@ impl FleetConfig {
         ((full * self.scale).round() as u64).max(1)
     }
 }
+
+/// Networks in the usage panel at `scale = 1.0` (paper: 20,667).
+const USAGE_NETWORKS_FULL: u32 = 20_667;
+/// MR16-class APs in the radio panel at `scale = 1.0` (paper: 10,000).
+const MR16_APS_FULL: u32 = 10_000;
+/// MR18-class APs in the scan panel at `scale = 1.0` (paper: 10,000).
+const MR18_APS_FULL: u32 = 10_000;
+/// Unique clients per week at `scale = 1.0` for the 2015 window
+/// (paper: 5,578,126). The 2014 window is derived from growth rates.
+const CLIENTS_2015_FULL: u64 = 5_578_126;
 
 fn scale_count(full: u32, scale: f64) -> u32 {
     ((f64::from(full) * scale).round() as u32).max(1)

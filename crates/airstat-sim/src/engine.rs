@@ -317,7 +317,6 @@ impl FleetSimulation {
     pub fn run_into(&self, sink: &mut dyn ReportSink) -> CampaignRun {
         let seed = SeedTree::new(self.config.seed);
         let world = World::generate(&seed, self.config.mr16_aps(), self.config.mr18_aps());
-        let mut polls = PollStats::default();
         let mut degradation = DegradationTally::default();
         let mut sched = SchedStats::default();
         let threads = self.config.effective_threads();
@@ -332,15 +331,8 @@ impl FleetSimulation {
             };
             // airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
             let started = Instant::now();
-            let (roamed, tally) = self.run_usage_window(
-                &seed,
-                year,
-                threads,
-                sink,
-                &mut polls,
-                &mut degradation,
-                &mut sched,
-            );
+            let (roamed, tally) =
+                self.run_usage_window(&seed, year, threads, sink, &mut degradation, &mut sched);
             panels.push(tally.into_stats(label, started));
             if year == MeasurementYear::Y2015 {
                 roamed_clients = roamed;
@@ -360,7 +352,6 @@ impl FleetSimulation {
                 window,
                 threads,
                 sink,
-                &mut polls,
                 &mut degradation,
                 &mut sched,
             );
@@ -376,7 +367,6 @@ impl FleetSimulation {
             WINDOW_JAN_2015,
             threads,
             sink,
-            &mut polls,
             &mut degradation,
             &mut sched,
         );
@@ -385,8 +375,8 @@ impl FleetSimulation {
         let bytes_encoded = panels.iter().map(|p| p.bytes).sum();
         CampaignRun {
             world,
-            polls_attempted: polls.attempted,
-            polls_lost: polls.lost,
+            polls_attempted: degradation.polls,
+            polls_lost: degradation.polls_lost,
             roamed_clients,
             panels,
             bytes_encoded,
@@ -407,7 +397,6 @@ impl FleetSimulation {
         year: MeasurementYear,
         threads: usize,
         sink: &mut dyn ReportSink,
-        polls: &mut PollStats,
         degradation: &mut DegradationTally,
         sched: &mut SchedStats,
     ) -> (u64, PanelTally) {
@@ -566,7 +555,7 @@ impl FleetSimulation {
         let mut roamed_clients = 0u64;
         run_ordered(threads, n_batches, unit, |_, out: UnitOutput| {
             roamed_clients += out.roamed;
-            tally.merge(&out, sink, window, polls, degradation, sched);
+            tally.merge(&out, sink, window, degradation, sched);
         });
         (roamed_clients, tally)
     }
@@ -584,7 +573,6 @@ impl FleetSimulation {
         window: WindowId,
         threads: usize,
         sink: &mut dyn ReportSink,
-        polls: &mut PollStats,
         degradation: &mut DegradationTally,
         sched: &mut SchedStats,
     ) -> PanelTally {
@@ -721,7 +709,7 @@ impl FleetSimulation {
 
         let mut tally = PanelTally::default();
         run_ordered(threads, world.aps.len(), unit, |_, out: UnitOutput| {
-            tally.merge(&out, sink, window, polls, degradation, sched);
+            tally.merge(&out, sink, window, degradation, sched);
         });
         tally
     }
@@ -739,7 +727,6 @@ impl FleetSimulation {
         window: WindowId,
         threads: usize,
         sink: &mut dyn ReportSink,
-        polls: &mut PollStats,
         degradation: &mut DegradationTally,
         sched: &mut SchedStats,
     ) -> PanelTally {
@@ -789,7 +776,7 @@ impl FleetSimulation {
 
         let mut tally = PanelTally::default();
         run_ordered(threads, scan_aps.len(), unit, |_, out: UnitOutput| {
-            tally.merge(&out, sink, window, polls, degradation, sched);
+            tally.merge(&out, sink, window, degradation, sched);
         });
         tally
     }
@@ -873,8 +860,6 @@ const ROAM_DEVICE_BASE: u64 = 2_000_000;
 struct UnitOutput {
     /// Decoded reports, in submission order, ready for backend ingest.
     reports: Vec<Report>,
-    polls_attempted: u64,
-    polls_lost: u64,
     /// Wire bytes encoded by this unit's tunnels.
     bytes: u64,
     /// Clients in this unit that roamed (usage panel only).
@@ -890,8 +875,6 @@ impl UnitOutput {
     /// scheduler counters in.
     fn collect(&mut self, reports: Vec<Report>, stats: &DrainStats, sched: &SchedStats) {
         self.reports.extend(reports);
-        self.polls_attempted += stats.polls;
-        self.polls_lost += stats.lost;
         self.bytes += stats.bytes;
         self.sched.merge(sched);
     }
@@ -912,15 +895,12 @@ impl PanelTally {
         out: &UnitOutput,
         sink: &mut dyn ReportSink,
         window: WindowId,
-        polls: &mut PollStats,
         degradation: &mut DegradationTally,
         sched: &mut SchedStats,
     ) {
         let accepted = sink.ingest_batch(window, &out.reports);
         self.reports += accepted;
         self.bytes += out.bytes;
-        polls.attempted += out.polls_attempted;
-        polls.lost += out.polls_lost;
         degradation.merge(&out.tally);
         degradation.accepted += accepted;
         degradation.record_evictions(&out.sched);
@@ -974,12 +954,6 @@ impl<T> Chunked<T> {
     fn into_chunks(self) -> Vec<Vec<T>> {
         self.chunks
     }
-}
-
-#[derive(Debug, Default)]
-struct PollStats {
-    attempted: u64,
-    lost: u64,
 }
 
 /// The diurnal activity multiplier for a local hour (0–23).
@@ -1311,6 +1285,11 @@ mod tests {
             out.panels.iter().map(|p| p.bytes).sum::<u64>()
         );
         assert!(out.threads >= 1);
+        assert_eq!(
+            (out.polls_attempted, out.polls_lost),
+            (out.degradation.polls, out.degradation.polls_lost),
+            "the poll counters are the degradation tally's"
+        );
         let summary = out.throughput_summary();
         assert!(summary.contains("usage-2015"));
         assert!(summary.contains("total"));

@@ -32,7 +32,6 @@ use std::fmt;
 use std::fs;
 use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use airstat_classify::apps::Application;
 use airstat_classify::device::OsFamily;
@@ -45,7 +44,7 @@ use airstat_telemetry::backend::{
 };
 use airstat_telemetry::crash::{CrashReport, RebootReason};
 use airstat_telemetry::report::{ChannelScanRecord, Report};
-use airstat_telemetry::wire::{put_varint, Reader, WireError};
+use airstat_telemetry::wire::{put_varint, WireError};
 
 use crate::shard::{ClientMeta, SeqSet, StoreShard, WindowTables};
 use crate::store::{ReportSink, Sealable, ShardedStore, StoreConfig};
@@ -345,154 +344,281 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Checks a stored CRC32 against the bytes it covers.
+fn verify_crc(context: &'static str, stored: u32, covered: &[u8]) -> Result<(), SegmentError> {
+    let computed = crc32(covered);
+    if stored != computed {
+        return Err(SegmentError::Crc {
+            context,
+            stored,
+            computed,
+        });
+    }
+    Ok(())
+}
+
+/// Appends the CRC32 of `out[from..]`, little-endian.
+fn put_crc(out: &mut Vec<u8>, from: usize) {
+    let crc = crc32(&out[from..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 // ---------------------------------------------------------------------
 // Cursor: bounded reads over a guarded body
 // ---------------------------------------------------------------------
 
-/// A bounds-checked read cursor. Varints go through
-/// [`airstat_telemetry::wire::Reader`] — the segment format reuses the
-/// wire codec's integer encoding byte for byte.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The read half of the codec, in a module of its own so that a
+/// [`Rows`] cannot be built anywhere else in this file.
+mod cursor {
+    use super::{corrupt, SegmentError, SEGMENT_SCHEMA_VERSION};
+    use airstat_telemetry::wire::Reader;
+
+    /// A row count already checked against the bytes left to read: every
+    /// row it counts costs at least one byte that is really there. Only
+    /// [`Cursor::rows`], [`Cursor::count`] and [`Cursor::total`] make
+    /// one, and [`Cursor::col`] — the one place a decoder sizes an
+    /// allocation from file contents — takes nothing else.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Rows(usize);
+
+    impl Rows {
+        pub(super) fn get(self) -> usize {
+            self.0
+        }
+    }
+
+    /// A bounds-checked read cursor. Varints go through
+    /// [`airstat_telemetry::wire::Reader`] — the segment format reuses
+    /// the wire codec's integer encoding byte for byte.
+    pub(super) struct Cursor<'a> {
+        buf: &'a [u8],
+        pos: usize,
+    }
+
+    impl<'a> Cursor<'a> {
+        pub(super) fn new(buf: &'a [u8]) -> Self {
+            Cursor { buf, pos: 0 }
+        }
+
+        pub(super) fn remaining(&self) -> usize {
+            self.buf.len() - self.pos
+        }
+
+        pub(super) fn pos(&self) -> usize {
+            self.pos
+        }
+
+        /// The bytes read since `mark`, an earlier [`Cursor::pos`].
+        pub(super) fn since(&self, mark: usize) -> &'a [u8] {
+            &self.buf[mark..self.pos]
+        }
+
+        /// Fails with `context` unless every byte has been read.
+        pub(super) fn finish(&self, context: &'static str) -> Result<(), SegmentError> {
+            if self.remaining() != 0 {
+                return Err(corrupt(context));
+            }
+            Ok(())
+        }
+
+        pub(super) fn varint(&mut self) -> Result<u64, SegmentError> {
+            let mut reader = Reader::new(&self.buf[self.pos..]);
+            let v = reader.read_varint()?;
+            self.pos = self.buf.len() - reader.remaining();
+            Ok(v)
+        }
+
+        /// A varint that must fit the narrower integer type `T`.
+        pub(super) fn narrow<T: TryFrom<u64>>(
+            &mut self,
+            context: &'static str,
+        ) -> Result<T, SegmentError> {
+            T::try_from(self.varint()?).map_err(|_| corrupt(context))
+        }
+
+        pub(super) fn take(
+            &mut self,
+            n: usize,
+            context: &'static str,
+        ) -> Result<&'a [u8], SegmentError> {
+            if self.remaining() < n {
+                return Err(corrupt(context));
+            }
+            let slice = &self.buf[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(slice)
+        }
+
+        pub(super) fn array<const N: usize>(
+            &mut self,
+            context: &'static str,
+        ) -> Result<[u8; N], SegmentError> {
+            let bytes = self.take(N, context)?;
+            Ok(bytes
+                .try_into()
+                .expect("invariant: take(N) returned exactly N bytes"))
+        }
+
+        pub(super) fn f64(&mut self) -> Result<f64, SegmentError> {
+            Ok(f64::from_le_bytes(self.array("truncated f64 column")?))
+        }
+
+        pub(super) fn u16_le(&mut self, context: &'static str) -> Result<u16, SegmentError> {
+            Ok(u16::from_le_bytes(self.array(context)?))
+        }
+
+        pub(super) fn u32_le(&mut self, context: &'static str) -> Result<u32, SegmentError> {
+            Ok(u32::from_le_bytes(self.array(context)?))
+        }
+
+        pub(super) fn u64_le(&mut self, context: &'static str) -> Result<u64, SegmentError> {
+            Ok(u64::from_le_bytes(self.array(context)?))
+        }
+
+        /// Reads what every store file opens with — its magic, then the
+        /// schema version — and rejects a file of another kind
+        /// (`context` names the kind expected) or another version.
+        pub(super) fn preamble(
+            &mut self,
+            magic: [u8; 4],
+            context: &'static str,
+        ) -> Result<(), SegmentError> {
+            const SHORT: &str = "file shorter than its magic and version";
+            if self.array::<4>(SHORT)? != magic {
+                return Err(SegmentError::Magic { context });
+            }
+            let found = self.u32_le(SHORT)?;
+            if found != SEGMENT_SCHEMA_VERSION {
+                return Err(SegmentError::Version {
+                    found,
+                    supported: SEGMENT_SCHEMA_VERSION,
+                });
+            }
+            Ok(())
+        }
+
+        /// Accepts `n`, read from the file, as a row count only if `n`
+        /// rows of at least `min_bytes_per_row` each fit the bytes left,
+        /// so a corrupt count is rejected before any allocation is sized
+        /// from it.
+        pub(super) fn rows(
+            &self,
+            n: u64,
+            min_bytes_per_row: usize,
+            context: &'static str,
+        ) -> Result<Rows, SegmentError> {
+            usize::try_from(n)
+                .ok()
+                .filter(|n| n.saturating_mul(min_bytes_per_row) <= self.remaining())
+                .map(Rows)
+                .ok_or_else(|| corrupt(context))
+        }
+
+        /// Reads a varint row count (see [`Rows`]).
+        pub(super) fn count(
+            &mut self,
+            min_bytes_per_row: usize,
+            context: &'static str,
+        ) -> Result<Rows, SegmentError> {
+            let n = self.varint()?;
+            self.rows(n, min_bytes_per_row, context)
+        }
+
+        /// Sums per-key row counts into the length of the flattened
+        /// columns that follow. Every flattened row costs at least one
+        /// byte, so a sum past the bytes left is rejected (each count
+        /// passed [`Cursor::count`] alone; their sum need not).
+        pub(super) fn total(
+            &self,
+            lens: &[Rows],
+            context: &'static str,
+        ) -> Result<Rows, SegmentError> {
+            lens.iter()
+                .try_fold(0usize, |sum, n| sum.checked_add(n.0))
+                .filter(|&total| total <= self.remaining())
+                .map(Rows)
+                .ok_or_else(|| corrupt(context))
+        }
+
+        /// Reads one column: `rows` values, each by `read_one`.
+        pub(super) fn col<T>(
+            &mut self,
+            rows: Rows,
+            mut read_one: impl FnMut(&mut Self) -> Result<T, SegmentError>,
+        ) -> Result<Vec<T>, SegmentError> {
+            self.col_indexed(rows, |cur, _| read_one(cur))
+        }
+
+        /// [`Cursor::col`] whose reader is told the row it is on, so a
+        /// table's last column can be read straight into the finished
+        /// rows beside the columns already held.
+        pub(super) fn col_indexed<T>(
+            &mut self,
+            rows: Rows,
+            mut read_one: impl FnMut(&mut Self, usize) -> Result<T, SegmentError>,
+        ) -> Result<Vec<T>, SegmentError> {
+            let mut col = Vec::with_capacity(rows.0);
+            for row in 0..rows.0 {
+                col.push(read_one(self, row)?);
+            }
+            Ok(col)
+        }
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn varint(&mut self) -> Result<u64, SegmentError> {
-        let mut reader = Reader::new(&self.buf[self.pos..]);
-        let v = reader.read_varint()?;
-        self.pos = self.buf.len() - reader.remaining();
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SegmentError> {
-        if self.remaining() < n {
-            return Err(corrupt(context));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn f64(&mut self) -> Result<f64, SegmentError> {
-        let bytes = self.take(8, "truncated f64 column")?;
-        Ok(f64::from_le_bytes(
-            bytes
-                .try_into()
-                .expect("invariant: take(8) returned exactly 8 bytes"),
-        ))
-    }
-
-    fn u32_le(&mut self, context: &'static str) -> Result<u32, SegmentError> {
-        let bytes = self.take(4, context)?;
-        Ok(u32::from_le_bytes(
-            bytes
-                .try_into()
-                .expect("invariant: take(4) returned exactly 4 bytes"),
-        ))
-    }
-
-    /// Reads a row count and sanity-checks it against the bytes left:
-    /// every row costs at least `min_bytes_per_row`, so a corrupt count
-    /// is rejected before any allocation is sized from it.
-    fn count(
-        &mut self,
-        min_bytes_per_row: usize,
-        context: &'static str,
-    ) -> Result<usize, SegmentError> {
-        let n = self.varint()?;
-        let n = usize::try_from(n).map_err(|_| corrupt(context))?;
-        if n.saturating_mul(min_bytes_per_row) > self.remaining() {
-            return Err(corrupt(context));
-        }
-        Ok(n)
-    }
-
-    /// Sums per-key row counts into the length of the flattened columns
-    /// that follow. Every flattened row costs at least one byte, so a
-    /// sum past the bytes left is rejected before a column is sized from
-    /// it (each count passed [`Cursor::count`] alone; their sum need not).
-    fn total(&self, lens: &[usize], context: &'static str) -> Result<usize, SegmentError> {
-        lens.iter()
-            .try_fold(0usize, |sum, &n| sum.checked_add(n))
-            .filter(|&total| total <= self.remaining())
-            .ok_or_else(|| corrupt(context))
-    }
-}
+use cursor::{Cursor, Rows};
 
 // ---------------------------------------------------------------------
-// Enum discriminant round-trips
+// Field readers and enum discriminant round-trips
 // ---------------------------------------------------------------------
 
-/// Discriminant → variant lane table for [`Application`]. Built from
-/// `Application::ALL`, so it tracks the taxonomy without assuming the
-/// constant is in discriminant order.
-fn application_lanes() -> Vec<Option<Application>> {
-    let mut lanes: Vec<Option<Application>> = Vec::new();
-    for &app in Application::ALL {
-        let i = app as usize;
-        if i >= lanes.len() {
-            lanes.resize(i + 1, None);
-        }
-        lanes[i] = Some(app);
+/// Discriminant → variant lane table for an enum, built from its `ALL`
+/// constant without assuming that constant is in discriminant order
+/// (`OsFamily::ALL` is in Table 3 *display* order, so indexing it
+/// directly would scramble identities).
+fn lanes<T: Copy>(all: &[T], discriminant: impl Fn(T) -> usize) -> Vec<Option<T>> {
+    let len = all.iter().map(|&v| discriminant(v) + 1).max().unwrap_or(0);
+    let mut lanes = vec![None; len];
+    for &variant in all {
+        lanes[discriminant(variant)] = Some(variant);
     }
     lanes
 }
 
-/// Discriminant → variant lane table for [`OsFamily`]. `OsFamily::ALL`
-/// is in Table 3 *display* order, not discriminant order, so indexing
-/// it directly would scramble identities — the lanes resolve that.
-fn os_lanes() -> Vec<Option<OsFamily>> {
-    let mut lanes: Vec<Option<OsFamily>> = Vec::new();
-    for &os in &OsFamily::ALL {
-        let i = os as usize;
-        if i >= lanes.len() {
-            lanes.resize(i + 1, None);
-        }
-        lanes[i] = Some(os);
-    }
-    lanes
+/// Resolves discriminant `d` in `variants`, listed in discriminant order.
+fn variant<T: Copy>(d: u64, variants: &[T], context: &'static str) -> Result<T, SegmentError> {
+    usize::try_from(d)
+        .ok()
+        .and_then(|i| variants.get(i).copied())
+        .ok_or_else(|| corrupt(context))
 }
 
-fn band_from(d: u64) -> Result<Band, SegmentError> {
-    match d {
-        0 => Ok(Band::Ghz2_4),
-        1 => Ok(Band::Ghz5),
-        _ => Err(corrupt("band discriminant out of range")),
-    }
+/// Reads one discriminant and resolves it through its lane table.
+fn lane<T: Copy>(
+    cur: &mut Cursor<'_>,
+    lanes: &[Option<T>],
+    context: &'static str,
+) -> Result<T, SegmentError> {
+    variant(cur.varint()?, lanes, context)?.ok_or_else(|| corrupt(context))
 }
 
-fn generation_from(d: u64) -> Result<Generation, SegmentError> {
-    match d {
-        0 => Ok(Generation::B),
-        1 => Ok(Generation::G),
-        2 => Ok(Generation::N),
-        3 => Ok(Generation::Ac),
-        _ => Err(corrupt("generation discriminant out of range")),
-    }
+fn mac(cur: &mut Cursor<'_>) -> Result<MacAddress, SegmentError> {
+    cur.array("truncated MAC column").map(MacAddress)
+}
+
+fn window_id(cur: &mut Cursor<'_>) -> Result<WindowId, SegmentError> {
+    cur.narrow("window id out of range").map(WindowId)
+}
+
+fn band(cur: &mut Cursor<'_>) -> Result<Band, SegmentError> {
+    let bands = [Band::Ghz2_4, Band::Ghz5];
+    variant(cur.varint()?, &bands, "band discriminant out of range")
 }
 
 fn reason_from(code: u64) -> Result<RebootReason, SegmentError> {
-    match code {
-        0 => Ok(RebootReason::OutOfMemory),
-        1 => Ok(RebootReason::Watchdog),
-        2 => Ok(RebootReason::Fault),
-        3 => Ok(RebootReason::Requested),
-        4 => Ok(RebootReason::PowerLoss),
-        _ => Err(corrupt("reboot-reason code out of range")),
-    }
+    use RebootReason::{Fault, OutOfMemory, PowerLoss, Requested, Watchdog};
+    let by_code = [OutOfMemory, Watchdog, Fault, Requested, PowerLoss];
+    variant(code, &by_code, "reboot-reason code out of range")
 }
 
 /// Packs normalized [`Capabilities`] into one varint:
@@ -505,7 +631,12 @@ fn pack_caps(caps: Capabilities) -> u64 {
 }
 
 fn unpack_caps(v: u64) -> Result<Capabilities, SegmentError> {
-    let generation = generation_from(v & 0b11)?;
+    let generations = [Generation::B, Generation::G, Generation::N, Generation::Ac];
+    let generation = variant(
+        v & 0b11,
+        &generations,
+        "generation discriminant out of range",
+    )?;
     let dual_band = (v >> 2) & 1 == 1;
     let forty_mhz = (v >> 3) & 1 == 1;
     let streams = u8::try_from(v >> 4).map_err(|_| corrupt("capability streams out of range"))?;
@@ -519,8 +650,7 @@ fn unpack_caps(v: u64) -> Result<Capabilities, SegmentError> {
     Ok(caps)
 }
 
-fn channel_from(band: u64, number: u64) -> Result<Channel, SegmentError> {
-    let band = band_from(band)?;
+fn channel_from(band: Band, number: u64) -> Result<Channel, SegmentError> {
     let number = u16::try_from(number).map_err(|_| corrupt("channel number out of range"))?;
     Channel::new(band, number).ok_or_else(|| corrupt("invalid channel number for band"))
 }
@@ -538,258 +668,186 @@ fn put_block(out: &mut Vec<u8>, tag: u64, body: &[u8]) {
     put_varint(out, tag);
     put_varint(out, body.len() as u64);
     out.extend_from_slice(body);
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_crc(out, start);
+}
+
+/// A segment image being written: the bytes so far, and one scratch
+/// buffer that every block body is built in before it is framed.
+#[derive(Default)]
+struct SegmentWriter {
+    out: Vec<u8>,
+    body: Vec<u8>,
+}
+
+impl SegmentWriter {
+    fn block(&mut self, tag: u64, fill: impl FnOnce(&mut Vec<u8>)) {
+        self.body.clear();
+        fill(&mut self.body);
+        put_block(&mut self.out, tag, &self.body);
+    }
+
+    /// Appends one table's block — its row count, then its columns as
+    /// `encode` writes them — unless the table is empty.
+    fn table<K, V>(
+        &mut self,
+        tag: u64,
+        table: &BTreeMap<K, V>,
+        encode: fn(&mut Vec<u8>, &BTreeMap<K, V>),
+    ) {
+        if !table.is_empty() {
+            self.block(tag, |body| {
+                put_varint(body, table.len() as u64);
+                encode(body, table);
+            });
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Table encoders (column-major bodies; docs/SEGMENT_FORMAT.md §4)
 // ---------------------------------------------------------------------
 
+/// Writes one column: every item of `items`, each by `put_one`. A table
+/// body is its row count ([`SegmentWriter::table`] writes it) followed by
+/// its columns, so each encoder below reads as the column list of
+/// docs/SEGMENT_FORMAT.md §4.
+fn put_col<T>(
+    out: &mut Vec<u8>,
+    items: impl IntoIterator<Item = T>,
+    mut put_one: impl FnMut(&mut Vec<u8>, T),
+) {
+    for item in items {
+        put_one(out, item);
+    }
+}
+
+/// Writes the provenance columns (`device`, `seq`, `slot`) that client
+/// and census rows both carry; [`read_metas`] reads them back.
+fn put_metas<'a>(out: &mut Vec<u8>, metas: impl Iterator<Item = &'a ClientMeta> + Clone) {
+    put_col(out, metas.clone(), |o, m| put_varint(o, m.device));
+    put_col(out, metas.clone(), |o, m| put_varint(o, m.seq));
+    put_col(out, metas, |o, m| put_varint(o, u64::from(m.slot)));
+}
+
 fn encode_usage(out: &mut Vec<u8>, usage: &BTreeMap<(MacAddress, Application), UsageTotals>) {
-    put_varint(out, usage.len() as u64);
-    for (mac, _) in usage.keys() {
-        out.extend_from_slice(&mac.0);
-    }
-    for (_, app) in usage.keys() {
-        put_varint(out, *app as u64);
-    }
-    for totals in usage.values() {
-        put_varint(out, totals.up_bytes);
-    }
-    for totals in usage.values() {
-        put_varint(out, totals.down_bytes);
-    }
+    put_col(out, usage.keys(), |o, (mac, _)| o.extend_from_slice(&mac.0));
+    put_col(out, usage.keys(), |o, (_, app)| put_varint(o, *app as u64));
+    put_col(out, usage.values(), |o, t| put_varint(o, t.up_bytes));
+    put_col(out, usage.values(), |o, t| put_varint(o, t.down_bytes));
 }
 
 fn encode_clients(out: &mut Vec<u8>, clients: &BTreeMap<MacAddress, (ClientMeta, ClientIdentity)>) {
-    put_varint(out, clients.len() as u64);
-    for mac in clients.keys() {
-        out.extend_from_slice(&mac.0);
-    }
-    for (meta, _) in clients.values() {
-        put_varint(out, meta.device);
-    }
-    for (meta, _) in clients.values() {
-        put_varint(out, meta.seq);
-    }
-    for (meta, _) in clients.values() {
-        put_varint(out, u64::from(meta.slot));
-    }
-    for (_, identity) in clients.values() {
-        put_varint(out, identity.os as u64);
-    }
-    for (_, identity) in clients.values() {
-        put_varint(out, pack_caps(identity.caps));
-    }
-    for (_, identity) in clients.values() {
-        put_varint(out, identity.band as u64);
-    }
-    for (_, identity) in clients.values() {
-        out.extend_from_slice(&identity.rssi_dbm.to_le_bytes());
-    }
+    put_col(out, clients.keys(), |o, mac| o.extend_from_slice(&mac.0));
+    put_metas(out, clients.values().map(|(meta, _)| meta));
+    let ids = || clients.values().map(|(_, identity)| identity);
+    put_col(out, ids(), |o, id| put_varint(o, id.os as u64));
+    put_col(out, ids(), |o, id| put_varint(o, pack_caps(id.caps)));
+    put_col(out, ids(), |o, id| put_varint(o, id.band as u64));
+    put_col(out, ids(), |o, id| {
+        o.extend_from_slice(&id.rssi_dbm.to_le_bytes())
+    });
 }
 
 fn encode_links(out: &mut Vec<u8>, links: &BTreeMap<LinkKey, Vec<LinkObservation>>) {
-    put_varint(out, links.len() as u64);
-    for key in links.keys() {
-        put_varint(out, key.rx_device);
-    }
-    for key in links.keys() {
-        put_varint(out, key.tx_device);
-    }
-    for key in links.keys() {
-        put_varint(out, key.band as u64);
-    }
-    for series in links.values() {
-        put_varint(out, series.len() as u64);
-    }
-    for series in links.values() {
-        for obs in series {
-            put_varint(out, obs.timestamp_s);
-        }
-    }
-    for series in links.values() {
-        for obs in series {
-            out.extend_from_slice(&obs.ratio.to_le_bytes());
-        }
-    }
+    put_col(out, links.keys(), |o, key| put_varint(o, key.rx_device));
+    put_col(out, links.keys(), |o, key| put_varint(o, key.tx_device));
+    put_col(out, links.keys(), |o, key| put_varint(o, key.band as u64));
+    put_col(out, links.values(), |o, s| put_varint(o, s.len() as u64));
+    let series = || links.values().flatten();
+    put_col(out, series(), |o, obs| put_varint(o, obs.timestamp_s));
+    put_col(out, series(), |o, obs| {
+        o.extend_from_slice(&obs.ratio.to_le_bytes())
+    });
 }
 
 fn encode_airtime(out: &mut Vec<u8>, airtime: &BTreeMap<(u64, Band), AirtimeLedger>) {
-    put_varint(out, airtime.len() as u64);
-    for (device, _) in airtime.keys() {
-        put_varint(out, *device);
-    }
-    for (_, band) in airtime.keys() {
-        put_varint(out, *band as u64);
-    }
-    for ledger in airtime.values() {
-        put_varint(out, ledger.elapsed_us());
-    }
-    for ledger in airtime.values() {
-        put_varint(out, ledger.busy_us());
-    }
-    for ledger in airtime.values() {
-        put_varint(out, ledger.wifi_us());
-    }
+    put_col(out, airtime.keys(), |o, (device, _)| put_varint(o, *device));
+    put_col(out, airtime.keys(), |o, (_, band)| {
+        put_varint(o, *band as u64)
+    });
+    put_col(out, airtime.values(), |o, l| put_varint(o, l.elapsed_us()));
+    put_col(out, airtime.values(), |o, l| put_varint(o, l.busy_us()));
+    put_col(out, airtime.values(), |o, l| put_varint(o, l.wifi_us()));
 }
 
 fn encode_neighbors(out: &mut Vec<u8>, neighbors: &NeighborTable) {
-    put_varint(out, neighbors.len() as u64);
-    for device in neighbors.keys() {
-        put_varint(out, *device);
-    }
-    for (meta, _) in neighbors.values() {
-        put_varint(out, meta.device);
-    }
-    for (meta, _) in neighbors.values() {
-        put_varint(out, meta.seq);
-    }
-    for (meta, _) in neighbors.values() {
-        put_varint(out, u64::from(meta.slot));
-    }
-    for (_, rows) in neighbors.values() {
-        put_varint(out, rows.len() as u64);
-    }
-    for (_, rows) in neighbors.values() {
-        for (band, _, _, _) in rows {
-            put_varint(out, *band as u64);
-        }
-    }
-    for (_, rows) in neighbors.values() {
-        for (_, number, _, _) in rows {
-            put_varint(out, u64::from(*number));
-        }
-    }
-    for (_, rows) in neighbors.values() {
-        for (_, _, networks, _) in rows {
-            put_varint(out, u64::from(*networks));
-        }
-    }
-    for (_, rows) in neighbors.values() {
-        for (_, _, _, hotspots) in rows {
-            put_varint(out, u64::from(*hotspots));
-        }
+    put_col(out, neighbors.keys(), |o, device| put_varint(o, *device));
+    put_metas(out, neighbors.values().map(|(meta, _)| meta));
+    put_col(out, neighbors.values(), |o, (_, rows)| {
+        put_varint(o, rows.len() as u64)
+    });
+    let rows = || neighbors.values().flat_map(|(_, rows)| rows);
+    put_col(out, rows(), |o, row| put_varint(o, row.0 as u64));
+    put_col(out, rows(), |o, row| put_varint(o, u64::from(row.1)));
+    put_col(out, rows(), |o, row| put_varint(o, u64::from(row.2)));
+    put_col(out, rows(), |o, row| put_varint(o, u64::from(row.3)));
+}
+
+/// Writes the columns of a keyed table (`device → (seq, slot) → T`), the
+/// shape scans and crashes share: the device keys, each device's row
+/// count, then over all rows flattened in key order the `seq` column,
+/// the `slot` column and one varint column per entry of `cols`.
+/// [`decode_keyed`] is the reader.
+fn put_keyed<T>(out: &mut Vec<u8>, table: &KeyedTable<T>, cols: &[fn(&T) -> u64]) {
+    put_col(out, table.keys(), |o, device| put_varint(o, *device));
+    put_col(out, table.values(), |o, rows| {
+        put_varint(o, rows.len() as u64)
+    });
+    let keys = || table.values().flat_map(BTreeMap::keys);
+    put_col(out, keys(), |o, (seq, _)| put_varint(o, *seq));
+    put_col(out, keys(), |o, (_, slot)| put_varint(o, u64::from(*slot)));
+    for col in cols {
+        let rows = table.values().flat_map(BTreeMap::values);
+        put_col(out, rows, |o, row| put_varint(o, col(row)));
     }
 }
 
-fn encode_scans(out: &mut Vec<u8>, scans: &BTreeMap<u64, BTreeMap<(u64, u32), ScanObservation>>) {
-    put_varint(out, scans.len() as u64);
-    for device in scans.keys() {
-        put_varint(out, *device);
-    }
-    for per_device in scans.values() {
-        put_varint(out, per_device.len() as u64);
-    }
-    for per_device in scans.values() {
-        for (seq, _) in per_device.keys() {
-            put_varint(out, *seq);
-        }
-    }
-    for per_device in scans.values() {
-        for (_, slot) in per_device.keys() {
-            put_varint(out, u64::from(*slot));
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, obs.timestamp_s);
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, obs.record.channel.band as u64);
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, u64::from(obs.record.channel.number));
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, u64::from(obs.record.utilization_ppm));
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, u64::from(obs.record.decodable_ppm));
-        }
-    }
-    for per_device in scans.values() {
-        for obs in per_device.values() {
-            put_varint(out, u64::from(obs.record.networks));
-        }
-    }
+fn encode_scans(out: &mut Vec<u8>, scans: &KeyedTable<ScanObservation>) {
+    put_keyed(
+        out,
+        scans,
+        &[
+            |obs| obs.timestamp_s,
+            |obs| obs.record.channel.band as u64,
+            |obs| u64::from(obs.record.channel.number),
+            |obs| u64::from(obs.record.utilization_ppm),
+            |obs| u64::from(obs.record.decodable_ppm),
+            |obs| u64::from(obs.record.networks),
+        ],
+    );
 }
 
-fn encode_crashes(out: &mut Vec<u8>, crashes: &BTreeMap<u64, BTreeMap<(u64, u32), CrashReport>>) {
-    put_varint(out, crashes.len() as u64);
-    for device in crashes.keys() {
-        put_varint(out, *device);
-    }
-    for per_device in crashes.values() {
-        put_varint(out, per_device.len() as u64);
-    }
-    for per_device in crashes.values() {
-        for (seq, _) in per_device.keys() {
-            put_varint(out, *seq);
-        }
-    }
-    for per_device in crashes.values() {
-        for (_, slot) in per_device.keys() {
-            put_varint(out, u64::from(*slot));
-        }
-    }
-    for per_device in crashes.values() {
-        for report in per_device.values() {
-            put_varint(out, u64::from(report.reason.code()));
-        }
-    }
-    for per_device in crashes.values() {
-        for report in per_device.values() {
-            put_varint(out, report.program_counter);
-        }
-    }
-    for per_device in crashes.values() {
-        for report in per_device.values() {
-            put_varint(out, report.uptime_s);
-        }
-    }
-    for per_device in crashes.values() {
-        for report in per_device.values() {
-            put_varint(out, report.free_memory_bytes);
-        }
-    }
-    for per_device in crashes.values() {
-        for report in per_device.values() {
-            put_varint(out, report.firmware.len() as u64);
-            out.extend_from_slice(report.firmware.as_bytes());
-        }
-    }
+fn encode_crashes(out: &mut Vec<u8>, crashes: &KeyedTable<CrashReport>) {
+    put_keyed(
+        out,
+        crashes,
+        &[
+            |report| u64::from(report.reason.code()),
+            |report| report.program_counter,
+            |report| report.uptime_s,
+            |report| report.free_memory_bytes,
+        ],
+    );
+    let reports = crashes.values().flat_map(BTreeMap::values);
+    put_col(out, reports, |o, report| {
+        put_varint(o, report.firmware.len() as u64);
+        o.extend_from_slice(report.firmware.as_bytes());
+    });
 }
 
 fn encode_dedup(out: &mut Vec<u8>, shard: &StoreShard) {
     let entries = shard.dedup_entries();
     put_varint(out, entries.len() as u64);
-    for ((window, _), _) in &entries {
-        put_varint(out, u64::from(window.0));
-    }
-    for ((_, device), _) in &entries {
-        put_varint(out, *device);
-    }
-    for (_, set) in &entries {
-        put_varint(out, set.parts().0);
-    }
-    for (_, set) in &entries {
-        put_varint(out, set.parts().1.len() as u64);
-    }
-    for (_, set) in &entries {
-        for seq in set.parts().1 {
-            put_varint(out, *seq);
-        }
-    }
+    put_col(out, &entries, |o, ((window, _), _)| {
+        put_varint(o, u64::from(window.0))
+    });
+    put_col(out, &entries, |o, ((_, device), _)| put_varint(o, *device));
+    put_col(out, &entries, |o, (_, set)| put_varint(o, set.parts().0));
+    put_col(out, &entries, |o, (_, set)| {
+        put_varint(o, set.parts().1.len() as u64)
+    });
+    let sparse = entries.iter().flat_map(|(_, set)| set.parts().1);
+    put_col(out, sparse, |o, seq| put_varint(o, *seq));
 }
 
 /// Rows a window's tables contribute to the header's zone summary:
@@ -809,290 +867,167 @@ fn table_rows(tables: &WindowTables) -> u64 {
         + tables.crashes.values().map(|m| m.len() as u64).sum::<u64>()
 }
 
+/// Starts a store file: its magic, then the schema version (read back
+/// by [`Cursor::preamble`]).
+fn put_preamble(out: &mut Vec<u8>, magic: [u8; 4]) {
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
+}
+
+/// The zone summary a segment header carries and decode re-verifies,
+/// of windows in ascending order: `(window count, lowest window,
+/// highest window, total rows)`, all `0` when there are no windows.
+fn zone_summary<'a>(
+    windows: impl Iterator<Item = (WindowId, &'a WindowTables)>,
+) -> (u32, u16, u16, u64) {
+    windows.fold((0, 0, 0, 0), |(n, lowest, _, rows), (window, tables)| {
+        let lowest = if n == 0 { window.0 } else { lowest };
+        (n + 1, lowest, window.0, rows + table_rows(tables))
+    })
+}
+
 /// Encodes one shard as a complete segment byte image
 /// (docs/SEGMENT_FORMAT.md §§2–4).
 pub(crate) fn encode_segment(shard: &StoreShard, epoch: u64, index: u32, count: u32) -> Vec<u8> {
-    let mut window_count = 0u32;
-    let mut min_window = u16::MAX;
-    let mut max_window = 0u16;
-    let mut total_rows = 0u64;
-    for (window, tables) in shard.windows() {
-        window_count += 1;
-        min_window = min_window.min(window.0);
-        max_window = max_window.max(window.0);
-        total_rows += table_rows(tables);
-    }
-    if window_count == 0 {
-        min_window = 0;
-        max_window = 0;
-    }
+    let (window_count, min_window, max_window, total_rows) = zone_summary(shard.windows());
+    let mut w = SegmentWriter::default();
+    put_preamble(&mut w.out, SEGMENT_MAGIC);
+    w.out.extend_from_slice(&epoch.to_le_bytes());
+    w.out.extend_from_slice(&index.to_le_bytes());
+    w.out.extend_from_slice(&count.to_le_bytes());
+    w.out.extend_from_slice(&window_count.to_le_bytes());
+    w.out.extend_from_slice(&min_window.to_le_bytes());
+    w.out.extend_from_slice(&max_window.to_le_bytes());
+    w.out.extend_from_slice(&total_rows.to_le_bytes());
+    put_crc(&mut w.out, 0);
+    debug_assert_eq!(w.out.len(), SEGMENT_HEADER_LEN);
 
-    let mut out = Vec::new();
-    out.extend_from_slice(&SEGMENT_MAGIC);
-    out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&index.to_le_bytes());
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&window_count.to_le_bytes());
-    out.extend_from_slice(&min_window.to_le_bytes());
-    out.extend_from_slice(&max_window.to_le_bytes());
-    out.extend_from_slice(&total_rows.to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    debug_assert_eq!(out.len(), SEGMENT_HEADER_LEN);
-
-    let mut body = Vec::new();
     for (window, tables) in shard.windows() {
-        body.clear();
-        put_varint(&mut body, u64::from(window.0));
-        put_block(&mut out, BLOCK_WINDOW, &body);
-        if !tables.usage.is_empty() {
-            body.clear();
-            encode_usage(&mut body, &tables.usage);
-            put_block(&mut out, BLOCK_USAGE, &body);
-        }
-        if !tables.clients.is_empty() {
-            body.clear();
-            encode_clients(&mut body, &tables.clients);
-            put_block(&mut out, BLOCK_CLIENTS, &body);
-        }
-        if !tables.links.is_empty() {
-            body.clear();
-            encode_links(&mut body, &tables.links);
-            put_block(&mut out, BLOCK_LINKS, &body);
-        }
-        if !tables.airtime.is_empty() {
-            body.clear();
-            encode_airtime(&mut body, &tables.airtime);
-            put_block(&mut out, BLOCK_AIRTIME, &body);
-        }
-        if !tables.neighbors.is_empty() {
-            body.clear();
-            encode_neighbors(&mut body, &tables.neighbors);
-            put_block(&mut out, BLOCK_NEIGHBORS, &body);
-        }
-        if !tables.scans.is_empty() {
-            body.clear();
-            encode_scans(&mut body, &tables.scans);
-            put_block(&mut out, BLOCK_SCANS, &body);
-        }
-        if !tables.crashes.is_empty() {
-            body.clear();
-            encode_crashes(&mut body, &tables.crashes);
-            put_block(&mut out, BLOCK_CRASHES, &body);
-        }
+        w.block(BLOCK_WINDOW, |body| put_varint(body, u64::from(window.0)));
+        w.table(BLOCK_USAGE, &tables.usage, encode_usage);
+        w.table(BLOCK_CLIENTS, &tables.clients, encode_clients);
+        w.table(BLOCK_LINKS, &tables.links, encode_links);
+        w.table(BLOCK_AIRTIME, &tables.airtime, encode_airtime);
+        w.table(BLOCK_NEIGHBORS, &tables.neighbors, encode_neighbors);
+        w.table(BLOCK_SCANS, &tables.scans, encode_scans);
+        w.table(BLOCK_CRASHES, &tables.crashes, encode_crashes);
     }
-    body.clear();
-    encode_dedup(&mut body, shard);
-    put_block(&mut out, BLOCK_DEDUP, &body);
-    body.clear();
-    put_varint(&mut body, shard.reports_ingested());
-    put_varint(&mut body, shard.duplicates_dropped());
-    put_block(&mut out, BLOCK_COUNTERS, &body);
-    put_block(&mut out, BLOCK_END, &[]);
-    out
+    w.block(BLOCK_DEDUP, |body| encode_dedup(body, shard));
+    w.block(BLOCK_COUNTERS, |body| {
+        put_varint(body, shard.reports_ingested());
+        put_varint(body, shard.duplicates_dropped());
+    });
+    w.block(BLOCK_END, |_| {});
+    w.out
 }
 
 // ---------------------------------------------------------------------
 // Table decoders
 // ---------------------------------------------------------------------
 //
-// Every decoder gathers its rows in file order and `collect()`s them
-// into the table. The encoders write keys ascending, so the collect's
-// stable sort is one linear pass and the tree is bulk-built from full
-// nodes instead of grown one `insert` at a time. Key order is not a
-// decode error: on out-of-order or repeated keys the last row for a key
-// wins, exactly as key-by-key `insert` resolved them (pinned by
+// Every decoder reads its columns whole ([`Cursor::col`]) but the last,
+// which it reads straight into the rows in file order
+// ([`Cursor::col_indexed`]), and `collect()`s those into the table. The
+// encoders write keys ascending, so the collect's stable sort is one
+// linear pass and the tree is bulk-built from full nodes instead of
+// grown one `insert` at a time. Key order is not a decode error: on
+// out-of-order or repeated keys the last row for a key wins, exactly as
+// key-by-key `insert` resolved them (pinned by
 // `out_of_order_and_duplicate_keys_decode_as_insert_would`).
 
+/// Reads the columns [`put_metas`] wrote.
+fn read_metas(
+    cur: &mut Cursor<'_>,
+    n: Rows,
+    slot_context: &'static str,
+) -> Result<Vec<ClientMeta>, SegmentError> {
+    let devices = cur.col(n, Cursor::varint)?;
+    let seqs = cur.col(n, Cursor::varint)?;
+    let slots = cur.col(n, |c| c.narrow(slot_context))?;
+    let meta = |((device, seq), slot)| ClientMeta { device, seq, slot };
+    Ok(devices.into_iter().zip(seqs).zip(slots).map(meta).collect())
+}
+
 fn decode_usage(
-    body: &[u8],
+    cur: &mut Cursor<'_>,
     apps: &[Option<Application>],
 ) -> Result<BTreeMap<(MacAddress, Application), UsageTotals>, SegmentError> {
-    let mut cur = Cursor::new(body);
     let n = cur.count(9, "usage row count exceeds block size")?;
-    let mut macs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let bytes = cur.take(6, "truncated MAC column")?;
-        macs.push(MacAddress(
-            bytes
-                .try_into()
-                .expect("invariant: take(6) returned exactly 6 bytes"),
-        ));
-    }
-    let mut app_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = cur.varint()?;
-        let app = usize::try_from(d)
-            .ok()
-            .and_then(|i| apps.get(i).copied().flatten())
-            .ok_or_else(|| corrupt("application discriminant out of range"))?;
-        app_col.push(app);
-    }
-    let mut ups = Vec::with_capacity(n);
-    for _ in 0..n {
-        ups.push(cur.varint()?);
-    }
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let down = cur.varint()?;
-        rows.push((
-            (macs[i], app_col[i]),
-            UsageTotals {
-                up_bytes: ups[i],
-                down_bytes: down,
-            },
-        ));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in usage block"));
-    }
+    let macs = cur.col(n, mac)?;
+    let app_col = cur.col(n, |c| {
+        lane(c, apps, "application discriminant out of range")
+    })?;
+    let ups = cur.col(n, Cursor::varint)?;
+    let rows = cur.col_indexed(n, |c, i| {
+        let totals = UsageTotals {
+            up_bytes: ups[i],
+            down_bytes: c.varint()?,
+        };
+        Ok(((macs[i], app_col[i]), totals))
+    })?;
     Ok(rows.into_iter().collect())
 }
 
 fn decode_clients(
-    body: &[u8],
+    cur: &mut Cursor<'_>,
     oses: &[Option<OsFamily>],
 ) -> Result<BTreeMap<MacAddress, (ClientMeta, ClientIdentity)>, SegmentError> {
-    let mut cur = Cursor::new(body);
     let n = cur.count(6 + 6 + 8, "client row count exceeds block size")?;
-    let mut macs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let bytes = cur.take(6, "truncated MAC column")?;
-        macs.push(MacAddress(
-            bytes
-                .try_into()
-                .expect("invariant: take(6) returned exactly 6 bytes"),
-        ));
-    }
-    let mut devices = Vec::with_capacity(n);
-    for _ in 0..n {
-        devices.push(cur.varint()?);
-    }
-    let mut seqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        seqs.push(cur.varint()?);
-    }
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let slot = cur.varint()?;
-        slots.push(u32::try_from(slot).map_err(|_| corrupt("client slot out of range"))?);
-    }
-    let mut os_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = cur.varint()?;
-        let os = usize::try_from(d)
-            .ok()
-            .and_then(|i| oses.get(i).copied().flatten())
-            .ok_or_else(|| corrupt("OS-family discriminant out of range"))?;
-        os_col.push(os);
-    }
-    let mut caps_col = Vec::with_capacity(n);
-    for _ in 0..n {
-        caps_col.push(unpack_caps(cur.varint()?)?);
-    }
-    let mut bands = Vec::with_capacity(n);
-    for _ in 0..n {
-        bands.push(band_from(cur.varint()?)?);
-    }
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let rssi_dbm = cur.f64()?;
-        rows.push((
-            macs[i],
-            (
-                ClientMeta {
-                    device: devices[i],
-                    seq: seqs[i],
-                    slot: slots[i],
-                },
-                ClientIdentity {
-                    os: os_col[i],
-                    caps: caps_col[i],
-                    band: bands[i],
-                    rssi_dbm,
-                },
-            ),
-        ));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in clients block"));
-    }
+    let macs = cur.col(n, mac)?;
+    let metas = read_metas(cur, n, "client slot out of range")?;
+    let os_col = cur.col(n, |c| lane(c, oses, "OS-family discriminant out of range"))?;
+    let caps = cur.col(n, |c| unpack_caps(c.varint()?))?;
+    let bands = cur.col(n, band)?;
+    let rows = cur.col_indexed(n, |c, i| {
+        let identity = ClientIdentity {
+            os: os_col[i],
+            caps: caps[i],
+            band: bands[i],
+            rssi_dbm: c.f64()?,
+        };
+        Ok((macs[i], (metas[i], identity)))
+    })?;
     Ok(rows.into_iter().collect())
 }
 
-fn decode_links(body: &[u8]) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, SegmentError> {
-    let mut cur = Cursor::new(body);
+fn decode_links(
+    cur: &mut Cursor<'_>,
+) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, SegmentError> {
     let k = cur.count(4, "link key count exceeds block size")?;
-    let mut rx = Vec::with_capacity(k);
-    for _ in 0..k {
-        rx.push(cur.varint()?);
-    }
-    let mut tx = Vec::with_capacity(k);
-    for _ in 0..k {
-        tx.push(cur.varint()?);
-    }
-    let mut bands = Vec::with_capacity(k);
-    for _ in 0..k {
-        bands.push(band_from(cur.varint()?)?);
-    }
-    let mut lens = Vec::with_capacity(k);
-    for _ in 0..k {
-        lens.push(cur.count(1, "link series length exceeds block size")?);
-    }
+    let rx = cur.col(k, Cursor::varint)?;
+    let tx = cur.col(k, Cursor::varint)?;
+    let bands = cur.col(k, band)?;
+    let lens = cur.col(k, |c| c.count(1, "link series length exceeds block size"))?;
     let total = cur.total(&lens, "link series lengths exceed block size")?;
-    let mut timestamps = Vec::with_capacity(total);
-    for _ in 0..total {
-        timestamps.push(cur.varint()?);
-    }
-    let mut rows = Vec::with_capacity(k);
-    let mut offset = 0usize;
-    for i in 0..k {
-        let mut series = Vec::with_capacity(lens[i]);
-        for t in &timestamps[offset..offset + lens[i]] {
-            series.push(LinkObservation {
-                timestamp_s: *t,
-                ratio: cur.f64()?,
-            });
-        }
-        offset += lens[i];
-        rows.push((
-            LinkKey {
-                rx_device: rx[i],
-                tx_device: tx[i],
-                band: bands[i],
-            },
-            series,
-        ));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in links block"));
-    }
-    Ok(rows.into_iter().collect())
+    let timestamps = cur.col(total, Cursor::varint)?;
+    let observations = cur.col_indexed(total, |c, j| {
+        Ok(LinkObservation {
+            timestamp_s: timestamps[j],
+            ratio: c.f64()?,
+        })
+    })?;
+    let mut observations = observations.into_iter();
+    let row = |i: usize| {
+        let key = LinkKey {
+            rx_device: rx[i],
+            tx_device: tx[i],
+            band: bands[i],
+        };
+        (key, observations.by_ref().take(lens[i].get()).collect())
+    };
+    Ok((0..k.get()).map(row).collect())
 }
 
-fn decode_airtime(body: &[u8]) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, SegmentError> {
-    let mut cur = Cursor::new(body);
+fn decode_airtime(
+    cur: &mut Cursor<'_>,
+) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, SegmentError> {
     let n = cur.count(5, "airtime row count exceeds block size")?;
-    let mut devices = Vec::with_capacity(n);
-    for _ in 0..n {
-        devices.push(cur.varint()?);
-    }
-    let mut bands = Vec::with_capacity(n);
-    for _ in 0..n {
-        bands.push(band_from(cur.varint()?)?);
-    }
-    let mut elapsed = Vec::with_capacity(n);
-    for _ in 0..n {
-        elapsed.push(cur.varint()?);
-    }
-    let mut busy = Vec::with_capacity(n);
-    for _ in 0..n {
-        busy.push(cur.varint()?);
-    }
-    let mut rows = Vec::with_capacity(n);
-    for i in 0..n {
-        let wifi = cur.varint()?;
+    let devices = cur.col(n, Cursor::varint)?;
+    let bands = cur.col(n, band)?;
+    let elapsed = cur.col(n, Cursor::varint)?;
+    let busy = cur.col(n, Cursor::varint)?;
+    let rows = cur.col_indexed(n, |c, i| {
+        let wifi = c.varint()?;
         if busy[i] > elapsed[i] || wifi > busy[i] {
             return Err(corrupt(
                 "airtime ledger violates busy ≤ elapsed, wifi ≤ busy",
@@ -1102,262 +1037,121 @@ fn decode_airtime(body: &[u8]) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, S
         // The stored values satisfy the ledger's clamping invariant
         // (checked above), so one account() call restores them exactly.
         ledger.account(elapsed[i], busy[i], wifi);
-        rows.push(((devices[i], bands[i]), ledger));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in airtime block"));
-    }
+        Ok(((devices[i], bands[i]), ledger))
+    })?;
     Ok(rows.into_iter().collect())
 }
 
-fn decode_neighbors(body: &[u8]) -> Result<NeighborTable, SegmentError> {
-    let mut cur = Cursor::new(body);
+fn decode_neighbors(cur: &mut Cursor<'_>) -> Result<NeighborTable, SegmentError> {
     let d = cur.count(5, "neighbor device count exceeds block size")?;
-    let mut keys = Vec::with_capacity(d);
-    for _ in 0..d {
-        keys.push(cur.varint()?);
-    }
-    let mut meta_devices = Vec::with_capacity(d);
-    for _ in 0..d {
-        meta_devices.push(cur.varint()?);
-    }
-    let mut seqs = Vec::with_capacity(d);
-    for _ in 0..d {
-        seqs.push(cur.varint()?);
-    }
-    let mut slots = Vec::with_capacity(d);
-    for _ in 0..d {
-        let slot = cur.varint()?;
-        slots.push(u32::try_from(slot).map_err(|_| corrupt("neighbor slot out of range"))?);
-    }
-    let mut lens = Vec::with_capacity(d);
-    for _ in 0..d {
-        lens.push(cur.count(1, "census row count exceeds block size")?);
-    }
+    let keys = cur.col(d, Cursor::varint)?;
+    let metas = read_metas(cur, d, "neighbor slot out of range")?;
+    let lens = cur.col(d, |c| c.count(1, "census row count exceeds block size"))?;
     let total = cur.total(&lens, "census row counts exceed block size")?;
-    let mut bands = Vec::with_capacity(total);
-    for _ in 0..total {
-        bands.push(band_from(cur.varint()?)?);
-    }
-    let mut numbers = Vec::with_capacity(total);
-    for _ in 0..total {
-        let number = cur.varint()?;
-        numbers.push(u16::try_from(number).map_err(|_| corrupt("channel number out of range"))?);
-    }
-    let mut networks = Vec::with_capacity(total);
-    for _ in 0..total {
-        let v = cur.varint()?;
-        networks.push(u32::try_from(v).map_err(|_| corrupt("network count out of range"))?);
-    }
-    let mut devices = Vec::with_capacity(d);
-    let mut offset = 0usize;
-    for i in 0..d {
-        let mut rows = Vec::with_capacity(lens[i]);
-        for j in offset..offset + lens[i] {
-            let hotspots = cur.varint()?;
-            let hotspots =
-                u32::try_from(hotspots).map_err(|_| corrupt("hotspot count out of range"))?;
-            rows.push((bands[j], numbers[j], networks[j], hotspots));
-        }
-        offset += lens[i];
-        devices.push((
-            keys[i],
-            (
-                ClientMeta {
-                    device: meta_devices[i],
-                    seq: seqs[i],
-                    slot: slots[i],
-                },
-                rows,
-            ),
-        ));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in neighbors block"));
-    }
-    Ok(devices.into_iter().collect())
+    let bands = cur.col(total, band)?;
+    let numbers = cur.col(total, |c| c.narrow("channel number out of range"))?;
+    let networks = cur.col(total, |c| c.narrow("network count out of range"))?;
+    let census = cur.col_indexed(total, |c, j| {
+        let hotspots = c.narrow("hotspot count out of range")?;
+        Ok((bands[j], numbers[j], networks[j], hotspots))
+    })?;
+    let mut census = census.into_iter();
+    let row = |i: usize| {
+        let rows = census.by_ref().take(lens[i].get()).collect();
+        (keys[i], (metas[i], rows))
+    };
+    Ok((0..d.get()).map(row).collect())
 }
 
-fn decode_scans(body: &[u8]) -> Result<KeyedTable<ScanObservation>, SegmentError> {
-    let mut cur = Cursor::new(body);
-    let d = cur.count(2, "scan device count exceeds block size")?;
-    let mut keys = Vec::with_capacity(d);
-    for _ in 0..d {
-        keys.push(cur.varint()?);
-    }
-    let mut lens = Vec::with_capacity(d);
-    for _ in 0..d {
-        lens.push(cur.count(1, "scan observation count exceeds block size")?);
-    }
-    let total = cur.total(&lens, "scan observation counts exceed block size")?;
-    let mut seqs = Vec::with_capacity(total);
-    for _ in 0..total {
-        seqs.push(cur.varint()?);
-    }
-    let mut slots = Vec::with_capacity(total);
-    for _ in 0..total {
-        let slot = cur.varint()?;
-        slots.push(u32::try_from(slot).map_err(|_| corrupt("scan slot out of range"))?);
-    }
-    let mut timestamps = Vec::with_capacity(total);
-    for _ in 0..total {
-        timestamps.push(cur.varint()?);
-    }
-    let mut bands = Vec::with_capacity(total);
-    for _ in 0..total {
-        bands.push(cur.varint()?);
-    }
-    let mut channels = Vec::with_capacity(total);
-    for &band in &bands {
-        channels.push(channel_from(band, cur.varint()?)?);
-    }
-    let mut utilization = Vec::with_capacity(total);
-    for _ in 0..total {
-        let v = cur.varint()?;
-        utilization.push(u32::try_from(v).map_err(|_| corrupt("utilization out of range"))?);
-    }
-    let mut decodable = Vec::with_capacity(total);
-    for _ in 0..total {
-        let v = cur.varint()?;
-        decodable.push(u32::try_from(v).map_err(|_| corrupt("decodable share out of range"))?);
-    }
-    let mut devices = Vec::with_capacity(d);
-    let mut offset = 0usize;
-    for i in 0..d {
-        let mut per_device = Vec::with_capacity(lens[i]);
-        for j in offset..offset + lens[i] {
-            let networks = cur.varint()?;
-            let networks =
-                u32::try_from(networks).map_err(|_| corrupt("network count out of range"))?;
-            per_device.push((
-                (seqs[j], slots[j]),
-                ScanObservation {
-                    timestamp_s: timestamps[j],
-                    record: ChannelScanRecord {
-                        channel: channels[j],
-                        utilization_ppm: utilization[j],
-                        decodable_ppm: decodable[j],
-                        networks,
-                    },
-                },
-            ));
-        }
-        offset += lens[i];
-        devices.push((keys[i], per_device.into_iter().collect()));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in scans block"));
-    }
-    Ok(devices.into_iter().collect())
+/// Reads a keyed table as [`put_keyed`] framed it. `values` reads the
+/// value columns — one entry per flattened row — and `place` finishes a
+/// value with the device key it was filed under.
+fn decode_keyed<V, T>(
+    cur: &mut Cursor<'_>,
+    values: impl FnOnce(&mut Cursor<'_>, Rows) -> Result<Vec<V>, SegmentError>,
+    place: impl Fn(u64, V) -> T,
+) -> Result<KeyedTable<T>, SegmentError> {
+    let d = cur.count(2, "keyed-table device count exceeds block size")?;
+    let keys = cur.col(d, Cursor::varint)?;
+    let lens = cur.col(d, |c| {
+        c.count(1, "keyed-table row count exceeds block size")
+    })?;
+    let total = cur.total(&lens, "keyed-table row counts exceed block size")?;
+    let seqs = cur.col(total, Cursor::varint)?;
+    let slots = cur.col(total, |c| c.narrow("keyed-table slot out of range"))?;
+    let values = values(cur, total)?;
+    let mut rows = seqs.into_iter().zip(slots).zip(values);
+    let per_device = |(device, len): (u64, Rows)| {
+        let rows = rows.by_ref().take(len.get());
+        let rows = rows.map(|(key, value)| (key, place(device, value)));
+        (device, rows.collect())
+    };
+    Ok(keys.into_iter().zip(lens).map(per_device).collect())
 }
 
-fn decode_crashes(body: &[u8]) -> Result<KeyedTable<CrashReport>, SegmentError> {
-    let mut cur = Cursor::new(body);
-    let d = cur.count(2, "crash device count exceeds block size")?;
-    let mut keys = Vec::with_capacity(d);
-    for _ in 0..d {
-        keys.push(cur.varint()?);
-    }
-    let mut lens = Vec::with_capacity(d);
-    for _ in 0..d {
-        lens.push(cur.count(1, "crash row count exceeds block size")?);
-    }
-    let total = cur.total(&lens, "crash row counts exceed block size")?;
-    let mut seqs = Vec::with_capacity(total);
-    for _ in 0..total {
-        seqs.push(cur.varint()?);
-    }
-    let mut slots = Vec::with_capacity(total);
-    for _ in 0..total {
-        let slot = cur.varint()?;
-        slots.push(u32::try_from(slot).map_err(|_| corrupt("crash slot out of range"))?);
-    }
-    let mut reasons = Vec::with_capacity(total);
-    for _ in 0..total {
-        reasons.push(reason_from(cur.varint()?)?);
-    }
-    let mut pcs = Vec::with_capacity(total);
-    for _ in 0..total {
-        pcs.push(cur.varint()?);
-    }
-    let mut uptimes = Vec::with_capacity(total);
-    for _ in 0..total {
-        uptimes.push(cur.varint()?);
-    }
-    let mut free_memory = Vec::with_capacity(total);
-    for _ in 0..total {
-        free_memory.push(cur.varint()?);
-    }
-    let mut devices = Vec::with_capacity(d);
-    let mut offset = 0usize;
-    for i in 0..d {
-        let mut per_device = Vec::with_capacity(lens[i]);
-        for j in offset..offset + lens[i] {
-            let len = cur.count(1, "firmware string length exceeds block size")?;
-            let bytes = cur.take(len, "truncated firmware string")?;
-            let firmware = std::str::from_utf8(bytes)
-                .map_err(|_| corrupt("firmware string is not UTF-8"))?
-                .to_string();
-            per_device.push((
-                (seqs[j], slots[j]),
-                CrashReport {
-                    device: keys[i],
-                    firmware,
-                    reason: reasons[j],
-                    program_counter: pcs[j],
-                    uptime_s: uptimes[j],
-                    free_memory_bytes: free_memory[j],
-                },
-            ));
-        }
-        offset += lens[i];
-        devices.push((keys[i], per_device.into_iter().collect()));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in crashes block"));
-    }
-    Ok(devices.into_iter().collect())
+fn scan_values(cur: &mut Cursor<'_>, total: Rows) -> Result<Vec<ScanObservation>, SegmentError> {
+    let timestamps = cur.col(total, Cursor::varint)?;
+    let bands = cur.col(total, band)?;
+    let channels = cur.col_indexed(total, |c, j| channel_from(bands[j], c.varint()?))?;
+    let utilization = cur.col(total, |c| c.narrow("utilization out of range"))?;
+    let decodable = cur.col(total, |c| c.narrow("decodable share out of range"))?;
+    cur.col_indexed(total, |c, j| {
+        let record = ChannelScanRecord {
+            channel: channels[j],
+            utilization_ppm: utilization[j],
+            decodable_ppm: decodable[j],
+            networks: c.narrow("network count out of range")?,
+        };
+        Ok(ScanObservation {
+            timestamp_s: timestamps[j],
+            record,
+        })
+    })
+}
+
+/// The value columns of a crash table; [`decode_keyed`] fills in each
+/// report's device from the key it is filed under.
+fn crash_values(cur: &mut Cursor<'_>, total: Rows) -> Result<Vec<CrashReport>, SegmentError> {
+    let reasons = cur.col(total, |c| reason_from(c.varint()?))?;
+    let pcs = cur.col(total, Cursor::varint)?;
+    let uptimes = cur.col(total, Cursor::varint)?;
+    let free_memory = cur.col(total, Cursor::varint)?;
+    cur.col_indexed(total, |c, j| {
+        let len = c.count(1, "firmware string length exceeds block size")?;
+        let bytes = c.take(len.get(), "truncated firmware string")?;
+        let firmware = std::str::from_utf8(bytes)
+            .map_err(|_| corrupt("firmware string is not UTF-8"))?
+            .to_string();
+        Ok(CrashReport {
+            device: 0,
+            firmware,
+            reason: reasons[j],
+            program_counter: pcs[j],
+            uptime_s: uptimes[j],
+            free_memory_bytes: free_memory[j],
+        })
+    })
 }
 
 // airstat::allow(no-hashmap-iter): returns the shard's keyed-access
 // ledger type; canonical order is enforced on the segment bytes.
-fn decode_dedup(body: &[u8]) -> Result<HashMap<(WindowId, u64), SeqSet>, SegmentError> {
-    let mut cur = Cursor::new(body);
+fn decode_dedup(cur: &mut Cursor<'_>) -> Result<HashMap<(WindowId, u64), SeqSet>, SegmentError> {
     let n = cur.count(4, "dedup entry count exceeds block size")?;
-    let mut windows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let w = cur.varint()?;
-        windows.push(WindowId(
-            u16::try_from(w).map_err(|_| corrupt("window id out of range"))?,
-        ));
-    }
-    let mut devices = Vec::with_capacity(n);
-    for _ in 0..n {
-        devices.push(cur.varint()?);
-    }
-    let mut watermarks = Vec::with_capacity(n);
-    for _ in 0..n {
-        watermarks.push(cur.varint()?);
-    }
-    let mut lens = Vec::with_capacity(n);
-    for _ in 0..n {
-        lens.push(cur.count(1, "sparse tail length exceeds block size")?);
-    }
-    let mut map = HashMap::with_capacity(n);
-    let mut last_key: Option<(WindowId, u64)> = None;
-    for i in 0..n {
+    let windows = cur.col(n, window_id)?;
+    let devices = cur.col(n, Cursor::varint)?;
+    let watermarks = cur.col(n, Cursor::varint)?;
+    let lens = cur.col(n, |c| c.count(1, "sparse tail length exceeds block size"))?;
+    let mut map = HashMap::with_capacity(n.get());
+    for i in 0..n.get() {
         let key = (windows[i], devices[i]);
-        if let Some(last) = last_key {
-            if key <= last {
-                return Err(corrupt(
-                    "dedup entries not in ascending (window, device) order",
-                ));
-            }
+        if i > 0 && key <= (windows[i - 1], devices[i - 1]) {
+            return Err(corrupt(
+                "dedup entries not in ascending (window, device) order",
+            ));
         }
-        last_key = Some(key);
         let mut sparse = BTreeSet::new();
         let mut previous = watermarks[i];
-        for _ in 0..lens[i] {
+        for _ in 0..lens[i].get() {
             let seq = cur.varint()?;
             if seq <= previous {
                 return Err(corrupt("sparse dedup tail not strictly ascending"));
@@ -1366,9 +1160,6 @@ fn decode_dedup(body: &[u8]) -> Result<HashMap<(WindowId, u64), SeqSet>, Segment
             sparse.insert(seq);
         }
         map.insert(key, SeqSet::from_parts(watermarks[i], sparse));
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in dedup block"));
     }
     // airstat::allow(unordered-collection-escape): the rebuilt dedup
     // ledger is keyed-access only; its canonical order lives in the
@@ -1379,6 +1170,18 @@ fn decode_dedup(body: &[u8]) -> Result<HashMap<(WindowId, u64), SeqSet>, Segment
 // ---------------------------------------------------------------------
 // Segment decode
 // ---------------------------------------------------------------------
+
+/// Decodes a table into its slot in the window being filled, once.
+fn fill<K, V>(
+    slot: &mut BTreeMap<K, V>,
+    decode: impl FnOnce() -> Result<BTreeMap<K, V>, SegmentError>,
+) -> Result<(), SegmentError> {
+    if !slot.is_empty() {
+        return Err(corrupt("duplicate table block in one window"));
+    }
+    *slot = decode()?;
+    Ok(())
+}
 
 /// What the manifest says a segment must be; decode cross-checks the
 /// segment header against it so a file cannot be swapped between shard
@@ -1404,187 +1207,97 @@ pub(crate) fn decode_segment(
     expect: SegmentExpectation,
     tally: &mut DecodeTally,
 ) -> Result<StoreShard, SegmentError> {
-    if bytes.len() < SEGMENT_HEADER_LEN {
-        return Err(corrupt("segment shorter than its fixed header"));
-    }
-    let mut header = Cursor::new(&bytes[..SEGMENT_HEADER_LEN]);
-    let magic = header.take(4, "truncated segment header")?;
-    if magic != SEGMENT_MAGIC {
-        return Err(SegmentError::Magic { context: "segment" });
-    }
-    let version = header.u32_le("truncated segment header")?;
-    if version != SEGMENT_SCHEMA_VERSION {
-        return Err(SegmentError::Version {
-            found: version,
-            supported: SEGMENT_SCHEMA_VERSION,
-        });
-    }
-    let epoch_bytes = header.take(8, "truncated segment header")?;
-    let epoch = u64::from_le_bytes(
-        epoch_bytes
-            .try_into()
-            .expect("invariant: take(8) returned exactly 8 bytes"),
-    );
-    let index = header.u32_le("truncated segment header")?;
-    let count = header.u32_le("truncated segment header")?;
-    let window_count = header.u32_le("truncated segment header")?;
-    let min_window = header.take(2, "truncated segment header")?;
-    let min_window = u16::from_le_bytes([min_window[0], min_window[1]]);
-    let max_window = header.take(2, "truncated segment header")?;
-    let max_window = u16::from_le_bytes([max_window[0], max_window[1]]);
-    let total_rows_bytes = header.take(8, "truncated segment header")?;
-    let total_rows = u64::from_le_bytes(
-        total_rows_bytes
-            .try_into()
-            .expect("invariant: take(8) returned exactly 8 bytes"),
-    );
-    let stored_crc = header.u32_le("truncated segment header")?;
-    let computed_crc = crc32(&bytes[..SEGMENT_HEADER_LEN - 4]);
+    const HEADER: &str = "truncated segment header";
+    let mut cur = Cursor::new(bytes);
+    cur.preamble(SEGMENT_MAGIC, "segment")?;
+    let epoch = cur.u64_le(HEADER)?;
+    let index = cur.u32_le(HEADER)?;
+    let count = cur.u32_le(HEADER)?;
+    let window_count = cur.u32_le(HEADER)?;
+    let min_window = cur.u16_le(HEADER)?;
+    let max_window = cur.u16_le(HEADER)?;
+    let total_rows = cur.u64_le(HEADER)?;
+    let header = cur.since(0);
     tally.crc_checks += 1;
-    if stored_crc != computed_crc {
-        return Err(SegmentError::Crc {
-            context: "segment header",
-            stored: stored_crc,
-            computed: computed_crc,
-        });
-    }
+    verify_crc("segment header", cur.u32_le(HEADER)?, header)?;
     if epoch != expect.epoch || index != expect.index || count != expect.count {
         return Err(corrupt("segment header disagrees with the manifest"));
     }
 
-    let apps = application_lanes();
-    let oses = os_lanes();
-    let mut cur = Cursor::new(&bytes[SEGMENT_HEADER_LEN..]);
+    let apps = lanes(Application::ALL, |app| app as usize);
+    let oses = lanes(&OsFamily::ALL, |os| os as usize);
+    // Windows arrive ascending, so the one being filled is the last.
     let mut windows: BTreeMap<WindowId, WindowTables> = BTreeMap::new();
-    let mut current: Option<(WindowId, WindowTables)> = None;
     // airstat::allow(no-hashmap-iter): holds decode_dedup's keyed-access
     // result until from_parts; never iterated here.
     let mut dedup: Option<HashMap<(WindowId, u64), SeqSet>> = None;
     let mut counters: Option<(u64, u64)> = None;
-    let mut ended = false;
-    while !ended {
-        let block_start = cur.pos;
+    loop {
+        let block_start = cur.pos();
         let tag = cur.varint()?;
         let len = cur.count(1, "block length exceeds file size")?;
-        let body = cur.take(len, "truncated block body")?;
-        let stored = cur.u32_le("truncated block checksum")?;
-        let computed = crc32(&cur.buf[block_start..cur.pos - 4]);
+        let body = cur.take(len.get(), "truncated block body")?;
+        let framed = cur.since(block_start);
         tally.crc_checks += 1;
-        if stored != computed {
-            return Err(SegmentError::Crc {
-                context: "column block",
-                stored,
-                computed,
-            });
-        }
+        let stored = cur.u32_le("truncated block checksum")?;
+        verify_crc("column block", stored, framed)?;
+        let mut block = Cursor::new(body);
         match tag {
-            BLOCK_END => {
-                if !body.is_empty() {
-                    return Err(corrupt("end block carries a body"));
-                }
-                ended = true;
+            BLOCK_END => {}
+            BLOCK_DEDUP if dedup.is_none() => dedup = Some(decode_dedup(&mut block)?),
+            BLOCK_DEDUP => return Err(corrupt("duplicate dedup block")),
+            BLOCK_COUNTERS if counters.is_none() => {
+                counters = Some((block.varint()?, block.varint()?));
+            }
+            BLOCK_COUNTERS => return Err(corrupt("duplicate counters block")),
+            _ if dedup.is_some() || counters.is_some() => {
+                return Err(corrupt("window or table block after shard-level blocks"));
             }
             BLOCK_WINDOW => {
-                if dedup.is_some() || counters.is_some() {
-                    return Err(corrupt("window block after shard-level blocks"));
+                let window = window_id(&mut block)?;
+                let last = windows.keys().next_back();
+                if last.is_some_and(|&last| window <= last) {
+                    return Err(corrupt("windows not in ascending order"));
                 }
-                let mut wb = Cursor::new(body);
-                let w = wb.varint()?;
-                if !wb.done() {
-                    return Err(corrupt("trailing bytes in window block"));
-                }
-                let window =
-                    WindowId(u16::try_from(w).map_err(|_| corrupt("window id out of range"))?);
-                if let Some((previous, tables)) = current.take() {
-                    if window <= previous {
-                        return Err(corrupt("windows not in ascending order"));
-                    }
-                    windows.insert(previous, tables);
-                }
-                current = Some((window, WindowTables::default()));
-            }
-            BLOCK_DEDUP => {
-                if dedup.is_some() {
-                    return Err(corrupt("duplicate dedup block"));
-                }
-                dedup = Some(decode_dedup(body)?);
-            }
-            BLOCK_COUNTERS => {
-                if counters.is_some() {
-                    return Err(corrupt("duplicate counters block"));
-                }
-                let mut cb = Cursor::new(body);
-                let ingested = cb.varint()?;
-                let duplicates = cb.varint()?;
-                if !cb.done() {
-                    return Err(corrupt("trailing bytes in counters block"));
-                }
-                counters = Some((ingested, duplicates));
+                windows.insert(window, WindowTables::default());
             }
             _ => {
-                if dedup.is_some() || counters.is_some() {
-                    return Err(corrupt("table block after shard-level blocks"));
-                }
-                let Some((_, tables)) = current.as_mut() else {
+                let Some(tables) = windows.values_mut().next_back() else {
                     return Err(corrupt("table block outside a window"));
                 };
+                let b = &mut block;
                 match tag {
-                    BLOCK_USAGE if tables.usage.is_empty() => {
-                        tables.usage = decode_usage(body, &apps)?;
-                    }
-                    BLOCK_CLIENTS if tables.clients.is_empty() => {
-                        tables.clients = decode_clients(body, &oses)?;
-                    }
-                    BLOCK_LINKS if tables.links.is_empty() => {
-                        tables.links = decode_links(body)?;
-                    }
-                    BLOCK_AIRTIME if tables.airtime.is_empty() => {
-                        tables.airtime = decode_airtime(body)?;
-                    }
-                    BLOCK_NEIGHBORS if tables.neighbors.is_empty() => {
-                        tables.neighbors = decode_neighbors(body)?;
-                    }
-                    BLOCK_SCANS if tables.scans.is_empty() => {
-                        tables.scans = decode_scans(body)?;
-                    }
-                    BLOCK_CRASHES if tables.crashes.is_empty() => {
-                        tables.crashes = decode_crashes(body)?;
-                    }
-                    BLOCK_USAGE | BLOCK_CLIENTS | BLOCK_LINKS | BLOCK_AIRTIME | BLOCK_NEIGHBORS
-                    | BLOCK_SCANS | BLOCK_CRASHES => {
-                        return Err(corrupt("duplicate table block in one window"));
-                    }
+                    BLOCK_USAGE => fill(&mut tables.usage, || decode_usage(b, &apps))?,
+                    BLOCK_CLIENTS => fill(&mut tables.clients, || decode_clients(b, &oses))?,
+                    BLOCK_LINKS => fill(&mut tables.links, || decode_links(b))?,
+                    BLOCK_AIRTIME => fill(&mut tables.airtime, || decode_airtime(b))?,
+                    BLOCK_NEIGHBORS => fill(&mut tables.neighbors, || decode_neighbors(b))?,
+                    BLOCK_SCANS => fill(&mut tables.scans, || {
+                        decode_keyed(b, scan_values, |_, obs| obs)
+                    })?,
+                    BLOCK_CRASHES => fill(&mut tables.crashes, || {
+                        let place = |device, report| CrashReport { device, ..report };
+                        decode_keyed(b, crash_values, place)
+                    })?,
                     _ => return Err(corrupt("unknown block tag")),
                 }
             }
         }
+        block.finish("trailing bytes in block")?;
+        if tag == BLOCK_END {
+            break;
+        }
     }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes after end block"));
-    }
-    if let Some((window, tables)) = current.take() {
-        windows.insert(window, tables);
-    }
+    cur.finish("trailing bytes after end block")?;
     let Some(seen) = dedup else {
         return Err(corrupt("segment is missing its dedup block"));
     };
     let Some((reports_ingested, duplicates_dropped)) = counters else {
         return Err(corrupt("segment is missing its counters block"));
     };
-
     // Re-verify the header's zone-map summary against the decoded rows.
-    let decoded_window_count = u32::try_from(windows.len())
-        .map_err(|_| corrupt("window count exceeds header field range"))?;
-    let (decoded_min, decoded_max) = match (windows.keys().next(), windows.keys().next_back()) {
-        (Some(first), Some(last)) => (first.0, last.0),
-        _ => (0, 0),
-    };
-    let decoded_rows: u64 = windows.values().map(table_rows).sum();
-    if decoded_window_count != window_count
-        || decoded_min != min_window
-        || decoded_max != max_window
-        || decoded_rows != total_rows
-    {
+    let decoded = zone_summary(windows.iter().map(|(&window, tables)| (window, tables)));
+    if decoded != (window_count, min_window, max_window, total_rows) {
         return Err(corrupt("zone-map summary disagrees with decoded blocks"));
     }
     Ok(StoreShard::from_parts(
@@ -1619,6 +1332,32 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SegmentError> {
     fs::rename(&tmp, path).map_err(io_err("rename temp store file into place"))
 }
 
+/// Reads a whole store file, or `None` when there is no such file.
+fn read_if_present(path: &Path, context: &'static str) -> Result<Option<Vec<u8>>, SegmentError> {
+    match fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(context)(e)),
+    }
+}
+
+/// Deletes every segment file in `dir` that `live` does not claim, and
+/// every orphaned `.tmp`. Best-effort: a leftover file is garbage, not
+/// corruption.
+fn sweep(dir: &Path, live: impl Fn(&str) -> bool) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let stale_segment = name.ends_with(".aseg") && !live(name);
+        if stale_segment || name.ends_with(".tmp") {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
+}
+
 /// One live delta segment named by the manifest: the epoch it was
 /// persisted at (which names its file — see [`segment_file_name`]) and
 /// its byte length.
@@ -1630,19 +1369,13 @@ pub(crate) struct ManifestEntry {
     pub(crate) len: u64,
 }
 
-/// Parsed manifest: the store's committed epoch and, per shard, the
-/// ordered delta chain (oldest to newest) that reconstructs it.
-#[derive(Debug, Clone)]
-pub(crate) struct Manifest {
-    pub(crate) epoch: u64,
-    /// Per-shard delta chains, in shard order.
-    pub(crate) lists: Vec<Vec<ManifestEntry>>,
-}
+/// The manifest's per-shard delta chains (oldest to newest), in shard
+/// order.
+type Chains = Vec<Vec<ManifestEntry>>;
 
 fn encode_manifest(epoch: u64, lists: &[Vec<ManifestEntry>]) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&MANIFEST_MAGIC);
-    out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
+    put_preamble(&mut out, MANIFEST_MAGIC);
     out.extend_from_slice(&epoch.to_le_bytes());
     out.extend_from_slice(&(lists.len() as u32).to_le_bytes());
     for chain in lists {
@@ -1652,192 +1385,96 @@ fn encode_manifest(epoch: u64, lists: &[Vec<ManifestEntry>]) -> Vec<u8> {
             out.extend_from_slice(&entry.len.to_le_bytes());
         }
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_crc(&mut out, 0);
     out
 }
 
-fn decode_manifest(bytes: &[u8], tally: &mut DecodeTally) -> Result<Manifest, SegmentError> {
+/// Parses a manifest into the store's committed epoch and its chains.
+fn decode_manifest(bytes: &[u8], tally: &mut DecodeTally) -> Result<(u64, Chains), SegmentError> {
     let mut cur = Cursor::new(bytes);
-    let magic = cur.take(4, "truncated manifest")?;
-    if magic != MANIFEST_MAGIC {
-        return Err(SegmentError::Magic {
-            context: "manifest",
-        });
-    }
-    let version = cur.u32_le("truncated manifest")?;
-    if version != SEGMENT_SCHEMA_VERSION {
-        return Err(SegmentError::Version {
-            found: version,
-            supported: SEGMENT_SCHEMA_VERSION,
-        });
-    }
-    let epoch_bytes = cur.take(8, "truncated manifest")?;
-    let epoch = u64::from_le_bytes(
-        epoch_bytes
-            .try_into()
-            .expect("invariant: take(8) returned exactly 8 bytes"),
-    );
-    let count = cur.u32_le("truncated manifest")?;
-    let count = usize::try_from(count).map_err(|_| corrupt("manifest shard count out of range"))?;
-    if count == 0 || count.saturating_mul(4) > cur.remaining() {
+    cur.preamble(MANIFEST_MAGIC, "manifest")?;
+    let epoch = cur.u64_le("truncated manifest")?;
+    let shards = u64::from(cur.u32_le("truncated manifest")?);
+    let shards = cur.rows(shards, 4, "manifest shard count exceeds file size")?;
+    if shards.get() == 0 {
         return Err(corrupt("manifest shard count exceeds file size"));
     }
-    let mut lists = Vec::with_capacity(count);
-    for _ in 0..count {
-        let deltas = cur.u32_le("truncated manifest delta count")?;
-        let deltas =
-            usize::try_from(deltas).map_err(|_| corrupt("manifest delta count out of range"))?;
-        if deltas.saturating_mul(16) > cur.remaining() {
-            return Err(corrupt("manifest delta count exceeds file size"));
+    let lists = cur.col(shards, |c| {
+        let deltas = u64::from(c.u32_le("truncated manifest delta count")?);
+        let deltas = c.rows(deltas, 16, "manifest delta count exceeds file size")?;
+        let chain = c.col(deltas, |c| {
+            Ok(ManifestEntry {
+                epoch: c.u64_le("truncated manifest entry")?,
+                len: c.u64_le("truncated manifest entry")?,
+            })
+        })?;
+        if chain.windows(2).any(|pair| pair[1].epoch <= pair[0].epoch) {
+            return Err(corrupt("manifest delta chain not in ascending epoch order"));
         }
-        let mut chain = Vec::with_capacity(deltas);
-        let mut previous: Option<u64> = None;
-        for _ in 0..deltas {
-            let epoch_bytes = cur.take(8, "truncated manifest entry")?;
-            let delta_epoch = u64::from_le_bytes(
-                epoch_bytes
-                    .try_into()
-                    .expect("invariant: take(8) returned exactly 8 bytes"),
-            );
-            if previous.is_some_and(|p| delta_epoch <= p) {
-                return Err(corrupt("manifest delta chain not in ascending epoch order"));
-            }
-            previous = Some(delta_epoch);
-            let len_bytes = cur.take(8, "truncated manifest entry")?;
-            let len = u64::from_le_bytes(
-                len_bytes
-                    .try_into()
-                    .expect("invariant: take(8) returned exactly 8 bytes"),
-            );
-            chain.push(ManifestEntry {
-                epoch: delta_epoch,
-                len,
-            });
-        }
-        lists.push(chain);
-    }
+        Ok(chain)
+    })?;
     let stored = cur.u32_le("truncated manifest checksum")?;
-    let computed = crc32(&bytes[..bytes.len() - 4]);
     tally.crc_checks += 1;
-    if stored != computed {
-        return Err(SegmentError::Crc {
-            context: "manifest",
-            stored,
-            computed,
-        });
-    }
-    if !cur.done() {
-        return Err(corrupt("trailing bytes in manifest"));
-    }
-    Ok(Manifest { epoch, lists })
+    verify_crc("manifest", stored, &bytes[..bytes.len() - 4])?;
+    cur.finish("trailing bytes in manifest")?;
+    Ok((epoch, lists))
 }
 
-/// Commits `lists` as the live segment set: writes the manifest (the
-/// single commit point), deletes files the new set no longer
-/// references, and resets the tail log to base `epoch`.
-fn commit_manifest(
-    lists: &[Vec<ManifestEntry>],
-    epoch: u64,
-    dir: &Path,
-    stats: &mut PersistenceStats,
-) -> Result<(), SegmentError> {
-    let manifest = encode_manifest(epoch, lists);
-    write_atomic(&dir.join(MANIFEST_NAME), &manifest)?;
-    stats.bytes_written += manifest.len() as u64;
-
-    // The new set is committed; delete segments it no longer references.
-    // Best-effort: a leftover file is garbage, not corruption.
-    let live = |name: &str| {
-        lists.iter().enumerate().any(|(i, chain)| {
-            chain
-                .iter()
-                .any(|e| segment_file_name(e.epoch, i as u32) == name)
-        })
-    };
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale_segment = name.ends_with(".aseg") && !live(name);
-            let orphan_temp = name.ends_with(".tmp");
-            if stale_segment || orphan_temp {
-                let _ = fs::remove_file(entry.path());
-            }
-        }
-    }
-    // Everything the tail log held is now in the committed segments.
-    let wal = encode_wal_header(epoch);
-    write_atomic(&dir.join(WAL_NAME), &wal)?;
-    stats.bytes_written += wal.len() as u64;
-    Ok(())
-}
-
-/// Persists the full segment set + manifest into `dir` and resets the
-/// tail log (docs/SEGMENT_FORMAT.md §6): every shard becomes a
-/// single-delta chain. Returns what was written and the committed
-/// chains.
+/// Persists segments and the manifest naming them into `dir`, then
+/// resets the tail log (docs/SEGMENT_FORMAT.md §6). Each `Some` shard
+/// appends one epoch-named segment to its chain in `prior_chains`;
+/// `None` shards keep their chains as they are. An **incremental**
+/// persist passes each shard's rows dirtied since the previous persist
+/// and the chains that persist committed; a **full** persist is the same
+/// call with every shard whole and every prior chain empty. Returns what
+/// was written and the committed chains.
 ///
 /// Write order is the atomicity argument: every new epoch-named segment
 /// is written and renamed first, then the manifest rename commits the
-/// new set, then stale segment files are deleted and the tail log is
-/// reset. A crash before the manifest rename leaves the old store
-/// intact (new segments are unreferenced garbage, cleaned next
-/// persist); a crash after it leaves the new store committed and at
-/// worst a stale tail log, which `open` detects by epoch and skips.
-pub(crate) fn write_store_full(
-    shards: &[Arc<StoreShard>],
+/// new set, then segment files it no longer references are deleted and
+/// the tail log is reset. Prior chains' files are never touched. A crash
+/// before the manifest rename leaves the old store intact (new segments
+/// are unreferenced garbage, cleaned next persist); a crash after it
+/// leaves the new store committed and at worst a stale tail log, which
+/// `open` detects by epoch and skips.
+pub(crate) fn write_store(
+    segments: &[Option<&StoreShard>],
+    prior_chains: &[Vec<ManifestEntry>],
     epoch: u64,
     dir: &Path,
-) -> Result<(PersistenceStats, Vec<Vec<ManifestEntry>>), SegmentError> {
+) -> Result<(PersistenceStats, Chains), SegmentError> {
     fs::create_dir_all(dir).map_err(io_err("create store directory"))?;
-    let count = u32::try_from(shards.len()).map_err(|_| corrupt("too many shards to persist"))?;
+    let count = u32::try_from(segments.len()).map_err(|_| corrupt("too many shards to persist"))?;
     let mut stats = PersistenceStats::default();
-    let mut lists = Vec::with_capacity(shards.len());
-    for (i, shard) in shards.iter().enumerate() {
+    let mut chains = prior_chains.to_vec();
+    for (i, (segment, chain)) in segments.iter().zip(&mut chains).enumerate() {
+        let Some(shard) = segment else { continue };
         let bytes = encode_segment(shard, epoch, i as u32, count);
         write_atomic(&dir.join(segment_file_name(epoch, i as u32)), &bytes)?;
         stats.segments_written += 1;
         stats.bytes_written += bytes.len() as u64;
-        lists.push(vec![ManifestEntry {
-            epoch,
-            len: bytes.len() as u64,
-        }]);
-    }
-    commit_manifest(&lists, epoch, dir, &mut stats)?;
-    Ok((stats, lists))
-}
-
-/// Persists an **incremental** delta on top of the committed chains in
-/// `prior` (docs/SEGMENT_FORMAT.md §6): each `Some` shard appends one
-/// epoch-named delta segment holding only that shard's rows dirtied
-/// since the previous persist; `None` shards keep their chains as-is.
-/// The manifest rename commits the grown chains exactly as in
-/// [`write_store_full`] — same crash-safety argument, since prior
-/// chains' files are never touched.
-pub(crate) fn write_store_delta(
-    deltas: &[Option<StoreShard>],
-    prior: &[Vec<ManifestEntry>],
-    epoch: u64,
-    dir: &Path,
-) -> Result<(PersistenceStats, Vec<Vec<ManifestEntry>>), SegmentError> {
-    fs::create_dir_all(dir).map_err(io_err("create store directory"))?;
-    let count = u32::try_from(deltas.len()).map_err(|_| corrupt("too many shards to persist"))?;
-    let mut stats = PersistenceStats::default();
-    let mut lists = prior.to_vec();
-    for (i, delta) in deltas.iter().enumerate() {
-        let Some(delta) = delta else { continue };
-        let bytes = encode_segment(delta, epoch, i as u32, count);
-        write_atomic(&dir.join(segment_file_name(epoch, i as u32)), &bytes)?;
-        stats.segments_written += 1;
-        stats.bytes_written += bytes.len() as u64;
-        lists[i].push(ManifestEntry {
+        chain.push(ManifestEntry {
             epoch,
             len: bytes.len() as u64,
         });
     }
-    commit_manifest(&lists, epoch, dir, &mut stats)?;
-    Ok((stats, lists))
+    let manifest = encode_manifest(epoch, &chains);
+    write_atomic(&dir.join(MANIFEST_NAME), &manifest)?;
+    stats.bytes_written += manifest.len() as u64;
+
+    // The new set is committed; delete segments it no longer references.
+    sweep(dir, |name| {
+        chains.iter().enumerate().any(|(i, chain)| {
+            chain
+                .iter()
+                .any(|e| segment_file_name(e.epoch, i as u32) == name)
+        })
+    });
+    // Everything the tail log held is now in the committed segments.
+    let wal = encode_wal_header(epoch);
+    write_atomic(&dir.join(WAL_NAME), &wal)?;
+    stats.bytes_written += wal.len() as u64;
+    Ok((stats, chains))
 }
 
 /// What `read_store` recovered from the committed segment set.
@@ -1847,7 +1484,7 @@ pub(crate) struct LoadedStore {
     pub(crate) shards: Vec<StoreShard>,
     /// The committed delta chains, handed to the store so a later
     /// persist back into the same directory can stay incremental.
-    pub(crate) lists: Vec<Vec<ManifestEntry>>,
+    pub(crate) lists: Chains,
     pub(crate) bytes_read: u64,
     pub(crate) crc_checks: u64,
 }
@@ -1859,18 +1496,16 @@ pub(crate) struct LoadedStore {
 /// full current value, so the fold reconstructs the exact shard a
 /// monolithic persist would have written.
 pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError> {
-    let manifest_bytes = match fs::read(dir.join(MANIFEST_NAME)) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(io_err("read manifest")(e)),
+    let Some(manifest_bytes) = read_if_present(&dir.join(MANIFEST_NAME), "read manifest")? else {
+        return Ok(None);
     };
     let mut tally = DecodeTally::default();
     let mut bytes_read = manifest_bytes.len() as u64;
-    let manifest = decode_manifest(&manifest_bytes, &mut tally)?;
-    let count = u32::try_from(manifest.lists.len())
-        .map_err(|_| corrupt("manifest shard count out of range"))?;
-    let mut shards = Vec::with_capacity(manifest.lists.len());
-    for (i, chain) in manifest.lists.iter().enumerate() {
+    let (epoch, lists) = decode_manifest(&manifest_bytes, &mut tally)?;
+    let count =
+        u32::try_from(lists.len()).map_err(|_| corrupt("manifest shard count out of range"))?;
+    let mut shards = Vec::with_capacity(lists.len());
+    for (i, chain) in lists.iter().enumerate() {
         let mut shard = StoreShard::default();
         for entry in chain {
             let name = segment_file_name(entry.epoch, i as u32);
@@ -1893,9 +1528,9 @@ pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError
         shards.push(shard);
     }
     Ok(Some(LoadedStore {
-        epoch: manifest.epoch,
+        epoch,
         shards,
-        lists: manifest.lists,
+        lists,
         bytes_read,
         crc_checks: tally.crc_checks,
     }))
@@ -1907,11 +1542,9 @@ pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError
 
 fn encode_wal_header(base_epoch: u64) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
+    put_preamble(&mut out, WAL_MAGIC);
     out.extend_from_slice(&base_epoch.to_le_bytes());
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_crc(&mut out, 0);
     debug_assert_eq!(out.len(), WAL_HEADER_LEN);
     out
 }
@@ -1919,20 +1552,19 @@ fn encode_wal_header(base_epoch: u64) -> Vec<u8> {
 /// Encodes one tail-log record body: the window, then each report's
 /// wire encoding ([`Report::encode`]) length-prefixed.
 fn encode_wal_record(window: WindowId, reports: &[Report], scratch: &mut Vec<u8>) -> Vec<u8> {
-    let mut body = Vec::new();
-    put_varint(&mut body, u64::from(window.0));
-    put_varint(&mut body, reports.len() as u64);
+    let mut out = vec![0; 4]; // the body length, known once the body is written
+    put_varint(&mut out, u64::from(window.0));
+    put_varint(&mut out, reports.len() as u64);
     let mut field_scratch = Vec::new();
     for report in reports {
         scratch.clear();
         report.encode_into(scratch, &mut field_scratch);
-        put_varint(&mut body, scratch.len() as u64);
-        body.extend_from_slice(scratch);
+        put_varint(&mut out, scratch.len() as u64);
+        out.extend_from_slice(scratch);
     }
-    let mut out = Vec::with_capacity(body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    let body_len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&body_len.to_le_bytes());
+    put_crc(&mut out, 4);
     out
 }
 
@@ -1964,101 +1596,70 @@ pub(crate) struct WalReplay {
 /// that is the torn final write of a crashed appender, and every record
 /// before it is intact by construction (appends are sequential).
 pub(crate) fn read_wal(dir: &Path, expected_base: u64) -> Result<WalReplay, SegmentError> {
-    match fs::read(dir.join(WAL_NAME)) {
-        Ok(bytes) => decode_wal(&bytes, expected_base),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(WalReplay::default()),
-        Err(e) => Err(io_err("read tail log")(e)),
+    match read_if_present(&dir.join(WAL_NAME), "read tail log")? {
+        Some(bytes) => decode_wal(&bytes, expected_base),
+        None => Ok(WalReplay::default()),
     }
+}
+
+/// The body of the next whole record — `length u32 LE · body ·
+/// crc32(body) u32 LE` — or `None` at the end of the log and at a torn
+/// length prefix, body or checksum.
+fn next_wal_record<'a>(cur: &mut Cursor<'a>) -> Option<&'a [u8]> {
+    let len = cur.u32_le("torn record").ok()?;
+    let body = cur.take(len as usize, "torn record").ok()?;
+    let stored = cur.u32_le("torn record").ok()?;
+    (crc32(body) == stored).then_some(body)
 }
 
 /// [`read_wal`] over the log's bytes.
 fn decode_wal(bytes: &[u8], expected_base: u64) -> Result<WalReplay, SegmentError> {
-    if bytes.len() < WAL_HEADER_LEN {
-        return Err(corrupt("tail log shorter than its header"));
-    }
-    let mut header = Cursor::new(&bytes[..WAL_HEADER_LEN]);
-    let magic = header.take(4, "truncated tail-log header")?;
-    if magic != WAL_MAGIC {
-        return Err(SegmentError::Magic {
-            context: "tail log",
-        });
-    }
-    let version = header.u32_le("truncated tail-log header")?;
-    if version != SEGMENT_SCHEMA_VERSION {
-        return Err(SegmentError::Version {
-            found: version,
-            supported: SEGMENT_SCHEMA_VERSION,
-        });
-    }
-    let base_bytes = header.take(8, "truncated tail-log header")?;
-    let base_epoch = u64::from_le_bytes(
-        base_bytes
-            .try_into()
-            .expect("invariant: take(8) returned exactly 8 bytes"),
-    );
-    let stored = header.u32_le("truncated tail-log header")?;
-    let computed = crc32(&bytes[..WAL_HEADER_LEN - 4]);
-    if stored != computed {
-        return Err(SegmentError::Crc {
-            context: "tail-log header",
-            stored,
-            computed,
-        });
-    }
+    const HEADER: &str = "truncated tail-log header";
+    let mut cur = Cursor::new(bytes);
+    cur.preamble(WAL_MAGIC, "tail log")?;
+    let base_epoch = cur.u64_le(HEADER)?;
+    let header = cur.since(0);
+    verify_crc("tail-log header", cur.u32_le(HEADER)?, header)?;
     let mut replay = WalReplay {
         valid_len: WAL_HEADER_LEN as u64,
         ..WalReplay::default()
     };
     if base_epoch != expected_base {
         replay.stale = true;
-        replay.bytes_discarded = (bytes.len() - WAL_HEADER_LEN) as u64;
+        replay.bytes_discarded = cur.remaining() as u64;
         return Ok(replay);
     }
-    let mut pos = WAL_HEADER_LEN;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < 4 {
-            break; // torn length prefix
-        }
-        let len = u32::from_le_bytes(
-            bytes[pos..pos + 4]
-                .try_into()
-                .expect("invariant: slice of 4 bytes converts to [u8; 4]"),
-        ) as usize;
-        if remaining < 4 + len + 4 {
-            break; // torn record body or checksum
-        }
-        let body = &bytes[pos + 4..pos + 4 + len];
-        let stored = u32::from_le_bytes(
-            bytes[pos + 4 + len..pos + 8 + len]
-                .try_into()
-                .expect("invariant: slice of 4 bytes converts to [u8; 4]"),
-        );
-        if crc32(body) != stored {
-            break; // torn write caught by the record guard
-        }
+    while let Some(body) = next_wal_record(&mut cur) {
         // A CRC-valid record must parse; failure here is real corruption.
-        let mut cur = Cursor::new(body);
-        let window = cur.varint()?;
-        let window =
-            WindowId(u16::try_from(window).map_err(|_| corrupt("window id out of range"))?);
-        let count = cur.count(1, "tail-log report count exceeds record size")?;
-        let mut reports = Vec::with_capacity(count);
-        for _ in 0..count {
-            let report_len = cur.count(1, "tail-log report length exceeds record size")?;
-            let report_bytes = cur.take(report_len, "truncated tail-log report")?;
-            reports.push(Report::decode(report_bytes)?);
-        }
-        if !cur.done() {
-            return Err(corrupt("trailing bytes in tail-log record"));
-        }
+        let mut record = Cursor::new(body);
+        let window = window_id(&mut record)?;
+        let count = record.count(1, "tail-log report count exceeds record size")?;
+        let reports = record.col(count, |r| {
+            let len = r.count(1, "tail-log report length exceeds record size")?;
+            let report = r.take(len.get(), "truncated tail-log report")?;
+            Ok(Report::decode(report)?)
+        })?;
+        record.finish("trailing bytes in tail-log record")?;
         replay.reports += reports.len() as u64;
         replay.batches.push((window, reports));
-        pos += 8 + len;
-        replay.valid_len = pos as u64;
+        replay.valid_len = cur.pos() as u64;
     }
-    replay.bytes_discarded = (bytes.len() - replay.valid_len as usize) as u64;
+    replay.bytes_discarded = bytes.len() as u64 - replay.valid_len;
     Ok(replay)
+}
+
+/// Opens the tail log in `dir` for appending after its first `len`
+/// bytes; anything past them (a torn final record) is cut off.
+fn open_wal(dir: &Path, len: u64) -> Result<fs::File, SegmentError> {
+    let mut wal = fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(WAL_NAME))
+        .map_err(io_err("open tail log for append"))?;
+    wal.set_len(len)
+        .map_err(io_err("truncate torn tail-log record"))?;
+    wal.seek(std::io::SeekFrom::End(0))
+        .map_err(io_err("seek tail log to append point"))?;
+    Ok(wal)
 }
 
 // ---------------------------------------------------------------------
@@ -2092,25 +1693,26 @@ impl DurableStore {
     /// store state there (manifest, segments, tail log).
     pub fn create(dir: &Path, config: StoreConfig) -> Result<DurableStore, SegmentError> {
         fs::create_dir_all(dir).map_err(io_err("create store directory"))?;
-        let _ = fs::remove_file(dir.join(MANIFEST_NAME));
-        if let Ok(entries) = fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.ends_with(".aseg") || name.ends_with(".tmp") {
-                    let _ = fs::remove_file(entry.path());
-                }
+        // The old manifest goes first and must be seen to go: one that
+        // outlived the sweep would name segments that no longer exist.
+        match fs::remove_file(dir.join(MANIFEST_NAME)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(io_err("remove previous manifest")(e));
             }
+            _ => {}
         }
+        sweep(dir, |_| false);
         write_atomic(&dir.join(WAL_NAME), &encode_wal_header(0))?;
-        let wal = fs::OpenOptions::new()
-            .append(true)
-            .open(dir.join(WAL_NAME))
-            .map_err(io_err("open tail log for append"))?;
+        let store = ShardedStore::with_config(config);
+        DurableStore::bind(store, dir, WAL_HEADER_LEN as u64)
+    }
+
+    /// Binds `store` to `dir`, appending to the tail log from `append_at`.
+    fn bind(store: ShardedStore, dir: &Path, append_at: u64) -> Result<Self, SegmentError> {
         Ok(DurableStore {
-            store: ShardedStore::with_config(config),
+            store,
             dir: dir.to_path_buf(),
-            wal,
+            wal: open_wal(dir, append_at)?,
             scratch: Vec::new(),
             deferred: None,
         })
@@ -2125,35 +1727,16 @@ impl DurableStore {
         config: StoreConfig,
     ) -> Result<(DurableStore, RecoveryStats), SegmentError> {
         let (store, recovery) = ShardedStore::open(dir, config)?;
-        let wal_path = dir.join(WAL_NAME);
         let append_at = if recovery.wal_stale || recovery.wal_valid_len == 0 {
             // Stale (pre-persist) or missing log: start a fresh one whose
             // base is the recovered epoch. No replay happened in either
             // case, so `store.epoch()` is the committed manifest epoch.
-            write_atomic(&wal_path, &encode_wal_header(store.epoch()))?;
+            write_atomic(&dir.join(WAL_NAME), &encode_wal_header(store.epoch()))?;
             WAL_HEADER_LEN as u64
         } else {
             recovery.wal_valid_len
         };
-        let mut wal = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&wal_path)
-            .map_err(io_err("open tail log for append"))?;
-        wal.set_len(append_at)
-            .map_err(io_err("truncate torn tail-log record"))?;
-        wal.seek(std::io::SeekFrom::End(0))
-            .map_err(io_err("seek tail log to append point"))?;
-        Ok((
-            DurableStore {
-                store,
-                dir: dir.to_path_buf(),
-                wal,
-                scratch: Vec::new(),
-                deferred: None,
-            },
-            recovery,
-        ))
+        Ok((DurableStore::bind(store, dir, append_at)?, recovery))
     }
 
     /// The wrapped in-memory store.
@@ -2172,10 +1755,7 @@ impl DurableStore {
             .map_err(io_err("sync tail log before persist"))?;
         let stats = self.store.persist(&self.dir)?;
         // write_store reset the log file; reopen the append handle on it.
-        self.wal = fs::OpenOptions::new()
-            .append(true)
-            .open(self.dir.join(WAL_NAME))
-            .map_err(io_err("reopen tail log after persist"))?;
+        self.wal = open_wal(&self.dir, WAL_HEADER_LEN as u64)?;
         Ok(stats)
     }
 
@@ -2665,6 +2245,36 @@ mod tests {
         assert_eq!(store.shard_count(), 5, "config shapes a fresh store");
         assert_eq!(store.epoch(), 0);
         assert_eq!(recovery, RecoveryStats::default());
+    }
+
+    /// `create` must see the old manifest go before it deletes a
+    /// segment that manifest names; a `MANIFEST` it cannot remove (here a
+    /// directory) is a typed error with nothing touched.
+    #[test]
+    fn create_refuses_a_manifest_it_cannot_remove() {
+        let dir = temp_store_dir("stuck-manifest");
+        fs::create_dir_all(dir.join(MANIFEST_NAME)).expect("MANIFEST/ directory");
+        let segment = dir.join(segment_file_name(1, 0));
+        fs::write(&segment, b"named by the old manifest").expect("old segment");
+        let err = DurableStore::create(&dir, StoreConfig::default())
+            .expect_err("the old manifest is still there");
+        assert!(
+            matches!(
+                err,
+                SegmentError::Io {
+                    context: "remove previous manifest",
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        assert!(dir.join(MANIFEST_NAME).is_dir());
+        assert_eq!(
+            fs::read(&segment).expect("segment untouched"),
+            b"named by the old manifest"
+        );
+        assert!(!dir.join(WAL_NAME).exists(), "no tail log was started");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

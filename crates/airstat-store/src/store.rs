@@ -239,25 +239,29 @@ impl ShardedStore {
             .seal
             .get_mut()
             .expect("invariant: seal lock is never poisoned (projection code does not panic)");
-        let incremental = matches!(
-            &self.persist_state,
-            Some((prev, lists)) if prev == dir
-                && lists.len() == n
-                && lists.iter().all(|list| list.len() < MAX_DELTAS_ON_DISK)
-        );
-        let (stats, lists) = if incremental {
-            let Some((_, prior)) = &self.persist_state else {
-                unreachable!("invariant: incremental implies persist_state is Some");
-            };
-            let deltas: Vec<Option<StoreShard>> = (0..n)
-                .map(|i| {
-                    let pending = &state.persist_pending[i];
-                    (!pending.is_empty()).then(|| self.shards[i].delta_snapshot(pending))
-                })
-                .collect();
-            segment::write_store_delta(&deltas, prior, self.epoch, dir)?
-        } else {
-            segment::write_store_full(&self.shards, self.epoch, dir)?
+        let (stats, lists) = match &self.persist_state {
+            // Incremental: on top of the chains this store committed into
+            // `dir` itself, while every one of them is short.
+            Some((prev, chains))
+                if prev == dir
+                    && chains.len() == n
+                    && chains.iter().all(|c| c.len() < MAX_DELTAS_ON_DISK) =>
+            {
+                let deltas: Vec<Option<StoreShard>> = (0..n)
+                    .map(|i| {
+                        let pending = &state.persist_pending[i];
+                        (!pending.is_empty()).then(|| self.shards[i].delta_snapshot(pending))
+                    })
+                    .collect();
+                let deltas: Vec<Option<&StoreShard>> = deltas.iter().map(Option::as_ref).collect();
+                segment::write_store(&deltas, chains, self.epoch, dir)?
+            }
+            // Full: every shard whole, on top of nothing.
+            _ => {
+                let shards: Vec<Option<&StoreShard>> =
+                    self.shards.iter().map(|shard| Some(&**shard)).collect();
+                segment::write_store(&shards, &vec![Vec::new(); n], self.epoch, dir)?
+            }
         };
         for pending in &mut state.persist_pending {
             pending.clear();
@@ -642,8 +646,7 @@ impl ReportSink for Backend {
 
 /// Sinks that can seal mid-campaign, so the engine's `--seal-every`
 /// cadence works against any store flavor. Sealing is about keeping the
-/// incremental projection warm — for sinks with no columnar layout (the
-/// legacy [`Backend`]) it is a no-op.
+/// incremental projection warm.
 pub trait Sealable {
     /// Brings the sink's read layout up to date with what has been
     /// ingested so far.
@@ -654,10 +657,6 @@ impl Sealable for ShardedStore {
     fn reseal(&mut self) {
         let _ = self.seal();
     }
-}
-
-impl Sealable for Backend {
-    fn reseal(&mut self) {}
 }
 
 /// A [`ReportSink`] adapter that seals its inner sink every `every`

@@ -11,7 +11,7 @@ cargo build --release --offline
 echo "==> cargo build --release bench/ (the benchmark is its own workspace on the public API: a PR that deletes or renames a public name finds out here)"
 cargo build --release --offline --manifest-path bench/Cargo.toml
 
-echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/cli.rs driving the airstat binary incl. --store-dir/--resume, golden report digest, mid-campaign delta seals + pinned compaction schedule, scheduler-vs-flat-oracle drain differential + 100k-AP queue-pressure campaign, tests/perf_gates.rs same-host ratio gates: vectorized < legacy, reopen < re-simulate, delta seal <= 2x its ingest, ...)"
+echo "==> cargo test -q (every root suite: store-vs-legacy, vectorized-vs-legacy and persist/reopen differentials, tests/persistence.rs store_directory_bytes_are_pinned_across_every_persist_transition: name/length/FNV-1a of every store file across full, incremental, rewrite and other-directory persists, tests/cli.rs driving the airstat binary incl. --store-dir/--resume and resume_refuses_a_manifest_written_by_a_newer_schema + resume_refuses_a_delta_chain_that_repeats_an_epoch, golden report digest, mid-campaign delta seals + pinned compaction schedule, scheduler-vs-flat-oracle drain differential + 100k-AP queue-pressure campaign, tests/perf_gates.rs same-host ratio gates: vectorized < legacy, reopen < re-simulate, delta seal <= 2x its ingest, ...)"
 cargo test -q --offline
 
 echo "==> cargo test -q -p airstat-classify (compiled ruleset vs linear first-match oracle on the rule corpus, shadowed-rule audit, flow-table eviction pin, proptests)"
@@ -20,7 +20,7 @@ cargo test -q --offline -p airstat-classify
 echo "==> cargo test -q -p airstat-sim (traffic generator, weight-norm table bit-identity, engine determinism)"
 cargo test -q --offline -p airstat-sim
 
-echo "==> cargo test -q -p airstat-store (sharded store: unit tests incl. column-merge-vs-rebuild compaction oracle and segment format corruption sweep/schema pin/doc example; zone-map pruning and seal-placement invariance proptests; engine-vs-backend tests)"
+echo "==> cargo test -q -p airstat-store (sharded store: unit tests incl. column-merge-vs-rebuild compaction oracle, segment format corruption sweep/schema pin/doc example and create_refuses_a_manifest_it_cannot_remove; the cross-commit pin of whole store directories is tests/persistence.rs in the root suite above; zone-map pruning and seal-placement invariance proptests; engine-vs-backend tests)"
 cargo test -q --offline -p airstat-store
 
 echo "==> cargo test -q -p airstat-telemetry (wire, transport, poll and scheduler unit tests; tests/properties.rs and tests/sched_properties.rs proptests incl. no-starvation; pipeline doctests)"

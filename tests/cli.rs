@@ -4,6 +4,12 @@
 //! / `--resume` round-trip a report through a real directory and refuse
 //! a damaged one with a typed error.
 
+use airstat::classify::apps::Application;
+use airstat::classify::mac::{MacAddress, Oui};
+use airstat::store::ShardedStore;
+use airstat::telemetry::backend::WindowId;
+use airstat::telemetry::report::{Report, ReportPayload, UsageRecord};
+use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::OnceLock;
 
@@ -139,6 +145,69 @@ fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
         &format!("error: open store {dir_arg}: corrupt store file: truncated manifest checksum\n"),
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A one-shard store directory persisted twice, so its manifest (20
+/// bytes of magic, version, epoch and shard count, then the shard's
+/// chain: a `u32` length and one `epoch u64 · length u64` entry per
+/// delta) names a two-entry chain.
+fn twice_persisted_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("airstat-cli-{tag}-{}", std::process::id()));
+    let mut store = ShardedStore::new(1);
+    for device in [1u64, 2] {
+        let usage = UsageRecord {
+            mac: MacAddress::from_id(Oui([2, 4, 6]), device),
+            app: Application::Netflix,
+            up_bytes: 10,
+            down_bytes: 20,
+        };
+        let report = Report {
+            device,
+            seq: 0,
+            timestamp_s: 0,
+            payload: ReportPayload::Usage(vec![usage]),
+        };
+        store.ingest_batch(WindowId(1501), &[report]);
+        store.persist(&dir).expect("persist");
+    }
+    let manifest = std::fs::read(dir.join("MANIFEST")).expect("manifest readable");
+    assert_eq!(manifest[20..24], 2u32.to_le_bytes(), "a two-entry chain");
+    dir
+}
+
+/// Rewrites `dir`'s manifest through `patch`, resumes from it, and
+/// expects the refusal `error`.
+fn assert_patched_manifest_is_refused(dir: PathBuf, patch: impl Fn(&mut [u8]), error: &str) {
+    let dir_arg = dir.to_str().expect("utf-8 temp dir");
+    let mut manifest = std::fs::read(dir.join("MANIFEST")).expect("manifest readable");
+    patch(&mut manifest);
+    std::fs::write(dir.join("MANIFEST"), manifest).expect("patch manifest");
+    assert_refused(
+        &airstat(&["report", "--store-dir", dir_arg, "--resume"]),
+        &format!("error: open store {dir_arg}: {error}\n"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both checks run before the manifest's CRC is looked at, so patching
+/// the bytes in place is enough to reach them.
+#[test]
+fn resume_refuses_a_manifest_written_by_a_newer_schema() {
+    assert_patched_manifest_is_refused(
+        twice_persisted_store("schema"),
+        |manifest| manifest[4..8].copy_from_slice(&3u32.to_le_bytes()),
+        "unsupported segment schema version 3 (this build reads version 2; \
+         see docs/SEGMENT_FORMAT.md)",
+    );
+}
+
+#[test]
+fn resume_refuses_a_delta_chain_that_repeats_an_epoch() {
+    assert_patched_manifest_is_refused(
+        twice_persisted_store("epoch"),
+        |manifest| manifest.copy_within(24..32, 40),
+        "corrupt store file: manifest delta chain not in ascending epoch order",
+    );
 }
 
 #[test]

@@ -5,16 +5,23 @@
 //! must recover every fully-appended batch from the tail log.
 
 use airstat::classify::apps::Application;
+use airstat::classify::device::OsFamily;
+use airstat::classify::mac::{MacAddress, Oui};
 use airstat::core::PaperReport;
-use airstat::rf::band::Band;
+use airstat::rf::band::{Band, Channel};
+use airstat::rf::phy::{Capabilities, Generation};
 use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::{FleetConfig, FleetSimulation};
+use airstat::stats::rng::fnv1a;
 use airstat::store::{
     DurableStore, FleetQuery, QueryBackend, QueryEngine, ReportSink, Sealable, ShardedStore,
     StoreConfig,
 };
 use airstat::telemetry::backend::WindowId;
-use airstat::telemetry::report::Report;
+use airstat::telemetry::report::{
+    AirtimeRecord, ChannelScanRecord, ClientInfoRecord, CrashRecord, LinkRecord, NeighborRecord,
+    Report, ReportPayload, UsageRecord,
+};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -327,4 +334,250 @@ fn reopened_delta_chains_repersist_to_the_monolithic_segment_files() {
         let _ = std::fs::remove_dir_all(&again);
     }
     let _ = std::fs::remove_dir_all(&monolithic_dir);
+}
+
+/// One round of the hand-built stream behind the directory-image pin:
+/// for each of five devices one report of every payload kind (crashes
+/// from two of them), values moving with `round`, split over two
+/// windows. Device 2 leaves gaps in its sequence numbers so the dedup
+/// ledger carries a sparse tail.
+fn image_round(round: u64) -> [(WindowId, Vec<Report>); 2] {
+    let channel = |band, number| Channel::new(band, number).expect("a valid channel");
+    let mut batches = [(WINDOW_JAN_2014, Vec::new()), (WINDOW_JAN_2015, Vec::new())];
+    for device in 1..=5u64 {
+        let mac = |k: u64| MacAddress::from_id(Oui([2, 4, 6]), device * 10 + k);
+        let pick = (device + round) as usize;
+        let band = BANDS[pick % 2];
+        let mut payloads = vec![
+            ReportPayload::Usage(vec![
+                UsageRecord {
+                    mac: mac(0),
+                    app: Application::Netflix,
+                    up_bytes: 1_000 * device + round,
+                    down_bytes: 50_000 * (round + 1),
+                },
+                UsageRecord {
+                    mac: mac(1),
+                    app: Application::ALL[pick % Application::ALL.len()],
+                    up_bytes: 300,
+                    down_bytes: device << (round % 40),
+                },
+            ]),
+            ReportPayload::ClientInfo(vec![
+                ClientInfoRecord {
+                    mac: mac(0),
+                    os: OsFamily::ALL[pick % OsFamily::ALL.len()],
+                    caps: Capabilities::new(Generation::Ac, true, true, 3),
+                    band,
+                    rssi_dbm: -40.5 - device as f64,
+                },
+                ClientInfoRecord {
+                    mac: mac(1),
+                    os: OsFamily::Android,
+                    caps: Capabilities::new(Generation::G, false, false, 1),
+                    band: Band::Ghz2_4,
+                    rssi_dbm: -71.25 + round as f64,
+                },
+            ]),
+            ReportPayload::Links(vec![
+                LinkRecord {
+                    peer_device: device % 5 + 1,
+                    band,
+                    probes_expected: 20,
+                    probes_received: ((device * 3 + round) % 21) as u32,
+                },
+                LinkRecord {
+                    peer_device: 9,
+                    band: Band::Ghz5,
+                    probes_expected: 0,
+                    probes_received: 0,
+                },
+            ]),
+            ReportPayload::Airtime(vec![AirtimeRecord {
+                channel: channel(Band::Ghz5, 36),
+                elapsed_us: 1_000_000,
+                busy_us: 400_000 + 1_000 * round,
+                wifi_us: 300_000 + device,
+            }]),
+            ReportPayload::Neighbors(vec![
+                NeighborRecord {
+                    channel: channel(Band::Ghz2_4, 6),
+                    networks: (device + round) as u32,
+                    hotspots: (round % 3) as u32,
+                },
+                NeighborRecord {
+                    channel: channel(Band::Ghz5, 149),
+                    networks: 2,
+                    hotspots: 0,
+                },
+            ]),
+            ReportPayload::ChannelScan(vec![
+                ChannelScanRecord {
+                    channel: channel(Band::Ghz2_4, 1),
+                    utilization_ppm: (37_000 * device + round) as u32,
+                    decodable_ppm: 800_000,
+                    networks: device as u32,
+                },
+                ChannelScanRecord {
+                    channel: channel(Band::Ghz5, 36),
+                    utilization_ppm: 9_000,
+                    decodable_ppm: (990_000 - round) as u32,
+                    networks: 1,
+                },
+            ]),
+        ];
+        if device % 2 == 1 {
+            payloads.push(ReportPayload::Crash(vec![CrashRecord {
+                firmware: format!("mr18-2015.{round}"),
+                reason: (pick % 5) as u8,
+                program_counter: 0x4000_0000 + device,
+                uptime_s: 86_400 * (round + 1),
+                free_memory_bytes: 1 << 20,
+            }]));
+        }
+        let stride = if device == 2 { 2 } else { 1 };
+        let reports = &mut batches[usize::from(device > 3)].1;
+        for (kind, payload) in payloads.into_iter().enumerate() {
+            reports.push(Report {
+                device,
+                seq: (round * 8 + kind as u64) * stride,
+                timestamp_s: 3_600 * round + device,
+                payload,
+            });
+        }
+    }
+    batches
+}
+
+/// A store directory as text: one `name length fnv1a` line per file, in
+/// name order.
+fn directory_image(dir: &Path) -> Vec<String> {
+    let mut lines: Vec<String> = std::fs::read_dir(dir)
+        .expect("store dir readable")
+        .flatten()
+        .map(|entry| {
+            let bytes = std::fs::read(entry.path()).expect("store file readable");
+            let name = entry.file_name();
+            let name = name.to_str().expect("utf-8 file name");
+            format!("{name} {} {:016x}\n", bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+/// Every file the store leaves on disk — each segment, `MANIFEST` and
+/// `wal.log` — after each transition the persist writer serves: the
+/// tail log ahead of the first persist, the first (full) persist, the
+/// incremental persists that grow both shards' chains to the on-disk
+/// compaction bound of 8, the full rewrite that follows, and a persist
+/// into another directory. Each step lists its file count and the files
+/// that are new or changed since the step before (the rest are the
+/// lines already listed). Captured on the commit before the two persist
+/// writers, three preambles and the column loops of `segment.rs` were
+/// folded into one of each; it changes only with a
+/// `SEGMENT_SCHEMA_VERSION` bump.
+const DIRECTORY_IMAGES: &str = "\
+== tail log before the first persist: 1 file(s)\n\
+wal.log 1351 d6c4e2e7cf998c69\n\
+== persist 1 wrote 2: 4 file(s)\n\
+MANIFEST 64 aee7fdf8d09f4953\n\
+seg-0000000000000004-0000.aseg 595 118daef14fc78328\n\
+seg-0000000000000004-0001.aseg 495 0e50e08e5c81f548\n\
+wal.log 20 55b915e3d66f8392\n\
+== persist 2 wrote 2: 6 file(s)\n\
+MANIFEST 96 62edf107bd1575d1\n\
+seg-0000000000000008-0000.aseg 718 7c5acd855b1e125e\n\
+seg-0000000000000008-0001.aseg 613 4fa5ad4c2efccc30\n\
+wal.log 20 7c7aae8f3fa7d11c\n\
+== persist 3 wrote 2: 8 file(s)\n\
+MANIFEST 128 caa0183b0bd6c132\n\
+seg-000000000000000c-0000.aseg 869 e7a9ccccf13cc840\n\
+seg-000000000000000c-0001.aseg 749 25a9ac6a2d039ba0\n\
+wal.log 20 9e28181e94acaa96\n\
+== persist 4 wrote 2: 10 file(s)\n\
+MANIFEST 160 a6fcde58624188a1\n\
+seg-0000000000000010-0000.aseg 992 7da964792c53e575\n\
+seg-0000000000000010-0001.aseg 868 7cdeea67183feaf9\n\
+wal.log 20 6c612c698f78649b\n\
+== persist 5 wrote 2: 12 file(s)\n\
+MANIFEST 192 c7ae4d52bfc608d8\n\
+seg-0000000000000014-0000.aseg 1141 55d8c8b18f65af95\n\
+seg-0000000000000014-0001.aseg 1004 12a85f1272aaf8f4\n\
+wal.log 20 cd43861b39c94f6d\n\
+== persist 6 wrote 2: 14 file(s)\n\
+MANIFEST 224 b70a67058ff19452\n\
+seg-0000000000000018-0000.aseg 1279 c2f27695c9209604\n\
+seg-0000000000000018-0001.aseg 1133 e905e9c8879bcfd0\n\
+wal.log 20 33208ad50a2c5ab7\n\
+== persist 7 wrote 2: 16 file(s)\n\
+MANIFEST 256 33ec5006aaf244c8\n\
+seg-000000000000001c-0000.aseg 1439 be0724b444fc08c6\n\
+seg-000000000000001c-0001.aseg 1273 8b054010b124cd08\n\
+wal.log 20 a6d404c8e17b8419\n\
+== persist 8 wrote 2: 18 file(s)\n\
+MANIFEST 288 258b068cefe29570\n\
+seg-0000000000000020-0000.aseg 1571 58230c5431b6e84f\n\
+seg-0000000000000020-0001.aseg 1398 6379222fc71f8ea8\n\
+wal.log 20 4ac1045c9d8dea01\n\
+== persist 9 wrote 2: 4 file(s)\n\
+MANIFEST 64 08e251a7325c5476\n\
+seg-0000000000000024-0000.aseg 2126 ccd4d2314f0e09d8\n\
+seg-0000000000000024-0001.aseg 1794 0793b5fdfb792041\n\
+wal.log 20 6896fd181b801a5f\n\
+== persist into another directory wrote 2: 4 file(s)\n\
+";
+
+/// Round-trip tests cannot see an encoder and its decoder drift
+/// together, and the spec's worked example pins one one-row segment;
+/// this pins whole directories, across commits.
+#[test]
+fn store_directory_bytes_are_pinned_across_every_persist_transition() {
+    let dir = temp_store_dir("image");
+    let other = temp_store_dir("image-other");
+    let mut durable = DurableStore::create(
+        &dir,
+        StoreConfig {
+            shards: 2,
+            threads: 1,
+        },
+    )
+    .expect("create");
+    let mut images = String::new();
+    let mut listed = Vec::new();
+    let mut record = |step: String, dir: &Path| {
+        let image = directory_image(dir);
+        images += &format!("== {step}: {} file(s)\n", image.len());
+        for line in image.iter().filter(|line| !listed.contains(*line)) {
+            images += line;
+        }
+        listed = image;
+    };
+    for round in 0..9u64 {
+        for (window, reports) in image_round(round) {
+            durable.ingest_batch(window, &reports);
+            // A retransmission, for the duplicate counter.
+            durable.ingest_batch(window, &reports[..1]);
+        }
+        if round == 0 {
+            record("tail log before the first persist".to_string(), &dir);
+        }
+        let written = durable.persist().expect("persist").segments_written;
+        record(format!("persist {} wrote {written}", round + 1), &dir);
+    }
+    let mut copy = durable.store().clone();
+    let written = copy
+        .persist(&other)
+        .expect("persist elsewhere")
+        .segments_written;
+    record(
+        format!("persist into another directory wrote {written}"),
+        &other,
+    );
+    assert!(
+        images == DIRECTORY_IMAGES,
+        "the store's on-disk bytes moved; this run wrote:\n{images}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&other);
 }
