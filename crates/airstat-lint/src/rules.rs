@@ -122,8 +122,8 @@ impl RuleId {
                  nondeterministic; use BTreeMap/BTreeSet or sort before folding"
             }
             RuleId::NoWallClock => {
-                "Instant::now/SystemTime in sim/rf/telemetry/store: wall-clock time \
-                 must never influence aggregation; use virtual time"
+                "Instant::now/SystemTime in any linted crate: wall-clock time must \
+                 never reach report bytes or operator output; use virtual time"
             }
             RuleId::NoRawSpawn => {
                 "thread::spawn outside exec::run_ordered: unmanaged threads bypass \
@@ -185,10 +185,12 @@ impl RuleId {
                  sites keep a written `airstat::allow(no-hashmap-iter): reason`."
             }
             RuleId::NoWallClock => {
-                "Fires on `Instant`/`SystemTime` outside the bench harness. \
-                 Wall-clock readings differ per run and per host; the pipeline \
-                 models time as explicit virtual seconds so campaigns replay \
-                 byte-identically. Fix: thread virtual time through instead."
+                "Fires on `Instant`/`SystemTime` in every linted crate; no crate \
+                 is exempt. Wall-clock readings differ per run and per host; the \
+                 pipeline models time as explicit virtual seconds so campaigns \
+                 replay byte-identically and the CLI's stderr is a function of \
+                 its flags. Fix: thread virtual time through instead; timing \
+                 belongs in `bench/`, which is outside the workspace."
             }
             RuleId::NoRawSpawn => {
                 "Fires on `thread::spawn`/`thread::Builder` anywhere but \
@@ -315,11 +317,6 @@ impl FileContext {
     /// workspace policy, spelled out in `docs/LINTS.md`.
     pub fn rule_applies(&self, rule: RuleId) -> bool {
         match rule {
-            // Every airstat crate feeds aggregation except the bench
-            // harness (which never touches report bytes).
-            RuleId::NoHashmapIter => self.crate_name != "airstat-bench",
-            // The bench harness exists to measure wall time.
-            RuleId::NoWallClock => self.crate_name != "airstat-bench",
             // The one blessed spawn site: the ordered executor.
             RuleId::NoRawSpawn => !self.rel_path.ends_with("airstat-store/src/exec.rs"),
             RuleId::NoUnwrapInLib => !self.is_bin,
@@ -330,12 +327,12 @@ impl FileContext {
                 self.crate_name.as_str(),
                 "airstat-core" | "airstat-store" | "airstat-telemetry"
             ),
-            // Bench timings may overflow/hash/draw without touching
-            // report bytes; everything else is in scope.
-            RuleId::ClockArithmeticOverflow
+            RuleId::NoHashmapIter
+            | RuleId::NoWallClock
+            | RuleId::ClockArithmeticOverflow
             | RuleId::SeedStreamDiscipline
-            | RuleId::UnorderedCollectionEscape => self.crate_name != "airstat-bench",
-            RuleId::TodoMarkers
+            | RuleId::UnorderedCollectionEscape
+            | RuleId::TodoMarkers
             | RuleId::MalformedAllow
             | RuleId::StaleSuppression
             | RuleId::SchemaSpecDrift => true,
@@ -1163,15 +1160,6 @@ mod tests {
             .collect();
         assert_eq!(hm.len(), 1);
         assert_eq!(hm[0].line, 2);
-    }
-
-    #[test]
-    fn bench_crate_exempt_from_clock_and_hash() {
-        let hits = check(
-            "crates/airstat-bench/src/lib.rs",
-            "let t = Instant::now(); let m = HashMap::new();",
-        );
-        assert!(hits.is_empty(), "{hits:?}");
     }
 
     #[test]

@@ -74,19 +74,6 @@ fn wall_clock_fixture() {
 }
 
 #[test]
-fn wall_clock_rule_is_scoped_to_runtime_crates() {
-    // The identical source under a crate outside the rule's scope is clean.
-    let (findings, _) = audit(
-        "crates/airstat-bench/src/fx.rs",
-        include_str!("fixtures/wall_clock.rs"),
-    );
-    assert!(
-        findings.is_empty(),
-        "bench may read the wall clock: {findings:?}"
-    );
-}
-
-#[test]
 fn raw_spawn_fixture() {
     let (findings, suppressed) = audit(
         "crates/airstat-store/src/fx.rs",
@@ -187,18 +174,6 @@ fn clock_overflow_fixture() {
         ]
     );
     assert!(suppressed.is_empty());
-}
-
-#[test]
-fn clock_overflow_rule_is_scoped_out_of_bench() {
-    let (findings, _) = audit(
-        "crates/airstat-bench/src/fx.rs",
-        include_str!("fixtures/clock_overflow.rs"),
-    );
-    assert!(
-        findings.is_empty(),
-        "bench wall-time math is out of scope: {findings:?}"
-    );
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! The lint run against the real tree: the workspace is lint-clean, and
-//! the full sweep (lex, parse, symbol index, provenance dataflow, both
+//! The lint run against the real tree: the workspace is lint-clean, no
+//! source file reads a wall clock even under a suppression, and the full
+//! sweep (lex, parse, symbol index, provenance dataflow, both
 //! rule generations) stays inside the budget tier-1 gives it.
 
 use airstat_lint::engine::audit_tree;
+use airstat_lint::rules::RuleId;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -22,6 +24,16 @@ fn the_workspace_is_lint_clean_and_the_sweep_stays_under_its_ceiling() {
                 report.is_clean(),
                 "the workspace has unsuppressed findings: {:#?}",
                 report.findings
+            );
+            // `findings` is empty by now, so a clock could only hide here.
+            let clocks: Vec<_> = report
+                .suppressed
+                .iter()
+                .filter(|s| s.rule == RuleId::NoWallClock)
+                .collect();
+            assert!(
+                clocks.is_empty(),
+                "a linted crate reads wall time under an allow; timing belongs in bench/: {clocks:#?}"
             );
             assert!(
                 report.files_scanned >= 50,

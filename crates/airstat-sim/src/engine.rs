@@ -34,8 +34,6 @@
 
 use std::path::Path;
 use std::sync::Arc;
-// airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
-use std::time::Instant;
 
 use airstat_classify::apps::{Application, RuleSet};
 use airstat_classify::device::{ClassifierVersion, DeviceClassifier};
@@ -84,7 +82,7 @@ pub struct CampaignRun {
     /// Clients (2015 window) whose usage arrived through more than one AP;
     /// the store's MAC-level aggregation (§2.3) merges them.
     pub roamed_clients: u64,
-    /// Per-panel wall-clock and volume statistics, in execution order.
+    /// Per-panel volume statistics, in execution order.
     pub panels: Vec<PanelStats>,
     /// Wire bytes encoded across every tunnel (all panels).
     pub bytes_encoded: u64,
@@ -114,7 +112,7 @@ pub struct SimulationOutput {
     /// Clients (2015 window) whose usage arrived through more than one AP;
     /// the store's MAC-level aggregation (§2.3) merges them.
     pub roamed_clients: u64,
-    /// Per-panel wall-clock and volume statistics, in execution order.
+    /// Per-panel volume statistics, in execution order.
     pub panels: Vec<PanelStats>,
     /// Wire bytes encoded across every tunnel (all panels).
     pub bytes_encoded: u64,
@@ -141,64 +139,39 @@ impl SimulationOutput {
         QueryEngine::new(self.store.seal(), self.threads)
     }
 
-    /// A human-readable per-panel throughput table (wall time, report and
-    /// wire-byte volume) for CLI/example status output.
+    /// A human-readable per-panel volume table (reports accepted and
+    /// wire bytes encoded) for CLI/example status output. A pure function
+    /// of the campaign: nothing here reads a clock.
     pub fn throughput_summary(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let plural = if self.threads == 1 { "" } else { "s" };
-        let _ = writeln!(
+        let _ = write!(
             out,
             "engine throughput ({} worker thread{plural}):",
             self.threads
         );
-        for p in &self.panels {
-            let _ = writeln!(
+        let panels = self.panels.iter().map(|p| (p.label, p.reports, p.bytes));
+        let total = ("total", self.reports_ingested(), self.bytes_encoded);
+        for (label, reports, bytes) in panels.chain([total]) {
+            let _ = write!(
                 out,
-                "  {:<12} {:>8.3} s  {:>9} reports  {:>12} wire bytes  ({:.2} MiB/s)",
-                p.label,
-                p.wall_s,
-                p.reports,
-                p.bytes,
-                p.wire_rate_mib_s(),
+                "\n  {label:<12} {reports:>9} reports  {bytes:>12} wire bytes"
             );
         }
-        let total_wall: f64 = self.panels.iter().map(|p| p.wall_s).sum();
-        let _ = write!(
-            out,
-            "  {:<12} {:>8.3} s  {:>9} reports  {:>12} wire bytes",
-            "total",
-            total_wall,
-            self.reports_ingested(),
-            self.bytes_encoded,
-        );
         out
     }
 }
 
-/// Wall-clock and volume statistics for one engine panel.
-#[derive(Debug, Clone, PartialEq)]
+/// Volume statistics for one engine panel.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PanelStats {
     /// Panel label (matches the panel's seed-tree child label).
     pub label: &'static str,
-    /// Wall-clock seconds the panel took, drains included.
-    pub wall_s: f64,
     /// Reports the backend accepted from this panel.
     pub reports: u64,
     /// Wire bytes encoded while draining this panel's agents.
     pub bytes: u64,
-}
-
-impl PanelStats {
-    /// Encoded wire throughput in MiB/s (0 when the panel took no
-    /// measurable time).
-    pub fn wire_rate_mib_s(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.bytes as f64 / self.wall_s / (1024.0 * 1024.0)
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The simulation driver.
@@ -329,11 +302,9 @@ impl FleetSimulation {
                 MeasurementYear::Y2014 => "usage-2014",
                 MeasurementYear::Y2015 => "usage-2015",
             };
-            // airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
-            let started = Instant::now();
             let (roamed, tally) =
                 self.run_usage_window(&seed, year, threads, sink, &mut degradation, &mut sched);
-            panels.push(tally.into_stats(label, started));
+            panels.push(tally.into_stats(label));
             if year == MeasurementYear::Y2015 {
                 roamed_clients = roamed;
             }
@@ -343,8 +314,6 @@ impl FleetSimulation {
             ("radio-jul14", NeighborEpoch::Jul2014, WINDOW_JUL_2014),
             ("radio-jan15", NeighborEpoch::Jan2015, WINDOW_JAN_2015),
         ] {
-            // airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
-            let started = Instant::now();
             let tally = self.run_radio_window(
                 &seed.child(label),
                 &world,
@@ -355,11 +324,9 @@ impl FleetSimulation {
                 &mut degradation,
                 &mut sched,
             );
-            panels.push(tally.into_stats(label, started));
+            panels.push(tally.into_stats(label));
         }
         // Scan panel (MR18): January 2015.
-        // airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
-        let started = Instant::now();
         let tally = self.run_scan_window(
             &seed.child("scan-jan15"),
             &world,
@@ -370,7 +337,7 @@ impl FleetSimulation {
             &mut degradation,
             &mut sched,
         );
-        panels.push(tally.into_stats("scan-jan15", started));
+        panels.push(tally.into_stats("scan-jan15"));
 
         let bytes_encoded = panels.iter().map(|p| p.bytes).sum();
         CampaignRun {
@@ -907,11 +874,9 @@ impl PanelTally {
         sched.merge(&out.sched);
     }
 
-    // airstat::allow(no-wall-clock): wall time here only feeds PanelStats throughput diagnostics for the operator; it never reaches report bytes
-    fn into_stats(self, label: &'static str, started: Instant) -> PanelStats {
+    fn into_stats(self, label: &'static str) -> PanelStats {
         PanelStats {
             label,
-            wall_s: started.elapsed().as_secs_f64(),
             reports: self.reports,
             bytes: self.bytes,
         }

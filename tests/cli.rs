@@ -1,8 +1,9 @@
 //! Drives the built `airstat` binary end to end: the retired oracle
 //! selector flags are refused like any unknown flag, `--explain`
-//! accounts for every plan the engine computed cold, and `--store-dir`
-//! / `--resume` round-trip a report through a real directory and refuse
-//! a damaged one with a typed error.
+//! accounts for every plan the engine computed cold, `--store-dir` /
+//! `--resume` round-trip a report through a real directory and refuse a
+//! damaged one with a typed error, and stderr is a function of the flags
+//! alone (no clock), at one worker thread and at two.
 
 use airstat::classify::apps::Application;
 use airstat::classify::mac::{MacAddress, Oui};
@@ -17,10 +18,17 @@ const SHARDS: u64 = 8;
 
 /// Runs `airstat <args>` at the smoke scale on one thread.
 fn airstat(args: &[&str]) -> Output {
+    airstat_on(1, args)
+}
+
+/// Runs `airstat <args>` at the smoke scale on `threads` worker threads.
+fn airstat_on(threads: usize, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_airstat"))
         .args(args)
-        .args(["--scale", "0.002", "--threads", "1", "--shards"])
+        .args(["--scale", "0.002", "--shards"])
         .arg(SHARDS.to_string())
+        .arg("--threads")
+        .arg(threads.to_string())
         .output()
         .expect("the airstat binary runs")
 }
@@ -73,6 +81,14 @@ fn stat(run: &Output, label: &str, word: &str) -> u64 {
         .unwrap_or_else(|_| panic!("no number before {word:?} in {line:?}"))
 }
 
+/// A run's stderr minus the status lines that name the thread count.
+fn counter_lines(stderr: &str) -> Vec<&str> {
+    stderr
+        .lines()
+        .filter(|line| !line.contains("thread"))
+        .collect()
+}
+
 /// A refused run: exit code 1, stderr opening with `error`, no report.
 fn assert_refused(run: &Output, error: &str) {
     assert_eq!(run.status.code(), Some(1), "not refused: {run:?}");
@@ -97,6 +113,31 @@ fn retired_drain_selector_flag_is_refused_like_any_unknown_flag() {
             &format!("error: unknown flag {flag}\n"),
         );
     }
+}
+
+/// Nothing the CLI prints comes from a clock: the same flags print the
+/// same bytes on both streams, and a second worker thread changes only
+/// the two status lines that name the thread count — every counter
+/// (panel volumes, scheduler, cache, pruning, seal) is thread-invariant
+/// through the real binary.
+#[test]
+fn stderr_is_a_function_of_the_flags_and_counters_are_thread_invariant() {
+    let args = ["report", "--seed", "1"];
+    let (first, again, two_threads) = (airstat(&args), airstat(&args), airstat_on(2, &args));
+    for run in [&first, &again, &two_threads] {
+        assert!(run.status.success(), "report failed: {run:?}");
+    }
+    assert!(!first.stdout.is_empty(), "report printed nothing");
+    assert_eq!(first.stdout, again.stdout);
+    assert_eq!(first.stdout, two_threads.stdout);
+
+    let one = String::from_utf8_lossy(&first.stderr);
+    let two = String::from_utf8_lossy(&two_threads.stderr);
+    assert_eq!(one, String::from_utf8_lossy(&again.stderr), "equal runs");
+    let (counters, counters_two) = (counter_lines(&one), counter_lines(&two));
+    assert_eq!(one.lines().count() - counters.len(), 2, "{one}");
+    assert!(counters.len() > 10, "status block went missing: {one}");
+    assert_eq!(counters, counters_two);
 }
 
 #[test]

@@ -60,13 +60,7 @@ fn digest(output: &SimulationOutput) -> String {
         output.polls_lost,
         output.polls_attempted,
     );
-    for p in &output.panels {
-        let _ = writeln!(
-            d,
-            "panel {} reports {} bytes {}",
-            p.label, p.reports, p.bytes
-        );
-    }
+    let _ = writeln!(d, "panels {:?}", output.panels);
     let _ = writeln!(d, "degradation {:?}", output.degradation);
     d
 }
