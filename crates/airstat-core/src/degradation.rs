@@ -31,7 +31,7 @@ impl DegradationReport {
     pub fn from_simulation(output: &SimulationOutput, scenario: &str) -> Self {
         DegradationReport {
             scenario: scenario.to_string(),
-            tally: output.degradation.clone(),
+            tally: output.run.degradation.clone(),
             duplicates_dropped: output.store.duplicates_dropped(),
         }
     }

@@ -45,7 +45,7 @@ use airstat_rf::propagation::{Environment, PathLoss};
 use airstat_stats::dist::{Exponential, LogNormal};
 use airstat_stats::SeedTree;
 use airstat_store::{
-    DurableStore, PersistenceStats, QueryEngine, ReportSink, SealEvery, SegmentError, ShardedStore,
+    DurableStore, PersistenceStats, QueryEngine, ReportSink, SegmentError, ShardedStore,
     StoreConfig,
 };
 use airstat_telemetry::backend::WindowId;
@@ -97,46 +97,28 @@ pub struct CampaignRun {
     pub sched: SchedStats,
 }
 
-/// Everything a run produces.
+/// Everything a run produces: the store it filled and the campaign's
+/// record.
 #[derive(Debug)]
 pub struct SimulationOutput {
     /// The loaded sharded store — what the analytics crate queries
     /// (through [`SimulationOutput::query`]).
     pub store: ShardedStore,
-    /// The generated world (for topology-aware analyses and examples).
-    pub world: World,
-    /// Polls attempted across all tunnels.
-    pub polls_attempted: u64,
-    /// Polls lost to injected faults (all retransmitted eventually).
-    pub polls_lost: u64,
-    /// Clients (2015 window) whose usage arrived through more than one AP;
-    /// the store's MAC-level aggregation (§2.3) merges them.
-    pub roamed_clients: u64,
-    /// Per-panel volume statistics, in execution order.
-    pub panels: Vec<PanelStats>,
-    /// Wire bytes encoded across every tunnel (all panels).
-    pub bytes_encoded: u64,
-    /// Worker threads the run actually used.
-    pub threads: usize,
-    /// Campaign-wide degradation accounting (completeness, latency,
-    /// fault counters). With `FleetConfig::faults = None` this is the
-    /// healthy baseline: completeness 1.0, no failovers, no crash loss.
-    pub degradation: DegradationTally,
-    /// Scheduler counters merged across every drain (each agent drains on
-    /// its own solo scheduler, so evictions are always zero here).
-    pub sched: SchedStats,
+    /// What the campaign did: world, panel volumes, poll, degradation and
+    /// scheduler counters.
+    pub run: CampaignRun,
 }
 
 impl SimulationOutput {
     /// Reports accepted by the store across all panels.
     pub fn reports_ingested(&self) -> u64 {
-        self.panels.iter().map(|p| p.reports).sum()
+        self.run.panels.iter().map(|p| p.reports).sum()
     }
 
     /// Seals the store and opens a cached parallel query engine over the
     /// frozen snapshot, using the run's worker-thread count.
     pub fn query(&self) -> QueryEngine {
-        QueryEngine::new(self.store.seal(), self.threads)
+        QueryEngine::new(self.store.seal(), self.run.threads)
     }
 
     /// A human-readable per-panel volume table (reports accepted and
@@ -144,15 +126,16 @@ impl SimulationOutput {
     /// of the campaign: nothing here reads a clock.
     pub fn throughput_summary(&self) -> String {
         use std::fmt::Write as _;
+        let run = &self.run;
         let mut out = String::new();
-        let plural = if self.threads == 1 { "" } else { "s" };
+        let plural = if run.threads == 1 { "" } else { "s" };
         let _ = write!(
             out,
             "engine throughput ({} worker thread{plural}):",
-            self.threads
+            run.threads
         );
-        let panels = self.panels.iter().map(|p| (p.label, p.reports, p.bytes));
-        let total = ("total", self.reports_ingested(), self.bytes_encoded);
+        let panels = run.panels.iter().map(|p| (p.label, p.reports, p.bytes));
+        let total = ("total", self.reports_ingested(), run.bytes_encoded);
         for (label, reports, bytes) in panels.chain([total]) {
             let _ = write!(
                 out,
@@ -214,22 +197,13 @@ impl FleetSimulation {
         &self.config
     }
 
-    /// Runs the full campaign into a [`ShardedStore`] shaped by the
-    /// configuration's `shards`/`threads` knobs. With
-    /// `config.seal_every = Some(n)` the store re-seals its columnar
-    /// read layout every `n` ingested batches mid-campaign (identical
-    /// reports either way; only seal timing changes).
+    /// Runs the full campaign ([`FleetSimulation::run_into`]) into a
+    /// [`ShardedStore`] shaped by the configuration's `shards`/`threads`
+    /// knobs.
     pub fn run(&self) -> SimulationOutput {
-        let store = ShardedStore::with_config(self.store_config());
-        if let Some(every) = self.config.seal_every {
-            let mut sink = SealEvery::new(store, every);
-            let run = self.run_into(&mut sink);
-            self.finish_output(sink.into_inner(), run)
-        } else {
-            let mut store = store;
-            let run = self.run_into(&mut store);
-            self.finish_output(store, run)
-        }
+        let mut store = ShardedStore::with_config(self.store_config());
+        let run = self.run_into(&mut store);
+        SimulationOutput { store, run }
     }
 
     /// Runs the full campaign into a fresh [`DurableStore`] rooted at
@@ -244,18 +218,10 @@ impl FleetSimulation {
         &self,
         dir: &Path,
     ) -> Result<(SimulationOutput, PersistenceStats), SegmentError> {
-        let durable = DurableStore::create(dir, self.store_config())?;
-        let (durable, run) = if let Some(every) = self.config.seal_every {
-            let mut sink = SealEvery::new(durable, every);
-            let run = self.run_into(&mut sink);
-            (sink.into_inner(), run)
-        } else {
-            let mut durable = durable;
-            let run = self.run_into(&mut durable);
-            (durable, run)
-        };
+        let mut durable = DurableStore::create(dir, self.store_config())?;
+        let run = self.run_into(&mut durable);
         let (store, persisted) = durable.into_store()?;
-        Ok((self.finish_output(store, run), persisted))
+        Ok((SimulationOutput { store, run }, persisted))
     }
 
     fn store_config(&self) -> StoreConfig {
@@ -265,22 +231,10 @@ impl FleetSimulation {
         }
     }
 
-    fn finish_output(&self, store: ShardedStore, run: CampaignRun) -> SimulationOutput {
-        SimulationOutput {
-            store,
-            world: run.world,
-            polls_attempted: run.polls_attempted,
-            polls_lost: run.polls_lost,
-            roamed_clients: run.roamed_clients,
-            panels: run.panels,
-            bytes_encoded: run.bytes_encoded,
-            threads: run.threads,
-            degradation: run.degradation,
-            sched: run.sched,
-        }
-    }
-
-    /// Runs the full campaign into any [`ReportSink`].
+    /// Runs the full campaign into any [`ReportSink`]. With
+    /// `config.seal_every = Some(n)` the sink is asked to re-seal its read
+    /// layout every `n` ingested batches ([`ReportSink::reseal`]; identical
+    /// reports either way, only seal timing changes).
     ///
     /// The sink sees identical report batches in identical order no
     /// matter how it aggregates them — this is what the differential
@@ -290,66 +244,38 @@ impl FleetSimulation {
     pub fn run_into(&self, sink: &mut dyn ReportSink) -> CampaignRun {
         let seed = SeedTree::new(self.config.seed);
         let world = World::generate(&seed, self.config.mr16_aps(), self.config.mr18_aps());
-        let mut degradation = DegradationTally::default();
-        let mut sched = SchedStats::default();
-        let threads = self.config.effective_threads();
-        let mut panels = Vec::new();
+        let mut driver = CampaignDriver::new(sink, &self.config);
 
-        // Usage panels.
-        let mut roamed_clients = 0;
-        for year in [MeasurementYear::Y2014, MeasurementYear::Y2015] {
-            let label = match year {
-                MeasurementYear::Y2014 => "usage-2014",
-                MeasurementYear::Y2015 => "usage-2015",
-            };
-            let (roamed, tally) =
-                self.run_usage_window(&seed, year, threads, sink, &mut degradation, &mut sched);
-            panels.push(tally.into_stats(label));
-            if year == MeasurementYear::Y2015 {
-                roamed_clients = roamed;
-            }
-        }
+        // Usage panels; the 2015 window's roamers are the ones reported.
+        let mut usage = |label, year: MeasurementYear| {
+            let (units, unit) = self.usage_units(seed.child(label), year);
+            driver.panel(label, year.window(), units, unit)
+        };
+        usage("usage-2014", MeasurementYear::Y2014);
+        let roamed_clients = usage("usage-2015", MeasurementYear::Y2015);
         // Radio panels (MR16): July 2014 and January 2015.
         for (label, epoch, window) in [
             ("radio-jul14", NeighborEpoch::Jul2014, WINDOW_JUL_2014),
             ("radio-jan15", NeighborEpoch::Jan2015, WINDOW_JAN_2015),
         ] {
-            let tally = self.run_radio_window(
-                &seed.child(label),
-                &world,
-                epoch,
-                window,
-                threads,
-                sink,
-                &mut degradation,
-                &mut sched,
-            );
-            panels.push(tally.into_stats(label));
+            let (units, unit) = self.radio_units(seed.child(label), &world, epoch, window);
+            driver.panel(label, window, units, unit);
         }
         // Scan panel (MR18): January 2015.
-        let tally = self.run_scan_window(
-            &seed.child("scan-jan15"),
-            &world,
-            NeighborEpoch::Jan2015,
-            WINDOW_JAN_2015,
-            threads,
-            sink,
-            &mut degradation,
-            &mut sched,
-        );
-        panels.push(tally.into_stats("scan-jan15"));
+        let (label, epoch, window) = ("scan-jan15", NeighborEpoch::Jan2015, WINDOW_JAN_2015);
+        let (units, unit) = self.scan_units(seed.child(label), &world, epoch, window);
+        driver.panel(label, window, units, unit);
 
-        let bytes_encoded = panels.iter().map(|p| p.bytes).sum();
         CampaignRun {
             world,
-            polls_attempted: degradation.polls,
-            polls_lost: degradation.polls_lost,
+            polls_attempted: driver.degradation.polls,
+            polls_lost: driver.degradation.polls_lost,
             roamed_clients,
-            panels,
-            bytes_encoded,
-            threads,
-            degradation,
-            sched,
+            bytes_encoded: driver.panels.iter().map(|p| p.bytes).sum(),
+            panels: driver.panels,
+            threads: self.config.effective_threads(),
+            degradation: driver.degradation,
+            sched: driver.sched,
         }
     }
 
@@ -357,22 +283,13 @@ impl FleetSimulation {
     // Usage panel
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_usage_window(
+    /// One usage window's work units: how many, and the unit function.
+    fn usage_units(
         &self,
-        seed: &SeedTree,
+        node: SeedTree,
         year: MeasurementYear,
-        threads: usize,
-        sink: &mut dyn ReportSink,
-        degradation: &mut DegradationTally,
-        sched: &mut SchedStats,
-    ) -> (u64, PanelTally) {
+    ) -> (usize, impl Fn(usize) -> UnitOutput + Sync + '_) {
         let window = year.window();
-        let year_label = match year {
-            MeasurementYear::Y2014 => "usage-2014",
-            MeasurementYear::Y2015 => "usage-2015",
-        };
-        let node = seed.child(year_label);
         let clients_node = node.child("clients");
         let population = PopulationModel::new(year);
         let (classifier, ruleset) = match year {
@@ -397,7 +314,7 @@ impl FleetSimulation {
         let distance = LogNormal::from_median_p90(20.0, 55.0);
         let n_batches = n_clients.div_ceil(CLIENTS_PER_AP) as usize;
 
-        let unit = |index: usize| -> UnitOutput {
+        let unit = move |index: usize| -> UnitOutput {
             let batch = index as u64;
             let mut out = UnitOutput::default();
             let mut rng = clients_node.indexed(batch).rng();
@@ -518,37 +435,27 @@ impl FleetSimulation {
             out
         };
 
-        let mut tally = PanelTally::default();
-        let mut roamed_clients = 0u64;
-        run_ordered(threads, n_batches, unit, |_, out: UnitOutput| {
-            roamed_clients += out.roamed;
-            tally.merge(&out, sink, window, degradation, sched);
-        });
-        (roamed_clients, tally)
+        (n_batches, unit)
     }
 
     // ------------------------------------------------------------------
     // Radio panel (MR16 + link probes + censuses)
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_radio_window(
-        &self,
-        node: &SeedTree,
-        world: &World,
+    /// One radio window's work units, seeded under the panel's `node`.
+    fn radio_units<'a>(
+        &'a self,
+        node: SeedTree,
+        world: &'a World,
         epoch: NeighborEpoch,
         window: WindowId,
-        threads: usize,
-        sink: &mut dyn ReportSink,
-        degradation: &mut DegradationTally,
-        sched: &mut SchedStats,
-    ) -> PanelTally {
+    ) -> (usize, impl Fn(usize) -> UnitOutput + Sync + 'a) {
         let model24 = LinkModel::for_band(Band::Ghz2_4);
         let model5 = LinkModel::for_band(Band::Ghz5);
         let diurnal_table = diurnal_table();
         // One AP's whole radio week is one work unit: its randomness
         // descends from the per-AP node alone.
-        let unit = |index: usize| -> UnitOutput {
+        let unit = move |index: usize| -> UnitOutput {
             let ap = &world.aps[index];
             let mut out = UnitOutput::default();
             let ap_node = node.indexed(ap.device_id);
@@ -674,36 +581,29 @@ impl FleetSimulation {
             out
         };
 
-        let mut tally = PanelTally::default();
-        run_ordered(threads, world.aps.len(), unit, |_, out: UnitOutput| {
-            tally.merge(&out, sink, window, degradation, sched);
-        });
-        tally
+        (world.aps.len(), unit)
     }
 
     // ------------------------------------------------------------------
     // Scan panel (MR18)
     // ------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_scan_window(
-        &self,
-        node: &SeedTree,
-        world: &World,
+    /// The scan window's work units, seeded under the panel's `node`.
+    fn scan_units<'a>(
+        &'a self,
+        node: SeedTree,
+        world: &'a World,
         epoch: NeighborEpoch,
         window: WindowId,
-        threads: usize,
-        sink: &mut dyn ReportSink,
-        degradation: &mut DegradationTally,
-        sched: &mut SchedStats,
-    ) -> PanelTally {
+    ) -> (usize, impl Fn(usize) -> UnitOutput + Sync + 'a) {
         let diurnal_table = diurnal_table();
         let scan_aps: Vec<&ApSite> = world
             .aps
             .iter()
             .filter(|a| a.model == ApModel::Mr18)
             .collect();
-        let unit = |index: usize| -> UnitOutput {
+        let units = scan_aps.len();
+        let unit = move |index: usize| -> UnitOutput {
             let ap = scan_aps[index];
             let mut out = UnitOutput::default();
             let ap_node = node.indexed(ap.device_id);
@@ -741,11 +641,7 @@ impl FleetSimulation {
             out
         };
 
-        let mut tally = PanelTally::default();
-        run_ordered(threads, scan_aps.len(), unit, |_, out: UnitOutput| {
-            tally.merge(&out, sink, window, degradation, sched);
-        });
-        tally
+        (units, unit)
     }
 
     /// Creates a device agent, applying the active fault schedule's
@@ -847,39 +743,63 @@ impl UnitOutput {
     }
 }
 
-/// Running totals for one panel, merged on the driver thread.
-#[derive(Debug, Default)]
-struct PanelTally {
-    reports: u64,
-    bytes: u64,
+/// What lives on the driver thread for the whole campaign: the sink
+/// and every counter the ordered merge folds into.
+struct CampaignDriver<'a> {
+    sink: &'a mut dyn ReportSink,
+    config: &'a FleetConfig,
+    /// `ingest_batch` calls so far, empty batches included.
+    batches: u64,
+    degradation: DegradationTally,
+    sched: SchedStats,
+    panels: Vec<PanelStats>,
 }
 
-impl PanelTally {
-    /// Ingests one unit's reports and folds its counters in. Called from
-    /// the ordered sink, so ingest order equals unit order.
-    fn merge(
-        &mut self,
-        out: &UnitOutput,
-        sink: &mut dyn ReportSink,
-        window: WindowId,
-        degradation: &mut DegradationTally,
-        sched: &mut SchedStats,
-    ) {
-        let accepted = sink.ingest_batch(window, &out.reports);
-        self.reports += accepted;
-        self.bytes += out.bytes;
-        degradation.merge(&out.tally);
-        degradation.accepted += accepted;
-        degradation.record_evictions(&out.sched);
-        sched.merge(&out.sched);
+impl<'a> CampaignDriver<'a> {
+    fn new(sink: &'a mut dyn ReportSink, config: &'a FleetConfig) -> Self {
+        CampaignDriver {
+            sink,
+            config,
+            batches: 0,
+            degradation: DegradationTally::default(),
+            sched: SchedStats::default(),
+            panels: Vec::new(),
+        }
     }
 
-    fn into_stats(self, label: &'static str) -> PanelStats {
-        PanelStats {
+    /// Runs one panel: fans `units` work units across the workers and,
+    /// in ascending unit order, ingests each unit's reports into
+    /// `window`, re-seals the sink every `seal_every.max(1)` batches and
+    /// folds the unit's counters in. Returns the panel's roamed clients.
+    fn panel(
+        &mut self,
+        label: &'static str,
+        window: WindowId,
+        units: usize,
+        unit: impl Fn(usize) -> UnitOutput + Sync,
+    ) -> u64 {
+        let (threads, seal_every) = (self.config.effective_threads(), self.config.seal_every);
+        let (mut reports, mut bytes, mut roamed) = (0, 0, 0);
+        run_ordered(threads, units, unit, |_, out: UnitOutput| {
+            let accepted = self.sink.ingest_batch(window, &out.reports);
+            self.batches += 1;
+            if seal_every.is_some_and(|every| self.batches % every.max(1) == 0) {
+                self.sink.reseal();
+            }
+            reports += accepted;
+            bytes += out.bytes;
+            roamed += out.roamed;
+            self.degradation.merge(&out.tally);
+            self.degradation.accepted += accepted;
+            self.degradation.record_evictions(&out.sched);
+            self.sched.merge(&out.sched);
+        });
+        self.panels.push(PanelStats {
             label,
-            reports: self.reports,
-            bytes: self.bytes,
-        }
+            reports,
+            bytes,
+        });
+        roamed
     }
 }
 
@@ -1212,12 +1132,12 @@ mod tests {
             .is_empty());
         let (_, mean24, _) = b.nearby_summary(WINDOW_JAN_2015, Band::Ghz2_4);
         assert!(mean24 > 10.0, "mean nearby {mean24}");
-        assert!(out.polls_attempted > 0);
+        assert!(out.run.polls_attempted > 0);
         // Roaming happened, and MAC aggregation kept client counts exact:
         // a roamer shows up at two APs yet counts once in the client panel.
-        assert!(out.roamed_clients > 0, "some clients must roam");
+        assert!(out.run.roamed_clients > 0, "some clients must roam");
         assert!(
-            (out.roamed_clients as usize) < b.client_count(WINDOW_JAN_2015),
+            (out.run.roamed_clients as usize) < b.client_count(WINDOW_JAN_2015),
             "roamers are a subset of clients"
         );
     }
@@ -1225,7 +1145,8 @@ mod tests {
     #[test]
     fn smoke_run_reports_panel_stats() {
         let out = tiny_run();
-        let labels: Vec<_> = out.panels.iter().map(|p| p.label).collect();
+        let run = &out.run;
+        let labels: Vec<_> = run.panels.iter().map(|p| p.label).collect();
         assert_eq!(
             labels,
             vec![
@@ -1236,7 +1157,7 @@ mod tests {
                 "scan-jan15"
             ]
         );
-        for p in &out.panels {
+        for p in &run.panels {
             assert!(p.reports > 0, "{}: no reports", p.label);
             assert!(p.bytes > 0, "{}: no wire bytes", p.label);
         }
@@ -1246,18 +1167,113 @@ mod tests {
             "panel tallies must agree with the store"
         );
         assert_eq!(
-            out.bytes_encoded,
-            out.panels.iter().map(|p| p.bytes).sum::<u64>()
+            run.bytes_encoded,
+            run.panels.iter().map(|p| p.bytes).sum::<u64>()
         );
-        assert!(out.threads >= 1);
+        assert!(run.threads >= 1);
         assert_eq!(
-            (out.polls_attempted, out.polls_lost),
-            (out.degradation.polls, out.degradation.polls_lost),
+            (run.polls_attempted, run.polls_lost),
+            (run.degradation.polls, run.degradation.polls_lost),
             "the poll counters are the degradation tally's"
         );
         let summary = out.throughput_summary();
         assert!(summary.contains("usage-2015"));
         assert!(summary.contains("total"));
+    }
+
+    /// Counts what the driver does to its sink: batches offered, and
+    /// after which batch each re-seal came.
+    #[derive(Default)]
+    struct CountingSink {
+        batches: u64,
+        resealed_after: Vec<u64>,
+    }
+
+    impl ReportSink for CountingSink {
+        fn ingest_batch(&mut self, _: WindowId, reports: &[Report]) -> u64 {
+            self.batches += 1;
+            reports.len() as u64
+        }
+
+        fn reseal(&mut self) {
+            self.resealed_after.push(self.batches);
+        }
+    }
+
+    #[test]
+    fn driver_reseals_on_the_batch_cadence_across_panels_and_empty_batches() {
+        // Five hand-fed units over two panels; each panel's second unit
+        // is empty and still counts, and the count carries across the
+        // panel boundary.
+        let unit = |index: usize| UnitOutput {
+            reports: (0..[3u64, 0, 2][index % 3])
+                .map(|seq| Report {
+                    device: index as u64,
+                    seq,
+                    timestamp_s: 0,
+                    payload: ReportPayload::Crash(Vec::new()),
+                })
+                .collect(),
+            bytes: 10,
+            ..UnitOutput::default()
+        };
+        for (seal_every, expected) in [
+            (None, vec![]),
+            (Some(2), vec![2, 4]),
+            (Some(1), vec![1, 2, 3, 4, 5]),
+            // `FleetConfig { seal_every: Some(0), .. }` is clamped to every
+            // batch, not divided by.
+            (Some(0), vec![1, 2, 3, 4, 5]),
+        ] {
+            let config = FleetConfig {
+                seal_every,
+                ..FleetConfig::smoke()
+            };
+            let mut sink = CountingSink::default();
+            let mut driver = CampaignDriver::new(&mut sink, &config);
+            driver.panel("first", WINDOW_JUL_2014, 3, unit);
+            driver.panel("second", WINDOW_JAN_2015, 2, unit);
+            let stats = |label, reports, bytes| PanelStats {
+                label,
+                reports,
+                bytes,
+            };
+            assert_eq!(
+                driver.panels,
+                [stats("first", 5, 30), stats("second", 3, 20)]
+            );
+            assert_eq!(driver.degradation.accepted, 8);
+            assert_eq!(sink.batches, 5);
+            assert_eq!(sink.resealed_after, expected, "seal_every {seal_every:?}");
+        }
+    }
+
+    #[test]
+    fn every_entry_point_honours_the_seal_cadence() {
+        let config = FleetConfig {
+            seal_every: Some(5),
+            ..FleetConfig::smoke()
+        };
+        let simulation = FleetSimulation::new(config);
+        let plain = simulation.run();
+        let dir = std::env::temp_dir().join(format!("airstat-engine-{}", std::process::id()));
+        let (durable, _) = simulation.run_durable(&dir).expect("durable run");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ShardedStore::with_config(simulation.store_config());
+        let into = simulation.run_into(&mut store);
+
+        let expected = plain.store.seal().seal_stats();
+        assert!(expected.seals_total > 1, "no mid-campaign seal happened");
+        for (label, run, store) in [
+            ("run_durable", &durable.run, &durable.store),
+            ("run_into", &into, &store),
+        ] {
+            assert_eq!(run.panels, plain.run.panels, "{label}");
+            assert_eq!(run.degradation, plain.run.degradation, "{label}");
+            assert_eq!(run.sched, plain.run.sched, "{label}");
+            assert_eq!(run.roamed_clients, plain.run.roamed_clients, "{label}");
+            assert_eq!(store.seal().seal_stats(), expected, "{label}");
+        }
     }
 
     #[test]

@@ -51,6 +51,5 @@ pub use segment::{
 };
 pub use shard::StoreShard;
 pub use store::{
-    ReportSink, SealEvery, SealStats, Sealable, SegmentStack, ShardedStore, Snapshot, StoreConfig,
-    DEFAULT_SHARDS,
+    ReportSink, SealStats, SegmentStack, ShardedStore, Snapshot, StoreConfig, DEFAULT_SHARDS,
 };

@@ -47,7 +47,7 @@ use airstat_telemetry::report::{ChannelScanRecord, Report};
 use airstat_telemetry::wire::{put_varint, WireError};
 
 use crate::shard::{ClientMeta, SeqSet, StoreShard, WindowTables};
-use crate::store::{ReportSink, Sealable, ShardedStore, StoreConfig};
+use crate::store::{ReportSink, ShardedStore, StoreConfig};
 
 /// Schema version written into every segment, manifest, and tail-log
 /// header. Bump on any byte-level layout change; readers reject other
@@ -1771,12 +1771,6 @@ impl DurableStore {
     }
 }
 
-impl Sealable for DurableStore {
-    fn reseal(&mut self) {
-        let _ = self.store.seal();
-    }
-}
-
 impl ReportSink for DurableStore {
     fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
         if reports.is_empty() {
@@ -1789,6 +1783,10 @@ impl ReportSink for DurableStore {
             }
         }
         self.store.ingest_batch(window, reports)
+    }
+
+    fn reseal(&mut self) {
+        let _ = self.store.seal();
     }
 }
 

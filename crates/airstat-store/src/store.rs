@@ -630,72 +630,30 @@ pub trait ReportSink {
     /// Ingests a batch into `window`; returns accepted (non-duplicate)
     /// report count.
     fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64;
+
+    /// Brings the sink's read layout up to date with what has been
+    /// ingested so far. The engine calls this on its
+    /// `FleetConfig::seal_every` batch cadence (the CLI's `--seal-every`);
+    /// with incremental sealing each re-seal projects only the rows the
+    /// batches since the last one dirtied, so a steady cadence keeps
+    /// per-seal cost flat as the campaign grows. Sinks with no read
+    /// layout to keep warm inherit this no-op.
+    fn reseal(&mut self) {}
 }
 
 impl ReportSink for ShardedStore {
     fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
         ShardedStore::ingest_batch(self, window, reports)
     }
-}
 
-impl ReportSink for Backend {
-    fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
-        Backend::ingest_batch(self, window, reports)
-    }
-}
-
-/// Sinks that can seal mid-campaign, so the engine's `--seal-every`
-/// cadence works against any store flavor. Sealing is about keeping the
-/// incremental projection warm.
-pub trait Sealable {
-    /// Brings the sink's read layout up to date with what has been
-    /// ingested so far.
-    fn reseal(&mut self);
-}
-
-impl Sealable for ShardedStore {
     fn reseal(&mut self) {
         let _ = self.seal();
     }
 }
 
-/// A [`ReportSink`] adapter that seals its inner sink every `every`
-/// ingested batches — the mid-campaign cadence behind the CLI's
-/// `--seal-every` flag. With incremental sealing each re-seal projects
-/// only the rows the batches since the last seal dirtied, so a steady
-/// cadence keeps per-seal cost flat as the campaign grows.
-#[derive(Debug)]
-pub struct SealEvery<S> {
-    inner: S,
-    every: u64,
-    batches: u64,
-}
-
-impl<S> SealEvery<S> {
-    /// Wraps `inner`, sealing after every `every` batches (`every` is
-    /// clamped to at least 1).
-    pub fn new(inner: S, every: u64) -> Self {
-        SealEvery {
-            inner,
-            every: every.max(1),
-            batches: 0,
-        }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: ReportSink + Sealable> ReportSink for SealEvery<S> {
+impl ReportSink for Backend {
     fn ingest_batch(&mut self, window: WindowId, reports: &[Report]) -> u64 {
-        let accepted = self.inner.ingest_batch(window, reports);
-        self.batches += 1;
-        if self.batches % self.every == 0 {
-            self.inner.reseal();
-        }
-        accepted
+        Backend::ingest_batch(self, window, reports)
     }
 }
 
@@ -816,21 +774,6 @@ mod tests {
                 .collect();
             assert_eq!(row_cells, col_cells);
         }
-    }
-
-    #[test]
-    fn seal_every_wrapper_seals_on_cadence() {
-        let mut sink = SealEvery::new(ShardedStore::new(2), 2);
-        for batch in 0..5u64 {
-            let reports: Vec<Report> = (0..4).map(|d| usage_report(d, batch, 10)).collect();
-            ReportSink::ingest_batch(&mut sink, W, &reports);
-        }
-        let store = sink.into_inner();
-        let snap = store.seal();
-        // 5 batches at cadence 2 → seals after batches 2 and 4, plus the
-        // final explicit seal here.
-        assert_eq!(snap.seal_stats().seals_total, 3);
-        assert_eq!(store.reports_ingested(), 20);
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn main() {
     println!(
         "baseline (no faults): {} reports ingested, completeness {:.1}%, {} duplicates\n",
         baseline.store.reports_ingested(),
-        baseline.degradation.completeness() * 100.0,
+        baseline.run.degradation.completeness() * 100.0,
         baseline.store.duplicates_dropped(),
     );
 

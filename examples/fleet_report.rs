@@ -34,7 +34,7 @@ fn main() {
         "simulation finished in {:.1?}: {} reports ingested, {} polls lost and retransmitted",
         start.elapsed(),
         output.store.reports_ingested(),
-        output.polls_lost
+        output.run.polls_lost
     );
     eprintln!("{}", output.throughput_summary());
 

@@ -29,7 +29,7 @@ fn main() {
         "ingested {} reports ({} duplicate retransmissions rejected, {} polls lost in transit)\n",
         output.store.reports_ingested(),
         output.store.duplicates_dropped(),
-        output.polls_lost,
+        output.run.polls_lost,
     );
     // One cached query engine over the sealed store serves every lookup.
     let query = output.query();

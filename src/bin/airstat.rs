@@ -230,6 +230,17 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if resume && command == Command::Info {
         return Err("--resume does not apply to info (nothing is simulated)".into());
     }
+    // Both shape a simulation; a resumed run has none to shape.
+    for (given, flag) in [
+        (faults.is_some(), "--faults"),
+        (seal_every.is_some(), "--seal-every"),
+    ] {
+        if resume && given {
+            return Err(format!(
+                "{flag} does not apply with --resume (nothing is simulated)"
+            ));
+        }
+    }
     Ok(Options {
         command,
         scale,
@@ -312,7 +323,7 @@ fn run(options: Options) -> Result<(), String> {
             None => simulation.run(),
         };
         eprintln!("{}", output.throughput_summary());
-        eprintln!("{}", output.sched);
+        eprintln!("{}", output.run.sched);
         if let Some(schedule) = &config.faults {
             eprintln!(
                 "{}",
@@ -485,6 +496,15 @@ mod tests {
         assert!(err.contains("--store-dir"), "names the missing flag: {err}");
         assert!(parse(&["report", "--store-dir"]).is_err());
         assert!(parse(&["info", "--store-dir", "/tmp/s", "--resume"]).is_err());
+        // Flags that only shape a simulation are refused, not ignored.
+        for extra in [["--faults", "dc-outage"], ["--seal-every", "5"]] {
+            let resume = ["report", "--store-dir", "/tmp/s", "--resume"];
+            let err = parse(&[&resume[..], &extra[..]].concat()).unwrap_err();
+            assert!(err.starts_with(extra[0]), "names the flag: {err}");
+            assert!(err.contains("--resume"), "names the conflict: {err}");
+            // Without --resume the same flags are fine.
+            assert!(parse(&[&resume[..3], &extra[..]].concat()).is_ok());
+        }
     }
 
     #[test]

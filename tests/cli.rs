@@ -162,6 +162,15 @@ fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
         "no recovery line: {stderr}"
     );
 
+    // Flags that only shape a simulation are refused, not silently
+    // ignored: a resumed run simulates nothing.
+    for (flag, value) in [("--faults", "dc-outage"), ("--seal-every", "5")] {
+        assert_refused(
+            &airstat(&[&resume[..], &[flag, value]].concat()),
+            &format!("error: {flag} does not apply with --resume (nothing is simulated)\n"),
+        );
+    }
+
     // One member of a shard's segment chain deleted.
     let segment = std::fs::read_dir(&dir)
         .expect("store dir readable")

@@ -152,10 +152,13 @@ fn every_query_plan_matches_across_backends() {
             };
             let output = FleetSimulation::new(config).run();
             let snapshot = output.store.seal();
-            let legacy =
-                QueryEngine::with_backend(snapshot.clone(), output.threads, QueryBackend::Legacy);
+            let legacy = QueryEngine::with_backend(
+                snapshot.clone(),
+                output.run.threads,
+                QueryBackend::Legacy,
+            );
             let engine =
-                QueryEngine::with_backend(snapshot, output.threads, QueryBackend::Vectorized);
+                QueryEngine::with_backend(snapshot, output.run.threads, QueryBackend::Vectorized);
             assert_backends_identical(
                 &engine,
                 &legacy,
@@ -178,7 +181,7 @@ fn report_is_byte_identical_across_backends_shards_and_threads() {
         let output = FleetSimulation::new(config.clone()).run();
         let snapshot = output.store.seal();
         [QueryBackend::Vectorized, QueryBackend::Legacy].map(|backend| {
-            let engine = QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
+            let engine = QueryEngine::with_backend(snapshot.clone(), output.run.threads, backend);
             assert_eq!(engine.backend(), backend);
             PaperReport::from_query(&engine, &config).to_string()
         })

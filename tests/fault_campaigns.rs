@@ -56,12 +56,12 @@ fn digest(output: &SimulationOutput) -> String {
         "ingested {} duplicates {} bytes {} polls {}/{}",
         output.store.reports_ingested(),
         output.store.duplicates_dropped(),
-        output.bytes_encoded,
-        output.polls_lost,
-        output.polls_attempted,
+        output.run.bytes_encoded,
+        output.run.polls_lost,
+        output.run.polls_attempted,
     );
-    let _ = writeln!(d, "panels {:?}", output.panels);
-    let _ = writeln!(d, "degradation {:?}", output.degradation);
+    let _ = writeln!(d, "panels {:?}", output.run.panels);
+    let _ = writeln!(d, "degradation {:?}", output.run.degradation);
     d
 }
 
@@ -89,7 +89,7 @@ fn zero_fault_schedule_is_byte_identical_to_no_faults() {
     for threads in [1, 4] {
         let no_faults = digest(&run(threads, None));
         let zero = run(threads, Some(FaultSchedule::zero()));
-        assert_accounting_balances(&zero.degradation);
+        assert_accounting_balances(&zero.run.degradation);
         let zero = digest(&zero);
         assert_eq!(
             no_faults, baseline,
@@ -113,7 +113,7 @@ fn faulted_campaign_is_thread_invariant() {
 #[test]
 fn tunnel_loss_campaign_is_lossless_end_to_end() {
     let output = run(1, Some(FaultSchedule::by_name("tunnel-loss").unwrap()));
-    let t = &output.degradation;
+    let t = &output.run.degradation;
     assert_eq!(t.completeness(), 1.0, "retry + dedup recover every report");
     assert!(
         output.store.duplicates_dropped() > 0,
@@ -130,7 +130,7 @@ fn tunnel_loss_campaign_is_lossless_end_to_end() {
 fn dc_outage_campaign_degrades_gracefully() {
     let healthy = run(1, None);
     let output = run(1, Some(FaultSchedule::by_name("dc-outage").unwrap()));
-    let t = &output.degradation;
+    let t = &output.run.degradation;
     // The headline acceptance criteria: duplicates appear and
     // completeness drops below 100%.
     assert!(output.store.duplicates_dropped() > 0);
@@ -145,17 +145,18 @@ fn dc_outage_campaign_degrades_gracefully() {
     );
     // Every drain, healthy or faulted, is one admission to its own solo
     // scheduler that runs to completion.
-    for run in [&healthy, &output] {
-        assert!(run.sched.admissions > 0, "every drained agent is admitted");
-        assert_eq!(run.sched.completed, run.sched.admissions);
-        assert_eq!(run.sched.evictions(), 0, "solo schedulers never evict");
+    for campaign in [&healthy, &output] {
+        let sched = &campaign.run.sched;
+        assert!(sched.admissions > 0, "every drained agent is admitted");
+        assert_eq!(sched.completed, sched.admissions);
+        assert_eq!(sched.evictions(), 0, "solo schedulers never evict");
     }
     // The outage forces traffic onto the secondary datacenter.
     assert!(t.failovers > 0);
     assert!(t.secondary_served > 0);
     // Backoff during the outage stretches the latency tail well past the
     // healthy run's.
-    assert!(t.latency.max_s() >= healthy.degradation.latency.max_s());
+    assert!(t.latency.max_s() >= healthy.run.degradation.latency.max_s());
     // The analytics tables are computed from *accepted* reports only, so
     // the faulted backend never sees more clients than the healthy one.
     assert!(
@@ -176,7 +177,7 @@ fn queue_pressure_campaign_loses_to_crashes() {
         ..FleetConfig::paper(0.002)
     };
     let output = FleetSimulation::new(config).run();
-    let t = &output.degradation;
+    let t = &output.run.degradation;
     assert!(t.crash_reboots > 0, "crash faults must fire");
     assert!(t.lost_to_crash > 0, "crashes clear device queues");
     assert!(t.dropped_overflow > 0, "tiny queues must overflow");
@@ -209,11 +210,16 @@ fn queue_pressure_fleet_campaign_accounts_for_every_report() {
         1,
         Some(FaultSchedule::by_name("queue-pressure-fleet").unwrap()),
     );
-    let t = &output.degradation;
+    let t = &output.run.degradation;
     assert!(t.crash_reboots > 0, "the degraded cohort crashes");
     assert!(t.failovers > 0, "the recovering cohort fails over");
     assert!(
-        output.sched.polls_by_class.iter().all(|&polls| polls > 0),
+        output
+            .run
+            .sched
+            .polls_by_class
+            .iter()
+            .all(|&polls| polls > 0),
         "all three cohorts drain, each at its own priority"
     );
     assert_accounting_balances(t);
@@ -240,7 +246,7 @@ fn spent_poll_budget_leaves_only_undelivered_reports_queued() {
         Vec::new(),
     );
     let output = run(1, Some(schedule));
-    let t = &output.degradation;
+    let t = &output.run.degradation;
     assert!(t.budget_exhausted_agents > 0, "two rounds must not suffice");
     assert!(t.left_queued > 0);
     assert!(

@@ -35,7 +35,7 @@ fn rendered_report_digest_is_pinned_for_two_seeds() {
                 fnv1a(text.as_bytes()),
                 text.len(),
                 output.reports_ingested(),
-                output.bytes_encoded
+                output.run.bytes_encoded
             ),
             (digest, len, reports, wire_bytes),
             "seed {seed}: report bytes moved"

@@ -8,9 +8,7 @@
 
 use airstat::core::PaperReport;
 use airstat::sim::{FleetConfig, FleetSimulation};
-use airstat::store::{
-    QueryBackend, QueryEngine, ReportSink, SealEvery, SealStats, ShardedStore, StoreConfig,
-};
+use airstat::store::{QueryBackend, QueryEngine, ReportSink, SealStats, ShardedStore, StoreConfig};
 use airstat::telemetry::backend::WindowId;
 use airstat::telemetry::report::Report;
 use std::path::PathBuf;
@@ -39,9 +37,14 @@ impl ReportSink for CaptureSink {
     }
 }
 
-fn replay(capture: &CaptureSink, sink: &mut impl ReportSink) {
-    for (window, reports) in &capture.0 {
+/// Feeds the captured batches to `sink`, re-sealing it after every
+/// `seal_every`th — the engine driver's cadence, replayed by hand.
+fn replay(capture: &CaptureSink, sink: &mut impl ReportSink, seal_every: Option<u64>) {
+    for (batch, (window, reports)) in (1u64..).zip(&capture.0) {
         sink.ingest_batch(*window, reports);
+        if seal_every.is_some_and(|every| batch % every == 0) {
+            sink.reseal();
+        }
     }
 }
 
@@ -56,7 +59,7 @@ fn smoke_campaign() -> &'static (CaptureSink, String) {
         let mut capture = CaptureSink::default();
         FleetSimulation::new(FleetConfig::smoke()).run_into(&mut capture);
         let mut store = ShardedStore::with_config(StoreConfig::default());
-        replay(&capture, &mut store);
+        replay(&capture, &mut store, None);
         let engine = QueryEngine::new(store.seal(), 1);
         let baseline = PaperReport::from_query(&engine, &FleetConfig::smoke()).to_string();
         (capture, baseline)
@@ -71,10 +74,9 @@ fn mid_campaign_seals_are_invisible_to_every_backend() {
         for threads in [1usize, 4] {
             for seal_every in [1u64, 7] {
                 let label = format!("shards {shards}, threads {threads}, seal every {seal_every}");
-                let store = ShardedStore::with_config(StoreConfig { shards, threads });
-                let mut sink = SealEvery::new(store, seal_every);
-                replay(capture, &mut sink);
-                let snapshot = sink.into_inner().seal();
+                let mut store = ShardedStore::with_config(StoreConfig { shards, threads });
+                replay(capture, &mut store, Some(seal_every));
+                let snapshot = store.seal();
                 let stats = snapshot.seal_stats();
                 assert!(stats.seals_total > 1, "no mid-run seal happened ({label})");
                 assert!(stats.segments_live >= 1, "no live segments ({label})");

@@ -35,7 +35,7 @@ fn fleet_run_surfaces_the_manhattan_bug() {
         reason: RebootReason::OutOfMemory,
     };
     let affected = crashes.affected_devices(&signature);
-    let fleet = (output.world.aps.len() as f64) as usize;
+    let fleet = (output.run.world.aps.len() as f64) as usize;
     assert!(affected > 0, "the bug must reproduce");
     assert!(
         affected * 5 < fleet,
@@ -46,11 +46,13 @@ fn fleet_run_surfaces_the_manhattan_bug() {
         "scattered PCs identify heap exhaustion"
     );
     // Crashing devices live in unusually dense RF environments.
-    let mean_density: f64 = output.world.aps.iter().map(|a| a.density).sum::<f64>() / fleet as f64;
+    let mean_density: f64 =
+        output.run.world.aps.iter().map(|a| a.density).sum::<f64>() / fleet as f64;
     // affected_devices has no device list API; recompute via world: the
     // crashers were the census-extreme APs, which correlates with density.
     // Weak check: the fleet has outliers at all.
     let max_density = output
+        .run
         .world
         .aps
         .iter()

@@ -5,7 +5,7 @@
 //! only hold three invariants that are ratios of two costs measured
 //! back to back on whatever host runs the suite, so they need no
 //! core-count excuse: each has at least 1.6× headroom in a debug build
-//! on two cores and pinned to one (EXPERIMENTS.md "One timing harness").
+//! on two cores and pinned to one (`docs/perf-log/PR-19.md`).
 
 use airstat::classify::apps::Application;
 use airstat::classify::mac::MacAddress;

@@ -14,8 +14,7 @@ use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::{FleetConfig, FleetSimulation};
 use airstat::stats::rng::fnv1a;
 use airstat::store::{
-    DurableStore, FleetQuery, QueryBackend, QueryEngine, ReportSink, Sealable, ShardedStore,
-    StoreConfig,
+    DurableStore, FleetQuery, QueryBackend, QueryEngine, ReportSink, ShardedStore, StoreConfig,
 };
 use airstat::telemetry::backend::WindowId;
 use airstat::telemetry::report::{
@@ -169,8 +168,8 @@ fn reopened_store_answers_every_query_byte_identically() {
             assert_eq!(recovery.epoch, output.store.epoch(), "{label}");
             assert_eq!(reopened.shard_count(), shards, "{label}");
 
-            let original = QueryEngine::new(output.store.seal(), output.threads);
-            let from_disk = QueryEngine::new(reopened.seal(), output.threads);
+            let original = QueryEngine::new(output.store.seal(), output.run.threads);
+            let from_disk = QueryEngine::new(reopened.seal(), output.run.threads);
             assert_surfaces_identical(&from_disk, &original, &label);
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -193,7 +192,7 @@ fn report_is_byte_identical_across_persist_reload_and_backends() {
     let (reopened, _) = ShardedStore::open(&dir, StoreConfig::default()).expect("open");
     let snapshot = reopened.seal();
     for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
-        let engine = QueryEngine::with_backend(snapshot.clone(), output.threads, backend);
+        let engine = QueryEngine::with_backend(snapshot.clone(), output.run.threads, backend);
         assert_eq!(
             baseline,
             PaperReport::from_query(&engine, &config).to_string(),
@@ -233,8 +232,8 @@ fn crashed_campaign_recovers_from_the_tail_log() {
 
     // The recovered query surface is the pre-crash one, byte for byte.
     let output = simulation.run();
-    let original = QueryEngine::new(output.store.seal(), output.threads);
-    let from_log = QueryEngine::new(recovered.seal(), output.threads);
+    let original = QueryEngine::new(output.store.seal(), output.run.threads);
+    let from_log = QueryEngine::new(recovered.seal(), output.run.threads);
     assert_surfaces_identical(&from_log, &original, "tail-log recovery");
 
     // Tear the final record mid-write: recovery must stop cleanly at the

@@ -125,7 +125,7 @@ fn thread_count_never_changes_output() {
                 ..FleetConfig::paper(0.004)
             };
             let output = FleetSimulation::new(config.clone()).run();
-            assert_eq!(output.threads, threads.max(1));
+            assert_eq!(output.run.threads, threads.max(1));
             PaperReport::from_simulation(&output, &config).to_string()
         };
         let serial = render(1);
