@@ -13,11 +13,11 @@
 //! class's ready-queue wait exceed the pinned poll-gap bound.
 
 use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
-use airstat::sim::faults::SCENARIO_NAMES;
+use airstat::sim::faults::{DegradationTally, SCENARIO_NAMES};
 use airstat::sim::{run_fleet_campaign, FaultSchedule, FaultedEndpoint, FleetCampaignConfig};
 use airstat::stats::SeedTree;
-use airstat::telemetry::poll::{drain_flat_reference, DrainStats, PollPolicy};
-use airstat::telemetry::sched::{drain_solo, PollEndpoint, Priority, TunnelEndpoint};
+use airstat::telemetry::poll::{drain_flat_reference, DrainStats, LatencyHistogram, PollPolicy};
+use airstat::telemetry::sched::{drain_solo, PollEndpoint, Priority, SchedStats, TunnelEndpoint};
 use airstat::telemetry::{DeviceAgent, Report, ReportPayload, Tunnel, TunnelConfig};
 
 const SEEDS: std::ops::Range<u64> = 0..8;
@@ -221,4 +221,178 @@ fn hundred_k_ap_queue_pressure_campaign_holds_its_invariants() {
         stats.retries_scheduled > 0,
         "degraded cohorts hit the ledger"
     );
+}
+
+/// Latency buckets `(virtual seconds, reports)` of a pinned campaign.
+fn latency(buckets: &[(u64, u64)]) -> LatencyHistogram {
+    let mut histogram = LatencyHistogram::new();
+    for &(latency_s, n) in buckets {
+        histogram.record_n(latency_s, n);
+    }
+    histogram
+}
+
+/// The 100k test above asserts invariants only, so a changed poll order
+/// — a different eviction victim, a retry promoted a tick late — would
+/// pass it. These constants were captured on the commit *before* the
+/// scheduler's by-value entry map was replaced (PR 23's parent); they
+/// move only when a PR means to change what the scheduler does, and that
+/// PR must say so.
+#[test]
+fn fleet_campaign_is_pinned_for_two_seeds() {
+    let pinned = [
+        (
+            1,
+            SchedStats {
+                admissions: 20_000,
+                deduped: 0,
+                completed: 7_764,
+                budget_exhausted: 0,
+                evicted_aps: [0, 0, 12_236],
+                evicted_reports: 56_828,
+                polls_by_class: [4_354, 6_370, 7_859],
+                ticks: 73,
+                time_jumps: 7,
+                retries_scheduled: 4_120,
+                retries_promoted: 4_074,
+                max_ready_depth: [130, 184, 1_745],
+                max_queue_wait_ticks: [0, 0, 5],
+            },
+            DegradationTally {
+                submitted: 120_163,
+                accepted: 62_471,
+                dropped_overflow: 0,
+                lost_to_crash: 864,
+                left_queued: 0,
+                lost_to_eviction: 56_828,
+                evicted_high: 0,
+                evicted_normal: 0,
+                evicted_low: 12_236,
+                crash_reboots: 163,
+                polls: 18_583,
+                polls_lost: 1_493,
+                disconnected_polls: 2_627,
+                failovers: 1_313,
+                secondary_served: 1_315,
+                redelivered: 4_134,
+                budget_exhausted_agents: 0,
+                latency: latency(&[
+                    (60, 46_837),
+                    (120, 5_172),
+                    (180, 3_630),
+                    (240, 787),
+                    (300, 275),
+                    (360, 103),
+                    (420, 7_684),
+                    (480, 437),
+                    (540, 133),
+                    (600, 115),
+                    (660, 30),
+                    (780, 6),
+                    (840, 18),
+                    (900, 995),
+                    (960, 61),
+                    (1_020, 24),
+                    (1_080, 6),
+                    (1_740, 6),
+                    (1_860, 128),
+                    (1_920, 67),
+                    (1_980, 48),
+                    (2_040, 6),
+                    (2_280, 6),
+                    (2_340, 6),
+                    (3_780, 12),
+                    (3_840, 6),
+                    (3_960, 1),
+                    (5_700, 6),
+                ]),
+            },
+        ),
+        (
+            2,
+            SchedStats {
+                admissions: 20_000,
+                deduped: 0,
+                completed: 7_697,
+                budget_exhausted: 0,
+                evicted_aps: [0, 0, 12_303],
+                evicted_reports: 56_862,
+                polls_by_class: [4_343, 6_377, 7_868],
+                ticks: 84,
+                time_jumps: 6,
+                retries_scheduled: 4_150,
+                retries_promoted: 4_112,
+                max_ready_depth: [133, 182, 1_732],
+                max_queue_wait_ticks: [0, 0, 5],
+            },
+            DegradationTally {
+                submitted: 120_169,
+                accepted: 62_401,
+                dropped_overflow: 0,
+                lost_to_crash: 906,
+                left_queued: 0,
+                lost_to_eviction: 56_862,
+                evicted_high: 0,
+                evicted_normal: 0,
+                evicted_low: 12_303,
+                crash_reboots: 169,
+                polls: 18_588,
+                polls_lost: 1_570,
+                disconnected_polls: 2_580,
+                failovers: 1_315,
+                secondary_served: 1_317,
+                redelivered: 4_054,
+                budget_exhausted_agents: 0,
+                latency: latency(&[
+                    (60, 46_695),
+                    (120, 5_170),
+                    (180, 3_822),
+                    (240, 821),
+                    (300, 230),
+                    (360, 126),
+                    (420, 7_504),
+                    (480, 328),
+                    (540, 62),
+                    (600, 122),
+                    (660, 24),
+                    (720, 1),
+                    (780, 1),
+                    (840, 12),
+                    (900, 1_037),
+                    (960, 79),
+                    (1_020, 12),
+                    (1_080, 24),
+                    (1_140, 12),
+                    (1_320, 12),
+                    (1_860, 139),
+                    (1_920, 66),
+                    (1_980, 36),
+                    (2_040, 30),
+                    (2_100, 6),
+                    (3_780, 36),
+                    (3_840, 18),
+                    (3_900, 6),
+                    (4_200, 6),
+                    (4_320, 6),
+                    (5_700, 12),
+                ]),
+            },
+        ),
+    ];
+    for (seed, sched, degradation) in pinned {
+        let run = run_fleet_campaign(&FleetCampaignConfig {
+            seed,
+            ..FleetCampaignConfig::queue_pressure_fleet(20_000)
+        });
+        assert_eq!(run.sched, sched, "seed {seed}: scheduler counters moved");
+        assert_eq!(
+            run.degradation, degradation,
+            "seed {seed}: degradation tally moved"
+        );
+        assert_eq!(
+            run.poll_gap_bounds,
+            [Some(1), Some(2), Some(37)],
+            "seed {seed}: poll-gap bounds moved"
+        );
+    }
 }
