@@ -480,12 +480,17 @@ impl DegradationTally {
 /// first fault-stream draw.
 #[derive(Debug)]
 pub struct FaultedEndpoint {
-    intensity: FaultIntensity,
+    // The resolved cohort's per-round knobs, copied out flat: an endpoint
+    // owns no `FaultIntensity` (whose `cohorts` list it would never read).
+    ack_loss_probability: f64,
+    flap_probability: f64,
+    flap_rounds: u32,
+    repoll_burst: u32,
     agent: DeviceAgent,
     dual: DualTunnel,
     fault_rng: SmallRng,
     tunnel_rng: SmallRng,
-    firmware: String,
+    firmware: &'static str,
     priority: Priority,
     outage: Option<(u64, u64)>,
     crash_round: Option<u64>,
@@ -504,17 +509,19 @@ pub struct FaultedEndpoint {
 impl FaultedEndpoint {
     /// Builds the endpoint and plans its one-shot events from the fault
     /// stream up front: cohort draw first (none for homogeneous
-    /// schedules), then the outage, crash and storm rounds.
+    /// schedules), then the outage, crash and storm rounds. Nothing is
+    /// allocated here: the resolved cohort is read through the borrow and
+    /// `firmware` is copied only if the endpoint files a crash report.
     pub fn new(
         intensity: &FaultIntensity,
         base: TunnelConfig,
         node: &SeedTree,
-        firmware: &str,
+        firmware: &'static str,
         agent: DeviceAgent,
     ) -> Self {
         let mut fault_rng = node.child("faults").rng();
         let tunnel_rng = node.child("tunnel").rng();
-        let intensity = intensity.resolve_cohort(&mut fault_rng).clone();
+        let intensity = intensity.resolve_cohort(&mut fault_rng);
         let config = TunnelConfig {
             drop_probability: (base.drop_probability + intensity.extra_drop_probability).min(0.95),
             poll_batch: intensity.poll_batch.unwrap_or(base.poll_batch),
@@ -544,12 +551,15 @@ impl FaultedEndpoint {
         };
         let priority = intensity.priority_class();
         FaultedEndpoint {
-            intensity,
+            ack_loss_probability: intensity.ack_loss_probability,
+            flap_probability: intensity.flap_probability,
+            flap_rounds: intensity.flap_rounds,
+            repoll_burst: intensity.repoll_burst,
             agent,
             dual,
             fault_rng,
             tunnel_rng,
-            firmware: firmware.to_string(),
+            firmware,
             priority,
             outage,
             crash_round,
@@ -600,13 +610,9 @@ impl FaultedEndpoint {
     }
 
     fn undelivered_count(&self) -> u64 {
-        let queued = self.agent.queued();
-        if queued == 0 {
-            return 0;
-        }
         match self.highest_delivered {
-            None => queued as u64,
-            Some(h) => self.agent.peek(queued).iter().filter(|r| r.seq > h).count() as u64,
+            None => self.agent.queued() as u64,
+            Some(h) => self.agent.queued_reports().filter(|r| r.seq > h).count() as u64,
         }
     }
 }
@@ -626,7 +632,7 @@ impl PollEndpoint for FaultedEndpoint {
                 self.in_outage = false;
                 // The catch-up storm: the recovered primary re-polls the
                 // span it missed without waiting for ack state.
-                self.pending_burst += self.intensity.repoll_burst;
+                self.pending_burst += self.repoll_burst;
             }
         }
         if self.crash_round == Some(round) && self.agent.queued() > 0 {
@@ -639,7 +645,7 @@ impl PollEndpoint for FaultedEndpoint {
             self.agent.submit(
                 now_s,
                 ReportPayload::Crash(vec![CrashRecord {
-                    firmware: self.firmware.clone(),
+                    firmware: self.firmware.to_string(),
                     reason: RebootReason::Watchdog.code(),
                     program_counter: 0x40_0000 + self.fault_rng.gen_range(0u64..0x8_0000),
                     uptime_s: now_s,
@@ -648,7 +654,7 @@ impl PollEndpoint for FaultedEndpoint {
             );
         }
         if self.storm_round == Some(round) {
-            self.pending_burst += self.intensity.repoll_burst.max(1);
+            self.pending_burst += self.repoll_burst.max(1);
         }
         if self.flap_left > 0 {
             self.flap_left -= 1;
@@ -656,19 +662,19 @@ impl PollEndpoint for FaultedEndpoint {
                 self.dual.restore(DataCenter::Primary);
             }
         } else if !self.in_outage
-            && self.intensity.flap_probability > 0.0
-            && self.fault_rng.gen::<f64>() < self.intensity.flap_probability
+            && self.flap_probability > 0.0
+            && self.fault_rng.gen::<f64>() < self.flap_probability
         {
             self.dual.outage(DataCenter::Primary);
-            self.flap_left = self.intensity.flap_rounds.max(1);
+            self.flap_left = self.flap_rounds.max(1);
         }
         // --- the poll itself ---
         let ack = if self.pending_burst > 0 {
             self.pending_burst -= 1;
             false
         } else {
-            !(self.intensity.ack_loss_probability > 0.0
-                && self.fault_rng.gen::<f64>() < self.intensity.ack_loss_probability)
+            !(self.ack_loss_probability > 0.0
+                && self.fault_rng.gen::<f64>() < self.ack_loss_probability)
         };
         let (outcome, dc) = self
             .dual

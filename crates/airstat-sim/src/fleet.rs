@@ -148,10 +148,10 @@ pub fn run_fleet_campaign(config: &FleetCampaignConfig) -> FleetCampaignRun {
             }
         }
         sched.tick();
-        drain_finished(&mut sched, &mut degradation);
+        account_finished(&mut sched, &mut degradation);
     }
     sched.run_to_completion();
-    drain_finished(&mut sched, &mut degradation);
+    account_finished(&mut sched, &mut degradation);
 
     let stats = sched.stats().clone();
     degradation.record_evictions(&stats);
@@ -170,8 +170,8 @@ pub fn run_fleet_campaign(config: &FleetCampaignConfig) -> FleetCampaignRun {
 /// Accounts every drain the scheduler has finished so far, keeping the
 /// scheduler's `finished` list (and its memory) from growing with the
 /// fleet.
-fn drain_finished(sched: &mut Scheduler<FaultedEndpoint>, degradation: &mut DegradationTally) {
-    for drain in sched.take_finished() {
+fn account_finished(sched: &mut Scheduler<FaultedEndpoint>, degradation: &mut DegradationTally) {
+    for drain in sched.drain_finished() {
         // An evicted drain's `undelivered` is already in the scheduler's
         // `evicted_reports` counter, recorded into `lost_to_eviction` at
         // the end of the run.

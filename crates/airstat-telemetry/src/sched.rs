@@ -40,6 +40,19 @@
 //! [`drain_flat_reference`](crate::poll::drain_flat_reference), the
 //! oracle no production code calls.
 //!
+//! # Where an AP's state lives
+//!
+//! In one slot of a slab (`Vec<Option<Entry>>` with a free list), from
+//! admission until its drain finishes. [`Scheduler::admit`] writes the
+//! endpoint there once, every round polls it in place, and finishing
+//! moves it out once, into the finished list; slots are let again, so
+//! the slab is as long as the most APs ever live at once. Everything
+//! else holds a 16-byte ticket — slot plus admission serial — or the AP
+//! key: the ready queues, the LOW eviction order, the retry ledger, and
+//! the small key → slot map admission-time dedup reads. The serial is
+//! what keeps a ticket left behind by an eviction from ever resolving to
+//! a later admission of the same key or slot.
+//!
 //! # Fairness
 //!
 //! Each tick polls at most [`SchedConfig::tick_poll_budget`] APs.
@@ -386,9 +399,15 @@ pub fn class_guarantees(tick_poll_budget: usize) -> [u64; 3] {
     ]
 }
 
-/// Per-AP scheduler state.
+/// Per-AP scheduler state. An entry is written into its slab slot once,
+/// at admission, polled in place, and moved out once, when its drain
+/// finishes — no queue, ledger or tick ever moves it.
 #[derive(Debug)]
 struct Entry<E> {
+    key: u64,
+    /// [`SchedStats::admissions`] before this one: what tells this tenant
+    /// of the slot from the previous one.
+    serial: u64,
     priority: Priority,
     session: PollSession,
     stats: DrainStats,
@@ -405,20 +424,47 @@ struct Entry<E> {
     bytes_base: u64,
 }
 
+/// What the ready queues and the eviction order hold in place of an
+/// entry: the slot it lives in and the serial it was admitted under.
+/// Eviction leaves an evicted AP's ticket in its ready queue (lazy
+/// deletion) and completion leaves a LOW AP's in `low_order`; the serial
+/// is why such a stale ticket can never resolve to a later admission
+/// that reuses the slot — or the key.
+#[derive(Debug, Clone, Copy)]
+struct Ticket {
+    slot: usize,
+    serial: u64,
+}
+
+/// The entry `ticket` was issued for, unless that admission has finished
+/// (its slot is vacant, or let again under a later serial).
+fn holder<E>(slots: &mut [Option<Entry<E>>], ticket: Ticket) -> Option<&mut Entry<E>> {
+    slots[ticket.slot]
+        .as_mut()
+        .filter(|entry| entry.serial == ticket.serial)
+}
+
 /// The deterministic poll scheduler. See the module docs for the model.
 #[derive(Debug)]
 pub struct Scheduler<E> {
     config: SchedConfig,
     now_s: u64,
     tick_index: u64,
-    entries: BTreeMap<u64, Entry<E>>,
-    ready: [VecDeque<u64>; 3],
-    /// Live entries per ready queue (the queues themselves may hold
-    /// lazily-deleted keys of evicted APs).
+    /// Live AP key → its slot in `slots`: admission-time dedup, the
+    /// ledger's key lookup and the live count.
+    index: BTreeMap<u64, usize>,
+    /// The slab every live entry sits in, at a stable address. A finished
+    /// drain's slot goes on `free` and is let again before the slab
+    /// grows, so the slab is as long as the most APs ever live at once.
+    slots: Vec<Option<Entry<E>>>,
+    free: Vec<usize>,
+    ready: [VecDeque<Ticket>; 3],
+    /// Live tickets per ready queue (the queues themselves may hold
+    /// lazily-deleted tickets of evicted APs).
     ready_live: [usize; 3],
     ledger: RetryLedger,
-    /// LOW keys in admission order — the eviction victim scan.
-    low_order: VecDeque<u64>,
+    /// LOW admissions in order — the eviction victim scan.
+    low_order: VecDeque<Ticket>,
     finished: Vec<CompletedDrain<E>>,
     stats: SchedStats,
 }
@@ -430,7 +476,9 @@ impl<E: PollEndpoint> Scheduler<E> {
             config,
             now_s: 0,
             tick_index: 0,
-            entries: BTreeMap::new(),
+            index: BTreeMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             ready: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             ready_live: [0; 3],
             ledger: RetryLedger::new(),
@@ -452,7 +500,7 @@ impl<E: PollEndpoint> Scheduler<E> {
 
     /// Live (admitted, not yet finished) APs.
     pub fn live(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// The counters so far.
@@ -482,12 +530,12 @@ impl<E: PollEndpoint> Scheduler<E> {
     /// LOW AP is live, a LOW newcomer is rejected; HIGH and NORMAL
     /// admissions always succeed.
     pub fn admit(&mut self, key: u64, priority: Priority, endpoint: E) -> Admission<E> {
-        if self.entries.contains_key(&key) {
+        if self.index.contains_key(&key) {
             self.stats.deduped += 1;
             return Admission::Deduped(endpoint);
         }
         if let Some(cap) = self.config.capacity {
-            if self.entries.len() >= cap.max(1)
+            if self.index.len() >= cap.max(1)
                 && !self.evict_oldest_low()
                 && priority == Priority::Low
             {
@@ -498,7 +546,11 @@ impl<E: PollEndpoint> Scheduler<E> {
                 return Admission::Rejected(endpoint);
             }
         }
-        let entry = Entry {
+        let serial = self.stats.admissions;
+        self.stats.admissions += 1;
+        let entry = Some(Entry {
+            key,
+            serial,
             priority,
             session: PollSession::new(self.config.policy),
             stats: DrainStats::default(),
@@ -509,13 +561,24 @@ impl<E: PollEndpoint> Scheduler<E> {
             polls_base: endpoint.polls_attempted(),
             bytes_base: endpoint.bytes_transferred(),
             endpoint,
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot].is_none(), "a free slot has no tenant");
+                self.slots[slot] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                self.slots.len() - 1
+            }
         };
-        self.entries.insert(key, entry);
+        self.index.insert(key, slot);
+        let ticket = Ticket { slot, serial };
         if priority == Priority::Low {
-            self.low_order.push_back(key);
+            self.low_order.push_back(ticket);
         }
-        self.push_ready(priority.index(), key);
-        self.stats.admissions += 1;
+        self.push_ready(priority.index(), ticket);
         Admission::Admitted
     }
 
@@ -524,7 +587,7 @@ impl<E: PollEndpoint> Scheduler<E> {
     /// the class quotas, and poll each. Returns `false` once no AP is
     /// live.
     pub fn tick(&mut self) -> bool {
-        if self.entries.is_empty() {
+        if self.index.is_empty() {
             return false;
         }
         self.stats.ticks += 1;
@@ -540,8 +603,8 @@ impl<E: PollEndpoint> Scheduler<E> {
         }
         let batch = self.select_batch();
         let mut polled = false;
-        for (class, key) in batch {
-            polled |= self.poll_one(class, key);
+        for (class, ticket) in batch {
+            polled |= self.poll_one(class, ticket);
         }
         if polled {
             self.now_s = self
@@ -549,7 +612,7 @@ impl<E: PollEndpoint> Scheduler<E> {
                 .saturating_add(self.config.policy.poll_interval_s);
         }
         self.tick_index = self.tick_index.saturating_add(1);
-        !self.entries.is_empty()
+        !self.index.is_empty()
     }
 
     /// Ticks until every admitted AP has drained, exhausted its budget,
@@ -563,25 +626,31 @@ impl<E: PollEndpoint> Scheduler<E> {
         std::mem::take(&mut self.finished)
     }
 
-    fn push_ready(&mut self, class: usize, key: u64) {
-        self.ready[class].push_back(key);
+    /// [`Scheduler::take_finished`] for a caller that comes back every
+    /// tick: hands the same drains out one by one and keeps the list's
+    /// allocation for the next tick's.
+    pub fn drain_finished(&mut self) -> std::vec::Drain<'_, CompletedDrain<E>> {
+        self.finished.drain(..)
+    }
+
+    fn push_ready(&mut self, class: usize, ticket: Ticket) {
+        self.ready[class].push_back(ticket);
         self.ready_live[class] += 1;
         self.stats.max_ready_depth[class] =
             self.stats.max_ready_depth[class].max(self.ready_live[class] as u64);
     }
 
-    /// Pops the next *live* key from a ready queue, recording its wait.
-    fn pop_ready(&mut self, class: usize) -> Option<u64> {
-        while let Some(key) = self.ready[class].pop_front() {
-            if let Some(entry) = self.entries.get(&key) {
-                // Evicted keys linger in the queue (lazy deletion); a live
-                // key parked in the ledger cannot also be ready.
+    /// Pops the next *live* ticket from a ready queue, recording its wait.
+    fn pop_ready(&mut self, class: usize) -> Option<Ticket> {
+        while let Some(ticket) = self.ready[class].pop_front() {
+            if let Some(entry) = holder(&mut self.slots, ticket) {
+                // A live AP parked in the ledger cannot also be ready.
                 debug_assert!(entry.retry_due.is_none());
                 self.ready_live[class] = self.ready_live[class].saturating_sub(1);
                 let wait = self.tick_index.saturating_sub(entry.enqueued_tick);
                 self.stats.max_queue_wait_ticks[class] =
                     self.stats.max_queue_wait_ticks[class].max(wait);
-                return Some(key);
+                return Some(ticket);
             }
         }
         None
@@ -589,14 +658,17 @@ impl<E: PollEndpoint> Scheduler<E> {
 
     fn promote_due(&mut self) {
         while let Some((_, key)) = self.ledger.pop_due(self.now_s) {
-            let entry = self
-                .entries
-                .get_mut(&key)
+            let slot = *self
+                .index
+                .get(&key)
                 .expect("invariant: evictions cancel their ledger entries");
+            let entry = self.slots[slot]
+                .as_mut()
+                .expect("invariant: an indexed slot holds its entry");
             entry.retry_due = None;
             entry.enqueued_tick = self.tick_index;
-            let class = entry.priority.index();
-            self.push_ready(class, key);
+            let (class, serial) = (entry.priority.index(), entry.serial);
+            self.push_ready(class, Ticket { slot, serial });
             self.stats.retries_promoted += 1;
         }
     }
@@ -604,7 +676,7 @@ impl<E: PollEndpoint> Scheduler<E> {
     /// Selects up to the tick budget of ready APs: HIGH first with
     /// NORMAL/LOW shares reserved (only while those classes have ready
     /// APs), unused budget spilling down-class.
-    fn select_batch(&mut self) -> Vec<(usize, u64)> {
+    fn select_batch(&mut self) -> Vec<(usize, Ticket)> {
         let b = self.config.tick_poll_budget.max(1);
         let reserve_low = if self.ready_live[2] > 0 {
             (b / 8).max(1).min(b.saturating_sub(1))
@@ -627,8 +699,8 @@ impl<E: PollEndpoint> Scheduler<E> {
             let mut allot = budget + carry;
             while allot > 0 {
                 match self.pop_ready(class) {
-                    Some(key) => {
-                        batch.push((class, key));
+                    Some(ticket) => {
+                        batch.push((class, ticket));
                         allot -= 1;
                     }
                     None => break,
@@ -639,20 +711,16 @@ impl<E: PollEndpoint> Scheduler<E> {
         batch
     }
 
-    /// Polls one selected AP. Returns whether a round actually executed
-    /// (budget exhaustion retires the AP without polling).
-    fn poll_one(&mut self, class: usize, key: u64) -> bool {
-        let mut entry = self
-            .entries
-            .remove(&key)
-            .expect("invariant: selected keys are live");
+    /// Polls one selected AP, in place. Returns whether a round actually
+    /// executed (budget exhaustion retires the AP without polling).
+    fn poll_one(&mut self, class: usize, ticket: Ticket) -> bool {
+        let entry = holder(&mut self.slots, ticket).expect("invariant: selected tickets are live");
         if !entry.session.begin_round() {
-            self.finalize(key, entry, false, true);
+            self.finalize(ticket.slot, false, true);
             return false;
         }
         self.stats.polls_by_class[class] += 1;
-        let entry_now = entry.session.now_s();
-        match entry.endpoint.poll_round(entry_now) {
+        match entry.endpoint.poll_round(entry.session.now_s()) {
             RoundOutcome::Delivered {
                 reports,
                 redelivered,
@@ -664,69 +732,66 @@ impl<E: PollEndpoint> Scheduler<E> {
                     .stats
                     .latency
                     .record_n(entry.session.now_s(), reports.len() as u64);
-                entry.reports.extend(reports);
+                if entry.reports.is_empty() {
+                    // The first batch's own allocation becomes the list.
+                    entry.reports = reports;
+                } else {
+                    entry.reports.extend(reports);
+                }
                 if entry.endpoint.pending() {
                     // Still draining: back into the rotation next tick.
                     entry.enqueued_tick = self.tick_index.saturating_add(1);
-                    self.entries.insert(key, entry);
-                    self.push_ready(class, key);
+                    self.push_ready(class, ticket);
                 } else {
-                    self.finalize(key, entry, false, false);
+                    self.finalize(ticket.slot, false, false);
                 }
+                return true;
             }
-            RoundOutcome::Lost => {
-                entry.session.on_failure();
-                entry.stats.lost += 1;
-                if entry.endpoint.continue_after_failure() {
-                    self.schedule_retry(key, entry);
-                } else {
-                    self.finalize(key, entry, false, false);
-                }
-            }
-            RoundOutcome::Disconnected => {
-                entry.session.on_failure();
-                entry.stats.disconnected += 1;
-                if entry.endpoint.continue_after_failure() {
-                    self.schedule_retry(key, entry);
-                } else {
-                    self.finalize(key, entry, false, false);
-                }
-            }
+            RoundOutcome::Lost => entry.stats.lost += 1,
+            RoundOutcome::Disconnected => entry.stats.disconnected += 1,
+        }
+        entry.session.on_failure();
+        if entry.endpoint.continue_after_failure() {
+            // Park the AP in the retry ledger at its session's next poll
+            // time, expressed on the global clock.
+            let due = entry.admitted_at_s.saturating_add(entry.session.now_s());
+            entry.retry_due = Some(due);
+            self.ledger.schedule(due, entry.key);
+            self.stats.retries_scheduled += 1;
+        } else {
+            self.finalize(ticket.slot, false, false);
         }
         true
-    }
-
-    /// Parks a failed AP in the retry ledger at its session's next poll
-    /// time, expressed on the global clock.
-    fn schedule_retry(&mut self, key: u64, mut entry: Entry<E>) {
-        let due = entry.admitted_at_s.saturating_add(entry.session.now_s());
-        entry.retry_due = Some(due);
-        self.ledger.schedule(due, key);
-        self.entries.insert(key, entry);
-        self.stats.retries_scheduled += 1;
     }
 
     /// Evicts the oldest-admitted live LOW AP, if any. Its partial drain
     /// (reports delivered so far) is handed back as a finished drain with
     /// `evicted = true`; undelivered reports are tallied as destroyed.
     fn evict_oldest_low(&mut self) -> bool {
-        while let Some(key) = self.low_order.pop_front() {
-            if let Some(entry) = self.entries.remove(&key) {
+        while let Some(ticket) = self.low_order.pop_front() {
+            if let Some(entry) = holder(&mut self.slots, ticket) {
                 if let Some(due) = entry.retry_due {
-                    self.ledger.cancel(due, key);
+                    self.ledger.cancel(due, entry.key);
                 } else {
                     // It is parked in the LOW ready queue: lazy-delete.
                     self.ready_live[2] = self.ready_live[2].saturating_sub(1);
                 }
                 self.stats.evicted_aps[Priority::Low.index()] += 1;
-                self.finalize(key, entry, true, false);
+                self.finalize(ticket.slot, true, false);
                 return true;
             }
         }
         false
     }
 
-    fn finalize(&mut self, key: u64, mut entry: Entry<E>, evicted: bool, exhausted: bool) {
+    /// Moves a live entry out of its slot into the finished list and
+    /// frees the slot for the next admission.
+    fn finalize(&mut self, slot: usize, evicted: bool, exhausted: bool) {
+        let mut entry = self.slots[slot]
+            .take()
+            .expect("invariant: only live slots are finalized");
+        self.free.push(slot);
+        self.index.remove(&entry.key);
         let undelivered = entry.endpoint.undelivered();
         entry.stats.polls = entry.endpoint.polls_attempted() - entry.polls_base;
         entry.stats.bytes = entry.endpoint.bytes_transferred() - entry.bytes_base;
@@ -739,10 +804,10 @@ impl<E: PollEndpoint> Scheduler<E> {
             self.stats.budget_exhausted += u64::from(entry.stats.budget_exhausted);
         }
         self.finished.push(CompletedDrain {
-            key,
+            key: entry.key,
             priority: entry.priority,
-            reports: std::mem::take(&mut entry.reports),
-            stats: std::mem::take(&mut entry.stats),
+            reports: entry.reports,
+            stats: entry.stats,
             evicted,
             undelivered,
             endpoint: entry.endpoint,
@@ -988,6 +1053,11 @@ mod tests {
         assert_eq!(sched.stats().evicted_reports, 6);
         sched.admit(6, Priority::High, loaded_endpoint(6, 6, 2, 0.0));
         assert_eq!(sched.live(), 3, "HIGH admitted over capacity");
+        assert_eq!(
+            sched.slots.len(),
+            3,
+            "evicted APs' slots were let again: six admissions, three slots"
+        );
         sched.run_to_completion();
         let drains = sched.take_finished();
         assert_eq!(drains.iter().filter(|d| !d.evicted).count(), 3);
@@ -996,6 +1066,42 @@ mod tests {
         // destroyed by eviction.
         let delivered: u64 = drains.iter().map(|d| d.stats.delivered).sum();
         assert_eq!(delivered + sched.stats().evicted_reports, 2 * 6);
+    }
+
+    #[test]
+    fn readmitted_key_is_polled_once_per_tick() {
+        // Eviction leaves the victim's ticket in the LOW ready queue. When
+        // the queues held bare keys, re-admitting an evicted key while
+        // its stale entry lingered queued the new admission twice: one
+        // live AP, two polls in one tick.
+        let mut sched = Scheduler::new(SchedConfig {
+            policy: PollPolicy::default(),
+            tick_poll_budget: 8,
+            capacity: Some(1),
+        });
+        for key in [1, 2, 1] {
+            assert!(matches!(
+                sched.admit(key, Priority::Low, loaded_endpoint(key, key, 10, 0.0)),
+                Admission::Admitted
+            ));
+        }
+        assert_eq!(sched.live(), 1);
+        assert_eq!(sched.stats().evicted_aps, [0, 0, 2]);
+        let evicted: Vec<u64> = sched.drain_finished().map(|d| d.key).collect();
+        assert_eq!(evicted, [1, 2], "oldest admission first");
+        assert!(sched.tick());
+        assert_eq!(
+            sched.stats().polls_by_class,
+            [0, 0, 1],
+            "one live AP, one poll per tick"
+        );
+        assert_eq!(sched.ready_live, [0, 0, 1], "still draining: ready again");
+        sched.run_to_completion();
+        let drains = sched.take_finished();
+        assert_eq!(drains.len(), 1);
+        assert_eq!((drains[0].key, drains[0].reports.len()), (1, 10));
+        // 10 reports at batch 4.
+        assert_eq!(sched.stats().polls_by_class, [0, 0, 3]);
     }
 
     #[test]

@@ -37,6 +37,9 @@ impl DeviceAgent {
     /// Default queue capacity, sized for hours of disconnection.
     pub const DEFAULT_CAPACITY: usize = 4096;
 
+    /// Queue slots allocated up front (fewer under a smaller capacity).
+    const INITIAL_QUEUE: usize = 8;
+
     /// Creates an agent for a device with the default queue capacity.
     pub fn new(device_id: u64) -> Self {
         Self::with_capacity(device_id, Self::DEFAULT_CAPACITY)
@@ -51,7 +54,9 @@ impl DeviceAgent {
         DeviceAgent {
             device_id,
             next_seq: 0,
-            queue: VecDeque::new(),
+            // One allocation for a short backlog, where a queue grown
+            // from empty pays 0 → 4 → 8; a long one doubles from here.
+            queue: VecDeque::with_capacity(capacity.min(Self::INITIAL_QUEUE)),
             capacity,
             dropped_overflow: 0,
         }
@@ -120,10 +125,17 @@ impl DeviceAgent {
         self.dropped_overflow
     }
 
+    /// The queued reports, oldest first, borrowed: what a poll encodes
+    /// from and what counts of the queue read, without copying a report
+    /// (or its payload) to do it.
+    pub fn queued_reports(&self) -> impl Iterator<Item = &Report> {
+        self.queue.iter()
+    }
+
     /// Returns up to `max` queued reports **without** removing them
     /// (at-least-once: removal happens on [`DeviceAgent::ack`]).
     pub fn peek(&self, max: usize) -> Vec<Report> {
-        self.queue.iter().take(max).cloned().collect()
+        self.queued_reports().take(max).cloned().collect()
     }
 
     /// Acknowledges all reports with `seq <= upto`, releasing queue space.
@@ -321,13 +333,14 @@ impl Tunnel {
             self.polls_lost += 1;
             return PollOutcome::Lost;
         }
-        let batch = agent.peek(self.config.poll_batch);
-        // Full wire round-trip: encode on the device, decode at the
-        // backend. The tunnel's scratch buffers persist across reports
-        // and polls, so the loop allocates nothing on the wire side.
-        let mut delivered = Vec::with_capacity(batch.len());
+        // Full wire round-trip: encode on the device — straight from its
+        // queue — and decode at the backend. The tunnel's scratch buffers
+        // persist across reports and polls, so the loop allocates nothing
+        // on the wire side.
+        let batch = agent.queued().min(self.config.poll_batch);
+        let mut delivered = Vec::with_capacity(batch);
         let mut max_seq = None;
-        for report in &batch {
+        for report in agent.queued_reports().take(batch) {
             self.wire_buf.clear();
             report.encode_into(&mut self.wire_buf, &mut self.record_scratch);
             self.bytes_transferred += self.wire_buf.len() as u64;

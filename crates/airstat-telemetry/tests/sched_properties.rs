@@ -5,23 +5,27 @@
 //! `(due_time, ap_key)`; admission-time dedup always keeps the
 //! first-seen endpoint (and every report it queued); and no ready AP of
 //! any class ever waits beyond the scheduler's pinned poll-gap bound —
-//! the no-starvation property the fairness quotas exist to provide.
+//! the no-starvation property the fairness quotas exist to provide; and
+//! the slab the scheduler keeps its entries in is invisible — under any
+//! interleaving of admissions (evicted keys recurring), ticks and
+//! collections it behaves as [`Model`], which holds every entry by value
+//! in a map and deletes eagerly where the scheduler deletes lazily.
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use airstat_stats::SeedTree;
 use airstat_telemetry::poll::{PollPolicy, PollSession};
 use airstat_telemetry::report::ReportPayload;
 use airstat_telemetry::sched::{
-    Admission, Priority, RetryLedger, SchedConfig, Scheduler, TunnelEndpoint,
+    Admission, PollEndpoint, Priority, RetryLedger, RoundOutcome, SchedConfig, Scheduler,
+    TunnelEndpoint,
 };
 use airstat_telemetry::transport::{DeviceAgent, Tunnel, TunnelConfig};
 use proptest::prelude::*;
 
-fn endpoint(
-    seed: u64,
-    device: u64,
-    reports: u64,
-    drop_probability: f64,
-) -> TunnelEndpoint<rand::rngs::SmallRng> {
+type Endpoint = TunnelEndpoint<rand::rngs::SmallRng>;
+
+fn endpoint(seed: u64, device: u64, reports: u64, drop_probability: f64) -> Endpoint {
     let mut agent = DeviceAgent::new(device);
     for t in 0..reports {
         agent.submit(t, ReportPayload::Usage(vec![]));
@@ -33,7 +37,266 @@ fn endpoint(
     TunnelEndpoint::new(tunnel, agent, SeedTree::new(seed).indexed(device).rng())
 }
 
+/// What a finished drain is compared on: key, class, whether it was
+/// evicted, reports delivered, and the device id of the endpoint handed
+/// back (each admission gets its own, so a drain that comes back with
+/// another admission's endpoint shows).
+type Finished = (u64, Priority, bool, usize, u64);
+
+struct ModelEntry {
+    priority: Priority,
+    session: PollSession,
+    delivered: usize,
+    endpoint: Endpoint,
+    admitted_at_s: u64,
+    retry_due: Option<u64>,
+}
+
+/// The reference scheduler: each AP's state by value in a `BTreeMap`,
+/// taken out and put back around every poll; ready queues and the
+/// eviction order hold bare keys and are purged the moment a drain ends,
+/// so nothing stale is ever there to resolve. Same quotas, same ledger,
+/// same clock as [`Scheduler`].
+struct Model {
+    config: SchedConfig,
+    now_s: u64,
+    entries: BTreeMap<u64, ModelEntry>,
+    ready: [VecDeque<u64>; 3],
+    ledger: RetryLedger,
+    low_order: VecDeque<u64>,
+    finished: Vec<Finished>,
+    polls_by_class: [u64; 3],
+}
+
+impl Model {
+    fn new(config: SchedConfig) -> Self {
+        Model {
+            config,
+            now_s: 0,
+            entries: BTreeMap::new(),
+            ready: Default::default(),
+            ledger: RetryLedger::new(),
+            low_order: VecDeque::new(),
+            finished: Vec::new(),
+            polls_by_class: [0; 3],
+        }
+    }
+
+    fn admit(&mut self, key: u64, priority: Priority, endpoint: Endpoint) -> &'static str {
+        if self.entries.contains_key(&key) {
+            return "deduped";
+        }
+        if let Some(cap) = self.config.capacity {
+            if self.entries.len() >= cap.max(1) {
+                match self.low_order.front().copied() {
+                    Some(victim) => {
+                        let entry = self.entries.remove(&victim).expect("purged eagerly");
+                        match entry.retry_due {
+                            Some(due) => assert!(self.ledger.cancel(due, victim)),
+                            None => self.ready[2].retain(|&k| k != victim),
+                        }
+                        self.finish(victim, entry, true);
+                    }
+                    None if priority == Priority::Low => return "rejected",
+                    None => {}
+                }
+            }
+        }
+        self.entries.insert(
+            key,
+            ModelEntry {
+                priority,
+                session: PollSession::new(self.config.policy),
+                delivered: 0,
+                endpoint,
+                admitted_at_s: self.now_s,
+                retry_due: None,
+            },
+        );
+        if priority == Priority::Low {
+            self.low_order.push_back(key);
+        }
+        self.ready[priority.index()].push_back(key);
+        "admitted"
+    }
+
+    fn promote_due(&mut self) {
+        while let Some((_, key)) = self.ledger.pop_due(self.now_s) {
+            let entry = self.entries.get_mut(&key).expect("evictions cancel");
+            entry.retry_due = None;
+            self.ready[entry.priority.index()].push_back(key);
+        }
+    }
+
+    fn tick(&mut self) -> bool {
+        if self.entries.is_empty() {
+            return false;
+        }
+        self.promote_due();
+        if self.ready.iter().all(VecDeque::is_empty) {
+            if let Some(due) = self.ledger.peek_due() {
+                self.now_s = self.now_s.max(due);
+                self.promote_due();
+            }
+        }
+        let b = self.config.tick_poll_budget.max(1);
+        let reserve_low = if self.ready[2].is_empty() {
+            0
+        } else {
+            (b / 8).max(1).min(b - 1)
+        };
+        let reserve_normal = if self.ready[1].is_empty() {
+            0
+        } else {
+            (b / 4).max(1).min(b.saturating_sub(1 + reserve_low))
+        };
+        let mut batch = Vec::new();
+        let mut allot = 0;
+        for (class, budget) in [
+            b - reserve_normal - reserve_low,
+            reserve_normal,
+            reserve_low,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            allot += budget;
+            while allot > 0 {
+                let Some(key) = self.ready[class].pop_front() else {
+                    break;
+                };
+                batch.push(key);
+                allot -= 1;
+            }
+        }
+        let mut polled = false;
+        for key in batch {
+            polled |= self.poll_one(key);
+        }
+        if polled {
+            self.now_s += self.config.policy.poll_interval_s;
+        }
+        !self.entries.is_empty()
+    }
+
+    fn poll_one(&mut self, key: u64) -> bool {
+        let mut entry = self.entries.remove(&key).expect("ready keys are live");
+        if !entry.session.begin_round() {
+            self.finish(key, entry, false);
+            return false;
+        }
+        self.polls_by_class[entry.priority.index()] += 1;
+        let retry = match entry.endpoint.poll_round(entry.session.now_s()) {
+            RoundOutcome::Delivered { reports, .. } => {
+                entry.session.on_success();
+                entry.delivered += reports.len();
+                if entry.endpoint.pending() {
+                    self.ready[entry.priority.index()].push_back(key);
+                    self.entries.insert(key, entry);
+                } else {
+                    self.finish(key, entry, false);
+                }
+                return true;
+            }
+            RoundOutcome::Lost | RoundOutcome::Disconnected => {
+                entry.session.on_failure();
+                entry.endpoint.continue_after_failure()
+            }
+        };
+        if retry {
+            let due = entry.admitted_at_s + entry.session.now_s();
+            entry.retry_due = Some(due);
+            self.ledger.schedule(due, key);
+            self.entries.insert(key, entry);
+        } else {
+            self.finish(key, entry, false);
+        }
+        true
+    }
+
+    fn finish(&mut self, key: u64, entry: ModelEntry, evicted: bool) {
+        self.low_order.retain(|&k| k != key);
+        self.finished.push((
+            key,
+            entry.priority,
+            evicted,
+            entry.delivered,
+            entry.endpoint.agent().device_id(),
+        ));
+    }
+}
+
 proptest! {
+    #[test]
+    fn prop_slab_scheduler_matches_the_by_value_model(
+        capacity in 1usize..8,
+        budget in 1usize..10,
+        drop_millis in 0u64..400,
+        seed in any::<u64>(),
+        // (what, key, class, reports): keys from a small range, so a key
+        // evicted a moment ago is admitted again while its ticket lingers.
+        ops in prop::collection::vec((0u8..6, 0u64..6, 0usize..3, 0u64..10), 1..80),
+    ) {
+        let config = SchedConfig {
+            policy: PollPolicy { poll_budget: 6, ..PollPolicy::default() },
+            tick_poll_budget: budget,
+            capacity: Some(capacity),
+        };
+        let drop_probability = drop_millis as f64 / 1000.0;
+        let mut sched = Scheduler::new(config);
+        let mut model = Model::new(config);
+        let mut collected = Vec::new();
+        let mut admitted = BTreeSet::new();
+        let mut device = 0u64;
+        let collect = |sched: &mut Scheduler<Endpoint>, collected: &mut Vec<Finished>| {
+            for drain in sched.take_finished() {
+                let tenant = drain.endpoint.agent().device_id();
+                assert!(drain.reports.iter().all(|r| r.device == tenant),
+                    "device {tenant} came back with another tenant's reports");
+                collected.push((drain.key, drain.priority, drain.evicted, drain.reports.len(), tenant));
+            }
+        };
+        for (step, &(what, key, class, reports)) in ops.iter().enumerate() {
+            match what {
+                0..=2 => {
+                    device += 1;
+                    let priority = Priority::ALL[class];
+                    let build = || endpoint(seed, device, reports, drop_probability);
+                    let outcome = match sched.admit(key, priority, build()) {
+                        Admission::Admitted => {
+                            admitted.insert(device);
+                            "admitted"
+                        }
+                        Admission::Deduped(_) => "deduped",
+                        Admission::Rejected(_) => "rejected",
+                    };
+                    prop_assert_eq!(outcome, model.admit(key, priority, build()),
+                        "step {}: admit {}", step, key);
+                }
+                3..=4 => {
+                    prop_assert_eq!(sched.tick(), model.tick(), "step {}: tick", step);
+                    prop_assert_eq!(sched.now_s(), model.now_s, "step {}: clock", step);
+                }
+                _ => {
+                    collect(&mut sched, &mut collected);
+                    prop_assert_eq!(&collected, &model.finished, "step {}: finished", step);
+                }
+            }
+            prop_assert_eq!(sched.live(), model.entries.len(), "step {}: live", step);
+            prop_assert_eq!(sched.stats().polls_by_class, model.polls_by_class,
+                "step {}: polls", step);
+        }
+        sched.run_to_completion();
+        while model.tick() {}
+        collect(&mut sched, &mut collected);
+        prop_assert_eq!(&collected, &model.finished);
+        // Every admission finished exactly once, with its own endpoint: no
+        // slot was let again over a tenant that had not finished.
+        let tenants: Vec<u64> = collected.iter().map(|f| f.4).collect();
+        prop_assert_eq!(tenants.len(), admitted.len());
+        prop_assert_eq!(tenants.into_iter().collect::<BTreeSet<_>>(), admitted);
+    }
+
     #[test]
     fn prop_backoff_is_capped(
         base in 1u64..10_000,

@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# Parent-vs-change pairs: the table every docs/perf-log entry carries.
+# Builds bench/ in both checkouts, then for each workload runs N pairs
+# (parent and change back to back, ABBA: the side that goes first
+# alternates, so drift on the host lands on both alike), each run from
+# its own checkout root at --seconds 15 --trace 0. Prints, per workload
+# and end-to-end metric, both medians, the distance between the quartiles
+# of the parent's runs, the change's gap to the parent and the pairs it
+# won (ties count for neither), and calls the row
+#   better / worse   the gap is wider than the parent's IQR
+#   unresolved       it is not
+# and adds OVER where the change's median is worse than the parent's by
+# more than the metric's bound in BENCHMARK.json. Every run's values are
+# printed above the table. Exits non-zero when any rep failed a
+# correctness check. Edits nothing under bench/.
+#
+#   scripts/abba.sh <parent-checkout> <change-checkout> [pairs]   default 10
+set -euo pipefail
+
+(($# == 2 || $# == 3)) || {
+    echo "usage: scripts/abba.sh <parent-checkout> <change-checkout> [pairs]" >&2
+    exit 2
+}
+parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
+
+for checkout in "$parent" "$change"; do
+    cargo build --release --offline --quiet --manifest-path "$checkout/bench/Cargo.toml"
+done
+
+exec python3 - "$parent" "$change" "${3:-10}" <<'PY'
+import json, statistics, subprocess, sys
+
+roots = {"parent": sys.argv[1], "change": sys.argv[2]}
+pairs = int(sys.argv[3])
+spec = json.load(open(f"{roots['change']}/BENCHMARK.json"))
+status = 0
+rows = []
+for workload in (w["name"] for w in spec["workloads"]):
+    runs = {"parent": {}, "change": {}}
+    for pair in range(pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            last = subprocess.run(
+                ["bench/target/release/airstat-e2e-bench", "--workload", workload,
+                 "--seed", "1", "--seconds", "15", "--trace", "0"],
+                cwd=roots[side], check=True, capture_output=True, text=True,
+            ).stdout.splitlines()[-1]
+            result = json.loads(last)
+            if not result["correct"]:
+                print(f"{workload} ({side}): {result['failed']} of {result['attempted']} reps failed",
+                      file=sys.stderr)
+                status = 1
+            for name, m in result["metrics"].items():
+                runs[side].setdefault(name, []).append(m["value"])
+    for m in spec["end_to_end"]:
+        name, sign = m["name"], 1 if m["better"] == "lower" else -1
+        p, c = runs["parent"][name], runs["change"][name]
+        print(f"{workload}/{name} parent {p}\n{workload}/{name} change {c}")
+        mp, mc = statistics.median(p), statistics.median(c)
+        q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (mp, mp, mp)
+        won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
+        lost = sum(sign * (a - b) < 0 for a, b in zip(p, c))
+        gap = sign * (mp - mc)  # positive: the change is better
+        verdict = "unresolved" if abs(gap) <= q3 - q1 else "better" if gap > 0 else "worse"
+        if -gap > m["bound"] * mp:
+            verdict += " OVER"
+        rows.append(f"{workload:18s} {name:12s} parent {mp:12.4f}  change {mc:12.4f} {m['unit']:4s} "
+                    f"parent IQR {q3 - q1:10.4f}  gap {-sign * gap / mp:+.4f}  "
+                    f"won {won}/{pairs} lost {lost}/{pairs}  {verdict}")
+print()
+print("\n".join(rows))
+sys.exit(status)
+PY

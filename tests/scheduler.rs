@@ -1,6 +1,6 @@
 //! Acceptance tests for the backpressure-aware poll scheduler.
 //!
-//! Two contracts are pinned. First, *the solo drain is the flat loop*:
+//! Three contracts are pinned. First, *the solo drain is the flat loop*:
 //! every campaign drain is one AP alone on a scheduler
 //! (`sched::drain_solo`), and the queues, retry ledger and clock jumps
 //! must be invisible there. Two identically built endpoints — one through
@@ -10,7 +10,10 @@
 //! fault preset. Second, the *pressure contract* at fleet scale: a
 //! 100k-AP queue-pressure campaign must actually evict (LOW class only),
 //! keep the eviction-era accounting identity balanced, and never let any
-//! class's ready-queue wait exceed the pinned poll-gap bound.
+//! class's ready-queue wait exceed the pinned poll-gap bound. Third, the
+//! *bytes* of that campaign: at 20k APs and two seeds every counter it
+//! produces is held to constants, so a changed poll order cannot pass on
+//! invariants alone.
 
 use airstat::sim::config::{WINDOW_JAN_2014, WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::faults::{DegradationTally, SCENARIO_NAMES};
