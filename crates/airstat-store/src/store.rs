@@ -663,6 +663,8 @@ mod tests {
     use airstat_classify::apps::Application;
     use airstat_classify::mac::{MacAddress, Oui};
     use airstat_telemetry::report::{ReportPayload, UsageRecord};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const W: WindowId = WindowId(1501);
 
@@ -799,6 +801,246 @@ mod tests {
                 s.window(W).map(|t| t.usage.clone()),
                 p.window(W).map(|t| t.usage.clone())
             );
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // When a key is dirty
+    // -----------------------------------------------------------------
+
+    type UsageKeys = BTreeSet<(MacAddress, Application)>;
+
+    /// A unique scratch directory per call (process id + counter, no
+    /// wall clock).
+    fn temp_store_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("airstat-store-{}-{tag}-{id}", std::process::id()))
+    }
+
+    /// One single-record usage report per device, all at `seq`.
+    fn usage_batch(devices: std::ops::Range<u64>, seq: u64) -> Vec<Report> {
+        devices.map(|d| usage_report(d, seq, 10 + d)).collect()
+    }
+
+    /// The usage keys `reports` name.
+    fn keys_of(reports: &[Report]) -> UsageKeys {
+        reports
+            .iter()
+            .flat_map(|report| match &report.payload {
+                ReportPayload::Usage(records) => records.iter().map(|r| (r.mac, r.app)),
+                _ => unreachable!("these tests file usage reports only"),
+            })
+            .collect()
+    }
+
+    /// The usage keys the seal-side (`dirty`) and persist-side
+    /// (`persist_pending`) ledgers hold, across shards and windows.
+    fn ledger_keys(store: &ShardedStore) -> (UsageKeys, UsageKeys) {
+        let state = store.seal.lock().expect("seal lock");
+        let keys = |ledgers: &[DirtyShard]| {
+            ledgers
+                .iter()
+                .flat_map(|ledger| ledger.windows.values())
+                .flat_map(|window| window.usage.iter().copied())
+                .collect()
+        };
+        (keys(&state.dirty), keys(&state.persist_pending))
+    }
+
+    /// Whether neither ledger of any shard holds anything at all — keys,
+    /// dedup entries or the counters mark.
+    fn ledgers_are_blank(store: &ShardedStore) -> bool {
+        let state = store.seal.lock().expect("seal lock");
+        state
+            .dirty
+            .iter()
+            .chain(&state.persist_pending)
+            .all(DirtyShard::is_empty)
+    }
+
+    /// Every shard's stack, folded newest-wins, holds exactly the rows a
+    /// full projection of its row tables holds.
+    fn stacks_mirror_the_row_tables(snapshot: &Snapshot) {
+        for (shard, stack) in snapshot.shards().iter().zip(snapshot.columnar()) {
+            let folded = stack
+                .segments()
+                .iter()
+                .map(|segment| (**segment).clone())
+                .reduce(|below, top| ColumnarShard::merge(&below, &top));
+            let full = ColumnarShard::build(shard);
+            match folded {
+                Some(folded) => assert_eq!(folded, full),
+                None => assert_eq!(full.row_count(), 0, "an empty stack means no rows"),
+            }
+        }
+    }
+
+    /// The usage keys of the newest on-disk segment of every chain that
+    /// is `links` long, and how many chains are that long.
+    fn newest_segment_keys(store: &ShardedStore, links: usize) -> (UsageKeys, usize) {
+        let (dir, chains) = store.persist_state.as_ref().expect("persisted");
+        let mut keys = UsageKeys::new();
+        let mut chains_that_long = 0;
+        for (i, chain) in chains.iter().enumerate() {
+            if chain.len() != links {
+                continue;
+            }
+            chains_that_long += 1;
+            let entry = chain.last().expect("links > 0");
+            let name = segment::segment_file_name(entry.epoch, i as u32);
+            let bytes = std::fs::read(dir.join(name)).expect("segment readable");
+            let delta = segment::decode_segment(
+                &bytes,
+                segment::SegmentExpectation {
+                    epoch: entry.epoch,
+                    index: i as u32,
+                    count: chains.len() as u32,
+                },
+                &mut segment::DecodeTally::default(),
+            )
+            .expect("segment decodes");
+            for (_, tables) in delta.windows() {
+                keys.extend(tables.usage.keys().copied());
+            }
+        }
+        (keys, chains_that_long)
+    }
+
+    #[test]
+    fn a_fresh_store_names_exactly_the_keys_ingested_after_its_first_seal() {
+        let mut store = ShardedStore::new(3);
+        let first = usage_batch(0..40, 0);
+        store.ingest_batch(W, &first);
+        let sealed = store.seal();
+        assert!(
+            sealed.columnar().iter().all(|stack| !stack.is_empty()),
+            "40 devices put rows in all three shards"
+        );
+        assert!(ledger_keys(&store).0.is_empty(), "a seal drains `dirty`");
+
+        // New devices and a second report from old ones: both are dirty
+        // against the segments just cut.
+        let mut second = usage_batch(40..50, 0);
+        second.extend(usage_batch(0..5, 1));
+        store.ingest_batch(W, &second);
+        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+
+        let resealed = store.seal();
+        let (dirty, pending) = ledger_keys(&store);
+        assert!(dirty.is_empty());
+        assert!(pending.is_superset(&keys_of(&second)));
+        assert_eq!(resealed.seal_stats().seals_total, 2);
+        stacks_mirror_the_row_tables(&resealed);
+    }
+
+    #[test]
+    fn an_opened_store_tracks_from_its_first_report() {
+        let config = StoreConfig {
+            shards: 3,
+            threads: 1,
+        };
+        let (first, second, third) = (
+            usage_batch(0..40, 0),
+            usage_batch(40..50, 0),
+            usage_batch(0..5, 1),
+        );
+
+        // Without a tail log to replay: the segments on disk are the
+        // baseline, so the very first report is dirty against them.
+        let dir = temp_store_dir("open");
+        let mut writer = ShardedStore::with_config(config);
+        writer.ingest_batch(W, &first);
+        writer.persist(&dir).expect("persist");
+        let (mut store, recovery) = ShardedStore::open(&dir, config).expect("open");
+        assert_eq!(recovery.wal_records_replayed, 0);
+        assert!(ledgers_are_blank(&store), "loading marks nothing dirty");
+        store.ingest_batch(W, &second);
+        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+        let stats = store.persist(&dir).expect("persist");
+        let (delta, chains) = newest_segment_keys(&store, 2);
+        assert_eq!(delta, keys_of(&second));
+        assert_eq!(stats.segments_written, chains as u64);
+        stacks_mirror_the_row_tables(&store.seal());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // With one: a crash after `second` reached the tail log. Replay
+        // goes through `ingest_batch`, so it is tracked like any report.
+        let dir = temp_store_dir("replay");
+        let mut durable = crate::DurableStore::create(&dir, config).expect("create");
+        ReportSink::ingest_batch(&mut durable, W, &first);
+        durable.persist().expect("persist");
+        ReportSink::ingest_batch(&mut durable, W, &second);
+        drop(durable);
+        let (mut store, recovery) = ShardedStore::open(&dir, config).expect("open");
+        assert_eq!(recovery.wal_records_replayed, 1);
+        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+        store.ingest_batch(W, &third);
+        let mut expected = keys_of(&second);
+        expected.extend(keys_of(&third));
+        assert_eq!(ledger_keys(&store).0, expected);
+        store.persist(&dir).expect("persist");
+        assert_eq!(newest_segment_keys(&store, 2).0, expected);
+        stacks_mirror_the_row_tables(&store.seal());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_shard_whose_first_seal_projects_no_rows_still_seals_correctly() {
+        let mut store = ShardedStore::new(1);
+        // Accepted, counted, and no row anywhere.
+        let empty = Report {
+            device: 1,
+            seq: 0,
+            timestamp_s: 0,
+            payload: ReportPayload::Usage(Vec::new()),
+        };
+        assert_eq!(store.ingest_batch(W, &[empty]), 1);
+        let first = store.seal();
+        assert!(first.columnar()[0].is_empty(), "nothing to project");
+
+        // With no segment cut, the next seal is a first seal again: it
+        // projects the tables whole and needs no ledger to do so.
+        let rows = usage_batch(2..6, 0);
+        store.ingest_batch(W, &rows);
+        let second = store.seal();
+        assert_eq!(second.columnar()[0].len(), 1);
+        assert_eq!(second.seal_stats().rows_resealed, 4);
+        stacks_mirror_the_row_tables(&second);
+
+        // From here the shard has a baseline and tracks like any other.
+        let more = usage_batch(6..8, 0);
+        store.ingest_batch(W, &more);
+        assert_eq!(ledger_keys(&store).0, keys_of(&more));
+        stacks_mirror_the_row_tables(&store.seal());
+    }
+
+    #[test]
+    fn a_repeat_persist_writes_the_second_batch_only_and_a_new_directory_gets_everything() {
+        let (a, b) = (temp_store_dir("delta-a"), temp_store_dir("delta-b"));
+        let mut store = ShardedStore::new(3);
+        let first = usage_batch(0..40, 0);
+        store.ingest_batch(W, &first);
+        let stats = store.persist(&a).expect("first persist");
+        assert_eq!(stats.segments_written, 3, "no baseline: every shard whole");
+        assert_eq!(newest_segment_keys(&store, 1), (keys_of(&first), 3));
+        assert!(ledgers_are_blank(&store), "a persist drains both ledgers");
+
+        let second = usage_batch(40..42, 0);
+        store.ingest_batch(W, &second);
+        let stats = store.persist(&a).expect("second persist");
+        let (delta, chains) = newest_segment_keys(&store, 2);
+        assert_eq!(delta, keys_of(&second), "the delta holds the new keys only");
+        assert!((1..=2).contains(&chains), "only shards that took a report");
+        assert_eq!(stats.segments_written, chains as u64);
+
+        let stats = store.persist(&b).expect("persist elsewhere");
+        assert_eq!(stats.segments_written, 3, "another directory: full again");
+        let mut all = keys_of(&first);
+        all.extend(keys_of(&second));
+        assert_eq!(newest_segment_keys(&store, 1), (all, 3));
+        for dir in [a, b] {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }

@@ -556,6 +556,7 @@ fn decode_records<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::put_field_bytes;
     use airstat_classify::mac::{oui_of, Vendor};
 
     fn mac(n: u64) -> MacAddress {
@@ -833,5 +834,141 @@ mod tests {
         };
         let len = report.encode().len();
         assert!(len < 48, "encoded size {len}");
+    }
+
+    /// A report image around hand-written record bodies: the header any
+    /// encoder writes, then `records` verbatim, each as one `F_RECORD`.
+    fn framed(kind: u64, records: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_field_u64(&mut out, F_DEVICE, 7);
+        put_field_u64(&mut out, F_SEQ, 3);
+        put_field_u64(&mut out, F_TIMESTAMP, 99);
+        put_field_u64(&mut out, F_KIND, kind);
+        for record in records {
+            put_field_bytes(&mut out, F_RECORD, record);
+        }
+        out
+    }
+
+    /// Varint fields `(number, value)` in the order given.
+    fn varints(fields: &[(u32, u64)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for &(number, value) in fields {
+            put_field_u64(&mut out, number, value);
+        }
+        out
+    }
+
+    #[test]
+    fn hostile_records_decode_to_the_pinned_results() {
+        // Results captured on the decoder that collected each record's
+        // varints into a fresh `Vec::with_capacity(6)`; the shared scratch
+        // must return the same for records no encoder writes.
+        let usage = |up_bytes, down_bytes| UsageRecord {
+            mac: mac_from_code(0xAB),
+            app: app_from_code(2).unwrap(),
+            up_bytes,
+            down_bytes,
+        };
+        let decoded = |kind, records: &[Vec<u8>]| Report::decode(&framed(kind, records));
+        let payload = |kind, records: &[Vec<u8>]| decoded(kind, records).map(|r| r.payload);
+
+        // More varint fields than any record kind has (and than six), the
+        // known four last; a short record after it sees none of them.
+        let crowded = varints(&[
+            (9, 1),
+            (10, 2),
+            (11, 3),
+            (12, 4),
+            (13, 5),
+            (14, 6),
+            (15, 7),
+            (1, 0xAB),
+            (2, 2),
+            (3, 30),
+            (4, 40),
+        ]);
+        let plain = varints(&[(1, 0xAB), (2, 2), (3, 31), (4, 41)]);
+        assert_eq!(
+            payload(0, &[crowded.clone(), plain.clone()]),
+            Ok(ReportPayload::Usage(vec![usage(30, 40), usage(31, 41)]))
+        );
+        let short = varints(&[(1, 0xAB), (2, 2), (3, 31)]);
+        assert_eq!(
+            payload(0, &[crowded, short]),
+            Err(WireError::Schema("missing record field")),
+            "a field of the record before is not a field of this one"
+        );
+
+        // A repeated field number: the first occurrence wins.
+        let repeated = varints(&[(1, 0xAB), (3, 7), (2, 2), (3, 9), (4, 1), (1, 0xCD), (4, 2)]);
+        assert_eq!(
+            payload(0, &[repeated]),
+            Ok(ReportPayload::Usage(vec![usage(7, 1)]))
+        );
+
+        // Non-varint fields between varints are passed over, even under a
+        // number the record kind uses.
+        let mut mixed = varints(&[(1, 0xAB)]);
+        put_field_f64(&mut mixed, 2, 5.0);
+        put_field_bytes(&mut mixed, 3, b"xyz");
+        mixed.extend(varints(&[(2, 2), (3, 30)]));
+        put_field_f64(&mut mixed, 4, 1.5);
+        mixed.extend(varints(&[(4, 40)]));
+        assert_eq!(
+            payload(0, &[mixed]),
+            Ok(ReportPayload::Usage(vec![usage(30, 40)]))
+        );
+        // ... and do not stand in for a missing varint.
+        let mut no_varint = varints(&[(1, 0xAB), (2, 2), (3, 30)]);
+        put_field_f64(&mut no_varint, 4, 1.5);
+        assert_eq!(
+            payload(0, &[no_varint]),
+            Err(WireError::Schema("missing record field"))
+        );
+
+        // Zero records, and one empty record.
+        assert_eq!(payload(0, &[]), Ok(ReportPayload::Usage(Vec::new())));
+        assert_eq!(payload(2, &[]), Ok(ReportPayload::Links(Vec::new())));
+        assert_eq!(payload(3, &[]), Ok(ReportPayload::Airtime(Vec::new())));
+        assert_eq!(payload(4, &[]), Ok(ReportPayload::Neighbors(Vec::new())));
+        assert_eq!(payload(5, &[]), Ok(ReportPayload::ChannelScan(Vec::new())));
+        assert_eq!(
+            payload(0, &[Vec::new()]),
+            Err(WireError::Schema("missing record field"))
+        );
+
+        // A record cut inside a varint is the reader's error, not a
+        // schema one; a bad code in a complete record is a schema one.
+        assert_eq!(
+            payload(0, &[vec![0x08, 0x80]]),
+            Err(WireError::UnexpectedEof)
+        );
+        assert_eq!(
+            payload(0, &[varints(&[(1, 0xAB), (2, 9_999), (3, 1), (4, 1)])]),
+            Err(WireError::Schema("unknown application code"))
+        );
+        // The same lookup serves the other all-varint kinds.
+        assert_eq!(
+            payload(
+                2,
+                &[varints(&[
+                    (8, 8),
+                    (4, 13),
+                    (3, 20),
+                    (2, 0),
+                    (1, 42),
+                    (1, 43)
+                ])]
+            ),
+            Ok(ReportPayload::Links(vec![LinkRecord {
+                peer_device: 42,
+                band: Band::Ghz2_4,
+                probes_expected: 20,
+                probes_received: 13,
+            }]))
+        );
+        let header = decoded(0, &[plain]).unwrap();
+        assert_eq!((header.device, header.seq, header.timestamp_s), (7, 3, 99));
     }
 }
