@@ -210,14 +210,18 @@ pub enum Transport {
 
 /// The slow-path metadata extracted from one flow (§2.1: DNS, TCP SYN/FIN,
 /// HTTP headers and SSL handshakes are punted to the Click router).
+///
+/// Hostnames are `Cow<'static, str>`: a flow to a name the program knows
+/// at compile time (every named application's canonical host) borrows it
+/// and owns no heap; only a name built at run time is an owned `String`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowMetadata {
     /// Hostname from the initial DNS lookup, if the AP saw one.
-    pub dns_host: Option<String>,
+    pub dns_host: Option<Cow<'static, str>>,
     /// HTTP `Host:` header, if the flow carried plaintext HTTP.
-    pub http_host: Option<String>,
+    pub http_host: Option<Cow<'static, str>>,
     /// TLS SNI from the ClientHello, if the flow carried TLS.
-    pub sni: Option<String>,
+    pub sni: Option<Cow<'static, str>>,
     /// Destination port.
     pub dst_port: u16,
     /// Transport protocol.
@@ -242,10 +246,11 @@ pub enum ContentHint {
 
 impl FlowMetadata {
     /// A plain HTTP flow to `host` on port 80.
-    pub fn http(host: &str) -> Self {
+    pub fn http(host: impl Into<Cow<'static, str>>) -> Self {
+        let host = host.into();
         FlowMetadata {
-            dns_host: Some(host.to_string()),
-            http_host: Some(host.to_string()),
+            dns_host: Some(host.clone()),
+            http_host: Some(host),
             sni: None,
             dst_port: 80,
             transport: Transport::Tcp,
@@ -256,11 +261,12 @@ impl FlowMetadata {
     }
 
     /// A TLS flow to `host` on port 443 with SNI.
-    pub fn https(host: &str) -> Self {
+    pub fn https(host: impl Into<Cow<'static, str>>) -> Self {
+        let host = host.into();
         FlowMetadata {
-            dns_host: Some(host.to_string()),
+            dns_host: Some(host.clone()),
             http_host: None,
-            sni: Some(host.to_string()),
+            sni: Some(host),
             dst_port: 443,
             transport: Transport::Tcp,
             bittorrent_handshake: false,
@@ -747,7 +753,7 @@ mod tests {
                             let flow = FlowMetadata {
                                 dns_host: None,
                                 http_host: None,
-                                sni: Some(host.clone()),
+                                sni: Some(Cow::Owned(host.clone())),
                                 dst_port,
                                 transport,
                                 bittorrent_handshake: flags & 1 != 0,
@@ -765,9 +771,9 @@ mod tests {
             // one wins: a rule host, a different rule host, and a miss.
             let sources = [
                 None,
-                Some("mail.google.com".to_string()),
-                Some("WWW.Apple.com".to_string()),
-                Some("portal7.example.org".to_string()),
+                Some(Cow::Borrowed("mail.google.com")),
+                Some(Cow::Borrowed("WWW.Apple.com")),
+                Some(Cow::Borrowed("portal7.example.org")),
             ];
             for dns_host in &sources {
                 for http_host in &sources {

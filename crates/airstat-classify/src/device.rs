@@ -24,6 +24,8 @@
 //! same population through both versions shrinks the Unknown row exactly as
 //! the paper describes.
 
+use std::borrow::Cow;
+
 use crate::mac::{vendor_of, MacAddress, Vendor};
 
 /// Operating-system families, matching Table 3's rows.
@@ -134,8 +136,9 @@ pub struct DeviceEvidence {
     /// DHCP fingerprints seen from this MAC. More than one distinct
     /// fingerprint means a VM or dual-boot host.
     pub dhcp: Vec<DhcpFingerprint>,
-    /// HTTP User-Agent strings observed on the slow path.
-    pub user_agents: Vec<String>,
+    /// HTTP User-Agent strings observed on the slow path. A string the
+    /// program knows at compile time is borrowed, not copied.
+    pub user_agents: Vec<Cow<'static, str>>,
 }
 
 /// Ruleset generation, matching the two measurement windows.
@@ -181,10 +184,8 @@ impl DeviceClassifier {
     /// ```
     pub fn classify(&self, evidence: &DeviceEvidence) -> OsFamily {
         // Rule 1: conflicting DHCP fingerprints (VM / dual boot) → Unknown.
-        let mut distinct = evidence.dhcp.clone();
-        distinct.sort_by_key(|f| *f as u8);
-        distinct.dedup();
-        if distinct.len() > 1 {
+        let fingerprint = evidence.dhcp.first().copied();
+        if evidence.dhcp.iter().any(|&fp| Some(fp) != fingerprint) {
             return OsFamily::Unknown;
         }
 
@@ -194,7 +195,7 @@ impl DeviceClassifier {
         }
 
         // Rule 3: single DHCP fingerprint.
-        if let Some(&fp) = distinct.first() {
+        if let Some(fp) = fingerprint {
             if let Some(os) = self.classify_dhcp(fp) {
                 return os;
             }
@@ -210,25 +211,38 @@ impl DeviceClassifier {
         OsFamily::Unknown
     }
 
-    fn classify_user_agents(&self, agents: &[String]) -> Option<OsFamily> {
-        let mut hits: Vec<OsFamily> = agents
+    fn classify_user_agents(&self, agents: &[Cow<'static, str>]) -> Option<OsFamily> {
+        let mut hits = agents
             .iter()
-            .filter_map(|ua| self.classify_one_user_agent(ua))
-            .collect();
-        hits.sort();
-        hits.dedup();
-        match hits.len() {
-            1 => Some(hits[0]),
-            0 => None,
+            .filter_map(|ua| self.classify_one_user_agent(ua));
+        let first = hits.next()?;
+        if hits.all(|os| os == first) {
+            Some(first)
+        } else {
             // Conflicting UA families from one MAC (§3.2 calls out Chrome
             // and smartphone apps presenting multiple device types).
-            _ => Some(OsFamily::Unknown),
+            Some(OsFamily::Unknown)
         }
     }
 
     fn classify_one_user_agent(&self, ua: &str) -> Option<OsFamily> {
-        let ua_lower = ua.to_ascii_lowercase();
-        let has = |needle: &str| ua_lower.contains(needle);
+        // The needles are lowercase ASCII, so the agent is lowercased once
+        // — on the stack: only an agent longer than any browser sends
+        // spills to a heap copy.
+        let mut inline = [0u8; 160];
+        let spilled;
+        let lower = match inline.get_mut(..ua.len()) {
+            Some(buffer) => {
+                buffer.copy_from_slice(ua.as_bytes());
+                buffer.make_ascii_lowercase();
+                std::str::from_utf8(buffer).expect("invariant: ASCII lowercasing keeps UTF-8 valid")
+            }
+            None => {
+                spilled = ua.to_ascii_lowercase();
+                spilled.as_str()
+            }
+        };
+        let has = |needle: &str| lower.contains(needle);
         // Order matters: more specific substrings first. "like Mac OS X"
         // appears inside iOS UAs; Android UAs contain "linux".
         if has("iphone") || has("ipad") || has("ipod") {
@@ -374,6 +388,26 @@ mod tests {
             user_agents: vec!["Mozilla/5.0 (Linux; Android 5.0; Nexus 5)".into()],
         };
         assert_eq!(c2015().classify(&ev), OsFamily::Android);
+    }
+
+    #[test]
+    fn long_user_agents_match_past_the_inline_buffer() {
+        // The lowercase copy is on the stack up to a fixed length and on
+        // the heap beyond it; a token must be found on either side of it.
+        for padding in [0, 100, 133, 134, 400] {
+            let ua = format!("Mozilla/5.0 ({}; ANDROID 5.0)", "x".repeat(padding));
+            let ev = DeviceEvidence {
+                mac: None,
+                dhcp: vec![],
+                user_agents: vec![ua.clone().into()],
+            };
+            assert_eq!(
+                c2015().classify(&ev),
+                OsFamily::Android,
+                "{} bytes",
+                ua.len()
+            );
+        }
     }
 
     #[test]

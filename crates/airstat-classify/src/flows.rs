@@ -13,7 +13,8 @@
 //! the table is bounded — eviction picks the least-recently-used flow, a
 //! real constraint on 64 MB devices.
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::apps::{Application, FlowMetadata, RuleSet};
@@ -64,6 +65,38 @@ pub struct AppUsage {
     pub down_bytes: u64,
 }
 
+/// One retired usage row: the `(client, application)` key and its totals.
+type UsageRow = ((MacAddress, Application), AppUsage);
+
+/// The flow map's hasher: multiply–rotate over 64-bit words with a fixed
+/// key, so a table costs no per-process `RandomState` draw and a probe no
+/// SipHash rounds. Nothing reads the map's order (see `flows` below), so
+/// the hash decides speed only. What a keyed hash buys against crafted
+/// collisions is bounded here by the table itself: it never holds more
+/// than `capacity` flows.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the high bits the best mixed; the map picks
+        // buckets from the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// The bounded flow-accounting table.
 #[derive(Debug)]
 pub struct FlowTable {
@@ -73,8 +106,10 @@ pub struct FlowTable {
     // airstat::allow(no-hashmap-iter): keyed access on the per-packet hot
     // path; the only scans (expire, flush, evict_lru) are key-sorted or
     // tie-broken on FlowKey before they touch any aggregate
-    flows: HashMap<FlowKey, FlowEntry>,
-    usage: BTreeMap<(MacAddress, Application), AppUsage>,
+    flows: HashMap<FlowKey, FlowEntry, BuildHasherDefault<FlowHasher>>,
+    /// Retired rows, sorted by key. A `Vec`, so harvesting or resetting
+    /// the table keeps the storage for the next interval.
+    usage: Vec<UsageRow>,
     slow_path_packets: u64,
     fast_path_packets: u64,
     evictions: u64,
@@ -97,8 +132,8 @@ impl FlowTable {
             capacity,
             idle_timeout_s,
             // airstat::allow(no-hashmap-iter): constructor for the field justified above
-            flows: HashMap::new(),
-            usage: BTreeMap::new(),
+            flows: HashMap::default(),
+            usage: Vec::new(),
             slow_path_packets: 0,
             fast_path_packets: 0,
             evictions: 0,
@@ -178,7 +213,7 @@ impl FlowTable {
         if let Some(mut entry) = self.flows.remove(&key) {
             entry.last_seen = now;
             entry.finished = true;
-            self.retire(key.client, &entry);
+            Self::retire(&mut self.usage, key.client, &entry);
         }
     }
 
@@ -196,27 +231,34 @@ impl FlowTable {
                 .flows
                 .remove(&key)
                 .expect("invariant: key collected from this map above");
-            self.retire(key.client, &entry);
+            Self::retire(&mut self.usage, key.client, &entry);
         }
     }
 
-    /// Flushes everything (device poll: counters are harvested).
-    pub fn flush(&mut self) -> Vec<((MacAddress, Application), AppUsage)> {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            let entry = self
-                .flows
-                .remove(&key)
-                .expect("invariant: key collected from this map above");
-            self.retire(key.client, &entry);
+    /// Flushes everything (device poll: counters are harvested): retires
+    /// every live flow and drains the rows in `(mac, app)` order. The
+    /// table is empty for the next harvest interval whether or not the
+    /// rows are read to the end.
+    pub fn flush(&mut self) -> std::vec::Drain<'_, ((MacAddress, Application), AppUsage)> {
+        // Retiring is a commutative sum per key, so the map's order is
+        // not observable here.
+        for (key, entry) in self.flows.drain() {
+            Self::retire(&mut self.usage, key.client, &entry);
         }
-        // BTreeMap: already sorted by (mac, app); taking it leaves the
-        // table empty for the next harvest interval.
-        std::mem::take(&mut self.usage).into_iter().collect()
+        self.usage.drain(..)
     }
 
-    fn retire(&mut self, client: MacAddress, entry: &FlowEntry) {
-        let slot = self.usage.entry((client, entry.app)).or_default();
+    /// Adds a retired flow's bytes to its `(client, app)` row of `usage`.
+    fn retire(usage: &mut Vec<UsageRow>, client: MacAddress, entry: &FlowEntry) {
+        let key = (client, entry.app);
+        let at = match usage.binary_search_by_key(&key, |row| row.0) {
+            Ok(at) => at,
+            Err(at) => {
+                usage.insert(at, (key, AppUsage::default()));
+                at
+            }
+        };
+        let slot = &mut usage[at].1;
         slot.up_bytes += entry.up_bytes;
         slot.down_bytes += entry.down_bytes;
     }
@@ -231,7 +273,7 @@ impl FlowTable {
                 .flows
                 .remove(&key)
                 .expect("invariant: key collected from this map above");
-            self.retire(key.client, &entry);
+            Self::retire(&mut self.usage, key.client, &entry);
             self.evictions += 1;
         }
     }
@@ -306,7 +348,7 @@ mod tests {
         // FIN retires the flow into the usage counters.
         t.finish(key(1, 1), 11);
         assert_eq!(t.live_flows(), 0);
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage.len(), 1);
         assert_eq!(usage[0].0, (mac(1), Application::Netflix));
         assert_eq!(usage[0].1.down_bytes, 15_000);
@@ -320,7 +362,7 @@ mod tests {
         t.packet(key(1, 1), Direction::Up, 600, &m, 1);
         t.packet(key(1, 1), Direction::Down, 400, &m, 2);
         t.finish(key(1, 1), 3);
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage[0].1.up_bytes, 600);
         assert_eq!(usage[0].1.down_bytes, 400);
     }
@@ -333,7 +375,7 @@ mod tests {
         t.packet(key(1, 1), Direction::Up, 100, &m, 10);
         t.expire(400); // idle since t=10, timeout 300
         assert_eq!(t.live_flows(), 0);
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage[0].1.up_bytes, 100);
     }
 
@@ -358,7 +400,7 @@ mod tests {
         assert_eq!(t.evictions(), 1);
         assert_eq!(t.live_flows(), 2);
         // Flow 1's bytes survived retirement.
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         let total: u64 = usage.iter().map(|(_, u)| u.down_bytes).sum();
         assert_eq!(total, 500);
     }
@@ -408,7 +450,6 @@ mod tests {
         );
         let usage: Vec<(Application, u64, u64)> = t
             .flush()
-            .into_iter()
             .map(|((_, app), u)| (app, u.up_bytes, u.down_bytes))
             .collect();
         assert_eq!(
@@ -428,7 +469,7 @@ mod tests {
         let fallback = FlowMetadata::tcp(443);
         let path = t.packet(key(1, 9), Direction::Down, 1000, &fallback, 0);
         assert_eq!(path, Path::Slow);
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         // Only transport-level evidence: lands in the encrypted bucket.
         assert_eq!(usage[0].0 .1, Application::EncryptedTcp);
         assert_eq!(usage[0].1.down_bytes, 1000);
@@ -447,7 +488,7 @@ mod tests {
         // A different client's web flow stays separate.
         t.open(key(2, 1), &web, 4);
         t.packet(key(2, 1), Direction::Down, 50, &web, 5);
-        let usage = t.flush();
+        let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage.len(), 2);
         let netflix_row = usage
             .iter()
@@ -471,13 +512,13 @@ mod tests {
         assert_eq!(t.slow_path_packets(), 0);
         assert_eq!(t.fast_path_packets(), 0);
         assert_eq!(t.evictions(), 0);
-        assert!(t.flush().is_empty(), "reset discards retired usage too");
+        assert_eq!(t.flush().count(), 0, "reset discards retired usage too");
         // The table is fully usable afterwards.
         let app = t.open(key(3, 1), &m, 10);
         assert_eq!(app, Application::Netflix);
         t.packet(key(3, 1), Direction::Up, 200, &m, 11);
         t.finish(key(3, 1), 12);
-        assert_eq!(t.flush().len(), 1);
+        assert_eq!(t.flush().count(), 1);
     }
 
     #[test]

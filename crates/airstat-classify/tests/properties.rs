@@ -7,6 +7,7 @@
 //! families, never the reverse). The flow table is held to a `BTreeMap`
 //! model that has no hasher, so nothing it reports can depend on one.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -52,9 +53,9 @@ fn any_flow() -> impl Strategy<Value = FlowMetadata> {
     )
         .prop_map(
             |(dns, http, sni, port, transport, bt, opaque, hint)| FlowMetadata {
-                dns_host: dns,
-                http_host: http,
-                sni,
+                dns_host: dns.map(Cow::Owned),
+                http_host: http.map(Cow::Owned),
+                sni: sni.map(Cow::Owned),
                 dst_port: port,
                 transport,
                 bittorrent_handshake: bt,
@@ -88,25 +89,23 @@ enum FlowOp {
 
 fn any_flow_op() -> impl Strategy<Value = FlowOp> {
     let key = || (0u8..3, 0u64..4);
+    let open = || (key(), 0usize..4).prop_map(|(key, metadata)| FlowOp::Open { key, metadata });
+    let packet = || {
+        (key(), any::<bool>(), 0u64..2_000, 0usize..4).prop_map(|(key, up, bytes, metadata)| {
+            FlowOp::Packet {
+                key,
+                up,
+                bytes,
+                metadata,
+            }
+        })
+    };
+    // Opens and packets twice: they are what fills the table.
     prop_oneof![
-        (key(), 0usize..4).prop_map(|(key, metadata)| FlowOp::Open { key, metadata }),
-        (key(), 0usize..4).prop_map(|(key, metadata)| FlowOp::Open { key, metadata }),
-        (key(), any::<bool>(), 0u64..2_000, 0usize..4).prop_map(|(key, up, bytes, metadata)| {
-            FlowOp::Packet {
-                key,
-                up,
-                bytes,
-                metadata,
-            }
-        }),
-        (key(), any::<bool>(), 0u64..2_000, 0usize..4).prop_map(|(key, up, bytes, metadata)| {
-            FlowOp::Packet {
-                key,
-                up,
-                bytes,
-                metadata,
-            }
-        }),
+        open(),
+        open(),
+        packet(),
+        packet(),
         key().prop_map(|key| FlowOp::Finish { key }),
         Just(FlowOp::Expire),
         Just(FlowOp::Flush),
@@ -220,8 +219,8 @@ proptest! {
     #[test]
     fn host_case_is_irrelevant(host in "[a-z]{1,10}\\.(com|net|org)") {
         let rs = RuleSet::standard_2015();
-        let lower = rs.classify(&FlowMetadata::https(&host));
-        let upper = rs.classify(&FlowMetadata::https(&host.to_ascii_uppercase()));
+        let lower = rs.classify(&FlowMetadata::https(host.clone()));
+        let upper = rs.classify(&FlowMetadata::https(host.to_ascii_uppercase()));
         prop_assert_eq!(lower, upper);
     }
 
@@ -232,12 +231,25 @@ proptest! {
         let ev = DeviceEvidence {
             mac: Some(MacAddress::new(mac_bytes)),
             dhcp,
-            user_agents: uas,
+            user_agents: uas.into_iter().map(Cow::Owned).collect(),
         };
         let c = DeviceClassifier::new(ClassifierVersion::V2015);
         let a = c.classify(&ev);
         prop_assert_eq!(a, c.classify(&ev), "deterministic");
         prop_assert!(!a.name().is_empty());
+    }
+
+    #[test]
+    fn user_agent_case_is_irrelevant(
+        ua in "[ -~]{0,12}(iPhone|Android|CrOS|Windows Phone|Windows NT|Macintosh|Mac OS X|BlackBerry|PlayStation|Linux|)[ -~]{0,12}",
+    ) {
+        let c = DeviceClassifier::new(ClassifierVersion::V2015);
+        let classify = |ua: String| {
+            c.classify(&DeviceEvidence { mac: None, dhcp: vec![], user_agents: vec![Cow::Owned(ua)] })
+        };
+        let as_is = classify(ua.clone());
+        prop_assert_eq!(classify(ua.to_ascii_lowercase()), as_is);
+        prop_assert_eq!(classify(ua.to_ascii_uppercase()), as_is);
     }
 
     #[test]
@@ -327,7 +339,7 @@ proptest! {
                     model.expire(now);
                 }
                 FlowOp::Flush => {
-                    let rows: Vec<_> = table.flush().into_iter().collect();
+                    let rows: Vec<_> = table.flush().collect();
                     prop_assert_eq!(rows, model.flush());
                 }
             }
@@ -337,7 +349,7 @@ proptest! {
                 "after {:?} at {}", op, now
             );
         }
-        let rows: Vec<_> = table.flush().into_iter().collect();
+        let rows: Vec<_> = table.flush().collect();
         prop_assert_eq!(rows, model.flush());
     }
 

@@ -35,7 +35,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use airstat_classify::apps::{Application, RuleSet};
+use airstat_classify::apps::RuleSet;
 use airstat_classify::device::{ClassifierVersion, DeviceClassifier};
 use airstat_classify::flows::{Direction, FlowKey, FlowTable};
 use airstat_rf::airtime::ChannelLoad;
@@ -63,7 +63,7 @@ use crate::config::{FleetConfig, MeasurementYear, WEEK_S, WINDOW_JAN_2015, WINDO
 use crate::exec::run_ordered;
 use crate::faults::{DegradationTally, FaultedEndpoint};
 use crate::population::PopulationModel;
-use crate::traffic::generate_weekly;
+use crate::traffic::{generate_weekly_into, WeeklyTraffic};
 use crate::world::{ApModel, ApSite, NeighborEpoch, World};
 
 /// Everything a campaign produces besides the sink it filled.
@@ -326,7 +326,10 @@ impl FleetSimulation {
             // Usage records a roaming client produced at a *different* AP
             // (§2.3: the backend re-aggregates these by MAC).
             let mut roaming_spill = Chunked::new(POLL_CHUNK);
+            // The flow table and the week's flow list are reused across the
+            // batch's clients (reset and refilled, not rebuilt).
             let mut flow_table = FlowTable::new(Arc::clone(&ruleset), 256, 300);
+            let mut week = WeeklyTraffic::default();
             for client_id in batch * CLIENTS_PER_AP..batch_end {
                 let client = population.sample_client(client_id, &mut rng);
                 // RSSI on both bands from one geometry draw.
@@ -362,8 +365,7 @@ impl FleetSimulation {
                 // (§2.1): the first packet of each flow takes the slow
                 // path where the ruleset runs once; data rides the fast
                 // path; FIN retires the entry into per-client counters.
-                // The table is reused across clients (reset, not rebuilt).
-                let week = generate_weekly(&client, year, &mut rng);
+                generate_weekly_into(&client, year, &mut rng, &mut week);
                 flow_table.reset();
                 for (i, flow) in week.flows.iter().enumerate() {
                     let key = FlowKey {
@@ -380,13 +382,6 @@ impl FleetSimulation {
                     }
                     flow_table.finish(key, t + 1);
                 }
-                let mut per_app: std::collections::BTreeMap<Application, (u64, u64)> =
-                    Default::default();
-                for ((_, app), usage) in flow_table.flush() {
-                    let slot = per_app.entry(app).or_default();
-                    slot.0 += usage.up_bytes;
-                    slot.1 += usage.down_bytes;
-                }
                 // Roaming: phones wander across APs during the week
                 // (§6.2 calls out smartphone roaming explicitly); a
                 // roamer's later flows show up at a different AP and the
@@ -396,12 +391,14 @@ impl FleetSimulation {
                 if roams {
                     out.roamed += 1;
                 }
-                for (app, (up, down)) in per_app {
+                // The table held this client alone, so the harvest is one
+                // row per application, in `Application` order.
+                for ((mac, app), usage) in flow_table.flush() {
                     let record = UsageRecord {
-                        mac: client.mac,
+                        mac,
                         app,
-                        up_bytes: up,
-                        down_bytes: down,
+                        up_bytes: usage.up_bytes,
+                        down_bytes: usage.down_bytes,
                     };
                     if roams && rng.gen::<f64>() < 0.4 {
                         // This app's bytes were used at the roamed-to AP.

@@ -316,7 +316,7 @@ pub fn sample_evidence<R: Rng + ?Sized>(
     mac: MacAddress,
     rng: &mut R,
 ) -> DeviceEvidence {
-    let (fingerprint, ua): (DhcpFingerprint, Option<&str>) = match os {
+    let (fingerprint, ua): (DhcpFingerprint, Option<&'static str>) = match os {
         OsFamily::Windows => (
             DhcpFingerprint::WindowsStyle,
             Some("Mozilla/5.0 (Windows NT 6.1; Win64; x64) AppleWebKit/537.36"),
@@ -369,7 +369,7 @@ pub fn sample_evidence<R: Rng + ?Sized>(
         _ => rng.gen::<f64>() < 0.9,
     };
     let user_agents = match (browses, ua) {
-        (true, Some(ua)) => vec![ua.to_string()],
+        (true, Some(ua)) => vec![ua.into()],
         _ => vec![],
     };
     DeviceEvidence {

@@ -101,8 +101,24 @@ pub fn generate_weekly<R: Rng + ?Sized>(
     year: MeasurementYear,
     rng: &mut R,
 ) -> WeeklyTraffic {
+    let mut week = WeeklyTraffic::default();
+    generate_weekly_into(client, year, rng, &mut week);
+    week
+}
+
+/// [`generate_weekly`] into a week the caller keeps: `week.flows` is
+/// cleared and refilled, so a loop over many clients reuses one buffer.
+pub fn generate_weekly_into<R: Rng + ?Sized>(
+    client: &ClientTruth,
+    year: MeasurementYear,
+    rng: &mut R,
+    week: &mut WeeklyTraffic,
+) {
     let jitter = LogNormal::new(0.0, 0.5);
-    let mut participations: Vec<(Application, f64, f64)> = Vec::new();
+    // `(app, intensity, download fraction)` per application the client
+    // takes part in — at most one per profile, so a fixed array holds them.
+    let mut participations = [(Application::MiscWeb, 0.0, 0.0); PROFILES.len()];
+    let mut participating = 0;
     for profile in PROFILES {
         let (share, reach) = year_adjusted(profile, year);
         let affinity = os_affinity(client.os, profile.app);
@@ -112,12 +128,14 @@ pub fn generate_weekly<R: Rng + ?Sized>(
         let p = (reach * affinity).min(1.0);
         if rng.gen::<f64>() < p {
             let intensity = share / reach.max(1e-6) * jitter.sample(rng);
-            participations.push((profile.app, intensity, profile.down_frac));
+            participations[participating] = (profile.app, intensity, profile.down_frac);
+            participating += 1;
         }
     }
-    if participations.is_empty() {
+    if participating == 0 {
         // Everyone at least touches the web once (captive portal, probe).
-        participations.push((Application::MiscWeb, 1.0, 0.8));
+        participations[0] = (Application::MiscWeb, 1.0, 0.8);
+        participating = 1;
     }
     let norm = weight_norm(client.os, year);
     let budget = client.weekly_bytes as f64;
@@ -126,8 +144,10 @@ pub fn generate_weekly<R: Rng + ?Sized>(
     // Mobile apps upload thumbnails where desktops sync originals, so the
     // *upload* share of every app shrinks on a mobile client.
     let upload_shrink = if client.os.is_mobile() { 0.55 } else { 1.0 };
-    let mut flows = Vec::with_capacity(participations.len());
-    for (app, weight, down_frac) in participations {
+    let flows = &mut week.flows;
+    flows.clear();
+    flows.reserve(participating);
+    for &(app, weight, down_frac) in &participations[..participating] {
         let bytes = budget * weight / norm;
         if bytes < 1.0 {
             continue;
@@ -144,7 +164,6 @@ pub fn generate_weekly<R: Rng + ?Sized>(
             down_bytes: down,
         });
     }
-    WeeklyTraffic { flows }
 }
 
 /// Synthesizes the on-the-wire metadata a flow from `app` presents.
@@ -156,19 +175,19 @@ pub fn metadata_for<R: Rng + ?Sized>(app: Application, rng: &mut R) -> FlowMetad
     use Application as A;
     match app {
         // Misc buckets: generic or absent metadata.
-        A::MiscWeb => FlowMetadata::http(&format!("site{}.example.com", rng.gen_range(0..100_000))),
+        A::MiscWeb => FlowMetadata::http(format!("site{}.example.com", rng.gen_range(0..100_000))),
         A::MiscSecureWeb => {
-            FlowMetadata::https(&format!("portal{}.example.org", rng.gen_range(0..100_000)))
+            FlowMetadata::https(format!("portal{}.example.org", rng.gen_range(0..100_000)))
         }
         A::MiscVideo => {
             let mut m =
-                FlowMetadata::http(&format!("media{}.example.net", rng.gen_range(0..10_000)));
+                FlowMetadata::http(format!("media{}.example.net", rng.gen_range(0..10_000)));
             m.content_hint = Some(ContentHint::Video);
             m
         }
         A::MiscAudio => {
             let mut m =
-                FlowMetadata::http(&format!("radio{}.example.net", rng.gen_range(0..10_000)));
+                FlowMetadata::http(format!("radio{}.example.net", rng.gen_range(0..10_000)));
             m.content_hint = Some(ContentHint::Audio);
             m
         }

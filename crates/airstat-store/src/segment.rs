@@ -1791,7 +1791,7 @@ impl ReportSink for DurableStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use airstat_classify::mac::Oui;
     use airstat_telemetry::report::{ReportPayload, UsageRecord};
@@ -1808,7 +1808,7 @@ mod tests {
 
     /// A unique scratch directory per test invocation, with no
     /// wall-clock involved (process id + a process-wide counter).
-    fn temp_store_dir(tag: &str) -> PathBuf {
+    pub(crate) fn temp_store_dir(tag: &str) -> PathBuf {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let id = NEXT.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("airstat-segment-{}-{tag}-{id}", std::process::id()))

@@ -10,11 +10,13 @@
 //!
 //! Sealing is **incremental** (LSM-style): each shard's read layout is a
 //! [`SegmentStack`] — immutable delta [`ColumnarShard`] segments, oldest
-//! to newest — plus the mutable row tables as the tail. Ingest tracks
-//! dirtied keys per shard, so a seal projects only the rows touched
-//! since the previous seal into a new delta segment and the cost of
-//! making new data queryable is proportional to the delta, not the
-//! campaign. A deterministic size-tiered compaction pass (driven purely
+//! to newest — plus the mutable row tables as the tail. Once a shard has
+//! a baseline to be dirty against (segments it has sealed, or a segment
+//! set the store persisted or was opened from) ingest tracks the keys it
+//! dirties, so a seal projects only the rows touched since the previous
+//! seal into a new delta segment and the cost of making new data
+//! queryable is proportional to the delta, not the campaign. Before
+//! that the first seal projects the tables whole and no ledger is kept. A deterministic size-tiered compaction pass (driven purely
 //! by segment row counts — no wall clock) folds small adjacent deltas
 //! back into larger runs so stacks stay shallow; each fold is a linear
 //! newest-wins merge of the two segments' columns and never goes back to
@@ -125,7 +127,8 @@ struct SealState {
     sealed_epoch: Option<u64>,
     /// Per-shard segment stacks, current as of `sealed_epoch`.
     stacks: Vec<SegmentStack>,
-    /// Per-shard keys dirtied since the last seal.
+    /// Per-shard keys dirtied since the last seal. Blank for a shard
+    /// with no baseline yet (see [`ShardedStore::ingest_batch`]).
     dirty: Vec<DirtyShard>,
     /// Per-shard keys sealed since the last persist (the on-disk delta
     /// a future incremental persist writes).
@@ -398,17 +401,38 @@ impl ShardedStore {
             .seal
             .get_mut()
             .expect("invariant: seal lock is never poisoned (projection code does not panic)");
+        // A key is dirty only against a baseline: segments this shard has
+        // sealed, or the segment set a persist (or `open`) committed.
+        // Until one exists the next seal projects the shard's tables whole
+        // and the next persist writes them whole — neither reads a ledger,
+        // so none is kept.
+        let persisted = self.persist_state.is_some();
+        let mut slots: Vec<(&mut StoreShard, Option<&mut DirtyShard>)> = self
+            .shards
+            .iter_mut()
+            .zip(&mut state.dirty)
+            .zip(&state.stacks)
+            .map(|((shard, dirty), stack)| {
+                let tracked = persisted || !stack.is_empty();
+                (Arc::make_mut(shard), tracked.then_some(dirty))
+            })
+            .collect();
+        let ingest = |(shard, dirty): &mut (&mut StoreShard, Option<&mut DirtyShard>),
+                      batch: &[&Report]| {
+            batch
+                .iter()
+                .filter(|report| match dirty {
+                    Some(dirty) => shard.ingest_tracked(window, report, dirty),
+                    None => shard.ingest(window, report),
+                })
+                .count() as u64
+        };
         if threads > 1 && reports.len() >= PARALLEL_INGEST_MIN {
             // Each worker takes exclusive ownership of one shard slot
             // (row tables plus that shard's dirty set); the mutexes are
             // uncontended (one lock per shard per batch) and only exist
             // to hand the `&mut` pair across the scope.
-            let slots: Vec<Mutex<(&mut StoreShard, &mut DirtyShard)>> = self
-                .shards
-                .iter_mut()
-                .zip(state.dirty.iter_mut())
-                .map(|(shard, dirty)| Mutex::new((Arc::make_mut(shard), dirty)))
-                .collect();
+            let slots: Vec<Mutex<_>> = slots.into_iter().map(Mutex::new).collect();
             run_ordered(
                 threads,
                 n,
@@ -416,26 +440,13 @@ impl ShardedStore {
                     let mut slot = slots[i]
                         .lock()
                         .expect("invariant: shard lock is never poisoned (ingest does not panic)");
-                    let (shard, dirty) = &mut *slot;
-                    routed[i]
-                        .iter()
-                        .filter(|report| shard.ingest_tracked(window, report, dirty))
-                        .count() as u64
+                    ingest(&mut slot, &routed[i])
                 },
                 |_, a| accepted += a,
             );
         } else {
-            for ((shard, dirty), batch) in self
-                .shards
-                .iter_mut()
-                .zip(state.dirty.iter_mut())
-                .zip(&routed)
-            {
-                let shard = Arc::make_mut(shard);
-                accepted += batch
-                    .iter()
-                    .filter(|report| shard.ingest_tracked(window, report, dirty))
-                    .count() as u64;
+            for (slot, batch) in slots.iter_mut().zip(&routed) {
+                accepted += ingest(slot, batch);
             }
         }
         accepted
@@ -660,11 +671,11 @@ impl ReportSink for Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::tests::temp_store_dir;
     use airstat_classify::apps::Application;
     use airstat_classify::mac::{MacAddress, Oui};
     use airstat_telemetry::report::{ReportPayload, UsageRecord};
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     const W: WindowId = WindowId(1501);
 
@@ -810,14 +821,6 @@ mod tests {
 
     type UsageKeys = BTreeSet<(MacAddress, Application)>;
 
-    /// A unique scratch directory per call (process id + counter, no
-    /// wall clock).
-    fn temp_store_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let id = NEXT.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("airstat-store-{}-{tag}-{id}", std::process::id()))
-    }
-
     /// One single-record usage report per device, all at `seq`.
     fn usage_batch(devices: std::ops::Range<u64>, seq: u64) -> Vec<Report> {
         devices.map(|d| usage_report(d, seq, 10 + d)).collect()
@@ -908,16 +911,20 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_store_names_exactly_the_keys_ingested_after_its_first_seal() {
+    fn a_fresh_store_tracks_nothing_until_its_first_seal_then_exactly_what_follows() {
         let mut store = ShardedStore::new(3);
         let first = usage_batch(0..40, 0);
         store.ingest_batch(W, &first);
+        assert!(ledgers_are_blank(&store), "no baseline, no ledger");
         let sealed = store.seal();
         assert!(
             sealed.columnar().iter().all(|stack| !stack.is_empty()),
             "40 devices put rows in all three shards"
         );
-        assert!(ledger_keys(&store).0.is_empty(), "a seal drains `dirty`");
+        assert!(
+            ledgers_are_blank(&store),
+            "the first seal projects the tables and hands nothing on"
+        );
 
         // New devices and a second report from old ones: both are dirty
         // against the segments just cut.
@@ -928,8 +935,11 @@ mod tests {
 
         let resealed = store.seal();
         let (dirty, pending) = ledger_keys(&store);
-        assert!(dirty.is_empty());
-        assert!(pending.is_superset(&keys_of(&second)));
+        assert!(
+            dirty.is_empty(),
+            "a seal drains `dirty` into `persist_pending`"
+        );
+        assert_eq!(pending, keys_of(&second));
         assert_eq!(resealed.seal_stats().seals_total, 2);
         stacks_mirror_the_row_tables(&resealed);
     }
@@ -983,10 +993,24 @@ mod tests {
         assert_eq!(newest_segment_keys(&store, 2).0, expected);
         stacks_mirror_the_row_tables(&store.seal());
         let _ = std::fs::remove_dir_all(&dir);
+
+        // A crash before the first persist leaves a tail log and no
+        // manifest: what opens is a fresh store, with no baseline.
+        let dir = temp_store_dir("replay-fresh");
+        let mut durable = crate::DurableStore::create(&dir, config).expect("create");
+        ReportSink::ingest_batch(&mut durable, W, &first);
+        drop(durable);
+        let (mut store, recovery) = ShardedStore::open(&dir, config).expect("open");
+        assert_eq!(recovery.wal_records_replayed, 1);
+        assert!(ledgers_are_blank(&store));
+        let stats = store.persist(&dir).expect("persist");
+        assert_eq!(stats.segments_written, 3, "every shard whole");
+        assert_eq!(newest_segment_keys(&store, 1), (keys_of(&first), 3));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_shard_whose_first_seal_projects_no_rows_still_seals_correctly() {
+    fn a_shard_whose_first_seal_projects_no_rows_stays_untracked_and_still_seals() {
         let mut store = ShardedStore::new(1);
         // Accepted, counted, and no row anywhere.
         let empty = Report {
@@ -998,11 +1022,13 @@ mod tests {
         assert_eq!(store.ingest_batch(W, &[empty]), 1);
         let first = store.seal();
         assert!(first.columnar()[0].is_empty(), "nothing to project");
+        assert!(ledgers_are_blank(&store));
 
         // With no segment cut, the next seal is a first seal again: it
         // projects the tables whole and needs no ledger to do so.
         let rows = usage_batch(2..6, 0);
         store.ingest_batch(W, &rows);
+        assert!(ledgers_are_blank(&store), "sealed once, still no baseline");
         let second = store.seal();
         assert_eq!(second.columnar()[0].len(), 1);
         assert_eq!(second.seal_stats().rows_resealed, 4);
@@ -1021,6 +1047,10 @@ mod tests {
         let mut store = ShardedStore::new(3);
         let first = usage_batch(0..40, 0);
         store.ingest_batch(W, &first);
+        assert!(
+            ledgers_are_blank(&store),
+            "nothing on disk to be a delta of"
+        );
         let stats = store.persist(&a).expect("first persist");
         assert_eq!(stats.segments_written, 3, "no baseline: every shard whole");
         assert_eq!(newest_segment_keys(&store, 1), (keys_of(&first), 3));

@@ -526,15 +526,20 @@ impl Report {
 /// Decodes a batch of nested record messages whose fields are all varints.
 ///
 /// `build` receives a field-lookup closure: `f(n)` returns varint field `n`
-/// of the current record or a schema error if absent.
+/// of the current record (its first occurrence) or a schema error if
+/// absent.
 fn decode_records<T>(
     bufs: &[&[u8]],
     build: impl Fn(&dyn Fn(u32) -> Result<u64, WireError>) -> Result<T, WireError>,
 ) -> Result<Vec<T>, WireError> {
     let mut out = Vec::with_capacity(bufs.len());
+    // One scratch for every record of the report, allocated by the first
+    // field pushed: a report without records (every poll of an idle AP)
+    // must not pay for it.
+    let mut fields: Vec<(u32, u64)> = Vec::new();
     for buf in bufs {
         // Collect the record's varint fields once.
-        let mut fields: Vec<(u32, u64)> = Vec::with_capacity(6);
+        fields.clear();
         let mut r = Reader::new(buf);
         while let Some(field) = r.next_field()? {
             if let Ok(v) = field.as_u64() {
@@ -862,8 +867,9 @@ mod tests {
     #[test]
     fn hostile_records_decode_to_the_pinned_results() {
         // Results captured on the decoder that collected each record's
-        // varints into a fresh `Vec::with_capacity(6)`; the shared scratch
-        // must return the same for records no encoder writes.
+        // varints into a `Vec` of its own; the scratch the records of a
+        // report now share must return the same for records no encoder
+        // writes.
         let usage = |up_bytes, down_bytes| UsageRecord {
             mac: mac_from_code(0xAB),
             app: app_from_code(2).unwrap(),

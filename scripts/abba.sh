@@ -3,7 +3,9 @@
 # Builds bench/ in both checkouts, then for each workload runs N pairs
 # (parent and change back to back, ABBA: the side that goes first
 # alternates, so drift on the host lands on both alike), each run from
-# its own checkout root at --seconds 15 --trace 0. Prints, per workload
+# its own checkout root at --seed <seed> --seconds 15 --trace 0 (a claim
+# has to hold on a seed not used while the change was written, so the
+# table is run once more with one). Prints, per workload
 # and end-to-end metric, both medians, the distance between the quartiles
 # of the parent's runs, the change's gap to the parent and the pairs it
 # won (ties count for neither), and calls the row
@@ -14,11 +16,11 @@
 # printed above the table. Exits non-zero when any rep failed a
 # correctness check. Edits nothing under bench/.
 #
-#   scripts/abba.sh <parent-checkout> <change-checkout> [pairs]   default 10
+#   scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed]   defaults 10, 1
 set -euo pipefail
 
-(($# == 2 || $# == 3)) || {
-    echo "usage: scripts/abba.sh <parent-checkout> <change-checkout> [pairs]" >&2
+(($# >= 2 && $# <= 4)) || {
+    echo "usage: scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed]" >&2
     exit 2
 }
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
@@ -27,11 +29,11 @@ for checkout in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$checkout/bench/Cargo.toml"
 done
 
-exec python3 - "$parent" "$change" "${3:-10}" <<'PY'
+exec python3 - "$parent" "$change" "${3:-10}" "${4:-1}" <<'PY'
 import json, statistics, subprocess, sys
 
 roots = {"parent": sys.argv[1], "change": sys.argv[2]}
-pairs = int(sys.argv[3])
+pairs, seed = int(sys.argv[3]), str(int(sys.argv[4]))
 spec = json.load(open(f"{roots['change']}/BENCHMARK.json"))
 status = 0
 rows = []
@@ -41,7 +43,7 @@ for workload in (w["name"] for w in spec["workloads"]):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             last = subprocess.run(
                 ["bench/target/release/airstat-e2e-bench", "--workload", workload,
-                 "--seed", "1", "--seconds", "15", "--trace", "0"],
+                 "--seed", seed, "--seconds", "15", "--trace", "0"],
                 cwd=roots[side], check=True, capture_output=True, text=True,
             ).stdout.splitlines()[-1]
             result = json.loads(last)
