@@ -779,7 +779,7 @@ impl QueryEngine {
     /// Pass 1 builds a branch-free selection index vector (or dense
     /// partial-aggregate lanes) over the flat columns of every
     /// *admitted* shard; pass 2 gathers through the selections with a
-    /// zero-copy cursor merge ([`kway_groups`]) in the same canonical
+    /// zero-copy loser-tree merge ([`kway_groups`]) in the same canonical
     /// key order the legacy fold uses. Every f64 reduction keeps the
     /// exact operand order of its legacy twin; every u64 rollup that
     /// re-associates does so under the saturating-add monoid

@@ -16,28 +16,39 @@
 # printed above the table. Exits non-zero when any rep failed a
 # correctness check. Edits nothing under bench/.
 #
-#   scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed]   defaults 10, 1
+#   scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed] [workload...]
+#
+# pairs and seed default to 10 and 1; the workloads named after them
+# (any of BENCHMARK.json's) are run in the order given, all four when
+# none is named.
 set -euo pipefail
 
-(($# >= 2 && $# <= 4)) || {
-    echo "usage: scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed]" >&2
+(($# >= 2)) || {
+    echo "usage: scripts/abba.sh <parent-checkout> <change-checkout> [pairs] [seed] [workload...]" >&2
     exit 2
 }
 parent=$(cd "$1" && pwd) change=$(cd "$2" && pwd)
+pairs=${3:-10} seed=${4:-1}
+shift $(($# < 4 ? $# : 4))
 
 for checkout in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$checkout/bench/Cargo.toml"
 done
 
-exec python3 - "$parent" "$change" "${3:-10}" "${4:-1}" <<'PY'
+exec python3 - "$parent" "$change" "$pairs" "$seed" "$@" <<'PY'
 import json, statistics, subprocess, sys
 
 roots = {"parent": sys.argv[1], "change": sys.argv[2]}
 pairs, seed = int(sys.argv[3]), str(int(sys.argv[4]))
 spec = json.load(open(f"{roots['change']}/BENCHMARK.json"))
+known = [w["name"] for w in spec["workloads"]]
+workloads = sys.argv[5:] or known
+unknown = [w for w in workloads if w not in known]
+if unknown:
+    sys.exit(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}")
 status = 0
 rows = []
-for workload in (w["name"] for w in spec["workloads"]):
+for workload in workloads:
     runs = {"parent": {}, "change": {}}
     for pair in range(pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
