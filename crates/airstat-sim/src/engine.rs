@@ -192,11 +192,6 @@ impl FleetSimulation {
         FleetSimulation { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
     /// Runs the full campaign ([`FleetSimulation::run_into`]) into a
     /// [`ShardedStore`] shaped by the configuration's `shards`/`threads`
     /// knobs.

@@ -25,6 +25,10 @@
 //!   order — exactly the order in which the legacy engine folds
 //!   per-shard partials into its merge `BTreeMap` — so saturating sums
 //!   and last-writer conflict rules see operands in the same sequence.
+//!
+//! A window holds its columns and nothing else: no per-segment summary
+//! decides which shards a plan reads. That follows from the store's
+//! `(window, device)` routing (see [`crate::query`]).
 
 use std::collections::BTreeMap;
 
@@ -47,12 +51,6 @@ pub(crate) const APP_LANES: usize = Application::ALL.len();
 
 /// Dense accumulator lanes for [`OsFamily`] (indexed by discriminant).
 pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
-
-/// Dense lanes for [`Band`] (indexed by discriminant).
-pub(crate) const BAND_LANES: usize = Band::ALL.len();
-
-// The zone map packs application presence into one u64 bitmask.
-const _: () = assert!(Application::ALL.len() <= 64);
 
 /// One shard's columnar projection: a packed, read-optimized copy of
 /// every window the shard holds, built by [`ColumnarShard::build`] at
@@ -199,90 +197,6 @@ pub struct ColumnarWindow {
     pub(crate) crash_device: Vec<u64>,
     pub(crate) crash_offsets: Vec<usize>,
     pub(crate) crash_rows: Vec<CrashReport>,
-    // zone map: per-column summaries for shard pruning, built last.
-    pub(crate) zone: WindowZoneMap,
-}
-
-/// Per-window zone map: tiny per-column summaries — row counts,
-/// presence bitmasks, and key/time min–max ranges — computed once at
-/// `seal()` time alongside the columns they describe.
-///
-/// The query engine consults these to prove "this shard cannot
-/// contribute to this plan" *before* dispatching a scan, so a pruned
-/// shard costs one struct read instead of a column walk. Pruning is
-/// byte-transparent: a shard is skipped only when its kernel
-/// contribution would be the identity (zero matching rows), so the
-/// merged result is bit-for-bit the unpruned one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowZoneMap {
-    /// Usage cells (`(mac, app)` rows) in the window.
-    pub usage_rows: usize,
-    /// Bit `app as usize` is set iff some usage cell references it.
-    pub apps_present: u64,
-    /// Client identity rows.
-    pub client_rows: usize,
-    /// Link keys per band, indexed by `Band` discriminant.
-    pub link_keys_per_band: [usize; BAND_LANES],
-    /// Smallest and largest link key, if any links exist.
-    pub link_key_range: Option<(LinkKey, LinkKey)>,
-    /// Smallest and largest link observation timestamp, if any.
-    pub link_ts_range: Option<(u64, u64)>,
-    /// Airtime ledger rows per band.
-    pub airtime_rows_per_band: [usize; BAND_LANES],
-    /// Devices that filed a neighbour census.
-    pub census_devices: usize,
-    /// Census rows per band.
-    pub census_rows_per_band: [usize; BAND_LANES],
-    /// Channel-scan observations per band.
-    pub scan_obs_per_band: [usize; BAND_LANES],
-    /// Smallest and largest scan timestamp, if any.
-    pub scan_ts_range: Option<(u64, u64)>,
-    /// Devices with crash reports.
-    pub crash_devices: usize,
-}
-
-impl WindowZoneMap {
-    /// Summarizes a freshly packed window in one pass per column.
-    fn build(w: &ColumnarWindow) -> Self {
-        let mut z = WindowZoneMap {
-            usage_rows: w.usage_mac.len(),
-            client_rows: w.client_mac.len(),
-            census_devices: w.census_device.len(),
-            crash_devices: w.crash_device.len(),
-            ..WindowZoneMap::default()
-        };
-        for &app in &w.usage_app {
-            z.apps_present |= 1u64 << (app as usize);
-        }
-        for key in &w.link_keys {
-            z.link_keys_per_band[key.band as usize] += 1;
-        }
-        if let (Some(&lo), Some(&hi)) = (w.link_keys.first(), w.link_keys.last()) {
-            z.link_key_range = Some((lo, hi));
-        }
-        z.link_ts_range = min_max(&w.link_ts);
-        for &(_, band) in &w.airtime_key {
-            z.airtime_rows_per_band[band as usize] += 1;
-        }
-        for &band in &w.census_band {
-            z.census_rows_per_band[band as usize] += 1;
-        }
-        for ch in &w.scan_channel {
-            z.scan_obs_per_band[ch.band as usize] += 1;
-        }
-        z.scan_ts_range = min_max(&w.scan_ts);
-        z
-    }
-}
-
-/// `(min, max)` of a column, `None` when empty.
-fn min_max(xs: &[u64]) -> Option<(u64, u64)> {
-    let (mut lo, mut hi) = (*xs.first()?, *xs.first()?);
-    for &x in xs {
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    Some((lo, hi))
 }
 
 /// The most rows `rows` can yield: exact for a walk over a whole table,
@@ -441,7 +355,6 @@ impl ColumnarWindow {
         }
 
         w.shrink_csr_values();
-        w.zone = WindowZoneMap::build(&w);
         w
     }
 
@@ -533,11 +446,6 @@ impl ColumnarWindow {
         self.scan_decodable_ppm.shrink_to_fit();
         self.scan_networks.shrink_to_fit();
         self.crash_rows.shrink_to_fit();
-    }
-
-    /// The zone map summarizing this window's columns.
-    pub fn zone(&self) -> &WindowZoneMap {
-        &self.zone
     }
 
     /// The observation columns for the `i`-th link key, arrival order.
@@ -755,9 +663,7 @@ fn newest(members: &[(usize, usize)]) -> (usize, usize) {
 /// carries the key's full value at seal time, so taking the newest
 /// segment's row for each key reconstructs the live table exactly. Key
 /// columns stay sorted because [`kway_groups`] emits groups in
-/// ascending key order; the zone map is rebuilt over the merged
-/// columns, so segment-granular pruning composes with shard-granular
-/// pruning untouched.
+/// ascending key order.
 pub(crate) fn merge_segments(segs: &[&ColumnarWindow], families: u8) -> ColumnarWindow {
     merge_segments_into(ColumnarWindow::default(), segs, families)
 }
@@ -889,7 +795,6 @@ fn merge_segments_into(
             },
         );
     }
-    w.zone = WindowZoneMap::build(&w);
     w
 }
 
@@ -1160,24 +1065,6 @@ mod tests {
                 |_, _| panic!("no group from empty runs"),
             );
         }
-    }
-
-    #[test]
-    fn zone_map_counts_and_ranges_match_the_columns() {
-        let mut shard = StoreShard::default();
-        for (i, report) in (0..5u64).map(|d| usage_report(d, 0, d, d + 1)).enumerate() {
-            assert!(shard.ingest(W, &report), "report {i}");
-        }
-        let cols = ColumnarShard::build(&shard);
-        let z = cols.window(W).expect("window present").zone();
-        assert_eq!(z.usage_rows, 5);
-        assert_eq!(z.apps_present, 1 << (Application::Netflix as usize));
-        assert_eq!(z.client_rows, 0);
-        assert_eq!(z.link_key_range, None);
-        assert_eq!(z.crash_devices, 0);
-        // Empty shards summarize to the all-zero zone map.
-        let empty = ColumnarShard::build(&StoreShard::default());
-        assert!(empty.window(W).is_none());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod segment;
 pub mod shard;
 pub mod store;
 
-pub use columnar::{ColumnarShard, WindowZoneMap};
+pub use columnar::ColumnarShard;
 pub use query::{
     FleetQuery, QueryBackend, QueryEngine, QueryPlan, QueryValue, ResultCache, StoreStats,
 };

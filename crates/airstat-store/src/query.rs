@@ -16,11 +16,16 @@
 //! The engine answers every plan through one of two paths, selected by
 //! [`QueryBackend`]:
 //!
-//! * [`QueryBackend::Vectorized`] (default) — the engine: zone-map
-//!   pruning, then two-pass kernels (selection vector, gather +
-//!   partial-aggregate) over the snapshot's packed
-//!   [`crate::columnar::ColumnarShard`] segment stacks, merged by a
-//!   zero-copy k-way walk in the same canonical key order;
+//! * [`QueryBackend::Vectorized`] (default) — the engine: two-pass
+//!   kernels (selection vector, gather + partial-aggregate) over the
+//!   snapshot's packed [`crate::columnar::ColumnarShard`] segment
+//!   stacks, merged by a zero-copy k-way walk in the same canonical key
+//!   order. A plan reads every shard whose stack holds its window: the
+//!   store hash-partitions by `(window, device)`, so each such shard
+//!   holds rows of nearly every table family, and nothing short of the
+//!   columns themselves could rule one out. The exception is
+//!   [`QueryPlan::LinkSeries`], which reads only the one shard its
+//!   link's reports were routed to;
 //! * [`QueryBackend::Legacy`] — the original map-backed fold, kept as
 //!   the oracle the differential tests hold the engine to, byte for
 //!   byte, for every shard and thread count.
@@ -45,13 +50,13 @@ use airstat_telemetry::crash::CrashAggregator;
 
 use crate::columnar::{
     add_usage_by_app_stack, kway_groups, merge_segments, select_indices, usage_totals_by_mac_stack,
-    ColumnarWindow, WindowZoneMap, APP_LANES, FAM_AIRTIME, FAM_CENSUS, FAM_CLIENTS, FAM_CRASHES,
-    FAM_LINKS, FAM_SCANS, FAM_USAGE, OS_LANES,
+    ColumnarWindow, APP_LANES, FAM_AIRTIME, FAM_CENSUS, FAM_CLIENTS, FAM_CRASHES, FAM_LINKS,
+    FAM_SCANS, FAM_USAGE, OS_LANES,
 };
 use crate::exec::run_ordered;
 use crate::segment::PersistenceStats;
 use crate::shard::StoreShard;
-use crate::store::{SealStats, Snapshot};
+use crate::store::{shard_index, SealStats, SegmentStack, Snapshot};
 
 /// Which path answers a plan: the engine or its oracle.
 ///
@@ -61,7 +66,7 @@ use crate::store::{SealStats, Snapshot};
 pub enum QueryBackend {
     /// The engine (default): two-pass vectorized kernels (selection
     /// vector, then gather + partial-aggregate) over the columnar
-    /// projection, with zone-map shard pruning always on.
+    /// projection of the shards that hold the plan's window.
     #[default]
     Vectorized,
     /// The oracle: the original map-backed path, which clones each
@@ -371,9 +376,10 @@ pub struct StoreStats {
     pub misses: u64,
     /// LRU evictions performed.
     pub evictions: u64,
-    /// Shard scans dispatched by zone-gated execution.
+    /// Shards the cold plans read.
     pub shards_scanned: u64,
-    /// Shard scans skipped because the zone map proved them empty.
+    /// Shards the cold plans skipped: the shard holds no segment for the
+    /// plan's window, or a link series is routed to another shard.
     pub shards_pruned: u64,
     /// On-disk persistence counters carried over from the snapshot
     /// (segments written/loaded, bytes, CRC checks, tail-log replays).
@@ -410,7 +416,7 @@ impl std::fmt::Display for StoreStats {
         )?;
         write!(
             f,
-            "  zone pruning   {:>7} shards scanned  {:>6} pruned",
+            "  shard pruning  {:>7} shards scanned  {:>6} pruned",
             self.shards_scanned, self.shards_pruned,
         )?;
         // Seal counters only appear once a seal happened, so callers
@@ -465,6 +471,16 @@ impl ResolvedView<'_> {
     }
 }
 
+/// The segments of one shard's stack that hold `window`, oldest to
+/// newest.
+fn window_views(stack: &SegmentStack, window: WindowId) -> Vec<&ColumnarWindow> {
+    stack
+        .segments()
+        .iter()
+        .filter_map(|seg| seg.window(window))
+        .collect()
+}
+
 /// Resolves one shard's per-segment views of a window (oldest to
 /// newest) into a single view, or `None` when no segment holds it.
 fn resolve_views<'a>(views: &[&'a ColumnarWindow], families: u8) -> Option<ResolvedView<'a>> {
@@ -477,7 +493,18 @@ fn resolve_views<'a>(views: &[&'a ColumnarWindow], families: u8) -> Option<Resol
     }
 }
 
-/// Lock-free zone-pruning counters. Relaxed atomics are enough — the
+/// Devices that filed a neighbour census, over resolved shard views.
+/// Devices are shard-disjoint, and a resolved view holds each filer
+/// once however many delta segments shadowed it.
+fn census_filers(resolved: &[Option<ResolvedView<'_>>]) -> u64 {
+    resolved
+        .iter()
+        .flatten()
+        .map(|v| v.get().census_device.len() as u64)
+        .sum()
+}
+
+/// Lock-free shard-scan counters. Relaxed atomics are enough — the
 /// counters are observability only and never feed back into results.
 #[derive(Debug, Default)]
 struct EngineCounters {
@@ -519,8 +546,8 @@ impl QueryEngine {
     }
 
     /// Enables (or disables) one stderr line per plan the vectorized
-    /// engine runs cold: the plan's name and how many shards its zone
-    /// admission scanned and pruned.
+    /// engine runs cold: the plan's name and how many shards it read and
+    /// skipped.
     pub fn set_explain(&mut self, explain: bool) {
         self.explain = explain;
     }
@@ -638,9 +665,10 @@ impl QueryEngine {
         }
     }
 
-    /// Counts one plan's zone admission and, under `--explain`, prints
-    /// it. Every vectorized kernel admits exactly once, so the lines are
-    /// one per cold plan and sum to the `zone pruning` totals.
+    /// Counts the shards one plan read and skipped and, under
+    /// `--explain`, prints them. Every vectorized kernel records exactly
+    /// once, so the lines are one per cold plan and sum to the `shard
+    /// pruning` totals.
     fn record_admission(&self, plan: &QueryPlan, scanned: u64, pruned: u64) {
         self.counters
             .shards_scanned
@@ -656,60 +684,31 @@ impl QueryEngine {
         }
     }
 
-    /// Per-shard segment views of `plan`'s window, gated by the zone
-    /// predicate: each admitted shard yields the segments holding the
-    /// window (oldest to newest); pruned shards yield an empty list. A
-    /// shard is admitted when ANY of its segments' zones admits —
-    /// every admission predicate is monotone in "some segment holds a
-    /// row the plan reads", so the OR over segments admits exactly the
-    /// shards a monolithic zone map would (a falsely-admitted shadowed
-    /// row merges away to a zero contribution, never a wrong byte).
-    fn admitted_segment_views(
-        &self,
-        plan: &QueryPlan,
-        admit: impl Fn(&WindowZoneMap) -> bool,
-    ) -> Vec<Vec<&ColumnarWindow>> {
-        let window = plan.window();
-        let (mut scanned, mut pruned) = (0u64, 0u64);
+    /// Per-shard segment views of `plan`'s window, in shard order: the
+    /// segments holding the window, oldest to newest. A shard with no
+    /// segment for the window yields an empty list and is the only kind
+    /// counted as skipped.
+    fn segment_views(&self, plan: &QueryPlan) -> Vec<Vec<&ColumnarWindow>> {
         let out: Vec<Vec<&ColumnarWindow>> = self
             .snapshot
             .columnar()
             .iter()
-            .map(|stack| {
-                let views: Vec<&ColumnarWindow> = stack
-                    .segments()
-                    .iter()
-                    .filter_map(|seg| seg.window(window))
-                    .collect();
-                if views.iter().any(|w| admit(w.zone())) {
-                    scanned += 1;
-                    views
-                } else {
-                    pruned += 1;
-                    Vec::new()
-                }
-            })
+            .map(|stack| window_views(stack, plan.window()))
             .collect();
-        self.record_admission(plan, scanned, pruned);
+        let scanned = out.iter().filter(|views| !views.is_empty()).count() as u64;
+        self.record_admission(plan, scanned, out.len() as u64 - scanned);
         out
     }
 
-    /// Zone-gated resolved shard views for the vectorized kernels:
-    /// `Some` for shards whose stack admits the plan's filter, `None`
-    /// (pruned) otherwise, in shard order. Multi-segment stacks
-    /// resolve through [`merge_segments`] in parallel, restricted to
-    /// `families`; single-segment stacks borrow at zero cost.
-    ///
-    /// Pruning is byte-transparent because every kernel treats a `None`
-    /// shard exactly as it treats a window with zero matching rows: it
-    /// contributes nothing to the merge.
-    fn admitted_windows(
-        &self,
-        plan: &QueryPlan,
-        admit: impl Fn(&WindowZoneMap) -> bool,
-        families: u8,
-    ) -> Vec<Option<ResolvedView<'_>>> {
-        let stacks = self.admitted_segment_views(plan, admit);
+    /// Resolved shard views for the vectorized kernels: `Some` for
+    /// shards whose stack holds the plan's window, `None` otherwise, in
+    /// shard order. Multi-segment stacks resolve through
+    /// [`merge_segments`] in parallel, restricted to `families`;
+    /// single-segment stacks borrow at zero cost. Every kernel is right
+    /// on empty columns, so a shard holding the window but none of the
+    /// rows a plan selects contributes nothing to the merge.
+    fn resolved_windows(&self, plan: &QueryPlan, families: u8) -> Vec<Option<ResolvedView<'_>>> {
+        let stacks = self.segment_views(plan);
         let mut out = Vec::with_capacity(stacks.len());
         run_ordered(
             self.threads,
@@ -720,17 +719,16 @@ impl QueryEngine {
         out
     }
 
-    /// Parallel map over the admitted per-shard segment views: runs
-    /// `f` on each shard's view list (empty when pruned) via
+    /// Parallel map over the per-shard segment views: runs `f` on each
+    /// shard's view list (empty when the shard lacks the window) via
     /// [`run_ordered`], returning partials in shard order — the entry
     /// point for stack kernels that never materialize a merge.
     fn stack_map<T: Send>(
         &self,
         plan: &QueryPlan,
-        admit: impl Fn(&WindowZoneMap) -> bool,
         f: impl Fn(&[&ColumnarWindow]) -> T + Sync,
     ) -> Vec<T> {
-        let stacks = self.admitted_segment_views(plan, admit);
+        let stacks = self.segment_views(plan);
         let mut partials = Vec::with_capacity(stacks.len());
         run_ordered(
             self.threads,
@@ -741,44 +739,11 @@ impl QueryEngine {
         partials
     }
 
-    /// Sums `f` over the zone maps of every segment holding `window` —
-    /// the zone-only execution path: no column is touched at all, so
-    /// every shard counts as pruned. Only exact when every stack holds
-    /// the window in at most one segment (overlapping deltas would
-    /// double-count shadowed keys); callers gate on
-    /// [`QueryEngine::window_is_flat`].
-    fn zone_sum(&self, window: WindowId, f: impl Fn(&WindowZoneMap) -> u64) -> u64 {
-        let mut sum = 0u64;
-        for stack in self.snapshot.columnar() {
-            for seg in stack.segments() {
-                if let Some(w) = seg.window(window) {
-                    sum += f(w.zone());
-                }
-            }
-        }
-        sum
-    }
-
-    /// Whether every shard holds `window` in at most one segment — the
-    /// shape under which per-segment zone counters are exact (no key
-    /// can be shadowed), and the always-true case before the first
-    /// incremental reseal or after full compaction.
-    fn window_is_flat(&self, window: WindowId) -> bool {
-        self.snapshot.columnar().iter().all(|stack| {
-            stack
-                .segments()
-                .iter()
-                .filter(|seg| seg.window(window).is_some())
-                .count()
-                <= 1
-        })
-    }
-
-    /// The two-pass vectorized kernels with zone-map pruning.
+    /// The two-pass vectorized kernels.
     ///
     /// Pass 1 builds a branch-free selection index vector (or dense
-    /// partial-aggregate lanes) over the flat columns of every
-    /// *admitted* shard; pass 2 gathers through the selections with a
+    /// partial-aggregate lanes) over the flat columns of every shard
+    /// holding the window; pass 2 gathers through the selections with a
     /// zero-copy loser-tree merge ([`kway_groups`]) in the same canonical
     /// key order the legacy fold uses. Every f64 reduction keeps the
     /// exact operand order of its legacy twin; every u64 rollup that
@@ -788,7 +753,7 @@ impl QueryEngine {
     fn compute_vectorized(&self, plan: &QueryPlan) -> QueryValue {
         match *plan {
             QueryPlan::UsageByApp(_) => {
-                let stacks = self.admitted_segment_views(plan, |z| z.usage_rows > 0);
+                let stacks = self.segment_views(plan);
                 // Totals: dense per-app lanes, one fused newest-wins
                 // k-way pass per shard's stack (no merged window is
                 // materialized). Re-associating the saturating sums per
@@ -841,15 +806,11 @@ impl QueryEngine {
                 // wins per cell) — shrinks the cross-shard merge by the
                 // apps-per-MAC factor, byte-safe under the
                 // saturating-add monoid.
-                let runs = self.stack_map(
-                    plan,
-                    |z| z.usage_rows > 0,
-                    |segs| match segs {
-                        // Flat stack: the original linear group-by.
-                        [w] => w.usage_totals_by_mac(),
-                        _ => usage_totals_by_mac_stack(segs),
-                    },
-                );
+                let runs = self.stack_map(plan, |segs| match segs {
+                    // Flat stack: the original linear group-by.
+                    [w] => w.usage_totals_by_mac(),
+                    _ => usage_totals_by_mac_stack(segs),
+                });
                 // Pass 2: cursor k-way merge + merge-join against the
                 // sorted client list, aggregating into dense OS lanes.
                 let mut os_by_lane = [OsFamily::Unknown; OS_LANES];
@@ -901,7 +862,7 @@ impl QueryEngine {
                 QueryValue::Count(clients.len() as u64)
             }
             QueryPlan::Clients(_) => {
-                let resolved = self.admitted_windows(plan, |z| z.client_rows > 0, FAM_CLIENTS);
+                let resolved = self.resolved_windows(plan, FAM_CLIENTS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let lens: Vec<usize> = wins.iter().map(|w| w.client_mac.len()).collect();
@@ -933,9 +894,7 @@ impl QueryEngine {
                 QueryValue::Clients(out)
             }
             QueryPlan::AppClientCount(_, app) => {
-                let bit = 1u64 << (app as usize);
-                let resolved =
-                    self.admitted_windows(plan, |z| z.apps_present & bit != 0, FAM_USAGE);
+                let resolved = self.resolved_windows(plan, FAM_USAGE);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -954,11 +913,7 @@ impl QueryEngine {
                 QueryValue::Count(count)
             }
             QueryPlan::LinkKeys(_, band) => {
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.link_keys_per_band[band as usize] > 0,
-                    FAM_LINKS,
-                );
+                let resolved = self.resolved_windows(plan, FAM_LINKS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -975,36 +930,37 @@ impl QueryEngine {
                 );
                 QueryValue::LinkKeys(keys)
             }
-            QueryPlan::LinkSeries(_, key) => {
-                let in_range = |z: &WindowZoneMap| {
-                    z.link_key_range
-                        .is_some_and(|(lo, hi)| lo <= key && key <= hi)
-                };
-                let stacks = self.admitted_segment_views(plan, in_range);
-                for segs in &stacks {
-                    // Newest-first within the stack: a delta row carries
-                    // the full series, so the first hit is the answer.
-                    // Per-segment zone ranges skip the binary searches
-                    // that cannot match.
-                    for w in segs.iter().rev().filter(|w| in_range(w.zone())) {
-                        if let Ok(i) = w.link_keys.binary_search(&key) {
-                            let (ts, ratio) = w.link_series_at(i);
-                            return QueryValue::Series(
-                                (0..ts.len())
-                                    .map(|j| ColumnarWindow::link_observation(ts, ratio, j))
-                                    .collect(),
-                            );
-                        }
+            QueryPlan::LinkSeries(window, key) => {
+                // Routed, not scanned: a link's rows are filed by the
+                // report of its receiving device, so they live in the one
+                // shard `(window, rx_device)` hashes to. That is exact
+                // for every stack here: segments are only cut from shards
+                // filled through `shard_index`, and `ShardedStore::open`
+                // takes the shard count from the manifest that
+                // partitioned them, never from the caller.
+                let stacks = self.snapshot.columnar();
+                let views = window_views(
+                    &stacks[shard_index(window, key.rx_device, stacks.len())],
+                    window,
+                );
+                let scanned = u64::from(!views.is_empty());
+                self.record_admission(plan, scanned, stacks.len() as u64 - scanned);
+                // Newest-first within the stack: a delta row carries the
+                // full series, so the first hit is the answer.
+                for w in views.iter().rev() {
+                    if let Ok(i) = w.link_keys.binary_search(&key) {
+                        let (ts, ratio) = w.link_series_at(i);
+                        return QueryValue::Series(
+                            (0..ts.len())
+                                .map(|j| ColumnarWindow::link_observation(ts, ratio, j))
+                                .collect(),
+                        );
                     }
                 }
                 QueryValue::Series(Vec::new())
             }
             QueryPlan::LatestDeliveryRatios(_, band) => {
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.link_keys_per_band[band as usize] > 0,
-                    FAM_LINKS,
-                );
+                let resolved = self.resolved_windows(plan, FAM_LINKS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -1029,11 +985,7 @@ impl QueryEngine {
                 QueryValue::Ratios(ratios)
             }
             QueryPlan::MeanDeliveryRatios(_, band) => {
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.link_keys_per_band[band as usize] > 0,
-                    FAM_LINKS,
-                );
+                let resolved = self.resolved_windows(plan, FAM_LINKS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -1062,11 +1014,7 @@ impl QueryEngine {
                 QueryValue::Ratios(ratios)
             }
             QueryPlan::ServingUtilizations(_, band) => {
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.airtime_rows_per_band[band as usize] > 0,
-                    FAM_AIRTIME,
-                );
+                let resolved = self.resolved_windows(plan, FAM_AIRTIME);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 let sels: Vec<Vec<u32>> = wins
@@ -1094,52 +1042,15 @@ impl QueryEngine {
                 );
                 QueryValue::Ratios(ratios)
             }
-            QueryPlan::CensusDeviceCount(window) => {
-                if self.window_is_flat(window) {
-                    // Zone-only: the answer is a sum of zone-map
-                    // counters, so every shard is "pruned" (no column
-                    // scanned).
-                    self.record_admission(plan, 0, self.snapshot.columnar().len() as u64);
-                    QueryValue::Count(self.zone_sum(window, |z| z.census_devices as u64))
-                } else {
-                    // Overlapping deltas can shadow the same device, so
-                    // the zone counters overcount: resolve and count
-                    // distinct census filers per shard instead.
-                    let resolved =
-                        self.admitted_windows(plan, |z| z.census_devices > 0, FAM_CENSUS);
-                    QueryValue::Count(
-                        resolved
-                            .iter()
-                            .flatten()
-                            .map(|v| v.get().census_device.len() as u64)
-                            .sum(),
-                    )
-                }
+            QueryPlan::CensusDeviceCount(_) => {
+                let resolved = self.resolved_windows(plan, FAM_CENSUS);
+                QueryValue::Count(census_filers(&resolved))
             }
-            QueryPlan::NearbySummary(window, band) => {
+            QueryPlan::NearbySummary(_, band) => {
+                let resolved = self.resolved_windows(plan, FAM_CENSUS);
                 // Devices count every census filer regardless of band
-                // (legacy semantics): straight from the zones when no
-                // stack overlaps, from the resolved views otherwise
-                // (shadowed filers must count once).
-                let flat = self.window_is_flat(window);
-                let resolved = if flat {
-                    self.admitted_windows(
-                        plan,
-                        |z| z.census_rows_per_band[band as usize] > 0,
-                        FAM_CENSUS,
-                    )
-                } else {
-                    self.admitted_windows(plan, |z| z.census_devices > 0, FAM_CENSUS)
-                };
-                let devices = if flat {
-                    self.zone_sum(window, |z| z.census_devices as u64)
-                } else {
-                    resolved
-                        .iter()
-                        .flatten()
-                        .map(|v| v.get().census_device.len() as u64)
-                        .sum()
-                };
+                // (legacy semantics).
+                let devices = census_filers(&resolved);
                 let (mut total, mut hotspots) = (0u64, 0u64);
                 for w in resolved.iter().flatten().map(ResolvedView::get) {
                     // Branchless mask-multiply accumulate: non-matching
@@ -1167,11 +1078,7 @@ impl QueryEngine {
                     .into_iter()
                     .map(|ch| (ch.number, 0))
                     .collect();
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.census_rows_per_band[band as usize] > 0,
-                    FAM_CENSUS,
-                );
+                let resolved = self.resolved_windows(plan, FAM_CENSUS);
                 for w in resolved.iter().flatten().map(ResolvedView::get) {
                     let sel = select_indices(w.census_band.len(), |i| w.census_band[i] == band);
                     for &i in &sel {
@@ -1182,12 +1089,13 @@ impl QueryEngine {
                 QueryValue::PerChannel(per.into_iter().collect())
             }
             QueryPlan::Crashes(_) => {
-                let resolved = self.admitted_windows(plan, |z| z.crash_devices > 0, FAM_CRASHES);
+                let resolved = self.resolved_windows(plan, FAM_CRASHES);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
-                // Presence semantics: a zone with crash_devices > 0 is
-                // exactly a shard whose crash table is non-empty.
-                if wins.is_empty() {
+                // Presence mirrors the legacy backend: an aggregator
+                // exists once some device filed a crash payload, even an
+                // empty one (it still leaves the device's row).
+                if wins.iter().all(|w| w.crash_device.is_empty()) {
                     return QueryValue::Crashes(None);
                 }
                 // Devices are shard-disjoint: a sorted index over
@@ -1207,15 +1115,11 @@ impl QueryEngine {
                 QueryValue::Crashes(Some(aggregator))
             }
             QueryPlan::ScanObservations(_, band) => {
-                let resolved = self.admitted_windows(
-                    plan,
-                    |z| z.scan_obs_per_band[band as usize] > 0,
-                    FAM_SCANS,
-                );
+                let resolved = self.resolved_windows(plan, FAM_SCANS);
                 let wins: Vec<&ColumnarWindow> =
                     resolved.iter().flatten().map(ResolvedView::get).collect();
                 // Pass 1: branch-free selection over the flat channel
-                // column of each admitted shard.
+                // column of each shard.
                 let sels: Vec<Vec<u32>> = wins
                     .iter()
                     .map(|w| {
@@ -1704,7 +1608,7 @@ mod tests {
     use super::*;
     use crate::store::ShardedStore;
     use airstat_classify::mac::Oui;
-    use airstat_telemetry::report::{Report, ReportPayload, UsageRecord};
+    use airstat_telemetry::report::{LinkRecord, Report, ReportPayload, UsageRecord};
 
     const W: WindowId = WindowId(1501);
 
@@ -1811,6 +1715,62 @@ mod tests {
         cache.insert(1, QueryPlan::ClientCount(W), QueryValue::Count(10));
         assert!(cache.get(2, &QueryPlan::ClientCount(W)).is_none());
         assert!(cache.get(1, &QueryPlan::ClientCount(W)).is_some());
+    }
+
+    /// One link report from `device`, hearing `peer` on 5 GHz.
+    fn link_report(device: u64, peer: u64) -> Report {
+        Report {
+            device,
+            seq: 0,
+            timestamp_s: 60,
+            payload: ReportPayload::Links(vec![LinkRecord {
+                peer_device: peer,
+                band: Band::Ghz5,
+                probes_expected: 10,
+                probes_received: 7,
+            }]),
+        }
+    }
+
+    #[test]
+    fn a_link_series_reads_only_the_shard_its_receiver_routes_to() {
+        // Forty receivers spread over all eight shards, so every shard's
+        // link keys span rx_device 20: only routing can skip a shard.
+        let mut store = ShardedStore::new(8);
+        let reports: Vec<Report> = (0..40).map(|d| link_report(d, d + 100)).collect();
+        store.ingest_batch(W, &reports);
+        // One receiver in a second window, so seven shards lack it.
+        const W2: WindowId = WindowId(1407);
+        store.ingest_batch(W2, &[link_report(0, 100)]);
+        let engine = QueryEngine::new(store.seal(), 2);
+        let legacy = QueryEngine::with_backend(engine.snapshot().clone(), 2, QueryBackend::Legacy);
+        let scans = |engine: &QueryEngine| {
+            let stats = engine.stats();
+            (stats.shards_scanned, stats.shards_pruned)
+        };
+
+        let key = LinkKey {
+            rx_device: 20,
+            tx_device: 120,
+            band: Band::Ghz5,
+        };
+        let series = engine.link_series(W, key);
+        assert_eq!(series.len(), 1);
+        assert_eq!(series, legacy.link_series(W, key));
+        assert_eq!(scans(&engine), (1, 7), "one cold plan reads one shard");
+
+        // A receiver whose owning shard holds no segment for W2: nothing
+        // is read and the series is empty.
+        let stranger = (1..)
+            .find(|&d| store.shard_of(W2, d) != store.shard_of(W2, 0))
+            .expect("eight shards leave room for another owner");
+        let key = LinkKey {
+            rx_device: stranger,
+            ..key
+        };
+        assert!(engine.link_series(W2, key).is_empty());
+        assert!(legacy.link_series(W2, key).is_empty());
+        assert_eq!(scans(&engine), (1, 15));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! The `(window, device)` routing has a consequence the read side leans
 //! on hard: device-keyed data is **shard-disjoint** (a device's rows for
 //! one window live in exactly one shard), so cross-shard merges of
-//! device-keyed columns are pure unions, and a shard whose seal-time
-//! [`crate::columnar::WindowZoneMap`] shows no rows for a plan's filter
-//! can be skipped without changing a single output byte.
+//! device-keyed columns are pure unions, and a point lookup on a
+//! device-keyed row — a link series, keyed by its receiving device —
+//! reads only the shard the device routes to.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};

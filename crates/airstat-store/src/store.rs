@@ -346,11 +346,6 @@ impl ShardedStore {
         self.persistence
     }
 
-    /// The store's shape.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -460,8 +455,7 @@ impl ShardedStore {
     /// [`SegmentStack`] up to date — **incrementally**: only the rows
     /// dirtied since the previous seal are projected (in parallel across
     /// shards via [`run_ordered`]) into one new delta [`ColumnarShard`],
-    /// complete with per-window [`crate::columnar::WindowZoneMap`]s, so
-    /// seal cost tracks the delta, not the campaign. A deterministic
+    /// so seal cost tracks the delta, not the campaign. A deterministic
     /// size-tiered compaction pass then folds the newest segments
     /// together while the older of the top two holds fewer than
     /// `COMPACTION_RATIO`× the newer one's rows, keeping stacks
@@ -576,7 +570,7 @@ fn seal_shard(
 
 /// Routes `(window, device)` to a shard with a splitmix64 hash, so the
 /// partition is stable across runs and independent of HashMap seeds.
-fn shard_index(window: WindowId, device: u64, shards: usize) -> usize {
+pub(crate) fn shard_index(window: WindowId, device: u64, shards: usize) -> usize {
     (splitmix64(device ^ (u64::from(window.0) << 48)) % shards as u64) as usize
 }
 
@@ -584,8 +578,8 @@ fn shard_index(window: WindowId, device: u64, shards: usize) -> usize {
 /// physical layouts: the row-oriented shard tables (the write layout)
 /// and their segmented columnar projection (the read layout the
 /// [`crate::query::QueryBackend::Vectorized`] kernels scan — a
-/// [`SegmentStack`] of delta segments per shard, each segment carrying
-/// the zone maps those kernels consult before touching its columns).
+/// [`SegmentStack`] of delta segments per shard, in the shard order
+/// [`ShardedStore::shard_of`] routes reports by).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,

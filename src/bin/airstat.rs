@@ -15,9 +15,11 @@
 //! Reports land in a sharded snapshot store (`--shards`, default 8) and
 //! the analytics run through its parallel cached query engine; stdout is
 //! byte-identical for every `--shards`/`--threads` combination, and
-//! the store's cache and zone-pruning statistics print to stderr
-//! (`--explain` adds one line per plan computed cold: its name and the
-//! shards its zone admission scanned and pruned).
+//! the store's cache and shard-scan statistics print to stderr
+//! (`--explain` adds one line per plan computed cold: its name, the
+//! shards it read, and the shards it skipped because they hold no
+//! segment for its window or, for a link series, are not the shard the
+//! link's reports route to).
 //!
 //! `--store-dir DIR` makes the run durable: batches stream into a
 //! crash-safe tail log and the final store is committed as columnar
@@ -79,8 +81,9 @@ fn usage() -> &'static str {
                    degradation report; NAME is one of zero, tunnel-loss,\n\
                    dc-outage, queue-pressure, queue-pressure-fleet\n\
      --explain     print one stderr line per plan the vectorized engine\n\
-                   computes cold: plan name, shards scanned, shards\n\
-                   pruned by the zone maps\n\
+                   computes cold: plan name, shards read, shards skipped\n\
+                   (no segment for the plan's window, or not the shard\n\
+                   a link series routes to)\n\
      --seal-every N\n\
                    re-seal the store's columnar read layout every N\n\
                    ingested batches mid-campaign (incremental delta\n\

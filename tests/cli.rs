@@ -283,12 +283,12 @@ fn explain_accounts_for_every_cold_plan() {
     }
     assert_eq!(
         lines.iter().map(|l| l.0).sum::<u64>(),
-        stat(&run, "zone pruning", "shards"),
+        stat(&run, "shard pruning", "shards"),
         "scanned columns sum to the stats block's total"
     );
     assert_eq!(
         lines.iter().map(|l| l.1).sum::<u64>(),
-        stat(&run, "zone pruning", "pruned"),
+        stat(&run, "shard pruning", "pruned"),
         "pruned columns sum to the stats block's total"
     );
 }

@@ -2,7 +2,7 @@
 //! the legacy map-backed oracle.
 //!
 //! Both backends read the same sealed snapshot — the vectorized two-pass
-//! kernels with zone-map pruning over its columnar projection, the
+//! kernels over its columnar projection, the
 //! legacy fold over its row tables — so every [`FleetQuery`] method
 //! must match **exactly** — including the float-valued ones, because
 //! each kernel reproduces the legacy canonical merge order and
