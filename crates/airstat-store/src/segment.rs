@@ -9,8 +9,8 @@
 //! Design points, in the order they matter:
 //!
 //! * **Segments store the row tables, not the columnar projection.**
-//!   `seal()` rebuilds every [`crate::columnar::ColumnarShard`] (and its
-//!   zone maps) deterministically from the row tables, so persisting the
+//!   `seal()` rebuilds every [`crate::columnar::ColumnarShard`]
+//!   deterministically from the row tables, so persisting the
 //!   rows is sufficient for both query backends to answer
 //!   byte-identically after a reload — the differential tests pin this.
 //!   The per-`(window, device)` dedup ledger and the accepted/duplicate
