@@ -10,6 +10,11 @@
 //! scan kernel touches contiguous memory and a cross-shard merge is a
 //! k-way walk over pre-sorted runs instead of map clones.
 //!
+//! The layout is lossless — `ColumnarWindow::unpack` rebuilds the
+//! tables it was packed from — so it is also what a segment file
+//! decodes to: an opened store reads its files as sealed segments and
+//! unpacks row tables only for a shard that needs rows.
+//!
 //! Layout contract (what makes the kernels over this layout
 //! byte-identical to the map-backed fold):
 //!
@@ -49,6 +54,10 @@ use crate::shard::{CensusRows, ClientMeta, DirtyShard, DirtyWindow, StoreShard, 
 /// discriminant).
 pub(crate) const APP_LANES: usize = Application::ALL.len();
 
+// One `u64` bitmask holds a bit per lane
+// ([`ColumnarWindow::app_masks_by_mac`]).
+const _: () = assert!(APP_LANES <= 64);
+
 /// Dense accumulator lanes for [`OsFamily`] (indexed by discriminant).
 pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
 
@@ -69,6 +78,11 @@ impl ColumnarShard {
                 .map(|(window, tables)| (window, ColumnarWindow::build(tables)))
                 .collect(),
         }
+    }
+
+    /// A shard of already-packed windows (segment decode).
+    pub(crate) fn from_windows(windows: BTreeMap<WindowId, ColumnarWindow>) -> Self {
+        ColumnarShard { windows }
     }
 
     /// The columnar tables for `window`, if the shard holds any.
@@ -121,18 +135,48 @@ impl ColumnarShard {
             .collect();
         for (&window, old) in &older.windows {
             let merged = match newer.windows.get(&window) {
-                Some(new) => {
-                    let room = ColumnarWindow::with_room_for(old, new);
-                    let mut w = merge_segments_into(room, &[old, new], FAM_ALL);
-                    w.shrink_to_fit();
-                    w
-                }
+                Some(new) => ColumnarWindow::merged(&[old, new]),
                 None => old.clone(),
             };
             windows.insert(window, merged);
         }
         windows.retain(|_, w| w.row_count() > 0);
         ColumnarShard { windows }
+    }
+
+    /// One shard's on-disk delta chain, decoded file by file (oldest to
+    /// newest), folded into the single segment a monolithic persist of
+    /// the same rows would have decoded to: newest-wins per key, and —
+    /// unlike a compaction [`ColumnarShard::merge`] — every window any
+    /// file names, row-less ones included, as the row tables hold them.
+    /// A window only one file holds is moved, not copied.
+    pub(crate) fn fold(chain: Vec<ColumnarShard>) -> Self {
+        let mut by_window: BTreeMap<WindowId, Vec<ColumnarWindow>> = BTreeMap::new();
+        for segment in chain {
+            for (window, columns) in segment.windows {
+                by_window.entry(window).or_default().push(columns);
+            }
+        }
+        let windows = by_window
+            .into_iter()
+            .map(|(window, mut held)| {
+                let folded = match held.len() {
+                    1 => held.pop().expect("invariant: one window was pushed"),
+                    _ => ColumnarWindow::merged(&held.iter().collect::<Vec<_>>()),
+                };
+                (window, folded)
+            })
+            .collect();
+        ColumnarShard { windows }
+    }
+
+    /// The row tables these columns were packed from, window by window —
+    /// the inverse of [`ColumnarShard::build`].
+    pub(crate) fn unpack(&self) -> BTreeMap<WindowId, WindowTables> {
+        self.windows
+            .iter()
+            .map(|(&window, columns)| (window, columns.unpack()))
+            .collect()
     }
 
     /// Total keyed rows across all windows and tables — the size the
@@ -172,11 +216,14 @@ pub struct ColumnarWindow {
     pub(crate) airtime_key: Vec<(u64, Band)>,
     pub(crate) airtime_elapsed: Vec<u64>,
     pub(crate) airtime_busy: Vec<u64>,
-    // census: CSR — latest neighbour rows, grouped by device. The scan
-    // kernels only need whole-window sums, but the newest-wins segment
-    // merge must replace a device's census wholesale, so offsets are
-    // kept alongside the flat row columns.
+    pub(crate) airtime_wifi: Vec<u64>,
+    // census: CSR — latest neighbour rows, grouped by device, with the
+    // provenance of the census that won. The scan kernels only need
+    // whole-window sums, but the newest-wins segment merge must replace
+    // a device's census wholesale, so offsets are kept alongside the
+    // flat row columns.
     pub(crate) census_device: Vec<u64>,
+    pub(crate) census_meta: Vec<ClientMeta>,
     pub(crate) census_offsets: Vec<usize>,
     pub(crate) census_band: Vec<Band>,
     pub(crate) census_channel: Vec<u16>,
@@ -186,16 +233,18 @@ pub struct ColumnarWindow {
     // order.
     pub(crate) scan_device: Vec<u64>,
     pub(crate) scan_offsets: Vec<usize>,
+    pub(crate) scan_key: Vec<(u64, u32)>,
     pub(crate) scan_ts: Vec<u64>,
     pub(crate) scan_channel: Vec<Channel>,
     pub(crate) scan_util_ppm: Vec<u32>,
     pub(crate) scan_decodable_ppm: Vec<u32>,
     pub(crate) scan_networks: Vec<u32>,
     // crashes: CSR — crash reports per device, (seq, slot) order. The
-    // rows stay whole (they carry a firmware string); only the device
-    // key column is packed.
+    // rows stay whole (they carry a firmware string); only the key
+    // columns are packed.
     pub(crate) crash_device: Vec<u64>,
     pub(crate) crash_offsets: Vec<usize>,
+    pub(crate) crash_key: Vec<(u64, u32)>,
     pub(crate) crash_rows: Vec<CrashReport>,
 }
 
@@ -207,6 +256,18 @@ fn row_bound(rows: &impl Iterator) -> usize {
 }
 
 impl ColumnarWindow {
+    /// A window with no rows, shaped as [`ColumnarWindow::pack`] leaves
+    /// empty tables: every CSR offsets column holds its leading 0.
+    pub(crate) fn empty() -> Self {
+        ColumnarWindow {
+            link_offsets: vec![0],
+            census_offsets: vec![0],
+            scan_offsets: vec![0],
+            crash_offsets: vec![0],
+            ..ColumnarWindow::default()
+        }
+    }
+
     /// The full projection of one window's tables.
     fn build(t: &WindowTables) -> Self {
         Self::pack(
@@ -307,18 +368,22 @@ impl ColumnarWindow {
         w.airtime_key.reserve_exact(rows);
         w.airtime_elapsed.reserve_exact(rows);
         w.airtime_busy.reserve_exact(rows);
+        w.airtime_wifi.reserve_exact(rows);
         for (&key, ledger) in airtime {
             w.airtime_key.push(key);
             w.airtime_elapsed.push(ledger.elapsed_us());
             w.airtime_busy.push(ledger.busy_us());
+            w.airtime_wifi.push(ledger.wifi_us());
         }
 
         let rows = row_bound(&neighbors);
         w.census_device.reserve_exact(rows);
+        w.census_meta.reserve_exact(rows);
         w.census_offsets.reserve_exact(rows + 1);
         w.census_offsets.push(0);
-        for (&device, (_, census)) in neighbors {
+        for (&device, &(meta, ref census)) in neighbors {
             w.census_device.push(device);
+            w.census_meta.push(meta);
             for &(band, number, networks, hotspots) in census {
                 w.census_band.push(band);
                 w.census_channel.push(number);
@@ -334,7 +399,8 @@ impl ColumnarWindow {
         w.scan_offsets.push(0);
         for (&device, obs) in scans {
             w.scan_device.push(device);
-            for o in obs.values() {
+            for (&key, o) in obs {
+                w.scan_key.push(key);
                 w.scan_ts.push(o.timestamp_s);
                 w.scan_channel.push(o.record.channel);
                 w.scan_util_ppm.push(o.record.utilization_ppm);
@@ -350,12 +416,85 @@ impl ColumnarWindow {
         w.crash_offsets.push(0);
         for (&device, reports) in crashes {
             w.crash_device.push(device);
+            w.crash_key.extend(reports.keys());
             w.crash_rows.extend(reports.values().cloned());
             w.crash_offsets.push(w.crash_rows.len());
         }
 
         w.shrink_csr_values();
         w
+    }
+
+    /// The inverse of [`ColumnarWindow::pack`]: the seven tables these
+    /// columns hold, each bulk-built from its ascending key column.
+    fn unpack(&self) -> WindowTables {
+        let usage = (0..self.usage_mac.len()).map(|i| {
+            let totals = UsageTotals {
+                up_bytes: self.usage_up[i],
+                down_bytes: self.usage_down[i],
+            };
+            ((self.usage_mac[i], self.usage_app[i]), totals)
+        });
+        let clients = (0..self.client_mac.len()).map(|i| {
+            let identity = ClientIdentity {
+                os: self.client_os[i],
+                caps: self.client_caps[i],
+                band: self.client_band[i],
+                rssi_dbm: self.client_rssi[i],
+            };
+            (self.client_mac[i], (self.client_meta[i], identity))
+        });
+        let links = (0..self.link_keys.len()).map(|i| {
+            let (ts, ratio) = self.link_series_at(i);
+            let series = (0..ts.len())
+                .map(|j| Self::link_observation(ts, ratio, j))
+                .collect();
+            (self.link_keys[i], series)
+        });
+        let airtime = (0..self.airtime_key.len()).map(|i| {
+            // Packed ledgers hold `wifi ≤ busy ≤ elapsed`, so one
+            // `account` restores each exactly.
+            let mut ledger = AirtimeLedger::default();
+            ledger.account(
+                self.airtime_elapsed[i],
+                self.airtime_busy[i],
+                self.airtime_wifi[i],
+            );
+            (self.airtime_key[i], ledger)
+        });
+        let neighbors = (0..self.census_device.len()).map(|i| {
+            let rows = self
+                .census_rows_at(i)
+                .map(|j| {
+                    (
+                        self.census_band[j],
+                        self.census_channel[j],
+                        self.census_networks[j],
+                        self.census_hotspots[j],
+                    )
+                })
+                .collect();
+            (self.census_device[i], (self.census_meta[i], rows))
+        });
+        let scans = (0..self.scan_device.len()).map(|i| {
+            let rows = self.scan_rows_at(i);
+            let obs = rows.map(|j| (self.scan_key[j], self.scan_observation(j)));
+            (self.scan_device[i], obs.collect())
+        });
+        let crashes = (0..self.crash_device.len()).map(|i| {
+            let rows = self.crash_offsets[i]..self.crash_offsets[i + 1];
+            let reports = rows.map(|j| (self.crash_key[j], self.crash_rows[j].clone()));
+            (self.crash_device[i], reports.collect())
+        });
+        WindowTables {
+            usage: usage.collect(),
+            clients: clients.collect(),
+            links: links.collect(),
+            airtime: airtime.collect(),
+            neighbors: neighbors.collect(),
+            scans: scans.collect(),
+            crashes: crashes.collect(),
+        }
     }
 
     /// Keyed rows across all seven tables.
@@ -369,14 +508,14 @@ impl ColumnarWindow {
             + self.crash_device.len()
     }
 
-    /// An empty window whose columns can take every row of `a` and `b`
-    /// without regrowing — an upper bound on their merge, tight when the
-    /// two hold disjoint keys.
-    fn with_room_for(a: &ColumnarWindow, b: &ColumnarWindow) -> Self {
+    /// An empty window whose columns can take every row of `segs`
+    /// without regrowing — an upper bound on their merge, tight when they
+    /// hold disjoint keys.
+    fn with_room_for(segs: &[&ColumnarWindow]) -> Self {
         let mut w = ColumnarWindow::default();
         macro_rules! reserve {
             ($($col:ident),*) => {
-                $(w.$col.reserve_exact(a.$col.len() + b.$col.len());)*
+                $(w.$col.reserve_exact(segs.iter().map(|s| s.$col.len()).sum());)*
             };
         }
         reserve!(usage_mac, usage_app, usage_up, usage_down);
@@ -389,17 +528,25 @@ impl ColumnarWindow {
             client_rssi
         );
         reserve!(link_keys, link_offsets, link_ts, link_ratio);
-        reserve!(airtime_key, airtime_elapsed, airtime_busy);
-        reserve!(census_device, census_offsets);
+        reserve!(airtime_key, airtime_elapsed, airtime_busy, airtime_wifi);
+        reserve!(census_device, census_meta, census_offsets);
         reserve!(
             census_band,
             census_channel,
             census_networks,
             census_hotspots
         );
-        reserve!(scan_device, scan_offsets, scan_ts, scan_channel);
+        reserve!(scan_device, scan_offsets, scan_key, scan_ts, scan_channel);
         reserve!(scan_util_ppm, scan_decodable_ppm, scan_networks);
-        reserve!(crash_device, crash_offsets, crash_rows);
+        reserve!(crash_device, crash_offsets, crash_key, crash_rows);
+        w
+    }
+
+    /// The newest-wins merge of `segs` (oldest to newest), every table
+    /// family, cut at exact capacity.
+    fn merged(segs: &[&ColumnarWindow]) -> Self {
+        let mut w = merge_segments_into(Self::with_room_for(segs), segs, FAM_ALL);
+        w.shrink_to_fit();
         w
     }
 
@@ -422,7 +569,9 @@ impl ColumnarWindow {
         self.airtime_key.shrink_to_fit();
         self.airtime_elapsed.shrink_to_fit();
         self.airtime_busy.shrink_to_fit();
+        self.airtime_wifi.shrink_to_fit();
         self.census_device.shrink_to_fit();
+        self.census_meta.shrink_to_fit();
         self.census_offsets.shrink_to_fit();
         self.scan_device.shrink_to_fit();
         self.scan_offsets.shrink_to_fit();
@@ -440,11 +589,13 @@ impl ColumnarWindow {
         self.census_channel.shrink_to_fit();
         self.census_networks.shrink_to_fit();
         self.census_hotspots.shrink_to_fit();
+        self.scan_key.shrink_to_fit();
         self.scan_ts.shrink_to_fit();
         self.scan_channel.shrink_to_fit();
         self.scan_util_ppm.shrink_to_fit();
         self.scan_decodable_ppm.shrink_to_fit();
         self.scan_networks.shrink_to_fit();
+        self.crash_key.shrink_to_fit();
         self.crash_rows.shrink_to_fit();
     }
 
@@ -515,6 +666,26 @@ impl ColumnarWindow {
             slot.down_bytes = slot.down_bytes.saturating_add(self.usage_down[i]);
         }
         (macs, totals)
+    }
+
+    /// Pass 1 of the distinct-client count per application: one row per
+    /// MAC with a bit set for every application it has a cell for (bit
+    /// `app as usize`) — a linear group-by over the contiguous key
+    /// column, like [`ColumnarWindow::usage_totals_by_mac`].
+    pub(crate) fn app_masks_by_mac(&self) -> (Vec<MacAddress>, Vec<u64>) {
+        let mut macs = Vec::new();
+        let mut masks: Vec<u64> = Vec::new();
+        for i in 0..self.usage_mac.len() {
+            let mac = self.usage_mac[i];
+            if macs.last() != Some(&mac) {
+                macs.push(mac);
+                masks.push(0);
+            }
+            *masks
+                .last_mut()
+                .expect("invariant: pushed alongside macs above") |= 1 << self.usage_app[i] as u32;
+        }
+        (macs, masks)
     }
 
     /// Vectorized per-app rollup: adds this window's usage cells into
@@ -733,6 +904,7 @@ fn merge_segments_into(
                 w.airtime_key.push(key);
                 w.airtime_elapsed.push(segs[r].airtime_elapsed[i]);
                 w.airtime_busy.push(segs[r].airtime_busy[i]);
+                w.airtime_wifi.push(segs[r].airtime_wifi[i]);
             },
         );
     }
@@ -746,6 +918,7 @@ fn merge_segments_into(
                 let (r, i) = newest(members);
                 let rows = segs[r].census_rows_at(i);
                 w.census_device.push(device);
+                w.census_meta.push(segs[r].census_meta[i]);
                 w.census_band
                     .extend_from_slice(&segs[r].census_band[rows.clone()]);
                 w.census_channel
@@ -768,6 +941,8 @@ fn merge_segments_into(
                 let (r, i) = newest(members);
                 let rows = segs[r].scan_rows_at(i);
                 w.scan_device.push(device);
+                w.scan_key
+                    .extend_from_slice(&segs[r].scan_key[rows.clone()]);
                 w.scan_ts.extend_from_slice(&segs[r].scan_ts[rows.clone()]);
                 w.scan_channel
                     .extend_from_slice(&segs[r].scan_channel[rows.clone()]);
@@ -789,8 +964,11 @@ fn merge_segments_into(
             |r, i| segs[r].crash_device[i],
             |device, members| {
                 let (r, i) = newest(members);
+                let rows = segs[r].crash_offsets[i]..segs[r].crash_offsets[i + 1];
                 w.crash_device.push(device);
-                w.crash_rows.extend_from_slice(segs[r].crash_rows_at(i));
+                w.crash_key
+                    .extend_from_slice(&segs[r].crash_key[rows.clone()]);
+                w.crash_rows.extend_from_slice(&segs[r].crash_rows[rows]);
                 w.crash_offsets.push(w.crash_rows.len());
             },
         );

@@ -768,17 +768,31 @@ impl QueryEngine {
                         _ => add_usage_by_app_stack(segs, &mut lanes),
                     }
                 }
-                // Distinct clients: count distinct (mac, app) cells with
-                // a zero-copy cursor walk over every segment's sorted key
-                // columns — a cell shadowed across deltas lands in the
-                // same group as a cross-shard duplicate and counts once.
+                // Distinct clients per app: every segment collapses to
+                // sorted (mac, app bitmask) runs, then one k-way walk
+                // over MACs ORs each MAC's masks — a cell shadowed across
+                // deltas sets the same bit as a cross-shard duplicate —
+                // and counts the set bits per lane.
                 let flat: Vec<&ColumnarWindow> = stacks.iter().flatten().copied().collect();
+                let mut runs = Vec::with_capacity(flat.len());
+                run_ordered(
+                    self.threads,
+                    flat.len(),
+                    |r| flat[r].app_masks_by_mac(),
+                    |_, run| runs.push(run),
+                );
                 let mut counts = [0u64; APP_LANES];
-                let lens: Vec<usize> = flat.iter().map(|w| w.usage_mac.len()).collect();
+                let lens: Vec<usize> = runs.iter().map(|(macs, _)| macs.len()).collect();
                 kway_groups(
                     &lens,
-                    |r, i| (flat[r].usage_mac[i], flat[r].usage_app[i]),
-                    |(_, app), _| counts[app as usize] += 1,
+                    |r, i| runs[r].0[i],
+                    |_, members| {
+                        let mut apps = members.iter().fold(0u64, |m, &(r, i)| m | runs[r].1[i]);
+                        while apps != 0 {
+                            counts[apps.trailing_zeros() as usize] += 1;
+                            apps &= apps - 1;
+                        }
+                    },
                 );
                 // Emit ascending discriminant == ascending `Ord`, matching
                 // the legacy `BTreeMap<Application>` iteration order.

@@ -8,14 +8,17 @@
 //!
 //! Design points, in the order they matter:
 //!
-//! * **Segments store the row tables, not the columnar projection.**
-//!   `seal()` rebuilds every [`crate::columnar::ColumnarShard`]
-//!   deterministically from the row tables, so persisting the
-//!   rows is sufficient for both query backends to answer
-//!   byte-identically after a reload — the differential tests pin this.
-//!   The per-`(window, device)` dedup ledger and the accepted/duplicate
-//!   counters are persisted too, so tail-log replay and post-reload
-//!   ingest dedup exactly as the pre-crash store would have.
+//! * **Decode lands in the sealed layout.** A segment stores each table
+//!   column-major, keys ascending, which is the order of the in-memory
+//!   [`crate::columnar::ColumnarShard`]; the table decoders move the
+//!   columns straight into one, so a file decodes to the segment a seal
+//!   would project from the shard that wrote it, and
+//!   [`ShardedStore::open`] hands it to the shard's stack as sealed.
+//!   Row tables are built from it only when something needs rows (see
+//!   [`crate::shard::StoreShard`]). The per-`(window, device)` dedup
+//!   ledger and the accepted/duplicate counters are persisted too, so
+//!   tail-log replay and post-reload ingest dedup exactly as the
+//!   pre-crash store would have.
 //! * **Every block is CRC32-guarded** and the fixed header carries a
 //!   zone-map summary that decode re-verifies, so corruption surfaces as
 //!   a typed [`SegmentError`], never as a panic or silently wrong bytes.
@@ -43,9 +46,10 @@ use airstat_telemetry::backend::{
     ClientIdentity, LinkKey, LinkObservation, ScanObservation, UsageTotals, WindowId,
 };
 use airstat_telemetry::crash::{CrashReport, RebootReason};
-use airstat_telemetry::report::{ChannelScanRecord, Report};
+use airstat_telemetry::report::Report;
 use airstat_telemetry::wire::{put_varint, WireError};
 
+use crate::columnar::{ColumnarShard, ColumnarWindow};
 use crate::shard::{ClientMeta, SeqSet, StoreShard, WindowTables};
 use crate::store::{ReportSink, ShardedStore, StoreConfig};
 
@@ -874,22 +878,34 @@ fn put_preamble(out: &mut Vec<u8>, magic: [u8; 4]) {
     out.extend_from_slice(&SEGMENT_SCHEMA_VERSION.to_le_bytes());
 }
 
+/// [`table_rows`] over a window decoded into the sealed layout: the
+/// same seven terms, read off the columns they fill.
+fn sealed_rows(w: &ColumnarWindow) -> u64 {
+    (w.usage_mac.len()
+        + w.client_mac.len()
+        + w.link_ts.len()
+        + w.airtime_key.len()
+        + w.census_band.len()
+        + w.scan_ts.len()
+        + w.crash_rows.len()) as u64
+}
+
 /// The zone summary a segment header carries and decode re-verifies,
-/// of windows in ascending order: `(window count, lowest window,
-/// highest window, total rows)`, all `0` when there are no windows.
-fn zone_summary<'a>(
-    windows: impl Iterator<Item = (WindowId, &'a WindowTables)>,
-) -> (u32, u16, u16, u64) {
-    windows.fold((0, 0, 0, 0), |(n, lowest, _, rows), (window, tables)| {
+/// of `(window, rows)` in ascending window order: `(window count,
+/// lowest window, highest window, total rows)`, all `0` when there are
+/// no windows.
+fn zone_summary(windows: impl Iterator<Item = (WindowId, u64)>) -> (u32, u16, u16, u64) {
+    windows.fold((0, 0, 0, 0), |(n, lowest, _, total), (window, rows)| {
         let lowest = if n == 0 { window.0 } else { lowest };
-        (n + 1, lowest, window.0, rows + table_rows(tables))
+        (n + 1, lowest, window.0, total + rows)
     })
 }
 
 /// Encodes one shard as a complete segment byte image
 /// (docs/SEGMENT_FORMAT.md §§2–4).
 pub(crate) fn encode_segment(shard: &StoreShard, epoch: u64, index: u32, count: u32) -> Vec<u8> {
-    let (window_count, min_window, max_window, total_rows) = zone_summary(shard.windows());
+    let (window_count, min_window, max_window, total_rows) =
+        zone_summary(shard.windows().map(|(window, t)| (window, table_rows(t))));
     let mut w = SegmentWriter::default();
     put_preamble(&mut w.out, SEGMENT_MAGIC);
     w.out.extend_from_slice(&epoch.to_le_bytes());
@@ -925,15 +941,93 @@ pub(crate) fn encode_segment(shard: &StoreShard, epoch: u64, index: u32, count: 
 // Table decoders
 // ---------------------------------------------------------------------
 //
-// Every decoder reads its columns whole ([`Cursor::col`]) but the last,
-// which it reads straight into the rows in file order
-// ([`Cursor::col_indexed`]), and `collect()`s those into the table. The
-// encoders write keys ascending, so the collect's stable sort is one
-// linear pass and the tree is bulk-built from full nodes instead of
-// grown one `insert` at a time. Key order is not a decode error: on
-// out-of-order or repeated keys the last row for a key wins, exactly as
-// key-by-key `insert` resolved them (pinned by
+// Every decoder reads its table's columns whole ([`Cursor::col`]) and
+// moves them into the window's sealed columns
+// ([`crate::columnar::ColumnarWindow`]) as they stand: the encoders
+// write keys strictly ascending, which is the layout's own order. Key
+// order is not a decode error, though: on out-of-order or repeated keys
+// the rows are reordered through [`last_wins`], so the last row for a
+// key wins, exactly as key-by-key `insert` resolved them (pinned by
 // `out_of_order_and_duplicate_keys_decode_as_insert_would`).
+
+/// The rows of an `n`-row table to keep, in key order, when its keys
+/// are not strictly ascending: for each distinct key the last row filed
+/// under it. `None` — keep every row where it is — when they are.
+fn last_wins<K: Ord>(n: usize, key: impl Fn(usize) -> K) -> Option<Vec<usize>> {
+    if (1..n).all(|i| key(i - 1) < key(i)) {
+        return None;
+    }
+    let mut rows: Vec<usize> = (0..n).collect();
+    // Stable: rows under one key stay in file order, the last one last.
+    rows.sort_by_key(|&i| key(i));
+    let mut keep: Vec<usize> = Vec::with_capacity(n);
+    for i in rows {
+        match keep.last_mut() {
+            Some(last) if key(*last) == key(i) => *last = i,
+            _ => keep.push(i),
+        }
+    }
+    Some(keep)
+}
+
+/// `col` with the rows `order` keeps, in its order (see [`last_wins`]).
+fn gather<T: Clone>(col: Vec<T>, order: Option<&[usize]>) -> Vec<T> {
+    match order {
+        None => col,
+        Some(order) => order.iter().map(|&i| col[i].clone()).collect(),
+    }
+}
+
+/// CSR offsets (`len + 1` entries from 0) from per-key row counts.
+fn offsets_of(lens: &[Rows]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(lens.len() + 1);
+    offsets.push(0);
+    for len in lens {
+        offsets.push(offsets[offsets.len() - 1] + len.get());
+    }
+    offsets
+}
+
+/// A CSR table reordered by key: the groups `keep` names (from
+/// [`last_wins`] over the keys), in that order. Returns the new offsets
+/// and the flat rows to gather, in order.
+fn regroup(offsets: &[usize], keep: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let mut new_offsets = Vec::with_capacity(keep.len() + 1);
+    new_offsets.push(0);
+    let mut rows = Vec::new();
+    for &group in keep {
+        rows.extend(offsets[group]..offsets[group + 1]);
+        new_offsets.push(rows.len());
+    }
+    (new_offsets, rows)
+}
+
+/// A keyed CSR table's rows reordered by their `(seq, slot)` key within
+/// each group, last row per key winning: the new offsets and the flat
+/// rows to gather, or `None` when every group is strictly ascending.
+fn regroup_within(offsets: &[usize], key: &[(u64, u32)]) -> Option<(Vec<usize>, Vec<usize>)> {
+    let groups = offsets.len() - 1;
+    let ascending = |g: usize| {
+        key[offsets[g]..offsets[g + 1]]
+            .windows(2)
+            .all(|p| p[0] < p[1])
+    };
+    if (0..groups).all(ascending) {
+        return None;
+    }
+    let mut new_offsets = Vec::with_capacity(offsets.len());
+    new_offsets.push(0);
+    let mut rows = Vec::new();
+    for g in 0..groups {
+        let (lo, hi) = (offsets[g], offsets[g + 1]);
+        match last_wins(hi - lo, |j| key[lo + j]) {
+            None => rows.extend(lo..hi),
+            Some(keep) => rows.extend(keep.into_iter().map(|j| lo + j)),
+        }
+        new_offsets.push(rows.len());
+    }
+    Some((new_offsets, rows))
+}
 
 /// Reads the columns [`put_metas`] wrote.
 fn read_metas(
@@ -951,186 +1045,258 @@ fn read_metas(
 fn decode_usage(
     cur: &mut Cursor<'_>,
     apps: &[Option<Application>],
-) -> Result<BTreeMap<(MacAddress, Application), UsageTotals>, SegmentError> {
+    w: &mut ColumnarWindow,
+) -> Result<(), SegmentError> {
     let n = cur.count(9, "usage row count exceeds block size")?;
     let macs = cur.col(n, mac)?;
     let app_col = cur.col(n, |c| {
         lane(c, apps, "application discriminant out of range")
     })?;
     let ups = cur.col(n, Cursor::varint)?;
-    let rows = cur.col_indexed(n, |c, i| {
-        let totals = UsageTotals {
-            up_bytes: ups[i],
-            down_bytes: c.varint()?,
-        };
-        Ok(((macs[i], app_col[i]), totals))
-    })?;
-    Ok(rows.into_iter().collect())
+    let downs = cur.col(n, Cursor::varint)?;
+    let order = last_wins(n.get(), |i| (macs[i], app_col[i]));
+    let order = order.as_deref();
+    w.usage_mac = gather(macs, order);
+    w.usage_app = gather(app_col, order);
+    w.usage_up = gather(ups, order);
+    w.usage_down = gather(downs, order);
+    Ok(())
 }
 
 fn decode_clients(
     cur: &mut Cursor<'_>,
     oses: &[Option<OsFamily>],
-) -> Result<BTreeMap<MacAddress, (ClientMeta, ClientIdentity)>, SegmentError> {
+    w: &mut ColumnarWindow,
+) -> Result<(), SegmentError> {
     let n = cur.count(6 + 6 + 8, "client row count exceeds block size")?;
     let macs = cur.col(n, mac)?;
     let metas = read_metas(cur, n, "client slot out of range")?;
     let os_col = cur.col(n, |c| lane(c, oses, "OS-family discriminant out of range"))?;
     let caps = cur.col(n, |c| unpack_caps(c.varint()?))?;
     let bands = cur.col(n, band)?;
-    let rows = cur.col_indexed(n, |c, i| {
-        let identity = ClientIdentity {
-            os: os_col[i],
-            caps: caps[i],
-            band: bands[i],
-            rssi_dbm: c.f64()?,
-        };
-        Ok((macs[i], (metas[i], identity)))
-    })?;
-    Ok(rows.into_iter().collect())
+    let rssi = cur.col(n, Cursor::f64)?;
+    let order = last_wins(n.get(), |i| macs[i]);
+    let order = order.as_deref();
+    w.client_mac = gather(macs, order);
+    w.client_meta = gather(metas, order);
+    w.client_os = gather(os_col, order);
+    w.client_caps = gather(caps, order);
+    w.client_band = gather(bands, order);
+    w.client_rssi = gather(rssi, order);
+    Ok(())
 }
 
-fn decode_links(
-    cur: &mut Cursor<'_>,
-) -> Result<BTreeMap<LinkKey, Vec<LinkObservation>>, SegmentError> {
+fn decode_links(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let k = cur.count(4, "link key count exceeds block size")?;
     let rx = cur.col(k, Cursor::varint)?;
     let tx = cur.col(k, Cursor::varint)?;
-    let bands = cur.col(k, band)?;
+    let keys = cur.col_indexed(k, |c, i| {
+        Ok(LinkKey {
+            rx_device: rx[i],
+            tx_device: tx[i],
+            band: band(c)?,
+        })
+    })?;
     let lens = cur.col(k, |c| c.count(1, "link series length exceeds block size"))?;
     let total = cur.total(&lens, "link series lengths exceed block size")?;
     let timestamps = cur.col(total, Cursor::varint)?;
-    let observations = cur.col_indexed(total, |c, j| {
-        Ok(LinkObservation {
-            timestamp_s: timestamps[j],
-            ratio: c.f64()?,
-        })
-    })?;
-    let mut observations = observations.into_iter();
-    let row = |i: usize| {
-        let key = LinkKey {
-            rx_device: rx[i],
-            tx_device: tx[i],
-            band: bands[i],
-        };
-        (key, observations.by_ref().take(lens[i].get()).collect())
-    };
-    Ok((0..k.get()).map(row).collect())
+    let ratios = cur.col(total, Cursor::f64)?;
+    let offsets = offsets_of(&lens);
+    match last_wins(k.get(), |i| keys[i]) {
+        None => {
+            w.link_keys = keys;
+            w.link_offsets = offsets;
+            w.link_ts = timestamps;
+            w.link_ratio = ratios;
+        }
+        Some(keep) => {
+            let (offsets, rows) = regroup(&offsets, &keep);
+            w.link_keys = gather(keys, Some(&keep));
+            w.link_offsets = offsets;
+            w.link_ts = gather(timestamps, Some(&rows));
+            w.link_ratio = gather(ratios, Some(&rows));
+        }
+    }
+    Ok(())
 }
 
-fn decode_airtime(
-    cur: &mut Cursor<'_>,
-) -> Result<BTreeMap<(u64, Band), AirtimeLedger>, SegmentError> {
+fn decode_airtime(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let n = cur.count(5, "airtime row count exceeds block size")?;
     let devices = cur.col(n, Cursor::varint)?;
-    let bands = cur.col(n, band)?;
+    let keys = cur.col_indexed(n, |c, i| Ok((devices[i], band(c)?)))?;
     let elapsed = cur.col(n, Cursor::varint)?;
     let busy = cur.col(n, Cursor::varint)?;
-    let rows = cur.col_indexed(n, |c, i| {
+    let wifi = cur.col_indexed(n, |c, i| {
         let wifi = c.varint()?;
+        // The ledger's own invariant; `unpack` restores each ledger
+        // with one `account` call, which is exact only under it.
         if busy[i] > elapsed[i] || wifi > busy[i] {
             return Err(corrupt(
                 "airtime ledger violates busy ≤ elapsed, wifi ≤ busy",
             ));
         }
-        let mut ledger = AirtimeLedger::default();
-        // The stored values satisfy the ledger's clamping invariant
-        // (checked above), so one account() call restores them exactly.
-        ledger.account(elapsed[i], busy[i], wifi);
-        Ok(((devices[i], bands[i]), ledger))
+        Ok(wifi)
     })?;
-    Ok(rows.into_iter().collect())
+    let order = last_wins(n.get(), |i| keys[i]);
+    let order = order.as_deref();
+    w.airtime_key = gather(keys, order);
+    w.airtime_elapsed = gather(elapsed, order);
+    w.airtime_busy = gather(busy, order);
+    w.airtime_wifi = gather(wifi, order);
+    Ok(())
 }
 
-fn decode_neighbors(cur: &mut Cursor<'_>) -> Result<NeighborTable, SegmentError> {
+fn decode_neighbors(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let d = cur.count(5, "neighbor device count exceeds block size")?;
-    let keys = cur.col(d, Cursor::varint)?;
+    let devices = cur.col(d, Cursor::varint)?;
     let metas = read_metas(cur, d, "neighbor slot out of range")?;
     let lens = cur.col(d, |c| c.count(1, "census row count exceeds block size"))?;
     let total = cur.total(&lens, "census row counts exceed block size")?;
     let bands = cur.col(total, band)?;
     let numbers = cur.col(total, |c| c.narrow("channel number out of range"))?;
     let networks = cur.col(total, |c| c.narrow("network count out of range"))?;
-    let census = cur.col_indexed(total, |c, j| {
-        let hotspots = c.narrow("hotspot count out of range")?;
-        Ok((bands[j], numbers[j], networks[j], hotspots))
-    })?;
-    let mut census = census.into_iter();
-    let row = |i: usize| {
-        let rows = census.by_ref().take(lens[i].get()).collect();
-        (keys[i], (metas[i], rows))
+    let hotspots = cur.col(total, |c| c.narrow("hotspot count out of range"))?;
+    let mut offsets = offsets_of(&lens);
+    let (keep, rows) = match last_wins(d.get(), |i| devices[i]) {
+        None => (None, None),
+        Some(keep) => {
+            let (regrouped, rows) = regroup(&offsets, &keep);
+            offsets = regrouped;
+            (Some(keep), Some(rows))
+        }
     };
-    Ok((0..d.get()).map(row).collect())
+    w.census_device = gather(devices, keep.as_deref());
+    w.census_meta = gather(metas, keep.as_deref());
+    w.census_offsets = offsets;
+    w.census_band = gather(bands, rows.as_deref());
+    w.census_channel = gather(numbers, rows.as_deref());
+    w.census_networks = gather(networks, rows.as_deref());
+    w.census_hotspots = gather(hotspots, rows.as_deref());
+    Ok(())
 }
 
-/// Reads a keyed table as [`put_keyed`] framed it. `values` reads the
-/// value columns — one entry per flattened row — and `place` finishes a
-/// value with the device key it was filed under.
-fn decode_keyed<V, T>(
+/// A keyed table as [`put_keyed`] framed it, in the sealed layout: the
+/// device column, the CSR offsets, each row's `(seq, slot)` key, and
+/// the value columns `values` reads — one entry per flattened row.
+/// Reordering by key applies [`last_wins`] twice: a repeated device
+/// replaces the device's rows wholesale, then within each device the
+/// last row per `(seq, slot)` wins.
+struct KeyedColumns<V> {
+    devices: Vec<u64>,
+    offsets: Vec<usize>,
+    keys: Vec<(u64, u32)>,
+    values: V,
+}
+
+fn decode_keyed<V>(
     cur: &mut Cursor<'_>,
-    values: impl FnOnce(&mut Cursor<'_>, Rows) -> Result<Vec<V>, SegmentError>,
-    place: impl Fn(u64, V) -> T,
-) -> Result<KeyedTable<T>, SegmentError> {
+    values: impl FnOnce(&mut Cursor<'_>, Rows, &[u64], &[Rows]) -> Result<V, SegmentError>,
+    reorder: impl Fn(V, &[usize]) -> V,
+) -> Result<KeyedColumns<V>, SegmentError> {
     let d = cur.count(2, "keyed-table device count exceeds block size")?;
-    let keys = cur.col(d, Cursor::varint)?;
+    let devices = cur.col(d, Cursor::varint)?;
     let lens = cur.col(d, |c| {
         c.count(1, "keyed-table row count exceeds block size")
     })?;
     let total = cur.total(&lens, "keyed-table row counts exceed block size")?;
     let seqs = cur.col(total, Cursor::varint)?;
-    let slots = cur.col(total, |c| c.narrow("keyed-table slot out of range"))?;
-    let values = values(cur, total)?;
-    let mut rows = seqs.into_iter().zip(slots).zip(values);
-    let per_device = |(device, len): (u64, Rows)| {
-        let rows = rows.by_ref().take(len.get());
-        let rows = rows.map(|(key, value)| (key, place(device, value)));
-        (device, rows.collect())
+    let keys = cur.col_indexed(total, |c, j| {
+        Ok((seqs[j], c.narrow("keyed-table slot out of range")?))
+    })?;
+    let values = values(cur, total, &devices, &lens)?;
+    let mut table = KeyedColumns {
+        offsets: offsets_of(&lens),
+        devices,
+        keys,
+        values,
     };
-    Ok(keys.into_iter().zip(lens).map(per_device).collect())
+    if let Some(keep) = last_wins(d.get(), |i| table.devices[i]) {
+        let (offsets, rows) = regroup(&table.offsets, &keep);
+        table.devices = gather(table.devices, Some(&keep));
+        table.offsets = offsets;
+        table.keys = gather(table.keys, Some(&rows));
+        table.values = reorder(table.values, &rows);
+    }
+    if let Some((offsets, rows)) = regroup_within(&table.offsets, &table.keys) {
+        table.offsets = offsets;
+        table.keys = gather(table.keys, Some(&rows));
+        table.values = reorder(table.values, &rows);
+    }
+    Ok(table)
 }
 
-fn scan_values(cur: &mut Cursor<'_>, total: Rows) -> Result<Vec<ScanObservation>, SegmentError> {
-    let timestamps = cur.col(total, Cursor::varint)?;
-    let bands = cur.col(total, band)?;
-    let channels = cur.col_indexed(total, |c, j| channel_from(bands[j], c.varint()?))?;
-    let utilization = cur.col(total, |c| c.narrow("utilization out of range"))?;
-    let decodable = cur.col(total, |c| c.narrow("decodable share out of range"))?;
-    cur.col_indexed(total, |c, j| {
-        let record = ChannelScanRecord {
-            channel: channels[j],
-            utilization_ppm: utilization[j],
-            decodable_ppm: decodable[j],
-            networks: c.narrow("network count out of range")?,
-        };
-        Ok(ScanObservation {
-            timestamp_s: timestamps[j],
-            record,
-        })
-    })
+/// The value columns of a scan table: timestamp, channel, utilization,
+/// decodable share, networks.
+type ScanColumns = (Vec<u64>, Vec<Channel>, Vec<u32>, Vec<u32>, Vec<u32>);
+
+fn decode_scans(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
+    let values = |cur: &mut Cursor<'_>, total: Rows, _: &[u64], _: &[Rows]| {
+        let timestamps = cur.col(total, Cursor::varint)?;
+        let bands = cur.col(total, band)?;
+        let channels = cur.col_indexed(total, |c, j| channel_from(bands[j], c.varint()?))?;
+        let utilization = cur.col(total, |c| c.narrow("utilization out of range"))?;
+        let decodable = cur.col(total, |c| c.narrow("decodable share out of range"))?;
+        let networks = cur.col(total, |c| c.narrow("network count out of range"))?;
+        Ok((timestamps, channels, utilization, decodable, networks))
+    };
+    let reorder = |(ts, channels, util, decodable, networks): ScanColumns, rows: &[usize]| {
+        (
+            gather(ts, Some(rows)),
+            gather(channels, Some(rows)),
+            gather(util, Some(rows)),
+            gather(decodable, Some(rows)),
+            gather(networks, Some(rows)),
+        )
+    };
+    let table = decode_keyed(cur, values, reorder)?;
+    w.scan_device = table.devices;
+    w.scan_offsets = table.offsets;
+    w.scan_key = table.keys;
+    (
+        w.scan_ts,
+        w.scan_channel,
+        w.scan_util_ppm,
+        w.scan_decodable_ppm,
+        w.scan_networks,
+    ) = table.values;
+    Ok(())
 }
 
-/// The value columns of a crash table; [`decode_keyed`] fills in each
-/// report's device from the key it is filed under.
-fn crash_values(cur: &mut Cursor<'_>, total: Rows) -> Result<Vec<CrashReport>, SegmentError> {
-    let reasons = cur.col(total, |c| reason_from(c.varint()?))?;
-    let pcs = cur.col(total, Cursor::varint)?;
-    let uptimes = cur.col(total, Cursor::varint)?;
-    let free_memory = cur.col(total, Cursor::varint)?;
-    cur.col_indexed(total, |c, j| {
-        let len = c.count(1, "firmware string length exceeds block size")?;
-        let bytes = c.take(len.get(), "truncated firmware string")?;
-        let firmware = std::str::from_utf8(bytes)
-            .map_err(|_| corrupt("firmware string is not UTF-8"))?
-            .to_string();
-        Ok(CrashReport {
-            device: 0,
-            firmware,
-            reason: reasons[j],
-            program_counter: pcs[j],
-            uptime_s: uptimes[j],
-            free_memory_bytes: free_memory[j],
+/// The rows of a crash table, each report's device filled in from the
+/// key it is filed under.
+fn decode_crashes(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
+    let values = |cur: &mut Cursor<'_>, total: Rows, devices: &[u64], lens: &[Rows]| {
+        let filer = devices
+            .iter()
+            .zip(lens)
+            .flat_map(|(&device, len)| std::iter::repeat(device).take(len.get()))
+            .collect::<Vec<u64>>();
+        let reasons = cur.col(total, |c| reason_from(c.varint()?))?;
+        let pcs = cur.col(total, Cursor::varint)?;
+        let uptimes = cur.col(total, Cursor::varint)?;
+        let free_memory = cur.col(total, Cursor::varint)?;
+        cur.col_indexed(total, |c, j| {
+            let len = c.count(1, "firmware string length exceeds block size")?;
+            let bytes = c.take(len.get(), "truncated firmware string")?;
+            let firmware = std::str::from_utf8(bytes)
+                .map_err(|_| corrupt("firmware string is not UTF-8"))?
+                .to_string();
+            Ok(CrashReport {
+                device: filer[j],
+                firmware,
+                reason: reasons[j],
+                program_counter: pcs[j],
+                uptime_s: uptimes[j],
+                free_memory_bytes: free_memory[j],
+            })
         })
-    })
+    };
+    let table = decode_keyed(cur, values, |rows, order| gather(rows, Some(order)))?;
+    w.crash_device = table.devices;
+    w.crash_offsets = table.offsets;
+    w.crash_key = table.keys;
+    w.crash_rows = table.values;
+    Ok(())
 }
 
 // airstat::allow(no-hashmap-iter): returns the shard's keyed-access
@@ -1171,16 +1337,16 @@ fn decode_dedup(cur: &mut Cursor<'_>) -> Result<HashMap<(WindowId, u64), SeqSet>
 // Segment decode
 // ---------------------------------------------------------------------
 
-/// Decodes a table into its slot in the window being filled, once.
-fn fill<K, V>(
-    slot: &mut BTreeMap<K, V>,
-    decode: impl FnOnce() -> Result<BTreeMap<K, V>, SegmentError>,
+/// Decodes a table into the window being filled, once: `filled` says
+/// its key column already holds the rows of an earlier block.
+fn fill(
+    filled: bool,
+    decode: impl FnOnce() -> Result<(), SegmentError>,
 ) -> Result<(), SegmentError> {
-    if !slot.is_empty() {
+    if filled {
         return Err(corrupt("duplicate table block in one window"));
     }
-    *slot = decode()?;
-    Ok(())
+    decode()
 }
 
 /// What the manifest says a segment must be; decode cross-checks the
@@ -1201,7 +1367,10 @@ pub(crate) struct DecodeTally {
 
 /// Decodes one segment image back into a [`StoreShard`], verifying
 /// magic, version, every CRC, the block grammar, and the header's
-/// zone-map summary.
+/// zone-map summary. Each table block lands in the columns of a
+/// [`ColumnarWindow`], so the shard holds its rows as the segment
+/// [`ColumnarShard::build`] would project from the shard the file was
+/// written from, and builds no row table until something needs rows.
 pub(crate) fn decode_segment(
     bytes: &[u8],
     expect: SegmentExpectation,
@@ -1227,7 +1396,7 @@ pub(crate) fn decode_segment(
     let apps = lanes(Application::ALL, |app| app as usize);
     let oses = lanes(&OsFamily::ALL, |os| os as usize);
     // Windows arrive ascending, so the one being filled is the last.
-    let mut windows: BTreeMap<WindowId, WindowTables> = BTreeMap::new();
+    let mut windows: BTreeMap<WindowId, ColumnarWindow> = BTreeMap::new();
     // airstat::allow(no-hashmap-iter): holds decode_dedup's keyed-access
     // result until from_parts; never iterated here.
     let mut dedup: Option<HashMap<(WindowId, u64), SeqSet>> = None;
@@ -1259,26 +1428,25 @@ pub(crate) fn decode_segment(
                 if last.is_some_and(|&last| window <= last) {
                     return Err(corrupt("windows not in ascending order"));
                 }
-                windows.insert(window, WindowTables::default());
+                windows.insert(window, ColumnarWindow::empty());
             }
             _ => {
-                let Some(tables) = windows.values_mut().next_back() else {
+                let Some(w) = windows.values_mut().next_back() else {
                     return Err(corrupt("table block outside a window"));
                 };
                 let b = &mut block;
                 match tag {
-                    BLOCK_USAGE => fill(&mut tables.usage, || decode_usage(b, &apps))?,
-                    BLOCK_CLIENTS => fill(&mut tables.clients, || decode_clients(b, &oses))?,
-                    BLOCK_LINKS => fill(&mut tables.links, || decode_links(b))?,
-                    BLOCK_AIRTIME => fill(&mut tables.airtime, || decode_airtime(b))?,
-                    BLOCK_NEIGHBORS => fill(&mut tables.neighbors, || decode_neighbors(b))?,
-                    BLOCK_SCANS => fill(&mut tables.scans, || {
-                        decode_keyed(b, scan_values, |_, obs| obs)
-                    })?,
-                    BLOCK_CRASHES => fill(&mut tables.crashes, || {
-                        let place = |device, report| CrashReport { device, ..report };
-                        decode_keyed(b, crash_values, place)
-                    })?,
+                    BLOCK_USAGE => fill(!w.usage_mac.is_empty(), || decode_usage(b, &apps, w))?,
+                    BLOCK_CLIENTS => {
+                        fill(!w.client_mac.is_empty(), || decode_clients(b, &oses, w))?
+                    }
+                    BLOCK_LINKS => fill(!w.link_keys.is_empty(), || decode_links(b, w))?,
+                    BLOCK_AIRTIME => fill(!w.airtime_key.is_empty(), || decode_airtime(b, w))?,
+                    BLOCK_NEIGHBORS => {
+                        fill(!w.census_device.is_empty(), || decode_neighbors(b, w))?
+                    }
+                    BLOCK_SCANS => fill(!w.scan_device.is_empty(), || decode_scans(b, w))?,
+                    BLOCK_CRASHES => fill(!w.crash_device.is_empty(), || decode_crashes(b, w))?,
                     _ => return Err(corrupt("unknown block tag")),
                 }
             }
@@ -1296,15 +1464,15 @@ pub(crate) fn decode_segment(
         return Err(corrupt("segment is missing its counters block"));
     };
     // Re-verify the header's zone-map summary against the decoded rows.
-    let decoded = zone_summary(windows.iter().map(|(&window, tables)| (window, tables)));
+    let decoded = zone_summary(windows.iter().map(|(&window, w)| (window, sealed_rows(w))));
     if decoded != (window_count, min_window, max_window, total_rows) {
         return Err(corrupt("zone-map summary disagrees with decoded blocks"));
     }
-    Ok(StoreShard::from_parts(
+    Ok(StoreShard::from_sealed(
         seen,
         duplicates_dropped,
         reports_ingested,
-        windows,
+        ColumnarShard::from_windows(windows),
     ))
 }
 
@@ -1491,10 +1659,10 @@ pub(crate) struct LoadedStore {
 
 /// Reads the committed segment set named by the manifest, if one
 /// exists. `Ok(None)` means a fresh directory (no manifest). Each
-/// shard's delta chain is folded oldest to newest through
-/// [`StoreShard::absorb`] — the newest delta naming a key holds its
-/// full current value, so the fold reconstructs the exact shard a
-/// monolithic persist would have written.
+/// shard's delta chain decodes file by file into the sealed layout and
+/// folds oldest to newest through [`StoreShard::from_chain`] — the
+/// newest delta naming a key holds its full current value, so the fold
+/// is the shard a monolithic persist would have written.
 pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError> {
     let Some(manifest_bytes) = read_if_present(&dir.join(MANIFEST_NAME), "read manifest")? else {
         return Ok(None);
@@ -1506,7 +1674,7 @@ pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError
         u32::try_from(lists.len()).map_err(|_| corrupt("manifest shard count out of range"))?;
     let mut shards = Vec::with_capacity(lists.len());
     for (i, chain) in lists.iter().enumerate() {
-        let mut shard = StoreShard::default();
+        let mut deltas = Vec::with_capacity(chain.len());
         for entry in chain {
             let name = segment_file_name(entry.epoch, i as u32);
             let bytes = fs::read(dir.join(&name)).map_err(io_err("read segment file"))?;
@@ -1514,7 +1682,7 @@ pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError
                 return Err(corrupt("segment length disagrees with the manifest"));
             }
             bytes_read += bytes.len() as u64;
-            let delta = decode_segment(
+            deltas.push(decode_segment(
                 &bytes,
                 SegmentExpectation {
                     epoch: entry.epoch,
@@ -1522,10 +1690,9 @@ pub(crate) fn read_store(dir: &Path) -> Result<Option<LoadedStore>, SegmentError
                     count,
                 },
                 &mut tally,
-            )?;
-            shard.absorb(delta);
+            )?);
         }
-        shards.push(shard);
+        shards.push(StoreShard::from_chain(deltas));
     }
     Ok(Some(LoadedStore {
         epoch,
@@ -1794,7 +1961,7 @@ impl ReportSink for DurableStore {
 pub(crate) mod tests {
     use super::*;
     use airstat_classify::mac::Oui;
-    use airstat_telemetry::report::{ReportPayload, UsageRecord};
+    use airstat_telemetry::report::{ChannelScanRecord, ReportPayload, UsageRecord};
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -2153,6 +2320,177 @@ pub(crate) mod tests {
         let decoded = decode_segment(&image, FRAMED, &mut tally).expect("valid CRCs and grammar");
         let expected =
             StoreShard::from_parts(HashMap::new(), 0, 0, BTreeMap::from([(W, expected)]));
+        assert_eq!(
+            encode_segment(&decoded, 1, 0, 1),
+            encode_segment(&expected, 1, 0, 1)
+        );
+    }
+
+    /// The same pin for the four tables the test above leaves out:
+    /// clients and airtime (flat), censuses (CSR with a meta column) and
+    /// crashes (nested, each report's device taken from its key).
+    #[test]
+    fn out_of_order_keys_in_the_other_tables_decode_as_insert_would() {
+        let mac = |id: u64| MacAddress::from_id(Oui([2, 4, 6]), id);
+        let meta = |device, seq, slot| ClientMeta { device, seq, slot };
+        let caps = Capabilities::new(Generation::N, true, false, 2);
+        let mut expected = WindowTables::default();
+
+        // (mac, meta, os index, rssi): mac 5 twice, mac 2 out of order.
+        let client_rows = [
+            (mac(5), meta(1, 1, 0), 0usize, -50.0f64),
+            (mac(2), meta(1, 2, 0), 1, -60.0),
+            (mac(5), meta(1, 0, 3), 2, -70.0),
+        ];
+        let mut clients = Vec::new();
+        put_varint(&mut clients, client_rows.len() as u64);
+        put_col(&mut clients, &client_rows, |o, r| {
+            o.extend_from_slice(&r.0 .0)
+        });
+        put_metas(&mut clients, client_rows.iter().map(|r| &r.1));
+        put_col(&mut clients, &client_rows, |o, r| {
+            put_varint(o, OsFamily::ALL[r.2] as u64)
+        });
+        put_col(&mut clients, &client_rows, |o, _| {
+            put_varint(o, pack_caps(caps))
+        });
+        put_col(&mut clients, &client_rows, |o, _| put_varint(o, 1));
+        put_col(&mut clients, &client_rows, |o, r| {
+            o.extend_from_slice(&r.3.to_le_bytes())
+        });
+        for (mac, meta, os, rssi_dbm) in client_rows {
+            let identity = ClientIdentity {
+                os: OsFamily::ALL[os],
+                caps,
+                band: Band::Ghz5,
+                rssi_dbm,
+            };
+            expected.clients.insert(mac, (meta, identity));
+        }
+
+        // ((device, band), elapsed, busy, wifi): (4, 5 GHz) twice.
+        let airtime_rows = [
+            ((4u64, Band::Ghz5), 100u64, 50u64, 10u64),
+            ((1, Band::Ghz2_4), 200, 20, 2),
+            ((4, Band::Ghz5), 300, 30, 3),
+        ];
+        let mut airtime = Vec::new();
+        put_varint(&mut airtime, airtime_rows.len() as u64);
+        put_col(&mut airtime, &airtime_rows, |o, r| put_varint(o, r.0 .0));
+        put_col(&mut airtime, &airtime_rows, |o, r| {
+            put_varint(o, r.0 .1 as u64)
+        });
+        put_col(&mut airtime, &airtime_rows, |o, r| put_varint(o, r.1));
+        put_col(&mut airtime, &airtime_rows, |o, r| put_varint(o, r.2));
+        put_col(&mut airtime, &airtime_rows, |o, r| put_varint(o, r.3));
+        for (key, elapsed, busy, wifi) in airtime_rows {
+            let mut ledger = AirtimeLedger::default();
+            ledger.account(elapsed, busy, wifi);
+            expected.airtime.insert(key, ledger);
+        }
+
+        // (device, meta, [networks]): device 8 twice, its rows replaced.
+        type CensusRow<'a> = (u64, ClientMeta, &'a [u32]);
+        let census_rows: [CensusRow; 3] = [
+            (8, meta(8, 1, 0), &[1, 2, 3]),
+            (3, meta(3, 4, 0), &[4]),
+            (8, meta(8, 6, 0), &[5, 6]),
+        ];
+        let flat = || census_rows.iter().flat_map(|r| r.2.iter());
+        let mut neighbors = Vec::new();
+        put_varint(&mut neighbors, census_rows.len() as u64);
+        put_col(&mut neighbors, &census_rows, |o, r| put_varint(o, r.0));
+        put_metas(&mut neighbors, census_rows.iter().map(|r| &r.1));
+        put_col(&mut neighbors, &census_rows, |o, r| {
+            put_varint(o, r.2.len() as u64)
+        });
+        put_col(&mut neighbors, flat(), |o, _| put_varint(o, 0));
+        put_col(&mut neighbors, flat(), |o, _| put_varint(o, 6));
+        put_col(&mut neighbors, flat(), |o, n| put_varint(o, u64::from(*n)));
+        put_col(&mut neighbors, flat(), |o, n| {
+            put_varint(o, u64::from(*n) / 2)
+        });
+        for (device, meta, networks) in census_rows {
+            let rows = networks
+                .iter()
+                .map(|&n| (Band::Ghz2_4, 6, n, n / 2))
+                .collect();
+            expected.neighbors.insert(device, (meta, rows));
+        }
+
+        // (device, [((seq, slot), pc)]): device 6 twice, (2, 0) twice and
+        // (1, 1) before (1, 0) inside its second appearance.
+        type CrashRow = ((u64, u32), u64);
+        let crash_rows: [(u64, &[CrashRow]); 3] = [
+            (6, &[((0, 0), 10)]),
+            (2, &[((5, 0), 11), ((5, 1), 12)]),
+            (6, &[((2, 0), 13), ((1, 1), 14), ((1, 0), 15), ((2, 0), 16)]),
+        ];
+        let flat = || crash_rows.iter().flat_map(|(_, rows)| rows.iter());
+        let mut crashes = Vec::new();
+        put_varint(&mut crashes, crash_rows.len() as u64);
+        put_col(&mut crashes, &crash_rows, |o, r| put_varint(o, r.0));
+        put_col(&mut crashes, &crash_rows, |o, r| {
+            put_varint(o, r.1.len() as u64)
+        });
+        put_col(&mut crashes, flat(), |o, r| put_varint(o, r.0 .0));
+        put_col(&mut crashes, flat(), |o, r| {
+            put_varint(o, u64::from(r.0 .1))
+        });
+        put_col(&mut crashes, flat(), |o, _| put_varint(o, 1));
+        put_col(&mut crashes, flat(), |o, r| put_varint(o, r.1));
+        put_col(&mut crashes, flat(), |o, _| put_varint(o, 60));
+        put_col(&mut crashes, flat(), |o, _| put_varint(o, 4096));
+        put_col(&mut crashes, flat(), |o, r| {
+            let firmware = format!("mr-{}", r.1);
+            put_varint(o, firmware.len() as u64);
+            o.extend_from_slice(firmware.as_bytes());
+        });
+        for (device, rows) in crash_rows {
+            let per_device = rows
+                .iter()
+                .map(|&(key, pc)| {
+                    let report = CrashReport {
+                        device,
+                        firmware: format!("mr-{pc}"),
+                        reason: RebootReason::Watchdog,
+                        program_counter: pc,
+                        uptime_s: 60,
+                        free_memory_bytes: 4096,
+                    };
+                    (key, report)
+                })
+                .collect();
+            expected.crashes.insert(device, per_device);
+        }
+        assert_eq!(
+            (
+                expected.clients.len(),
+                expected.airtime.len(),
+                expected.neighbors[&8].1.len(),
+                expected.crashes[&6].len()
+            ),
+            (2, 2, 2, 3),
+            "the rows above must collide"
+        );
+
+        let image = framed_segment(
+            table_rows(&expected),
+            &[
+                (BLOCK_CLIENTS, clients),
+                (BLOCK_AIRTIME, airtime),
+                (BLOCK_NEIGHBORS, neighbors),
+                (BLOCK_CRASHES, crashes),
+            ],
+        );
+        let mut tally = DecodeTally::default();
+        let decoded = decode_segment(&image, FRAMED, &mut tally).expect("valid CRCs and grammar");
+        let expected =
+            StoreShard::from_parts(HashMap::new(), 0, 0, BTreeMap::from([(W, expected)]));
+        assert_eq!(
+            ColumnarShard::build(&decoded),
+            ColumnarShard::build(&expected)
+        );
         assert_eq!(
             encode_segment(&decoded, 1, 0, 1),
             encode_segment(&expected, 1, 0, 1)
