@@ -8,10 +8,6 @@
 //!   single `u64`;
 //! * heavy-tailed samplers ([`dist`]) for client usage, spatial layout and
 //!   interference models (log-normal, Zipf, Pareto, exponential, normal);
-//! * streaming accumulators ([`streaming`]) — Welford mean/variance,
-//!   min/max, counters — used by the per-device telemetry agents;
-//! * fixed-bin [`histogram::Histogram`]s with exact merge semantics, the
-//!   on-the-wire aggregate format used by the backend store;
 //! * empirical distributions ([`cdf::Ecdf`]) with quantile queries, used to
 //!   regenerate every CDF figure in the paper;
 //! * correlation measures ([`correlation`]) for the utilization-vs-AP-count
@@ -32,16 +28,12 @@
 pub mod cdf;
 pub mod correlation;
 pub mod dist;
-pub mod histogram;
 pub mod reservoir;
 pub mod rng;
-pub mod streaming;
 pub mod summary;
 pub mod window;
 
 pub use cdf::Ecdf;
-pub use histogram::Histogram;
 pub use reservoir::Reservoir;
 pub use rng::SeedTree;
-pub use streaming::{Counter, MeanVar, MinMax};
 pub use window::SlidingRatio;

@@ -1,14 +1,13 @@
 //! Property-based tests for the statistics substrate.
 //!
-//! These encode the algebraic invariants the rest of AirStat relies on:
-//! histogram merge is associative and commutative, ECDFs are monotone,
-//! Welford merging equals sequential accumulation, sliding windows never
-//! report ratios outside [0, 1], and samplers respect their supports.
+//! These encode the invariants the rest of AirStat relies on: ECDFs are
+//! monotone, sliding windows never report ratios outside [0, 1], and
+//! samplers respect their supports.
 
 use airstat_stats::correlation::{pearson, spearman};
 use airstat_stats::dist::{Exponential, LogNormal, Normal, Pareto, WeightedIndex, Zipf};
 use airstat_stats::rng::SeedTree;
-use airstat_stats::{Ecdf, Histogram, MeanVar, Reservoir, SlidingRatio};
+use airstat_stats::{Ecdf, Reservoir, SlidingRatio};
 use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -16,58 +15,6 @@ fn finite_f64() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
-    #[test]
-    fn histogram_merge_commutes(xs in prop::collection::vec(finite_f64(), 0..200),
-                                ys in prop::collection::vec(finite_f64(), 0..200)) {
-        let mut a1 = Histogram::new(-100.0, 100.0, 32);
-        let mut b1 = Histogram::new(-100.0, 100.0, 32);
-        for &x in &xs { a1.record(x); }
-        for &y in &ys { b1.record(y); }
-        let mut ab = a1.clone();
-        ab.merge(&b1);
-        let mut ba = b1.clone();
-        ba.merge(&a1);
-        prop_assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn histogram_merge_associates(xs in prop::collection::vec(finite_f64(), 0..100),
-                                  ys in prop::collection::vec(finite_f64(), 0..100),
-                                  zs in prop::collection::vec(finite_f64(), 0..100)) {
-        let mk = |vals: &[f64]| {
-            let mut h = Histogram::new(-50.0, 50.0, 16);
-            for &v in vals { h.record(v); }
-            h
-        };
-        let (a, b, c) = (mk(&xs), mk(&ys), mk(&zs));
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn histogram_count_conserved(xs in prop::collection::vec(finite_f64(), 0..500)) {
-        let mut h = Histogram::new(-10.0, 10.0, 8);
-        for &x in &xs { h.record(x); }
-        let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
-        prop_assert_eq!(binned + h.underflow() + h.overflow(), h.count());
-        prop_assert_eq!(h.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn histogram_quantile_within_range(xs in prop::collection::vec(-5.0f64..5.0, 1..300),
-                                       q in 0.0f64..=1.0) {
-        let mut h = Histogram::new(-5.0, 5.0, 20);
-        for &x in &xs { h.record(x); }
-        let v = h.quantile(q).unwrap();
-        prop_assert!((-5.0..=5.0).contains(&v));
-    }
-
     #[test]
     fn ecdf_monotone(xs in prop::collection::vec(finite_f64(), 1..300),
                      a in finite_f64(), b in finite_f64()) {
@@ -82,26 +29,6 @@ proptest! {
         let e = Ecdf::new(xs);
         let v = e.quantile(q).unwrap();
         prop_assert!(v >= e.min().unwrap() && v <= e.max().unwrap());
-    }
-
-    #[test]
-    fn meanvar_merge_equals_sequential(xs in prop::collection::vec(finite_f64(), 0..200),
-                                       split in 0usize..200) {
-        let split = split.min(xs.len());
-        let mut whole = MeanVar::new();
-        for &x in &xs { whole.push(x); }
-        let mut a = MeanVar::new();
-        let mut b = MeanVar::new();
-        for &x in &xs[..split] { a.push(x); }
-        for &x in &xs[split..] { b.push(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        if let (Some(m1), Some(m2)) = (a.mean(), whole.mean()) {
-            prop_assert!((m1 - m2).abs() < 1e-6 * (1.0 + m2.abs()));
-        }
-        if let (Some(v1), Some(v2)) = (a.variance(), whole.variance()) {
-            prop_assert!((v1 - v2).abs() < 1e-5 * (1.0 + v2.abs()));
-        }
     }
 
     #[test]

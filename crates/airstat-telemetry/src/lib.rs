@@ -31,23 +31,17 @@
 //!   and fail-back;
 //! * [`crash`] — §6.1's crash telemetry: reports, the bounded-heap device
 //!   model behind the Manhattan OOM bug, and fleet-wide signature
-//!   aggregation;
-//! * [`anonymize`] — keyed MAC pseudonymization and k-anonymity row
-//!   suppression for publishing datasets like the paper's;
-//! * [`timeseries`] — RRD-style multi-resolution rollups for the
-//!   six-month comparison windows the backend keeps.
+//!   aggregation.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod anonymize;
 pub mod backend;
 pub mod crash;
 pub mod failover;
 pub mod poll;
 pub mod report;
 pub mod sched;
-pub mod timeseries;
 pub mod transport;
 pub mod wire;
 

@@ -288,32 +288,9 @@ proptest! {
 
 mod extended {
     use super::*;
-    use airstat_telemetry::anonymize::{k_anonymous_rows, MacPseudonymizer};
     use airstat_telemetry::failover::{DataCenter, DualTunnel};
-    use airstat_telemetry::timeseries::RollupSeries;
 
     proptest! {
-        #[test]
-        fn rollup_mean_within_sample_range(samples in prop::collection::vec(0.0f64..1000.0, 1..400)) {
-            let mut series = RollupSeries::new(&[(10, 6), (60, 5), (300, 4)]);
-            let mut min = f64::MAX;
-            let mut max = f64::MIN;
-            for (i, &v) in samples.iter().enumerate() {
-                series.insert(i as u64 * 10, v);
-                min = min.min(v);
-                max = max.max(v);
-            }
-            if let Some(mean) = series.retained_mean() {
-                prop_assert!(mean >= min - 1e-9 && mean <= max + 1e-9,
-                    "retained mean {mean} outside [{min}, {max}]");
-            }
-            // Bucket extremes bracket their means at every resolution.
-            let (_, buckets) = series.range(0, samples.len() as u64 * 10 + 10);
-            for b in buckets {
-                prop_assert!(b.min <= b.mean() + 1e-9 && b.mean() <= b.max + 1e-9);
-            }
-        }
-
         #[test]
         fn failover_drains_everything(n in 1usize..200, drop_p in 0.0f64..0.5,
                                       outage in any::<bool>(), seed in any::<u64>()) {
@@ -336,46 +313,6 @@ mod extended {
             seqs.sort_unstable();
             seqs.dedup();
             prop_assert_eq!(seqs.len(), n);
-        }
-
-        #[test]
-        fn pseudonymizer_is_stable_injective_and_salted(
-            salt_a in any::<u64>(), salt_b in any::<u64>(),
-            ids in prop::collection::btree_set(any::<u64>(), 2..64)) {
-            prop_assume!(salt_a != salt_b);
-            let a = MacPseudonymizer::new(salt_a);
-            let macs: Vec<MacAddress> = ids
-                .iter()
-                .map(|&i| MacAddress::new([
-                    0x28, 0xCF, (i >> 24) as u8, (i >> 16) as u8, (i >> 8) as u8, i as u8,
-                ]))
-                .collect();
-            let out_a: Vec<MacAddress> = macs.iter().map(|&m| a.pseudonymize(m)).collect();
-            // Stable.
-            for (m, o) in macs.iter().zip(&out_a) {
-                prop_assert_eq!(a.pseudonymize(*m), *o);
-                prop_assert!(o.is_locally_administered());
-                prop_assert!(!o.is_multicast());
-            }
-            // Injective on this set.
-            let mut uniq = out_a.clone();
-            uniq.sort();
-            uniq.dedup();
-            prop_assert_eq!(uniq.len(), out_a.len());
-            // Salted: a different salt moves at least one pseudonym.
-            let b = MacPseudonymizer::new(salt_b);
-            prop_assert!(macs.iter().any(|&m| a.pseudonymize(m) != b.pseudonymize(m)));
-        }
-
-        #[test]
-        fn k_anonymity_conserves_population(rows in prop::collection::vec(0u64..1000, 0..40),
-                                            k in 1u64..50) {
-            let labelled: Vec<(usize, u64)> = rows.iter().copied().enumerate().collect();
-            let total: u64 = rows.iter().sum();
-            let (kept, suppressed) = k_anonymous_rows(labelled, k);
-            let kept_total: u64 = kept.iter().map(|r| r.1).sum();
-            prop_assert_eq!(kept_total + suppressed, total);
-            prop_assert!(kept.iter().all(|r| r.1 >= k));
         }
     }
 }
