@@ -22,13 +22,10 @@
 //!   examples;
 //! * [`report`] — [`report::PaperReport`]: one call that runs the whole
 //!   campaign and prints the full reproduction;
-//! * [`anomaly`] — §6.2's operational lesson as code: robust spike
-//!   detection over daily usage series with platform attribution;
 //! * [`export`] — the anonymized dataset release of §8
 //!   (`dl.meraki.net/sigcomm-2015`), regenerated;
 //! * [`planner`] — §8's second recommendation: coordinated,
 //!   utilization-driven channel planning, with the count-based baseline;
-//! * [`diagnostics`] — §6.3's wired-vs-wireless problem triage;
 //! * [`degradation`] — the fault-campaign degradation report:
 //!   completeness, loss/duplicate accounting, and report latency
 //!   quantiles for a simulated collection-layer fault scenario.
@@ -36,9 +33,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod anomaly;
 pub mod degradation;
-pub mod diagnostics;
 pub mod export;
 pub mod figures;
 pub mod planner;

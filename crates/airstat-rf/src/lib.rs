@@ -28,14 +28,7 @@
 //!   counter (current channel only) and the MR18 dedicated scanning radio
 //!   (5 ms dwell per channel, 3-minute aggregates);
 //! * [`spectrum`] — a USRP-style FFT spectrum synthesizer regenerating the
-//!   Figure 11 waterfalls;
-//! * [`rates`] — HT/VHT MCS tables and SNR-driven rate selection;
-//! * [`dfs`] — the radar-detection state machine (CAC, evacuation,
-//!   non-occupancy) behind Figure 2's empty DFS channels;
-//! * [`qos`] — §8's first practical recommendation: per-client token
-//!   buckets and a deficit-round-robin fair shaper at the AP;
-//! * [`powersave`] — §6.2's smartphone pathology: per-client downlink
-//!   buffering with TIM bits and PS-Poll drain.
+//!   Figure 11 waterfalls.
 //!
 //! The models are deliberately *generative*: they are parameterized by the
 //! marginal statistics the paper publishes and produce raw per-device
@@ -48,15 +41,11 @@
 
 pub mod airtime;
 pub mod band;
-pub mod dfs;
 pub mod interference;
 pub mod link;
 pub mod neighbors;
 pub mod phy;
-pub mod powersave;
 pub mod propagation;
-pub mod qos;
-pub mod rates;
 pub mod scanner;
 pub mod spectrum;
 

@@ -6,16 +6,10 @@
 //! is monotone in distance, and scanner bookkeeping never loses dwells.
 
 use airstat_rf::airtime::{AirtimeLedger, ChannelLoad};
-use airstat_rf::band::ChannelWidth;
 use airstat_rf::band::{Band, Channel, CHANNELS_2_4, CHANNELS_5};
-use airstat_rf::dfs::{DfsMonitor, DfsState};
 use airstat_rf::link::{LinkModel, ProbeLink};
-use airstat_rf::phy::{Capabilities, Generation};
 use airstat_rf::propagation::{Environment, PathLoss};
-use airstat_rf::qos::{FairShaper, TokenBucket};
-use airstat_rf::rates::{phy_rate_mbps, select_rate, Mcs};
 use airstat_rf::scanner::{ScanningRadio, SCAN_DWELL_US};
-use airstat_stats::SeedTree;
 use proptest::prelude::*;
 
 fn any_band() -> impl Strategy<Value = Band> {
@@ -153,92 +147,5 @@ proptest! {
             prop_assert!((c.utilization - util).abs() < 1.0 / SCAN_DWELL_US as f64 + 1e-9,
                 "measured {} expected {}", c.utilization, util);
         }
-    }
-}
-
-fn any_caps() -> impl Strategy<Value = Capabilities> {
-    (
-        prop_oneof![
-            Just(Generation::B),
-            Just(Generation::G),
-            Just(Generation::N),
-            Just(Generation::Ac)
-        ],
-        any::<bool>(),
-        any::<bool>(),
-        1u8..=4,
-    )
-        .prop_map(|(g, d, f, s)| Capabilities::new(g, d, f, s))
-}
-
-proptest! {
-    #[test]
-    fn rate_selection_monotone_in_snr(caps in any_caps(),
-                                      snr in -10.0f64..50.0, delta in 0.0f64..20.0) {
-        let (_, _, low) = select_rate(&caps, snr);
-        let (_, _, high) = select_rate(&caps, snr + delta);
-        prop_assert!(high >= low, "rate must not drop as SNR rises");
-        prop_assert!(low > 0.0, "there is always a fallback rate");
-    }
-
-    #[test]
-    fn phy_rates_scale_with_streams(mcs in 0u8..=9, streams in 1u8..=4) {
-        let one = phy_rate_mbps(Mcs(mcs), ChannelWidth::Mhz20, 1, false).unwrap();
-        let many = phy_rate_mbps(Mcs(mcs), ChannelWidth::Mhz20, streams, false).unwrap();
-        prop_assert!((many - one * f64::from(streams)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn token_bucket_never_exceeds_offered_plus_burst(
-        rate in 1.0f64..1e6, burst in 1.0f64..1e6,
-        packets in prop::collection::vec((1u64..10_000, 0.0f64..10.0), 1..100)) {
-        let mut bucket = TokenBucket::new(rate, burst);
-        let mut offers: Vec<(u64, f64)> = packets;
-        offers.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        let mut admitted = 0u64;
-        let mut last_t = 0.0;
-        for (bytes, t) in offers {
-            last_t = t.max(last_t);
-            if bucket.try_consume(bytes, last_t) {
-                admitted += bytes;
-            }
-        }
-        // Admission can never beat rate * elapsed + burst.
-        let bound = rate * last_t + burst + 1.0;
-        prop_assert!((admitted as f64) <= bound, "admitted {admitted} > bound {bound}");
-    }
-
-    #[test]
-    fn shaper_conserves_bytes(packets in prop::collection::vec((0u64..8, 1u64..3000), 0..200),
-                              budget in 0u64..500_000) {
-        let mut shaper = FairShaper::new(1500);
-        let mut offered = 0u64;
-        for (client, bytes) in packets {
-            shaper.enqueue(client, bytes);
-            offered += bytes;
-        }
-        let sent: u64 = shaper.drain(budget).iter().map(|(_, b)| b).sum();
-        prop_assert!(sent <= budget, "budget respected");
-        prop_assert_eq!(sent + shaper.total_backlog(), offered, "no bytes created or lost");
-    }
-
-    #[test]
-    fn dfs_lifecycle_is_sound(seed in any::<u64>(), radar_p in 0.0f64..0.1) {
-        let mut monitor = DfsMonitor::new(radar_p);
-        let channel = Channel::new(Band::Ghz5, 100).unwrap();
-        let mut rng = SeedTree::new(seed).rng();
-        monitor.start_cac(channel, 0);
-        let mut now = 0u64;
-        for _ in 0..200 {
-            let _ = monitor.tick(channel, now, 30, &mut rng);
-            now += 30;
-            // Invariant: usable implies state Available; non-DFS always usable.
-            match monitor.state(channel) {
-                DfsState::Available => prop_assert!(monitor.is_usable(channel)),
-                _ => prop_assert!(!monitor.is_usable(channel)),
-            }
-        }
-        let clear = Channel::new(Band::Ghz5, 36).unwrap();
-        prop_assert!(monitor.is_usable(clear));
     }
 }

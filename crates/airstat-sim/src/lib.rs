@@ -44,7 +44,6 @@ pub mod faults;
 pub mod fleet;
 pub mod industry;
 pub mod population;
-pub mod surge;
 pub mod traffic;
 pub mod world;
 

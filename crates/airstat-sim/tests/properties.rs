@@ -5,7 +5,6 @@ use airstat_rf::band::Band;
 use airstat_sim::config::MeasurementYear;
 use airstat_sim::engine::{diurnal, sample_census, serving_load};
 use airstat_sim::population::PopulationModel;
-use airstat_sim::surge::{generate_daily_series, UpdateEvent};
 use airstat_sim::traffic::{expected_weight_sum, generate_weekly, metadata_for};
 use airstat_sim::world::{NeighborEpoch, World};
 use airstat_stats::SeedTree;
@@ -102,35 +101,6 @@ proptest! {
                     prop_assert!((0.0..=1.0).contains(&d));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn daily_series_conserves_base_budget(seed in any::<u64>(), n in 10usize..200) {
-        let model = PopulationModel::new(MeasurementYear::Y2015);
-        let mut rng = SeedTree::new(seed).rng();
-        let clients: Vec<_> = (0..n).map(|i| model.sample_client(i as u64, &mut rng)).collect();
-        let series = generate_daily_series(&clients, &[], &mut rng);
-        let total: f64 = series.total.iter().sum();
-        let budget: u64 = clients.iter().map(|c| c.weekly_bytes).sum();
-        prop_assert!((total / budget as f64 - 1.0).abs() < 1e-9);
-        prop_assert!(series.total.iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn update_events_only_add(seed in any::<u64>(), day in 0usize..7) {
-        let model = PopulationModel::new(MeasurementYear::Y2015);
-        let mut rng = SeedTree::new(seed).rng();
-        let clients: Vec<_> = (0..200).map(|i| model.sample_client(i, &mut rng)).collect();
-        let mut rng_a = SeedTree::new(seed ^ 1).rng();
-        let quiet = generate_daily_series(&clients, &[], &mut rng_a);
-        let mut rng_b = SeedTree::new(seed ^ 1).rng();
-        let surged = generate_daily_series(&clients, &[UpdateEvent::ios_major(day)], &mut rng_b);
-        // The base (non-update) component is identical; update bytes add.
-        for d in 0..7 {
-            let base_surged = surged.total[d] - surged.update_bytes[d];
-            prop_assert!((base_surged - quiet.total[d]).abs() < 1.0);
-            prop_assert!(surged.update_bytes[d] >= 0.0);
         }
     }
 

@@ -19,8 +19,6 @@
 //! ```
 
 use airstat::rf::band::{Band, Channel};
-use airstat::rf::phy::{Capabilities, Generation};
-use airstat::rf::rates::select_rate;
 use airstat::sim::engine::{channel_load, diurnal, sample_census};
 use airstat::sim::world::{NeighborEpoch, World};
 use airstat::stats::SeedTree;
@@ -93,22 +91,4 @@ fn main() {
         }
     );
     println!("(the paper's §5.1 point: network counts alone do not predict utilization)");
-
-    // What the airtime is worth: translate the saved share into goodput
-    // for a typical 2x2 802.11n client at a healthy office SNR.
-    let client = Capabilities::new(Generation::N, true, true, 2);
-    let (mcs, width, phy_rate) = select_rate(&client, 28.0);
-    let saved_share = if disagreements > 0 {
-        saved_points / f64::from(disagreements) / 100.0
-    } else {
-        0.0
-    };
-    println!(
-        "for a 2x2 11n client at 28 dB SNR (MCS{} @ {:?} = {:.0} Mb/s PHY), that airtime \
-         is worth ~{:.0} Mb/s of goodput headroom",
-        mcs.0,
-        width,
-        phy_rate,
-        phy_rate * 0.65 * saved_share,
-    );
 }

@@ -1,18 +1,13 @@
 //! Integration tests for the operational systems around the paper's
 //! §6 ("Real-world experiences") and §8 (practical implications):
-//! crash telemetry, update-surge detection, channel planning, traffic
-//! shaping, transport failover, and the dataset release.
+//! crash telemetry, channel planning, transport failover, and the dataset
+//! release.
 
-use airstat::classify::device::OsFamily;
-use airstat::core::anomaly::{attribute_spike, detect_spikes};
 use airstat::core::export::build_release;
 use airstat::core::planner::{evaluate, plan, ChannelMeasurement, PlannerStrategy};
 use airstat::rf::band::{Band, Channel};
-use airstat::rf::qos::FairShaper;
-use airstat::sim::config::{MeasurementYear, WINDOW_JAN_2015, WINDOW_JUL_2014};
+use airstat::sim::config::{WINDOW_JAN_2015, WINDOW_JUL_2014};
 use airstat::sim::engine::{channel_load, diurnal, sample_census};
-use airstat::sim::population::PopulationModel;
-use airstat::sim::surge::{generate_daily_series, UpdateEvent, WEEKDAY_ACTIVITY};
 use airstat::sim::world::{NeighborEpoch, World};
 use airstat::sim::{FleetConfig, FleetSimulation};
 use airstat::stats::SeedTree;
@@ -65,41 +60,6 @@ fn fleet_run_surfaces_the_manhattan_bug() {
 }
 
 #[test]
-fn update_surge_detected_and_attributed() {
-    let seed = SeedTree::new(0x0b5);
-    let model = PopulationModel::new(MeasurementYear::Y2015);
-    let mut rng = seed.child("clients").rng();
-    let clients: Vec<_> = (0..20_000)
-        .map(|i| model.sample_client(i, &mut rng))
-        .collect();
-    let events = [UpdateEvent::ios_major(2)];
-    let mut rng = seed.child("week").rng();
-    let series = generate_daily_series(&clients, &events, &mut rng);
-    let spikes = detect_spikes(&series.total, &WEEKDAY_ACTIVITY, 4.0);
-    // The Wednesday release dominates; its Thursday download tail may
-    // also cross the threshold, nothing else can.
-    assert!(
-        !spikes.is_empty() && spikes.len() <= 2,
-        "spikes: {spikes:?}"
-    );
-    assert_eq!(spikes[0].index, 2, "the release day ranks first");
-    if let Some(tail) = spikes.get(1) {
-        assert_eq!(tail.index, 3, "only the tail may co-trigger");
-    }
-    // Attribution to the right platform.
-    let mut per_os = Vec::new();
-    for os in [OsFamily::AppleIos, OsFamily::Windows, OsFamily::Android] {
-        let subset: Vec<_> = clients.iter().filter(|c| c.os == os).cloned().collect();
-        let mut rng = seed.child("week").rng();
-        let s = generate_daily_series(&subset, &events, &mut rng);
-        per_os.push((os, s.total));
-    }
-    let (who, excess) = attribute_spike(&spikes[0], &per_os, &WEEKDAY_ACTIVITY).unwrap();
-    assert_eq!(who, OsFamily::AppleIos);
-    assert!(excess > 0.0);
-}
-
-#[test]
 fn utilization_planner_beats_count_planner_at_fleet_scale() {
     let world = World::generate(&SeedTree::new(0x0b6), 200, 0);
     let mut measurements = std::collections::HashMap::new();
@@ -144,34 +104,6 @@ fn utilization_planner_beats_count_planner_at_fleet_scale() {
         cost_util < cost_count,
         "utilization planning ({cost_util:.3}) must beat counting ({cost_count:.3})"
     );
-}
-
-#[test]
-fn shaping_protects_interactive_clients_during_a_surge() {
-    // §8 recommendation (1) applied to the §6.2 scenario: during an OS
-    // update surge, fair shaping keeps light clients' queues short.
-    let mut shaper = FairShaper::new(1500);
-    for updater in 0..8u64 {
-        for _ in 0..50 {
-            shaper.enqueue(updater, 1500);
-        }
-    }
-    for interactive in 100..140u64 {
-        shaper.enqueue(interactive, 400);
-    }
-    // One drain slot big enough for every client's quantum.
-    let sent = shaper.drain(60_000);
-    for interactive in 100..140u64 {
-        assert_eq!(
-            shaper.backlog(interactive),
-            0,
-            "interactive client {interactive} cleared in the first slot"
-        );
-    }
-    // Updaters are still backlogged — they absorb the delay, not others.
-    let updater_backlog: u64 = (0..8).map(|c| shaper.backlog(c)).sum();
-    assert!(updater_backlog > 0);
-    assert!(!sent.is_empty());
 }
 
 #[test]
