@@ -9,7 +9,7 @@
 //! [`FlowTable`] reproduces that design: the first packets of a flow ride
 //! the slow path, where metadata is extracted and the rule engine runs
 //! once; every later packet is a fast-path counter bump against the cached
-//! classification. TCP FIN (or an idle timeout) retires the entry, and
+//! classification. TCP FIN retires the entry, and
 //! the table is bounded — eviction picks the least-recently-used flow, a
 //! real constraint on 64 MB devices.
 use std::collections::hash_map::Entry;
@@ -102,10 +102,9 @@ impl Hasher for FlowHasher {
 pub struct FlowTable {
     ruleset: Arc<RuleSet>,
     capacity: usize,
-    idle_timeout_s: u64,
     // airstat::allow(no-hashmap-iter): keyed access on the per-packet hot
-    // path; the only scans (expire, flush, evict_lru) are key-sorted or
-    // tie-broken on FlowKey before they touch any aggregate
+    // path; the only scans are flush's drain, a per-key sum into the
+    // key-sorted `usage`, and evict_lru's minimum, tie-broken on FlowKey
     flows: HashMap<FlowKey, FlowEntry, BuildHasherDefault<FlowHasher>>,
     /// Retired rows, sorted by key. A `Vec`, so harvesting or resetting
     /// the table keeps the storage for the next interval.
@@ -117,20 +116,18 @@ pub struct FlowTable {
 
 impl FlowTable {
     /// Creates a table classifying with `ruleset`, holding at most
-    /// `capacity` concurrent flows, retiring idle flows after
-    /// `idle_timeout_s` seconds.
+    /// `capacity` concurrent flows.
     ///
     /// The ruleset is shared: many tables (one per simulated AP, say) can
     /// classify against one `Arc` without copying the rule data.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
-    pub fn new(ruleset: Arc<RuleSet>, capacity: usize, idle_timeout_s: u64) -> Self {
+    pub fn new(ruleset: Arc<RuleSet>, capacity: usize) -> Self {
         assert!(capacity > 0, "flow table capacity must be > 0");
         FlowTable {
             ruleset,
             capacity,
-            idle_timeout_s,
             // airstat::allow(no-hashmap-iter): constructor for the field justified above
             flows: HashMap::default(),
             usage: Vec::new(),
@@ -213,24 +210,6 @@ impl FlowTable {
         if let Some(mut entry) = self.flows.remove(&key) {
             entry.last_seen = now;
             entry.finished = true;
-            Self::retire(&mut self.usage, key.client, &entry);
-        }
-    }
-
-    /// Retires flows idle longer than the timeout.
-    pub fn expire(&mut self, now: u64) {
-        let timeout = self.idle_timeout_s;
-        let stale: Vec<FlowKey> = self
-            .flows
-            .iter()
-            .filter(|(_, e)| now.saturating_sub(e.last_seen) >= timeout)
-            .map(|(&k, _)| k)
-            .collect();
-        for key in stale {
-            let entry = self
-                .flows
-                .remove(&key)
-                .expect("invariant: key collected from this map above");
             Self::retire(&mut self.usage, key.client, &entry);
         }
     }
@@ -329,7 +308,7 @@ mod tests {
     }
 
     fn table(capacity: usize) -> FlowTable {
-        FlowTable::new(Arc::new(RuleSet::standard_2015()), capacity, 300)
+        FlowTable::new(Arc::new(RuleSet::standard_2015()), capacity)
     }
 
     #[test]
@@ -365,28 +344,6 @@ mod tests {
         let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage[0].1.up_bytes, 600);
         assert_eq!(usage[0].1.down_bytes, 400);
-    }
-
-    #[test]
-    fn idle_flows_expire() {
-        let mut t = table(16);
-        let m = FlowMetadata::tcp(9999);
-        t.open(key(1, 1), &m, 0);
-        t.packet(key(1, 1), Direction::Up, 100, &m, 10);
-        t.expire(400); // idle since t=10, timeout 300
-        assert_eq!(t.live_flows(), 0);
-        let usage: Vec<_> = t.flush().collect();
-        assert_eq!(usage[0].1.up_bytes, 100);
-    }
-
-    #[test]
-    fn active_flows_survive_expiry() {
-        let mut t = table(16);
-        let m = FlowMetadata::tcp(9999);
-        t.open(key(1, 1), &m, 0);
-        t.packet(key(1, 1), Direction::Up, 100, &m, 350);
-        t.expire(400); // active at 350, not stale at 400
-        assert_eq!(t.live_flows(), 1);
     }
 
     #[test]

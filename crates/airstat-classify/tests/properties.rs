@@ -83,7 +83,6 @@ enum FlowOp {
     Finish {
         key: (u8, u64),
     },
-    Expire,
     Flush,
 }
 
@@ -107,7 +106,6 @@ fn any_flow_op() -> impl Strategy<Value = FlowOp> {
         packet(),
         packet(),
         key().prop_map(|key| FlowOp::Finish { key }),
-        Just(FlowOp::Expire),
         Just(FlowOp::Flush),
     ]
 }
@@ -115,7 +113,6 @@ fn any_flow_op() -> impl Strategy<Value = FlowOp> {
 /// What [`FlowTable`] documents, over ordered maps only.
 struct FlowModel {
     capacity: usize,
-    idle_timeout_s: u64,
     /// `(app, up, down, last_seen)` per live flow.
     flows: BTreeMap<FlowKey, (Application, u64, u64, u64)>,
     usage: BTreeMap<(MacAddress, Application), AppUsage>,
@@ -177,20 +174,6 @@ impl FlowModel {
     fn finish(&mut self, key: FlowKey) {
         self.slow += 1;
         if self.flows.contains_key(&key) {
-            self.retire(key);
-        }
-    }
-
-    fn expire(&mut self, now: u64) {
-        let stale: Vec<FlowKey> = self
-            .flows
-            .iter()
-            .filter(|(_, &(_, _, _, last_seen))| {
-                now.saturating_sub(last_seen) >= self.idle_timeout_s
-            })
-            .map(|(&k, _)| k)
-            .collect();
-        for key in stale {
             self.retire(key);
         }
     }
@@ -300,11 +283,9 @@ proptest! {
         ];
         let rules = Arc::new(RuleSet::standard_2015());
         let apps = metadata.clone().map(|m| rules.classify(&m));
-        let idle_timeout_s = 4;
-        let mut table = FlowTable::new(Arc::clone(&rules), capacity, idle_timeout_s);
+        let mut table = FlowTable::new(Arc::clone(&rules), capacity);
         let mut model = FlowModel {
             capacity,
-            idle_timeout_s,
             flows: BTreeMap::new(),
             usage: BTreeMap::new(),
             slow: 0,
@@ -333,10 +314,6 @@ proptest! {
                 FlowOp::Finish { key } => {
                     table.finish(flow_key(key), now);
                     model.finish(flow_key(key));
-                }
-                FlowOp::Expire => {
-                    table.expire(now);
-                    model.expire(now);
                 }
                 FlowOp::Flush => {
                     let rows: Vec<_> = table.flush().collect();
