@@ -3,7 +3,7 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`stats`] — statistics substrate (histograms, CDFs, samplers, seeds);
+//! * [`stats`] — statistics substrate (CDFs, samplers, seeds);
 //! * [`rf`] — 802.11 PHY/MAC and RF-environment models;
 //! * [`classify`] — device-OS and application classifiers;
 //! * [`telemetry`] — wire format, faulty transport, legacy backend store;
