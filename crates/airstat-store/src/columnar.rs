@@ -11,9 +11,11 @@
 //! k-way walk over pre-sorted runs instead of map clones.
 //!
 //! The layout is lossless — `ColumnarWindow::unpack` rebuilds the
-//! tables it was packed from — so it is also what a segment file
-//! decodes to: an opened store reads its files as sealed segments and
-//! unpacks row tables only for a shard that needs rows.
+//! tables it was packed from — so it is also what a segment file is
+//! encoded from and decodes to: a persist writes each shard's stack
+//! folded by `ColumnarShard::fold`, and an opened store reads its
+//! files as sealed segments and unpacks row tables only for a shard
+//! that needs rows.
 //!
 //! Layout contract (what makes the kernels over this layout
 //! byte-identical to the map-backed fold):
@@ -35,7 +37,9 @@
 //! decides which shards a plan reads. That follows from the store's
 //! `(window, device)` routing (see [`crate::query`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use airstat_classify::apps::Application;
 use airstat_classify::device::OsFamily;
@@ -144,30 +148,31 @@ impl ColumnarShard {
         ColumnarShard { windows }
     }
 
-    /// One shard's on-disk delta chain, decoded file by file (oldest to
-    /// newest), folded into the single segment a monolithic persist of
-    /// the same rows would have decoded to: newest-wins per key, and —
-    /// unlike a compaction [`ColumnarShard::merge`] — every window any
-    /// file names, row-less ones included, as the row tables hold them.
-    /// A window only one file holds is moved, not copied.
-    pub(crate) fn fold(chain: Vec<ColumnarShard>) -> Self {
-        let mut by_window: BTreeMap<WindowId, Vec<ColumnarWindow>> = BTreeMap::new();
-        for segment in chain {
-            for (window, columns) in segment.windows {
+    /// One shard's segment stack (oldest to newest) folded newest-wins,
+    /// window by window: the rows a full projection of the shard's
+    /// tables holds, in the same layout. A window only one segment holds
+    /// is borrowed, so a stack of one segment folds without a copy.
+    /// Unlike a full projection it holds no window without rows that a
+    /// compaction [`ColumnarShard::merge`] or a seal delta left out.
+    pub(crate) fn fold(
+        stack: &[Arc<ColumnarShard>],
+    ) -> BTreeMap<WindowId, Cow<'_, ColumnarWindow>> {
+        let mut by_window: BTreeMap<WindowId, Vec<&ColumnarWindow>> = BTreeMap::new();
+        for segment in stack {
+            for (&window, columns) in &segment.windows {
                 by_window.entry(window).or_default().push(columns);
             }
         }
-        let windows = by_window
+        by_window
             .into_iter()
-            .map(|(window, mut held)| {
-                let folded = match held.len() {
-                    1 => held.pop().expect("invariant: one window was pushed"),
-                    _ => ColumnarWindow::merged(&held.iter().collect::<Vec<_>>()),
+            .map(|(window, held)| {
+                let folded = match held[..] {
+                    [only] => Cow::Borrowed(only),
+                    _ => Cow::Owned(merge_segments(&held, FAM_ALL)),
                 };
                 (window, folded)
             })
-            .collect();
-        ColumnarShard { windows }
+            .collect()
     }
 
     /// The row tables these columns were packed from, window by window —

@@ -233,7 +233,7 @@ impl QueryValue {
 /// Sized from a measurement: at `paper(0.008)` (77k clients, the
 /// `resume_query` benchmark campaign) every plan kind on every window
 /// plus one full `PaperReport::from_query` caches 807 results totalling
-/// 4.9 MB (DESIGN.md §20 has the breakdown). The budget holds that three
+/// 4.9 MB (DESIGN.md §11.6 has the breakdown). The budget holds that three
 /// times over, so a dashboard refreshing one report never evicts what
 /// the next refresh reads, while a store whose results outgrow it falls
 /// back to recomputing the oldest instead of growing without bound.

@@ -16,11 +16,11 @@
 //!   reports: per-device delivery is in order and duplicates are exact
 //!   redeliveries, which the differential tests pin down.
 //!
-//! A shard opened from disk starts without row tables: its segment files
-//! decode into the sealed columnar layout, which the store's segment
+//! A shard opened from disk starts without row tables: its segment file
+//! decodes into the sealed columnar layout, which the store's segment
 //! stack reads as it is, and the tables are unpacked from those columns
-//! once, the first time an ingest, a persist or a row reader needs them.
-//! A store that is reopened only to be queried never builds them.
+//! once, the first time an ingest or a row reader needs them. A store
+//! that is reopened only to be queried or persisted never builds them.
 //!
 //! The `(window, device)` routing has a consequence the read side leans
 //! on hard: device-keyed data is **shard-disjoint** (a device's rows for
@@ -117,8 +117,8 @@ pub struct ClientMeta {
 /// Per-device census rows: `(band, channel number, networks, hotspots)`.
 pub type CensusRows = Vec<(Band, u16, u32, u32)>;
 
-/// The keys one window dirtied since a seal (or persist) baseline: one
-/// set per table, mirroring [`WindowTables`] key for key.
+/// The keys one window dirtied since the last seal: one set per table,
+/// mirroring [`WindowTables`] key for key.
 ///
 /// Marking is a deliberate **superset**: every key a report's payload
 /// names is marked on accept, even when the write turned out to be a
@@ -148,67 +148,19 @@ impl DirtyWindow {
             && self.scans.is_empty()
             && self.crashes.is_empty()
     }
-
-    /// Moves every key of `other` into `self`.
-    pub(crate) fn absorb(&mut self, other: DirtyWindow) {
-        absorb_keys(&mut self.usage, other.usage);
-        absorb_keys(&mut self.clients, other.clients);
-        absorb_keys(&mut self.links, other.links);
-        absorb_keys(&mut self.airtime, other.airtime);
-        absorb_keys(&mut self.neighbors, other.neighbors);
-        absorb_keys(&mut self.scans, other.scans);
-        absorb_keys(&mut self.crashes, other.crashes);
-    }
 }
 
-/// Moves `from` into `into`: the whole tree when `into` is empty (the
-/// first seal, or the first after a persist), key by key otherwise.
-/// `BTreeSet::append` is not used for the second case — it rebuilds the
-/// receiving set, which would make absorbing a seal's delta cost as much
-/// as the baseline has grown.
-fn absorb_keys<K: Ord>(into: &mut BTreeSet<K>, from: BTreeSet<K>) {
-    if into.is_empty() {
-        *into = from;
-    } else {
-        into.extend(from);
-    }
-}
-
-/// Everything one shard dirtied since a baseline: per-window key sets
-/// plus the shard-level dedup-ledger entries and counters.
-///
-/// [`crate::ShardedStore`] keeps one of these per shard for the
-/// seal baseline (rows since the last delta segment was cut) and one
-/// for the persist baseline (rows since the last on-disk delta).
+/// The keys one shard dirtied since the last seal, per window:
+/// [`crate::ShardedStore`] keeps one of these per shard, and a seal
+/// projects exactly these rows into its delta segment.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DirtyShard {
     pub(crate) windows: BTreeMap<WindowId, DirtyWindow>,
-    /// `(window, device)` dedup-ledger entries whose [`SeqSet`] changed.
-    pub(crate) dedup: BTreeSet<(WindowId, u64)>,
-    /// Whether either acceptance counter moved (set on every ingest,
-    /// including rejected duplicates).
-    pub(crate) counters_touched: bool,
 }
 
 impl DirtyShard {
     pub(crate) fn is_empty(&self) -> bool {
         self.windows.values().all(DirtyWindow::is_empty)
-            && self.dedup.is_empty()
-            && !self.counters_touched
-    }
-
-    pub(crate) fn clear(&mut self) {
-        *self = DirtyShard::default();
-    }
-
-    /// Moves everything `other` tracked into `self` — how a seal hands
-    /// its drained dirty sets to the persist baseline.
-    pub(crate) fn absorb(&mut self, other: DirtyShard) {
-        for (window, dirty) in other.windows {
-            self.windows.entry(window).or_default().absorb(dirty);
-        }
-        absorb_keys(&mut self.dedup, other.dedup);
-        self.counters_touched |= other.counters_touched;
     }
 }
 
@@ -234,59 +186,13 @@ pub struct WindowTables {
     pub crashes: BTreeMap<u64, BTreeMap<(u64, u32), CrashReport>>,
 }
 
-impl WindowTables {
-    /// Clones the rows named by `dirty` out of the live tables — the
-    /// current (newest) value of every dirtied key. Keys are never
-    /// removed from a shard, so every dirty key resolves.
-    pub(crate) fn filtered(&self, dirty: &DirtyWindow) -> WindowTables {
-        WindowTables {
-            usage: dirty
-                .usage
-                .iter()
-                .filter_map(|k| self.usage.get(k).map(|v| (*k, *v)))
-                .collect(),
-            clients: dirty
-                .clients
-                .iter()
-                .filter_map(|k| self.clients.get(k).map(|v| (*k, *v)))
-                .collect(),
-            links: dirty
-                .links
-                .iter()
-                .filter_map(|k| self.links.get(k).map(|v| (*k, v.clone())))
-                .collect(),
-            airtime: dirty
-                .airtime
-                .iter()
-                .filter_map(|k| self.airtime.get(k).map(|v| (*k, *v)))
-                .collect(),
-            neighbors: dirty
-                .neighbors
-                .iter()
-                .filter_map(|k| self.neighbors.get(k).map(|v| (*k, v.clone())))
-                .collect(),
-            scans: dirty
-                .scans
-                .iter()
-                .filter_map(|k| self.scans.get(k).map(|v| (*k, v.clone())))
-                .collect(),
-            crashes: dirty
-                .crashes
-                .iter()
-                .filter_map(|k| self.crashes.get(k).map(|v| (*k, v.clone())))
-                .collect(),
-        }
-    }
-}
-
 /// One shard: an independent store with its own dedup state.
 ///
 /// A shard built by ingest holds its rows in the row tables. A shard
-/// opened from disk holds them in the sealed layout its segment files
-/// decode to, and builds the row tables from those columns only when
-/// something needs rows — an ingest, a persist, a delta snapshot or a
-/// [`StoreShard::window`] / [`StoreShard::windows`] reader — and then
-/// once.
+/// opened from disk holds them in the sealed layout its segment file
+/// decodes to, and builds the row tables from those columns only when
+/// something needs rows — an ingest or a [`StoreShard::window`] /
+/// [`StoreShard::windows`] reader — and then once.
 #[derive(Debug, Clone, Default)]
 pub struct StoreShard {
     // airstat::allow(no-hashmap-iter): per-(window, device) dedup state,
@@ -294,8 +200,8 @@ pub struct StoreShard {
     seen: HashMap<(WindowId, u64), SeqSet>,
     duplicates_dropped: u64,
     reports_ingested: u64,
-    /// The rows of an opened shard whose row tables are not built yet:
-    /// its on-disk chain, folded. Dropped by the first ingest.
+    /// The rows of an opened shard whose row tables are not built yet,
+    /// as its segment file decoded them. Dropped by the first ingest.
     sealed: Option<Arc<ColumnarShard>>,
     /// The row tables, unpacked from `sealed` on first need.
     windows: OnceLock<BTreeMap<WindowId, WindowTables>>,
@@ -372,34 +278,10 @@ impl StoreShard {
         entries
     }
 
-    /// Builds a shard from its parts. The caller is responsible for
-    /// internal consistency: the counters and dedup ledger must describe
-    /// the same ingest history that produced `windows`.
-    pub(crate) fn from_parts(
-        // airstat::allow(no-hashmap-iter): rebuilt dedup ledger; keyed
-        // access only after reconstruction, never iterated for output
-        seen: HashMap<(WindowId, u64), SeqSet>,
-        duplicates_dropped: u64,
-        reports_ingested: u64,
-        windows: BTreeMap<WindowId, WindowTables>,
-    ) -> StoreShard {
-        StoreShard {
-            // airstat::allow(unordered-collection-escape): constructor
-            // hand-off of the keyed-access dedup ledger; every site
-            // that drains it sorts (or never iterates it) downstream.
-            seen,
-            duplicates_dropped,
-            reports_ingested,
-            sealed: None,
-            windows: OnceLock::from(windows),
-        }
-    }
-
     /// Rebuilds a shard from its persisted parts (segment decode), its
-    /// rows in the sealed layout they decoded to. The same consistency
-    /// duty as [`StoreShard::from_parts`] holds whenever the parts come
-    /// from one decoded chain (the CRC guards reject mixed or tampered
-    /// inputs).
+    /// rows in the sealed layout they decoded to. The parts come from one
+    /// decoded file, so they describe one ingest history (the CRC guards
+    /// reject mixed or tampered inputs).
     pub(crate) fn from_sealed(
         // airstat::allow(no-hashmap-iter): rebuilt dedup ledger; keyed
         // access only after reconstruction, never iterated for output
@@ -554,21 +436,16 @@ impl StoreShard {
 
     /// [`StoreShard::ingest`] plus dirty-key tracking: on accept, every
     /// key the payload names is recorded in `dirty` (see [`DirtyWindow`]
-    /// for why the superset is the safe marking policy). Both the accept
-    /// and the duplicate path move an acceptance counter, so
-    /// `counters_touched` is set unconditionally.
+    /// for why the superset is the safe marking policy).
     pub(crate) fn ingest_tracked(
         &mut self,
         window: WindowId,
         report: &Report,
         dirty: &mut DirtyShard,
     ) -> bool {
-        let accepted = self.ingest(window, report);
-        dirty.counters_touched = true;
-        if !accepted {
+        if !self.ingest(window, report) {
             return false;
         }
-        dirty.dedup.insert((window, report.device));
         let w = dirty.windows.entry(window).or_default();
         match &report.payload {
             ReportPayload::Usage(records) => {
@@ -609,67 +486,31 @@ impl StoreShard {
         }
         true
     }
+}
 
-    /// Folds one shard's decoded on-disk chain (oldest to newest) into the
-    /// shard a monolithic persist would have written: the chain's rows
-    /// through [`ColumnarShard::fold`] (each delta row carries the full
-    /// value it had at persist time, so newest-wins reconstructs them),
-    /// the union of its dedup ledgers, and the newest file's counters
-    /// (counters are totals). The first ledger is moved, not re-inserted.
-    pub(crate) fn from_chain(chain: Vec<StoreShard>) -> StoreShard {
-        let mut folded = StoreShard::default();
-        let mut sealed = Vec::with_capacity(chain.len());
-        for delta in chain {
-            if folded.seen.is_empty() {
-                folded.seen = delta.seen;
-            } else {
-                folded.seen.extend(delta.seen);
-            }
-            folded.duplicates_dropped = delta.duplicates_dropped;
-            folded.reports_ingested = delta.reports_ingested;
-            sealed.extend(
-                delta
-                    .sealed
-                    .map(|s| Arc::try_unwrap(s).unwrap_or_else(|s| (*s).clone())),
-            );
-        }
-        folded.sealed = Some(Arc::new(ColumnarShard::fold(sealed)));
-        folded
-    }
-
-    /// A self-contained delta shard: the current rows of every key in
-    /// `dirty`, the touched dedup-ledger entries, and the full
-    /// acceptance counters (counters are totals, so the newest delta's
-    /// values win wholesale on reload).
-    ///
-    /// Encoding this through the ordinary segment writer yields an
-    /// on-disk **delta segment**; [`StoreShard::absorb`] is its reload
-    /// inverse.
-    pub(crate) fn delta_snapshot(&self, dirty: &DirtyShard) -> StoreShard {
-        let mut seen = HashMap::with_capacity(dirty.dedup.len());
-        for &(window, device) in &dirty.dedup {
-            if let Some(set) = self.seen.get(&(window, device)) {
-                seen.insert((window, device), set.clone());
-            }
-        }
-        let windows = dirty
-            .windows
-            .iter()
-            .filter(|(_, dw)| !dw.is_empty())
-            .filter_map(|(&window, dw)| {
-                self.window(window)
-                    .map(|tables| (window, tables.filtered(dw)))
-            })
-            .collect();
-        StoreShard::from_parts(
-            // airstat::allow(unordered-collection-escape): delta hand-off
-            // of the keyed-access dedup ledger; the segment writer sorts
-            // its entries before a single byte is emitted.
+#[cfg(test)]
+impl StoreShard {
+    /// Builds a shard from its parts. The caller is responsible for
+    /// internal consistency: the counters and dedup ledger must describe
+    /// the same ingest history that produced `windows`.
+    pub(crate) fn from_parts(
+        // airstat::allow(no-hashmap-iter): rebuilt dedup ledger; keyed
+        // access only after reconstruction, never iterated for output
+        seen: HashMap<(WindowId, u64), SeqSet>,
+        duplicates_dropped: u64,
+        reports_ingested: u64,
+        windows: BTreeMap<WindowId, WindowTables>,
+    ) -> StoreShard {
+        StoreShard {
+            // airstat::allow(unordered-collection-escape): constructor
+            // hand-off of the keyed-access dedup ledger; every site
+            // that drains it sorts (or never iterates it) downstream.
             seen,
-            self.duplicates_dropped,
-            self.reports_ingested,
-            windows,
-        )
+            duplicates_dropped,
+            reports_ingested,
+            sealed: None,
+            windows: OnceLock::from(windows),
+        }
     }
 }
 

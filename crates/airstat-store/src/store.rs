@@ -11,21 +11,26 @@
 //! Sealing is **incremental** (LSM-style): each shard's read layout is a
 //! [`SegmentStack`] — immutable delta [`ColumnarShard`] segments, oldest
 //! to newest — plus the mutable row tables as the tail. Once a shard has
-//! a baseline to be dirty against (segments it has sealed, or a segment
-//! set the store persisted or was opened from) ingest tracks the keys it
-//! dirties, so a seal projects only the rows touched since the previous
-//! seal into a new delta segment and the cost of making new data
-//! queryable is proportional to the delta, not the campaign. Before
-//! that the first seal projects the tables whole and no ledger is kept.
-//! A store opened from disk starts with its files as its stacks: each
-//! shard's chain decodes into one sealed segment, so its first seal
-//! projects nothing. A deterministic size-tiered compaction pass (driven purely
-//! by segment row counts — no wall clock) folds small adjacent deltas
-//! back into larger runs so stacks stay shallow; each fold is a linear
-//! newest-wins merge of the two segments' columns and never goes back to
-//! the row tables.
+//! a baseline to be dirty against (segments it has sealed, or the
+//! segment it was opened with) ingest tracks the keys it dirties, so a
+//! seal projects only the rows touched since the previous seal into a
+//! new delta segment and the cost of making new data queryable is
+//! proportional to the delta, not the campaign. Before that the first
+//! seal projects the tables whole and no ledger is kept. A store opened
+//! from disk starts with its files as its stacks: each shard's file
+//! decodes into one sealed segment, so its first seal projects nothing.
+//! A deterministic size-tiered compaction pass (driven purely by segment
+//! row counts — no wall clock) folds small adjacent deltas back into
+//! larger runs so stacks stay shallow; each fold is a linear newest-wins
+//! merge of the two segments' columns and never goes back to the row
+//! tables.
+//!
+//! A persist reads the same stacks: it seals, then writes every shard
+//! whole as its stack folded newest-wins, so its bytes depend on the
+//! rows alone — not on the seal cadence, on earlier persists, or on
+//! whether the row tables were ever built.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use airstat_stats::rng::splitmix64;
@@ -34,7 +39,7 @@ use airstat_telemetry::report::Report;
 
 use crate::columnar::ColumnarShard;
 use crate::exec::run_ordered;
-use crate::segment::{self, ManifestEntry, PersistenceStats, RecoveryStats, SegmentError};
+use crate::segment::{self, PersistenceStats, RecoveryStats, SegmentError};
 use crate::shard::{DirtyShard, StoreShard};
 
 /// Store shape and ingest parallelism.
@@ -71,11 +76,6 @@ const PARALLEL_INGEST_MIN: usize = 1024;
 /// compaction timing is byte-reproducible across runs, threads, and
 /// hosts (no wall clock anywhere).
 const COMPACTION_RATIO: u64 = 3;
-
-/// On-disk delta chains longer than this trigger a full rewrite at the
-/// next persist (on-disk compaction) — bounds reload cost and the
-/// redundant bytes shadowed rows accumulate.
-const MAX_DELTAS_ON_DISK: usize = 8;
 
 /// One shard's sealed read layout: immutable delta segments ordered
 /// **oldest to newest**. Within a stack, the newest segment holding a
@@ -123,7 +123,7 @@ pub struct SealStats {
 }
 
 /// Mutable seal-side state, behind one mutex: the current segment
-/// stacks, the per-shard dirty sets for both baselines, and counters.
+/// stacks, the per-shard dirty sets, and counters.
 #[derive(Debug, Clone, Default)]
 struct SealState {
     /// Epoch the stacks were last brought up to date at.
@@ -133,9 +133,6 @@ struct SealState {
     /// Per-shard keys dirtied since the last seal. Blank for a shard
     /// with no baseline yet (see [`ShardedStore::ingest_batch`]).
     dirty: Vec<DirtyShard>,
-    /// Per-shard keys sealed since the last persist (the on-disk delta
-    /// a future incremental persist writes).
-    persist_pending: Vec<DirtyShard>,
     stats: SealStats,
 }
 
@@ -145,7 +142,6 @@ impl SealState {
             sealed_epoch: None,
             stacks: vec![SegmentStack::default(); shards],
             dirty: vec![DirtyShard::default(); shards],
-            persist_pending: vec![DirtyShard::default(); shards],
             stats: SealStats::default(),
         }
     }
@@ -164,10 +160,6 @@ pub struct ShardedStore {
     /// Cumulative on-disk activity ([`ShardedStore::persist`] /
     /// [`ShardedStore::open`]), carried into snapshots for `StoreStats`.
     persistence: PersistenceStats,
-    /// Where the last persist committed and what the manifest lists per
-    /// shard — a persist back to the same directory appends delta
-    /// segments instead of rewriting the store.
-    persist_state: Option<(PathBuf, Vec<Vec<ManifestEntry>>)>,
 }
 
 impl Clone for ShardedStore {
@@ -185,7 +177,6 @@ impl Clone for ShardedStore {
                     .clone(),
             ),
             persistence: self.persistence,
-            persist_state: self.persist_state.clone(),
         }
     }
 }
@@ -219,7 +210,6 @@ impl ShardedStore {
             },
             seal: Mutex::new(SealState::sized(shards)),
             persistence: PersistenceStats::default(),
-            persist_state: None,
         }
     }
 
@@ -228,51 +218,15 @@ impl ShardedStore {
     /// write order makes the manifest rename the single commit point —
     /// see [`crate::segment`] and docs/SEGMENT_FORMAT.md §6.
     ///
-    /// A persist back to the directory of the previous persist (or of
-    /// [`ShardedStore::open`]) is **incremental**: each shard appends
-    /// one delta segment holding only the rows dirtied since that
-    /// persist, and the new manifest commits the grown delta chains.
-    /// Persisting anywhere else — or once any shard's chain exceeds the
-    /// on-disk compaction bound — rewrites the store as one full
-    /// segment per shard.
+    /// Every persist is whole: it seals, then writes one segment per
+    /// shard holding the shard's segment stack folded newest-wins. It
+    /// reads the sealed columns only, so persisting a store that was
+    /// opened and not written to builds no row table, and a repeat
+    /// persist at an unchanged epoch rewrites the same bytes under the
+    /// same names.
     pub fn persist(&mut self, dir: &Path) -> Result<PersistenceStats, SegmentError> {
-        // Seal first: with the seal-side dirty sets drained into
-        // `persist_pending`, the pending sets alone name exactly the
-        // rows this persist must write.
-        let _ = self.seal();
-        let n = self.shards.len();
-        let state = self
-            .seal
-            .get_mut()
-            .expect("invariant: seal lock is never poisoned (projection code does not panic)");
-        let (stats, lists) = match &self.persist_state {
-            // Incremental: on top of the chains this store committed into
-            // `dir` itself, while every one of them is short.
-            Some((prev, chains))
-                if prev == dir
-                    && chains.len() == n
-                    && chains.iter().all(|c| c.len() < MAX_DELTAS_ON_DISK) =>
-            {
-                let deltas: Vec<Option<StoreShard>> = (0..n)
-                    .map(|i| {
-                        let pending = &state.persist_pending[i];
-                        (!pending.is_empty()).then(|| self.shards[i].delta_snapshot(pending))
-                    })
-                    .collect();
-                let deltas: Vec<Option<&StoreShard>> = deltas.iter().map(Option::as_ref).collect();
-                segment::write_store(&deltas, chains, self.epoch, dir)?
-            }
-            // Full: every shard whole, on top of nothing.
-            _ => {
-                let shards: Vec<Option<&StoreShard>> =
-                    self.shards.iter().map(|shard| Some(&**shard)).collect();
-                segment::write_store(&shards, &vec![Vec::new(); n], self.epoch, dir)?
-            }
-        };
-        for pending in &mut state.persist_pending {
-            pending.clear();
-        }
-        self.persist_state = Some((dir.to_path_buf(), lists));
+        let sealed = self.seal();
+        let stats = segment::write_store(&sealed.shards, &sealed.columnar, self.epoch, dir)?;
         self.persistence.absorb(stats);
         Ok(stats)
     }
@@ -295,13 +249,13 @@ impl ShardedStore {
         let mut recovery = RecoveryStats::default();
         let mut store = match segment::read_store(dir)? {
             Some(loaded) => {
-                recovery.segments_loaded = loaded.lists.iter().map(|l| l.len() as u64).sum();
+                recovery.segments_loaded = loaded.shards.len() as u64;
                 recovery.bytes_read = loaded.bytes_read;
                 recovery.crc_checks = loaded.crc_checks;
                 let shards: Vec<Arc<StoreShard>> =
                     loaded.shards.into_iter().map(Arc::new).collect();
                 let n = shards.len();
-                // Each shard's chain decoded straight into the segment
+                // Each shard's file decoded straight into the segment
                 // its first seal would project, so that is its stack:
                 // the seal after `open` projects nothing, and a store
                 // only read never builds a row table.
@@ -321,7 +275,6 @@ impl ShardedStore {
                     epoch: loaded.epoch,
                     seal: Mutex::new(seal),
                     persistence: PersistenceStats::default(),
-                    persist_state: Some((dir.to_path_buf(), loaded.lists)),
                 }
             }
             None => ShardedStore::with_config(config),
@@ -410,20 +363,17 @@ impl ShardedStore {
             .seal
             .get_mut()
             .expect("invariant: seal lock is never poisoned (projection code does not panic)");
-        // A key is dirty only against a baseline: segments this shard has
-        // sealed, or the segment set a persist (or `open`) committed.
-        // Until one exists the next seal projects the shard's tables whole
-        // and the next persist writes them whole — neither reads a ledger,
-        // so none is kept.
-        let persisted = self.persist_state.is_some();
+        // A key is dirty only against a baseline: the segments this shard
+        // has sealed or was opened with. Until one exists the next seal
+        // projects the shard's tables whole and reads no ledger, so none
+        // is kept.
         let mut slots: Vec<(&mut StoreShard, Option<&mut DirtyShard>)> = self
             .shards
             .iter_mut()
             .zip(&mut state.dirty)
             .zip(&state.stacks)
             .map(|((shard, dirty), stack)| {
-                let tracked = persisted || !stack.is_empty();
-                (Arc::make_mut(shard), tracked.then_some(dirty))
+                (Arc::make_mut(shard), (!stack.is_empty()).then_some(dirty))
             })
             .collect();
         let ingest = |(shard, dirty): &mut (&mut StoreShard, Option<&mut DirtyShard>),
@@ -500,16 +450,8 @@ impl ShardedStore {
                 state.stats.segments_compacted += compacted;
                 state.stats.rows_resealed += rows;
             }
-            // The seal baseline restarts empty. The drained sets move
-            // into the persist baseline — once there is one: until a
-            // persist or `open` sets it, the next persist writes every
-            // shard whole and reads no ledger, so none is kept.
+            // The seal baseline restarts empty.
             state.dirty = vec![DirtyShard::default(); dirty.len()];
-            if self.persist_state.is_some() {
-                for (pending, drained) in state.persist_pending.iter_mut().zip(dirty) {
-                    pending.absorb(drained);
-                }
-            }
             state.stats.seals_total += 1;
             state.stats.segments_live = live;
             state.sealed_epoch = Some(self.epoch);
@@ -847,29 +789,21 @@ mod tests {
             .collect()
     }
 
-    /// The usage keys the seal-side (`dirty`) and persist-side
-    /// (`persist_pending`) ledgers hold, across shards and windows.
-    fn ledger_keys(store: &ShardedStore) -> (UsageKeys, UsageKeys) {
-        let state = store.seal.lock().expect("seal lock");
-        let keys = |ledgers: &[DirtyShard]| {
-            ledgers
-                .iter()
-                .flat_map(|ledger| ledger.windows.values())
-                .flat_map(|window| window.usage.iter().copied())
-                .collect()
-        };
-        (keys(&state.dirty), keys(&state.persist_pending))
-    }
-
-    /// Whether neither ledger of any shard holds anything at all — keys,
-    /// dedup entries or the counters mark.
-    fn ledgers_are_blank(store: &ShardedStore) -> bool {
+    /// The usage keys the dirty ledgers hold, across shards and windows.
+    fn ledger_keys(store: &ShardedStore) -> UsageKeys {
         let state = store.seal.lock().expect("seal lock");
         state
             .dirty
             .iter()
-            .chain(&state.persist_pending)
-            .all(DirtyShard::is_empty)
+            .flat_map(|ledger| ledger.windows.values())
+            .flat_map(|window| window.usage.iter().copied())
+            .collect()
+    }
+
+    /// Whether no shard's dirty ledger holds a key.
+    fn ledgers_are_blank(store: &ShardedStore) -> bool {
+        let state = store.seal.lock().expect("seal lock");
+        state.dirty.iter().all(DirtyShard::is_empty)
     }
 
     /// Every shard's stack, folded newest-wins, holds exactly the rows a
@@ -887,37 +821,6 @@ mod tests {
                 None => assert_eq!(full.row_count(), 0, "an empty stack means no rows"),
             }
         }
-    }
-
-    /// The usage keys of the newest on-disk segment of every chain that
-    /// is `links` long, and how many chains are that long.
-    fn newest_segment_keys(store: &ShardedStore, links: usize) -> (UsageKeys, usize) {
-        let (dir, chains) = store.persist_state.as_ref().expect("persisted");
-        let mut keys = UsageKeys::new();
-        let mut chains_that_long = 0;
-        for (i, chain) in chains.iter().enumerate() {
-            if chain.len() != links {
-                continue;
-            }
-            chains_that_long += 1;
-            let entry = chain.last().expect("links > 0");
-            let name = segment::segment_file_name(entry.epoch, i as u32);
-            let bytes = std::fs::read(dir.join(name)).expect("segment readable");
-            let delta = segment::decode_segment(
-                &bytes,
-                segment::SegmentExpectation {
-                    epoch: entry.epoch,
-                    index: i as u32,
-                    count: chains.len() as u32,
-                },
-                &mut segment::DecodeTally::default(),
-            )
-            .expect("segment decodes");
-            for (_, tables) in delta.windows() {
-                keys.extend(tables.usage.keys().copied());
-            }
-        }
-        (keys, chains_that_long)
     }
 
     #[test]
@@ -941,27 +844,19 @@ mod tests {
         let mut second = usage_batch(40..50, 0);
         second.extend(usage_batch(0..5, 1));
         store.ingest_batch(W, &second);
-        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+        assert_eq!(ledger_keys(&store), keys_of(&second));
 
-        // A seal drains `dirty`. With nothing persisted yet the next
-        // persist is full, so the drained keys go nowhere.
+        // A seal drains `dirty` into the delta it cuts.
         let resealed = store.seal();
-        assert!(ledgers_are_blank(&store), "no persist baseline, no ledger");
+        assert!(ledgers_are_blank(&store), "the seal drained the ledger");
         assert_eq!(resealed.seal_stats().seals_total, 2);
         stacks_mirror_the_row_tables(&resealed);
 
-        // Once a persist has set one, a seal hands its keys on to it.
+        // A persist reads the stacks, not a ledger: it leaves none behind.
         let dir = temp_store_dir("fresh-ledger");
+        store.ingest_batch(W, &usage_batch(0..5, 2));
         store.persist(&dir).expect("persist");
-        let third = usage_batch(0..5, 2);
-        store.ingest_batch(W, &third);
-        store.seal();
-        let (dirty, pending) = ledger_keys(&store);
-        assert!(
-            dirty.is_empty(),
-            "a seal drains `dirty` into `persist_pending`"
-        );
-        assert_eq!(pending, keys_of(&third));
+        assert!(ledgers_are_blank(&store), "the persist's seal drained it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -987,11 +882,9 @@ mod tests {
         assert_eq!(recovery.wal_records_replayed, 0);
         assert!(ledgers_are_blank(&store), "loading marks nothing dirty");
         store.ingest_batch(W, &second);
-        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+        assert_eq!(ledger_keys(&store), keys_of(&second));
         let stats = store.persist(&dir).expect("persist");
-        let (delta, chains) = newest_segment_keys(&store, 2);
-        assert_eq!(delta, keys_of(&second));
-        assert_eq!(stats.segments_written, chains as u64);
+        assert_eq!(stats.segments_written, 3, "every shard whole");
         stacks_mirror_the_row_tables(&store.seal());
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -1005,13 +898,11 @@ mod tests {
         drop(durable);
         let (mut store, recovery) = ShardedStore::open(&dir, config).expect("open");
         assert_eq!(recovery.wal_records_replayed, 1);
-        assert_eq!(ledger_keys(&store).0, keys_of(&second));
+        assert_eq!(ledger_keys(&store), keys_of(&second));
         store.ingest_batch(W, &third);
         let mut expected = keys_of(&second);
         expected.extend(keys_of(&third));
-        assert_eq!(ledger_keys(&store).0, expected);
-        store.persist(&dir).expect("persist");
-        assert_eq!(newest_segment_keys(&store, 2).0, expected);
+        assert_eq!(ledger_keys(&store), expected);
         stacks_mirror_the_row_tables(&store.seal());
         let _ = std::fs::remove_dir_all(&dir);
 
@@ -1026,7 +917,6 @@ mod tests {
         assert!(ledgers_are_blank(&store));
         let stats = store.persist(&dir).expect("persist");
         assert_eq!(stats.segments_written, 3, "every shard whole");
-        assert_eq!(newest_segment_keys(&store, 1), (keys_of(&first), 3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1058,41 +948,8 @@ mod tests {
         // From here the shard has a baseline and tracks like any other.
         let more = usage_batch(6..8, 0);
         store.ingest_batch(W, &more);
-        assert_eq!(ledger_keys(&store).0, keys_of(&more));
+        assert_eq!(ledger_keys(&store), keys_of(&more));
         stacks_mirror_the_row_tables(&store.seal());
-    }
-
-    #[test]
-    fn a_repeat_persist_writes_the_second_batch_only_and_a_new_directory_gets_everything() {
-        let (a, b) = (temp_store_dir("delta-a"), temp_store_dir("delta-b"));
-        let mut store = ShardedStore::new(3);
-        let first = usage_batch(0..40, 0);
-        store.ingest_batch(W, &first);
-        assert!(
-            ledgers_are_blank(&store),
-            "nothing on disk to be a delta of"
-        );
-        let stats = store.persist(&a).expect("first persist");
-        assert_eq!(stats.segments_written, 3, "no baseline: every shard whole");
-        assert_eq!(newest_segment_keys(&store, 1), (keys_of(&first), 3));
-        assert!(ledgers_are_blank(&store), "a persist drains both ledgers");
-
-        let second = usage_batch(40..42, 0);
-        store.ingest_batch(W, &second);
-        let stats = store.persist(&a).expect("second persist");
-        let (delta, chains) = newest_segment_keys(&store, 2);
-        assert_eq!(delta, keys_of(&second), "the delta holds the new keys only");
-        assert!((1..=2).contains(&chains), "only shards that took a report");
-        assert_eq!(stats.segments_written, chains as u64);
-
-        let stats = store.persist(&b).expect("persist elsewhere");
-        assert_eq!(stats.segments_written, 3, "another directory: full again");
-        let mut all = keys_of(&first);
-        all.extend(keys_of(&second));
-        assert_eq!(newest_segment_keys(&store, 1), (all, 3));
-        for dir in [a, b] {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1271,10 +1128,11 @@ mod tests {
             shards: 3,
             threads: 1,
         };
-        for chain in [1usize, 2, MAX_DELTAS_ON_DISK] {
+        // One persist into the directory per round, each of them whole.
+        for rounds in [1u64, 2, 8] {
             let dir = temp_store_dir("every-kind");
             let mut writer = ShardedStore::with_config(config);
-            for round in 0..chain as u64 {
+            for round in 0..rounds {
                 for (window, reports) in every_kind_round(round) {
                     writer.ingest_batch(window, &reports);
                 }
@@ -1282,25 +1140,25 @@ mod tests {
             }
             let original = QueryEngine::new(writer.seal(), 1);
             let plans = every_plan(&original);
-            assert!(plans.len() > 3 * 70, "chain {chain}: link series included");
+            assert!(
+                plans.len() > 3 * 70,
+                "{rounds} rounds: link series included"
+            );
 
             let (opened, recovery) = ShardedStore::open(&dir, config).expect("open");
             assert_eq!(
-                recovery.segments_loaded,
-                (config.shards * chain) as u64,
-                "every shard holds a {chain}-file chain"
+                recovery.segments_loaded, config.shards as u64,
+                "one file per shard after {rounds} persists"
             );
             let snapshot = opened.seal();
-            if chain == 1 {
-                stacks_mirror_the_row_tables(&snapshot);
-            }
+            stacks_mirror_the_row_tables(&snapshot);
             for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
                 let engine = QueryEngine::with_backend(snapshot.clone(), 1, backend);
                 for plan in &plans {
                     assert_eq!(
                         engine.execute(plan),
                         original.execute(plan),
-                        "chain {chain}, {} backend: {plan:?}",
+                        "{rounds} rounds, {} backend: {plan:?}",
                         backend.name()
                     );
                 }
@@ -1350,6 +1208,53 @@ mod tests {
         assert_eq!(resealed.seal_stats().rows_resealed, 1, "one dirtied row");
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// Every file in `dir` as `(name, bytes)`, in name order.
+    fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("store dir readable")
+            .flatten()
+            .map(|entry| {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (
+                    name,
+                    std::fs::read(entry.path()).expect("store file readable"),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn an_opened_store_persists_without_building_row_tables() {
+        let config = StoreConfig {
+            shards: 3,
+            threads: 1,
+        };
+        let dir = temp_store_dir("persist-sealed");
+        let mut writer = ShardedStore::with_config(config);
+        for round in 0..3 {
+            for (window, reports) in every_kind_round(round) {
+                writer.ingest_batch(window, &reports);
+            }
+            writer.seal();
+        }
+        writer.persist(&dir).expect("persist");
+
+        let (mut opened, _) = ShardedStore::open(&dir, config).expect("open");
+        let again = temp_store_dir("persist-sealed-again");
+        let stats = opened.persist(&again).expect("persist the opened store");
+        assert_eq!(stats.segments_written, 3);
+        assert!(
+            opened.shards.iter().all(|shard| !shard.has_row_tables()),
+            "a persist reads the sealed columns, not rows"
+        );
+        assert!(store_files(&again) == store_files(&dir), "the same files");
+        for dir in [dir, again] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// Differential oracle for column-merge compaction.
@@ -1396,10 +1301,32 @@ mod compaction_oracle {
         }
     }
 
-    /// The reference delta projection: clone the dirty rows into fresh row
-    /// tables ([`StoreShard::delta_snapshot`]), then project those in full.
+    /// The reference delta projection: clone the row tables of every
+    /// dirtied window, keep the rows `dirty` names, project what is left
+    /// in full.
     fn project_via_row_maps(shard: &StoreShard, dirty: &DirtyShard) -> ColumnarShard {
-        ColumnarShard::build(&shard.delta_snapshot(dirty))
+        let windows = dirty
+            .windows
+            .iter()
+            .filter(|(_, dw)| !dw.is_empty())
+            .filter_map(|(&window, dw)| {
+                let mut t = shard.window(window)?.clone();
+                t.usage.retain(|k, _| dw.usage.contains(k));
+                t.clients.retain(|k, _| dw.clients.contains(k));
+                t.links.retain(|k, _| dw.links.contains(k));
+                t.airtime.retain(|k, _| dw.airtime.contains(k));
+                t.neighbors.retain(|k, _| dw.neighbors.contains(k));
+                t.scans.retain(|k, _| dw.scans.contains(k));
+                t.crashes.retain(|k, _| dw.crashes.contains(k));
+                Some((window, t))
+            })
+            .collect();
+        ColumnarShard::build(&StoreShard::from_parts(
+            std::collections::HashMap::new(),
+            0,
+            0,
+            windows,
+        ))
     }
 
     /// The reference compaction: the current live rows of every key either

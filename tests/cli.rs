@@ -171,7 +171,7 @@ fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
         );
     }
 
-    // One member of a shard's segment chain deleted.
+    // One shard's segment deleted.
     let segment = std::fs::read_dir(&dir)
         .expect("store dir readable")
         .flatten()
@@ -197,11 +197,11 @@ fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A one-shard store directory persisted twice, so its manifest (20
-/// bytes of magic, version, epoch and shard count, then the shard's
-/// chain: a `u32` length and one `epoch u64 · length u64` entry per
-/// delta) names a two-entry chain.
-fn twice_persisted_store(tag: &str) -> PathBuf {
+/// A one-shard store directory holding two usage reports. Its manifest
+/// is 20 bytes of magic, version, epoch and shard count, then the
+/// shard's segment count (a `u32`, always 1) and its one `epoch u64 ·
+/// length u64` entry, then the CRC.
+fn persisted_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("airstat-cli-{tag}-{}", std::process::id()));
     let mut store = ShardedStore::new(1);
     for device in [1u64, 2] {
@@ -218,16 +218,16 @@ fn twice_persisted_store(tag: &str) -> PathBuf {
             payload: ReportPayload::Usage(vec![usage]),
         };
         store.ingest_batch(WindowId(1501), &[report]);
-        store.persist(&dir).expect("persist");
     }
+    store.persist(&dir).expect("persist");
     let manifest = std::fs::read(dir.join("MANIFEST")).expect("manifest readable");
-    assert_eq!(manifest[20..24], 2u32.to_le_bytes(), "a two-entry chain");
+    assert_eq!(manifest[20..24], 1u32.to_le_bytes(), "one segment");
     dir
 }
 
 /// Rewrites `dir`'s manifest through `patch`, resumes from it, and
 /// expects the refusal `error`.
-fn assert_patched_manifest_is_refused(dir: PathBuf, patch: impl Fn(&mut [u8]), error: &str) {
+fn assert_patched_manifest_is_refused(dir: PathBuf, patch: impl Fn(&mut Vec<u8>), error: &str) {
     let dir_arg = dir.to_str().expect("utf-8 temp dir");
     let mut manifest = std::fs::read(dir.join("MANIFEST")).expect("manifest readable");
     patch(&mut manifest);
@@ -239,12 +239,12 @@ fn assert_patched_manifest_is_refused(dir: PathBuf, patch: impl Fn(&mut [u8]), e
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Both checks run before the manifest's CRC is looked at, so patching
-/// the bytes in place is enough to reach them.
+/// Every check below runs before the manifest's CRC is looked at, so a
+/// patch need not mend the CRC to reach it.
 #[test]
 fn resume_refuses_a_manifest_written_by_a_newer_schema() {
     assert_patched_manifest_is_refused(
-        twice_persisted_store("schema"),
+        persisted_store("schema"),
         |manifest| manifest[4..8].copy_from_slice(&3u32.to_le_bytes()),
         "unsupported segment schema version 3 (this build reads version 2; \
          see docs/SEGMENT_FORMAT.md)",
@@ -252,11 +252,25 @@ fn resume_refuses_a_manifest_written_by_a_newer_schema() {
 }
 
 #[test]
-fn resume_refuses_a_delta_chain_that_repeats_an_epoch() {
+fn resume_refuses_a_manifest_whose_shard_lists_two_segments() {
     assert_patched_manifest_is_refused(
-        twice_persisted_store("epoch"),
-        |manifest| manifest.copy_within(24..32, 40),
-        "corrupt store file: manifest delta chain not in ascending epoch order",
+        persisted_store("two"),
+        |manifest| {
+            // A two-segment chain: the one entry, listed twice.
+            manifest[20..24].copy_from_slice(&2u32.to_le_bytes());
+            let entry = manifest[24..40].to_vec();
+            manifest.splice(40..40, entry);
+        },
+        "corrupt store file: manifest shard does not list exactly one segment",
+    );
+}
+
+#[test]
+fn resume_refuses_a_manifest_whose_shard_lists_no_segment() {
+    assert_patched_manifest_is_refused(
+        persisted_store("zero"),
+        |manifest| manifest[20..24].copy_from_slice(&0u32.to_le_bytes()),
+        "corrupt store file: manifest shard does not list exactly one segment",
     );
 }
 
