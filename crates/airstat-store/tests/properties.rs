@@ -13,7 +13,7 @@ use airstat_classify::mac::MacAddress;
 use airstat_rf::band::{Band, Channel};
 use airstat_rf::phy::{Capabilities, Generation};
 use airstat_stats::rng::splitmix64;
-use airstat_store::{FleetQuery, QueryBackend, QueryEngine, ShardedStore, StoreConfig};
+use airstat_store::{FleetQuery, QueryBackend, QueryEngine, QueryPlan, ShardedStore, StoreConfig};
 use airstat_telemetry::backend::WindowId;
 use airstat_telemetry::report::{
     AirtimeRecord, ChannelScanRecord, ClientInfoRecord, CrashRecord, LinkRecord, NeighborRecord,
@@ -408,5 +408,118 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A second window the round-trip stream fills beside [`W`].
+const W_LATER: WindowId = WindowId(1502);
+
+/// A unique scratch directory per call — process id plus a
+/// process-wide counter, no wall clock involved.
+fn temp_store_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let id = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("airstat-props-{}-{tag}-{id}", std::process::id()))
+}
+
+/// The segment files in `dir`, by name, with their bytes.
+fn segment_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("store dir readable")
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name().to_str()?.to_string();
+            let bytes = std::fs::read(entry.path()).expect("segment readable");
+            name.ends_with(".aseg").then_some((name, bytes))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Every plan on `windows`: the fixed ones, each band's link keys, and
+/// a series plan per key `engine` holds.
+fn every_plan(engine: &QueryEngine, windows: &[WindowId]) -> Vec<QueryPlan> {
+    let mut plans = Vec::new();
+    for &window in windows {
+        plans.extend([
+            QueryPlan::UsageByApp(window),
+            QueryPlan::UsageByOs(window),
+            QueryPlan::ClientCount(window),
+            QueryPlan::Clients(window),
+            QueryPlan::CensusDeviceCount(window),
+            QueryPlan::Crashes(window),
+        ]);
+        for &app in Application::ALL {
+            plans.push(QueryPlan::AppClientCount(window, app));
+        }
+        for band in [Band::Ghz2_4, Band::Ghz5] {
+            plans.extend([
+                QueryPlan::LinkKeys(window, band),
+                QueryPlan::LatestDeliveryRatios(window, band),
+                QueryPlan::MeanDeliveryRatios(window, band),
+                QueryPlan::ServingUtilizations(window, band),
+                QueryPlan::NearbySummary(window, band),
+                QueryPlan::NearbyPerChannel(window, band),
+                QueryPlan::ScanObservations(window, band),
+            ]);
+            let keys = engine.link_keys(window, band);
+            plans.extend(
+                keys.into_iter()
+                    .map(|key| QueryPlan::LinkSeries(window, key)),
+            );
+        }
+    }
+    plans
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whatever stream the store takes, the files it persists open: the
+    /// opened store answers every plan as the writer does, and persists
+    /// the same segment bytes again. The stream spans two windows,
+    /// empty payloads included (row-less windows, empty census, scan and
+    /// crash groups), with or without a seal part-way through — so the
+    /// decoder never refuses a file the encoder writes.
+    #[test]
+    fn persist_then_open_round_trips_any_stream(
+        payloads in prop::collection::vec(any_payload(), 1..24),
+        shards in 1usize..4,
+        seal_after in prop::option::of(0usize..8),
+    ) {
+        let reports: Vec<Report> = payloads
+            .into_iter()
+            .enumerate()
+            .map(|(i, payload)| Report {
+                device: (i % 5) as u64,
+                seq: (i / 5) as u64 + 1,
+                timestamp_s: 1_000 + i as u64,
+                payload,
+            })
+            .collect();
+        let config = StoreConfig { shards, threads: 1 };
+        let mut writer = ShardedStore::with_config(config);
+        for (i, chunk) in reports.chunks(3).enumerate() {
+            writer.ingest_batch([W, W_LATER][i % 2], chunk);
+            if seal_after == Some(i) {
+                let _ = writer.seal();
+            }
+        }
+        let first = temp_store_dir("round-trip");
+        writer.persist(&first).expect("persist");
+        let original = QueryEngine::new(writer.seal(), 1);
+
+        let (mut opened, _) = ShardedStore::open(&first, config).expect("open");
+        let engine = QueryEngine::new(opened.seal(), 1);
+        for plan in every_plan(&original, &[W, W_LATER]) {
+            prop_assert_eq!(engine.execute(&plan), original.execute(&plan), "{:?}", plan);
+        }
+        let second = temp_store_dir("round-trip-again");
+        opened.persist(&second).expect("re-persist");
+        prop_assert_eq!(segment_files(&first), segment_files(&second));
+        let _ = std::fs::remove_dir_all(&first);
+        let _ = std::fs::remove_dir_all(&second);
     }
 }
