@@ -74,8 +74,9 @@ impl PaperReport {
 
     /// Computes the whole report from any [`FleetQuery`] source — the
     /// sharded store's query engine or the legacy backend. Identical
-    /// data yields an identical report either way (differential-tested
-    /// in `tests/store_equivalence.rs`).
+    /// data yields an identical report either way (the store model test
+    /// in `tests/persistence.rs` holds the engine to the legacy backend
+    /// on every plan the report issues).
     pub fn from_query<Q: FleetQuery>(backend: &Q, config: &FleetConfig) -> Self {
         let seed = SeedTree::new(config.seed);
         PaperReport {

@@ -3,7 +3,7 @@
 //! Every rule guards one facet of the workspace's byte-identity
 //! invariant: reports and query results must be byte-identical for any
 //! thread count, shard count, or query backend. The differential tests
-//! (`store_equivalence`, `columnar_equivalence`, the fault campaigns)
+//! (the store model test in `tests/persistence.rs`, the fault campaigns)
 //! enforce that dynamically for the seeds they run; these rules enforce
 //! the *source-level* discipline that makes it hold for every seed.
 //!

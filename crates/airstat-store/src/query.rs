@@ -9,9 +9,9 @@
 //! merge order is what makes the engine shard-count invariant even for
 //! floating-point consumers — a correlation over `scan_observations` sums
 //! the same values in the same order whether the store has 1 shard or
-//! 50 — and it makes the store *more* deterministic than the legacy
-//! `Backend`, whose `HashMap`-backed queries iterate in per-process
-//! random order.
+//! 50 — and it yields the flat `Backend`'s order, since every table of
+//! that backend is a `BTreeMap` walked in key order. Only a crash
+//! aggregate differs: the backend keeps crash reports in arrival order.
 //!
 //! The engine answers every plan through one of two paths, selected by
 //! [`QueryBackend`]:
@@ -27,8 +27,8 @@
 //!   [`QueryPlan::LinkSeries`], which reads only the one shard its
 //!   link's reports were routed to;
 //! * [`QueryBackend::Legacy`] — the original map-backed fold, kept as
-//!   the oracle the differential tests hold the engine to, byte for
-//!   byte, for every shard and thread count.
+//!   the oracle the store model test (`tests/persistence.rs`) holds
+//!   the engine to, byte for byte, at every shard and thread count.
 //!
 //! Results are memoized in an epoch-keyed, byte-budgeted LRU
 //! [`ResultCache`]; the hit/miss/eviction counters surface in
@@ -60,8 +60,8 @@ use crate::store::{shard_index, SealStats, SegmentStack, Snapshot};
 
 /// Which path answers a plan: the engine or its oracle.
 ///
-/// The two are proven byte-identical by the differential test
-/// `tests/columnar_equivalence.rs`; they differ only in cold-query cost.
+/// The store model test (`tests/persistence.rs`) holds both to the
+/// flat `Backend` on every plan; they differ only in cold-query cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum QueryBackend {
     /// The engine (default): two-pass vectorized kernels (selection
@@ -72,16 +72,6 @@ pub enum QueryBackend {
     /// The oracle: the original map-backed path, which clones each
     /// shard's `BTreeMap` tables and folds them into a merge map.
     Legacy,
-}
-
-impl QueryBackend {
-    /// A short lowercase name for test labels and benchmark output.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryBackend::Vectorized => "vectorized",
-            QueryBackend::Legacy => "legacy",
-        }
-    }
 }
 
 /// One query against the store, covering the full legacy surface.
@@ -555,11 +545,6 @@ impl QueryEngine {
     /// The snapshot this engine answers from.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
-    }
-
-    /// The physical layout this engine reads.
-    pub fn backend(&self) -> QueryBackend {
-        self.backend
     }
 
     /// Current cache and shape counters.

@@ -1158,8 +1158,7 @@ mod tests {
                     assert_eq!(
                         engine.execute(plan),
                         original.execute(plan),
-                        "{rounds} rounds, {} backend: {plan:?}",
-                        backend.name()
+                        "{rounds} rounds, {backend:?}: {plan:?}"
                     );
                 }
             }

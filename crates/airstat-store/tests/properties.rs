@@ -258,57 +258,8 @@ proptest! {
         let pruned =
             QueryEngine::with_backend(snapshot.clone(), threads, QueryBackend::Vectorized);
         let full = QueryEngine::with_backend(snapshot, threads, QueryBackend::Legacy);
-
-        for window in [W, W_EMPTY] {
-            prop_assert_eq!(pruned.usage_by_app(window), full.usage_by_app(window));
-            prop_assert_eq!(pruned.usage_by_os(window), full.usage_by_os(window));
-            prop_assert_eq!(pruned.client_count(window), full.client_count(window));
-            prop_assert_eq!(pruned.clients(window), full.clients(window));
-            for &app in Application::ALL {
-                prop_assert_eq!(
-                    pruned.app_client_count(window, app),
-                    full.app_client_count(window, app)
-                );
-            }
-            prop_assert_eq!(
-                pruned.census_device_count(window),
-                full.census_device_count(window)
-            );
-            for band in [Band::Ghz2_4, Band::Ghz5] {
-                let keys = pruned.link_keys(window, band);
-                prop_assert_eq!(&keys, &full.link_keys(window, band));
-                for key in keys {
-                    prop_assert_eq!(
-                        pruned.link_series(window, key),
-                        full.link_series(window, key)
-                    );
-                }
-                prop_assert_eq!(
-                    pruned.latest_delivery_ratios(window, band),
-                    full.latest_delivery_ratios(window, band)
-                );
-                prop_assert_eq!(
-                    pruned.mean_delivery_ratios(window, band),
-                    full.mean_delivery_ratios(window, band)
-                );
-                prop_assert_eq!(
-                    pruned.serving_utilizations(window, band),
-                    full.serving_utilizations(window, band)
-                );
-                prop_assert_eq!(
-                    pruned.nearby_summary(window, band),
-                    full.nearby_summary(window, band)
-                );
-                prop_assert_eq!(
-                    pruned.nearby_per_channel(window, band),
-                    full.nearby_per_channel(window, band)
-                );
-                prop_assert_eq!(
-                    pruned.scan_observations(window, band),
-                    full.scan_observations(window, band)
-                );
-            }
-            prop_assert_eq!(pruned.crashes(window), full.crashes(window));
+        for plan in every_plan(&pruned, &[W, W_EMPTY]) {
+            prop_assert_eq!(pruned.execute(&plan), full.execute(&plan), "{:?}", plan);
         }
         // The engine must actually have skipped something on the empty
         // window sweep (no shard holds a segment for it).
@@ -357,53 +308,13 @@ proptest! {
             );
             for backend in [QueryBackend::Vectorized, QueryBackend::Legacy] {
                 let engine = QueryEngine::with_backend(snapshot.clone(), threads, backend);
-                prop_assert_eq!(engine.usage_by_app(W), reference.usage_by_app(W));
-                prop_assert_eq!(engine.usage_by_os(W), reference.usage_by_os(W));
-                prop_assert_eq!(engine.client_count(W), reference.client_count(W));
-                prop_assert_eq!(engine.clients(W), reference.clients(W));
-                prop_assert_eq!(
-                    engine.census_device_count(W),
-                    reference.census_device_count(W)
-                );
-                for &app in Application::ALL {
+                for plan in every_plan(&reference, &[W]) {
                     prop_assert_eq!(
-                        engine.app_client_count(W, app),
-                        reference.app_client_count(W, app)
-                    );
-                }
-                prop_assert_eq!(engine.crashes(W), reference.crashes(W));
-                for band in [Band::Ghz2_4, Band::Ghz5] {
-                    let keys = engine.link_keys(W, band);
-                    prop_assert_eq!(&keys, &reference.link_keys(W, band));
-                    for key in keys {
-                        prop_assert_eq!(
-                            engine.link_series(W, key),
-                            reference.link_series(W, key)
-                        );
-                    }
-                    prop_assert_eq!(
-                        engine.latest_delivery_ratios(W, band),
-                        reference.latest_delivery_ratios(W, band)
-                    );
-                    prop_assert_eq!(
-                        engine.mean_delivery_ratios(W, band),
-                        reference.mean_delivery_ratios(W, band)
-                    );
-                    prop_assert_eq!(
-                        engine.serving_utilizations(W, band),
-                        reference.serving_utilizations(W, band)
-                    );
-                    prop_assert_eq!(
-                        engine.nearby_summary(W, band),
-                        reference.nearby_summary(W, band)
-                    );
-                    prop_assert_eq!(
-                        engine.nearby_per_channel(W, band),
-                        reference.nearby_per_channel(W, band)
-                    );
-                    prop_assert_eq!(
-                        engine.scan_observations(W, band),
-                        reference.scan_observations(W, band)
+                        engine.execute(&plan),
+                        reference.execute(&plan),
+                        "{:?} {:?}",
+                        backend,
+                        plan
                     );
                 }
             }
