@@ -14,8 +14,9 @@
 //! real constraint on 64 MB devices.
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+use airstat_stats::BuildFixedHasher;
 
 use crate::apps::{Application, FlowMetadata, RuleSet};
 use crate::mac::MacAddress;
@@ -68,35 +69,6 @@ pub struct AppUsage {
 /// One retired usage row: the `(client, application)` key and its totals.
 type UsageRow = ((MacAddress, Application), AppUsage);
 
-/// The flow map's hasher: multiply–rotate over 64-bit words with a fixed
-/// key, so a table costs no per-process `RandomState` draw and a probe no
-/// SipHash rounds. Nothing reads the map's order (see `flows` below), so
-/// the hash decides speed only. What a keyed hash buys against crafted
-/// collisions is bounded here by the table itself: it never holds more
-/// than `capacity` flows.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlowHasher(u64);
-
-impl Hasher for FlowHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the high bits the best mixed; the map picks
-        // buckets from the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
 /// The bounded flow-accounting table.
 #[derive(Debug)]
 pub struct FlowTable {
@@ -105,7 +77,7 @@ pub struct FlowTable {
     // airstat::allow(no-hashmap-iter): keyed access on the per-packet hot
     // path; the only scans are flush's drain, a per-key sum into the
     // key-sorted `usage`, and evict_lru's minimum, tie-broken on FlowKey
-    flows: HashMap<FlowKey, FlowEntry, BuildHasherDefault<FlowHasher>>,
+    flows: HashMap<FlowKey, FlowEntry, BuildFixedHasher>,
     /// Retired rows, sorted by key. A `Vec`, so harvesting or resetting
     /// the table keeps the storage for the next interval.
     usage: Vec<UsageRow>,

@@ -696,7 +696,7 @@ impl FleetSimulation {
                     agent,
                 );
                 let (drain, sched) = drain_solo(schedule.policy(), endpoint.priority(), endpoint);
-                out.tally.absorb_faulted(&drain);
+                out.tally.absorb_faulted(&drain, drain.endpoint.counters());
                 out.collect(drain.reports, &drain.stats, &sched);
             }
         }

@@ -16,7 +16,9 @@
 //!   (Figure 1), which in the paper is a point-in-time sample of ~309,000
 //!   clients;
 //! * sliding-window ratio counters ([`window`]) matching the paper's
-//!   300-second probe-delivery window semantics.
+//!   300-second probe-delivery window semantics;
+//! * one fixed-key hasher ([`FixedHasher`]) for the hash maps that are
+//!   read only by key.
 //!
 //! Everything in this crate is pure computation: no I/O, no global state,
 //! no wall-clock time. All randomness is injected through [`rand::Rng`]
@@ -28,12 +30,14 @@
 pub mod cdf;
 pub mod correlation;
 pub mod dist;
+mod hash;
 pub mod reservoir;
 pub mod rng;
 pub mod summary;
 pub mod window;
 
 pub use cdf::Ecdf;
+pub use hash::{BuildFixedHasher, FixedHasher};
 pub use reservoir::Reservoir;
 pub use rng::SeedTree;
 pub use window::SlidingRatio;

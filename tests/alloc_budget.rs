@@ -14,6 +14,11 @@
 //! |---|---|---|
 //! | PR 23's parent (`54e6a33`) | 8.231 (164 611) | 5 746.3 (114 925 383) |
 //! | PR 23 | 3.937 (78 744) | 1 166.6 (23 331 232) |
+//! | hash-keyed index, APs built at first poll | 3.969 (79 370) | 1 123.0 (22 460 428) |
+//!
+//! Building an AP at its first poll trades the agent queue a shed AP no
+//! longer allocates for one `Box` per polled AP and the hash index's
+//! growth, so the count barely moves while the bytes fall.
 //!
 //! A growing `realloc` counts as an allocation of its new size
 //! (`tests/counting/mod.rs`, shared with `alloc_budget_campaign.rs`). The
