@@ -11,6 +11,7 @@
 //! cargo run --release --example spectrum_survey -- 42   # different seed
 //! ```
 
+use airstat::core::figures::spectrum_scan::OCCUPANCY_THRESHOLD_DBM;
 use airstat::core::figures::SpectrumFigure;
 use airstat::rf::spectrum::SpectrumScan;
 use airstat::stats::SeedTree;
@@ -21,24 +22,28 @@ fn main() {
         .map(|s| s.parse().expect("seed must be a u64"))
         .unwrap_or(0xF11);
     let seed = SeedTree::new(seed_value);
-    let fig = SpectrumFigure::compute(&seed, 240);
+    // Figure 11's two scans at 240 frames, shaded 24 rows × 76 columns:
+    // only the occupancy and the shades are kept, not the power matrix.
+    let summarize = |name: &str, scan: SpectrumScan| {
+        let mut rng = seed.child(name).rng();
+        scan.summarize(240, &mut rng, OCCUPANCY_THRESHOLD_DBM, 24, 76)
+    };
+    let scan_2_4 = summarize("usrp-2.4", SpectrumScan::paper_2_4ghz());
+    let scan_5 = summarize("usrp-5", SpectrumScan::paper_5ghz());
 
     println!("== 2.437 GHz, 32 MHz span, 4096-point FFT ==");
     println!(
         "occupancy above threshold: {:.1}% (paper observed ~22% at this site)",
-        fig.occupancy_2_4() * 100.0
+        scan_2_4.occupancy() * 100.0
     );
-    println!(
-        "{}",
-        SpectrumFigure::render_waterfall(&fig.scan_2_4, 24, 76)
-    );
+    println!("{}", SpectrumFigure::render(&scan_2_4));
 
     println!("== 5.220 GHz, 32 MHz span, 4096-point FFT ==");
     println!(
         "occupancy above threshold: {:.1}% (paper observed ~2%)",
-        fig.occupancy_5() * 100.0
+        scan_5.occupancy() * 100.0
     );
-    println!("{}", SpectrumFigure::render_waterfall(&fig.scan_5, 24, 76));
+    println!("{}", SpectrumFigure::render(&scan_5));
 
     // Per-signal burst statistics, like pointing a cursor at the analyzer.
     let scan = SpectrumScan::paper_2_4ghz();
