@@ -37,12 +37,6 @@ impl MacAddress {
         self.0[0] & 0x02 != 0
     }
 
-    /// True if this is a group (multicast/broadcast) address; such
-    /// addresses never identify a client and the pipeline drops them.
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
-
     /// Deterministically derives a MAC from a 64-bit id, for simulation.
     ///
     /// The unicast, globally-administered bits are forced so derived
@@ -143,17 +137,6 @@ pub enum Vendor {
     Other,
 }
 
-impl Vendor {
-    /// True for vendors that primarily ship personal mobile hotspots —
-    /// §4.1's hotspot detection works exactly this way.
-    pub fn is_hotspot_vendor(self) -> bool {
-        matches!(
-            self,
-            Vendor::Novatel | Vendor::Pantech | Vendor::SierraWireless
-        )
-    }
-}
-
 /// Representative OUI assignments. Real vendors own many prefixes; one
 /// canonical prefix per vendor is enough for a closed simulation, and the
 /// registry below is the single source of truth both for generation (the
@@ -233,12 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn locally_administered_and_multicast_bits() {
+    fn locally_administered_bit() {
         let local = MacAddress::new([0x02, 0, 0, 0, 0, 1]);
         assert!(local.is_locally_administered());
-        assert!(!local.is_multicast());
-        let mcast = MacAddress::new([0x01, 0, 0x5E, 0, 0, 1]);
-        assert!(mcast.is_multicast());
         let global = MacAddress::new([0x28, 0xCF, 0xE9, 0, 0, 1]);
         assert!(!global.is_locally_administered());
     }
@@ -246,7 +226,7 @@ mod tests {
     #[test]
     fn from_id_is_unicast_global() {
         let mac = MacAddress::from_id(oui_of(Vendor::Apple), 0xABCDEF);
-        assert!(!mac.is_multicast());
+        assert_eq!(mac.0[0] & 0x01, 0, "unicast");
         assert!(!mac.is_locally_administered());
         assert_eq!(vendor_of(mac.oui()), Vendor::Apple);
         assert_eq!(mac.0[3..], [0xAB, 0xCD, 0xEF]);
@@ -257,14 +237,6 @@ mod tests {
         let a = MacAddress::from_id(oui_of(Vendor::Intel), 1);
         let b = MacAddress::from_id(oui_of(Vendor::Intel), 2);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn hotspot_vendors() {
-        assert!(Vendor::Novatel.is_hotspot_vendor());
-        assert!(Vendor::Pantech.is_hotspot_vendor());
-        assert!(Vendor::SierraWireless.is_hotspot_vendor());
-        assert!(!Vendor::Apple.is_hotspot_vendor());
     }
 
     #[test]
