@@ -33,12 +33,6 @@ impl ChannelCensusFigure {
             .map_or(0, |&(_, n)| n)
     }
 
-    /// Ratio of channel-1 networks to channel-6 networks (paper: ≈ 1.37).
-    pub fn ch1_over_ch6(&self) -> Option<f64> {
-        let c6 = self.on_2_4(6);
-        (c6 > 0).then(|| self.on_2_4(1) as f64 / c6 as f64)
-    }
-
     /// Fraction of 2.4 GHz networks on the non-overlapping set {1, 6, 11}.
     pub fn primary_fraction_2_4(&self) -> f64 {
         let total: u64 = self.counts_2_4.iter().map(|&(_, n)| n).sum();
@@ -123,7 +117,7 @@ mod tests {
     fn per_channel_structure() {
         let fig = ChannelCensusFigure::compute(&backend(), W);
         assert_eq!(fig.on_2_4(1), 137);
-        assert!((fig.ch1_over_ch6().unwrap() - 1.37).abs() < 1e-9);
+        assert_eq!(fig.on_2_4(6), 100);
         let primary = fig.primary_fraction_2_4();
         assert!((primary - 337.0 / 342.0).abs() < 1e-9);
         let dfs = fig.dfs_fraction_5();
@@ -148,7 +142,7 @@ mod tests {
     #[test]
     fn empty_backend() {
         let fig = ChannelCensusFigure::compute(&Backend::new(), W);
-        assert_eq!(fig.ch1_over_ch6(), None);
+        assert_eq!(fig.on_2_4(6), 0);
         assert_eq!(fig.primary_fraction_2_4(), 0.0);
     }
 }

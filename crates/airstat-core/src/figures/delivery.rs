@@ -44,11 +44,6 @@ impl DeliveryFigure {
     pub fn perfect_fraction_5_now(&self) -> f64 {
         self.now_5.mass_at(1.0, 0.025)
     }
-
-    /// Whether 2.4 GHz delivery degraded over six months (median dropped).
-    pub fn degraded_2_4(&self) -> Option<bool> {
-        Some(self.now_2_4.median()? < self.before_2_4.median()?)
-    }
 }
 
 impl fmt::Display for DeliveryFigure {
@@ -129,7 +124,7 @@ mod tests {
         assert_eq!(fig.now_2_4.len(), 2);
         assert_eq!(fig.before_2_4.len(), 2);
         assert_eq!(fig.now_5.len(), 2);
-        assert_eq!(fig.degraded_2_4(), Some(true));
+        assert!(fig.now_2_4.median().unwrap() < fig.before_2_4.median().unwrap());
     }
 
     #[test]
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn empty_backend_safe() {
         let fig = DeliveryFigure::compute(&Backend::new(), BEFORE, NOW);
-        assert_eq!(fig.degraded_2_4(), None);
+        assert_eq!(fig.now_2_4.median(), None);
         assert_eq!(fig.perfect_fraction_5_now(), 0.0);
     }
 

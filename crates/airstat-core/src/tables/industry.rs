@@ -35,13 +35,6 @@ impl IndustryTable {
     pub fn total(&self) -> u32 {
         self.rows.iter().map(|r| r.1).sum()
     }
-
-    /// True when no single vertical holds a majority — the paper's point
-    /// that the panel "is not dominated by one particular industry".
-    pub fn no_dominant_vertical(&self) -> bool {
-        let total = self.total();
-        total > 0 && self.rows.iter().all(|&(_, c)| c * 2 < total)
-    }
 }
 
 impl fmt::Display for IndustryTable {
@@ -67,7 +60,6 @@ mod tests {
         // Education ≈ 4,075 (19.7%), Retail ≈ 2,355.
         assert!((f64::from(get(Industry::Education)) - 4_075.0).abs() < 250.0);
         assert!((f64::from(get(Industry::Retail)) - 2_355.0).abs() < 200.0);
-        assert!(t.no_dominant_vertical());
     }
 
     #[test]

@@ -54,17 +54,6 @@ impl NearbyTable {
             before_5: cell(backend, before, Band::Ghz5),
         }
     }
-
-    /// Growth factor of per-AP 2.4 GHz networks (paper: 28.6 → 55.5 ≈ 1.94×).
-    pub fn growth_factor_2_4(&self) -> Option<f64> {
-        (self.before_2_4.per_ap > 0.0).then(|| self.now_2_4.per_ap / self.before_2_4.per_ap)
-    }
-
-    /// Hotspot share of 2.4 GHz networks now (paper: ~20%).
-    pub fn hotspot_fraction_2_4_now(&self) -> Option<f64> {
-        (self.now_2_4.total_networks > 0)
-            .then(|| self.now_2_4.hotspots as f64 / self.now_2_4.total_networks as f64)
-    }
 }
 
 impl fmt::Display for NearbyTable {
@@ -137,18 +126,15 @@ mod tests {
         assert_eq!(t.now_2_4.total_networks, 110);
         assert!((t.before_2_4.per_ap - 25.0).abs() < 1e-9);
         assert!((t.now_2_4.per_ap - 55.0).abs() < 1e-9);
-        assert!((t.growth_factor_2_4().unwrap() - 2.2).abs() < 1e-9);
+        assert_eq!(t.now_2_4.hotspots, 22);
         assert_eq!(t.now_5.total_networks, 7);
-        let hs = t.hotspot_fraction_2_4_now().unwrap();
-        assert!((hs - 0.2).abs() < 1e-9);
     }
 
     #[test]
     fn empty_backend_is_zeroes() {
         let t = NearbyTable::compute(&Backend::new(), BEFORE, NOW);
         assert_eq!(t.now_2_4.total_networks, 0);
-        assert_eq!(t.growth_factor_2_4(), None);
-        assert_eq!(t.hotspot_fraction_2_4_now(), None);
+        assert_eq!(t.now_2_4.per_ap, 0.0);
     }
 
     #[test]

@@ -100,12 +100,6 @@ impl TopAppsTable {
     pub fn rank(&self, app: Application) -> Option<usize> {
         self.rows.iter().position(|r| r.app == app).map(|i| i + 1)
     }
-
-    /// Byte share of an app in percent of the grand total.
-    pub fn share_percent(&self, app: Application) -> Option<f64> {
-        let row = self.row(app)?;
-        percent_of(row.totals.total() as f64, self.grand_total as f64)
-    }
 }
 
 impl fmt::Display for TopAppsTable {
@@ -206,8 +200,8 @@ mod tests {
     #[test]
     fn shares_and_per_client() {
         let t = TopAppsTable::compute(&backend(), NOW, BEFORE, 10);
-        let share = t.share_percent(Application::Netflix).unwrap();
-        assert!((share - 300.0 / 550.0 * 100.0).abs() < 1e-9);
+        assert_eq!(t.row(Application::Netflix).unwrap().totals.total(), 300);
+        assert_eq!(t.grand_total, 550);
         let yt = t.row(Application::Youtube).unwrap();
         assert!((yt.bytes_per_client() - 100.0).abs() < 1e-9);
     }

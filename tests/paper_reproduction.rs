@@ -30,7 +30,9 @@ fn report() -> &'static (PaperReport, FleetConfig) {
 fn table2_industry_mix() {
     let (r, config) = report();
     assert_eq!(r.table2.total(), config.usage_networks());
-    assert!(r.table2.no_dominant_vertical());
+    // No single vertical holds a majority: the paper's panel "is not
+    // dominated by one particular industry".
+    assert!(r.table2.rows.iter().all(|&(_, c)| c * 2 < r.table2.total()));
     // Education is the largest named vertical (~19.7% of networks).
     let education = r
         .table2
@@ -157,7 +159,8 @@ fn table4_capability_evolution() {
 fn table5_misc_web_dominates() {
     let (r, _) = report();
     assert_eq!(r.table5.rows[0].app, Application::MiscWeb);
-    let share = r.table5.share_percent(Application::MiscWeb).unwrap();
+    let misc = r.table5.row(Application::MiscWeb).unwrap();
+    let share = misc.totals.total() as f64 / r.table5.grand_total as f64 * 100.0;
     assert!(share > 10.0 && share < 35.0, "misc web share {share}%");
 }
 
@@ -226,9 +229,13 @@ fn table6_category_ordering() {
     // Paper: Other 47%, Video & music 34%, File sharing 8.4%.
     assert_eq!(r.table6.rows[0].category, AppCategory::Other);
     assert_eq!(r.table6.rows[1].category, AppCategory::VideoMusic);
-    let other = r.table6.share_percent(AppCategory::Other).unwrap();
-    let video = r.table6.share_percent(AppCategory::VideoMusic).unwrap();
-    let files = r.table6.share_percent(AppCategory::FileSharing).unwrap();
+    let share = |category| {
+        let row = r.table6.row(category).unwrap();
+        row.totals.total() as f64 / r.table6.grand_total() as f64 * 100.0
+    };
+    let other = share(AppCategory::Other);
+    let video = share(AppCategory::VideoMusic);
+    let files = share(AppCategory::FileSharing);
     assert!((other - 47.0).abs() < 10.0, "other {other}%");
     assert!((video - 34.0).abs() < 10.0, "video {video}%");
     assert!((files - 8.4).abs() < 5.0, "file sharing {files}%");
@@ -240,7 +247,7 @@ fn table6_direction_extremes() {
     // Online backup: uploads dominate (paper: 22.8x up).
     let backup = r.table6.row(AppCategory::OnlineBackup).unwrap();
     assert!(
-        backup.down_up_ratio().unwrap() < 0.5,
+        (backup.totals.down_bytes as f64) < backup.totals.up_bytes as f64 * 0.5,
         "backup should upload"
     );
     // Video: ~97% download.
@@ -250,7 +257,9 @@ fn table6_direction_extremes() {
     let files = r.table6.row(AppCategory::FileSharing).unwrap();
     assert!(files.download_percent() < 80.0);
     // Overall ≈ 4.6x more downstream.
-    let overall = r.table6.overall_down_up_ratio().unwrap();
+    let up: u64 = r.table6.rows.iter().map(|row| row.totals.up_bytes).sum();
+    let down: u64 = r.table6.rows.iter().map(|row| row.totals.down_bytes).sum();
+    let overall = down as f64 / up as f64;
     assert!(overall > 2.5 && overall < 8.0, "overall down/up {overall}");
 }
 
@@ -272,7 +281,7 @@ fn table7_neighbour_growth() {
         "2.4 before {}",
         t.before_2_4.per_ap
     );
-    let growth = t.growth_factor_2_4().unwrap();
+    let growth = t.now_2_4.per_ap / t.before_2_4.per_ap;
     assert!((growth - 1.94).abs() < 0.4, "growth factor {growth}");
     assert!(
         (t.now_5.per_ap - 3.68).abs() < 1.2,
@@ -280,7 +289,7 @@ fn table7_neighbour_growth() {
         t.now_5.per_ap
     );
     assert!(t.now_5.per_ap > t.before_5.per_ap);
-    let hotspots = t.hotspot_fraction_2_4_now().unwrap();
+    let hotspots = t.now_2_4.hotspots as f64 / t.now_2_4.total_networks as f64;
     assert!((hotspots - 0.20).abs() < 0.05, "hotspot share {hotspots}");
 }
 
@@ -288,7 +297,7 @@ fn table7_neighbour_growth() {
 fn figure2_channel_placement() {
     let (r, _) = report();
     let f = &r.figure2;
-    let ratio = f.ch1_over_ch6().unwrap();
+    let ratio = f.on_2_4(1) as f64 / f.on_2_4(6) as f64;
     assert!((ratio - 1.37).abs() < 0.25, "ch1/ch6 {ratio}");
     assert!(f.primary_fraction_2_4() > 0.8, "mass on 1/6/11");
     assert!(f.dfs_fraction_5() < 0.15, "DFS channels barely used");
@@ -335,7 +344,7 @@ fn figure3_link_population_shape() {
     // And the 5 GHz population is cleaner than 2.4 GHz overall.
     assert!(f.now_5.median().unwrap() > f.now_2_4.median().unwrap());
     // Degradation over six months at 2.4 GHz.
-    assert_eq!(f.degraded_2_4(), Some(true));
+    assert!(f.now_2_4.median().unwrap() < f.before_2_4.median().unwrap());
 }
 
 #[test]
