@@ -89,21 +89,6 @@ impl SymbolTable {
         self.modules.insert(rel_path.to_string(), m);
     }
 
-    /// All constants named `name` (unqualified match on the last path
-    /// segment), with the module path that declares each.
-    pub fn consts_named<'t>(&'t self, name: &str) -> Vec<(&'t str, &'t ConstSymbol)> {
-        let mut out = Vec::new();
-        for (path, m) in &self.modules {
-            for c in &m.consts {
-                let last = c.name.rsplit("::").next().unwrap_or(&c.name);
-                if last == name {
-                    out.push((path.as_str(), c));
-                }
-            }
-        }
-        out
-    }
-
     /// Total number of indexed symbols, for reporting.
     pub fn len(&self) -> usize {
         self.modules
@@ -198,15 +183,6 @@ mod tests {
         assert_eq!(m.consts[0].name, "inner::LIMIT");
         assert_eq!(m.fns[0].name, "Poll::tick");
         assert_eq!(m.consts[1].name, "Poll::CAP");
-    }
-
-    #[test]
-    fn consts_named_matches_last_segment() {
-        let t = table_of("mod wire { pub const SCHEMA_VERSION: u32 = 2; }\n");
-        let hits = t.consts_named("SCHEMA_VERSION");
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, "crates/x/src/lib.rs");
-        assert_eq!(hits[0].1.value, Some(2));
     }
 
     #[test]
