@@ -13,7 +13,6 @@
 //! beacon overhead from every co-channel network, client data traffic, and
 //! non-WiFi interference duty cycles.
 
-use crate::band::Band;
 use crate::phy;
 
 /// Microsecond airtime counters for one radio on one channel.
@@ -169,23 +168,6 @@ impl ChannelLoad {
     }
 }
 
-/// Convenience: beacon-only utilization for `n` networks on a band.
-///
-/// Useful for sanity checks: §4.1 notes that beacons alone from dozens of
-/// networks consume meaningful airtime at 2.4 GHz.
-pub fn beacon_only_utilization(band: Band, networks: u32, legacy_fraction: f64) -> f64 {
-    let legacy = match band {
-        Band::Ghz2_4 => legacy_fraction,
-        Band::Ghz5 => 0.0, // no 802.11b at 5 GHz
-    };
-    ChannelLoad {
-        beaconing_bssids: networks,
-        legacy_beacon_fraction: legacy,
-        ..ChannelLoad::idle()
-    }
-    .utilization()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,14 +297,6 @@ mod tests {
         assert!((u - load.utilization()).abs() < 1e-6);
         let d = ledger.decodable_fraction().unwrap();
         assert!((d - load.decodable_fraction()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn beacon_only_utilization_band_rules() {
-        // 5 GHz never has legacy beacons regardless of the parameter.
-        let u5 = beacon_only_utilization(Band::Ghz5, 10, 1.0);
-        let u24 = beacon_only_utilization(Band::Ghz2_4, 10, 1.0);
-        assert!(u24 > u5 * 5.0);
     }
 
     #[test]

@@ -44,28 +44,6 @@ impl fmt::Display for Band {
     }
 }
 
-/// Channel width of a transmission or channel assignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChannelWidth {
-    /// 20 MHz (classic a/b/g and HT20).
-    Mhz20,
-    /// 40 MHz (HT40, 802.11n).
-    Mhz40,
-    /// 80 MHz (VHT80, 802.11ac).
-    Mhz80,
-}
-
-impl ChannelWidth {
-    /// Width in MHz.
-    pub fn mhz(self) -> f64 {
-        match self {
-            ChannelWidth::Mhz20 => 20.0,
-            ChannelWidth::Mhz40 => 40.0,
-            ChannelWidth::Mhz80 => 80.0,
-        }
-    }
-}
-
 /// The 5 GHz regulatory sub-band a channel belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Unii {
@@ -164,102 +142,6 @@ impl Channel {
     pub fn requires_dfs(&self) -> bool {
         self.unii().is_some_and(Unii::requires_dfs)
     }
-
-    /// Spectral overlap fraction between two 20 MHz transmissions centered
-    /// on `self` and `other`, in `[0, 1]`.
-    ///
-    /// At 2.4 GHz adjacent channel numbers are 5 MHz apart so channels
-    /// within 3 of each other partially overlap; at 5 GHz the 20 MHz grid
-    /// means distinct channels never overlap. Cross-band overlap is zero.
-    pub fn overlap(&self, other: &Channel) -> f64 {
-        if self.band != other.band {
-            return 0.0;
-        }
-        let df = (self.center_mhz() - other.center_mhz()).abs();
-        let width = 20.0;
-        ((width - df) / width).max(0.0)
-    }
-
-    /// Non-overlapping channel count for planning purposes at a width.
-    ///
-    /// Matches the paper's §4.1: three non-overlapping 20 MHz channels at
-    /// 2.4 GHz; at 5 GHz with 40 MHz channels there are four without DFS
-    /// and ten with DFS (the TDWR weather-radar exclusion of channels
-    /// 120–128, in force during the measurement period, removes one pair).
-    pub fn non_overlapping_count(band: Band, width: ChannelWidth, allow_dfs: bool) -> usize {
-        match (band, width) {
-            (Band::Ghz2_4, ChannelWidth::Mhz20) => 3,
-            (Band::Ghz2_4, _) => 1, // a single 40 MHz allocation fits cleanly
-            (Band::Ghz5, ChannelWidth::Mhz20) => CHANNELS_5
-                .iter()
-                .filter(|&&n| {
-                    let ch = Channel {
-                        number: n,
-                        band: Band::Ghz5,
-                    };
-                    (allow_dfs || !ch.requires_dfs()) && !TDWR_EXCLUDED.contains(&n)
-                })
-                .count(),
-            (Band::Ghz5, ChannelWidth::Mhz40) => PAIRS_40_MHZ
-                .iter()
-                .filter(|&&(lo, hi)| allocation_usable(lo, hi, allow_dfs))
-                .count(),
-            (Band::Ghz5, ChannelWidth::Mhz80) => QUADS_80_MHZ
-                .iter()
-                .filter(|&&(lo, hi)| allocation_usable(lo, hi, allow_dfs))
-                .count(),
-        }
-    }
-}
-
-/// 40 MHz primary/secondary pairs in the US 5 GHz plan.
-const PAIRS_40_MHZ: [(u16, u16); 11] = [
-    (36, 40),
-    (44, 48),
-    (52, 56),
-    (60, 64),
-    (100, 104),
-    (108, 112),
-    (116, 120),
-    (124, 128),
-    (132, 136),
-    (149, 153),
-    (157, 161),
-];
-
-/// 80 MHz allocations (identified by lowest 20 MHz center).
-const QUADS_80_MHZ: [(u16, u16); 5] = [(36, 48), (52, 64), (100, 112), (116, 128), (149, 161)];
-
-/// Channels unusable during the 2014–2015 measurement period because of
-/// Terminal Doppler Weather Radar protection (FCC KDB 443999).
-const TDWR_EXCLUDED: [u16; 3] = [120, 124, 128];
-
-/// Whether a multi-channel allocation spanning `[lo, hi]` is usable: every
-/// constituent channel must clear DFS policy and none may be TDWR-blocked.
-///
-/// The 40 MHz pair (116, 120) remains usable in practice (the radio centers
-/// on 118 with 120 as secondary and real deployments used it), which is why
-/// the paper counts **ten** DFS 40 MHz channels: only the fully blocked
-/// (124, 128) pair is lost.
-fn allocation_usable(lo: u16, hi: u16, allow_dfs: bool) -> bool {
-    let members: Vec<u16> = CHANNELS_5
-        .iter()
-        .copied()
-        .filter(|&n| n >= lo && n <= hi)
-        .collect();
-    let dfs_ok = allow_dfs
-        || members.iter().all(|&n| {
-            !Channel {
-                number: n,
-                band: Band::Ghz5,
-            }
-            .requires_dfs()
-        });
-    // An allocation is TDWR-blocked only if its *primary* (lowest) channel
-    // is blocked, or every member is blocked, mirroring period practice.
-    let tdwr_blocked =
-        TDWR_EXCLUDED.contains(&lo) || members.iter().all(|n| TDWR_EXCLUDED.contains(n));
-    dfs_ok && !tdwr_blocked
 }
 
 impl fmt::Display for Channel {
@@ -313,62 +195,6 @@ mod tests {
         assert!(Channel::new(Band::Ghz5, 120).unwrap().requires_dfs());
         assert!(!Channel::new(Band::Ghz5, 157).unwrap().requires_dfs());
         assert!(!Channel::new(Band::Ghz2_4, 6).unwrap().requires_dfs());
-    }
-
-    #[test]
-    fn overlap_2_4_structure() {
-        let ch = |n| Channel::new(Band::Ghz2_4, n).unwrap();
-        assert_eq!(ch(1).overlap(&ch(1)), 1.0);
-        assert_eq!(ch(1).overlap(&ch(6)), 0.0); // 25 MHz apart: disjoint
-        assert_eq!(ch(1).overlap(&ch(11)), 0.0);
-        let adj = ch(1).overlap(&ch(2));
-        assert!(adj > 0.7 && adj < 0.8, "adjacent overlap {adj}");
-        assert!(ch(1).overlap(&ch(4)) > 0.0);
-        assert_eq!(ch(1).overlap(&ch(5)), 0.0); // exactly 20 MHz apart
-                                                // symmetric
-        assert_eq!(ch(3).overlap(&ch(1)), ch(1).overlap(&ch(3)));
-    }
-
-    #[test]
-    fn overlap_5ghz_grid_disjoint() {
-        let a = Channel::new(Band::Ghz5, 36).unwrap();
-        let b = Channel::new(Band::Ghz5, 40).unwrap();
-        assert_eq!(a.overlap(&b), 0.0);
-        assert_eq!(a.overlap(&a), 1.0);
-    }
-
-    #[test]
-    fn cross_band_no_overlap() {
-        let a = Channel::new(Band::Ghz2_4, 6).unwrap();
-        let b = Channel::new(Band::Ghz5, 36).unwrap();
-        assert_eq!(a.overlap(&b), 0.0);
-    }
-
-    #[test]
-    fn paper_non_overlapping_counts() {
-        // §4.1: "Without DFS bands, there are four non-overlapping 40 MHz
-        // channels for 802.11n operation, and with DFS there are ten."
-        assert_eq!(
-            Channel::non_overlapping_count(Band::Ghz5, ChannelWidth::Mhz40, false),
-            4
-        );
-        assert_eq!(
-            Channel::non_overlapping_count(Band::Ghz5, ChannelWidth::Mhz40, true),
-            10
-        );
-        assert_eq!(
-            Channel::non_overlapping_count(Band::Ghz2_4, ChannelWidth::Mhz20, true),
-            3
-        );
-        // 80 MHz: UNII-1 and UNII-3 without DFS; three more quads with DFS.
-        assert_eq!(
-            Channel::non_overlapping_count(Band::Ghz5, ChannelWidth::Mhz80, false),
-            2
-        );
-        assert_eq!(
-            Channel::non_overlapping_count(Band::Ghz5, ChannelWidth::Mhz80, true),
-            5
-        );
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! did:
 //!
 //! * [`band`] — frequency bands, the FCC channel plan (2.4 GHz channels
-//!   1–11, the 5 GHz UNII-1/2/2e/3 sub-bands with DFS flags), channel
-//!   widths, and spectral-overlap computation between channels;
+//!   1–11, the 5 GHz UNII-1/2/2e/3 sub-bands with DFS flags);
 //! * [`phy`] — client capability descriptors (802.11 g/n/ac, spatial
 //!   streams, 40 MHz support) and exact frame airtime arithmetic for
 //!   beacons, probes and data frames at the paper's rates (a 0.42 ms
@@ -20,8 +19,8 @@
 //! * [`airtime`] — microsecond busy/decodable counters with the Atheros
 //!   semantics the paper describes: energy-detect time vs. time spent on
 //!   frames with intact PLCP headers (Figures 6, 9, 10);
-//! * [`neighbors`] — the nearby-network census (Table 7, Figure 2),
-//!   including personal-hotspot classification;
+//! * [`neighbors`] — where nearby networks sit on the channel plan
+//!   (Figure 2) and how many of them are personal hotspots (Table 7);
 //! * [`interference`] — non-802.11 interferer models (Bluetooth frequency
 //!   hoppers, ZigBee, cordless phones, microwave ovens);
 //! * [`scanner`] — the two measurement instruments: the MR16 serving-radio
@@ -50,7 +49,7 @@ pub mod scanner;
 pub mod spectrum;
 
 pub use airtime::AirtimeLedger;
-pub use band::{Band, Channel, ChannelWidth};
+pub use band::{Band, Channel};
 pub use link::{LinkModel, ProbeLink};
 pub use phy::Capabilities;
 pub use propagation::{Environment, PathLoss};

@@ -153,11 +153,6 @@ impl FadingProcess {
         FadingProcess::new(0.998, 2.0)
     }
 
-    /// Current fading offset in dB.
-    pub fn offset_db(&self) -> f64 {
-        self.state_db
-    }
-
     /// Advances one step and returns the new offset.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
         // Innovation variance chosen so the stationary std dev is sigma_db.

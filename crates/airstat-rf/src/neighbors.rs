@@ -8,89 +8,14 @@
 //! higher than 6 or 11, and 5 GHz concentrated in UNII-1/UNII-3 because
 //! DFS-band channels were rarely used.
 //!
-//! This module provides the census data model and the channel-placement
-//! distribution; the simulator crate decides *how many* neighbours each AP
-//! has (density varies from rural stores to Manhattan skyscrapers).
+//! This module provides the channel-placement distribution and the hotspot
+//! share; the simulator crate decides *how many* neighbours each AP has
+//! (density varies from rural stores to Manhattan skyscrapers).
 
 use airstat_stats::dist::WeightedIndex;
 use rand::Rng;
 
 use crate::band::{Band, Channel, CHANNELS_5};
-
-/// What kind of operator a neighbouring network belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NeighborKind {
-    /// A fixed infrastructure network (office, home, retail AP).
-    Infrastructure,
-    /// A personal mobile hotspot (Novatel, Pantech, Sierra Wireless, a
-    /// phone in hotspot mode) — transient, low power.
-    MobileHotspot,
-    /// Another AP of the same management system (excluded from the paper's
-    /// "interfering networks" counts).
-    SameFleet,
-}
-
-/// One network heard during a scan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NearbyNetwork {
-    /// Channel it beacons on.
-    pub channel: Channel,
-    /// Received beacon strength (dBm).
-    pub rssi_dbm: f64,
-    /// Operator classification.
-    pub kind: NeighborKind,
-    /// Whether its beacons are legacy 802.11b (2.592 ms on air).
-    pub legacy_11b: bool,
-}
-
-/// The result of a neighbourhood scan from one AP.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NeighborCensus {
-    /// Every network heard, both bands.
-    pub networks: Vec<NearbyNetwork>,
-}
-
-impl NeighborCensus {
-    /// Number of networks heard on a band, excluding same-fleet APs — the
-    /// paper's "interfering APs (excluding other Meraki devices)".
-    pub fn interfering_count(&self, band: Band) -> usize {
-        self.networks
-            .iter()
-            .filter(|n| n.channel.band == band && n.kind != NeighborKind::SameFleet)
-            .count()
-    }
-
-    /// Number of mobile hotspots heard on a band.
-    pub fn hotspot_count(&self, band: Band) -> usize {
-        self.networks
-            .iter()
-            .filter(|n| n.channel.band == band && n.kind == NeighborKind::MobileHotspot)
-            .count()
-    }
-
-    /// Networks co-channel with `channel` (full overlap only).
-    pub fn co_channel_count(&self, channel: Channel) -> usize {
-        self.networks
-            .iter()
-            .filter(|n| n.channel == channel && n.kind != NeighborKind::SameFleet)
-            .count()
-    }
-
-    /// Count of networks per channel number for a band (Figure 2's x-axis).
-    pub fn per_channel_histogram(&self, band: Band) -> Vec<(u16, usize)> {
-        Channel::all_in(band)
-            .into_iter()
-            .map(|ch| {
-                let count = self
-                    .networks
-                    .iter()
-                    .filter(|n| n.channel == ch && n.kind != NeighborKind::SameFleet)
-                    .count();
-                (ch.number, count)
-            })
-            .collect()
-    }
-}
 
 /// The channel-placement distribution for neighbouring networks.
 ///
@@ -161,7 +86,7 @@ impl ChannelPlacement {
     }
 }
 
-/// Samples whether a 2.4 GHz neighbour is a personal mobile hotspot.
+/// The probability that a neighbour on `band` is a personal mobile hotspot.
 ///
 /// The paper measured ~20% in January 2015 (§4.1), roughly doubling in six
 /// months; at 5 GHz only 1.7% of networks were hotspots.
@@ -169,22 +94,6 @@ pub fn hotspot_probability(band: Band) -> f64 {
     match band {
         Band::Ghz2_4 => 0.20,
         Band::Ghz5 => 0.017,
-    }
-}
-
-/// Samples the neighbour kind for a new network.
-pub fn sample_kind<R: Rng + ?Sized>(
-    band: Band,
-    same_fleet_fraction: f64,
-    rng: &mut R,
-) -> NeighborKind {
-    let u: f64 = rng.gen();
-    if u < same_fleet_fraction {
-        NeighborKind::SameFleet
-    } else if u < same_fleet_fraction + (1.0 - same_fleet_fraction) * hotspot_probability(band) {
-        NeighborKind::MobileHotspot
-    } else {
-        NeighborKind::Infrastructure
     }
 }
 
@@ -235,74 +144,6 @@ mod tests {
         }
         let frac = dfs as f64 / n as f64;
         assert!(frac < 0.08, "DFS fraction {frac} should be small");
-    }
-
-    #[test]
-    fn census_counts() {
-        let ch6 = Channel::new(Band::Ghz2_4, 6).unwrap();
-        let ch36 = Channel::new(Band::Ghz5, 36).unwrap();
-        let census = NeighborCensus {
-            networks: vec![
-                NearbyNetwork {
-                    channel: ch6,
-                    rssi_dbm: -70.0,
-                    kind: NeighborKind::Infrastructure,
-                    legacy_11b: false,
-                },
-                NearbyNetwork {
-                    channel: ch6,
-                    rssi_dbm: -80.0,
-                    kind: NeighborKind::MobileHotspot,
-                    legacy_11b: false,
-                },
-                NearbyNetwork {
-                    channel: ch6,
-                    rssi_dbm: -60.0,
-                    kind: NeighborKind::SameFleet,
-                    legacy_11b: false,
-                },
-                NearbyNetwork {
-                    channel: ch36,
-                    rssi_dbm: -75.0,
-                    kind: NeighborKind::Infrastructure,
-                    legacy_11b: false,
-                },
-            ],
-        };
-        assert_eq!(census.interfering_count(Band::Ghz2_4), 2);
-        assert_eq!(census.interfering_count(Band::Ghz5), 1);
-        assert_eq!(census.hotspot_count(Band::Ghz2_4), 1);
-        assert_eq!(census.co_channel_count(ch6), 2); // SameFleet excluded
-    }
-
-    #[test]
-    fn per_channel_histogram_covers_plan() {
-        let census = NeighborCensus::default();
-        let h24 = census.per_channel_histogram(Band::Ghz2_4);
-        assert_eq!(h24.len(), 11);
-        assert!(h24.iter().all(|&(_, c)| c == 0));
-        let h5 = census.per_channel_histogram(Band::Ghz5);
-        assert_eq!(h5.len(), 24);
-    }
-
-    #[test]
-    fn kind_sampling_fractions() {
-        let mut rng = SeedTree::new(33).rng();
-        let n = 100_000;
-        let mut hotspots = 0;
-        let mut fleet = 0;
-        for _ in 0..n {
-            match sample_kind(Band::Ghz2_4, 0.1, &mut rng) {
-                NeighborKind::MobileHotspot => hotspots += 1,
-                NeighborKind::SameFleet => fleet += 1,
-                NeighborKind::Infrastructure => {}
-            }
-        }
-        let hf = hotspots as f64 / n as f64;
-        let ff = fleet as f64 / n as f64;
-        assert!((ff - 0.1).abs() < 0.01, "fleet fraction {ff}");
-        // 20% of the non-fleet 90%.
-        assert!((hf - 0.18).abs() < 0.01, "hotspot fraction {hf}");
     }
 
     #[test]

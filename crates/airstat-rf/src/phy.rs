@@ -126,8 +126,6 @@ pub mod timing {
     pub const OFDM_SYMBOL_US: f64 = 4.0;
     /// Default BSSID beacon interval (µs) — 102.4 ms (§4.1).
     pub const BEACON_INTERVAL_US: f64 = 102_400.0;
-    /// Link-metric probe payload size in bytes (§4.2).
-    pub const PROBE_BYTES: usize = 60;
     /// MAC header + FCS overhead applied to beacon/probe payloads (bytes).
     pub const MAC_OVERHEAD_BYTES: usize = 28;
 }
@@ -177,16 +175,6 @@ pub fn beacon_airtime_us(legacy_11b: bool) -> f64 {
     }
 }
 
-/// Airtime of one 60-byte link-metric probe (µs) on the given band.
-///
-/// §4.2: 1 Mb/s on the 2.4 GHz radio, 6 Mb/s on the 5 GHz radio.
-pub fn probe_airtime_us(band: Band) -> f64 {
-    match band {
-        Band::Ghz2_4 => dsss_frame_us(timing::PROBE_BYTES, 1.0),
-        Band::Ghz5 => ofdm_frame_us(timing::PROBE_BYTES, 6.0),
-    }
-}
-
 /// Effective MAC-layer throughput estimate (bits/s) for a saturated sender,
 /// used by the utilization model to convert offered load into airtime.
 ///
@@ -209,17 +197,6 @@ mod tests {
         assert!((ofdm - 420.0).abs() < 25.0, "OFDM beacon {ofdm} µs");
         let dsss = beacon_airtime_us(true);
         assert!((dsss - 2592.0).abs() < 60.0, "11b beacon {dsss} µs");
-    }
-
-    #[test]
-    fn probe_airtimes() {
-        // 60 B + 28 B overhead at 1 Mb/s: 192 + 704 = 896 µs.
-        let p24 = probe_airtime_us(Band::Ghz2_4);
-        assert!((p24 - 896.0).abs() < 1e-9, "2.4 GHz probe {p24}");
-        // At 6 Mb/s OFDM: 20 µs preamble + ceil((88*8+22)/24)=31 symbols.
-        let p5 = probe_airtime_us(Band::Ghz5);
-        assert!((p5 - 144.0).abs() < 1e-9, "5 GHz probe {p5}");
-        assert!(p24 > p5 * 5.0, "2.4 GHz probes are much slower on air");
     }
 
     #[test]

@@ -139,15 +139,6 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
     10.0 * mw.log10()
 }
 
-/// Sums an iterator of powers expressed in dBm, returning dBm.
-///
-/// Used when combining interference from multiple sources: powers add in
-/// linear space, not in dB.
-pub fn sum_dbm<I: IntoIterator<Item = f64>>(powers: I) -> Option<f64> {
-    let total: f64 = powers.into_iter().map(dbm_to_mw).sum();
-    (total > 0.0).then(|| mw_to_dbm(total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,17 +214,6 @@ mod tests {
         }
         assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
         assert!((dbm_to_mw(23.0) - 199.5).abs() < 0.1);
-    }
-
-    #[test]
-    fn sum_dbm_adds_linearly() {
-        // Two equal powers sum to +3 dB.
-        let s = sum_dbm([-60.0, -60.0]).unwrap();
-        assert!((s - (-57.0)).abs() < 0.02, "{s}");
-        // A much weaker source barely moves the total.
-        let s2 = sum_dbm([-60.0, -90.0]).unwrap();
-        assert!((s2 - (-60.0)).abs() < 0.01);
-        assert_eq!(sum_dbm(std::iter::empty()), None);
     }
 
     #[test]

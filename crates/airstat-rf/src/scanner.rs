@@ -25,9 +25,6 @@ use crate::band::{Band, Channel};
 /// Dwell time of the MR18 scanning radio on each channel (µs). §5: 5 ms.
 pub const SCAN_DWELL_US: u64 = 5_000;
 
-/// Aggregation window of the backend for scan results (µs). §5: 3 minutes.
-pub const SCAN_WINDOW_US: u64 = 180_000_000;
-
 /// One channel's measurement from a scan window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelSample {
@@ -82,8 +79,9 @@ impl ServingRadio {
 /// The MR18 dedicated scanning radio.
 ///
 /// Cycles over every channel of both bands, spending [`SCAN_DWELL_US`] per
-/// channel, and accumulates one [`AirtimeLedger`] per channel. Every
-/// [`SCAN_WINDOW_US`] the backend collects a [`ChannelSample`] per channel.
+/// channel, and accumulates one [`AirtimeLedger`] per channel. Every scan
+/// window (§5: 3 minutes) the backend collects a [`ChannelSample`] per
+/// channel.
 #[derive(Debug, Clone)]
 pub struct ScanningRadio {
     schedule: Vec<Channel>,
@@ -117,11 +115,6 @@ impl ScanningRadio {
     /// Duration of one full sweep (µs).
     pub fn sweep_duration_us(&self) -> u64 {
         SCAN_DWELL_US * self.schedule.len() as u64
-    }
-
-    /// The channel the scanner will dwell on next.
-    pub fn next_channel(&self) -> Channel {
-        self.schedule[self.position]
     }
 
     /// Performs one dwell: observes the next channel for [`SCAN_DWELL_US`]
@@ -171,6 +164,9 @@ impl ScanningRadio {
 mod tests {
     use super::*;
 
+    /// Aggregation window of the backend for scan results (µs). §5: 3 minutes.
+    const SCAN_WINDOW_US: u64 = 180_000_000;
+
     fn ch24(n: u16) -> Channel {
         Channel::new(Band::Ghz2_4, n).unwrap()
     }
@@ -211,11 +207,11 @@ mod tests {
     #[test]
     fn scanner_round_robin() {
         let mut s = ScanningRadio::new();
-        let first = s.next_channel();
+        let first = s.schedule[s.position];
         for _ in 0..s.sweep_len() {
             s.dwell(&|_| ChannelLoad::idle());
         }
-        assert_eq!(s.next_channel(), first, "one sweep returns to start");
+        assert_eq!(s.schedule[s.position], first, "one sweep returns to start");
     }
 
     #[test]

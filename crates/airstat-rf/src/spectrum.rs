@@ -536,47 +536,9 @@ fn emitter_band<'a>(
 }
 
 impl Waterfall {
-    /// Number of frames captured.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Number of FFT bins per frame.
     pub fn num_bins(&self) -> usize {
         self.frames.first().map_or(0, Vec::len)
-    }
-
-    /// Time-averaged power per bin (dBm), averaging in linear power.
-    pub fn mean_psd_dbm(&self) -> Vec<f64> {
-        if self.frames.is_empty() {
-            return Vec::new();
-        }
-        let bins = self.num_bins();
-        let mut acc = vec![0.0f64; bins];
-        for frame in &self.frames {
-            for (a, &p) in acc.iter_mut().zip(frame) {
-                *a += dbm_to_mw(p);
-            }
-        }
-        acc.into_iter()
-            .map(|mw| mw_to_dbm(mw / self.frames.len() as f64))
-            .collect()
-    }
-
-    /// Fraction of (frame, bin) cells above `threshold_dbm` — a crude
-    /// occupancy measure comparable to energy-detect utilization.
-    pub fn occupancy_above(&self, threshold_dbm: f64) -> f64 {
-        let total: usize = self.frames.iter().map(Vec::len).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let hot: usize = self
-            .frames
-            .iter()
-            .flat_map(|f| f.iter())
-            .filter(|&&p| p > threshold_dbm)
-            .count();
-        hot as f64 / total as f64
     }
 
     /// Fraction of frames in which any bin inside `[lo_mhz, hi_mhz]`
@@ -644,6 +606,38 @@ mod tests {
         }
     }
 
+    /// Time-averaged power per bin (dBm), averaging in linear power.
+    fn mean_psd_dbm(wf: &Waterfall) -> Vec<f64> {
+        if wf.frames.is_empty() {
+            return Vec::new();
+        }
+        let mut acc = vec![0.0f64; wf.num_bins()];
+        for frame in &wf.frames {
+            for (a, &p) in acc.iter_mut().zip(frame) {
+                *a += dbm_to_mw(p);
+            }
+        }
+        acc.into_iter()
+            .map(|mw| mw_to_dbm(mw / wf.frames.len() as f64))
+            .collect()
+    }
+
+    /// Fraction of (frame, bin) cells above `threshold_dbm` in the full
+    /// matrix: the occupancy [`ScanSummary::occupancy`] must reproduce.
+    fn occupancy_above(wf: &Waterfall, threshold_dbm: f64) -> f64 {
+        let total: usize = wf.frames.iter().map(Vec::len).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        let hot = wf
+            .frames
+            .iter()
+            .flatten()
+            .filter(|&&p| p > threshold_dbm)
+            .count();
+        hot as f64 / total as f64
+    }
+
     /// FNV-1a over every cell's `f64::to_bits`, frame by frame.
     fn bit_digest(wf: &Waterfall) -> u64 {
         let bytes: Vec<u8> = wf
@@ -670,7 +664,7 @@ mod tests {
             .flatten()
             .filter(|&&p| p > threshold_dbm)
             .count();
-        let (frames, bins) = (wf.num_frames(), wf.num_bins());
+        let (frames, bins) = (wf.frames.len(), wf.num_bins());
         let mut shades = Vec::new();
         if bins == 0 {
             return (hot, shades);
@@ -726,7 +720,7 @@ mod tests {
                 assert_eq!(got.rows, rows.min(frames), "{at}");
                 assert_eq!(
                     got.occupancy().to_bits(),
-                    full.occupancy_above(threshold).to_bits(),
+                    occupancy_above(&full, threshold).to_bits(),
                     "{at}"
                 );
                 unfinished_rows += usize::from(got.shades.contains(&0));
@@ -803,7 +797,7 @@ mod tests {
             ..SpectrumScan::paper_2_4ghz()
         }
         .capture(5, &mut rng);
-        assert_eq!(binless.num_frames(), 5);
+        assert_eq!(binless.frames.len(), 5);
         assert_eq!(binless.band_occupancy(2430.0, 2444.0, -80.0), 0.0);
         let wf = SpectrumScan::paper_2_4ghz().capture(40, &mut rng);
         assert!(wf.band_occupancy(2430.0, 2444.0, -200.0) > 0.0);
@@ -858,7 +852,7 @@ mod tests {
         let scan = SpectrumScan::paper_2_4ghz();
         let mut rng = SeedTree::new(41).rng();
         let wf = scan.capture(50, &mut rng);
-        assert_eq!(wf.num_frames(), 50);
+        assert_eq!(wf.frames.len(), 50);
         assert_eq!(wf.num_bins(), 4096);
     }
 
@@ -872,10 +866,10 @@ mod tests {
         };
         let mut rng = SeedTree::new(42).rng();
         let wf = scan.capture(20, &mut rng);
-        let psd = wf.mean_psd_dbm();
+        let psd = mean_psd_dbm(&wf);
         let mean: f64 = psd.iter().sum::<f64>() / psd.len() as f64;
         assert!((mean - BIN_NOISE_FLOOR_DBM).abs() < 2.0, "mean {mean}");
-        assert!(wf.occupancy_above(-100.0) < 0.01);
+        assert!(occupancy_above(&wf, -100.0) < 0.01);
     }
 
     #[test]
@@ -897,8 +891,8 @@ mod tests {
         let mut rng = SeedTree::new(44).rng();
         let wf24 = SpectrumScan::paper_2_4ghz().capture(200, &mut rng);
         let wf5 = SpectrumScan::paper_5ghz().capture(200, &mut rng);
-        let occ24 = wf24.occupancy_above(-85.0);
-        let occ5 = wf5.occupancy_above(-85.0);
+        let occ24 = occupancy_above(&wf24, -85.0);
+        let occ5 = occupancy_above(&wf5, -85.0);
         assert!(
             occ24 > 4.0 * occ5,
             "2.4 GHz occupancy {occ24} should dwarf 5 GHz {occ5}"
@@ -911,7 +905,7 @@ mod tests {
         let scan = ripple_scan();
         let mut rng = SeedTree::new(45).rng();
         let wf = scan.capture(100, &mut rng);
-        let psd = wf.mean_psd_dbm();
+        let psd = mean_psd_dbm(&wf);
         // Look at in-band bins away from the edges.
         let bins = psd.len();
         let in_band: Vec<f64> = (0..bins)

@@ -6,7 +6,7 @@
 //! is monotone in distance, and scanner bookkeeping never loses dwells.
 
 use airstat_rf::airtime::{AirtimeLedger, ChannelLoad};
-use airstat_rf::band::{Band, Channel, CHANNELS_2_4, CHANNELS_5};
+use airstat_rf::band::Band;
 use airstat_rf::link::{LinkModel, ProbeLink};
 use airstat_rf::propagation::{Environment, PathLoss};
 use airstat_rf::scanner::{ScanningRadio, SCAN_DWELL_US};
@@ -14,16 +14,6 @@ use proptest::prelude::*;
 
 fn any_band() -> impl Strategy<Value = Band> {
     prop_oneof![Just(Band::Ghz2_4), Just(Band::Ghz5)]
-}
-
-fn any_channel() -> impl Strategy<Value = Channel> {
-    any_band().prop_flat_map(|band| {
-        let numbers: Vec<u16> = match band {
-            Band::Ghz2_4 => CHANNELS_2_4.to_vec(),
-            Band::Ghz5 => CHANNELS_5.to_vec(),
-        };
-        prop::sample::select(numbers).prop_map(move |n| Channel::new(band, n).unwrap())
-    })
 }
 
 fn any_environment() -> impl Strategy<Value = Environment> {
@@ -98,15 +88,6 @@ proptest! {
         // Anti-monotone in multipath penalty.
         let worse = ProbeLink { band, rssi_dbm: rssi, multipath_penalty_db: penalty + 5.0 };
         prop_assert!(model.delivery_probability(&worse, util, 0.0) <= p + 1e-12);
-    }
-
-    #[test]
-    fn overlap_kernel_properties(a in any_channel(), b in any_channel()) {
-        let oab = a.overlap(&b);
-        let oba = b.overlap(&a);
-        prop_assert!((oab - oba).abs() < 1e-12, "symmetric");
-        prop_assert!((0.0..=1.0).contains(&oab));
-        prop_assert!((a.overlap(&a) - 1.0).abs() < 1e-12, "self-overlap is 1");
     }
 
     #[test]
