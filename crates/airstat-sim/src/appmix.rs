@@ -441,11 +441,6 @@ pub const PROFILES: &[AppProfile] = &[
     },
 ];
 
-/// Returns the profile for an app, if it has one.
-pub fn profile_of(app: Application) -> Option<&'static AppProfile> {
-    PROFILES.iter().find(|p| p.app == app)
-}
-
 /// Year-adjusted `(byte_share, reach)` for an app.
 ///
 /// 2014 byte shares are back-projected through the growth column and then
@@ -543,6 +538,11 @@ pub fn os_affinity(os: OsFamily, app: Application) -> f64 {
 mod tests {
     use super::*;
     use airstat_classify::apps::AppCategory;
+
+    /// The profile for an app, if it has one.
+    fn profile_of(app: Application) -> Option<&'static AppProfile> {
+        PROFILES.iter().find(|p| p.app == app)
+    }
 
     #[test]
     fn profiles_cover_every_application() {

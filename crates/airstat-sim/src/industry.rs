@@ -126,40 +126,6 @@ impl Industry {
             Industry::Other => 2_154,
         }
     }
-
-    /// Relative client-population weight of one network in this vertical.
-    ///
-    /// Education and government networks are campus-scale; restaurants and
-    /// real-estate offices are tiny. The absolute scale is normalized away
-    /// by the population generator — only ratios matter.
-    pub fn size_weight(self) -> f64 {
-        match self {
-            Industry::Education => 12.0,
-            Industry::Government => 4.0,
-            Industry::Healthcare => 3.5,
-            Industry::Tech => 2.5,
-            Industry::IndustrialManufacturing => 2.0,
-            Industry::FinanceInsurance => 1.8,
-            Industry::Hospitality => 1.8,
-            Industry::Retail => 1.0,
-            Industry::Telecom => 1.0,
-            Industry::MediaAdvertising => 1.0,
-            Industry::Consulting => 0.8,
-            Industry::NonProfit => 0.8,
-            Industry::VarSystemIntegrator => 0.7,
-            Industry::Construction => 0.6,
-            Industry::ArchitectureEngineering => 0.6,
-            Industry::Legal => 0.6,
-            Industry::Other => 1.0,
-            Industry::RealEstate => 0.4,
-            Industry::Restaurants => 0.4,
-        }
-    }
-}
-
-/// Total networks in Table 2.
-pub fn total_networks_full() -> u32 {
-    Industry::ALL.iter().map(|i| i.network_count_full()).sum()
 }
 
 /// A sampler that draws verticals proportionally to Table 2.
@@ -199,7 +165,8 @@ mod tests {
 
     #[test]
     fn totals_match_table2() {
-        assert_eq!(total_networks_full(), 20_667);
+        let total: u32 = Industry::ALL.iter().map(|i| i.network_count_full()).sum();
+        assert_eq!(total, 20_667);
     }
 
     #[test]
@@ -230,13 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn names_and_weights_total() {
+    fn every_vertical_is_named() {
         for i in Industry::ALL {
             assert!(!i.name().is_empty());
-            assert!(i.size_weight() > 0.0);
         }
         assert_eq!(Industry::ALL.len(), 19);
-        // Education must be the heaviest vertical per network.
-        assert!(Industry::Education.size_weight() > Industry::Retail.size_weight());
     }
 }

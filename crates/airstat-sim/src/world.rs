@@ -249,11 +249,6 @@ impl World {
             .iter()
             .filter(move |l| l.rx == device_id && l.link.band == band)
     }
-
-    /// Number of links on a band.
-    pub fn link_count(&self, band: Band) -> usize {
-        self.links.iter().filter(|l| l.link.band == band).count()
-    }
 }
 
 /// Samples the non-WiFi emitters audible at one AP.
@@ -338,6 +333,11 @@ mod tests {
         World::generate(&SeedTree::new(0xA11CE), 100, 100)
     }
 
+    /// Number of links on a band.
+    fn link_count(w: &World, band: Band) -> usize {
+        w.links.iter().filter(|l| l.link.band == band).count()
+    }
+
     #[test]
     fn generates_requested_ap_counts() {
         let w = world();
@@ -377,8 +377,8 @@ mod tests {
     #[test]
     fn more_2_4_links_than_5() {
         let w = world();
-        let l24 = w.link_count(Band::Ghz2_4);
-        let l5 = w.link_count(Band::Ghz5);
+        let l24 = link_count(&w, Band::Ghz2_4);
+        let l5 = link_count(&w, Band::Ghz5);
         assert!(l24 > 0 && l5 > 0);
         // Paper: 16,583 vs 5,650 — a factor ~3 at the same AP count.
         assert!(
@@ -391,7 +391,7 @@ mod tests {
     fn link_ratio_roughly_matches_paper_scale() {
         // Paper: ~1.66 2.4 GHz links per AP over 10k APs.
         let w = world();
-        let per_ap = w.link_count(Band::Ghz2_4) as f64 / w.aps.len() as f64;
+        let per_ap = link_count(&w, Band::Ghz2_4) as f64 / w.aps.len() as f64;
         assert!(per_ap > 0.5 && per_ap < 6.0, "links per AP {per_ap}");
     }
 
