@@ -115,30 +115,6 @@ impl Ecdf {
         (hi - lo) as f64 / self.sorted.len() as f64
     }
 
-    /// Renders the CDF as `points` evenly spaced `(x, F(x))` pairs spanning
-    /// the sample range. Returns an empty vec when the sample is empty.
-    pub fn curve(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let (lo, hi) = (
-            self.sorted[0],
-            *self
-                .sorted
-                .last()
-                .expect("invariant: is_empty checked at function entry"),
-        );
-        if points == 1 || lo == hi {
-            return vec![(hi, 1.0)];
-        }
-        (0..points)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-                (x, self.fraction_at_or_below(x))
-            })
-            .collect()
-    }
-
     /// Borrow the sorted sample.
     pub fn samples(&self) -> &[f64] {
         &self.sorted
@@ -186,7 +162,6 @@ mod tests {
         assert_eq!(e.median(), None);
         assert_eq!(e.mean(), None);
         assert_eq!(e.fraction_at_or_below(1.0), 0.0);
-        assert!(e.curve(5).is_empty());
     }
 
     #[test]
@@ -195,18 +170,6 @@ mod tests {
         assert!((e.mass_at(1.0, 1e-9) - 0.75).abs() < 1e-12);
         assert!((e.mass_at(0.5, 1e-9) - 0.25).abs() < 1e-12);
         assert_eq!(e.mass_at(0.7, 1e-9), 0.0);
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let e = Ecdf::new((0..100).map(|i| ((i * 37) % 100) as f64));
-        let curve = e.curve(33);
-        assert_eq!(curve.len(), 33);
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone");
-            assert!(w[1].0 >= w[0].0);
-        }
-        assert_eq!(curve.last().unwrap().1, 1.0);
     }
 
     #[test]
@@ -253,11 +216,5 @@ mod tests {
             let want: Vec<u64> = want.iter().map(|x| x.to_bits()).collect();
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn curve_degenerate_single_value() {
-        let e = Ecdf::new([7.0, 7.0, 7.0]);
-        assert_eq!(e.curve(10), vec![(7.0, 1.0)]);
     }
 }

@@ -102,36 +102,6 @@ fn order_key(v: f64) -> u64 {
     }
 }
 
-/// Simple least-squares linear regression `y = a + b x`.
-///
-/// Returns `(intercept, slope)`, or `None` under the same conditions as
-/// [`pearson`] for x-variance.
-pub fn linear_fit(pairs: &[(f64, f64)]) -> Option<(f64, f64)> {
-    let clean: Vec<(f64, f64)> = pairs
-        .iter()
-        .copied()
-        .filter(|(x, y)| x.is_finite() && y.is_finite())
-        .collect();
-    let n = clean.len();
-    if n < 2 {
-        return None;
-    }
-    let nf = n as f64;
-    let mean_x = clean.iter().map(|p| p.0).sum::<f64>() / nf;
-    let mean_y = clean.iter().map(|p| p.1).sum::<f64>() / nf;
-    let mut cov = 0.0;
-    let mut var_x = 0.0;
-    for (x, y) in clean {
-        cov += (x - mean_x) * (y - mean_y);
-        var_x += (x - mean_x) * (x - mean_x);
-    }
-    if var_x == 0.0 {
-        return None;
-    }
-    let slope = cov / var_x;
-    Some((mean_y - slope * mean_x, slope))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,13 +249,5 @@ mod tests {
             let want: Vec<u64> = oracle(&values).iter().map(|r| r.to_bits()).collect();
             assert_eq!(got, want, "{values:?}");
         }
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let pairs: Vec<(f64, f64)> = (0..50).map(|i| (i as f64, 4.0 + 0.5 * i as f64)).collect();
-        let (a, b) = linear_fit(&pairs).unwrap();
-        assert!((a - 4.0).abs() < 1e-9);
-        assert!((b - 0.5).abs() < 1e-9);
     }
 }

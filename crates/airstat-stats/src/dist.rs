@@ -216,70 +216,6 @@ impl Pareto {
     }
 }
 
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Application popularity is classically Zipf-like: the paper's Table 5 has
-/// "Miscellaneous web" at 22% of all bytes and rank-40 at 0.23%. Sampling
-/// uses precomputed cumulative weights (O(log n) per draw), which is ideal
-/// for our sizes (tens to thousands of ranks).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `n` ranks with exponent `s`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `s < 0`.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf needs at least one rank");
-        assert!(s >= 0.0 && s.is_finite(), "exponent must be >= 0");
-        let mut cumulative = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for k in 1..=n {
-            total += 1.0 / (k as f64).powf(s);
-            cumulative.push(total);
-        }
-        // Normalize so that the last entry is exactly 1.0.
-        for c in &mut cumulative {
-            *c /= total;
-        }
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Zipf { cumulative }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True if the distribution has exactly one rank.
-    pub fn is_empty(&self) -> bool {
-        false // constructor guarantees n > 0
-    }
-
-    /// Draws a rank in `0..n` (0-based; rank 0 is the most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u = rng.gen::<f64>();
-        match self.cumulative.binary_search_by(|c| {
-            c.partial_cmp(&u)
-                .expect("invariant: cumulative weights are finite by construction")
-        }) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
-    }
-
-    /// Probability mass of 0-based rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        let lo = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        self.cumulative[k] - lo
-    }
-}
-
 /// Weighted discrete choice over arbitrary weights.
 ///
 /// Backbone of categorical sampling: industry verticals, OS mix, channel
@@ -423,34 +359,6 @@ mod tests {
         let max_heavy = (0..n).map(|_| heavy.sample(&mut r)).fold(0.0, f64::max);
         let max_light = (0..n).map(|_| light.sample(&mut r)).fold(0.0, f64::max);
         assert!(max_heavy > max_light * 10.0);
-    }
-
-    #[test]
-    fn zipf_rank0_most_popular() {
-        let z = Zipf::new(40, 1.0);
-        let mut counts = vec![0usize; 40];
-        let mut r = rng();
-        for _ in 0..200_000 {
-            counts[z.sample(&mut r)] += 1;
-        }
-        assert!(counts[0] > counts[1]);
-        assert!(counts[1] > counts[10]);
-        assert!(counts[10] > counts[39]);
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(100, 1.3);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zipf_s_zero_is_uniform() {
-        let z = Zipf::new(10, 0.0);
-        for k in 0..10 {
-            assert!((z.pmf(k) - 0.1).abs() < 1e-12);
-        }
     }
 
     #[test]

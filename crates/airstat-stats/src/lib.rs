@@ -7,7 +7,7 @@
 //!   so that an entire 10,000-AP fleet simulation is reproducible from a
 //!   single `u64`;
 //! * heavy-tailed samplers ([`dist`]) for client usage, spatial layout and
-//!   interference models (log-normal, Zipf, Pareto, exponential, normal);
+//!   interference models (log-normal, Pareto, exponential, normal);
 //! * empirical distributions ([`cdf::Ecdf`]) with quantile queries, used to
 //!   regenerate every CDF figure in the paper;
 //! * correlation measures ([`correlation`]) for the utilization-vs-AP-count

@@ -53,11 +53,6 @@ impl<T> Reservoir<T> {
         &self.items
     }
 
-    /// Consumes the reservoir and returns the sample.
-    pub fn into_items(self) -> Vec<T> {
-        self.items
-    }
-
     /// Maximum sample size.
     pub fn capacity(&self) -> usize {
         self.capacity

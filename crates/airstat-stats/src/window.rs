@@ -63,11 +63,6 @@ impl SlidingRatio {
         self.evict(t);
     }
 
-    /// Advances the window to time `t` without recording an event.
-    pub fn advance(&mut self, t: u64) {
-        self.evict(t);
-    }
-
     fn evict(&mut self, now: u64) {
         // Keep events with t > now - window, i.e. within (now - window, now].
         // Before one full window has elapsed nothing can be stale.
@@ -142,16 +137,6 @@ mod tests {
         w.record(0, true);
         w.record(300, true); // t=0 is exactly `window` old → evicted
         assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn advance_without_event() {
-        let mut w = SlidingRatio::new(10);
-        w.record(0, true);
-        assert_eq!(w.ratio(), Some(1.0));
-        w.advance(100);
-        assert!(w.is_empty());
-        assert_eq!(w.ratio(), None);
     }
 
     #[test]
