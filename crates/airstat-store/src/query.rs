@@ -1761,7 +1761,7 @@ mod tests {
         // A receiver whose owning shard holds no segment for W2: nothing
         // is read and the series is empty.
         let stranger = (1..)
-            .find(|&d| store.shard_of(W2, d) != store.shard_of(W2, 0))
+            .find(|&d| shard_index(W2, d, 8) != shard_index(W2, 0, 8))
             .expect("eight shards leave room for another owner");
         let key = LinkKey {
             rx_device: stranger,

@@ -313,19 +313,9 @@ impl ShardedStore {
         self.persistence
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The current epoch (bumped by every accepted ingest batch).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Which shard `(window, device)` routes to.
-    pub fn shard_of(&self, window: WindowId, device: u64) -> usize {
-        shard_index(window, device, self.shards.len())
     }
 
     /// Reports accepted across all shards (excluding duplicates).
@@ -537,7 +527,7 @@ pub(crate) fn shard_index(window: WindowId, device: u64, shards: usize) -> usize
 /// and their segmented columnar projection (the read layout the
 /// [`crate::query::QueryBackend::Vectorized`] kernels scan — a
 /// [`SegmentStack`] of delta segments per shard, in the shard order
-/// [`ShardedStore::shard_of`] routes reports by).
+/// ingest routes reports by).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
@@ -647,14 +637,13 @@ mod tests {
 
     #[test]
     fn routing_is_stable_and_in_range() {
-        let store = ShardedStore::new(7);
         for device in 0..200u64 {
-            let shard = store.shard_of(W, device);
+            let shard = shard_index(W, device, 7);
             assert!(shard < 7);
-            assert_eq!(shard, store.shard_of(W, device), "stable");
+            assert_eq!(shard, shard_index(W, device, 7), "stable");
         }
         // Different windows may route the same device elsewhere.
-        let moved = (0..200u64).any(|d| store.shard_of(W, d) != store.shard_of(WindowId(1401), d));
+        let moved = (0..200u64).any(|d| shard_index(W, d, 7) != shard_index(WindowId(1401), d, 7));
         assert!(moved, "window participates in the hash");
     }
 
@@ -698,7 +687,7 @@ mod tests {
         assert_eq!(later.seal_stats().seals_total, 2);
         // Only the shard that took device 2 re-projects; shards with no
         // dirtied rows keep their segments pointer-identical.
-        let touched = store.shard_of(W, 2);
+        let touched = shard_index(W, 2, store.shards.len());
         for (i, (a, b)) in first.columnar().iter().zip(later.columnar()).enumerate() {
             if i == touched {
                 continue;
@@ -1200,7 +1189,7 @@ mod tests {
         // One report builds the rows of the shard it routes to, and only
         // that shard's; the seal after it reads no other.
         opened.ingest_batch(W, &[usage_report(1, 100, 7)]);
-        let routed: Vec<bool> = (0..3).map(|i| i == opened.shard_of(W, 1)).collect();
+        let routed: Vec<bool> = (0..3).map(|i| i == shard_index(W, 1, 3)).collect();
         assert_eq!(built(&opened), routed);
         let resealed = opened.seal();
         assert_eq!(built(&opened), routed);
@@ -1284,10 +1273,8 @@ mod compaction_oracle {
 
     /// Adds every key `segment` holds to `keys`.
     fn add_key_sets(segment: &ColumnarShard, keys: &mut DirtyShard) {
-        for window in segment.window_ids() {
-            let w = segment
-                .window(window)
-                .expect("window_ids lists held windows");
+        for &window in segment.windows.keys() {
+            let w = segment.window(window).expect("the map lists held windows");
             let dw = keys.windows.entry(window).or_default();
             dw.usage
                 .extend(w.usage_mac.iter().copied().zip(w.usage_app.iter().copied()));
@@ -1639,7 +1626,10 @@ mod compaction_oracle {
         assert!(below.window(WindowId(1301)).is_some());
         let merged = ColumnarShard::merge(&below, &top);
         assert_eq!(merged, rebuild_from_tables(&shard, &below, &top));
-        assert_eq!(merged.window_ids().collect::<Vec<_>>(), vec![W2, W1]);
+        assert_eq!(
+            merged.windows.keys().copied().collect::<Vec<_>>(),
+            vec![W2, W1]
+        );
         assert_eq!(merged.window(W1), below.window(W1));
         assert_eq!(merged.window(W2), top.window(W2));
     }
