@@ -160,12 +160,6 @@ impl DeviceMemory {
     pub fn neighbors(&self) -> u64 {
         self.neighbors
     }
-
-    /// Clears the neighbour table (what the *fixed* firmware does between
-    /// scan cycles).
-    pub fn clear_neighbor_table(&mut self) {
-        self.neighbors = 0;
-    }
 }
 
 /// A crash-signature key: firmware plus reason.
@@ -302,10 +296,6 @@ mod tests {
         let survived = skyscraper.grow_neighbor_table(100_000);
         assert!(!survived, "the unbounded table must exhaust 64 MB");
         assert!(skyscraper.exhausted());
-        // The fixed firmware clears the table instead of growing forever.
-        skyscraper.clear_neighbor_table();
-        assert!(!skyscraper.exhausted());
-        assert_eq!(skyscraper.neighbors(), 0);
     }
 
     #[test]

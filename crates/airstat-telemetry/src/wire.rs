@@ -5,8 +5,6 @@
 //! to the backend. We implement the same encoding ideas from scratch:
 //!
 //! * **varints** — 7 bits per byte, little-endian groups, MSB continuation;
-//! * **zigzag** — signed values mapped to unsigned so small magnitudes stay
-//!   small;
 //! * **tagged fields** — `(field_number << 3) | wire_type`, allowing
 //!   decoders to skip unknown fields (forward compatibility, which §2 calls
 //!   out: the backend survives schema changes without losing data);
@@ -84,25 +82,10 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// ZigZag-encodes a signed integer.
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverts [`zigzag`].
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
 /// Appends a tagged varint field.
 pub fn put_field_u64(out: &mut Vec<u8>, field: u32, v: u64) {
     put_varint(out, (u64::from(field) << 3) | WireType::Varint as u64);
     put_varint(out, v);
-}
-
-/// Appends a tagged zigzag-varint field.
-pub fn put_field_i64(out: &mut Vec<u8>, field: u32, v: i64) {
-    put_field_u64(out, field, zigzag(v));
 }
 
 /// Appends a tagged double field (fixed64, little endian).
@@ -158,7 +141,7 @@ pub enum Field<'a> {
     Varint {
         /// Field number.
         field: u32,
-        /// Raw unsigned value (apply [`unzigzag`] for signed fields).
+        /// Raw unsigned value.
         value: u64,
     },
     /// A fixed64/double field.
@@ -193,11 +176,6 @@ impl<'a> Field<'a> {
             Field::Varint { value, .. } => Ok(*value),
             _ => Err(WireError::Schema("expected varint field")),
         }
-    }
-
-    /// Signed integer value (zigzag), if this is a varint field.
-    pub fn as_i64(&self) -> Result<i64, WireError> {
-        self.as_u64().map(unzigzag)
     }
 
     /// Double value, if this is a fixed64 field.
@@ -339,22 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn zigzag_known_values() {
-        assert_eq!(zigzag(0), 0);
-        assert_eq!(zigzag(-1), 1);
-        assert_eq!(zigzag(1), 2);
-        assert_eq!(zigzag(-2), 3);
-        assert_eq!(zigzag(i64::MIN), u64::MAX);
-        for v in [-1000i64, -1, 0, 1, 1000, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
     fn tagged_fields_roundtrip() {
         let mut out = Vec::new();
         put_field_u64(&mut out, 1, 42);
-        put_field_i64(&mut out, 2, -87);
+        put_field_u64(&mut out, 2, 87);
         put_field_f64(&mut out, 3, -0.25);
         put_field_str(&mut out, 4, "rssi");
         put_field_bytes(&mut out, 5, &[9, 8, 7]);
@@ -364,7 +330,7 @@ mod tests {
         assert_eq!(f1.number(), 1);
         assert_eq!(f1.as_u64().unwrap(), 42);
         let f2 = r.next_field().unwrap().unwrap();
-        assert_eq!(f2.as_i64().unwrap(), -87);
+        assert_eq!(f2.as_u64().unwrap(), 87);
         let f3 = r.next_field().unwrap().unwrap();
         assert_eq!(f3.as_f64().unwrap(), -0.25);
         let f4 = r.next_field().unwrap().unwrap();
