@@ -227,6 +227,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         Some(other) => return Err(format!("unknown command {other}")),
         None => return Err(String::new()),
     };
+    let takes = match command {
+        Command::Report | Command::Info => 1,
+        _ => 2,
+    };
+    if let Some(extra) = positional.get(takes) {
+        return Err(format!("unexpected argument {extra}"));
+    }
     if resume && store_dir.is_none() {
         return Err("--resume requires --store-dir".into());
     }
@@ -550,6 +557,23 @@ mod tests {
         assert!(parse(&["report", "--shards", "0"]).is_err());
         assert!(parse(&["report", "--shards", "few"]).is_err());
         assert!(parse(&[]).is_err());
+    }
+
+    #[test]
+    fn rejects_arguments_past_what_the_command_takes() {
+        for (args, extra) in [
+            (&["report", "extra"][..], "extra"),
+            (&["info", "extra", "junk"], "extra"),
+            (&["table", "3", "4"], "4"),
+            (&["figure", "11", "2"], "2"),
+            (&["release", "/tmp/x", "/tmp/y"], "/tmp/y"),
+        ] {
+            assert_eq!(
+                parse(args).unwrap_err(),
+                format!("unexpected argument {extra}"),
+                "{args:?}"
+            );
+        }
     }
 
     #[test]

@@ -115,6 +115,23 @@ fn retired_drain_selector_flag_is_refused_like_any_unknown_flag() {
     }
 }
 
+/// A command refuses positional arguments past the ones it takes, with
+/// the usage text, rather than ignoring them.
+#[test]
+fn extra_positional_arguments_are_refused() {
+    for (args, extra) in [
+        (&["info", "extra", "junk"][..], "extra"),
+        (&["table", "3", "4"], "4"),
+    ] {
+        let run = airstat(args);
+        assert_refused(&run, &format!("error: unexpected argument {extra}\n"));
+        assert!(
+            String::from_utf8_lossy(&run.stderr).contains("usage"),
+            "no usage text: {run:?}"
+        );
+    }
+}
+
 /// Nothing the CLI prints comes from a clock: the same flags print the
 /// same bytes on both streams, and a second worker thread changes only
 /// the two status lines that name the thread count — every counter
