@@ -575,22 +575,6 @@ impl RuleSet {
         }
     }
 
-    /// The ruleset generation.
-    pub fn version(&self) -> RuleSetVersion {
-        self.version
-    }
-
-    /// Number of rules (for the paper's "about 200 application
-    /// identification rules" comparison).
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True if the ruleset has no rules (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
     /// Classifies a flow. Always returns *something*: unmatched flows fall
     /// into the Miscellaneous buckets.
     ///
@@ -740,7 +724,7 @@ mod tests {
                     rules.classify(flow),
                     classify_linear(&rules, flow),
                     "{:?}: {flow:?}",
-                    rules.version()
+                    rules.version
                 );
                 cases += 1;
             };
@@ -830,17 +814,14 @@ mod tests {
             for (dead, shadower) in shadowed {
                 assert!(shadower < dead);
                 assert_eq!(
-                    rules.rules[dead].app,
-                    rules.rules[shadower].app,
+                    rules.rules[dead].app, rules.rules[shadower].app,
                     "{:?}: rule {dead} ({:?}) is unreachable behind rule {shadower} ({:?}) \
                      and names a different application",
-                    rules.version(),
-                    rules.rules[dead].matcher,
-                    rules.rules[shadower].matcher,
+                    rules.version, rules.rules[dead].matcher, rules.rules[shadower].matcher,
                 );
                 named.push((suffix(&rules, dead), suffix(&rules, shadower)));
             }
-            assert_eq!(named, pinned, "{:?}", rules.version());
+            assert_eq!(named, pinned, "{:?}", rules.version);
         }
     }
 
@@ -1008,7 +989,7 @@ mod tests {
             old.classify(&FlowMetadata::https("audio-fa.spotify.com")),
             Application::MiscSecureWeb
         );
-        assert!(old.len() < rs().len());
+        assert!(old.rules.len() < rs().rules.len());
     }
 
     #[test]
@@ -1043,7 +1024,10 @@ mod tests {
     fn ruleset_scale_comparable_to_paper() {
         // The paper says "about 200 application identification rules".
         // Ours is the same order of magnitude; README quotes the counts.
-        assert_eq!((RuleSet::standard_2014().len(), rs().len()), (94, 100));
+        assert_eq!(
+            (RuleSet::standard_2014().rules.len(), rs().rules.len()),
+            (94, 100)
+        );
     }
 
     #[test]

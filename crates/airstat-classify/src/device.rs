@@ -162,11 +162,6 @@ impl DeviceClassifier {
         DeviceClassifier { version }
     }
 
-    /// The ruleset generation in use.
-    pub fn version(&self) -> ClassifierVersion {
-        self.version
-    }
-
     /// Classifies a client from its accumulated evidence.
     ///
     /// ```

@@ -242,24 +242,16 @@ impl FlowTable {
         self.evictions = 0;
     }
 
-    /// Live flow count.
-    pub fn live_flows(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Packets that took the slow path.
-    pub fn slow_path_packets(&self) -> u64 {
-        self.slow_path_packets
-    }
-
-    /// Packets that took the fast path.
-    pub fn fast_path_packets(&self) -> u64 {
-        self.fast_path_packets
-    }
-
-    /// Flows evicted for capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
+    /// `(evictions, slow-path packets, fast-path packets, live flows)`:
+    /// flows evicted for capacity, packets per path, and the flows open
+    /// now.
+    pub fn flow_counters(&self) -> (u64, u64, u64, usize) {
+        (
+            self.evictions,
+            self.slow_path_packets,
+            self.fast_path_packets,
+            self.flows.len(),
+        )
     }
 }
 
@@ -294,11 +286,11 @@ mod tests {
             let path = t.packet(key(1, 1), Direction::Down, 1500, &metadata, i);
             assert_eq!(path, Path::Fast);
         }
-        assert_eq!(t.fast_path_packets(), 10);
-        assert_eq!(t.slow_path_packets(), 1);
+        assert_eq!(t.fast_path_packets, 10);
+        assert_eq!(t.slow_path_packets, 1);
         // FIN retires the flow into the usage counters.
         t.finish(key(1, 1), 11);
-        assert_eq!(t.live_flows(), 0);
+        assert_eq!(t.flows.len(), 0);
         let usage: Vec<_> = t.flush().collect();
         assert_eq!(usage.len(), 1);
         assert_eq!(usage[0].0, (mac(1), Application::Netflix));
@@ -326,8 +318,8 @@ mod tests {
         t.packet(key(1, 1), Direction::Down, 500, &m, 1);
         t.open(key(1, 2), &m, 2);
         t.open(key(1, 3), &m, 3); // evicts flow 1 (LRU)
-        assert_eq!(t.evictions(), 1);
-        assert_eq!(t.live_flows(), 2);
+        assert_eq!(t.evictions, 1);
+        assert_eq!(t.flows.len(), 2);
         // Flow 1's bytes survived retirement.
         let usage: Vec<_> = t.flush().collect();
         let total: u64 = usage.iter().map(|(_, u)| u.down_bytes).sum();
@@ -352,29 +344,29 @@ mod tests {
         t.open(key(1, 2), &netflix, 0);
         // Reopening a live key at capacity replaces it in place.
         t.open(key(1, 2), &netflix, 1);
-        assert_eq!((t.evictions(), live(&t)), (0, vec![1, 2]));
+        assert_eq!((t.evictions, live(&t)), (0, vec![1, 2]));
         // A new key at capacity evicts the least recently used flow.
         t.open(key(1, 3), &web, 2);
-        assert_eq!((t.evictions(), live(&t)), (1, vec![2, 3]));
+        assert_eq!((t.evictions, live(&t)), (1, vec![2, 3]));
         // A mid-flow packet for the evicted flow re-punts and evicts in turn.
         assert_eq!(
             t.packet(key(1, 1), Direction::Down, 100, &bare, 3),
             Path::Slow
         );
-        assert_eq!((t.evictions(), live(&t)), (2, vec![1, 3]));
+        assert_eq!((t.evictions, live(&t)), (2, vec![1, 3]));
         assert_eq!(t.packet(key(1, 3), Direction::Up, 10, &web, 4), Path::Fast);
         assert_eq!(
             t.packet(key(1, 2), Direction::Down, 7, &bare, 5),
             Path::Slow
         );
-        assert_eq!((t.evictions(), live(&t)), (3, vec![2, 3]));
+        assert_eq!((t.evictions, live(&t)), (3, vec![2, 3]));
         // Equal `last_seen` stamps tie-break on the key.
         t.packet(key(1, 3), Direction::Up, 1, &web, 5);
         t.open(key(1, 4), &netflix, 6);
-        assert_eq!((t.evictions(), live(&t)), (4, vec![3, 4]));
+        assert_eq!((t.evictions, live(&t)), (4, vec![3, 4]));
         t.finish(key(1, 4), 7);
         assert_eq!(
-            (t.slow_path_packets(), t.fast_path_packets(), t.evictions()),
+            (t.slow_path_packets, t.fast_path_packets, t.evictions),
             (8, 2, 4)
         );
         let usage: Vec<(Application, u64, u64)> = t
@@ -434,13 +426,13 @@ mod tests {
         t.packet(key(1, 1), Direction::Down, 1500, &m, 1);
         t.finish(key(1, 1), 2);
         t.open(key(2, 7), &m, 3); // still live at reset time
-        assert!(t.live_flows() > 0);
-        assert!(t.slow_path_packets() > 0);
+        assert!(!t.flows.is_empty());
+        assert!(t.slow_path_packets > 0);
         t.reset();
-        assert_eq!(t.live_flows(), 0);
-        assert_eq!(t.slow_path_packets(), 0);
-        assert_eq!(t.fast_path_packets(), 0);
-        assert_eq!(t.evictions(), 0);
+        assert_eq!(t.flows.len(), 0);
+        assert_eq!(t.slow_path_packets, 0);
+        assert_eq!(t.fast_path_packets, 0);
+        assert_eq!(t.evictions, 0);
         assert_eq!(t.flush().count(), 0, "reset discards retired usage too");
         // The table is fully usable afterwards.
         let app = t.open(key(3, 1), &m, 10);

@@ -26,14 +26,14 @@ impl MacAddress {
     }
 
     /// The vendor prefix.
-    pub fn oui(&self) -> Oui {
+    pub(crate) fn oui(&self) -> Oui {
         Oui([self.0[0], self.0[1], self.0[2]])
     }
 
     /// True if the locally-administered bit is set — randomized or
     /// software-assigned addresses (common for mobile hotspots and modern
     /// phone privacy modes), which carry no vendor information.
-    pub fn is_locally_administered(&self) -> bool {
+    pub(crate) fn is_locally_administered(&self) -> bool {
         self.0[0] & 0x02 != 0
     }
 
@@ -167,7 +167,7 @@ const REGISTRY: &[(Oui, Vendor)] = &[
 ];
 
 /// Looks up the vendor for an OUI; unknown prefixes return [`Vendor::Other`].
-pub fn vendor_of(oui: Oui) -> Vendor {
+pub(crate) fn vendor_of(oui: Oui) -> Vendor {
     REGISTRY
         .iter()
         .find(|(o, _)| *o == oui)

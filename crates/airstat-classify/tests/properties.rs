@@ -321,7 +321,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                (table.evictions(), table.slow_path_packets(), table.fast_path_packets(), table.live_flows()),
+                table.flow_counters(),
                 (model.evictions, model.slow, model.fast, model.flows.len()),
                 "after {:?} at {}", op, now
             );

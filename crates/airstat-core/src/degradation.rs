@@ -38,7 +38,7 @@ impl DegradationReport {
 
     /// Data completeness in `[0, 1]`: unique accepted reports over
     /// submitted reports.
-    pub fn completeness(&self) -> f64 {
+    pub(crate) fn completeness(&self) -> f64 {
         self.tally.completeness()
     }
 }
@@ -108,7 +108,7 @@ mod tests {
     use airstat_telemetry::poll::LatencyHistogram;
 
     fn sample_report() -> DegradationReport {
-        let mut latency = LatencyHistogram::new();
+        let mut latency = LatencyHistogram::default();
         latency.record_n(60, 80);
         latency.record_n(480, 15);
         latency.record_n(1920, 5);

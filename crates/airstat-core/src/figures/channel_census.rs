@@ -18,19 +18,11 @@ pub struct ChannelCensusFigure {
 
 impl ChannelCensusFigure {
     /// Computes per-channel totals from all censuses in the window.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
         ChannelCensusFigure {
             counts_2_4: backend.nearby_per_channel(window, Band::Ghz2_4),
             counts_5: backend.nearby_per_channel(window, Band::Ghz5),
         }
-    }
-
-    /// Count on one 2.4 GHz channel.
-    pub fn on_2_4(&self, channel: u16) -> u64 {
-        self.counts_2_4
-            .iter()
-            .find(|&&(c, _)| c == channel)
-            .map_or(0, |&(_, n)| n)
     }
 
     /// Fraction of 2.4 GHz networks on the non-overlapping set {1, 6, 11}.
@@ -39,7 +31,13 @@ impl ChannelCensusFigure {
         if total == 0 {
             return 0.0;
         }
-        (self.on_2_4(1) + self.on_2_4(6) + self.on_2_4(11)) as f64 / total as f64
+        let primary: u64 = self
+            .counts_2_4
+            .iter()
+            .filter(|&&(c, _)| matches!(c, 1 | 6 | 11))
+            .map(|&(_, n)| n)
+            .sum();
+        primary as f64 / total as f64
     }
 
     /// Fraction of 5 GHz networks on DFS channels (paper: tiny).
@@ -113,11 +111,19 @@ mod tests {
         b
     }
 
+    /// Count on one 2.4 GHz channel.
+    fn on_2_4(fig: &ChannelCensusFigure, channel: u16) -> u64 {
+        fig.counts_2_4
+            .iter()
+            .find(|&&(c, _)| c == channel)
+            .map_or(0, |&(_, n)| n)
+    }
+
     #[test]
     fn per_channel_structure() {
         let fig = ChannelCensusFigure::compute(&backend(), W);
-        assert_eq!(fig.on_2_4(1), 137);
-        assert_eq!(fig.on_2_4(6), 100);
+        assert_eq!(on_2_4(&fig, 1), 137);
+        assert_eq!(on_2_4(&fig, 6), 100);
         let primary = fig.primary_fraction_2_4();
         assert!((primary - 337.0 / 342.0).abs() < 1e-9);
         let dfs = fig.dfs_fraction_5();
@@ -142,7 +148,7 @@ mod tests {
     #[test]
     fn empty_backend() {
         let fig = ChannelCensusFigure::compute(&Backend::new(), W);
-        assert_eq!(fig.on_2_4(6), 0);
+        assert_eq!(on_2_4(&fig, 6), 0);
         assert_eq!(fig.primary_fraction_2_4(), 0.0);
     }
 }

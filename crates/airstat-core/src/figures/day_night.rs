@@ -32,7 +32,7 @@ pub struct DayNightFigure {
 
 impl DayNightFigure {
     /// Splits the window's scan observations by sampling hour.
-    pub fn compute<Q: FleetQuery>(
+    pub(crate) fn compute<Q: FleetQuery>(
         backend: &Q,
         window: WindowId,
         band: Band,
@@ -58,7 +58,7 @@ impl DayNightFigure {
     }
 
     /// Median day-night utilization gap in percentage points.
-    pub fn median_gap_points(&self) -> Option<f64> {
+    pub(crate) fn median_gap_points(&self) -> Option<f64> {
         Some((self.day.median()? - self.night.median()?) * 100.0)
     }
 

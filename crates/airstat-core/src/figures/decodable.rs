@@ -28,7 +28,7 @@ pub struct DecodableFigure {
 
 impl DecodableFigure {
     /// Computes the distributions over all sufficiently busy scan samples.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
         let collect = |band| {
             Ecdf::new(
                 backend

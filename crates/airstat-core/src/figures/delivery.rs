@@ -23,7 +23,7 @@ pub struct DeliveryFigure {
 
 impl DeliveryFigure {
     /// Computes the CDFs from each link's mean delivery ratio per window.
-    pub fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, now: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, now: WindowId) -> Self {
         DeliveryFigure {
             now_2_4: Ecdf::new(backend.mean_delivery_ratios(now, Band::Ghz2_4)),
             before_2_4: Ecdf::new(backend.mean_delivery_ratios(before, Band::Ghz2_4)),
@@ -41,7 +41,7 @@ impl DeliveryFigure {
     }
 
     /// Fraction of 5 GHz links delivering everything (paper: over half).
-    pub fn perfect_fraction_5_now(&self) -> f64 {
+    pub(crate) fn perfect_fraction_5_now(&self) -> f64 {
         self.now_5.mass_at(1.0, 0.025)
     }
 }

@@ -21,7 +21,7 @@ pub struct LinkSeries {
 
 impl LinkSeries {
     /// Mean ratio across the series.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.points.is_empty() {
             return 0.0;
         }
@@ -55,7 +55,12 @@ pub struct LinkTimeseriesFigure {
 impl LinkTimeseriesFigure {
     /// Selects `count` links with mean ratios nearest the given anchors
     /// and extracts their series.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId, band: Band, count: usize) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(
+        backend: &Q,
+        window: WindowId,
+        band: Band,
+        count: usize,
+    ) -> Self {
         let anchors = [0.5, 0.75, 0.3, 0.9];
         let keys = backend.link_keys(window, band);
         let mut scored: Vec<(LinkKey, f64)> = keys
@@ -71,11 +76,10 @@ impl LinkTimeseriesFigure {
             })
             .collect();
         let mut series = Vec::new();
-        for (i, anchor) in anchors.iter().enumerate() {
+        for anchor in anchors {
             if series.len() >= count || scored.is_empty() {
                 break;
             }
-            let _ = i;
             // Closest remaining link to this anchor.
             let (pos, _) = scored
                 .iter()

@@ -23,27 +23,11 @@ pub struct RssiFigure {
 }
 
 impl RssiFigure {
-    /// Takes the snapshot from every client identity in the window.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
-        let mut r24 = Vec::new();
-        let mut r5 = Vec::new();
-        for (_, identity) in backend.clients(window) {
-            match identity.band {
-                Band::Ghz2_4 => r24.push(identity.rssi_dbm),
-                Band::Ghz5 => r5.push(identity.rssi_dbm),
-            }
-        }
-        RssiFigure {
-            rssi_2_4: Ecdf::new(r24),
-            rssi_5: Ecdf::new(r5),
-        }
-    }
-
     /// The paper's methodology: a bounded point-in-time sample of
     /// *currently connected* clients (~309,000 of the week's 5.58M, §3.1),
     /// taken with a uniform reservoir so snapshot cost never scales with
     /// fleet size.
-    pub fn compute_snapshot<Q: FleetQuery>(
+    pub(crate) fn compute_snapshot<Q: FleetQuery>(
         backend: &Q,
         window: WindowId,
         sample_size: usize,
@@ -124,6 +108,23 @@ mod tests {
 
     const W: WindowId = WindowId(1501);
 
+    /// The figure over every client identity in the window: the oracle a
+    /// snapshot as large as the panel must reproduce.
+    fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> RssiFigure {
+        let mut r24 = Vec::new();
+        let mut r5 = Vec::new();
+        for (_, identity) in backend.clients(window) {
+            match identity.band {
+                Band::Ghz2_4 => r24.push(identity.rssi_dbm),
+                Band::Ghz5 => r5.push(identity.rssi_dbm),
+            }
+        }
+        RssiFigure {
+            rssi_2_4: Ecdf::new(r24),
+            rssi_5: Ecdf::new(r5),
+        }
+    }
+
     fn backend() -> Backend {
         let mut b = Backend::new();
         let records: Vec<ClientInfoRecord> = (0..10u8)
@@ -149,7 +150,7 @@ mod tests {
 
     #[test]
     fn band_split_and_counts() {
-        let fig = RssiFigure::compute(&backend(), W);
+        let fig = compute(&backend(), W);
         assert_eq!(fig.rssi_2_4.len(), 8);
         assert_eq!(fig.rssi_5.len(), 2);
         assert!((fig.fraction_on_2_4() - 0.8).abs() < 1e-12);
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn snr_is_rssi_above_floor() {
-        let fig = RssiFigure::compute(&backend(), W);
+        let fig = compute(&backend(), W);
         let snr = fig.median_snr_db(Band::Ghz2_4).unwrap();
         // Median 2.4 GHz RSSI = -63.5 dBm → 30.5 dB above -94.
         assert!((snr - 30.5).abs() < 1e-9);
@@ -165,7 +166,7 @@ mod tests {
 
     #[test]
     fn empty_is_graceful() {
-        let fig = RssiFigure::compute(&Backend::new(), W);
+        let fig = compute(&Backend::new(), W);
         assert_eq!(fig.fraction_on_2_4(), 0.0);
         assert_eq!(fig.median_snr_db(Band::Ghz5), None);
     }
@@ -182,14 +183,14 @@ mod tests {
         // A sample as large as the panel reproduces compute() exactly
         // (up to ordering, which Ecdf normalizes).
         let full = RssiFigure::compute_snapshot(&b, W, 1000, &seed);
-        let exact = RssiFigure::compute(&b, W);
+        let exact = compute(&b, W);
         assert_eq!(full.rssi_2_4.len(), exact.rssi_2_4.len());
         assert_eq!(full, exact);
     }
 
     #[test]
     fn renders() {
-        let s = RssiFigure::compute(&backend(), W).to_string();
+        let s = compute(&backend(), W).to_string();
         assert!(s.contains("2.4 GHz"));
         assert!(s.contains("median SNR"));
     }

@@ -33,7 +33,7 @@ pub struct SpectrumFigure {
 
 impl SpectrumFigure {
     /// Scans both bands with `frames` FFT snapshots each.
-    pub fn compute(seed: &SeedTree, frames: usize) -> Self {
+    pub(crate) fn compute(seed: &SeedTree, frames: usize) -> Self {
         let summarize = |name: &str, scan: SpectrumScan| {
             let mut rng = seed.child(name).rng();
             scan.summarize(frames, &mut rng, OCCUPANCY_THRESHOLD_DBM, ROWS, COLS)

@@ -29,7 +29,7 @@ pub struct UtilVsApsFigure {
 
 impl UtilVsApsFigure {
     /// Builds the scatter from all scan observations in the window.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId, band: Band) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, window: WindowId, band: Band) -> Self {
         let points: Vec<(f64, f64)> = backend
             .scan_observations(window, band)
             .iter()

@@ -24,7 +24,7 @@ pub struct UtilizationFigure {
 
 impl UtilizationFigure {
     /// Computes the per-AP utilization distributions.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
         UtilizationFigure {
             util_2_4: Ecdf::new(backend.serving_utilizations(window, Band::Ghz2_4)),
             util_5: Ecdf::new(backend.serving_utilizations(window, Band::Ghz5)),

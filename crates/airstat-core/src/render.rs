@@ -16,7 +16,7 @@ pub struct TextTable {
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new<I: IntoIterator<Item = S>, S: Into<String>>(header: I) -> Self {
+    pub(crate) fn new<I: IntoIterator<Item = S>, S: Into<String>>(header: I) -> Self {
         TextTable {
             header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -24,23 +24,16 @@ impl TextTable {
     }
 
     /// Appends one row. Shorter rows are padded with empty cells.
-    pub fn row<I: IntoIterator<Item = S>, S: Into<String>>(&mut self, cells: I) -> &mut Self {
+    pub(crate) fn row<I: IntoIterator<Item = S>, S: Into<String>>(
+        &mut self,
+        cells: I,
+    ) -> &mut Self {
         self.rows.push(cells.into_iter().map(Into::into).collect());
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with column alignment.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let columns = self
             .header
             .len()
@@ -99,7 +92,7 @@ impl TextTable {
 ///
 /// `series` pairs a label with an ECDF; the chart is `width x height`
 /// characters with the x-axis spanning `[x_lo, x_hi]`.
-pub fn render_cdfs(
+pub(crate) fn render_cdfs(
     series: &[(&str, &Ecdf)],
     x_lo: f64,
     x_hi: f64,
@@ -150,7 +143,7 @@ pub fn render_cdfs(
 }
 
 /// Renders a horizontal bar chart of labelled counts (Figure 2 style).
-pub fn render_bars<L: std::fmt::Display>(bars: &[(L, u64)], width: usize) -> String {
+pub(crate) fn render_bars<L: std::fmt::Display>(bars: &[(L, u64)], width: usize) -> String {
     let max = bars.iter().map(|b| b.1).max().unwrap_or(0).max(1);
     let mut out = String::new();
     for (label, count) in bars {
@@ -161,7 +154,7 @@ pub fn render_bars<L: std::fmt::Display>(bars: &[(L, u64)], width: usize) -> Str
 }
 
 /// Renders a sparse y-vs-x scatter as an ASCII plot.
-pub fn render_scatter(
+pub(crate) fn render_scatter(
     points: &[(f64, f64)],
     width: usize,
     height: usize,
@@ -217,8 +210,7 @@ mod tests {
     #[test]
     fn empty_table() {
         let t = TextTable::new(["a"]);
-        assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
+        assert!(t.rows.is_empty());
         let s = t.render();
         assert!(s.contains('a'));
     }

@@ -29,7 +29,7 @@ pub struct CapabilityShares {
 
 impl CapabilityShares {
     /// Computes shares over all clients in a window.
-    pub fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, window: WindowId) -> Self {
         let mut total = 0u64;
         let mut shares = CapabilityShares::default();
         for (_, identity) in backend.clients(window) {
@@ -83,7 +83,7 @@ pub struct CapabilitiesTable {
 
 impl CapabilitiesTable {
     /// Computes both columns.
-    pub fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, after: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, after: WindowId) -> Self {
         CapabilitiesTable {
             before: CapabilityShares::compute(backend, before),
             after: CapabilityShares::compute(backend, after),

@@ -37,7 +37,7 @@ impl CategoryRow {
     }
 
     /// Mean bytes per participating client.
-    pub fn bytes_per_client(&self) -> f64 {
+    pub(crate) fn bytes_per_client(&self) -> f64 {
         if self.clients == 0 {
             0.0
         } else {
@@ -74,7 +74,11 @@ fn aggregate<Q: FleetQuery>(
 
 impl CategoriesTable {
     /// Computes the table with growth against `previous`.
-    pub fn compute<Q: FleetQuery>(backend: &Q, current: WindowId, previous: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(
+        backend: &Q,
+        current: WindowId,
+        previous: WindowId,
+    ) -> Self {
         let now = aggregate(backend, current);
         let before = aggregate(backend, previous);
         let mut rows: Vec<CategoryRow> = now
@@ -98,11 +102,6 @@ impl CategoriesTable {
     /// Total bytes across all categories.
     pub fn grand_total(&self) -> u64 {
         self.rows.iter().map(|r| r.totals.total()).sum()
-    }
-
-    /// One category's row.
-    pub fn row(&self, category: AppCategory) -> Option<&CategoryRow> {
-        self.rows.iter().find(|r| r.category == category)
     }
 }
 
@@ -143,6 +142,10 @@ mod tests {
     use airstat_telemetry::backend::Backend;
     use airstat_telemetry::report::{Report, ReportPayload, UsageRecord};
 
+    fn row(t: &CategoriesTable, category: AppCategory) -> Option<&CategoryRow> {
+        t.rows.iter().find(|r| r.category == category)
+    }
+
     const NOW: WindowId = WindowId(1501);
     const BEFORE: WindowId = WindowId(1401);
 
@@ -178,10 +181,10 @@ mod tests {
     #[test]
     fn rollup_by_category() {
         let t = CategoriesTable::compute(&backend(), NOW, BEFORE);
-        let video = t.row(AppCategory::VideoMusic).unwrap();
+        let video = row(&t, AppCategory::VideoMusic).unwrap();
         assert_eq!(video.totals.total(), 500);
         assert_eq!(video.clients, 2);
-        let backup = t.row(AppCategory::OnlineBackup).unwrap();
+        let backup = row(&t, AppCategory::OnlineBackup).unwrap();
         assert_eq!(backup.totals.total(), 210);
         // Upload-dominated.
         assert!(backup.totals.down_bytes * 10 < backup.totals.up_bytes);

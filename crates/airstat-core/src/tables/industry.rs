@@ -16,7 +16,7 @@ pub struct IndustryTable {
 
 impl IndustryTable {
     /// Samples a usage panel of `networks` networks and counts verticals.
-    pub fn compute(networks: u32, seed: &SeedTree) -> Self {
+    pub(crate) fn compute(networks: u32, seed: &SeedTree) -> Self {
         let mix = IndustryMix::paper();
         let mut rng = seed.child("table2").rng();
         let mut counts = std::collections::BTreeMap::new();

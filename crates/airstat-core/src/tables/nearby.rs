@@ -46,7 +46,7 @@ fn cell<Q: FleetQuery>(backend: &Q, window: WindowId, band: Band) -> NearbyCell 
 
 impl NearbyTable {
     /// Computes all four cells.
-    pub fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, now: WindowId) -> Self {
+    pub(crate) fn compute<Q: FleetQuery>(backend: &Q, before: WindowId, now: WindowId) -> Self {
         NearbyTable {
             now_2_4: cell(backend, now, Band::Ghz2_4),
             before_2_4: cell(backend, before, Band::Ghz2_4),

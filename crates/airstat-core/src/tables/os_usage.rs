@@ -38,7 +38,7 @@ impl OsRow {
     }
 
     /// Download share of this OS's traffic, in percent.
-    pub fn download_percent(&self) -> f64 {
+    pub(crate) fn download_percent(&self) -> f64 {
         let total = self.totals.total();
         if total == 0 {
             0.0

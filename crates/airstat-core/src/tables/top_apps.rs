@@ -61,7 +61,7 @@ impl TopAppsTable {
     pub const PAPER_LIMIT: usize = 40;
 
     /// Computes the table from `current`, with growth against `previous`.
-    pub fn compute<Q: FleetQuery>(
+    pub(crate) fn compute<Q: FleetQuery>(
         backend: &Q,
         current: WindowId,
         previous: WindowId,
@@ -89,16 +89,6 @@ impl TopAppsTable {
         rows.sort_by_key(|r| std::cmp::Reverse(r.totals.total()));
         rows.truncate(limit);
         TopAppsTable { rows, grand_total }
-    }
-
-    /// Looks up one app's row.
-    pub fn row(&self, app: Application) -> Option<&AppRow> {
-        self.rows.iter().find(|r| r.app == app)
-    }
-
-    /// Rank (1-based) of an app, if in the table.
-    pub fn rank(&self, app: Application) -> Option<usize> {
-        self.rows.iter().position(|r| r.app == app).map(|i| i + 1)
     }
 }
 
@@ -143,6 +133,10 @@ mod tests {
     use airstat_telemetry::report::{Report, ReportPayload, UsageRecord};
 
     const NOW: WindowId = WindowId(1501);
+
+    fn row(t: &TopAppsTable, app: Application) -> Option<&AppRow> {
+        t.rows.iter().find(|r| r.app == app)
+    }
     const BEFORE: WindowId = WindowId(1401);
 
     fn backend() -> Backend {
@@ -179,8 +173,10 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0].app, Application::Netflix);
         assert_eq!(t.rows[1].app, Application::Youtube);
-        assert_eq!(t.rank(Application::Netflix), Some(1));
-        assert_eq!(t.rank(Application::Dropcam), None, "cut by limit");
+        assert!(
+            t.rows.iter().all(|r| r.app != Application::Dropcam),
+            "cut by limit"
+        );
         // Grand total still counts everything.
         assert_eq!(t.grand_total, 550);
     }
@@ -188,21 +184,21 @@ mod tests {
     #[test]
     fn growth_against_previous_window() {
         let t = TopAppsTable::compute(&backend(), NOW, BEFORE, 10);
-        let yt = t.row(Application::Youtube).unwrap();
+        let yt = row(&t, Application::Youtube).unwrap();
         // 100 -> 200 bytes: +100%.
         assert!((yt.bytes_increase.unwrap() - 100.0).abs() < 1e-9);
         // 1 -> 2 clients.
         assert!((yt.clients_increase.unwrap() - 100.0).abs() < 1e-9);
         // Netflix is new: no growth cell.
-        assert_eq!(t.row(Application::Netflix).unwrap().bytes_increase, None);
+        assert_eq!(row(&t, Application::Netflix).unwrap().bytes_increase, None);
     }
 
     #[test]
     fn shares_and_per_client() {
         let t = TopAppsTable::compute(&backend(), NOW, BEFORE, 10);
-        assert_eq!(t.row(Application::Netflix).unwrap().totals.total(), 300);
+        assert_eq!(row(&t, Application::Netflix).unwrap().totals.total(), 300);
         assert_eq!(t.grand_total, 550);
-        let yt = t.row(Application::Youtube).unwrap();
+        let yt = row(&t, Application::Youtube).unwrap();
         assert!((yt.bytes_per_client() - 100.0).abs() < 1e-9);
     }
 

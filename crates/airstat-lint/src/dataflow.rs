@@ -41,7 +41,7 @@ pub const HASH_ITER: u8 = 1 << 3;
 /// Matches `*_s` suffixes (`now_s`, `backoff_cap_s`) and the
 /// snake-case components `due`, `epoch`, `tick` — but not `ticks`,
 /// which the workspace uses for iteration counters.
-pub fn is_time_name(name: &str) -> bool {
+pub(crate) fn is_time_name(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();
     // Rates and budgets are *per* unit time, not instants on the clock:
     // `rate_bytes_per_s` and `admit_per_tick` wrapping would be a
@@ -62,7 +62,7 @@ pub fn is_time_name(name: &str) -> bool {
 }
 
 /// Whether an identifier names an RNG / seed-stream source.
-pub fn is_rng_name(name: &str) -> bool {
+pub(crate) fn is_rng_name(name: &str) -> bool {
     let lower = name.to_ascii_lowercase();
     lower
         .split('_')
@@ -70,7 +70,7 @@ pub fn is_rng_name(name: &str) -> bool {
 }
 
 /// Whether flattened type text denotes a hash-ordered collection.
-pub fn is_hash_type(ty: &str) -> bool {
+pub(crate) fn is_hash_type(ty: &str) -> bool {
     ty.contains("HashMap") || ty.contains("HashSet")
 }
 
@@ -80,7 +80,7 @@ pub fn is_hash_type(ty: &str) -> bool {
 /// non-integer type (`f64`, a struct) overrules it — `now_s: f64`
 /// saturates to infinity instead of wrapping, and `epoch:
 /// NeighborEpoch` is a struct named after the concept, not a tick.
-pub fn is_integer_type(ty: &str) -> bool {
+pub(crate) fn is_integer_type(ty: &str) -> bool {
     ty.is_empty()
         || ty.split(|c: char| !c.is_ascii_alphanumeric()).any(|t| {
             matches!(
@@ -133,7 +133,7 @@ impl FnFlow {
     /// Runs the pass over a function. Two forward sweeps reach the
     /// fixed point because flags only ever grow and bindings are
     /// processed in source order.
-    pub fn analyze(f: &FnItem) -> FnFlow {
+    pub(crate) fn analyze(f: &FnItem) -> FnFlow {
         let mut flow = FnFlow::default();
         for (name, ty) in &f.params {
             if name.is_empty() {
@@ -168,7 +168,7 @@ impl FnFlow {
     }
 
     /// Provenance flags of an expression under the current bindings.
-    pub fn flags_of(&self, e: &Expr) -> u8 {
+    pub(crate) fn flags_of(&self, e: &Expr) -> u8 {
         match e {
             Expr::Path { segs, .. } => {
                 // An explicit binding verdict beats the name heuristic:

@@ -11,7 +11,7 @@
 //! Per file the engine lexes once, runs the generation-1 token rules,
 //! parses the token stream ([`crate::parser`]), indexes the file's
 //! symbols ([`crate::symbols`]), and runs the generation-2
-//! parser/dataflow rules ([`crate::rules::check_ast`]). Across the
+//! parser/dataflow rules (`rules::check_ast`). Across the
 //! tree it aggregates a workspace symbol table and feeds the spec-doc
 //! pins (`docs/SEGMENT_FORMAT.md`, `docs/LINTS.md`) to the
 //! schema-drift rule.

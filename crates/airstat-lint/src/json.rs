@@ -31,7 +31,7 @@ use crate::engine::AuditReport;
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Escapes a string for a JSON double-quoted context.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

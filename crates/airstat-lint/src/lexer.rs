@@ -58,7 +58,7 @@ impl Token {
     /// The literal's payload with quotes and `r`/`b`/`#` framing
     /// stripped — empty for non-string tokens. Escape sequences are
     /// left as written; the rules only inspect literal prefixes.
-    pub fn str_contents(&self) -> &str {
+    pub(crate) fn str_contents(&self) -> &str {
         if self.kind != TokenKind::Str {
             return "";
         }

@@ -330,7 +330,7 @@ pub enum Expr {
 
 impl Expr {
     /// The node's anchor span.
-    pub fn span(&self) -> Span {
+    pub(crate) fn span(&self) -> Span {
         match self {
             Expr::Lit(_, _, s)
             | Expr::Path { span: s, .. }
@@ -365,7 +365,7 @@ impl Expr {
 /// Parses a token stream (comments included — they are skipped here)
 /// into a [`File`] tree. Total: never fails, degrades to
 /// [`Item::Other`] / [`Expr::Opaque`].
-pub fn parse(tokens: &[Token]) -> File {
+pub(crate) fn parse(tokens: &[Token]) -> File {
     let sig: Vec<&Token> = tokens
         .iter()
         .filter(|t| !t.is_comment() && t.kind != TokenKind::Error)
@@ -1959,7 +1959,7 @@ fn lit_u64(expr: &Expr) -> Option<u64> {
 /// Depth-first walk over every expression in a block, including nested
 /// blocks, closures, and macro arguments. `f` sees parents before
 /// children.
-pub fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
     for stmt in &block.stmts {
         match stmt {
             Stmt::Let { init, .. } => {
@@ -1979,7 +1979,7 @@ pub fn walk_block(block: &Block, f: &mut impl FnMut(&Expr)) {
 }
 
 /// Depth-first walk over one expression tree; `f` sees parents first.
-pub fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
+pub(crate) fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
     f(expr);
     match expr {
         Expr::Lit(..) | Expr::Path { .. } | Expr::Opaque(_) => {}
@@ -2062,7 +2062,7 @@ pub fn walk_expr(expr: &Expr, f: &mut impl FnMut(&Expr)) {
 
 /// Visits every function item in a file (free fns, methods in `impl`
 /// blocks, fns nested in `mod`s), depth-first.
-pub fn for_each_fn<'t>(items: &'t [Item], f: &mut impl FnMut(&'t FnItem)) {
+pub(crate) fn for_each_fn<'t>(items: &'t [Item], f: &mut impl FnMut(&'t FnItem)) {
     for item in items {
         match item {
             Item::Fn(func) => {
@@ -2077,29 +2077,6 @@ pub fn for_each_fn<'t>(items: &'t [Item], f: &mut impl FnMut(&'t FnItem)) {
             }
             Item::Mod(m) => for_each_fn(&m.items, f),
             Item::Impl(i) => for_each_fn(&i.items, f),
-            _ => {}
-        }
-    }
-}
-
-/// Visits every const item in a file, depth-first through mods/impls.
-pub fn for_each_const<'t>(items: &'t [Item], f: &mut impl FnMut(&'t ConstItem)) {
-    for item in items {
-        match item {
-            Item::Const(c) => f(c),
-            Item::Mod(m) => for_each_const(&m.items, f),
-            Item::Impl(i) => for_each_const(&i.items, f),
-            _ => {}
-        }
-    }
-}
-
-/// Visits every struct item in a file, depth-first through mods.
-pub fn for_each_struct<'t>(items: &'t [Item], f: &mut impl FnMut(&'t StructItem)) {
-    for item in items {
-        match item {
-            Item::Struct(s) => f(s),
-            Item::Mod(m) => for_each_struct(&m.items, f),
             _ => {}
         }
     }
@@ -2203,7 +2180,11 @@ mod tests {
             "pub const SEGMENT_SCHEMA_VERSION: u32 = 2;\nconst MASK: u64 = 0xFF;\nconst N: usize = 1_000;",
         );
         let mut vals = Vec::new();
-        for_each_const(&file.items, &mut |c| vals.push((c.name.clone(), c.value)));
+        for item in &file.items {
+            if let Item::Const(c) = item {
+                vals.push((c.name.clone(), c.value));
+            }
+        }
         assert_eq!(
             vals,
             vec![
@@ -2218,11 +2199,13 @@ mod tests {
     fn struct_fields_with_types() {
         let file = parse_src("pub struct S { pub seen: HashMap<(u64, u64), SeqSet>, count: u64 }");
         let mut fields = Vec::new();
-        for_each_struct(&file.items, &mut |s| {
-            for (n, t, _) in &s.fields {
-                fields.push((n.clone(), t.clone()));
+        for item in &file.items {
+            if let Item::Struct(s) = item {
+                for (n, t, _) in &s.fields {
+                    fields.push((n.clone(), t.clone()));
+                }
             }
-        });
+        }
         assert_eq!(fields.len(), 2);
         assert!(fields[0].1.contains("HashMap"));
         assert_eq!(fields[1].0, "count");

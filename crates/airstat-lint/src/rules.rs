@@ -7,8 +7,8 @@
 //! enforce that dynamically for the seeds they run; these rules enforce
 //! the *source-level* discipline that makes it hold for every seed.
 //!
-//! Generation 1 rules ([`check_tokens`]) are token patterns from PR 5.
-//! Generation 2 rules ([`check_ast`]) run on the parsed tree from
+//! Generation 1 rules (`check_tokens`) are token patterns.
+//! Generation 2 rules (`check_ast`) run on the parsed tree from
 //! [`crate::parser`] with provenance from [`crate::dataflow`] and the
 //! per-file symbol view from [`crate::symbols`]; they encode the bug
 //! classes PRs 6–9 shipped and fixed (the `next_backoff_s` shift wrap,
@@ -272,7 +272,7 @@ impl RuleId {
     /// Test code may unwrap, hash, and overflow freely; stray work
     /// markers, broken or stale directives, and schema drift are
     /// load-bearing everywhere.
-    pub fn applies_in_tests(self) -> bool {
+    pub(crate) fn applies_in_tests(self) -> bool {
         matches!(
             self,
             RuleId::TodoMarkers
@@ -297,7 +297,7 @@ pub struct FileContext {
 
 impl FileContext {
     /// Derives the context from a workspace-relative path.
-    pub fn from_rel_path(rel_path: &str) -> FileContext {
+    pub(crate) fn from_rel_path(rel_path: &str) -> FileContext {
         let crate_name = rel_path
             .strip_prefix("crates/")
             .and_then(|rest| rest.split('/').next())
@@ -315,7 +315,7 @@ impl FileContext {
 
     /// Whether `rule` is checked at all in this file. The scoping is the
     /// workspace policy, spelled out in `docs/LINTS.md`.
-    pub fn rule_applies(&self, rule: RuleId) -> bool {
+    pub(crate) fn rule_applies(&self, rule: RuleId) -> bool {
         match rule {
             // The one blessed spawn site: the ordered executor.
             RuleId::NoRawSpawn => !self.rel_path.ends_with("airstat-store/src/exec.rs"),
@@ -362,7 +362,7 @@ pub struct RawFinding {
 /// drain; locals the escape rule already reports). The
 /// `malformed-allow` rule is not checked here — it falls out of
 /// directive parsing in the engine.
-pub fn check_tokens(
+pub(crate) fn check_tokens(
     ctx: &FileContext,
     tokens: &[Token],
     in_test: &[bool],
@@ -625,7 +625,7 @@ pub struct AstAnalysis {
 /// `#[cfg(test)]` region; `symbols` is the per-file symbol view (the
 /// engine aggregates the workspace table); `pins` carries the spec-doc
 /// version numbers for the drift rule.
-pub fn check_ast(
+pub(crate) fn check_ast(
     ctx: &FileContext,
     file: &parser::File,
     symbols: &SymbolTable,

@@ -80,7 +80,7 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// Indexes one parsed file under `rel_path`.
-    pub fn add_file(&mut self, rel_path: &str, crate_name: &str, file: &File) {
+    pub(crate) fn add_file(&mut self, rel_path: &str, crate_name: &str, file: &File) {
         let mut m = ModuleSymbols {
             crate_name: crate_name.to_string(),
             ..ModuleSymbols::default()
@@ -90,16 +90,11 @@ impl SymbolTable {
     }
 
     /// Total number of indexed symbols, for reporting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.modules
             .values()
             .map(|m| m.fns.len() + m.structs.len() + m.consts.len())
             .sum()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -189,6 +184,5 @@ mod tests {
     fn len_counts_all_symbols() {
         let t = table_of("fn a() {}\nstruct B;\nconst C: u32 = 1;\n");
         assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
     }
 }

@@ -1,6 +1,7 @@
 //! The lint run against the real tree: the workspace is lint-clean, no
 //! source file reads a wall clock even under a suppression, no source
-//! file switches a clippy lint off, every `pub` item feeds a product
+//! file switches a clippy lint or rustc's `dead_code` off, every `pub`
+//! item feeds a product
 //! path (or is on the exact list of what tests alone need), every
 //! example is documented, and the full sweep (lex, parse, symbol index,
 //! provenance dataflow, both rule generations) stays inside the budget
@@ -68,13 +69,8 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// `cargo clippy -D warnings` only gates what no attribute has switched
-/// off. The workspace carries no `allow(clippy::…)` in `src/` or
-/// `crates/*/src/`, so the next eight-argument function fails tier-1
-/// instead of waiting for a reviewer to notice the attribute above it.
-#[test]
-fn no_source_file_switches_a_clippy_lint_off() {
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+/// Every `.rs` file of `src/` and `crates/*/src/`.
+fn library_sources(root: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
     rs_files(&root.join("src"), &mut files);
     for entry in std::fs::read_dir(root.join("crates"))
@@ -88,8 +84,18 @@ fn no_source_file_switches_a_clippy_lint_off() {
         "walk saw only {} files; the workspace has ~95",
         files.len()
     );
+    files
+}
+
+/// `cargo clippy -D warnings` only gates what no attribute has switched
+/// off. The workspace carries no `allow(clippy::…)` in `src/` or
+/// `crates/*/src/`, so the next eight-argument function fails tier-1
+/// instead of waiting for someone to notice the attribute above it.
+#[test]
+fn no_source_file_switches_a_clippy_lint_off() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
     let mut allows = Vec::new();
-    for file in &files {
+    for file in &library_sources(root) {
         let source = std::fs::read_to_string(file).expect("source is readable");
         for (number, line) in (1..).zip(source.lines()) {
             if line.contains("allow(clippy::") {
@@ -100,6 +106,41 @@ fn no_source_file_switches_a_clippy_lint_off() {
     assert!(
         allows.is_empty(),
         "a clippy lint is switched off; fix what it flags instead: {allows:#?}"
+    );
+}
+
+/// Every crate-internal fn is `pub(crate)` or private, so rustc's
+/// `dead_code` lint — an error under tier-1 clippy — flags the first one
+/// nothing calls. No code region of `src/` or `crates/*/src/` may switch
+/// that lint (or the rest of `unused`) off with `allow(..)` or
+/// `expect(..)`; `#[cfg(test)]` items and string literals are skipped.
+#[test]
+fn no_source_file_switches_the_dead_code_lint_off() {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let mut allows = Vec::new();
+    for file in &library_sources(root) {
+        let tokens = code_tokens(file);
+        for (i, token) in tokens.iter().enumerate() {
+            let suppresses = is_ident(Some(token), "allow") || is_ident(Some(token), "expect");
+            // `.expect(..)` is a call, not an attribute.
+            let method = i > 0 && is_punct(tokens.get(i - 1), ".");
+            if !suppresses || method || !is_punct(tokens.get(i + 1), "(") {
+                continue;
+            }
+            let lints = tokens[i + 2..]
+                .iter()
+                .take_while(|t| !(t.kind == TokenKind::Punct && t.text == ")"));
+            if let Some(lint) = lints
+                .filter(|t| t.kind == TokenKind::Ident)
+                .find(|t| t.text == "dead_code" || t.text.starts_with("unused"))
+            {
+                allows.push(format!("{}:{}: {}", file.display(), lint.line, lint.text));
+            }
+        }
+    }
+    assert!(
+        allows.is_empty(),
+        "dead_code is switched off; delete what it flags instead: {allows:#?}"
     );
 }
 
@@ -290,7 +331,7 @@ fn format_captures(literal: &str) -> Vec<String> {
 /// predicate several paper tests share.
 const TEST_SURFACE: &[(&str, &str)] = &[
     (
-        "airstat_classify::flows::FlowTable::live_flows",
+        "airstat_classify::flows::FlowTable::flow_counters",
         "airstat-classify tests/properties.rs flow_table_matches_an_ordered_map_model",
     ),
     (
@@ -330,12 +371,24 @@ const TEST_SURFACE: &[(&str, &str)] = &[
         "tests/persistence.rs any_op_sequence_answers_like_the_flat_backend, tests/operations.rs dataset_release_covers_both_windows and the src/lib.rs doctest",
     ),
     (
+        "airstat_store::segment::DurableStore::reopen",
+        "tests/persistence.rs any_op_sequence_answers_like_the_flat_backend (its Reopen op) and store_directory_bytes_are_pinned_across_every_persist_transition",
+    ),
+    (
         "airstat_store::segment::DurableStore::take_error",
         "tests/persistence.rs crashed_campaign_recovers_from_the_tail_log",
     ),
     (
         "airstat_telemetry::poll::drain_flat_reference",
         "tests/scheduler.rs plain_tunnel_solo_drain_matches_the_flat_oracle and faulted_solo_drain_matches_the_flat_oracle_for_every_preset",
+    ),
+    (
+        "airstat_telemetry::sched::Scheduler::clock_s",
+        "airstat-telemetry tests/sched_properties.rs prop_slab_scheduler_matches_the_by_value_model",
+    ),
+    (
+        "airstat_telemetry::transport::DeviceAgent::tenant",
+        "airstat-telemetry tests/sched_properties.rs prop_slab_scheduler_matches_the_by_value_model",
     ),
 ];
 
@@ -345,7 +398,9 @@ const TEST_SURFACE: &[(&str, &str)] = &[
 /// at an item's definition, a type's name inside its own `impl` (header
 /// or body), or a `pub use` re-export; a format string's inline capture
 /// (`"{NAME}"`) counts. The check is by name, so it can miss a dead item
-/// that shares its name with a live one, but never flags a live one. If
+/// that shares its name with a live one, but never flags a live one;
+/// crate-internal fns are `pub(crate)`, where rustc's `dead_code` is
+/// exact, so the blind spot is the `pub` items other crates may call. If
 /// no item of a module is reached, every item in it is flagged. An item
 /// only tests need sits on [`TEST_SURFACE`], and that list is exact: a
 /// listed item that a product reaches, or that is gone, fails too.
@@ -368,7 +423,7 @@ fn every_pub_item_feeds_a_product_path() {
     }
     assert!(
         items.len() >= 500,
-        "found only {} pub items; the crates have ~1000",
+        "found only {} pub items; the crates have ~590",
         items.len()
     );
 

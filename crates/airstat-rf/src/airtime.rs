@@ -27,11 +27,6 @@ pub struct AirtimeLedger {
 }
 
 impl AirtimeLedger {
-    /// Creates a zeroed ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Accounts one observation interval.
     ///
     /// * `elapsed_us` — wall-clock observation time;
@@ -75,13 +70,6 @@ impl AirtimeLedger {
     pub fn decodable_fraction(&self) -> Option<f64> {
         (self.busy_us > 0).then(|| self.wifi_us as f64 / self.busy_us as f64)
     }
-
-    /// Merges another ledger (e.g. successive polling intervals).
-    pub fn merge(&mut self, other: &AirtimeLedger) {
-        self.elapsed_us += other.elapsed_us;
-        self.busy_us += other.busy_us;
-        self.wifi_us += other.wifi_us;
-    }
 }
 
 /// The composition of offered load on one channel.
@@ -124,7 +112,7 @@ impl ChannelLoad {
     }
 
     /// Beacon airtime fraction contributed by all co-channel BSSIDs.
-    pub fn beacon_fraction(&self) -> f64 {
+    pub(crate) fn beacon_fraction(&self) -> f64 {
         let legacy = self.legacy_beacon_fraction.clamp(0.0, 1.0);
         let per_beacon_us =
             phy::beacon_airtime_us(true) * legacy + phy::beacon_airtime_us(false) * (1.0 - legacy);
@@ -133,7 +121,7 @@ impl ChannelLoad {
     }
 
     /// Data airtime fraction from the offered load.
-    pub fn data_fraction(&self) -> f64 {
+    pub(crate) fn data_fraction(&self) -> f64 {
         if self.data_load_bps <= 0.0 {
             return 0.0;
         }
@@ -161,7 +149,7 @@ impl ChannelLoad {
     }
 
     /// Fills a ledger with `elapsed_us` of observation under this load.
-    pub fn observe_into(&self, ledger: &mut AirtimeLedger, elapsed_us: u64) {
+    pub(crate) fn observe_into(&self, ledger: &mut AirtimeLedger, elapsed_us: u64) {
         let busy = (self.utilization() * elapsed_us as f64) as u64;
         let wifi = (self.decodable_fraction() * busy as f64) as u64;
         ledger.account(elapsed_us, busy, wifi);
@@ -174,7 +162,7 @@ mod tests {
 
     #[test]
     fn ledger_invariant_holds() {
-        let mut l = AirtimeLedger::new();
+        let mut l = AirtimeLedger::default();
         l.account(1000, 500, 300);
         assert_eq!(l.elapsed_us(), 1000);
         assert_eq!(l.busy_us(), 500);
@@ -185,7 +173,7 @@ mod tests {
 
     #[test]
     fn ledger_clamps_inconsistent_counters() {
-        let mut l = AirtimeLedger::new();
+        let mut l = AirtimeLedger::default();
         l.account(100, 200, 300); // busy > elapsed, wifi > busy
         assert_eq!(l.busy_us(), 100);
         assert_eq!(l.wifi_us(), 100);
@@ -193,20 +181,9 @@ mod tests {
 
     #[test]
     fn empty_ledger_returns_none() {
-        let l = AirtimeLedger::new();
+        let l = AirtimeLedger::default();
         assert_eq!(l.utilization(), None);
         assert_eq!(l.decodable_fraction(), None);
-    }
-
-    #[test]
-    fn ledger_merge_adds() {
-        let mut a = AirtimeLedger::new();
-        a.account(100, 50, 25);
-        let mut b = AirtimeLedger::new();
-        b.account(100, 10, 5);
-        a.merge(&b);
-        assert_eq!(a.elapsed_us(), 200);
-        assert!((a.utilization().unwrap() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -291,7 +268,7 @@ mod tests {
             non_wifi_duty: 0.1,
             ..ChannelLoad::idle()
         };
-        let mut ledger = AirtimeLedger::new();
+        let mut ledger = AirtimeLedger::default();
         load.observe_into(&mut ledger, 180_000_000); // 3 minutes
         let u = ledger.utilization().unwrap();
         assert!((u - load.utilization()).abs() < 1e-6);

@@ -30,7 +30,7 @@ impl Band {
     pub const ALL: [Band; 2] = [Band::Ghz2_4, Band::Ghz5];
 
     /// Human-readable name matching the paper's usage.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Band::Ghz2_4 => "2.4 GHz",
             Band::Ghz5 => "5 GHz",
@@ -59,7 +59,7 @@ pub enum Unii {
 
 impl Unii {
     /// Whether Dynamic Frequency Selection (radar detection) is required.
-    pub fn requires_dfs(self) -> bool {
+    pub(crate) fn requires_dfs(self) -> bool {
         matches!(self, Unii::Unii2 | Unii::Unii2Extended)
     }
 }
@@ -126,7 +126,7 @@ impl Channel {
     }
 
     /// The UNII sub-band for 5 GHz channels; `None` at 2.4 GHz.
-    pub fn unii(&self) -> Option<Unii> {
+    pub(crate) fn unii(&self) -> Option<Unii> {
         if self.band != Band::Ghz5 {
             return None;
         }

@@ -11,8 +11,6 @@
 use airstat_stats::dist::WeightedIndex;
 use rand::Rng;
 
-use crate::band::Band;
-
 /// A class of non-802.11 emitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterfererKind {
@@ -30,7 +28,7 @@ pub enum InterfererKind {
 
 impl InterfererKind {
     /// Occupied bandwidth in MHz.
-    pub fn bandwidth_mhz(self) -> f64 {
+    pub(crate) fn bandwidth_mhz(self) -> f64 {
         match self {
             InterfererKind::Bluetooth => 1.0,
             InterfererKind::Zigbee => 2.0,
@@ -41,7 +39,7 @@ impl InterfererKind {
     }
 
     /// Whether the emitter hops in frequency between transmissions.
-    pub fn hops(self) -> bool {
+    pub(crate) fn hops(self) -> bool {
         matches!(
             self,
             InterfererKind::Bluetooth | InterfererKind::CordlessPhone
@@ -49,32 +47,13 @@ impl InterfererKind {
     }
 
     /// Typical on-air duty cycle when active.
-    pub fn duty_cycle(self) -> f64 {
+    pub(crate) fn duty_cycle(self) -> f64 {
         match self {
             InterfererKind::Bluetooth => 0.05,
             InterfererKind::Zigbee => 0.01,
             InterfererKind::CordlessPhone => 0.40,
             InterfererKind::MicrowaveOven => 0.50,
             InterfererKind::OutdoorLink => 0.20,
-        }
-    }
-
-    /// Band the emitter operates in.
-    pub fn band(self) -> Band {
-        match self {
-            InterfererKind::OutdoorLink => Band::Ghz5,
-            _ => Band::Ghz2_4,
-        }
-    }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            InterfererKind::Bluetooth => "Bluetooth",
-            InterfererKind::Zigbee => "ZigBee",
-            InterfererKind::CordlessPhone => "cordless phone",
-            InterfererKind::MicrowaveOven => "microwave oven",
-            InterfererKind::OutdoorLink => "outdoor 5 GHz link",
         }
     }
 }
@@ -100,7 +79,7 @@ impl Interferer {
     /// Hoppers spread their duty across the band (a Bluetooth hopper spends
     /// 20/79ths of its airtime inside any given 20 MHz channel); static
     /// emitters contribute fully when in-channel and nothing otherwise.
-    pub fn duty_on_channel(&self, channel_center_mhz: f64) -> f64 {
+    pub(crate) fn duty_on_channel(&self, channel_center_mhz: f64) -> f64 {
         let base = self.kind.duty_cycle() * self.activity_fraction;
         if self.kind.hops() {
             // Fraction of the 79 MHz hop set overlapping a 20 MHz channel.
@@ -235,24 +214,5 @@ mod tests {
         }
         let frac = bt_count as f64 / n as f64;
         assert!((frac - 0.6).abs() < 0.03, "bluetooth fraction {frac}");
-    }
-
-    #[test]
-    fn outdoor_link_is_5ghz() {
-        assert_eq!(InterfererKind::OutdoorLink.band(), Band::Ghz5);
-        assert_eq!(InterfererKind::Bluetooth.band(), Band::Ghz2_4);
-    }
-
-    #[test]
-    fn names_exist() {
-        for k in [
-            InterfererKind::Bluetooth,
-            InterfererKind::Zigbee,
-            InterfererKind::CordlessPhone,
-            InterfererKind::MicrowaveOven,
-            InterfererKind::OutdoorLink,
-        ] {
-            assert!(!k.name().is_empty());
-        }
     }
 }

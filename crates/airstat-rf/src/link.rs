@@ -47,7 +47,7 @@ impl ProbeLink {
     }
 
     /// Effective SNR after the multipath penalty.
-    pub fn effective_snr_db(&self) -> f64 {
+    pub(crate) fn effective_snr_db(&self) -> f64 {
         self.snr_db() - self.multipath_penalty_db
     }
 }
@@ -137,7 +137,7 @@ impl FadingProcess {
     ///
     /// # Panics
     /// Panics unless `0 <= phi < 1` and `sigma_db >= 0`.
-    pub fn new(phi: f64, sigma_db: f64) -> Self {
+    pub(crate) fn new(phi: f64, sigma_db: f64) -> Self {
         assert!((0.0..1.0).contains(&phi), "phi must be in [0, 1)");
         assert!(sigma_db >= 0.0, "sigma must be >= 0");
         FadingProcess {

@@ -13,8 +13,6 @@
 //! Airtime feeds directly into the channel-utilization model: a channel's
 //! busy fraction is the sum of its occupants' frame durations per unit time.
 
-use crate::band::Band;
-
 /// Highest 802.11 generation a client supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Generation {
@@ -26,18 +24,6 @@ pub enum Generation {
     N,
     /// 802.11ac VHT (5 GHz, 80 MHz).
     Ac,
-}
-
-impl Generation {
-    /// Display name ("802.11n").
-    pub fn name(self) -> &'static str {
-        match self {
-            Generation::B => "802.11b",
-            Generation::G => "802.11g",
-            Generation::N => "802.11n",
-            Generation::Ac => "802.11ac",
-        }
-    }
 }
 
 /// The capability set advertised by a client at association time.
@@ -105,15 +91,6 @@ impl Capabilities {
     pub fn streams(&self) -> u8 {
         self.streams
     }
-
-    /// Which bands this client can associate on.
-    pub fn bands(&self) -> &'static [Band] {
-        if self.dual_band {
-            &[Band::Ghz2_4, Band::Ghz5]
-        } else {
-            &[Band::Ghz2_4]
-        }
-    }
 }
 
 /// Physical-layer framing constants (long-preamble DSSS and OFDM).
@@ -133,7 +110,7 @@ pub mod timing {
 /// On-air duration of a DSSS (802.11b) frame in microseconds.
 ///
 /// `rate_mbps` must be one of the DSSS rates (1, 2, 5.5, 11).
-pub fn dsss_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
+pub(crate) fn dsss_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
     assert!(
         [1.0, 2.0, 5.5, 11.0].contains(&rate_mbps),
         "not a DSSS rate: {rate_mbps}"
@@ -145,7 +122,7 @@ pub fn dsss_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
 /// On-air duration of an OFDM (802.11a/g) frame in microseconds.
 ///
 /// `rate_mbps` must be one of the OFDM rates (6–54).
-pub fn ofdm_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
+pub(crate) fn ofdm_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
     assert!(
         [6.0, 9.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0].contains(&rate_mbps),
         "not an OFDM rate: {rate_mbps}"
@@ -162,7 +139,7 @@ pub fn ofdm_frame_us(payload_bytes: usize, rate_mbps: f64) -> f64 {
 /// The paper quotes 0.42 ms for a/g/n beacons and 2.592 ms for 802.11b
 /// beacons; this function reproduces those numbers from first principles
 /// with a ~100-byte beacon body.
-pub fn beacon_airtime_us(legacy_11b: bool) -> f64 {
+pub(crate) fn beacon_airtime_us(legacy_11b: bool) -> f64 {
     // Typical full beacon body: timestamp + interval + caps + SSID + rates
     // + DS + TIM + country + HT/ERP information elements ≈ 272 bytes.
     // 272 + 28 bytes MAC overhead at 1 Mb/s gives exactly the paper's
@@ -246,25 +223,11 @@ mod tests {
     }
 
     #[test]
-    fn bands_follow_dual_band() {
-        let single = Capabilities::new(Generation::N, false, false, 1);
-        assert_eq!(single.bands(), &[Band::Ghz2_4]);
-        let dual = Capabilities::new(Generation::N, true, false, 1);
-        assert_eq!(dual.bands().len(), 2);
-    }
-
-    #[test]
     fn effective_throughput_sane() {
         let t6 = effective_throughput_bps(6.0);
         let t54 = effective_throughput_bps(54.0);
         assert!(t6 < 6e6 && t6 > 4e6);
         assert!(t54 < 54e6 && t54 > 30e6);
         assert!(t54 > t6);
-    }
-
-    #[test]
-    fn generation_names() {
-        assert_eq!(Generation::Ac.name(), "802.11ac");
-        assert_eq!(Generation::B.name(), "802.11b");
     }
 }

@@ -39,7 +39,7 @@ pub enum Environment {
 
 impl Environment {
     /// Path-loss exponent `n`.
-    pub fn exponent(self) -> f64 {
+    pub(crate) fn exponent(self) -> f64 {
         match self {
             Environment::OpenIndoor => 2.8,
             Environment::DenseIndoor => 3.5,
@@ -48,7 +48,7 @@ impl Environment {
     }
 
     /// Log-normal shadowing standard deviation (dB).
-    pub fn shadowing_sigma_db(self) -> f64 {
+    pub(crate) fn shadowing_sigma_db(self) -> f64 {
         match self {
             Environment::OpenIndoor => 6.0,
             Environment::DenseIndoor => 8.5,
@@ -69,16 +69,11 @@ impl PathLoss {
         PathLoss { environment }
     }
 
-    /// The environment this model describes.
-    pub fn environment(&self) -> Environment {
-        self.environment
-    }
-
     /// Reference loss at 1 m (free space), band dependent.
     ///
     /// FSPL(1 m) = 20·log10(f_MHz) − 27.55 ≈ 40.0 dB at 2.437 GHz and
     /// 46.8 dB at 5.22 GHz.
-    pub fn reference_loss_db(&self, band: Band) -> f64 {
+    pub(crate) fn reference_loss_db(&self, band: Band) -> f64 {
         let f_mhz: f64 = match band {
             Band::Ghz2_4 => 2437.0,
             Band::Ghz5 => 5220.0,
@@ -118,15 +113,10 @@ impl PathLoss {
     pub fn rssi_dbm(&self, band: Band, tx_power_dbm: f64, d_m: f64, shadowing_db: f64) -> f64 {
         tx_power_dbm - self.median_loss_db(band, d_m) + shadowing_db
     }
-
-    /// Signal-to-noise ratio (dB) above the thermal floor.
-    pub fn snr_db(&self, band: Band, tx_power_dbm: f64, d_m: f64, shadowing_db: f64) -> f64 {
-        self.rssi_dbm(band, tx_power_dbm, d_m, shadowing_db) - NOISE_FLOOR_DBM
-    }
 }
 
 /// Converts dBm to milliwatts.
-pub fn dbm_to_mw(dbm: f64) -> f64 {
+pub(crate) fn dbm_to_mw(dbm: f64) -> f64 {
     10f64.powf(dbm / 10.0)
 }
 
@@ -134,7 +124,7 @@ pub fn dbm_to_mw(dbm: f64) -> f64 {
 ///
 /// # Panics
 /// Panics if `mw <= 0`.
-pub fn mw_to_dbm(mw: f64) -> f64 {
+pub(crate) fn mw_to_dbm(mw: f64) -> f64 {
     assert!(mw > 0.0, "power must be positive");
     10.0 * mw.log10()
 }
@@ -190,8 +180,7 @@ mod tests {
         let pl = PathLoss::new(Environment::DenseIndoor);
         let rssi = pl.rssi_dbm(Band::Ghz2_4, 23.0, 20.0, 0.0);
         assert!(rssi < -50.0 && rssi > -85.0, "rssi {rssi}");
-        let snr = pl.snr_db(Band::Ghz2_4, 23.0, 20.0, 0.0);
-        assert!((snr - (rssi - NOISE_FLOOR_DBM)).abs() < 1e-12);
+        let snr = rssi - NOISE_FLOOR_DBM;
         assert!(snr > 10.0 && snr < 45.0, "snr {snr}");
     }
 

@@ -39,26 +39,12 @@ pub struct ChannelSample {
 }
 
 /// A serving radio (MR16-style): measures only the channel it serves on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServingRadio {
-    channel: Channel,
     ledger: AirtimeLedger,
 }
 
 impl ServingRadio {
-    /// Creates a serving radio on `channel`.
-    pub fn new(channel: Channel) -> Self {
-        ServingRadio {
-            channel,
-            ledger: AirtimeLedger::new(),
-        }
-    }
-
-    /// The channel currently served.
-    pub fn channel(&self) -> Channel {
-        self.channel
-    }
-
     /// Observes `elapsed_us` of wall time under `load` (the load of its own
     /// channel — the caller looks it up; this radio cannot see others).
     pub fn observe(&mut self, load: &ChannelLoad, elapsed_us: u64) {
@@ -68,11 +54,6 @@ impl ServingRadio {
     /// Cumulative counters since creation (what the backend polls).
     pub fn ledger(&self) -> &AirtimeLedger {
         &self.ledger
-    }
-
-    /// Takes and resets the counters, as a poll does.
-    pub fn drain(&mut self) -> AirtimeLedger {
-        std::mem::take(&mut self.ledger)
     }
 }
 
@@ -121,7 +102,7 @@ impl ScanningRadio {
     /// under the load given by `loads`, then advances.
     ///
     /// Channels missing from `loads` are treated as idle.
-    pub fn dwell(&mut self, loads: &dyn Fn(Channel) -> ChannelLoad) {
+    pub(crate) fn dwell(&mut self, loads: &dyn Fn(Channel) -> ChannelLoad) {
         let ch = self.schedule[self.position];
         let load = loads(ch);
         let ledger = self.ledgers.entry((ch.band, ch.number)).or_default();
@@ -181,20 +162,10 @@ mod tests {
 
     #[test]
     fn serving_radio_sees_only_its_channel() {
-        let mut r = ServingRadio::new(ch24(6));
+        let mut r = ServingRadio::default();
         r.observe(&busy_load(0.4), 1_000_000);
         let u = r.ledger().utilization().unwrap();
         assert!((u - 0.4).abs() < 1e-6);
-        assert_eq!(r.channel().number, 6);
-    }
-
-    #[test]
-    fn serving_radio_drain_resets() {
-        let mut r = ServingRadio::new(ch24(1));
-        r.observe(&busy_load(0.5), 100);
-        let taken = r.drain();
-        assert!(taken.elapsed_us() > 0);
-        assert_eq!(r.ledger().elapsed_us(), 0);
     }
 
     #[test]
@@ -262,7 +233,7 @@ mod tests {
                 ChannelLoad::idle() // 5 GHz mostly unused (Figure 2)
             }
         };
-        let mut serving = ServingRadio::new(ch24(6));
+        let mut serving = ServingRadio::default();
         serving.observe(&loads(ch24(6)), SCAN_WINDOW_US);
         let mut scanner = ScanningRadio::new();
         scanner.run_for(SCAN_WINDOW_US / 50, &loads);

@@ -25,7 +25,7 @@
 //!   [`Waterfall`].
 //! - [`SpectrumScan::summarize`] keeps only what Figure 11 prints: how many
 //!   cells sit above a threshold, and a `rows × cols` grid of
-//!   [`shade_index`]es. It finishes a cell only when a bound cannot decide
+//!   `shade_index`es. It finishes a cell only when a bound cannot decide
 //!   the cell's output, and it consumes the RNG exactly as `capture` does,
 //!   so both read the same cells.
 //!
@@ -38,7 +38,7 @@
 //! margin `m` is 10⁻⁶ dB, eight orders of magnitude above the rounding
 //! error of the few operations involved. The boundaries are the threshold,
 //! in every frame, and the lower edge of shade 1 (floor + 5 dB), in the
-//! rendered frames only. A column's shade is [`shade_index`] of its peak
+//! rendered frames only. A column's shade is `shade_index` of its peak
 //! cell, and `shade_index` is monotone, so it equals the largest shade
 //! among the column's finished cells, or 0 if none was finished. A cell an
 //! emitter reached is always finished.
@@ -167,7 +167,7 @@ impl ScanSummary {
 /// The shade (0 ..= [`SHADE_LEVELS`] − 1) a waterfall renders for a peak
 /// power: the 50 dB above [`BIN_NOISE_FLOOR_DBM`] split into equal steps,
 /// rounded to the nearest. Monotone in `peak_dbm`.
-pub fn shade_index(peak_dbm: f64) -> u8 {
+pub(crate) fn shade_index(peak_dbm: f64) -> u8 {
     let rel = (peak_dbm - BIN_NOISE_FLOOR_DBM) / SHADE_RANGE_DB;
     ((rel * (SHADE_LEVELS - 1) as f64).round() as usize).min(SHADE_LEVELS - 1) as u8
 }
@@ -298,7 +298,7 @@ impl SpectrumScan {
     }
 
     /// Frequency (MHz) of bin `i`.
-    pub fn bin_freq_mhz(&self, i: usize) -> f64 {
+    pub(crate) fn bin_freq_mhz(&self, i: usize) -> f64 {
         let lo = self.center_mhz - self.span_mhz / 2.0;
         lo + self.span_mhz * (i as f64 + 0.5) / self.fft_bins as f64
     }
@@ -335,7 +335,7 @@ impl SpectrumScan {
 
     /// What `capture(frames, rng)` followed by Figure 11's two readings
     /// gives, without the matrix: the cells above `threshold_dbm`, and the
-    /// [`shade_index`] of each column peak in `rows.min(frames)` evenly
+    /// `shade_index` of each column peak in `rows.min(frames)` evenly
     /// spaced frames of `cols` columns (see [`ScanSummary::shade_rows`]).
     ///
     /// Draws the RNG exactly as [`capture`](Self::capture) does, and

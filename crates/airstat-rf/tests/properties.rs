@@ -28,7 +28,7 @@ proptest! {
     #[test]
     fn ledger_invariant(intervals in prop::collection::vec(
         (0u64..10_000_000, 0u64..20_000_000, 0u64..30_000_000), 0..50)) {
-        let mut ledger = AirtimeLedger::new();
+        let mut ledger = AirtimeLedger::default();
         for (elapsed, busy, wifi) in intervals {
             ledger.account(elapsed, busy, wifi);
             prop_assert!(ledger.wifi_us() <= ledger.busy_us());

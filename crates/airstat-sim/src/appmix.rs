@@ -447,7 +447,7 @@ pub const PROFILES: &[AppProfile] = &[
 /// used unnormalized — the traffic generator normalizes per client. Reach
 /// is back-projected through a compressed growth factor (client counts
 /// grew slower than bytes, per Table 5's two % columns).
-pub fn year_adjusted(profile: &AppProfile, year: MeasurementYear) -> (f64, f64) {
+pub(crate) fn year_adjusted(profile: &AppProfile, year: MeasurementYear) -> (f64, f64) {
     match year {
         MeasurementYear::Y2015 => (profile.byte_share, profile.reach),
         MeasurementYear::Y2014 => {
@@ -466,7 +466,7 @@ pub fn year_adjusted(profile: &AppProfile, year: MeasurementYear) -> (f64, f64) 
 /// play games but do not mount SMB shares; mobile devices skew to social
 /// and video and away from desktop protocols; Chromebooks live in Google
 /// services; Dropcam-class embedded devices do one thing only.
-pub fn os_affinity(os: OsFamily, app: Application) -> f64 {
+pub(crate) fn os_affinity(os: OsFamily, app: Application) -> f64 {
     use airstat_classify::apps::AppCategory as C;
     use Application as A;
     let cat = app.category();

@@ -22,7 +22,7 @@ pub enum MeasurementYear {
 
 impl MeasurementYear {
     /// The backend window this year's data lands in.
-    pub fn window(self) -> WindowId {
+    pub(crate) fn window(self) -> WindowId {
         match self {
             MeasurementYear::Y2014 => WINDOW_JAN_2014,
             MeasurementYear::Y2015 => WINDOW_JAN_2015,
@@ -58,7 +58,7 @@ pub struct FleetConfig {
     /// strictly serial path; larger values fan independent work units out
     /// across a thread pool. Output is byte-identical for every value —
     /// the engine merges unit results in deterministic order. Defaults to
-    /// [`default_threads`].
+    /// `default_threads`.
     pub threads: usize,
     /// Shard count for the aggregation store the engine fills. Like
     /// `threads`, output is byte-identical for every value ≥ 1 — the
@@ -167,7 +167,7 @@ fn scale_count(full: u32, scale: f64) -> u32 {
 
 /// The host's available parallelism, with a serial fallback when the
 /// runtime cannot determine it.
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

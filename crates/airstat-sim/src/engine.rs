@@ -165,14 +165,14 @@ pub struct FleetSimulation {
 
 /// Firmware version the simulated fleet runs during the windows (§2.2).
 ///
-/// Kept for the January 2015 window; see [`firmware_for`].
+/// Kept for the January 2015 window; see `firmware_for`.
 pub const FIRMWARE_VERSION: &str = "mr-25.9";
 
 /// §2.2: "a total of 2 major firmware revisions ... January and December
 /// 2014". The July 2014 panel therefore runs the January revision; the
 /// January 2015 panels run the December one. Crash signatures segregate
 /// by revision exactly as the real triage dashboards did.
-pub fn firmware_for(window: WindowId) -> &'static str {
+pub(crate) fn firmware_for(window: WindowId) -> &'static str {
     use crate::config::WINDOW_JUL_2014;
     if window == WINDOW_JUL_2014 {
         "mr-24.11"
@@ -849,7 +849,7 @@ pub fn diurnal(hour: u64) -> f64 {
 
 /// [`diurnal`] precomputed for all 24 hours — the hot loops index this
 /// instead of re-evaluating the match hundreds of thousands of times.
-pub fn diurnal_table() -> [f64; 24] {
+pub(crate) fn diurnal_table() -> [f64; 24] {
     std::array::from_fn(|hour| diurnal(hour as u64))
 }
 
@@ -891,7 +891,7 @@ impl SampledCensus {
 
     /// Moves the wire records out (e.g. into a report payload). The
     /// precomputed per-channel and per-band counts remain valid.
-    pub fn take_records(&mut self) -> Vec<NeighborRecord> {
+    pub(crate) fn take_records(&mut self) -> Vec<NeighborRecord> {
         std::mem::take(&mut self.records)
     }
 }

@@ -102,11 +102,6 @@ impl FaultIntensity {
         }
     }
 
-    /// Whether this intensity injects nothing.
-    pub fn is_zero(&self) -> bool {
-        *self == FaultIntensity::zero()
-    }
-
     /// Resolves the cohort this agent belongs to. With no cohorts the
     /// intensity itself is returned **without consuming any randomness**
     /// — the byte-identity contract for homogeneous schedules. With
@@ -132,7 +127,7 @@ impl FaultIntensity {
     /// out a DC outage are [`Priority::High`] (oldest backlog, drain
     /// first), any other degradation is [`Priority::Normal`], and a fully
     /// healthy AP is [`Priority::Low`] — the only evictable class.
-    pub fn priority_class(&self) -> Priority {
+    pub(crate) fn priority_class(&self) -> Priority {
         if self.dc_outage_probability > 0.0 {
             Priority::High
         } else if self.extra_drop_probability > 0.0
@@ -153,8 +148,8 @@ impl FaultIntensity {
 /// Schedules are plain data: a default [`FaultIntensity`] plus optional
 /// per-window overrides, and the [`PollPolicy`] the backend uses while
 /// the campaign runs. Three canned scenarios cover the degradation axes
-/// ([`FaultSchedule::tunnel_loss`], [`FaultSchedule::dc_outage`],
-/// [`FaultSchedule::queue_pressure`]); [`FaultSchedule::zero`] is the
+/// (`FaultSchedule::tunnel_loss`, `FaultSchedule::dc_outage`,
+/// `FaultSchedule::queue_pressure`); [`FaultSchedule::zero`] is the
 /// control arm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
@@ -204,7 +199,7 @@ impl FaultSchedule {
     /// acks, and short tunnel flaps in every window. Nothing is ever
     /// destroyed, so completeness stays at 100% while duplicates and
     /// latency climb.
-    pub fn tunnel_loss() -> Self {
+    pub(crate) fn tunnel_loss() -> Self {
         FaultSchedule::new(
             "tunnel-loss",
             PollPolicy::default(),
@@ -226,7 +221,7 @@ impl FaultSchedule {
     /// background loss. Expect `duplicates_dropped > 0` and completeness
     /// below 100% (queue overflow while the backlog waits out the
     /// outage).
-    pub fn dc_outage() -> Self {
+    pub(crate) fn dc_outage() -> Self {
         let background = FaultIntensity {
             extra_drop_probability: 0.15,
             ack_loss_probability: 0.08,
@@ -254,7 +249,7 @@ impl FaultSchedule {
     /// crash/reboot cycles, and spontaneous re-poll storms. Completeness
     /// drops on every axis (overflow, crash loss) and the dedup layer
     /// works hardest.
-    pub fn queue_pressure() -> Self {
+    pub(crate) fn queue_pressure() -> Self {
         FaultSchedule::new(
             "queue-pressure",
             PollPolicy::default(),
@@ -280,7 +275,7 @@ impl FaultSchedule {
     /// scenario the 100k-AP fairness and eviction campaigns run
     /// (`airstat_sim::fleet::run_fleet_campaign`), and under the engine
     /// it exercises cohort resolution with per-class drain priorities.
-    pub fn queue_pressure_fleet() -> Self {
+    pub(crate) fn queue_pressure_fleet() -> Self {
         let degraded = FaultIntensity {
             extra_drop_probability: 0.20,
             ack_loss_probability: 0.10,
@@ -340,11 +335,6 @@ impl FaultSchedule {
             .find(|(w, _)| *w == window)
             .map(|(_, i)| i)
             .unwrap_or(&self.default)
-    }
-
-    /// Whether every window's intensity is zero.
-    pub fn is_zero(&self) -> bool {
-        self.default.is_zero() && self.overrides.iter().all(|(_, i)| i.is_zero())
     }
 }
 
@@ -427,7 +417,7 @@ impl DegradationTally {
     }
 
     /// Folds another tally in (panel → campaign merge).
-    pub fn merge(&mut self, other: &DegradationTally) {
+    pub(crate) fn merge(&mut self, other: &DegradationTally) {
         self.submitted += other.submitted;
         self.accepted += other.accepted;
         self.dropped_overflow += other.dropped_overflow;
@@ -793,8 +783,6 @@ mod tests {
             assert_eq!(schedule.name(), name);
         }
         assert!(FaultSchedule::by_name("nope").is_none());
-        assert!(FaultSchedule::zero().is_zero());
-        assert!(!FaultSchedule::dc_outage().is_zero());
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub struct FleetCampaignConfig {
 
 impl FleetCampaignConfig {
     /// The canned queue-pressure fleet at a given AP count: the
-    /// [`crate::faults::FaultSchedule::queue_pressure_fleet`] cohort mix
+    /// `crate::faults::FaultSchedule::queue_pressure_fleet` cohort mix
     /// with an admission capacity and tick budget sized so arrival
     /// outpaces drain — sustained pressure, sustained evictions.
     pub fn queue_pressure_fleet(aps: usize) -> Self {

@@ -103,7 +103,7 @@ impl Industry {
     }
 
     /// Table 2's network count for this vertical at full scale.
-    pub fn network_count_full(self) -> u32 {
+    pub(crate) fn network_count_full(self) -> u32 {
         match self {
             Industry::ArchitectureEngineering => 127,
             Industry::Construction => 333,

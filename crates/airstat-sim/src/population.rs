@@ -189,11 +189,6 @@ impl PopulationModel {
         }
     }
 
-    /// The year this model describes.
-    pub fn year(&self) -> MeasurementYear {
-        self.year
-    }
-
     /// Generates one client.
     pub fn sample_client<R: Rng + ?Sized>(&self, id: u64, rng: &mut R) -> ClientTruth {
         let idx = self.os_choice.sample(rng);
@@ -221,7 +216,7 @@ impl PopulationModel {
 /// Aggregate targets per year (Table 4) with platform adjustments: phones
 /// are 1–2 streams; desktops carry the 3/4-stream share; consoles and
 /// embedded devices skew legacy.
-pub fn sample_capabilities<R: Rng + ?Sized>(
+pub(crate) fn sample_capabilities<R: Rng + ?Sized>(
     os: OsFamily,
     year: MeasurementYear,
     rng: &mut R,
@@ -311,7 +306,7 @@ fn pick<'a, T, R: Rng + ?Sized>(rng: &mut R, options: &'a [T]) -> &'a T {
 /// * embedded devices (Unknown ground truth) present unrecognized DHCP
 ///   patterns and no User-Agent;
 /// * a fraction of clients never browse, so the AP has DHCP evidence only.
-pub fn sample_evidence<R: Rng + ?Sized>(
+pub(crate) fn sample_evidence<R: Rng + ?Sized>(
     os: OsFamily,
     mac: MacAddress,
     rng: &mut R,

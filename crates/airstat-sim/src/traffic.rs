@@ -41,13 +41,6 @@ pub struct WeeklyTraffic {
     pub flows: Vec<GeneratedFlow>,
 }
 
-impl WeeklyTraffic {
-    /// Total bytes both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.flows.iter().map(|f| f.up_bytes + f.down_bytes).sum()
-    }
-}
-
 /// Expected participation-weight sum for an OS and year.
 ///
 /// `E[Σ_i w_i] = Σ_i P(participate_i) · intensity_i ≈ Σ_i share_i · affinity_i`.
@@ -108,7 +101,7 @@ pub fn generate_weekly<R: Rng + ?Sized>(
 
 /// [`generate_weekly`] into a week the caller keeps: `week.flows` is
 /// cleared and refilled, so a loop over many clients reuses one buffer.
-pub fn generate_weekly_into<R: Rng + ?Sized>(
+pub(crate) fn generate_weekly_into<R: Rng + ?Sized>(
     client: &ClientTruth,
     year: MeasurementYear,
     rng: &mut R,
@@ -289,6 +282,11 @@ mod tests {
     use airstat_classify::apps::RuleSet;
     use airstat_stats::SeedTree;
 
+    /// Total bytes both directions.
+    fn total_bytes(week: &WeeklyTraffic) -> u64 {
+        week.flows.iter().map(|f| f.up_bytes + f.down_bytes).sum()
+    }
+
     fn clients(n: usize, year: MeasurementYear, seed: u64) -> Vec<ClientTruth> {
         let model = PopulationModel::new(year);
         let mut rng = SeedTree::new(seed).child("clients").rng();
@@ -307,7 +305,7 @@ mod tests {
         let mut realized_sum = 0u64;
         for c in &cs {
             budget_sum += c.weekly_bytes;
-            realized_sum += generate_weekly(c, MeasurementYear::Y2015, &mut rng).total_bytes();
+            realized_sum += total_bytes(&generate_weekly(c, MeasurementYear::Y2015, &mut rng));
         }
         let ratio = realized_sum as f64 / budget_sum as f64;
         assert!((ratio - 1.0).abs() < 0.25, "realized/budget = {ratio}");
@@ -326,7 +324,7 @@ mod tests {
             let week = generate_weekly(c, MeasurementYear::Y2015, &mut rng);
             let has = week.flows.iter().any(|f| f.truth == Application::Netflix);
             let slot = if has { &mut with_netflix } else { &mut without };
-            slot.0 += week.total_bytes();
+            slot.0 += total_bytes(&week);
             slot.1 += c.weekly_bytes;
         }
         let boost = |(r, b): (u64, u64)| r as f64 / b.max(1) as f64;
@@ -473,6 +471,6 @@ mod tests {
         let mut c = model.sample_client(0, &mut rng);
         c.weekly_bytes = 0;
         let week = generate_weekly(&c, MeasurementYear::Y2015, &mut rng);
-        assert_eq!(week.total_bytes(), 0);
+        assert_eq!(total_bytes(&week), 0);
     }
 }

@@ -49,7 +49,7 @@ pub enum NeighborEpoch {
 
 impl NeighborEpoch {
     /// Mean nearby networks per AP on each band (Table 7).
-    pub fn mean_networks(self, band: Band) -> f64 {
+    pub(crate) fn mean_networks(self, band: Band) -> f64 {
         match (self, band) {
             (NeighborEpoch::Jul2014, Band::Ghz2_4) => 28.60,
             (NeighborEpoch::Jan2015, Band::Ghz2_4) => 55.47,
@@ -60,7 +60,7 @@ impl NeighborEpoch {
 
     /// Hotspot share of 2.4 GHz networks (§4.1: ~10% in July 2014 —
     /// 56,293 of ~230k — doubling to ~20% by January 2015).
-    pub fn hotspot_fraction(self, band: Band) -> f64 {
+    pub(crate) fn hotspot_fraction(self, band: Band) -> f64 {
         match (self, band) {
             (NeighborEpoch::Jul2014, Band::Ghz2_4) => 0.11,
             (NeighborEpoch::Jan2015, Band::Ghz2_4) => hotspot_probability(Band::Ghz2_4),
@@ -236,13 +236,6 @@ impl World {
         }
     }
 
-    /// Looks up an AP by device id.
-    pub fn ap(&self, device_id: u64) -> Option<&ApSite> {
-        // Device ids are assigned densely starting at 1.
-        let idx = device_id.checked_sub(1)? as usize;
-        self.aps.get(idx).filter(|a| a.device_id == device_id)
-    }
-
     /// Links received by `device_id` on `band`.
     pub fn links_into(&self, device_id: u64, band: Band) -> impl Iterator<Item = &WorldLink> {
         self.links
@@ -347,10 +340,7 @@ mod tests {
         // Device ids are dense from 1.
         for (i, ap) in w.aps.iter().enumerate() {
             assert_eq!(ap.device_id, i as u64 + 1);
-            assert_eq!(w.ap(ap.device_id).unwrap().device_id, ap.device_id);
         }
-        assert!(w.ap(0).is_none());
-        assert!(w.ap(10_000).is_none());
     }
 
     #[test]
@@ -399,8 +389,9 @@ mod tests {
     fn links_are_within_same_network() {
         let w = world();
         for l in &w.links {
-            let rx = w.ap(l.rx).unwrap();
-            let tx = w.ap(l.tx).unwrap();
+            // Device ids are dense from 1.
+            let rx = &w.aps[l.rx as usize - 1];
+            let tx = &w.aps[l.tx as usize - 1];
             assert_eq!(rx.network, tx.network);
             assert_ne!(l.rx, l.tx);
         }

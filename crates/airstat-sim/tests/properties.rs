@@ -75,8 +75,9 @@ proptest! {
         }
         for link in &world.links {
             prop_assert_ne!(link.rx, link.tx);
-            let rx = world.ap(link.rx).unwrap();
-            let tx = world.ap(link.tx).unwrap();
+            // Device ids are dense from 1 (checked above).
+            let rx = &world.aps[link.rx as usize - 1];
+            let tx = &world.aps[link.tx as usize - 1];
             prop_assert_eq!(rx.network, tx.network, "links stay in-network");
             prop_assert!(link.link.snr_db() > 0.0, "tracked links have positive SNR");
             prop_assert!(link.link.multipath_penalty_db >= 0.0);

@@ -83,16 +83,6 @@ impl Ecdf {
         self.quantile(0.5)
     }
 
-    /// Minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// Maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
-    }
-
     /// Arithmetic mean.
     pub fn mean(&self) -> Option<f64> {
         if self.sorted.is_empty() {
@@ -113,11 +103,6 @@ impl Ecdf {
         let lo = self.sorted.partition_point(|&v| v < x - eps);
         let hi = self.sorted.partition_point(|&v| v <= x + eps);
         (hi - lo) as f64 / self.sorted.len() as f64
-    }
-
-    /// Borrow the sorted sample.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -177,7 +162,7 @@ mod tests {
         // −0.0 and +0.0 compare equal, so a stable sort leaves them in
         // input order; the sorted bits are pinned.
         let e = Ecdf::new([0.0, -0.0, 1.0, -0.0, 0.0, f64::NAN, 0.0, -2.0, -0.0]);
-        let bits: Vec<u64> = e.samples().iter().map(|x| x.to_bits()).collect();
+        let bits: Vec<u64> = e.sorted.iter().map(|x| x.to_bits()).collect();
         let want: Vec<u64> = [-2.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0]
             .iter()
             .map(|x: &f64| x.to_bits())
@@ -209,7 +194,7 @@ mod tests {
             let mut want: Vec<f64> = input.iter().copied().filter(|x| !x.is_nan()).collect();
             want.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let got: Vec<u64> = Ecdf::new(input)
-                .samples()
+                .sorted
                 .iter()
                 .map(|x| x.to_bits())
                 .collect();

@@ -146,16 +146,6 @@ impl LogNormal {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.mu + self.sigma * standard_normal(rng)).exp()
     }
-
-    /// The distribution median, `exp(mu)`.
-    pub fn median(&self) -> f64 {
-        self.mu.exp()
-    }
-
-    /// The distribution mean, `exp(mu + sigma^2 / 2)`.
-    pub fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
-    }
 }
 
 /// Exponential distribution with the given rate `lambda`.
@@ -170,7 +160,7 @@ impl Exponential {
     ///
     /// # Panics
     /// Panics unless `lambda > 0`.
-    pub fn new(lambda: f64) -> Self {
+    pub(crate) fn new(lambda: f64) -> Self {
         assert!(lambda > 0.0 && lambda.is_finite(), "lambda must be > 0");
         Exponential { lambda }
     }
@@ -250,16 +240,6 @@ impl WeightedIndex {
         WeightedIndex { cumulative }
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// True if there are no categories (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Draws a category index.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u = rng.gen::<f64>();
@@ -316,7 +296,7 @@ mod tests {
     #[test]
     fn lognormal_median_p90_roundtrip() {
         let d = LogNormal::from_median_p90(30.0, 600.0);
-        assert!((d.median() - 30.0).abs() < 1e-9);
+        assert!((d.mu.exp() - 30.0).abs() < 1e-9);
         let mut r = rng();
         let n = 200_000;
         let mut samples: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();

@@ -43,19 +43,9 @@ impl<T> Reservoir<T> {
         }
     }
 
-    /// Number of items offered so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
     /// The current sample.
     pub fn items(&self) -> &[T] {
         &self.items
-    }
-
-    /// Maximum sample size.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -72,7 +62,7 @@ mod tests {
             r.offer(i, &mut rng);
         }
         assert_eq!(r.items(), &[0, 1, 2]);
-        assert_eq!(r.seen(), 3);
+        assert_eq!(r.seen, 3);
     }
 
     #[test]
@@ -83,7 +73,7 @@ mod tests {
             r.offer(i, &mut rng);
         }
         assert_eq!(r.items().len(), 10);
-        assert_eq!(r.seen(), 10_000);
+        assert_eq!(r.seen, 10_000);
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl SeedTree {
         }
     }
 
-    /// Returns the raw 64-bit state of this node.
-    ///
-    /// Useful when a component wants to persist or report which seed it ran
-    /// with.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
     /// Instantiates a fast, non-cryptographic RNG for this node.
     pub fn rng(&self) -> SmallRng {
         SmallRng::seed_from_u64(self.state)
@@ -118,7 +110,7 @@ mod tests {
     fn same_path_same_stream() {
         let a = SeedTree::new(7).child("rf").indexed(3);
         let b = SeedTree::new(7).child("rf").indexed(3);
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a.state, b.state);
         let (mut ra, mut rb) = (a.rng(), b.rng());
         for _ in 0..32 {
             assert_eq!(ra.gen::<u64>(), rb.gen::<u64>());
@@ -128,27 +120,27 @@ mod tests {
     #[test]
     fn sibling_labels_differ() {
         let root = SeedTree::new(7);
-        assert_ne!(root.child("rf").state(), root.child("traffic").state());
+        assert_ne!(root.child("rf").state, root.child("traffic").state);
     }
 
     #[test]
     fn sibling_indices_differ() {
         let node = SeedTree::new(7).child("ap");
-        let states: HashSet<u64> = (0..10_000).map(|i| node.indexed(i).state()).collect();
+        let states: HashSet<u64> = (0..10_000).map(|i| node.indexed(i).state).collect();
         assert_eq!(states.len(), 10_000, "indexed children must not collide");
     }
 
     #[test]
     fn different_roots_differ() {
-        assert_ne!(SeedTree::new(0).state(), SeedTree::new(1).state());
+        assert_ne!(SeedTree::new(0).state, SeedTree::new(1).state);
     }
 
     #[test]
     fn label_order_matters() {
         let root = SeedTree::new(9);
         assert_ne!(
-            root.child("a").child("b").state(),
-            root.child("b").child("a").state()
+            root.child("a").child("b").state,
+            root.child("b").child("a").state
         );
     }
 
@@ -157,7 +149,7 @@ mod tests {
         // Consecutive seeds must not produce nearby states; check the top
         // byte varies across the first 256 seeds.
         let tops: HashSet<u8> = (0..256)
-            .map(|s| (SeedTree::new(s).state() >> 56) as u8)
+            .map(|s| (SeedTree::new(s).state >> 56) as u8)
             .collect();
         assert!(
             tops.len() > 100,

@@ -27,7 +27,7 @@ pub fn percent_of(part: f64, whole: f64) -> Option<f64> {
 
 /// Formats a percentage the way the paper does: two significant figures,
 /// so `30.4 → "30%"`, `4.04 → "4.0%"`, `0.3 → "0.30%"`, `-9.2 → "-9.2%"`.
-pub fn fmt_percent(p: f64) -> String {
+pub(crate) fn fmt_percent(p: f64) -> String {
     let a = p.abs();
     if a >= 10.0 {
         format!("{:.0}%", p)
@@ -56,20 +56,11 @@ pub enum ByteUnit {
 
 impl ByteUnit {
     /// The divisor for this unit.
-    pub fn divisor(self) -> f64 {
+    pub(crate) fn divisor(self) -> f64 {
         match self {
             ByteUnit::Mb => 1e6,
             ByteUnit::Gb => 1e9,
             ByteUnit::Tb => 1e12,
-        }
-    }
-
-    /// The display suffix.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            ByteUnit::Mb => "MB",
-            ByteUnit::Gb => "GB",
-            ByteUnit::Tb => "TB",
         }
     }
 }
@@ -182,6 +173,5 @@ mod tests {
     #[test]
     fn byte_unit_roundtrip() {
         assert_eq!(bytes_in(2_000_000, ByteUnit::Mb), 2.0);
-        assert_eq!(ByteUnit::Tb.suffix(), "TB");
     }
 }

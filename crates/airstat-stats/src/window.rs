@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 /// for t in (0..600).step_by(15) {
 ///     window.record(t, t % 60 == 0); // every fourth probe arrives
 /// }
-/// assert_eq!(window.len(), 20); // one window's worth in flight
+/// assert_eq!(window.in_window(), 20); // one window's worth in flight
 /// assert_eq!(window.ratio(), Some(0.25));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,13 +81,8 @@ impl SlidingRatio {
     }
 
     /// Number of events currently inside the window.
-    pub fn len(&self) -> usize {
+    pub fn in_window(&self) -> usize {
         self.events.len()
-    }
-
-    /// True when no events are inside the window.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Success count inside the window.
@@ -98,11 +93,6 @@ impl SlidingRatio {
     /// Success ratio inside the window; `None` when empty.
     pub fn ratio(&self) -> Option<f64> {
         (!self.events.is_empty()).then(|| self.successes as f64 / self.events.len() as f64)
-    }
-
-    /// Window length in ticks.
-    pub fn window(&self) -> u64 {
-        self.window
     }
 }
 
@@ -117,7 +107,7 @@ mod tests {
         for i in 0..20u64 {
             w.record(i * 15, i % 2 == 0);
         }
-        assert_eq!(w.len(), 20);
+        assert_eq!(w.in_window(), 20);
         assert!((w.ratio().unwrap() - 0.5).abs() < 1e-12);
     }
 
@@ -127,7 +117,7 @@ mod tests {
         w.record(0, true);
         w.record(100, false);
         w.record(400, false); // evicts t=0 and t=100 (<= 400-300)
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.in_window(), 1);
         assert_eq!(w.ratio(), Some(0.0));
     }
 
@@ -136,7 +126,7 @@ mod tests {
         let mut w = SlidingRatio::new(300);
         w.record(0, true);
         w.record(300, true); // t=0 is exactly `window` old → evicted
-        assert_eq!(w.len(), 1);
+        assert_eq!(w.in_window(), 1);
     }
 
     #[test]
@@ -146,7 +136,7 @@ mod tests {
             w.record(t, t % 3 == 0);
         }
         // Window covers (69, 100] → events 70..=99, successes at 72..=99 step 3.
-        assert_eq!(w.len(), 30);
+        assert_eq!(w.in_window(), 30);
         assert_eq!(w.successes(), 10);
     }
 
@@ -165,6 +155,6 @@ mod tests {
         for i in 0..1000u64 {
             w.record(i * 15, true);
         }
-        assert_eq!(w.len(), 20);
+        assert_eq!(w.in_window(), 20);
     }
 }

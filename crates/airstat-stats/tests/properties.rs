@@ -26,9 +26,10 @@ proptest! {
     #[test]
     fn ecdf_quantile_brackets_sample(xs in prop::collection::vec(finite_f64(), 1..300),
                                      q in 0.0f64..=1.0) {
-        let e = Ecdf::new(xs);
-        let v = e.quantile(q).unwrap();
-        prop_assert!(v >= e.min().unwrap() && v <= e.max().unwrap());
+        let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let v = Ecdf::new(xs).quantile(q).unwrap();
+        prop_assert!(v >= lo && v <= hi);
     }
 
     #[test]
@@ -42,7 +43,7 @@ proptest! {
             if let Some(r) = w.ratio() {
                 prop_assert!((0.0..=1.0).contains(&r));
             }
-            prop_assert_eq!(w.successes() <= w.len(), true);
+            prop_assert_eq!(w.successes() <= w.in_window(), true);
         }
     }
 
@@ -52,7 +53,6 @@ proptest! {
         let mut r = Reservoir::new(cap);
         for i in 0..n { r.offer(i, &mut rng); }
         prop_assert_eq!(r.items().len(), cap.min(n));
-        prop_assert_eq!(r.seen(), n as u64);
         // Every retained item was actually offered.
         prop_assert!(r.items().iter().all(|&i| i < n));
     }
@@ -138,6 +138,6 @@ proptest! {
     fn seed_tree_is_pure(seed in any::<u64>(), label in "[a-z]{1,12}", idx in any::<u64>()) {
         let a = SeedTree::new(seed).child(&label).indexed(idx);
         let b = SeedTree::new(seed).child(&label).indexed(idx);
-        prop_assert_eq!(a.state(), b.state());
+        prop_assert_eq!(a, b);
     }
 }

@@ -66,7 +66,7 @@ const _: () = assert!(APP_LANES <= 64);
 pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
 
 /// One shard's columnar projection: a packed, read-optimized copy of
-/// every window the shard holds, built by [`ColumnarShard::build`] at
+/// every window the shard holds, built by `ColumnarShard::build` at
 /// seal time.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnarShard {
@@ -75,7 +75,7 @@ pub struct ColumnarShard {
 
 impl ColumnarShard {
     /// Projects `shard`'s window tables into columnar form.
-    pub fn build(shard: &StoreShard) -> Self {
+    pub(crate) fn build(shard: &StoreShard) -> Self {
         ColumnarShard {
             windows: shard
                 .windows()
@@ -85,7 +85,7 @@ impl ColumnarShard {
     }
 
     /// The columnar tables for `window`, if the shard holds any.
-    pub fn window(&self, window: WindowId) -> Option<&ColumnarWindow> {
+    pub(crate) fn window(&self, window: WindowId) -> Option<&ColumnarWindow> {
         self.windows.get(&window)
     }
 

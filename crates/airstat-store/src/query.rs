@@ -115,7 +115,7 @@ pub enum QueryPlan {
 
 impl QueryPlan {
     /// The window this plan reads.
-    pub fn window(&self) -> WindowId {
+    pub(crate) fn window(&self) -> WindowId {
         match *self {
             QueryPlan::UsageByApp(w)
             | QueryPlan::UsageByOs(w)
@@ -136,7 +136,7 @@ impl QueryPlan {
     }
 
     /// Short plan name, used by the `--explain` output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             QueryPlan::UsageByApp(_) => "usage_by_app",
             QueryPlan::UsageByOs(_) => "usage_by_os",
@@ -283,7 +283,7 @@ impl Default for ResultCache {
 
 impl ResultCache {
     /// Looks up a result, counting the hit or miss.
-    pub fn get(&mut self, epoch: u64, plan: &QueryPlan) -> Option<QueryValue> {
+    pub(crate) fn get(&mut self, epoch: u64, plan: &QueryPlan) -> Option<QueryValue> {
         let Some(slot) = self.entries.get_mut(&(epoch, *plan)) else {
             self.misses += 1;
             return None;
@@ -296,7 +296,7 @@ impl ResultCache {
 
     /// Stores a result, then evicts oldest-stamp entries until the
     /// cached payload fits the budget again.
-    pub fn insert(&mut self, epoch: u64, plan: QueryPlan, value: QueryValue) {
+    pub(crate) fn insert(&mut self, epoch: u64, plan: QueryPlan, value: QueryValue) {
         let bytes = value.cached_bytes();
         if bytes > self.budget_bytes {
             return;
@@ -333,17 +333,12 @@ impl ResultCache {
     }
 
     /// Cached entries right now.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// `(hits, misses, evictions)` so far.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
     }
 }
@@ -540,11 +535,6 @@ impl QueryEngine {
     /// skipped.
     pub fn set_explain(&mut self, explain: bool) {
         self.explain = explain;
-    }
-
-    /// The snapshot this engine answers from.
-    pub fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
     }
 
     /// Current cache and shape counters.
@@ -1605,7 +1595,7 @@ impl FleetQuery for QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ShardedStore;
+    use crate::store::{ShardedStore, StoreConfig};
     use airstat_classify::mac::Oui;
     use airstat_telemetry::report::{LinkRecord, Report, ReportPayload, UsageRecord};
 
@@ -1626,7 +1616,7 @@ mod tests {
     }
 
     fn loaded_engine(shards: usize, threads: usize) -> QueryEngine {
-        let mut store = ShardedStore::new(shards);
+        let mut store = ShardedStore::with_config(StoreConfig { shards, threads: 1 });
         let reports: Vec<Report> = (0..40).map(|d| usage_report(d, 0, d % 11, d + 1)).collect();
         store.ingest_batch(W, &reports);
         QueryEngine::new(store.seal(), threads)
@@ -1735,14 +1725,17 @@ mod tests {
     fn a_link_series_reads_only_the_shard_its_receiver_routes_to() {
         // Forty receivers spread over all eight shards, so every shard's
         // link keys span rx_device 20: only routing can skip a shard.
-        let mut store = ShardedStore::new(8);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 8,
+            threads: 1,
+        });
         let reports: Vec<Report> = (0..40).map(|d| link_report(d, d + 100)).collect();
         store.ingest_batch(W, &reports);
         // One receiver in a second window, so seven shards lack it.
         const W2: WindowId = WindowId(1407);
         store.ingest_batch(W2, &[link_report(0, 100)]);
         let engine = QueryEngine::new(store.seal(), 2);
-        let legacy = QueryEngine::with_backend(engine.snapshot().clone(), 2, QueryBackend::Legacy);
+        let legacy = QueryEngine::with_backend(engine.snapshot.clone(), 2, QueryBackend::Legacy);
         let scans = |engine: &QueryEngine| {
             let stats = engine.stats();
             (stats.shards_scanned, stats.shards_pruned)
@@ -1778,10 +1771,11 @@ mod tests {
             .map(|i| usage_report(i % 13, i / 13, i % 7, i + 1))
             .collect();
         let mut backend = Backend::new();
-        let mut store = ShardedStore::new(5);
-        for r in &reports {
-            backend.ingest(W, r);
-        }
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 5,
+            threads: 1,
+        });
+        let backend_dropped = reports.iter().filter(|r| !backend.ingest(W, r)).count() as u64;
         store.ingest_batch(W, &reports);
         let engine = QueryEngine::new(store.seal(), 2);
         assert_eq!(
@@ -1789,10 +1783,6 @@ mod tests {
             engine.usage_by_app(W)
         );
         assert_eq!(FleetQuery::usage_by_os(&backend, W), engine.usage_by_os(W));
-        assert_eq!(backend.duplicates_dropped(), {
-            let mut probe = ShardedStore::new(5);
-            probe.ingest_batch(W, &reports);
-            probe.duplicates_dropped()
-        });
+        assert_eq!(store.duplicates_dropped(), backend_dropped);
     }
 }

@@ -216,7 +216,7 @@ pub struct PersistenceStats {
 
 impl PersistenceStats {
     /// Whether any persistence activity has been recorded.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         *self != PersistenceStats::default()
     }
 
@@ -1759,7 +1759,7 @@ impl DurableStore {
     /// segments and replaying the tail log (see [`ShardedStore::open`]).
     /// Appending resumes after the last whole tail record; a torn final
     /// record or stale log is truncated away first.
-    pub fn open(
+    pub fn reopen(
         dir: &Path,
         config: StoreConfig,
     ) -> Result<(DurableStore, RecoveryStats), SegmentError> {
@@ -1767,8 +1767,8 @@ impl DurableStore {
         let append_at = if recovery.wal_stale || recovery.wal_valid_len == 0 {
             // Stale (pre-persist) or missing log: start a fresh one whose
             // base is the recovered epoch. No replay happened in either
-            // case, so `store.epoch()` is the committed manifest epoch.
-            write_atomic(&dir.join(WAL_NAME), &encode_wal_header(store.epoch()))?;
+            // case, so the recovered epoch is the committed manifest epoch.
+            write_atomic(&dir.join(WAL_NAME), &encode_wal_header(recovery.epoch))?;
             WAL_HEADER_LEN as u64
         } else {
             recovery.wal_valid_len
@@ -2553,7 +2553,10 @@ pub(crate) mod tests {
     #[test]
     fn persist_open_roundtrip_is_byte_stable() {
         let dir = temp_store_dir("roundtrip");
-        let mut store = ShardedStore::new(3);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 3,
+            threads: 1,
+        });
         let reports: Vec<Report> = (0..40).map(|d| usage_report(d, 0, d * 10 + 1)).collect();
         store.ingest_batch(W, &reports);
         store.ingest_batch(WindowId(1407), &reports[..7]);
@@ -2563,7 +2566,7 @@ pub(crate) mod tests {
         assert!(stats.bytes_written > 0);
 
         let (reopened, recovery) = ShardedStore::open(&dir, StoreConfig::default()).expect("open");
-        assert_eq!(recovery.epoch, store.epoch());
+        assert_eq!(recovery.epoch, store.seal().epoch());
         assert_eq!(recovery.segments_loaded, 3);
         assert_eq!(recovery.wal_records_replayed, 0);
         assert!(!recovery.wal_stale);
@@ -2572,10 +2575,10 @@ pub(crate) mod tests {
             3,
             "manifest shard count wins"
         );
-        assert_eq!(reopened.epoch(), store.epoch());
+        assert_eq!(reopened.seal().epoch(), store.seal().epoch());
         assert_eq!(reopened.reports_ingested(), store.reports_ingested());
         assert_eq!(reopened.duplicates_dropped(), store.duplicates_dropped());
-        assert!(reopened.persistence().any());
+        assert!(reopened.seal().persistence().any());
 
         // Re-persisting the reopened store reproduces identical files.
         let dir2 = temp_store_dir("roundtrip-again");
@@ -2590,7 +2593,10 @@ pub(crate) mod tests {
     #[test]
     fn dedup_ledger_survives_reload() {
         let dir = temp_store_dir("dedup");
-        let mut store = ShardedStore::new(2);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 2,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(1, 0, 10), usage_report(1, 1, 11)]);
         store.persist(&dir).expect("persist");
         let (mut reopened, _) = ShardedStore::open(&dir, StoreConfig::default()).expect("open");
@@ -2620,7 +2626,7 @@ pub(crate) mod tests {
             5,
             "config shapes a fresh store"
         );
-        assert_eq!(store.epoch(), 0);
+        assert_eq!(store.seal().epoch(), 0);
         assert_eq!(recovery, RecoveryStats::default());
     }
 
@@ -2664,18 +2670,18 @@ pub(crate) mod tests {
         // the store here is the crash.
         durable.ingest_batch(W, &[usage_report(3, 0, 30)]);
         durable.ingest_batch(WindowId(1407), &[usage_report(1, 0, 40)]);
-        let expected_epoch = durable.store().epoch();
+        let expected_epoch = durable.store().seal().epoch();
         let expected_ingested = durable.store().reports_ingested();
         assert!(durable.take_error().is_none(), "no deferred append error");
         drop(durable);
 
         let (recovered, recovery) =
-            DurableStore::open(&dir, StoreConfig::default()).expect("recover");
+            DurableStore::reopen(&dir, StoreConfig::default()).expect("recover");
         assert_eq!(recovery.wal_records_replayed, 2);
         assert_eq!(recovery.wal_reports_recovered, 2);
         assert_eq!(recovery.wal_bytes_discarded, 0);
         assert!(!recovery.wal_stale);
-        assert_eq!(recovered.store().epoch(), expected_epoch);
+        assert_eq!(recovered.store().seal().epoch(), expected_epoch);
         assert_eq!(recovered.store().reports_ingested(), expected_ingested);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -2693,7 +2699,7 @@ pub(crate) mod tests {
         fs::write(&wal_path, &bytes[..bytes.len() - 3]).expect("truncate");
 
         let (recovered, recovery) =
-            DurableStore::open(&dir, StoreConfig::default()).expect("recover");
+            DurableStore::reopen(&dir, StoreConfig::default()).expect("recover");
         assert_eq!(recovery.wal_records_replayed, 1, "torn record dropped");
         assert!(recovery.wal_bytes_discarded > 0);
         assert_eq!(
@@ -2707,7 +2713,7 @@ pub(crate) mod tests {
         let mut recovered = recovered;
         recovered.ingest_batch(W, &[usage_report(2, 0, 20)]);
         drop(recovered);
-        let (again, recovery) = DurableStore::open(&dir, StoreConfig::default()).expect("reopen");
+        let (again, recovery) = DurableStore::reopen(&dir, StoreConfig::default()).expect("reopen");
         assert_eq!(recovery.wal_records_replayed, 2);
         assert_eq!(again.store().reports_ingested(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -2716,12 +2722,15 @@ pub(crate) mod tests {
     #[test]
     fn stale_tail_log_is_skipped_not_replayed() {
         let dir = temp_store_dir("stale");
-        let mut store = ShardedStore::new(1);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 1,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(1, 0, 10)]);
         store.persist(&dir).expect("persist");
         // Forge a tail log from before that persist: its records are
         // already folded into the committed segments.
-        let mut forged = encode_wal_header(store.epoch() - 1);
+        let mut forged = encode_wal_header(store.seal().epoch() - 1);
         let mut scratch = Vec::new();
         forged.extend_from_slice(&encode_wal_record(
             W,
@@ -2741,7 +2750,10 @@ pub(crate) mod tests {
     #[test]
     fn every_single_byte_flip_is_detected() {
         let dir = temp_store_dir("flip");
-        let mut store = ShardedStore::new(1);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 1,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(7, 3, 300)]);
         store.persist(&dir).expect("persist");
         let files = read_segment_files(&dir);
@@ -2766,7 +2778,10 @@ pub(crate) mod tests {
     #[test]
     fn flipped_column_block_byte_surfaces_as_crc_error() {
         let dir = temp_store_dir("crc");
-        let mut store = ShardedStore::new(1);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 1,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(7, 3, 300)]);
         store.persist(&dir).expect("persist");
         let files = read_segment_files(&dir);
@@ -2795,7 +2810,10 @@ pub(crate) mod tests {
     #[test]
     fn stale_schema_version_is_rejected_with_a_clear_message() {
         let dir = temp_store_dir("version");
-        let mut store = ShardedStore::new(1);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 1,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(7, 3, 300)]);
         store.persist(&dir).expect("persist");
         let files = read_segment_files(&dir);
@@ -2830,7 +2848,10 @@ pub(crate) mod tests {
     #[test]
     fn corrupt_manifest_is_a_typed_error() {
         let dir = temp_store_dir("manifest");
-        let mut store = ShardedStore::new(2);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 2,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(1, 0, 10)]);
         store.persist(&dir).expect("persist");
         let path = dir.join(MANIFEST_NAME);
@@ -2848,7 +2869,7 @@ pub(crate) mod tests {
             }
         ));
         // A manifest whose CRC holds but which lists no shard at all.
-        fs::write(&path, encode_manifest(store.epoch(), &[])).expect("rewrite manifest");
+        fs::write(&path, encode_manifest(store.seal().epoch(), &[])).expect("rewrite manifest");
         let err = ShardedStore::open(&dir, StoreConfig::default())
             .expect_err("a manifest without shards must not open");
         assert!(

@@ -61,7 +61,7 @@ pub struct SeqSet {
 
 impl SeqSet {
     /// Records `seq`; returns `false` if it was already present.
-    pub fn insert(&mut self, seq: u64) -> bool {
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
         if seq < self.contiguous_below || !self.sparse.insert(seq) {
             return false;
         }
@@ -69,11 +69,6 @@ impl SeqSet {
             self.contiguous_below += 1;
         }
         true
-    }
-
-    /// Whether `seq` has been recorded.
-    pub fn contains(&self, seq: u64) -> bool {
-        seq < self.contiguous_below || self.sparse.contains(&seq)
     }
 
     /// The dense-prefix watermark and sparse tail, in segment-encoding
@@ -191,8 +186,8 @@ pub struct WindowTables {
 /// A shard built by ingest holds its rows in the row tables. A shard
 /// opened from disk holds them in the sealed layout its segment file
 /// decodes to, and builds the row tables from those columns only when
-/// something needs rows — an ingest or a [`StoreShard::window`] /
-/// [`StoreShard::windows`] reader — and then once.
+/// something needs rows — an ingest or a `StoreShard::window` /
+/// `StoreShard::windows` reader — and then once.
 #[derive(Debug, Clone, Default)]
 pub struct StoreShard {
     // airstat::allow(no-hashmap-iter): per-(window, device) dedup state,
@@ -209,23 +204,23 @@ pub struct StoreShard {
 
 impl StoreShard {
     /// Reports accepted by this shard (excluding duplicates).
-    pub fn reports_ingested(&self) -> u64 {
+    pub(crate) fn reports_ingested(&self) -> u64 {
         self.reports_ingested
     }
 
     /// Duplicate reports this shard rejected.
-    pub fn duplicates_dropped(&self) -> u64 {
+    pub(crate) fn duplicates_dropped(&self) -> u64 {
         self.duplicates_dropped
     }
 
     /// The aggregates for `window`, if the shard holds any.
-    pub fn window(&self, window: WindowId) -> Option<&WindowTables> {
+    pub(crate) fn window(&self, window: WindowId) -> Option<&WindowTables> {
         self.tables().get(&window)
     }
 
     /// All windows this shard holds, in ascending window order — the
     /// columnar projection walks this at seal time.
-    pub fn windows(&self) -> impl Iterator<Item = (WindowId, &WindowTables)> {
+    pub(crate) fn windows(&self) -> impl Iterator<Item = (WindowId, &WindowTables)> {
         self.tables()
             .iter()
             .map(|(&window, tables)| (window, tables))
@@ -308,7 +303,7 @@ impl StoreShard {
     /// record; only the dedup discipline (see [`SeqSet`]) and the
     /// conflict rules for `ClientInfo` / `Neighbors` overwrites (see
     /// [`ClientMeta`]) are generalized to be ingest-order independent.
-    pub fn ingest(&mut self, window: WindowId, report: &Report) -> bool {
+    pub(crate) fn ingest(&mut self, window: WindowId, report: &Report) -> bool {
         if !self
             .seen
             .entry((window, report.device))
@@ -520,15 +515,20 @@ mod tests {
     use airstat_classify::mac::Oui;
     use airstat_telemetry::report::UsageRecord;
 
+    /// Whether `seq` has been recorded.
+    fn contains(set: &SeqSet, seq: u64) -> bool {
+        seq < set.contiguous_below || set.sparse.contains(&seq)
+    }
+
     #[test]
     fn seq_set_accepts_each_seq_once_in_any_order() {
         let mut set = SeqSet::default();
         for seq in [3u64, 0, 1, 2, 3, 0, 7, 5, 7] {
-            let fresh = !set.contains(seq);
+            let fresh = !contains(&set, seq);
             assert_eq!(set.insert(seq), fresh, "seq {seq}");
         }
         assert_eq!(set.contiguous_below, 4, "dense prefix compacted");
-        assert!(set.contains(5) && set.contains(7) && !set.contains(6));
+        assert!(contains(&set, 5) && contains(&set, 7) && !contains(&set, 6));
     }
 
     #[test]

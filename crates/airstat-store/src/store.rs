@@ -89,17 +89,17 @@ pub struct SegmentStack {
 
 impl SegmentStack {
     /// The delta segments, oldest to newest.
-    pub fn segments(&self) -> &[Arc<ColumnarShard>] {
+    pub(crate) fn segments(&self) -> &[Arc<ColumnarShard>] {
         &self.segments
     }
 
     /// Number of live segments in the stack.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.segments.len()
     }
 
     /// Whether the stack holds no segments.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
 }
@@ -188,14 +188,6 @@ impl Default for ShardedStore {
 }
 
 impl ShardedStore {
-    /// Creates an empty store with `shards` partitions (serial ingest).
-    pub fn new(shards: usize) -> Self {
-        ShardedStore::with_config(StoreConfig {
-            shards,
-            ..StoreConfig::default()
-        })
-    }
-
     /// Creates an empty store with the given shape.
     pub fn with_config(config: StoreConfig) -> Self {
         let shards = config.shards.max(1);
@@ -305,17 +297,6 @@ impl ShardedStore {
             wal_records_replayed: recovery.wal_records_replayed,
         };
         Ok((store, recovery))
-    }
-
-    /// Cumulative persistence counters (zero unless this store was
-    /// opened from disk or has been persisted).
-    pub fn persistence(&self) -> PersistenceStats {
-        self.persistence
-    }
-
-    /// The current epoch (bumped by every accepted ingest batch).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Reports accepted across all shards (excluding duplicates).
@@ -539,12 +520,12 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The epoch this snapshot froze.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// The frozen shards.
-    pub fn shards(&self) -> &[Arc<StoreShard>] {
+    pub(crate) fn shards(&self) -> &[Arc<StoreShard>] {
         &self.shards
     }
 
@@ -558,18 +539,8 @@ impl Snapshot {
         self.seal
     }
 
-    /// Reports accepted across all shards at seal time.
-    pub fn reports_ingested(&self) -> u64 {
-        self.shards.iter().map(|s| s.reports_ingested()).sum()
-    }
-
-    /// Duplicates rejected across all shards at seal time.
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.duplicates_dropped()).sum()
-    }
-
     /// The store's cumulative persistence counters at seal time.
-    pub fn persistence(&self) -> PersistenceStats {
+    pub(crate) fn persistence(&self) -> PersistenceStats {
         self.persistence
     }
 }
@@ -649,7 +620,10 @@ mod tests {
 
     #[test]
     fn accepted_and_duplicate_counts_cross_shards() {
-        let mut store = ShardedStore::new(4);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 4,
+            threads: 1,
+        });
         let reports: Vec<Report> = (0..50).map(|d| usage_report(d, 0, 10)).collect();
         assert_eq!(store.ingest_batch(W, &reports), 50);
         assert_eq!(store.ingest_batch(W, &reports), 0, "all duplicates");
@@ -659,19 +633,26 @@ mod tests {
 
     #[test]
     fn snapshots_are_isolated_from_later_ingest() {
-        let mut store = ShardedStore::new(3);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 3,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(1, 0, 10)]);
         let frozen = store.seal();
         assert_eq!(frozen.epoch(), 1);
         store.ingest_batch(W, &[usage_report(2, 0, 10), usage_report(1, 1, 5)]);
-        assert_eq!(frozen.reports_ingested(), 1, "snapshot unchanged");
+        let frozen_reports: u64 = frozen.shards().iter().map(|s| s.reports_ingested()).sum();
+        assert_eq!(frozen_reports, 1, "snapshot unchanged");
         assert_eq!(store.reports_ingested(), 3);
-        assert_eq!(store.epoch(), 2);
+        assert_eq!(store.seal().epoch(), 2);
     }
 
     #[test]
     fn seal_builds_and_memoizes_the_columnar_projection() {
-        let mut store = ShardedStore::new(3);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 3,
+            threads: 1,
+        });
         store.ingest_batch(W, &[usage_report(1, 0, 10)]);
         let first = store.seal();
         assert_eq!(first.columnar().len(), 3, "one stack per shard");
@@ -814,7 +795,10 @@ mod tests {
 
     #[test]
     fn a_fresh_store_tracks_nothing_until_its_first_seal_then_exactly_what_follows() {
-        let mut store = ShardedStore::new(3);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 3,
+            threads: 1,
+        });
         let first = usage_batch(0..40, 0);
         store.ingest_batch(W, &first);
         assert!(ledgers_are_blank(&store), "no baseline, no ledger");
@@ -911,7 +895,10 @@ mod tests {
 
     #[test]
     fn a_shard_whose_first_seal_projects_no_rows_stays_untracked_and_still_seals() {
-        let mut store = ShardedStore::new(1);
+        let mut store = ShardedStore::with_config(StoreConfig {
+            shards: 1,
+            threads: 1,
+        });
         // Accepted, counted, and no row anywhere.
         let empty = Report {
             device: 1,

@@ -91,8 +91,6 @@ type CensusRows = Vec<(Channel, u32, u32)>;
 #[derive(Debug, Default)]
 pub struct Backend {
     last_seq: BTreeMap<(WindowId, u64), u64>,
-    duplicates_dropped: u64,
-    reports_ingested: u64,
     usage: BTreeMap<WindowId, BTreeMap<(MacAddress, Application), UsageTotals>>,
     // BTreeMap: snapshot sampling iterates this map, so its order must be
     // deterministic for byte-identical reproductions.
@@ -108,16 +106,6 @@ impl Backend {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reports accepted so far (excluding duplicates).
-    pub fn reports_ingested(&self) -> u64 {
-        self.reports_ingested
-    }
-
-    /// Duplicate reports rejected by sequence-number dedup.
-    pub fn duplicates_dropped(&self) -> u64 {
-        self.duplicates_dropped
     }
 
     /// Ingests one report into the given window.
@@ -143,15 +131,12 @@ impl Backend {
     /// assert!(!backend.ingest(WindowId(1501), &report));
     /// ```
     pub fn ingest(&mut self, window: WindowId, report: &Report) -> bool {
-        match self.last_seq.get(&(window, report.device)) {
-            Some(&last) if report.seq <= last => {
-                self.duplicates_dropped += 1;
+        if let Some(&last) = self.last_seq.get(&(window, report.device)) {
+            if report.seq <= last {
                 return false;
             }
-            _ => {}
         }
         self.last_seq.insert((window, report.device), report.seq);
-        self.reports_ingested += 1;
         match &report.payload {
             ReportPayload::Usage(records) => {
                 let usage = self.usage.entry(window).or_default();
@@ -548,7 +533,6 @@ mod tests {
         let report = usage_report(1, 0, 7, Application::Netflix, 10, 100);
         assert!(backend.ingest(W, &report));
         assert!(!backend.ingest(W, &report), "retransmit must be rejected");
-        assert_eq!(backend.duplicates_dropped(), 1);
         let rows = backend.usage_by_app(W);
         assert_eq!(rows[0].1.total(), 110, "no double counting");
     }

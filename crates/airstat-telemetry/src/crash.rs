@@ -61,7 +61,7 @@ impl RebootReason {
     }
 
     /// Whether this reboot is a defect signal (vs expected churn).
-    pub fn is_crash(self) -> bool {
+    pub(crate) fn is_crash(self) -> bool {
         matches!(
             self,
             RebootReason::OutOfMemory | RebootReason::Watchdog | RebootReason::Fault
@@ -122,7 +122,7 @@ impl DeviceMemory {
     }
 
     /// Current heap use (bytes).
-    pub fn used_bytes(&self) -> u64 {
+    pub(crate) fn used_bytes(&self) -> u64 {
         self.base_bytes
             + self.clients * self.per_client_bytes
             + self.neighbors * self.per_neighbor_bytes
@@ -134,7 +134,7 @@ impl DeviceMemory {
     }
 
     /// Whether an allocation of the next neighbour entry would fail.
-    pub fn exhausted(&self) -> bool {
+    pub(crate) fn exhausted(&self) -> bool {
         self.free_bytes() < self.per_neighbor_bytes
     }
 
@@ -154,11 +154,6 @@ impl DeviceMemory {
             self.neighbors += 1;
         }
         true
-    }
-
-    /// Entries currently in the neighbour table.
-    pub fn neighbors(&self) -> u64 {
-        self.neighbors
     }
 }
 
@@ -304,7 +299,7 @@ mod tests {
         let mut mr18 = DeviceMemory::mr18();
         mr16.grow_neighbor_table(u64::MAX);
         mr18.grow_neighbor_table(u64::MAX);
-        assert!(mr18.neighbors() > 2 * mr16.neighbors());
+        assert!(mr18.neighbors > 2 * mr16.neighbors);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use rand::Rng;
 
-use crate::report::Report;
 use crate::transport::{DeviceAgent, PollOutcome, Tunnel, TunnelConfig};
 
 /// Which data center served a poll.
@@ -79,11 +78,6 @@ impl DualTunnel {
         self.primary.polls_attempted() + self.secondary.polls_attempted()
     }
 
-    /// Polls lost to injected faults across both data centers.
-    pub fn polls_lost(&self) -> u64 {
-        self.primary.polls_lost() + self.secondary.polls_lost()
-    }
-
     /// Wire bytes transferred across both data centers.
     pub fn bytes_transferred(&self) -> u64 {
         self.primary.bytes_transferred() + self.secondary.bytes_transferred()
@@ -93,16 +87,6 @@ impl DualTunnel {
     /// the other after `failover_threshold` consecutive failures.
     ///
     /// Returns the outcome plus which data center produced it.
-    pub fn poll<R: Rng + ?Sized>(
-        &mut self,
-        agent: &mut DeviceAgent,
-        rng: &mut R,
-    ) -> (PollOutcome, DataCenter) {
-        self.poll_mode(agent, rng, true)
-    }
-
-    /// [`DualTunnel::poll`] with an explicit acknowledgement flag.
-    ///
     /// `ack = false` models a lost acknowledgement or a speculative
     /// re-poll (a burst storm after an outage): reports reach the backend
     /// but stay queued on the device, so the following poll retransmits —
@@ -149,13 +133,18 @@ impl DualTunnel {
         }
         (outcome, dc)
     }
+}
 
-    /// Drains an agent completely, returning all delivered reports and the
-    /// number of polls it took. Panics after an absurd retry budget —
-    /// both data centers down forever is an operator problem, not a
-    /// transport one.
-    pub fn drain<R: Rng + ?Sized>(
-        &mut self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::report::{Report, ReportPayload};
+    use airstat_stats::SeedTree;
+
+    /// Polls `agent` with acks until its queue is empty: every report
+    /// delivered, and the polls it took.
+    fn drain<R: Rng>(
+        dual: &mut DualTunnel,
         agent: &mut DeviceAgent,
         rng: &mut R,
     ) -> (Vec<Report>, u64) {
@@ -164,19 +153,12 @@ impl DualTunnel {
         while agent.queued() > 0 {
             polls += 1;
             assert!(polls < 1_000_000, "both data centers unreachable");
-            if let (PollOutcome::Delivered(reports), _) = self.poll(agent, rng) {
+            if let (PollOutcome::Delivered(reports), _) = dual.poll_mode(agent, rng, true) {
                 delivered.extend(reports);
             }
         }
         (delivered, polls)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::report::ReportPayload;
-    use airstat_stats::SeedTree;
 
     fn loaded_agent(n: u64) -> DeviceAgent {
         let mut agent = DeviceAgent::new(1);
@@ -191,7 +173,7 @@ mod tests {
         let mut dual = DualTunnel::new(TunnelConfig::default(), 3);
         let mut agent = loaded_agent(100);
         let mut rng = SeedTree::new(1).rng();
-        let (reports, _) = dual.drain(&mut agent, &mut rng);
+        let (reports, _) = drain(&mut dual, &mut agent, &mut rng);
         assert_eq!(reports.len(), 100);
         assert!(dual.served_by(DataCenter::Primary) > 0);
         assert_eq!(dual.served_by(DataCenter::Secondary), 0);
@@ -209,7 +191,7 @@ mod tests {
         dual.outage(DataCenter::Primary);
         let mut agent = loaded_agent(64);
         let mut rng = SeedTree::new(2).rng();
-        let (reports, polls) = dual.drain(&mut agent, &mut rng);
+        let (reports, polls) = drain(&mut dual, &mut agent, &mut rng);
         assert_eq!(reports.len(), 64, "nothing lost across failover");
         assert!(dual.served_by(DataCenter::Secondary) > 0);
         assert_eq!(dual.served_by(DataCenter::Primary), 0);
@@ -225,13 +207,13 @@ mod tests {
         let mut rng = SeedTree::new(3).rng();
         // Partially drain on the secondary.
         for _ in 0..2 {
-            dual.poll(&mut agent, &mut rng); // failures -> threshold
+            dual.poll_mode(&mut agent, &mut rng, true); // failures -> threshold
         }
-        let (_, dc) = dual.poll(&mut agent, &mut rng);
+        let (_, dc) = dual.poll_mode(&mut agent, &mut rng, true);
         assert_eq!(dc, DataCenter::Secondary);
         // Primary returns; the device must fail back.
         dual.restore(DataCenter::Primary);
-        let (_, dc) = dual.poll(&mut agent, &mut rng);
+        let (_, dc) = dual.poll_mode(&mut agent, &mut rng, true);
         assert_eq!(dc, DataCenter::Primary);
     }
 
@@ -243,13 +225,13 @@ mod tests {
         let mut agent = loaded_agent(10);
         let mut rng = SeedTree::new(4).rng();
         for _ in 0..20 {
-            let (outcome, _) = dual.poll(&mut agent, &mut rng);
+            let (outcome, _) = dual.poll_mode(&mut agent, &mut rng, true);
             assert!(!matches!(outcome, PollOutcome::Delivered(_)));
         }
         assert_eq!(agent.queued(), 10, "reports wait out the double outage");
         // Restore one side: everything flows.
         dual.restore(DataCenter::Secondary);
-        let (reports, _) = dual.drain(&mut agent, &mut rng);
+        let (reports, _) = drain(&mut dual, &mut agent, &mut rng);
         assert_eq!(reports.len(), 10);
     }
 

@@ -25,7 +25,7 @@ use crate::wire::{put_field_f64, put_field_msg, put_field_str, put_field_u64, Re
 
 /// Stable numeric code for an [`Application`] (index into
 /// [`Application::ALL`]).
-pub fn app_code(app: Application) -> u64 {
+pub(crate) fn app_code(app: Application) -> u64 {
     Application::ALL
         .iter()
         .position(|&a| a == app)
@@ -33,7 +33,7 @@ pub fn app_code(app: Application) -> u64 {
 }
 
 /// Inverse of [`app_code`].
-pub fn app_from_code(code: u64) -> Result<Application, WireError> {
+pub(crate) fn app_from_code(code: u64) -> Result<Application, WireError> {
     Application::ALL
         .get(code as usize)
         .copied()
@@ -41,7 +41,7 @@ pub fn app_from_code(code: u64) -> Result<Application, WireError> {
 }
 
 /// Stable numeric code for an [`OsFamily`].
-pub fn os_code(os: OsFamily) -> u64 {
+pub(crate) fn os_code(os: OsFamily) -> u64 {
     OsFamily::ALL
         .iter()
         .position(|&o| o == os)
@@ -49,7 +49,7 @@ pub fn os_code(os: OsFamily) -> u64 {
 }
 
 /// Inverse of [`os_code`].
-pub fn os_from_code(code: u64) -> Result<OsFamily, WireError> {
+pub(crate) fn os_from_code(code: u64) -> Result<OsFamily, WireError> {
     OsFamily::ALL
         .get(code as usize)
         .copied()

@@ -12,10 +12,10 @@
 //!   ([`Priority::High`]) and degraded APs ([`Priority::Normal`]) drain
 //!   first; healthy APs ([`Priority::Low`]) fill the remaining budget —
 //!   with *reserved* per-class quotas so no class starves (see
-//!   [`class_guarantees`]);
+//!   `class_guarantees`);
 //! * a **time-ordered retry ledger** ([`RetryLedger`]): failed rounds are
-//!   re-scheduled at `admitted_at + session clock` in a `BTreeMap` keyed
-//!   on `(due_s, ap_key)` — retry order is *total* and deterministic;
+//!   re-scheduled at `admitted_at + session clock` in a `BTreeSet` of
+//!   `(due_s, ap_key)` — retry order is *total* and deterministic;
 //! * **dedup at admission**: re-admitting a live AP key is rejected up
 //!   front ([`Admission::Deduped`]), never post-hoc — the first-seen
 //!   endpoint and every report it queued survive;
@@ -65,7 +65,7 @@
 //! # Fairness
 //!
 //! Each tick polls at most [`SchedConfig::tick_poll_budget`] APs.
-//! [`class_guarantees`] reserves a minimum share per class whenever that
+//! `class_guarantees` reserves a minimum share per class whenever that
 //! class has ready APs, and ready queues are FIFO within a class, so an
 //! AP that became ready behind `d - 1` others of its class is polled
 //! within `ceil(d / guarantee)` ticks. [`Scheduler::poll_gap_bound_ticks`]
@@ -73,7 +73,7 @@
 //! property test `prop_no_ready_ap_waits_beyond_poll_gap_bound` holds the
 //! implementation to it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 use airstat_stats::BuildFixedHasher;
@@ -219,12 +219,12 @@ impl SchedConfig {
     }
 }
 
-/// The time-ordered retry ledger: a `BTreeMap` keyed on
-/// `(due_s, ap_key)`, so retry order is total and deterministic — two
-/// retries due at the same virtual second drain in AP-key order.
+/// The time-ordered retry ledger: a `BTreeSet` of `(due_s, ap_key)`, so
+/// retry order is total and deterministic — two retries due at the same
+/// virtual second drain in AP-key order.
 #[derive(Debug, Clone, Default)]
 pub struct RetryLedger {
-    due: BTreeMap<(u64, u64), ()>,
+    due: BTreeSet<(u64, u64)>,
 }
 
 impl RetryLedger {
@@ -235,37 +235,26 @@ impl RetryLedger {
 
     /// Schedules `key` to retry at virtual second `due_s`.
     pub fn schedule(&mut self, due_s: u64, key: u64) {
-        self.due.insert((due_s, key), ());
+        self.due.insert((due_s, key));
     }
 
     /// Removes a scheduled retry; returns whether it was present.
     pub fn cancel(&mut self, due_s: u64, key: u64) -> bool {
-        self.due.remove(&(due_s, key)).is_some()
+        self.due.remove(&(due_s, key))
     }
 
     /// The earliest due time, if any retry is scheduled.
     pub fn peek_due(&self) -> Option<u64> {
-        self.due.keys().next().map(|&(due, _)| due)
+        self.due.first().map(|&(due, _)| due)
     }
 
     /// Pops the earliest retry if it is due at or before `now_s`.
     pub fn pop_due(&mut self, now_s: u64) -> Option<(u64, u64)> {
-        let &(due, key) = self.due.keys().next()?;
+        let &(due, _) = self.due.first()?;
         if due > now_s {
             return None;
         }
-        self.due.remove(&(due, key));
-        Some((due, key))
-    }
-
-    /// Scheduled retries.
-    pub fn len(&self) -> usize {
-        self.due.len()
-    }
-
-    /// Whether no retries are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.due.is_empty()
+        self.due.pop_first()
     }
 }
 
@@ -417,7 +406,7 @@ impl fmt::Display for SchedStats {
 /// spills downward. The per-class poll-gap bound is
 /// `ceil(ready_depth / guarantee)` ticks — see
 /// [`Scheduler::poll_gap_bound_ticks`].
-pub fn class_guarantees(tick_poll_budget: usize) -> [u64; 3] {
+pub(crate) fn class_guarantees(tick_poll_budget: usize) -> [u64; 3] {
     let b = tick_poll_budget.max(1);
     let quota_low = (b / 8).max(1).min(b.saturating_sub(1));
     let quota_normal = (b / 4).max(1).min(b.saturating_sub(1 + quota_low));
@@ -521,13 +510,8 @@ impl<E: PollEndpoint> Scheduler<E> {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SchedConfig {
-        &self.config
-    }
-
     /// Global virtual time (seconds).
-    pub fn now_s(&self) -> u64 {
+    pub fn clock_s(&self) -> u64 {
         self.now_s
     }
 
@@ -891,7 +875,7 @@ impl<R: Rng> TunnelEndpoint<R> {
     }
 
     /// Hands the parts back after the drain.
-    pub fn into_parts(self) -> (Tunnel, DeviceAgent, R) {
+    pub(crate) fn into_parts(self) -> (Tunnel, DeviceAgent, R) {
         (self.tunnel, self.agent, self.rng)
     }
 
@@ -1053,7 +1037,7 @@ mod tests {
         assert_eq!(ledger.pop_due(60), Some((10, 9)));
         assert_eq!(ledger.pop_due(40), None, "50 is not due at 40");
         assert_eq!(ledger.pop_due(50), Some((50, 7)));
-        assert!(ledger.is_empty());
+        assert!(ledger.due.is_empty());
     }
 
     #[test]

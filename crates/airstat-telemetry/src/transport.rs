@@ -62,8 +62,8 @@ impl DeviceAgent {
         }
     }
 
-    /// The device id this agent reports for.
-    pub fn device_id(&self) -> u64 {
+    /// The device id this agent stamps on its reports.
+    pub fn tenant(&self) -> u64 {
         self.device_id
     }
 
@@ -132,12 +132,6 @@ impl DeviceAgent {
         self.queue.iter()
     }
 
-    /// Returns up to `max` queued reports **without** removing them
-    /// (at-least-once: removal happens on [`DeviceAgent::ack`]).
-    pub fn peek(&self, max: usize) -> Vec<Report> {
-        self.queued_reports().take(max).cloned().collect()
-    }
-
     /// Acknowledges all reports with `seq <= upto`, releasing queue space.
     ///
     /// Delivery is at-least-once: when the ack itself is lost, the device
@@ -147,7 +141,7 @@ impl DeviceAgent {
     ///
     /// ```
     /// use airstat_telemetry::backend::{Backend, WindowId};
-    /// use airstat_telemetry::report::ReportPayload;
+    /// use airstat_telemetry::report::{Report, ReportPayload};
     /// use airstat_telemetry::transport::DeviceAgent;
     ///
     /// let mut agent = DeviceAgent::new(7);
@@ -156,14 +150,13 @@ impl DeviceAgent {
     ///
     /// // Poll #1 delivers, but the ack is lost on the way back: the
     /// // report stays queued on the device.
-    /// let batch = agent.peek(64);
+    /// let batch: Vec<Report> = agent.queued_reports().cloned().collect();
     /// assert_eq!(backend.ingest_batch(WindowId(1501), &batch), 1);
     /// assert_eq!(agent.queued(), 1, "unacked report is retained");
     ///
     /// // Poll #2 retransmits; dedup drops it; this ack arrives.
-    /// let batch = agent.peek(64);
+    /// let batch: Vec<Report> = agent.queued_reports().cloned().collect();
     /// assert_eq!(backend.ingest_batch(WindowId(1501), &batch), 0);
-    /// assert_eq!(backend.duplicates_dropped(), 1);
     /// agent.ack(batch.last().unwrap().seq);
     /// assert_eq!(agent.queued(), 0);
     /// ```
@@ -221,7 +214,6 @@ pub struct Tunnel {
     config: TunnelConfig,
     connected: bool,
     polls_attempted: u64,
-    polls_lost: u64,
     bytes_transferred: u64,
     // Per-tunnel wire/record scratch, reused across every report a poll
     // encodes instead of allocating per record.
@@ -248,7 +240,6 @@ impl Tunnel {
             config,
             connected: true,
             polls_attempted: 0,
-            polls_lost: 0,
             bytes_transferred: 0,
             wire_buf: Vec::new(),
             record_scratch: Vec::new(),
@@ -267,7 +258,7 @@ impl Tunnel {
     }
 
     /// Whether the tunnel is currently up.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.connected
     }
 
@@ -282,18 +273,13 @@ impl Tunnel {
     }
 
     /// Total polls attempted through this tunnel.
-    pub fn polls_attempted(&self) -> u64 {
+    pub(crate) fn polls_attempted(&self) -> u64 {
         self.polls_attempted
-    }
-
-    /// Polls lost to injected faults.
-    pub fn polls_lost(&self) -> u64 {
-        self.polls_lost
     }
 
     /// Wire bytes successfully transferred (encoded report bytes on
     /// delivered polls; lost polls transfer nothing that counts).
-    pub fn bytes_transferred(&self) -> u64 {
+    pub(crate) fn bytes_transferred(&self) -> u64 {
         self.bytes_transferred
     }
 
@@ -311,7 +297,7 @@ impl Tunnel {
     /// next poll retransmits them. This is how fault campaigns model lost
     /// acks and burst re-poll storms; the backend's sequence-number dedup
     /// makes the redelivery harmless.
-    pub fn poll_unacked<R: Rng + ?Sized>(
+    pub(crate) fn poll_unacked<R: Rng + ?Sized>(
         &mut self,
         agent: &mut DeviceAgent,
         rng: &mut R,
@@ -330,7 +316,6 @@ impl Tunnel {
             return PollOutcome::Disconnected;
         }
         if self.config.drop_probability > 0.0 && rng.gen::<f64>() < self.config.drop_probability {
-            self.polls_lost += 1;
             return PollOutcome::Lost;
         }
         // Full wire round-trip: encode on the device — straight from its
@@ -373,19 +358,8 @@ mod tests {
         for t in 0..5 {
             agent.submit(t, payload());
         }
-        let batch = agent.peek(10);
-        let seqs: Vec<u64> = batch.iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = agent.queue.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn peek_does_not_drain() {
-        let mut agent = DeviceAgent::new(1);
-        agent.submit(0, payload());
-        assert_eq!(agent.peek(10).len(), 1);
-        assert_eq!(agent.queued(), 1);
-        agent.ack(0);
-        assert_eq!(agent.queued(), 0);
     }
 
     #[test]
@@ -396,7 +370,7 @@ mod tests {
         }
         agent.ack(2);
         assert_eq!(agent.queued(), 3);
-        assert_eq!(agent.peek(1)[0].seq, 3);
+        assert_eq!(agent.queue[0].seq, 3);
         // Acking an already-acked seq is a no-op.
         agent.ack(1);
         assert_eq!(agent.queued(), 3);
@@ -410,7 +384,7 @@ mod tests {
         }
         assert_eq!(agent.queued(), 3);
         assert_eq!(agent.dropped_overflow(), 2);
-        let seqs: Vec<u64> = agent.peek(10).iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = agent.queue.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4], "oldest reports were discarded");
     }
 
@@ -459,7 +433,6 @@ mod tests {
         let mut rng = SeedTree::new(3).rng();
         assert_eq!(tunnel.poll(&mut agent, &mut rng), PollOutcome::Lost);
         assert_eq!(agent.queued(), 1);
-        assert_eq!(tunnel.polls_lost(), 1);
         // Heal the tunnel; data arrives eventually (at-least-once).
         tunnel.config.drop_probability = 0.0;
         match tunnel.poll(&mut agent, &mut rng) {
@@ -526,7 +499,6 @@ mod tests {
                 other => panic!("perfect tunnel failed a poll: {other:?}"),
             }
         }
-        assert_eq!(tunnel.polls_lost(), 0);
         tunnel.disconnect();
         assert_eq!(tunnel.poll(&mut agent, &mut rng), PollOutcome::Disconnected);
     }
@@ -563,7 +535,7 @@ mod tests {
         assert_eq!(agent.queued(), 0);
         // Post-reboot submissions continue the sequence space.
         agent.submit(100, payload());
-        assert_eq!(agent.peek(1)[0].seq, 4);
+        assert_eq!(agent.queue[0].seq, 4);
         assert_eq!(agent.reports_submitted(), 5);
     }
 }

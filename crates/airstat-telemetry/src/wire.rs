@@ -83,19 +83,19 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends a tagged varint field.
-pub fn put_field_u64(out: &mut Vec<u8>, field: u32, v: u64) {
+pub(crate) fn put_field_u64(out: &mut Vec<u8>, field: u32, v: u64) {
     put_varint(out, (u64::from(field) << 3) | WireType::Varint as u64);
     put_varint(out, v);
 }
 
 /// Appends a tagged double field (fixed64, little endian).
-pub fn put_field_f64(out: &mut Vec<u8>, field: u32, v: f64) {
+pub(crate) fn put_field_f64(out: &mut Vec<u8>, field: u32, v: f64) {
     put_varint(out, (u64::from(field) << 3) | WireType::Fixed64 as u64);
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a tagged length-delimited bytes field.
-pub fn put_field_bytes(out: &mut Vec<u8>, field: u32, bytes: &[u8]) {
+pub(crate) fn put_field_bytes(out: &mut Vec<u8>, field: u32, bytes: &[u8]) {
     put_varint(
         out,
         (u64::from(field) << 3) | WireType::LengthDelimited as u64,
@@ -116,7 +116,7 @@ pub fn put_field_str(out: &mut Vec<u8>, field: u32, s: &str) {
 /// Hot encode loops call this with one long-lived scratch instead of
 /// allocating a fresh `Vec` per record — the bytes produced are
 /// identical either way.
-pub fn put_field_msg(
+pub(crate) fn put_field_msg(
     out: &mut Vec<u8>,
     field: u32,
     scratch: &mut Vec<u8>,
@@ -162,7 +162,7 @@ pub enum Field<'a> {
 
 impl<'a> Field<'a> {
     /// The field number.
-    pub fn number(&self) -> u32 {
+    pub(crate) fn number(&self) -> u32 {
         match self {
             Field::Varint { field, .. }
             | Field::Fixed64 { field, .. }
@@ -171,7 +171,7 @@ impl<'a> Field<'a> {
     }
 
     /// Unsigned integer value, if this is a varint field.
-    pub fn as_u64(&self) -> Result<u64, WireError> {
+    pub(crate) fn as_u64(&self) -> Result<u64, WireError> {
         match self {
             Field::Varint { value, .. } => Ok(*value),
             _ => Err(WireError::Schema("expected varint field")),
@@ -179,7 +179,7 @@ impl<'a> Field<'a> {
     }
 
     /// Double value, if this is a fixed64 field.
-    pub fn as_f64(&self) -> Result<f64, WireError> {
+    pub(crate) fn as_f64(&self) -> Result<f64, WireError> {
         match self {
             Field::Fixed64 { value, .. } => Ok(*value),
             _ => Err(WireError::Schema("expected fixed64 field")),
@@ -187,7 +187,7 @@ impl<'a> Field<'a> {
     }
 
     /// Byte payload, if length-delimited.
-    pub fn as_bytes(&self) -> Result<&'a [u8], WireError> {
+    pub(crate) fn as_bytes(&self) -> Result<&'a [u8], WireError> {
         match self {
             Field::Bytes { value, .. } => Ok(value),
             _ => Err(WireError::Schema("expected length-delimited field")),
@@ -195,7 +195,7 @@ impl<'a> Field<'a> {
     }
 
     /// UTF-8 string payload, if length-delimited.
-    pub fn as_str(&self) -> Result<&'a str, WireError> {
+    pub(crate) fn as_str(&self) -> Result<&'a str, WireError> {
         std::str::from_utf8(self.as_bytes()?).map_err(|_| WireError::InvalidUtf8)
     }
 }
@@ -207,7 +207,7 @@ impl<'a> Reader<'a> {
     }
 
     /// True when all input is consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
@@ -235,7 +235,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads the next tagged field, or `None` at end of input.
-    pub fn next_field(&mut self) -> Result<Option<Field<'a>>, WireError> {
+    pub(crate) fn next_field(&mut self) -> Result<Option<Field<'a>>, WireError> {
         if self.is_empty() {
             return Ok(None);
         }

@@ -306,7 +306,15 @@ mod extended {
                 dual.outage(DataCenter::Primary);
             }
             let mut rng = SeedTree::new(seed).rng();
-            let (reports, _) = dual.drain(&mut agent, &mut rng);
+            let mut reports = Vec::new();
+            for _ in 0..1_000_000 {
+                if agent.queued() == 0 {
+                    break;
+                }
+                if let (PollOutcome::Delivered(batch), _) = dual.poll_mode(&mut agent, &mut rng, true) {
+                    reports.extend(batch);
+                }
+            }
             prop_assert_eq!(reports.len(), n, "every report arrives exactly once");
             // Sequence numbers are intact and unique.
             let mut seqs: Vec<u64> = reports.iter().map(|r| r.seq).collect();

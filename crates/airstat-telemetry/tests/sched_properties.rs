@@ -221,7 +221,7 @@ impl Model {
             entry.priority,
             evicted,
             entry.delivered,
-            entry.endpoint.agent().device_id(),
+            entry.endpoint.agent().tenant(),
         ));
     }
 }
@@ -250,7 +250,7 @@ proptest! {
         let mut device = 0u64;
         let collect = |sched: &mut Scheduler<Endpoint>, collected: &mut Vec<Finished>| {
             for drain in sched.take_finished() {
-                let tenant = drain.endpoint.agent().device_id();
+                let tenant = drain.endpoint.agent().tenant();
                 assert!(drain.reports.iter().all(|r| r.device == tenant),
                     "device {tenant} came back with another tenant's reports");
                 collected.push((drain.key, drain.priority, drain.evicted, drain.reports.len(), tenant));
@@ -275,7 +275,7 @@ proptest! {
                 }
                 3..=4 => {
                     prop_assert_eq!(sched.tick(), model.tick(), "step {}: tick", step);
-                    prop_assert_eq!(sched.now_s(), model.now_s, "step {}: clock", step);
+                    prop_assert_eq!(sched.clock_s(), model.now_s, "step {}: clock", step);
                 }
                 _ => {
                     collect(&mut sched, &mut collected);
@@ -345,14 +345,13 @@ proptest! {
         for &(due, key) in &shuffled {
             ledger.schedule(due, key);
         }
-        prop_assert_eq!(ledger.len(), entries.len());
         let mut drained = Vec::new();
         while let Some(pair) = ledger.pop_due(u64::MAX) {
             drained.push(pair);
         }
         let expected: Vec<(u64, u64)> = entries.into_iter().collect();
         prop_assert_eq!(drained, expected, "drain order is sorted (due, key)");
-        prop_assert!(ledger.is_empty());
+        prop_assert_eq!(ledger.peek_due(), None);
     }
 
     #[test]

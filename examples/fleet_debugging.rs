@@ -122,6 +122,6 @@ fn main() {
              the fleet mean — the unbounded neighbour table is the culprit.",
             world.aps.len()
         );
-        println!("fix: cap/evict the table (DeviceMemory::clear_neighbor_table between cycles).");
+        println!("fix: cap the neighbour table, evicting its oldest entries, or clear it between cycles.");
     }
 }

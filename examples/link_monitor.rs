@@ -61,7 +61,7 @@ fn main() {
                     .map(|(wl, w)| LinkRecord {
                         peer_device: wl.tx,
                         band: Band::Ghz2_4,
-                        probes_expected: w.len() as u32,
+                        probes_expected: w.in_window() as u32,
                         probes_received: w.successes() as u32,
                     })
                     .collect();

@@ -132,7 +132,7 @@ fn serving_radio_reports_far_busier_air_than_the_scanner() {
         _ => ChannelLoad::idle(),
     };
     const THREE_MINUTES_US: u64 = 180_000_000;
-    let mut serving = ServingRadio::new(serving_channel);
+    let mut serving = ServingRadio::default();
     serving.observe(&busy, THREE_MINUTES_US);
     let serving_busy = serving.ledger().utilization().expect("time was observed");
     let mut scanner = ScanningRadio::new();

@@ -7,7 +7,7 @@
 
 use airstat::classify::apps::Application;
 use airstat::classify::mac::{MacAddress, Oui};
-use airstat::store::ShardedStore;
+use airstat::store::{ShardedStore, StoreConfig};
 use airstat::telemetry::backend::WindowId;
 use airstat::telemetry::report::{Report, ReportPayload, UsageRecord};
 use std::path::PathBuf;
@@ -220,7 +220,10 @@ fn resume_reprints_the_persisted_report_and_refuses_a_damaged_store() {
 /// length u64` entry, then the CRC.
 fn persisted_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("airstat-cli-{tag}-{}", std::process::id()));
-    let mut store = ShardedStore::new(1);
+    let mut store = ShardedStore::with_config(StoreConfig {
+        shards: 1,
+        threads: 1,
+    });
     for device in [1u64, 2] {
         let usage = UsageRecord {
             mac: MacAddress::from_id(Oui([2, 4, 6]), device),

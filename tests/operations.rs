@@ -109,7 +109,7 @@ fn utilization_planner_beats_count_planner_at_fleet_scale() {
 #[test]
 fn failover_during_campaign_poll() {
     use airstat::telemetry::failover::{DataCenter, DualTunnel};
-    use airstat::telemetry::transport::{DeviceAgent, TunnelConfig};
+    use airstat::telemetry::transport::{DeviceAgent, PollOutcome, TunnelConfig};
     use airstat::telemetry::ReportPayload;
     let mut agent = DeviceAgent::new(1);
     for t in 0..500 {
@@ -124,7 +124,15 @@ fn failover_during_campaign_poll() {
     );
     dual.outage(DataCenter::Primary);
     let mut rng = SeedTree::new(0x0b8).rng();
-    let (reports, _) = dual.drain(&mut agent, &mut rng);
+    let mut reports = Vec::new();
+    for _ in 0..1_000_000 {
+        if agent.queued() == 0 {
+            break;
+        }
+        if let (PollOutcome::Delivered(batch), _) = dual.poll_mode(&mut agent, &mut rng, true) {
+            reports.extend(batch);
+        }
+    }
     assert_eq!(reports.len(), 500, "outage loses nothing");
     assert!(dual.served_by(DataCenter::Secondary) > 0);
 }

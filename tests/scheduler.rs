@@ -46,7 +46,7 @@ fn loaded_agent(load: u64, capacity: usize) -> DeviceAgent {
 /// submission and overflow counters.
 fn agent_state(agent: &DeviceAgent) -> (Vec<Report>, u64, u64) {
     (
-        agent.peek(agent.queued()),
+        agent.queued_reports().cloned().collect(),
         agent.reports_submitted(),
         agent.dropped_overflow(),
     )
@@ -228,7 +228,7 @@ fn hundred_k_ap_queue_pressure_campaign_holds_its_invariants() {
 
 /// Latency buckets `(virtual seconds, reports)` of a pinned campaign.
 fn latency(buckets: &[(u64, u64)]) -> LatencyHistogram {
-    let mut histogram = LatencyHistogram::new();
+    let mut histogram = LatencyHistogram::default();
     for &(latency_s, n) in buckets {
         histogram.record_n(latency_s, n);
     }
