@@ -24,37 +24,6 @@ impl ChannelCensusFigure {
             counts_5: backend.nearby_per_channel(window, Band::Ghz5),
         }
     }
-
-    /// Fraction of 2.4 GHz networks on the non-overlapping set {1, 6, 11}.
-    pub fn primary_fraction_2_4(&self) -> f64 {
-        let total: u64 = self.counts_2_4.iter().map(|&(_, n)| n).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let primary: u64 = self
-            .counts_2_4
-            .iter()
-            .filter(|&&(c, _)| matches!(c, 1 | 6 | 11))
-            .map(|&(_, n)| n)
-            .sum();
-        primary as f64 / total as f64
-    }
-
-    /// Fraction of 5 GHz networks on DFS channels (paper: tiny).
-    pub fn dfs_fraction_5(&self) -> f64 {
-        use airstat_rf::band::Channel;
-        let total: u64 = self.counts_5.iter().map(|&(_, n)| n).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let dfs: u64 = self
-            .counts_5
-            .iter()
-            .filter(|&&(c, _)| Channel::new(Band::Ghz5, c).is_some_and(|ch| ch.requires_dfs()))
-            .map(|&(_, n)| n)
-            .sum();
-        dfs as f64 / total as f64
-    }
 }
 
 impl fmt::Display for ChannelCensusFigure {
@@ -124,10 +93,6 @@ mod tests {
         let fig = ChannelCensusFigure::compute(&backend(), W);
         assert_eq!(on_2_4(&fig, 1), 137);
         assert_eq!(on_2_4(&fig, 6), 100);
-        let primary = fig.primary_fraction_2_4();
-        assert!((primary - 337.0 / 342.0).abs() < 1e-9);
-        let dfs = fig.dfs_fraction_5();
-        assert!((dfs - 1.0 / 11.0).abs() < 1e-9);
     }
 
     #[test]
@@ -149,6 +114,5 @@ mod tests {
     fn empty_backend() {
         let fig = ChannelCensusFigure::compute(&Backend::new(), W);
         assert_eq!(on_2_4(&fig, 6), 0);
-        assert_eq!(fig.primary_fraction_2_4(), 0.0);
     }
 }

@@ -43,15 +43,6 @@ impl DecodableFigure {
             decodable_5: collect(Band::Ghz5),
         }
     }
-
-    /// Whether the majority of busy time is decodable on a band.
-    pub fn majority_decodable(&self, band: Band) -> Option<bool> {
-        let e = match band {
-            Band::Ghz2_4 => &self.decodable_2_4,
-            Band::Ghz5 => &self.decodable_5,
-        };
-        e.median().map(|m| m > 0.5)
-    }
 }
 
 impl fmt::Display for DecodableFigure {
@@ -121,7 +112,6 @@ mod tests {
     fn excludes_idle_samples() {
         let fig = DecodableFigure::compute(&backend(), W);
         assert_eq!(fig.decodable_2_4.len(), 3);
-        assert_eq!(fig.majority_decodable(Band::Ghz2_4), Some(true));
     }
 
     #[test]
@@ -133,7 +123,7 @@ mod tests {
     #[test]
     fn empty_band() {
         let fig = DecodableFigure::compute(&backend(), W);
-        assert_eq!(fig.majority_decodable(Band::Ghz5), None);
+        assert!(fig.decodable_5.is_empty());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl DeliveryFigure {
         }
     }
 
-    /// Fraction of links with intermediate delivery (ratio in `(lo, hi)`).
+    /// Fraction of links with intermediate delivery (ratio in `(lo, hi]`).
     pub fn intermediate_fraction(ecdf: &Ecdf, lo: f64, hi: f64) -> f64 {
         if ecdf.is_empty() {
             return 0.0;
@@ -133,6 +133,16 @@ mod tests {
         assert!((fig.perfect_fraction_5_now() - 0.5).abs() < 1e-12);
         let inter = DeliveryFigure::intermediate_fraction(&fig.now_2_4, 0.1, 0.9);
         assert!((inter - 1.0).abs() < 1e-12, "both 2.4 links intermediate");
+    }
+
+    #[test]
+    fn intermediate_window_is_open_below_and_closed_above() {
+        let ecdf = Ecdf::new([0.1, 0.5, 0.9, 1.0]);
+        let inter = DeliveryFigure::intermediate_fraction(&ecdf, 0.1, 0.9);
+        assert!(
+            (inter - 0.5).abs() < 1e-12,
+            "0.5 and 0.9 count, 0.1 does not"
+        );
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl CapabilitiesTable {
     }
 
     /// The row list in Table 4 order: `(label, before, after)`.
-    pub fn rows(&self) -> Vec<(&'static str, f64, f64)> {
+    pub(crate) fn rows(&self) -> Vec<(&'static str, f64, f64)> {
         vec![
             ("802.11g", self.before.g, self.after.g),
             ("802.11n", self.before.n, self.after.n),

@@ -327,8 +327,7 @@ fn format_captures(literal: &str) -> Vec<String> {
 }
 
 /// Items only tests reach, each with the test that needs it: an oracle,
-/// a fixture, a read of product state no output prints, or a shape
-/// predicate several paper tests share.
+/// a fixture, or a read of product state no output prints.
 const TEST_SURFACE: &[(&str, &str)] = &[
     (
         "airstat_classify::flows::FlowTable::flow_counters",
@@ -337,22 +336,6 @@ const TEST_SURFACE: &[(&str, &str)] = &[
     (
         "airstat_core::export::DatasetRelease::row_counts",
         "tests/operations.rs dataset_release_covers_both_windows",
-    ),
-    (
-        "airstat_core::figures::channel_census::ChannelCensusFigure::dfs_fraction_5",
-        "tests/paper_reproduction.rs figure2_channel_placement; the reproduction scorecard replaces it",
-    ),
-    (
-        "airstat_core::figures::channel_census::ChannelCensusFigure::primary_fraction_2_4",
-        "tests/paper_reproduction.rs figure2_channel_placement and tests/seed_robustness.rs headline_shapes_hold_across_seeds; the reproduction scorecard replaces it",
-    ),
-    (
-        "airstat_core::figures::decodable::DecodableFigure::majority_decodable",
-        "tests/paper_reproduction.rs figure10_majority_decodable and tests/seed_robustness.rs headline_shapes_hold_across_seeds; the reproduction scorecard replaces it",
-    ),
-    (
-        "airstat_core::figures::util_vs_aps::UtilVsApsFigure::no_clear_correlation",
-        "tests/paper_reproduction.rs figures7_8_no_clear_correlation and tests/seed_robustness.rs headline_shapes_hold_across_seeds; the reproduction scorecard replaces it",
     ),
     (
         "airstat_lint::engine::audit_source",
