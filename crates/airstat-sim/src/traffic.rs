@@ -80,6 +80,44 @@ fn weight_norm(os: OsFamily, year: MeasurementYear) -> f64 {
     norms[year as usize][os as usize]
 }
 
+/// One profile a client can take part in: `(app, participation odds,
+/// intensity before jitter, download fraction)`.
+type Odds = (Application, f64, f64, f64);
+
+/// The profiles a client of `os` can take part in during `year`, in
+/// `PROFILES` order, from a table folded once per process like
+/// [`weight_norm`]'s. A profile the OS has no affinity for is left out,
+/// which is exactly the profile [`generate_weekly_into`] would pass over
+/// without a draw; the odds and intensity are the expressions it would
+/// evaluate, so they are the same bits.
+fn participation_odds(os: OsFamily, year: MeasurementYear) -> &'static [Odds] {
+    static ODDS: OnceLock<[[Vec<Odds>; OsFamily::ALL.len()]; 2]> = OnceLock::new();
+    let odds = ODDS.get_or_init(|| {
+        let mut odds: [[Vec<Odds>; OsFamily::ALL.len()]; 2] = Default::default();
+        for year in [MeasurementYear::Y2014, MeasurementYear::Y2015] {
+            for os in OsFamily::ALL {
+                odds[year as usize][os as usize] = PROFILES
+                    .iter()
+                    .filter_map(|profile| {
+                        let (share, reach) = year_adjusted(profile, year);
+                        let affinity = os_affinity(os, profile.app);
+                        (affinity > 0.0).then(|| {
+                            (
+                                profile.app,
+                                (reach * affinity).min(1.0),
+                                share / reach.max(1e-6),
+                                profile.down_frac,
+                            )
+                        })
+                    })
+                    .collect();
+            }
+        }
+        odds
+    });
+    &odds[year as usize][os as usize]
+}
+
 /// Generates one client's weekly traffic.
 ///
 /// Algorithm (see `appmix`): every application the client *participates
@@ -112,16 +150,9 @@ pub(crate) fn generate_weekly_into<R: Rng + ?Sized>(
     // takes part in — at most one per profile, so a fixed array holds them.
     let mut participations = [(Application::MiscWeb, 0.0, 0.0); PROFILES.len()];
     let mut participating = 0;
-    for profile in PROFILES {
-        let (share, reach) = year_adjusted(profile, year);
-        let affinity = os_affinity(client.os, profile.app);
-        if affinity <= 0.0 {
-            continue;
-        }
-        let p = (reach * affinity).min(1.0);
+    for &(app, p, intensity, down_frac) in participation_odds(client.os, year) {
         if rng.gen::<f64>() < p {
-            let intensity = share / reach.max(1e-6) * jitter.sample(rng);
-            participations[participating] = (profile.app, intensity, profile.down_frac);
+            participations[participating] = (app, intensity * jitter.sample(rng), down_frac);
             participating += 1;
         }
     }
@@ -460,6 +491,28 @@ mod tests {
                     expected_weight_sum(os, year).to_bits(),
                     "{os:?} {year:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn participation_odds_hold_the_profile_loop_bit_for_bit() {
+        for year in [MeasurementYear::Y2014, MeasurementYear::Y2015] {
+            for os in OsFamily::ALL {
+                let mut odds = participation_odds(os, year).iter();
+                for profile in PROFILES {
+                    let (share, reach) = year_adjusted(profile, year);
+                    let affinity = os_affinity(os, profile.app);
+                    if affinity <= 0.0 {
+                        continue;
+                    }
+                    let &(app, p, intensity, down_frac) = odds.next().expect("an entry");
+                    assert_eq!(app, profile.app, "{os:?} {year:?}");
+                    assert_eq!(p.to_bits(), (reach * affinity).min(1.0).to_bits());
+                    assert_eq!(intensity.to_bits(), (share / reach.max(1e-6)).to_bits());
+                    assert_eq!(down_frac.to_bits(), profile.down_frac.to_bits());
+                }
+                assert_eq!(odds.next(), None, "{os:?} {year:?}");
             }
         }
     }

@@ -134,72 +134,6 @@ pub struct Reader<'a> {
     pos: usize,
 }
 
-/// One decoded field.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Field<'a> {
-    /// A varint field.
-    Varint {
-        /// Field number.
-        field: u32,
-        /// Raw unsigned value.
-        value: u64,
-    },
-    /// A fixed64/double field.
-    Fixed64 {
-        /// Field number.
-        field: u32,
-        /// Decoded double.
-        value: f64,
-    },
-    /// A length-delimited field.
-    Bytes {
-        /// Field number.
-        field: u32,
-        /// Borrowed payload.
-        value: &'a [u8],
-    },
-}
-
-impl<'a> Field<'a> {
-    /// The field number.
-    pub(crate) fn number(&self) -> u32 {
-        match self {
-            Field::Varint { field, .. }
-            | Field::Fixed64 { field, .. }
-            | Field::Bytes { field, .. } => *field,
-        }
-    }
-
-    /// Unsigned integer value, if this is a varint field.
-    pub(crate) fn as_u64(&self) -> Result<u64, WireError> {
-        match self {
-            Field::Varint { value, .. } => Ok(*value),
-            _ => Err(WireError::Schema("expected varint field")),
-        }
-    }
-
-    /// Double value, if this is a fixed64 field.
-    pub(crate) fn as_f64(&self) -> Result<f64, WireError> {
-        match self {
-            Field::Fixed64 { value, .. } => Ok(*value),
-            _ => Err(WireError::Schema("expected fixed64 field")),
-        }
-    }
-
-    /// Byte payload, if length-delimited.
-    pub(crate) fn as_bytes(&self) -> Result<&'a [u8], WireError> {
-        match self {
-            Field::Bytes { value, .. } => Ok(value),
-            _ => Err(WireError::Schema("expected length-delimited field")),
-        }
-    }
-
-    /// UTF-8 string payload, if length-delimited.
-    pub(crate) fn as_str(&self) -> Result<&'a str, WireError> {
-        std::str::from_utf8(self.as_bytes()?).map_err(|_| WireError::InvalidUtf8)
-    }
-}
-
 impl<'a> Reader<'a> {
     /// Creates a reader over a buffer.
     pub fn new(buf: &'a [u8]) -> Self {
@@ -217,6 +151,12 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a raw varint.
+    ///
+    /// This and the other readers the report decoder calls per field are
+    /// always inlined: a call that returns its `Result` through memory
+    /// costs more than the read, and the compiler left them out of line
+    /// in the record decoders (which then took half again as long).
+    #[inline(always)]
     pub fn read_varint(&mut self) -> Result<u64, WireError> {
         let mut value: u64 = 0;
         for i in 0..10 {
@@ -234,39 +174,69 @@ impl<'a> Reader<'a> {
         Err(WireError::VarintOverflow)
     }
 
-    /// Reads the next tagged field, or `None` at end of input.
-    pub(crate) fn next_field(&mut self) -> Result<Option<Field<'a>>, WireError> {
+    /// Reads the next tag as `(field number, wire type)`, or `None` at
+    /// end of input; the value follows, for one of the `read_*` readers
+    /// or [`Reader::pass_over`].
+    #[inline(always)]
+    pub(crate) fn next_tag(&mut self) -> Result<Option<(u32, WireType)>, WireError> {
         if self.is_empty() {
             return Ok(None);
         }
         let tag = self.read_varint()?;
-        let field = (tag >> 3) as u32;
+        // A number past `u32` names no field; truncating it would alias
+        // one that does.
+        let field =
+            u32::try_from(tag >> 3).map_err(|_| WireError::Schema("field number out of range"))?;
         let wt = WireType::from_bits(tag & 0x7).ok_or(WireError::InvalidWireType(tag & 0x7))?;
-        match wt {
-            WireType::Varint => {
-                let value = self.read_varint()?;
-                Ok(Some(Field::Varint { field, value }))
-            }
-            WireType::Fixed64 => {
-                if self.remaining() < 8 {
-                    return Err(WireError::UnexpectedEof);
-                }
-                let mut b = [0u8; 8];
-                b.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-                self.pos += 8;
-                Ok(Some(Field::Fixed64 {
-                    field,
-                    value: f64::from_le_bytes(b),
-                }))
-            }
-            WireType::LengthDelimited => {
-                let len = self.read_varint()? as usize;
-                if len > self.remaining() {
-                    return Err(WireError::BadLength(len));
-                }
-                let value = &self.buf[self.pos..self.pos + len];
-                self.pos += len;
-                Ok(Some(Field::Bytes { field, value }))
+        Ok(Some((field, wt)))
+    }
+
+    /// Reads a fixed64 value's eight bytes, little-endian.
+    #[inline(always)]
+    pub(crate) fn read_fixed64(&mut self) -> Result<u64, WireError> {
+        let bytes = self
+            .buf
+            .get(self.pos..self.pos + 8)
+            .ok_or(WireError::UnexpectedEof)?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(
+            bytes.try_into().expect("invariant: the range is 8 bytes"),
+        ))
+    }
+
+    /// Reads a length-delimited value.
+    #[inline(always)]
+    pub(crate) fn read_bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let len = self.read_varint()? as usize;
+        if len > self.remaining() {
+            return Err(WireError::BadLength(len));
+        }
+        let value = &self.buf[self.pos..self.pos + len];
+        self.pos += len;
+        Ok(value)
+    }
+
+    /// Passes over a value of wire type `found` that the decoder has no
+    /// slot for, then refuses it if the field is known with wire type
+    /// `expected`: a cut value is the reader's error before a mistyped
+    /// one is a schema error, and an unknown field is skipped.
+    #[inline(never)]
+    pub(crate) fn pass_over(
+        &mut self,
+        found: WireType,
+        expected: Option<WireType>,
+    ) -> Result<(), WireError> {
+        match found {
+            WireType::Varint => self.read_varint().map(drop),
+            WireType::Fixed64 => self.read_fixed64().map(drop),
+            WireType::LengthDelimited => self.read_bytes().map(drop),
+        }?;
+        match expected {
+            None => Ok(()),
+            Some(WireType::Varint) => Err(WireError::Schema("expected varint field")),
+            Some(WireType::Fixed64) => Err(WireError::Schema("expected fixed64 field")),
+            Some(WireType::LengthDelimited) => {
+                Err(WireError::Schema("expected length-delimited field"))
             }
         }
     }
@@ -316,6 +286,27 @@ mod tests {
         assert_eq!(r.read_varint(), Err(WireError::UnexpectedEof));
     }
 
+    /// One field's value, as a test reads it.
+    #[derive(Debug, PartialEq)]
+    enum Value<'a> {
+        Varint(u64),
+        Fixed64(f64),
+        Bytes(&'a [u8]),
+    }
+
+    /// The next field whole, or `None` at end of input.
+    fn next_field<'a>(r: &mut Reader<'a>) -> Result<Option<(u32, Value<'a>)>, WireError> {
+        let Some((number, wire_type)) = r.next_tag()? else {
+            return Ok(None);
+        };
+        let value = match wire_type {
+            WireType::Varint => Value::Varint(r.read_varint()?),
+            WireType::Fixed64 => Value::Fixed64(f64::from_bits(r.read_fixed64()?)),
+            WireType::LengthDelimited => Value::Bytes(r.read_bytes()?),
+        };
+        Ok(Some((number, value)))
+    }
+
     #[test]
     fn tagged_fields_roundtrip() {
         let mut out = Vec::new();
@@ -326,18 +317,20 @@ mod tests {
         put_field_bytes(&mut out, 5, &[9, 8, 7]);
 
         let mut r = Reader::new(&out);
-        let f1 = r.next_field().unwrap().unwrap();
-        assert_eq!(f1.number(), 1);
-        assert_eq!(f1.as_u64().unwrap(), 42);
-        let f2 = r.next_field().unwrap().unwrap();
-        assert_eq!(f2.as_u64().unwrap(), 87);
-        let f3 = r.next_field().unwrap().unwrap();
-        assert_eq!(f3.as_f64().unwrap(), -0.25);
-        let f4 = r.next_field().unwrap().unwrap();
-        assert_eq!(f4.as_str().unwrap(), "rssi");
-        let f5 = r.next_field().unwrap().unwrap();
-        assert_eq!(f5.as_bytes().unwrap(), &[9, 8, 7]);
-        assert_eq!(r.next_field().unwrap(), None);
+        let mut fields = Vec::new();
+        while let Some(field) = next_field(&mut r).unwrap() {
+            fields.push(field);
+        }
+        assert_eq!(
+            fields,
+            [
+                (1, Value::Varint(42)),
+                (2, Value::Varint(87)),
+                (3, Value::Fixed64(-0.25)),
+                (4, Value::Bytes(b"rssi")),
+                (5, Value::Bytes(&[9, 8, 7])),
+            ]
+        );
     }
 
     #[test]
@@ -348,9 +341,11 @@ mod tests {
         put_field_u64(&mut out, 2, 7);
         let mut r = Reader::new(&out);
         let mut found = None;
-        while let Some(f) = r.next_field().unwrap() {
-            if f.number() == 2 {
-                found = Some(f.as_u64().unwrap());
+        while let Some((number, wire_type)) = r.next_tag().unwrap() {
+            if number == 2 {
+                found = Some(r.read_varint().unwrap());
+            } else {
+                r.pass_over(wire_type, None).unwrap();
             }
         }
         assert_eq!(found, Some(7));
@@ -362,7 +357,7 @@ mod tests {
         put_varint(&mut out, (1 << 3) | 2); // field 1, length-delimited
         put_varint(&mut out, 1000); // claims 1000 bytes, provides none
         let mut r = Reader::new(&out);
-        assert_eq!(r.next_field(), Err(WireError::BadLength(1000)));
+        assert_eq!(next_field(&mut r), Err(WireError::BadLength(1000)));
     }
 
     #[test]
@@ -370,26 +365,51 @@ mod tests {
         let mut out = Vec::new();
         put_varint(&mut out, (1 << 3) | 5); // wire type 5 undefined here
         let mut r = Reader::new(&out);
-        assert!(matches!(r.next_field(), Err(WireError::InvalidWireType(5))));
+        assert!(matches!(r.next_tag(), Err(WireError::InvalidWireType(5))));
     }
 
     #[test]
-    fn invalid_utf8_rejected_as_string_only() {
+    fn field_numbers_past_u32_are_rejected_not_truncated() {
         let mut out = Vec::new();
-        put_field_bytes(&mut out, 1, &[0xFF, 0xFE]);
+        put_varint(&mut out, ((1 << 32) | 1) << 3); // would truncate to field 1
+        put_varint(&mut out, 7);
         let mut r = Reader::new(&out);
-        let f = r.next_field().unwrap().unwrap();
-        assert!(f.as_bytes().is_ok());
-        assert_eq!(f.as_str(), Err(WireError::InvalidUtf8));
+        assert_eq!(
+            r.next_tag(),
+            Err(WireError::Schema("field number out of range"))
+        );
+        let mut out = Vec::new();
+        put_field_u64(&mut out, u32::MAX, 7);
+        let mut r = Reader::new(&out);
+        assert_eq!(next_field(&mut r), Ok(Some((u32::MAX, Value::Varint(7)))));
     }
 
     #[test]
-    fn type_confusion_rejected() {
+    fn a_mistyped_field_is_read_whole_then_refused() {
         let mut out = Vec::new();
         put_field_u64(&mut out, 1, 5);
+        put_field_str(&mut out, 2, "abc");
         let mut r = Reader::new(&out);
-        let f = r.next_field().unwrap().unwrap();
-        assert!(f.as_bytes().is_err());
-        assert!(f.as_f64().is_err());
+        let (_, wire_type) = r.next_tag().unwrap().unwrap();
+        assert_eq!(
+            r.pass_over(wire_type, Some(WireType::Fixed64)),
+            Err(WireError::Schema("expected fixed64 field"))
+        );
+        let (number, wire_type) = r.next_tag().unwrap().unwrap();
+        assert_eq!((number, wire_type), (2, WireType::LengthDelimited));
+        assert_eq!(
+            r.pass_over(wire_type, Some(WireType::Varint)),
+            Err(WireError::Schema("expected varint field"))
+        );
+        assert!(r.is_empty());
+        // A cut value is the reader's error first.
+        let mut r = Reader::new(&out[..out.len() - 1]);
+        r.next_tag().unwrap();
+        r.read_varint().unwrap();
+        let (_, wire_type) = r.next_tag().unwrap().unwrap();
+        assert_eq!(
+            r.pass_over(wire_type, Some(WireType::Varint)),
+            Err(WireError::BadLength(3))
+        );
     }
 }

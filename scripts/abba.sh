@@ -7,8 +7,12 @@
 # has to hold on a seed not used while the change was written, so the
 # table is run once more with one). Prints, per workload
 # and end-to-end metric, both medians, the distance between the quartiles
-# of the parent's runs, the change's gap to the parent and the pairs it
-# won (ties count for neither), and calls the row
+# of the parent's runs, the change's gap to the parent, the median
+# per-pair ratio (change / parent within each pair: drift on the host
+# lands on both runs of a pair alike, so this reads a gap that the
+# parent's own spread across pairs can hide; below 1 the change read
+# lower, whichever way the metric is better) and the pairs it won (ties
+# count for neither), and calls the row
 #   better / worse   the gap is wider than the parent's IQR
 #   unresolved       it is not
 # and adds OVER where the change's median is worse than the parent's by
@@ -72,14 +76,17 @@ for workload in workloads:
         q1, _, q3 = statistics.quantiles(p, n=4) if len(p) > 1 else (mp, mp, mp)
         won = sum(sign * (a - b) > 0 for a, b in zip(p, c))
         lost = sum(sign * (a - b) < 0 for a, b in zip(p, c))
+        ratios = [b / a for a, b in zip(p, c) if a]
+        ratio = statistics.median(ratios) if ratios else float("nan")
         gap = sign * (mp - mc)  # positive: the change is better
         verdict = "unresolved" if abs(gap) <= q3 - q1 else "better" if gap > 0 else "worse"
         if -gap > m["bound"] * mp:
             verdict += " OVER"
         rows.append(f"{workload:18s} {name:12s} parent {mp:12.4f}  change {mc:12.4f} {m['unit']:4s} "
-                    f"parent IQR {q3 - q1:10.4f}  gap {-sign * gap / mp:+.4f}  "
+                    f"parent IQR {q3 - q1:10.4f}  gap {-sign * gap / mp:+.4f}  pair ratio {ratio:.4f}  "
                     f"won {won}/{pairs} lost {lost}/{pairs}  {verdict}")
 print()
+print("pair ratio: the median over pairs of change / parent, each pair run back to back")
 print("\n".join(rows))
 sys.exit(status)
 PY
