@@ -12,25 +12,25 @@
 //!   heuristics improved. [`device`] reproduces the mechanism, including a
 //!   versioned ruleset so the 2014 and 2015 measurement windows classify
 //!   with different fidelity.
-//! * **Application classification** (Tables 5/6): ~200 rules over initial
-//!   DNS lookups, HTTP Host headers, TLS SNI, and port numbers map each
-//!   flow to an application; applications roll up into categories
+//! * **Application classification** (Tables 5/6): rules over initial DNS
+//!   lookups, HTTP Host headers, TLS SNI, and port numbers map each flow
+//!   to an application (100 rules in the 2015 set and 94 in the 2014 set,
+//!   against the paper's "about 200"); applications roll up into categories
 //!   ("Video & music", "File sharing", ...). Flows matching no rule fall
 //!   into the Miscellaneous buckets that dominate Table 5. [`apps`]
-//!   implements the rule engine and the 2015 ruleset.
+//!   implements the rule engine and both rulesets.
 //!
 //! Both classifiers are pure functions over evidence structs, so the
 //! telemetry pipeline can run them at "the edge" (inside the simulated AP)
-//! exactly where the real system runs them. [`flows`] adds the
-//! surrounding machinery: §2.1's fast-path/slow-path flow table that
-//! caches classifications and aggregates per-client byte counters.
+//! exactly where the real system runs them. The simulator classifies each
+//! flow once and adds its bytes to the client's per-application counters,
+//! the per-(MAC, application) state §2.1 keeps on the AP's fast path.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod apps;
 pub mod device;
-pub mod flows;
 pub mod mac;
 
 pub use apps::{AppCategory, Application, FlowMetadata, RuleSet};

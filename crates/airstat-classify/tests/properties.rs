@@ -4,16 +4,12 @@
 //! evidence set gets an OS), deterministic, and stable under irrelevant
 //! perturbations (case of hostnames, duplicated evidence). The 2015 device
 //! ruleset never does *worse* than 2014 (it only turns Unknowns into known
-//! families, never the reverse). The flow table is held to a `BTreeMap`
-//! model that has no hasher, so nothing it reports can depend on one.
+//! families, never the reverse).
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use airstat_classify::apps::{Application, ContentHint, FlowMetadata, RuleSet, Transport};
+use airstat_classify::apps::{ContentHint, FlowMetadata, RuleSet, Transport};
 use airstat_classify::device::{ClassifierVersion, DeviceClassifier, DhcpFingerprint, OsFamily};
-use airstat_classify::flows::{AppUsage, Direction, FlowKey, FlowTable, Path};
 use airstat_classify::mac::MacAddress;
 use airstat_classify::DeviceEvidence;
 use proptest::prelude::*;
@@ -63,128 +59,6 @@ fn any_flow() -> impl Strategy<Value = FlowMetadata> {
                 content_hint: hint,
             },
         )
-}
-
-/// One call on a [`FlowTable`]. Clients, flow ids and clock steps come
-/// from ranges small enough that keys are reopened, packets arrive for
-/// evicted flows and `last_seen` stamps tie.
-#[derive(Debug, Clone, Copy)]
-enum FlowOp {
-    Open {
-        key: (u8, u64),
-        metadata: usize,
-    },
-    Packet {
-        key: (u8, u64),
-        up: bool,
-        bytes: u64,
-        metadata: usize,
-    },
-    Finish {
-        key: (u8, u64),
-    },
-    Flush,
-}
-
-fn any_flow_op() -> impl Strategy<Value = FlowOp> {
-    let key = || (0u8..3, 0u64..4);
-    let open = || (key(), 0usize..4).prop_map(|(key, metadata)| FlowOp::Open { key, metadata });
-    let packet = || {
-        (key(), any::<bool>(), 0u64..2_000, 0usize..4).prop_map(|(key, up, bytes, metadata)| {
-            FlowOp::Packet {
-                key,
-                up,
-                bytes,
-                metadata,
-            }
-        })
-    };
-    // Opens and packets twice: they are what fills the table.
-    prop_oneof![
-        open(),
-        open(),
-        packet(),
-        packet(),
-        key().prop_map(|key| FlowOp::Finish { key }),
-        Just(FlowOp::Flush),
-    ]
-}
-
-/// What [`FlowTable`] documents, over ordered maps only.
-struct FlowModel {
-    capacity: usize,
-    /// `(app, up, down, last_seen)` per live flow.
-    flows: BTreeMap<FlowKey, (Application, u64, u64, u64)>,
-    usage: BTreeMap<(MacAddress, Application), AppUsage>,
-    slow: u64,
-    fast: u64,
-    evictions: u64,
-}
-
-impl FlowModel {
-    fn retire(&mut self, key: FlowKey) {
-        let (app, up, down, _) = self.flows.remove(&key).expect("retiring a live flow");
-        let slot = self.usage.entry((key.client, app)).or_default();
-        slot.up_bytes += up;
-        slot.down_bytes += down;
-    }
-
-    /// The slow path: a new key at capacity first evicts the flow with
-    /// the least `(last_seen, key)`.
-    fn admit(&mut self, key: FlowKey, app: Application, now: u64) {
-        self.slow += 1;
-        if self.flows.len() >= self.capacity && !self.flows.contains_key(&key) {
-            let victim = self
-                .flows
-                .iter()
-                .min_by_key(|(&k, &(_, _, _, last_seen))| (last_seen, k))
-                .map(|(&k, _)| k)
-                .expect("capacity > 0");
-            self.retire(victim);
-            self.evictions += 1;
-        }
-        self.flows.insert(key, (app, 0, 0, now));
-    }
-
-    fn packet(
-        &mut self,
-        key: FlowKey,
-        up: bool,
-        bytes: u64,
-        fallback: Application,
-        now: u64,
-    ) -> Path {
-        let path = if self.flows.contains_key(&key) {
-            self.fast += 1;
-            Path::Fast
-        } else {
-            self.admit(key, fallback, now);
-            Path::Slow
-        };
-        let entry = self.flows.get_mut(&key).expect("live or just admitted");
-        if up {
-            entry.1 += bytes;
-        } else {
-            entry.2 += bytes;
-        }
-        entry.3 = now;
-        path
-    }
-
-    fn finish(&mut self, key: FlowKey) {
-        self.slow += 1;
-        if self.flows.contains_key(&key) {
-            self.retire(key);
-        }
-    }
-
-    fn flush(&mut self) -> Vec<((MacAddress, Application), AppUsage)> {
-        let live: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in live {
-            self.retire(key);
-        }
-        std::mem::take(&mut self.usage).into_iter().collect()
-    }
 }
 
 proptest! {
@@ -267,67 +141,6 @@ proptest! {
         let c = DeviceClassifier::new(ClassifierVersion::V2015);
         let ev = DeviceEvidence { mac: None, dhcp: vec![a, b], user_agents: vec![] };
         prop_assert_eq!(c.classify(&ev), OsFamily::Unknown);
-    }
-
-    #[test]
-    fn flow_table_matches_an_ordered_map_model(
-        capacity in 1usize..6,
-        ops in prop::collection::vec((any_flow_op(), 0u64..3), 1..80),
-    ) {
-        // One hit per classification outcome the engine's flows produce.
-        let metadata = [
-            FlowMetadata::https("movies.netflix.com"),
-            FlowMetadata::http("site1.example.com"),
-            FlowMetadata::tcp(443),
-            FlowMetadata::udp(3074),
-        ];
-        let rules = Arc::new(RuleSet::standard_2015());
-        let apps = metadata.clone().map(|m| rules.classify(&m));
-        let mut table = FlowTable::new(Arc::clone(&rules), capacity);
-        let mut model = FlowModel {
-            capacity,
-            flows: BTreeMap::new(),
-            usage: BTreeMap::new(),
-            slow: 0,
-            fast: 0,
-            evictions: 0,
-        };
-        let flow_key = |(client, flow_id): (u8, u64)| FlowKey {
-            client: MacAddress::new([2, 0, 0, 0, 0, client]),
-            flow_id,
-        };
-        let mut now = 0;
-        for (op, step) in ops {
-            now += step;
-            match op {
-                FlowOp::Open { key, metadata: m } => {
-                    prop_assert_eq!(table.open(flow_key(key), &metadata[m], now), apps[m]);
-                    model.admit(flow_key(key), apps[m], now);
-                }
-                FlowOp::Packet { key, up, bytes, metadata: m } => {
-                    let direction = if up { Direction::Up } else { Direction::Down };
-                    prop_assert_eq!(
-                        table.packet(flow_key(key), direction, bytes, &metadata[m], now),
-                        model.packet(flow_key(key), up, bytes, apps[m], now)
-                    );
-                }
-                FlowOp::Finish { key } => {
-                    table.finish(flow_key(key), now);
-                    model.finish(flow_key(key));
-                }
-                FlowOp::Flush => {
-                    let rows: Vec<_> = table.flush().collect();
-                    prop_assert_eq!(rows, model.flush());
-                }
-            }
-            prop_assert_eq!(
-                table.flow_counters(),
-                (model.evictions, model.slow, model.fast, model.flows.len()),
-                "after {:?} at {}", op, now
-            );
-        }
-        let rows: Vec<_> = table.flush().collect();
-        prop_assert_eq!(rows, model.flush());
     }
 
     #[test]

@@ -330,10 +330,6 @@ fn format_captures(literal: &str) -> Vec<String> {
 /// a fixture, or a read of product state no output prints.
 const TEST_SURFACE: &[(&str, &str)] = &[
     (
-        "airstat_classify::flows::FlowTable::flow_counters",
-        "airstat-classify tests/properties.rs flow_table_matches_an_ordered_map_model",
-    ),
-    (
         "airstat_core::export::DatasetRelease::row_counts",
         "tests/operations.rs dataset_release_covers_both_windows",
     ),
