@@ -65,37 +65,38 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--explain] [--store-dir DIR [--resume]]\n\
-     \n\
-     report        print every table and figure of the paper\n\
-     table N       print table N (2-7)\n\
-     figure N      print figure N (1-11)\n\
-     release DIR   write the anonymized dataset CSVs into DIR\n\
-     info          print panel sizes at the chosen scale\n\
-     --scale S     fleet scale in (0, 1], default 0.01\n\
-     --seed N      root random seed (u64, decimal or 0x-hex)\n\
-     --threads T   worker threads (>= 1); output is byte-identical for\n\
-                   every value, default = available CPU cores\n\
-     --shards K    snapshot-store shards (>= 1); output is byte-identical\n\
-                   for every value, default 8\n\
-     --faults NAME run under a fault-injection campaign and print a\n\
-                   degradation report; NAME is one of zero, tunnel-loss,\n\
-                   dc-outage, queue-pressure, queue-pressure-fleet\n\
-     --explain     print one stderr line per plan the vectorized engine\n\
-                   computes cold: plan name, shards read, shards skipped\n\
-                   (no segment for the plan's window, or not the shard\n\
-                   a link series routes to)\n\
-     --store-dir DIR\n\
-                   persist the store into DIR (docs/SEGMENT_FORMAT.md):\n\
-                   every batch hits a crash-safe tail log during the run\n\
-                   and the final state is committed as columnar segments\n\
-     --resume      skip the simulation and answer from the store\n\
-                   persisted in --store-dir (tail-log records from a\n\
-                   crashed run are replayed); stdout is byte-identical\n\
-                   to the run that wrote it when given that run's\n\
-                   --scale and --seed (the store does not record them;\n\
-                   Table 2, Figure 11 and Figure 1's sampling come from\n\
-                   the configuration, not the store)"
+    "\
+usage: airstat <report | table N | figure N | release DIR | info> [--scale S] [--seed N] [--threads T] [--shards K] [--faults NAME] [--explain] [--store-dir DIR [--resume]]
+
+report        print every table and figure of the paper
+table N       print table N (2-7)
+figure N      print figure N (1-11)
+release DIR   write the anonymized dataset CSVs into DIR
+info          print panel sizes at the chosen scale
+--scale S     fleet scale in (0, 1], default 0.01
+--seed N      root random seed (u64, decimal or 0x-hex)
+--threads T   worker threads (>= 1); output is byte-identical for
+              every value, default = available CPU cores
+--shards K    snapshot-store shards (>= 1); output is byte-identical
+              for every value, default 8
+--faults NAME run under a fault-injection campaign and print a
+              degradation report; NAME is one of zero, tunnel-loss,
+              dc-outage, queue-pressure, queue-pressure-fleet
+--explain     print one stderr line per plan the vectorized engine
+              computes cold: plan name, shards read, shards skipped
+              (no segment for the plan's window, or not the shard
+              a link series routes to)
+--store-dir DIR
+              persist the store into DIR (docs/SEGMENT_FORMAT.md):
+              every batch hits a crash-safe tail log during the run
+              and the final state is committed as columnar segments
+--resume      skip the simulation and answer from the store
+              persisted in --store-dir (tail-log records from a
+              crashed run are replayed); stdout is byte-identical
+              to the run that wrote it when given that run's
+              --scale and --seed (the store does not record them;
+              Table 2, Figure 11 and Figure 1's sampling come from
+              the configuration, not the store)"
 }
 
 fn parse_u64(s: &str) -> Result<u64, String> {
@@ -548,5 +549,49 @@ mod tests {
         assert_eq!(parse_u64("123").unwrap(), 123);
         assert_eq!(parse_u64("0xff").unwrap(), 255);
         assert!(parse_u64("zzz").is_err());
+    }
+
+    #[test]
+    fn usage_wraps_each_description_at_its_column() {
+        // An entry line starts with a command or a flag; its description
+        // starts at the first word after the name and any upper-case
+        // placeholder (`N`, `DIR`, ...).
+        let is_entry = |line: &str| {
+            line.starts_with("--")
+                || ["report", "table", "figure", "release", "info"]
+                    .iter()
+                    .any(|command| line.starts_with(command))
+        };
+        let description_column = |line: &str| {
+            let mut at = 0;
+            let mut words = Vec::new();
+            for word in line.split(' ') {
+                if !word.is_empty() {
+                    words.push((at, word));
+                }
+                at += word.len() + 1;
+            }
+            words
+                .into_iter()
+                .skip(1)
+                .find(|(_, word)| !word.chars().all(|c| c.is_ascii_uppercase()))
+                .map(|(at, _)| at)
+        };
+        let mut lines = usage().lines().skip_while(|line| !line.is_empty());
+        assert_eq!(lines.next(), Some(""), "a blank line follows the synopsis");
+        let mut column = None;
+        let mut continuations = 0;
+        for line in lines {
+            if is_entry(line) {
+                if let Some(at) = description_column(line) {
+                    assert_eq!(*column.get_or_insert(at), at, "{line:?}");
+                }
+            } else {
+                let indent = line.len() - line.trim_start().len();
+                assert_eq!(Some(indent), column, "{line:?}");
+                continuations += 1;
+            }
+        }
+        assert!(continuations > 0);
     }
 }
