@@ -65,6 +65,33 @@ const _: () = assert!(APP_LANES <= 64);
 /// Dense accumulator lanes for [`OsFamily`] (indexed by discriminant).
 pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
 
+/// A MAC packed into a `u64`, its six bytes big-endian, so it orders
+/// like `MacAddress: Ord` (lexicographic bytes) and compares in one
+/// instruction. The decoders' key-order checks and every MAC-keyed
+/// [`kway_groups`] walk compare these; no column changes type.
+#[inline(always)]
+pub(crate) fn mac_key(mac: MacAddress) -> u64 {
+    let [a, b, c, d, e, f] = mac.0;
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
+
+/// A usage cell's `(MacAddress, Application)` key packed as
+/// `mac_key << 8 | app`, which orders like the tuple: the MAC takes
+/// the high 48 bits and every discriminant fits the low 8.
+#[inline(always)]
+pub(crate) fn usage_key(mac: MacAddress, app: Application) -> u64 {
+    mac_key(mac) << 8 | app as u64
+}
+
+// Every discriminant fits the low byte of a [`usage_key`].
+const _: () = {
+    let mut i = 0;
+    while i < Application::ALL.len() {
+        assert!((Application::ALL[i] as u64) <= u8::MAX as u64);
+        i += 1;
+    }
+};
+
 /// One shard's columnar projection: a packed, read-optimized copy of
 /// every window the shard holds, built by `ColumnarShard::build` at
 /// seal time.
@@ -648,9 +675,11 @@ impl ColumnarWindow {
     pub(crate) fn usage_totals_by_mac(&self) -> (Vec<MacAddress>, Vec<UsageTotals>) {
         let mut macs = Vec::new();
         let mut totals: Vec<UsageTotals> = Vec::new();
+        let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            if macs.last() != Some(&mac) {
+            if last != Some(mac_key(mac)) {
+                last = Some(mac_key(mac));
                 macs.push(mac);
                 totals.push(UsageTotals::default());
             }
@@ -670,9 +699,11 @@ impl ColumnarWindow {
     pub(crate) fn app_masks_by_mac(&self) -> (Vec<MacAddress>, Vec<u64>) {
         let mut macs = Vec::new();
         let mut masks: Vec<u64> = Vec::new();
+        let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            if macs.last() != Some(&mac) {
+            if last != Some(mac_key(mac)) {
+                last = Some(mac_key(mac));
                 macs.push(mac);
                 masks.push(0);
             }
@@ -847,11 +878,11 @@ fn merge_segments_into(
         let lens: Vec<usize> = segs.iter().map(|s| s.usage_mac.len()).collect();
         kway_groups(
             &lens,
-            |r, i| (segs[r].usage_mac[i], segs[r].usage_app[i]),
-            |(mac, app), members| {
+            |r, i| usage_key(segs[r].usage_mac[i], segs[r].usage_app[i]),
+            |_, members| {
                 let (r, i) = newest(members);
-                w.usage_mac.push(mac);
-                w.usage_app.push(app);
+                w.usage_mac.push(segs[r].usage_mac[i]);
+                w.usage_app.push(segs[r].usage_app[i]);
                 w.usage_up.push(segs[r].usage_up[i]);
                 w.usage_down.push(segs[r].usage_down[i]);
             },
@@ -861,10 +892,10 @@ fn merge_segments_into(
         let lens: Vec<usize> = segs.iter().map(|s| s.client_mac.len()).collect();
         kway_groups(
             &lens,
-            |r, i| segs[r].client_mac[i],
-            |mac, members| {
+            |r, i| mac_key(segs[r].client_mac[i]),
+            |_, members| {
                 let (r, i) = newest(members);
-                w.client_mac.push(mac);
+                w.client_mac.push(segs[r].client_mac[i]);
                 w.client_meta.push(segs[r].client_meta[i]);
                 w.client_os.push(segs[r].client_os[i]);
                 w.client_caps.push(segs[r].client_caps[i]);
@@ -982,13 +1013,15 @@ pub(crate) fn usage_totals_by_mac_stack(
     let mut macs: Vec<MacAddress> = Vec::new();
     let mut totals: Vec<UsageTotals> = Vec::new();
     let lens: Vec<usize> = segs.iter().map(|s| s.usage_mac.len()).collect();
+    let mut last_mac = None;
     kway_groups(
         &lens,
-        |r, i| (segs[r].usage_mac[i], segs[r].usage_app[i]),
-        |(mac, _), members| {
+        |r, i| usage_key(segs[r].usage_mac[i], segs[r].usage_app[i]),
+        |key, members| {
             let (r, i) = newest(members);
-            if macs.last() != Some(&mac) {
-                macs.push(mac);
+            if last_mac != Some(key >> 8) {
+                last_mac = Some(key >> 8);
+                macs.push(segs[r].usage_mac[i]);
                 totals.push(UsageTotals::default());
             }
             let slot = totals
@@ -1011,10 +1044,10 @@ pub(crate) fn add_usage_by_app_stack(
     let lens: Vec<usize> = segs.iter().map(|s| s.usage_mac.len()).collect();
     kway_groups(
         &lens,
-        |r, i| (segs[r].usage_mac[i], segs[r].usage_app[i]),
-        |(_, app), members| {
+        |r, i| usage_key(segs[r].usage_mac[i], segs[r].usage_app[i]),
+        |_, members| {
             let (r, i) = newest(members);
-            let slot = &mut lanes[app as usize];
+            let slot = &mut lanes[segs[r].usage_app[i] as usize];
             slot.up_bytes = slot.up_bytes.saturating_add(segs[r].usage_up[i]);
             slot.down_bytes = slot.down_bytes.saturating_add(segs[r].usage_down[i]);
         },
@@ -1146,6 +1179,29 @@ mod tests {
                 grouped.push((key, members.to_vec()));
             });
             prop_assert_eq!(grouped, kway_model(&runs));
+        }
+
+        /// The packed keys the order checks and MAC-keyed walks compare
+        /// order exactly like what they pack: `mac_key` like
+        /// `MacAddress: Ord`, and `usage_key` like the `(MacAddress,
+        /// Application)` tuple for every pair of applications. `b`
+        /// shares its first `shared` bytes with `a`, so near and equal
+        /// MACs are drawn as often as far ones.
+        #[test]
+        fn packed_keys_order_like_the_keys_they_pack(
+            a in any::<[u8; 6]>(),
+            b in any::<[u8; 6]>(),
+            shared in 0usize..=6,
+        ) {
+            let mut b = b;
+            b[..shared].copy_from_slice(&a[..shared]);
+            let (a, b) = (MacAddress(a), MacAddress(b));
+            prop_assert_eq!(mac_key(a).cmp(&mac_key(b)), a.cmp(&b));
+            for &x in Application::ALL {
+                for &y in Application::ALL {
+                    prop_assert_eq!(usage_key(a, x).cmp(&usage_key(b, y)), (a, x).cmp(&(b, y)));
+                }
+            }
         }
     }
 

@@ -49,9 +49,9 @@ use airstat_telemetry::backend::{
 use airstat_telemetry::crash::CrashAggregator;
 
 use crate::columnar::{
-    add_usage_by_app_stack, kway_groups, merge_segments, select_indices, usage_totals_by_mac_stack,
-    ColumnarWindow, APP_LANES, FAM_AIRTIME, FAM_CENSUS, FAM_CLIENTS, FAM_CRASHES, FAM_LINKS,
-    FAM_SCANS, FAM_USAGE, OS_LANES,
+    add_usage_by_app_stack, kway_groups, mac_key, merge_segments, select_indices,
+    usage_totals_by_mac_stack, ColumnarWindow, APP_LANES, FAM_AIRTIME, FAM_CENSUS, FAM_CLIENTS,
+    FAM_CRASHES, FAM_LINKS, FAM_SCANS, FAM_USAGE, OS_LANES,
 };
 use crate::exec::run_ordered;
 use crate::segment::PersistenceStats;
@@ -760,7 +760,7 @@ impl QueryEngine {
                 let lens: Vec<usize> = runs.iter().map(|(macs, _)| macs.len()).collect();
                 kway_groups(
                     &lens,
-                    |r, i| runs[r].0[i],
+                    |r, i| mac_key(runs[r].0[i]),
                     |_, members| {
                         let mut apps = members.iter().fold(0u64, |m, &(r, i)| m | runs[r].1[i]);
                         while apps != 0 {
@@ -811,19 +811,19 @@ impl QueryEngine {
                 let mut ci = 0usize;
                 kway_groups(
                     &lens,
-                    |r, i| runs[r].0[i],
-                    |mac, members| {
+                    |r, i| mac_key(runs[r].0[i]),
+                    |key, members| {
                         let mut totals = UsageTotals::default();
                         for &(r, i) in members {
                             let t = runs[r].1[i];
                             totals.up_bytes = totals.up_bytes.saturating_add(t.up_bytes);
                             totals.down_bytes = totals.down_bytes.saturating_add(t.down_bytes);
                         }
-                        while ci < clients.len() && clients[ci].0 < mac {
+                        while ci < clients.len() && mac_key(clients[ci].0) < key {
                             ci += 1;
                         }
                         let os = match clients.get(ci) {
-                            Some((m, identity)) if *m == mac => identity.os,
+                            Some((m, identity)) if mac_key(*m) == key => identity.os,
                             _ => OsFamily::Unknown,
                         };
                         let slot = &mut agg[os as usize];
@@ -858,12 +858,13 @@ impl QueryEngine {
                 let mut out = Vec::with_capacity(lens.iter().sum());
                 kway_groups(
                     &lens,
-                    |r, i| wins[r].client_mac[i],
-                    |mac, members| {
+                    |r, i| mac_key(wins[r].client_mac[i]),
+                    |_, members| {
                         // Largest provenance wins, scanning members in
                         // shard order with a strict `>` — the same rule
                         // as the legacy fold.
                         let (mut br, mut bi) = members[0];
+                        let mac = wins[br].client_mac[bi];
                         for &(r, i) in &members[1..] {
                             if wins[r].client_meta[i] > wins[br].client_meta[bi] {
                                 (br, bi) = (r, i);
@@ -896,7 +897,7 @@ impl QueryEngine {
                 let mut count = 0u64;
                 kway_groups(
                     &lens,
-                    |r, i| wins[r].usage_mac[sels[r][i] as usize],
+                    |r, i| mac_key(wins[r].usage_mac[sels[r][i] as usize]),
                     |_, _| count += 1,
                 );
                 QueryValue::Count(count)

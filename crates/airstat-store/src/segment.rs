@@ -52,7 +52,7 @@ use airstat_telemetry::crash::{CrashReport, RebootReason};
 use airstat_telemetry::report::Report;
 use airstat_telemetry::wire::{put_varint, WireError};
 
-use crate::columnar::{ColumnarShard, ColumnarWindow};
+use crate::columnar::{mac_key, usage_key, ColumnarShard, ColumnarWindow};
 use crate::shard::{ClientMeta, SeqSet, StoreShard};
 use crate::store::{ReportSink, SegmentStack, ShardedStore, StoreConfig};
 
@@ -322,27 +322,117 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// Inputs at least this long run as three interleaved streams.
+const CRC_STREAMS_MIN_LEN: usize = 4096;
+
 /// The CRC32 guarding every block, header, manifest, and tail record.
+///
+/// A short input runs as one slice-by-8 chain, whose every stride waits
+/// on the one before it. From [`CRC_STREAMS_MIN_LEN`] bytes the input
+/// splits into three equal runs of whole strides and a tail under 24
+/// bytes; the three runs fold in one loop, so their lookups overlap,
+/// the second and third from a zero register. The CRC is linear, so
+/// `reg(r, A‖B) = reg(r, A)·x^(8|B|) ^ reg(0, B)` joins them — the
+/// shift zlib's `crc32_combine` makes — and the tail folds on serially.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
+    if bytes.len() < CRC_STREAMS_MIN_LEN {
+        return !crc_fold(!0, bytes);
+    }
+    let run = bytes.len() / 24 * 8;
+    let (a, rest) = bytes.split_at(run);
+    let (b, rest) = rest.split_at(run);
+    let (c, tail) = rest.split_at(run);
+    let (mut x, mut y, mut z) = (!0u32, 0u32, 0u32);
+    for ((a, b), c) in a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+    {
+        x = crc_stride(x, a);
+        y = crc_stride(y, b);
+        z = crc_stride(z, c);
+    }
+    let shift = x_pow_8n(run);
+    let joined = gf2_mul(shift, gf2_mul(shift, x) ^ y) ^ z;
+    !crc_fold(joined, tail)
+}
+
+/// Folds `bytes` into the register `crc` (no pre- or post-inversion).
+fn crc_fold(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        crc = crc_stride(crc, c);
     }
     for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    crc
+}
+
+/// Folds one 8-byte stride `c` into the register `crc`: eight
+/// independent table lookups.
+#[inline(always)]
+fn crc_stride(crc: u32, c: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// `a·b` modulo the CRC polynomial, in the register's reflected bit
+/// order (bit 31 is x⁰).
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ 0xEDB8_8320
+        } else {
+            b >> 1
+        };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `X_POW_2K[k]` is x^(2^k) modulo the CRC polynomial.
+const X_POW_2K: [u32; 32] = {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30;
+    let mut k = 1;
+    while k < 32 {
+        table[k] = gf2_mul(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+};
+
+// x^(2^32) = x modulo the polynomial, so `x_pow_8n` may wrap `k` at 32.
+const _: () = assert!(gf2_mul(X_POW_2K[31], X_POW_2K[31]) == X_POW_2K[0]);
+
+/// x^(8n) modulo the CRC polynomial: the shift `n` zero bytes apply to
+/// a register.
+fn x_pow_8n(mut n: usize) -> u32 {
+    let mut power = 1u32 << 31;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            power = gf2_mul(X_POW_2K[k % 32], power);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    power
 }
 
 /// Checks a stored CRC32 against the bytes it covers.
@@ -427,6 +517,72 @@ mod cursor {
             let v = reader.read_varint()?;
             self.pos = self.buf.len() - reader.remaining();
             Ok(v)
+        }
+
+        /// [`Cursor::varint`] a word at a time: where eight bytes are
+        /// left and one of them ends the varint, it loads them as a
+        /// little-endian `u64`, finds the first byte with its high bit
+        /// clear and packs the 7-bit groups up to it without a branch.
+        /// A one-byte varint returns before that: the columns of small
+        /// codes (applications, bands, slots) take that branch every
+        /// row, and it is cheaper than the packing's chain from one
+        /// row's length to the next row's load. Anything else — fewer
+        /// than eight bytes left, or a varint longer than eight — goes
+        /// to [`Cursor::varint`], so both accept the same bytes with
+        /// the same value and length, and refuse the rest with the
+        /// same error.
+        #[inline(always)]
+        fn word_varint(&mut self) -> Result<u64, SegmentError> {
+            if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
+                let x = u64::from_le_bytes(
+                    word.try_into()
+                        .expect("invariant: the range is eight bytes long"),
+                );
+                if x & 0x80 == 0 {
+                    self.pos += 1;
+                    return Ok(x & 0x7F);
+                }
+                let stops = !x & 0x8080_8080_8080_8080;
+                if stops != 0 {
+                    // The varint's length, and every bit up to and
+                    // including its stop bit; the packing masks drop
+                    // the continuation bits.
+                    let len = (stops.trailing_zeros() as usize + 1) / 8;
+                    let through = stops ^ (stops - 1);
+                    let mut v = x & through;
+                    v = (v & 0x007F_007F_007F_007F) | ((v & 0x7F00_7F00_7F00_7F00) >> 1);
+                    v = (v & 0x0000_3FFF_0000_3FFF) | ((v & 0x3FFF_0000_3FFF_0000) >> 2);
+                    v = (v & 0x0000_0000_0FFF_FFFF) | ((v & 0x0FFF_FFFF_0000_0000) >> 4);
+                    self.pos += len;
+                    return Ok(v);
+                }
+            }
+            self.varint()
+        }
+
+        /// Reads one varint column: `rows` varints, each mapped by `map`,
+        /// which is told the row it is on.
+        pub(super) fn varint_col<T>(
+            &mut self,
+            rows: Rows,
+            mut map: impl FnMut(usize, u64) -> Result<T, SegmentError>,
+        ) -> Result<Vec<T>, SegmentError> {
+            self.col_indexed(rows, |cur, row| map(row, cur.word_varint()?))
+        }
+
+        /// [`Cursor::varint_col`] of plain `u64`s.
+        pub(super) fn varints(&mut self, rows: Rows) -> Result<Vec<u64>, SegmentError> {
+            self.varint_col(rows, |_, v| Ok(v))
+        }
+
+        /// [`Cursor::varint_col`] of values that must fit the narrower
+        /// integer type `T` (see [`Cursor::narrow`]).
+        pub(super) fn narrow_col<T: TryFrom<u64>>(
+            &mut self,
+            rows: Rows,
+            context: &'static str,
+        ) -> Result<Vec<T>, SegmentError> {
+            self.varint_col(rows, |_, v| T::try_from(v).map_err(|_| corrupt(context)))
         }
 
         /// A varint that must fit the narrower integer type `T`.
@@ -594,13 +750,9 @@ fn variant<T: Copy>(d: u64, variants: &[T], context: &'static str) -> Result<T, 
         .ok_or_else(|| corrupt(context))
 }
 
-/// Reads one discriminant and resolves it through its lane table.
-fn lane<T: Copy>(
-    cur: &mut Cursor<'_>,
-    lanes: &[Option<T>],
-    context: &'static str,
-) -> Result<T, SegmentError> {
-    variant(cur.varint()?, lanes, context)?.ok_or_else(|| corrupt(context))
+/// Resolves discriminant `d` through its lane table.
+fn lane<T: Copy>(d: u64, lanes: &[Option<T>], context: &'static str) -> Result<T, SegmentError> {
+    variant(d, lanes, context)?.ok_or_else(|| corrupt(context))
 }
 
 fn mac(cur: &mut Cursor<'_>) -> Result<MacAddress, SegmentError> {
@@ -611,9 +763,9 @@ fn window_id(cur: &mut Cursor<'_>) -> Result<WindowId, SegmentError> {
     cur.narrow("window id out of range").map(WindowId)
 }
 
-fn band(cur: &mut Cursor<'_>) -> Result<Band, SegmentError> {
+fn band(d: u64) -> Result<Band, SegmentError> {
     let bands = [Band::Ghz2_4, Band::Ghz5];
-    variant(cur.varint()?, &bands, "band discriminant out of range")
+    variant(d, &bands, "band discriminant out of range")
 }
 
 fn reason_from(code: u64) -> Result<RebootReason, SegmentError> {
@@ -952,9 +1104,9 @@ fn read_metas(
     n: Rows,
     slot_context: &'static str,
 ) -> Result<Vec<ClientMeta>, SegmentError> {
-    let devices = cur.col(n, Cursor::varint)?;
-    let seqs = cur.col(n, Cursor::varint)?;
-    let slots = cur.col(n, |c| c.narrow(slot_context))?;
+    let devices = cur.varints(n)?;
+    let seqs = cur.varints(n)?;
+    let slots = cur.narrow_col(n, slot_context)?;
     let meta = |((device, seq), slot)| ClientMeta { device, seq, slot };
     Ok(devices.into_iter().zip(seqs).zip(slots).map(meta).collect())
 }
@@ -966,12 +1118,12 @@ fn decode_usage(
 ) -> Result<(), SegmentError> {
     let n = cur.count(9, "usage row count exceeds block size")?;
     w.usage_mac = cur.col(n, mac)?;
-    w.usage_app = cur.col(n, |c| {
-        lane(c, apps, "application discriminant out of range")
+    w.usage_app = cur.varint_col(n, |_, d| {
+        lane(d, apps, "application discriminant out of range")
     })?;
-    w.usage_up = cur.col(n, Cursor::varint)?;
-    w.usage_down = cur.col(n, Cursor::varint)?;
-    let key = |i: usize| (w.usage_mac[i], w.usage_app[i]);
+    w.usage_up = cur.varints(n)?;
+    w.usage_down = cur.varints(n)?;
+    let key = |i: usize| usage_key(w.usage_mac[i], w.usage_app[i]);
     ascending(n.get(), key, "usage keys not strictly ascending")
 }
 
@@ -983,33 +1135,35 @@ fn decode_clients(
     let n = cur.count(6 + 6 + 8, "client row count exceeds block size")?;
     w.client_mac = cur.col(n, mac)?;
     w.client_meta = read_metas(cur, n, "client slot out of range")?;
-    w.client_os = cur.col(n, |c| lane(c, oses, "OS-family discriminant out of range"))?;
+    w.client_os = cur.varint_col(n, |_, d| {
+        lane(d, oses, "OS-family discriminant out of range")
+    })?;
     // Stored capabilities were normalized by `Capabilities::new` before
     // they ever reached a shard, so a code that does not round-trip is a
     // tampered or corrupt field.
-    w.client_caps = cur.col(n, |c| {
-        Capabilities::from_code(c.varint()?).ok_or_else(|| corrupt("denormalized capability bits"))
+    w.client_caps = cur.varint_col(n, |_, code| {
+        Capabilities::from_code(code).ok_or_else(|| corrupt("denormalized capability bits"))
     })?;
-    w.client_band = cur.col(n, band)?;
+    w.client_band = cur.varint_col(n, |_, d| band(d))?;
     w.client_rssi = cur.col(n, Cursor::f64)?;
-    let key = |i: usize| w.client_mac[i];
+    let key = |i: usize| mac_key(w.client_mac[i]);
     ascending(n.get(), key, "client keys not strictly ascending")
 }
 
 fn decode_links(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let k = cur.count(4, "link key count exceeds block size")?;
-    let rx = cur.col(k, Cursor::varint)?;
-    let tx = cur.col(k, Cursor::varint)?;
-    w.link_keys = cur.col_indexed(k, |c, i| {
+    let rx = cur.varints(k)?;
+    let tx = cur.varints(k)?;
+    w.link_keys = cur.varint_col(k, |i, d| {
         Ok(LinkKey {
             rx_device: rx[i],
             tx_device: tx[i],
-            band: band(c)?,
+            band: band(d)?,
         })
     })?;
     let lens = cur.col(k, |c| c.count(1, "link series length exceeds block size"))?;
     let total = cur.total(&lens, "link series lengths exceed block size")?;
-    w.link_ts = cur.col(total, Cursor::varint)?;
+    w.link_ts = cur.varints(total)?;
     w.link_ratio = cur.col(total, Cursor::f64)?;
     w.link_offsets = offsets_of(&lens);
     let key = |i: usize| w.link_keys[i];
@@ -1018,12 +1172,11 @@ fn decode_links(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Segm
 
 fn decode_airtime(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let n = cur.count(5, "airtime row count exceeds block size")?;
-    let devices = cur.col(n, Cursor::varint)?;
-    w.airtime_key = cur.col_indexed(n, |c, i| Ok((devices[i], band(c)?)))?;
-    let elapsed = cur.col(n, Cursor::varint)?;
-    let busy = cur.col(n, Cursor::varint)?;
-    w.airtime_wifi = cur.col_indexed(n, |c, i| {
-        let wifi = c.varint()?;
+    let devices = cur.varints(n)?;
+    w.airtime_key = cur.varint_col(n, |i, d| Ok((devices[i], band(d)?)))?;
+    let elapsed = cur.varints(n)?;
+    let busy = cur.varints(n)?;
+    w.airtime_wifi = cur.varint_col(n, |i, wifi| {
         // The ledger's own invariant; `unpack` restores each ledger
         // with one `account` call, which is exact only under it.
         if busy[i] > elapsed[i] || wifi > busy[i] {
@@ -1041,14 +1194,14 @@ fn decode_airtime(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
 
 fn decode_neighbors(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let d = cur.count(5, "neighbor device count exceeds block size")?;
-    w.census_device = cur.col(d, Cursor::varint)?;
+    w.census_device = cur.varints(d)?;
     w.census_meta = read_metas(cur, d, "neighbor slot out of range")?;
     let lens = cur.col(d, |c| c.count(1, "census row count exceeds block size"))?;
     let total = cur.total(&lens, "census row counts exceed block size")?;
-    w.census_band = cur.col(total, band)?;
-    w.census_channel = cur.col(total, |c| c.narrow("channel number out of range"))?;
-    w.census_networks = cur.col(total, |c| c.narrow("network count out of range"))?;
-    w.census_hotspots = cur.col(total, |c| c.narrow("hotspot count out of range"))?;
+    w.census_band = cur.varint_col(total, |_, d| band(d))?;
+    w.census_channel = cur.narrow_col(total, "channel number out of range")?;
+    w.census_networks = cur.narrow_col(total, "network count out of range")?;
+    w.census_hotspots = cur.narrow_col(total, "hotspot count out of range")?;
     w.census_offsets = offsets_of(&lens);
     let key = |i: usize| w.census_device[i];
     ascending(d.get(), key, "census devices not strictly ascending")
@@ -1073,14 +1226,15 @@ fn decode_keyed<V>(
     values: impl FnOnce(&mut Cursor<'_>, Rows, &[u64], &[Rows]) -> Result<V, SegmentError>,
 ) -> Result<KeyedColumns<V>, SegmentError> {
     let d = cur.count(2, "keyed-table device count exceeds block size")?;
-    let devices = cur.col(d, Cursor::varint)?;
+    let devices = cur.varints(d)?;
     let lens = cur.col(d, |c| {
         c.count(1, "keyed-table row count exceeds block size")
     })?;
     let total = cur.total(&lens, "keyed-table row counts exceed block size")?;
-    let seqs = cur.col(total, Cursor::varint)?;
-    let keys = cur.col_indexed(total, |c, j| {
-        Ok((seqs[j], c.narrow("keyed-table slot out of range")?))
+    let seqs = cur.varints(total)?;
+    let keys = cur.varint_col(total, |j, slot| {
+        let slot = u32::try_from(slot).map_err(|_| corrupt("keyed-table slot out of range"))?;
+        Ok((seqs[j], slot))
     })?;
     let values = values(cur, total, &devices, &lens)?;
     let offsets = offsets_of(&lens);
@@ -1104,12 +1258,12 @@ fn decode_scans(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Segm
         "scan (seq, slot) keys not strictly ascending within a device",
     ];
     let table = decode_keyed(cur, order, |cur, total, _, _| {
-        w.scan_ts = cur.col(total, Cursor::varint)?;
-        let bands = cur.col(total, band)?;
-        w.scan_channel = cur.col_indexed(total, |c, j| channel_from(bands[j], c.varint()?))?;
-        w.scan_util_ppm = cur.col(total, |c| c.narrow("utilization out of range"))?;
-        w.scan_decodable_ppm = cur.col(total, |c| c.narrow("decodable share out of range"))?;
-        w.scan_networks = cur.col(total, |c| c.narrow("network count out of range"))?;
+        w.scan_ts = cur.varints(total)?;
+        let bands = cur.varint_col(total, |_, d| band(d))?;
+        w.scan_channel = cur.varint_col(total, |j, number| channel_from(bands[j], number))?;
+        w.scan_util_ppm = cur.narrow_col(total, "utilization out of range")?;
+        w.scan_decodable_ppm = cur.narrow_col(total, "decodable share out of range")?;
+        w.scan_networks = cur.narrow_col(total, "network count out of range")?;
         Ok(())
     })?;
     w.scan_device = table.devices;
@@ -1131,10 +1285,10 @@ fn decode_crashes(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
             .zip(lens)
             .flat_map(|(&device, len)| std::iter::repeat(device).take(len.get()))
             .collect::<Vec<u64>>();
-        let reasons = cur.col(total, |c| reason_from(c.varint()?))?;
-        let pcs = cur.col(total, Cursor::varint)?;
-        let uptimes = cur.col(total, Cursor::varint)?;
-        let free_memory = cur.col(total, Cursor::varint)?;
+        let reasons = cur.varint_col(total, |_, code| reason_from(code))?;
+        let pcs = cur.varints(total)?;
+        let uptimes = cur.varints(total)?;
+        let free_memory = cur.varints(total)?;
         cur.col_indexed(total, |c, j| {
             let len = c.count(1, "firmware string length exceeds block size")?;
             let bytes = c.take(len.get(), "truncated firmware string")?;
@@ -1163,14 +1317,14 @@ fn decode_crashes(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
 // ledger type; canonical order is enforced on the segment bytes.
 fn decode_dedup(cur: &mut Cursor<'_>) -> Result<HashMap<(WindowId, u64), SeqSet>, SegmentError> {
     let n = cur.count(4, "dedup entry count exceeds block size")?;
-    let windows = cur.col(n, window_id)?;
-    let devices = cur.col(n, Cursor::varint)?;
-    let watermarks = cur.col(n, Cursor::varint)?;
+    let windows: Vec<u16> = cur.narrow_col(n, "window id out of range")?;
+    let devices = cur.varints(n)?;
+    let watermarks = cur.varints(n)?;
     let lens = cur.col(n, |c| c.count(1, "sparse tail length exceeds block size"))?;
     let mut map = HashMap::with_capacity(n.get());
     for i in 0..n.get() {
-        let key = (windows[i], devices[i]);
-        if i > 0 && key <= (windows[i - 1], devices[i - 1]) {
+        let key = (WindowId(windows[i]), devices[i]);
+        if i > 0 && key <= (WindowId(windows[i - 1]), devices[i - 1]) {
             return Err(corrupt(
                 "dedup entries not in ascending (window, device) order",
             ));
@@ -1869,14 +2023,14 @@ pub(crate) mod tests {
         files
     }
 
-    /// The byte-at-a-time table loop that slice-by-8 replaced, kept as
-    /// its oracle.
     /// `shard` encoded whole as shard 0 of 1 at epoch 1, its stack the
     /// full projection of its rows.
     pub(super) fn encode_whole(shard: &StoreShard) -> Vec<u8> {
         encode_segment(shard, &[shard.projection()], 1, 0, 1)
     }
 
+    /// The byte-at-a-time table loop that slice-by-8 replaced, kept as
+    /// the oracle of both the one-chain and the three-stream path.
     fn crc32_bytewise(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in bytes {
@@ -1928,13 +2082,64 @@ pub(crate) mod tests {
         );
     }
 
+    /// `len` bytes of xorshift noise from `seed`.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// One input past a mebibyte: three streams of about 350 KiB each,
+    /// joined by a shift far longer than any the proptest draws.
+    #[test]
+    fn three_stream_crc_matches_the_bytewise_loop_past_a_mebibyte() {
+        let bytes = noise(0x5EED, (1 << 20) + 13);
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
+    /// One varint as a test draws it: the canonical encoding of `value`
+    /// cut to its low `width` bits (so every length from 1 to 10 bytes
+    /// is drawn alike), the same value padded with zero groups to `pad`
+    /// extra bytes (overlong but legal while it stays within ten), nine
+    /// continuation bytes then a tenth byte `last` (legal only at 0 or
+    /// 1), or one raw byte.
+    fn drawn_varint(kind: u8, value: u64, width: u32, pad: usize, last: u8, out: &mut Vec<u8>) {
+        let value = value.checked_shr(64 - width).unwrap_or(0);
+        match kind % 4 {
+            0 => put_varint(out, value),
+            1 => {
+                put_varint(out, value);
+                let end = out.len() - 1;
+                out[end] |= 0x80;
+                out.extend(std::iter::repeat(0x80).take(pad));
+                out.push(0);
+            }
+            2 => {
+                out.extend([0xFF; 9]);
+                out.push(last);
+            }
+            _ => out.push(last),
+        }
+    }
+
     proptest! {
         /// Every length 0..=64 at every start offset 0..8 (all strides,
-        /// remainders and alignments), plus one random sub-slice.
+        /// remainders and alignments), plus one random sub-slice; then
+        /// across the three-stream threshold every length within 48
+        /// bytes of it (every remainder of the split into three runs of
+        /// whole strides), and one random length up to 64 KiB.
         #[test]
         fn slice_by_8_crc_matches_the_bytewise_loop(
             bytes in prop::collection::vec(any::<u8>(), 72..512),
             cut in (any::<usize>(), any::<usize>()),
+            seed in any::<u64>(),
+            long in 0usize..=64 * 1024,
         ) {
             for start in 0..8 {
                 for len in 0..=64 {
@@ -1945,6 +2150,63 @@ pub(crate) mod tests {
             let from = cut.0 % (bytes.len() + 1);
             let to = from + cut.1 % (bytes.len() - from + 1);
             prop_assert_eq!(crc32(&bytes[from..to]), crc32_bytewise(&bytes[from..to]));
+            let noise = noise(seed, 64 * 1024);
+            for len in CRC_STREAMS_MIN_LEN - 48..=CRC_STREAMS_MIN_LEN + 48 {
+                prop_assert_eq!(crc32(&noise[..len]), crc32_bytewise(&noise[..len]), "len {}", len);
+            }
+            prop_assert_eq!(crc32(&noise[..long]), crc32_bytewise(&noise[..long]), "len {}", long);
+        }
+
+        /// The word-at-a-time column reader against the per-value
+        /// [`Cursor::varint`] on the same bytes: the same values, the
+        /// same end position, and where the per-value reader fails on
+        /// a row, the same error at the same position. The bytes mix
+        /// canonical, overlong-but-legal and ten-byte varints (a tenth
+        /// byte above 1 overflows) with raw bytes, and are cut short at
+        /// a random point, so a varint can end the block mid-way.
+        #[test]
+        fn varint_column_reader_matches_the_per_value_reader(
+            drawn in prop::collection::vec(
+                (any::<u8>(), any::<u64>(), 0u32..=64, 0usize..10, any::<u8>()),
+                0..24,
+            ),
+            cut in any::<usize>(),
+            rows in any::<usize>(),
+        ) {
+            let mut bytes = Vec::new();
+            for &(kind, value, width, pad, last) in &drawn {
+                drawn_varint(kind, value, width, pad, last, &mut bytes);
+            }
+            bytes.truncate(cut % (bytes.len() + 1));
+            let rows = rows % (bytes.len() + 1);
+
+            let mut oracle = Cursor::new(&bytes);
+            let mut values = Vec::new();
+            let mut failure = None;
+            while values.len() < rows {
+                match oracle.varint() {
+                    Ok(v) => values.push(v),
+                    Err(e) => {
+                        failure = Some(format!("{e:?}"));
+                        break;
+                    }
+                }
+            }
+            let counted = |cur: &Cursor<'_>, n: usize| cur.rows(n as u64, 1, "rows").expect("n ≤ bytes");
+            let mut column = Cursor::new(&bytes);
+            let read = column.varints(counted(&column, rows));
+            match failure {
+                None => prop_assert_eq!(read.expect("the per-value reader accepted every row"), values),
+                Some(e) => {
+                    prop_assert_eq!(format!("{:?}", read.expect_err("the per-value reader failed")), e);
+                    // The rows before the failing one read alike.
+                    let mut prefix = Cursor::new(&bytes);
+                    let ok = prefix.varints(counted(&prefix, values.len()));
+                    prop_assert_eq!(ok.expect("the per-value reader accepted these rows"), values);
+                    prop_assert_eq!(prefix.pos(), oracle.pos());
+                }
+            }
+            prop_assert_eq!(column.pos(), oracle.pos());
         }
 
         /// Arbitrary bytes — not flips of a valid file — are a typed
