@@ -67,8 +67,9 @@ pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
 
 /// A MAC packed into a `u64`, its six bytes big-endian, so it orders
 /// like `MacAddress: Ord` (lexicographic bytes) and compares in one
-/// instruction. The decoders' key-order checks and every MAC-keyed
-/// [`kway_groups`] walk compare these; no column changes type.
+/// instruction. The decoders' key-order checks, every MAC-keyed
+/// [`kway_groups`] walk and the per-MAC rollups compare these; no
+/// column changes type.
 #[inline(always)]
 pub(crate) fn mac_key(mac: MacAddress) -> u64 {
     let [a, b, c, d, e, f] = mac.0;
@@ -678,8 +679,9 @@ impl ColumnarWindow {
         let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            if last != Some(mac_key(mac)) {
-                last = Some(mac_key(mac));
+            let key = mac_key(mac);
+            if last != Some(key) {
+                last = Some(key);
                 macs.push(mac);
                 totals.push(UsageTotals::default());
             }
@@ -702,8 +704,9 @@ impl ColumnarWindow {
         let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            if last != Some(mac_key(mac)) {
-                last = Some(mac_key(mac));
+            let key = mac_key(mac);
+            if last != Some(key) {
+                last = Some(key);
                 macs.push(mac);
                 masks.push(0);
             }

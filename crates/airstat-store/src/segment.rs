@@ -292,6 +292,9 @@ impl fmt::Display for RecoveryStats {
 /// lookups instead of a chain of eight dependent ones.
 const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
+/// The IEEE 802.3 polynomial, reflected.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
 const fn build_crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -300,7 +303,7 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC_POLY
             } else {
                 crc >> 1
             };
@@ -396,7 +399,7 @@ const fn gf2_mul(a: u32, mut b: u32) -> u32 {
             product ^= b;
         }
         b = if b & 1 != 0 {
-            (b >> 1) ^ 0xEDB8_8320
+            (b >> 1) ^ CRC_POLY
         } else {
             b >> 1
         };
