@@ -25,6 +25,19 @@
 # pairs and seed default to 10 and 1; the workloads named after them
 # (any of BENCHMARK.json's) are run in the order given, all four when
 # none is named.
+#
+# A/A layout check. A workload whose rep runs no changed code can still
+# read "worse": the change moves where unchanged functions land in the
+# binary, and the checkout's absolute path is compiled into the bench
+# binary's panic locations, so a path of another length shifts code by
+# itself. Give both checkouts paths of equal length, and before calling
+# such a row the change's doing, run the parent against a clone of
+# itself at a path of that same length, for that workload alone:
+#
+#   git clone -q <parent-checkout> <clone-path-of-equal-length>
+#   scripts/abba.sh <parent-checkout> <clone-path-of-equal-length> 10 1 <workload>
+#
+# A gap there is layout noise, not the change.
 set -euo pipefail
 
 (($# >= 2)) || {
