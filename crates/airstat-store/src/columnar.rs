@@ -67,9 +67,8 @@ pub(crate) const OS_LANES: usize = OsFamily::ALL.len();
 
 /// A MAC packed into a `u64`, its six bytes big-endian, so it orders
 /// like `MacAddress: Ord` (lexicographic bytes) and compares in one
-/// instruction. The decoders' key-order checks, every MAC-keyed
-/// [`kway_groups`] walk and the per-MAC rollups compare these; no
-/// column changes type.
+/// instruction. The decoders' key-order checks and every MAC-keyed
+/// [`kway_groups`] walk compare these; no column changes type.
 #[inline(always)]
 pub(crate) fn mac_key(mac: MacAddress) -> u64 {
     let [a, b, c, d, e, f] = mac.0;
@@ -676,12 +675,9 @@ impl ColumnarWindow {
     pub(crate) fn usage_totals_by_mac(&self) -> (Vec<MacAddress>, Vec<UsageTotals>) {
         let mut macs = Vec::new();
         let mut totals: Vec<UsageTotals> = Vec::new();
-        let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            let key = mac_key(mac);
-            if last != Some(key) {
-                last = Some(key);
+            if macs.last() != Some(&mac) {
                 macs.push(mac);
                 totals.push(UsageTotals::default());
             }
@@ -701,12 +697,9 @@ impl ColumnarWindow {
     pub(crate) fn app_masks_by_mac(&self) -> (Vec<MacAddress>, Vec<u64>) {
         let mut macs = Vec::new();
         let mut masks: Vec<u64> = Vec::new();
-        let mut last = None;
         for i in 0..self.usage_mac.len() {
             let mac = self.usage_mac[i];
-            let key = mac_key(mac);
-            if last != Some(key) {
-                last = Some(key);
+            if macs.last() != Some(&mac) {
                 macs.push(mac);
                 masks.push(0);
             }

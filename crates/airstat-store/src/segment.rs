@@ -481,9 +481,10 @@ mod cursor {
         }
     }
 
-    /// A bounds-checked read cursor. Varints go through
-    /// [`airstat_telemetry::wire::Reader`] — the segment format reuses
-    /// the wire codec's integer encoding byte for byte.
+    /// A bounds-checked read cursor. Varints use the wire codec's
+    /// integer encoding byte for byte: [`Cursor::varint`] reads the
+    /// common case a word at a time and leaves the rest to
+    /// [`airstat_telemetry::wire::Reader`].
     pub(super) struct Cursor<'a> {
         buf: &'a [u8],
         pos: usize,
@@ -515,27 +516,20 @@ mod cursor {
             Ok(())
         }
 
-        pub(super) fn varint(&mut self) -> Result<u64, SegmentError> {
-            let mut reader = Reader::new(&self.buf[self.pos..]);
-            let v = reader.read_varint()?;
-            self.pos = self.buf.len() - reader.remaining();
-            Ok(v)
-        }
-
-        /// [`Cursor::varint`] a word at a time: where eight bytes are
-        /// left and one of them ends the varint, it loads them as a
-        /// little-endian `u64`, finds the first byte with its high bit
-        /// clear and packs the 7-bit groups up to it without a branch.
-        /// A one-byte varint returns before that: the columns of small
-        /// codes (applications, bands, slots) take that branch every
-        /// row, and it is cheaper than the packing's chain from one
-        /// row's length to the next row's load. Anything else — fewer
-        /// than eight bytes left, or a varint longer than eight — goes
-        /// to [`Cursor::varint`], so both accept the same bytes with
-        /// the same value and length, and refuse the rest with the
-        /// same error.
+        /// One varint. Where eight bytes are left and one of them ends
+        /// the varint, it loads them as a little-endian `u64`, finds the
+        /// first byte with its high bit clear and packs the 7-bit groups
+        /// up to it without a branch. A one-byte varint returns before
+        /// that: the columns of small codes (applications, bands, slots)
+        /// take that branch every row, and it is cheaper than the
+        /// packing's chain from one row's length to the next row's load.
+        /// Anything else — fewer than eight bytes left, or a varint
+        /// longer than eight — goes to the per-byte
+        /// [`Reader::read_varint`], so the cursor accepts exactly the
+        /// bytes the wire codec accepts, with the same value and length,
+        /// and refuses the rest with the same error.
         #[inline(always)]
-        fn word_varint(&mut self) -> Result<u64, SegmentError> {
+        pub(super) fn varint(&mut self) -> Result<u64, SegmentError> {
             if let Some(word) = self.buf.get(self.pos..self.pos + 8) {
                 let x = u64::from_le_bytes(
                     word.try_into()
@@ -560,32 +554,10 @@ mod cursor {
                     return Ok(v);
                 }
             }
-            self.varint()
-        }
-
-        /// Reads one varint column: `rows` varints, each mapped by `map`,
-        /// which is told the row it is on.
-        pub(super) fn varint_col<T>(
-            &mut self,
-            rows: Rows,
-            mut map: impl FnMut(usize, u64) -> Result<T, SegmentError>,
-        ) -> Result<Vec<T>, SegmentError> {
-            self.col_indexed(rows, |cur, row| map(row, cur.word_varint()?))
-        }
-
-        /// [`Cursor::varint_col`] of plain `u64`s.
-        pub(super) fn varints(&mut self, rows: Rows) -> Result<Vec<u64>, SegmentError> {
-            self.varint_col(rows, |_, v| Ok(v))
-        }
-
-        /// [`Cursor::varint_col`] of values that must fit the narrower
-        /// integer type `T` (see [`Cursor::narrow`]).
-        pub(super) fn narrow_col<T: TryFrom<u64>>(
-            &mut self,
-            rows: Rows,
-            context: &'static str,
-        ) -> Result<Vec<T>, SegmentError> {
-            self.varint_col(rows, |_, v| T::try_from(v).map_err(|_| corrupt(context)))
+            let mut reader = Reader::new(&self.buf[self.pos..]);
+            let v = reader.read_varint()?;
+            self.pos = self.buf.len() - reader.remaining();
+            Ok(v)
         }
 
         /// A varint that must fit the narrower integer type `T`.
@@ -753,9 +725,13 @@ fn variant<T: Copy>(d: u64, variants: &[T], context: &'static str) -> Result<T, 
         .ok_or_else(|| corrupt(context))
 }
 
-/// Resolves discriminant `d` through its lane table.
-fn lane<T: Copy>(d: u64, lanes: &[Option<T>], context: &'static str) -> Result<T, SegmentError> {
-    variant(d, lanes, context)?.ok_or_else(|| corrupt(context))
+/// Reads one discriminant and resolves it through its lane table.
+fn lane<T: Copy>(
+    cur: &mut Cursor<'_>,
+    lanes: &[Option<T>],
+    context: &'static str,
+) -> Result<T, SegmentError> {
+    variant(cur.varint()?, lanes, context)?.ok_or_else(|| corrupt(context))
 }
 
 fn mac(cur: &mut Cursor<'_>) -> Result<MacAddress, SegmentError> {
@@ -766,9 +742,9 @@ fn window_id(cur: &mut Cursor<'_>) -> Result<WindowId, SegmentError> {
     cur.narrow("window id out of range").map(WindowId)
 }
 
-fn band(d: u64) -> Result<Band, SegmentError> {
+fn band(cur: &mut Cursor<'_>) -> Result<Band, SegmentError> {
     let bands = [Band::Ghz2_4, Band::Ghz5];
-    variant(d, &bands, "band discriminant out of range")
+    variant(cur.varint()?, &bands, "band discriminant out of range")
 }
 
 fn reason_from(code: u64) -> Result<RebootReason, SegmentError> {
@@ -1107,9 +1083,9 @@ fn read_metas(
     n: Rows,
     slot_context: &'static str,
 ) -> Result<Vec<ClientMeta>, SegmentError> {
-    let devices = cur.varints(n)?;
-    let seqs = cur.varints(n)?;
-    let slots = cur.narrow_col(n, slot_context)?;
+    let devices = cur.col(n, Cursor::varint)?;
+    let seqs = cur.col(n, Cursor::varint)?;
+    let slots = cur.col(n, |c| c.narrow(slot_context))?;
     let meta = |((device, seq), slot)| ClientMeta { device, seq, slot };
     Ok(devices.into_iter().zip(seqs).zip(slots).map(meta).collect())
 }
@@ -1121,11 +1097,11 @@ fn decode_usage(
 ) -> Result<(), SegmentError> {
     let n = cur.count(9, "usage row count exceeds block size")?;
     w.usage_mac = cur.col(n, mac)?;
-    w.usage_app = cur.varint_col(n, |_, d| {
-        lane(d, apps, "application discriminant out of range")
+    w.usage_app = cur.col(n, |c| {
+        lane(c, apps, "application discriminant out of range")
     })?;
-    w.usage_up = cur.varints(n)?;
-    w.usage_down = cur.varints(n)?;
+    w.usage_up = cur.col(n, Cursor::varint)?;
+    w.usage_down = cur.col(n, Cursor::varint)?;
     let key = |i: usize| usage_key(w.usage_mac[i], w.usage_app[i]);
     ascending(n.get(), key, "usage keys not strictly ascending")
 }
@@ -1138,16 +1114,14 @@ fn decode_clients(
     let n = cur.count(6 + 6 + 8, "client row count exceeds block size")?;
     w.client_mac = cur.col(n, mac)?;
     w.client_meta = read_metas(cur, n, "client slot out of range")?;
-    w.client_os = cur.varint_col(n, |_, d| {
-        lane(d, oses, "OS-family discriminant out of range")
-    })?;
+    w.client_os = cur.col(n, |c| lane(c, oses, "OS-family discriminant out of range"))?;
     // Stored capabilities were normalized by `Capabilities::new` before
     // they ever reached a shard, so a code that does not round-trip is a
     // tampered or corrupt field.
-    w.client_caps = cur.varint_col(n, |_, code| {
-        Capabilities::from_code(code).ok_or_else(|| corrupt("denormalized capability bits"))
+    w.client_caps = cur.col(n, |c| {
+        Capabilities::from_code(c.varint()?).ok_or_else(|| corrupt("denormalized capability bits"))
     })?;
-    w.client_band = cur.varint_col(n, |_, d| band(d))?;
+    w.client_band = cur.col(n, band)?;
     w.client_rssi = cur.col(n, Cursor::f64)?;
     let key = |i: usize| mac_key(w.client_mac[i]);
     ascending(n.get(), key, "client keys not strictly ascending")
@@ -1155,18 +1129,18 @@ fn decode_clients(
 
 fn decode_links(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let k = cur.count(4, "link key count exceeds block size")?;
-    let rx = cur.varints(k)?;
-    let tx = cur.varints(k)?;
-    w.link_keys = cur.varint_col(k, |i, d| {
+    let rx = cur.col(k, Cursor::varint)?;
+    let tx = cur.col(k, Cursor::varint)?;
+    w.link_keys = cur.col_indexed(k, |c, i| {
         Ok(LinkKey {
             rx_device: rx[i],
             tx_device: tx[i],
-            band: band(d)?,
+            band: band(c)?,
         })
     })?;
     let lens = cur.col(k, |c| c.count(1, "link series length exceeds block size"))?;
     let total = cur.total(&lens, "link series lengths exceed block size")?;
-    w.link_ts = cur.varints(total)?;
+    w.link_ts = cur.col(total, Cursor::varint)?;
     w.link_ratio = cur.col(total, Cursor::f64)?;
     w.link_offsets = offsets_of(&lens);
     let key = |i: usize| w.link_keys[i];
@@ -1175,11 +1149,12 @@ fn decode_links(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Segm
 
 fn decode_airtime(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let n = cur.count(5, "airtime row count exceeds block size")?;
-    let devices = cur.varints(n)?;
-    w.airtime_key = cur.varint_col(n, |i, d| Ok((devices[i], band(d)?)))?;
-    let elapsed = cur.varints(n)?;
-    let busy = cur.varints(n)?;
-    w.airtime_wifi = cur.varint_col(n, |i, wifi| {
+    let devices = cur.col(n, Cursor::varint)?;
+    w.airtime_key = cur.col_indexed(n, |c, i| Ok((devices[i], band(c)?)))?;
+    let elapsed = cur.col(n, Cursor::varint)?;
+    let busy = cur.col(n, Cursor::varint)?;
+    w.airtime_wifi = cur.col_indexed(n, |c, i| {
+        let wifi = c.varint()?;
         // The ledger's own invariant; `unpack` restores each ledger
         // with one `account` call, which is exact only under it.
         if busy[i] > elapsed[i] || wifi > busy[i] {
@@ -1197,14 +1172,14 @@ fn decode_airtime(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
 
 fn decode_neighbors(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), SegmentError> {
     let d = cur.count(5, "neighbor device count exceeds block size")?;
-    w.census_device = cur.varints(d)?;
+    w.census_device = cur.col(d, Cursor::varint)?;
     w.census_meta = read_metas(cur, d, "neighbor slot out of range")?;
     let lens = cur.col(d, |c| c.count(1, "census row count exceeds block size"))?;
     let total = cur.total(&lens, "census row counts exceed block size")?;
-    w.census_band = cur.varint_col(total, |_, d| band(d))?;
-    w.census_channel = cur.narrow_col(total, "channel number out of range")?;
-    w.census_networks = cur.narrow_col(total, "network count out of range")?;
-    w.census_hotspots = cur.narrow_col(total, "hotspot count out of range")?;
+    w.census_band = cur.col(total, band)?;
+    w.census_channel = cur.col(total, |c| c.narrow("channel number out of range"))?;
+    w.census_networks = cur.col(total, |c| c.narrow("network count out of range"))?;
+    w.census_hotspots = cur.col(total, |c| c.narrow("hotspot count out of range"))?;
     w.census_offsets = offsets_of(&lens);
     let key = |i: usize| w.census_device[i];
     ascending(d.get(), key, "census devices not strictly ascending")
@@ -1229,15 +1204,14 @@ fn decode_keyed<V>(
     values: impl FnOnce(&mut Cursor<'_>, Rows, &[u64], &[Rows]) -> Result<V, SegmentError>,
 ) -> Result<KeyedColumns<V>, SegmentError> {
     let d = cur.count(2, "keyed-table device count exceeds block size")?;
-    let devices = cur.varints(d)?;
+    let devices = cur.col(d, Cursor::varint)?;
     let lens = cur.col(d, |c| {
         c.count(1, "keyed-table row count exceeds block size")
     })?;
     let total = cur.total(&lens, "keyed-table row counts exceed block size")?;
-    let seqs = cur.varints(total)?;
-    let keys = cur.varint_col(total, |j, slot| {
-        let slot = u32::try_from(slot).map_err(|_| corrupt("keyed-table slot out of range"))?;
-        Ok((seqs[j], slot))
+    let seqs = cur.col(total, Cursor::varint)?;
+    let keys = cur.col_indexed(total, |c, j| {
+        Ok((seqs[j], c.narrow("keyed-table slot out of range")?))
     })?;
     let values = values(cur, total, &devices, &lens)?;
     let offsets = offsets_of(&lens);
@@ -1261,12 +1235,12 @@ fn decode_scans(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Segm
         "scan (seq, slot) keys not strictly ascending within a device",
     ];
     let table = decode_keyed(cur, order, |cur, total, _, _| {
-        w.scan_ts = cur.varints(total)?;
-        let bands = cur.varint_col(total, |_, d| band(d))?;
-        w.scan_channel = cur.varint_col(total, |j, number| channel_from(bands[j], number))?;
-        w.scan_util_ppm = cur.narrow_col(total, "utilization out of range")?;
-        w.scan_decodable_ppm = cur.narrow_col(total, "decodable share out of range")?;
-        w.scan_networks = cur.narrow_col(total, "network count out of range")?;
+        w.scan_ts = cur.col(total, Cursor::varint)?;
+        let bands = cur.col(total, band)?;
+        w.scan_channel = cur.col_indexed(total, |c, j| channel_from(bands[j], c.varint()?))?;
+        w.scan_util_ppm = cur.col(total, |c| c.narrow("utilization out of range"))?;
+        w.scan_decodable_ppm = cur.col(total, |c| c.narrow("decodable share out of range"))?;
+        w.scan_networks = cur.col(total, |c| c.narrow("network count out of range"))?;
         Ok(())
     })?;
     w.scan_device = table.devices;
@@ -1288,10 +1262,10 @@ fn decode_crashes(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
             .zip(lens)
             .flat_map(|(&device, len)| std::iter::repeat(device).take(len.get()))
             .collect::<Vec<u64>>();
-        let reasons = cur.varint_col(total, |_, code| reason_from(code))?;
-        let pcs = cur.varints(total)?;
-        let uptimes = cur.varints(total)?;
-        let free_memory = cur.varints(total)?;
+        let reasons = cur.col(total, |c| reason_from(c.varint()?))?;
+        let pcs = cur.col(total, Cursor::varint)?;
+        let uptimes = cur.col(total, Cursor::varint)?;
+        let free_memory = cur.col(total, Cursor::varint)?;
         cur.col_indexed(total, |c, j| {
             let len = c.count(1, "firmware string length exceeds block size")?;
             let bytes = c.take(len.get(), "truncated firmware string")?;
@@ -1320,14 +1294,14 @@ fn decode_crashes(cur: &mut Cursor<'_>, w: &mut ColumnarWindow) -> Result<(), Se
 // ledger type; canonical order is enforced on the segment bytes.
 fn decode_dedup(cur: &mut Cursor<'_>) -> Result<HashMap<(WindowId, u64), SeqSet>, SegmentError> {
     let n = cur.count(4, "dedup entry count exceeds block size")?;
-    let windows: Vec<u16> = cur.narrow_col(n, "window id out of range")?;
-    let devices = cur.varints(n)?;
-    let watermarks = cur.varints(n)?;
+    let windows = cur.col(n, window_id)?;
+    let devices = cur.col(n, Cursor::varint)?;
+    let watermarks = cur.col(n, Cursor::varint)?;
     let lens = cur.col(n, |c| c.count(1, "sparse tail length exceeds block size"))?;
     let mut map = HashMap::with_capacity(n.get());
     for i in 0..n.get() {
-        let key = (WindowId(windows[i]), devices[i]);
-        if i > 0 && key <= (WindowId(windows[i - 1]), devices[i - 1]) {
+        let key = (windows[i], devices[i]);
+        if i > 0 && key <= (windows[i - 1], devices[i - 1]) {
             return Err(corrupt(
                 "dedup entries not in ascending (window, device) order",
             ));
@@ -1966,6 +1940,7 @@ pub(crate) mod tests {
         ClientIdentity, LinkObservation, ScanObservation, UsageTotals,
     };
     use airstat_telemetry::report::{ChannelScanRecord, ReportPayload, UsageRecord};
+    use airstat_telemetry::wire::Reader;
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -2160,15 +2135,16 @@ pub(crate) mod tests {
             prop_assert_eq!(crc32(&noise[..long]), crc32_bytewise(&noise[..long]), "len {}", long);
         }
 
-        /// The word-at-a-time column reader against the per-value
-        /// [`Cursor::varint`] on the same bytes: the same values, the
-        /// same end position, and where the per-value reader fails on
-        /// a row, the same error at the same position. The bytes mix
-        /// canonical, overlong-but-legal and ten-byte varints (a tenth
-        /// byte above 1 overflows) with raw bytes, and are cut short at
-        /// a random point, so a varint can end the block mid-way.
+        /// [`Cursor::varint`] against the per-byte wire
+        /// [`Reader::read_varint`] on the same bytes, one row after
+        /// another: the same values, the same end position, and where
+        /// the wire reader fails on a row, the same error with the
+        /// cursor left at that row's start. The bytes mix canonical,
+        /// overlong-but-legal and ten-byte varints (a tenth byte above
+        /// 1 overflows) with raw bytes, and are cut short at a random
+        /// point, so a varint can end the block mid-way.
         #[test]
-        fn varint_column_reader_matches_the_per_value_reader(
+        fn word_varint_reader_matches_the_wire_reader(
             drawn in prop::collection::vec(
                 (any::<u8>(), any::<u64>(), 0u32..=64, 0usize..10, any::<u8>()),
                 0..24,
@@ -2183,33 +2159,21 @@ pub(crate) mod tests {
             bytes.truncate(cut % (bytes.len() + 1));
             let rows = rows % (bytes.len() + 1);
 
-            let mut oracle = Cursor::new(&bytes);
-            let mut values = Vec::new();
-            let mut failure = None;
-            while values.len() < rows {
-                match oracle.varint() {
-                    Ok(v) => values.push(v),
+            let mut oracle = Reader::new(&bytes);
+            let mut cursor = Cursor::new(&bytes);
+            for _ in 0..rows {
+                let start = bytes.len() - oracle.remaining();
+                match oracle.read_varint() {
+                    Ok(v) => prop_assert_eq!(cursor.varint().expect("the wire reader accepted it"), v),
                     Err(e) => {
-                        failure = Some(format!("{e:?}"));
+                        let got = cursor.varint().expect_err("the wire reader refused it");
+                        prop_assert_eq!(format!("{got:?}"), format!("{:?}", SegmentError::from(e)));
+                        prop_assert_eq!(cursor.pos(), start);
                         break;
                     }
                 }
+                prop_assert_eq!(cursor.pos(), bytes.len() - oracle.remaining());
             }
-            let counted = |cur: &Cursor<'_>, n: usize| cur.rows(n as u64, 1, "rows").expect("n ≤ bytes");
-            let mut column = Cursor::new(&bytes);
-            let read = column.varints(counted(&column, rows));
-            match failure {
-                None => prop_assert_eq!(read.expect("the per-value reader accepted every row"), values),
-                Some(e) => {
-                    prop_assert_eq!(format!("{:?}", read.expect_err("the per-value reader failed")), e);
-                    // The rows before the failing one read alike.
-                    let mut prefix = Cursor::new(&bytes);
-                    let ok = prefix.varints(counted(&prefix, values.len()));
-                    prop_assert_eq!(ok.expect("the per-value reader accepted these rows"), values);
-                    prop_assert_eq!(prefix.pos(), oracle.pos());
-                }
-            }
-            prop_assert_eq!(column.pos(), oracle.pos());
         }
 
         /// Arbitrary bytes — not flips of a valid file — are a typed
