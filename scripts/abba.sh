@@ -37,7 +37,12 @@
 #   git clone -q <parent-checkout> <clone-path-of-equal-length>
 #   scripts/abba.sh <parent-checkout> <clone-path-of-equal-length> 10 1 <workload>
 #
-# A gap there is layout noise, not the change.
+# A gap there is layout noise, not the change. A clean A/A does not
+# clear the change, though: the change itself moves unchanged code. So
+# also compare, in the two bench/target/release/airstat-e2e-bench
+# binaries, the functions that workload runs: the same names and sizes
+# (nm -S -C) and the same instructions once addresses are masked
+# (objdump -d --no-show-raw-insn) mean the gap is placement.
 set -euo pipefail
 
 (($# >= 2)) || {
