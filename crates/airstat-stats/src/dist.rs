@@ -28,8 +28,8 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 #[inline]
 fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
-        let u = rng.gen::<f64>() * 2.0 - 1.0;
-        let v = rng.gen::<f64>() * 2.0 - 1.0;
+        let u = signed_unit(rng.gen::<u64>());
+        let v = signed_unit(rng.gen::<u64>());
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
             return (u, s);
@@ -37,32 +37,46 @@ fn polar_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     }
 }
 
-/// Replaces `out` with the next `n` accepted polar pairs `(u, s)`, drawing
-/// `rng` exactly as `n` calls of [`standard_normal`] would, so
-/// `polar_finish(u, s)` is each call's variate. Each pair has `0 < s < 1`
-/// and `u² ≤ s`, so a caller that only needs to know whether `|z|` can
-/// reach some bound can stop at `s`: `|polar_finish(u, s)| ≤ sqrt(−2 ln s)`.
+/// `gen::<f64>() * 2.0 - 1.0` for the draw `x`, bit for bit, in `[−1, 1)`.
+/// `gen::<f64>()` is `(x >> 11) · 2⁻⁵³`; doubling it and subtracting 1 is
+/// `((x >> 11) − 2⁵²) · 2⁻⁵²`, and every step of that is exact: the
+/// centred integer has at most 53 bits, and the scale is a power of two.
+/// Centring as a signed integer spares the `u64 → f64` conversion, which
+/// takes several instructions where `i64 → f64` takes one.
+#[inline]
+fn signed_unit(x: u64) -> f64 {
+    ((x >> 11) as i64 - (1 << 52)) as f64 * (1.0 / (1u64 << 52) as f64)
+}
+
+/// Fills `u` and `s` with the next `u.len()` accepted polar pairs, drawing
+/// `rng` exactly as that many calls of [`standard_normal`] would, so
+/// `polar_finish(u[i], s[i])` is call `i`'s variate. Each pair has
+/// `0 < s < 1` and `u² ≤ s`, so a caller that only needs to know whether
+/// `|z|` can reach some bound can stop at `s`:
+/// `|polar_finish(u, s)| ≤ sqrt(−2 ln s)`.
 ///
 /// Draws in rounds of as many pairs as variates are still missing and
 /// keeps the accepted ones without a branch; a round never overdraws,
-/// since each missing variate needs at least one more pair. One pair in
-/// five is rejected at random, so a loop that exits on acceptance
-/// mispredicts about that often.
-pub fn polar_pairs<R: Rng + ?Sized>(rng: &mut R, n: usize, out: &mut Vec<(f64, f64)>) {
-    out.clear();
-    while out.len() < n {
-        let mut kept = out.len();
-        let missing = n - kept;
-        out.resize(n, (0.0, 0.0));
-        for _ in 0..missing {
-            let u = rng.gen::<f64>() * 2.0 - 1.0;
-            let v = rng.gen::<f64>() * 2.0 - 1.0;
-            let s = u * u + v * v;
-            // `kept` trails the pairs drawn, so the slot is in range.
-            out[kept] = (u, s);
-            kept += usize::from((s > 0.0) & (s < 1.0));
+/// since each missing variate needs at least one more pair, and never
+/// writes past the end, since the slot it writes trails the pairs drawn.
+/// One pair in five is rejected at random, so a loop that exits on
+/// acceptance mispredicts about that often.
+///
+/// # Panics
+/// Panics if `u` and `s` differ in length.
+pub fn polar_pairs<R: Rng + ?Sized>(rng: &mut R, u: &mut [f64], s: &mut [f64]) {
+    assert_eq!(u.len(), s.len(), "one `s` per `u`");
+    let n = u.len();
+    let mut kept = 0;
+    while kept < n {
+        for _ in 0..n - kept {
+            let a = signed_unit(rng.gen::<u64>());
+            let b = signed_unit(rng.gen::<u64>());
+            let t = a * a + b * b;
+            u[kept] = a;
+            s[kept] = t;
+            kept += usize::from((t > 0.0) & (t < 1.0));
         }
-        out.truncate(kept);
     }
 }
 
@@ -268,16 +282,53 @@ mod tests {
         // pair finishes to the bits `standard_normal` returns on a twin
         // stream, and the two streams stay in step.
         let (mut batched, mut single) = (rng(), rng());
-        let mut pairs = vec![(9.0, 9.0)];
         for n in 0..300 {
-            polar_pairs(&mut batched, n, &mut pairs);
-            assert_eq!(pairs.len(), n);
-            for &(u, s) in &pairs {
+            let (mut us, mut ss) = (vec![9.0; n], vec![9.0; n]);
+            polar_pairs(&mut batched, &mut us, &mut ss);
+            for (&u, &s) in us.iter().zip(&ss) {
                 assert!(s > 0.0 && s < 1.0 && u * u <= s);
                 let z = standard_normal(&mut single);
                 assert_eq!(polar_finish(u, s).to_bits(), z.to_bits());
             }
             assert_eq!(batched.gen::<u64>(), single.gen::<u64>());
+        }
+    }
+
+    /// An RNG whose every draw is `.0`: hands `gen::<f64>()` a chosen `u64`.
+    struct Draw(u64);
+
+    impl rand::RngCore for Draw {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    fn signed_unit_matches_gen(x: u64) {
+        let want = Draw(x).gen::<f64>() * 2.0 - 1.0;
+        assert_eq!(signed_unit(x).to_bits(), want.to_bits(), "{x:#x}");
+    }
+
+    #[test]
+    fn signed_unit_matches_gen_at_its_edges() {
+        // `x >> 11` at 0 (−1), 2⁵² (+0.0, not −0.0) and 2⁵³ − 1 (the last
+        // value below 1), with every low bit both ways.
+        for top in [0u64, 1 << 52, (1 << 53) - 1] {
+            for low in [0, 0x7ff] {
+                signed_unit_matches_gen(top << 11 | low);
+            }
+        }
+        assert_eq!(signed_unit(0), -1.0);
+        assert_eq!(signed_unit(1 << 63).to_bits(), 0.0f64.to_bits());
+        assert_eq!(signed_unit(u64::MAX), 1.0 - f64::EPSILON);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn signed_unit_matches_gen_for_any_draw(x in proptest::prelude::any::<u64>()) {
+            signed_unit_matches_gen(x);
         }
     }
 
